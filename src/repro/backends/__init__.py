@@ -4,31 +4,32 @@ The paper's thesis is performance portability: one Tersoff algorithm,
 specialized per instruction set through an abstraction layer.  This
 package is that abstraction layer for the reproduction: a registry of
 :class:`ComputeBackend` entries, each able to supply a
-``MultiBodyKernel`` implementation for the staged pipeline.  The
-staging machinery (filter, `InteractionCache`, `Workspace`, triplet
-expansion, parameter gathers) is shared verbatim — a backend only
-replaces the *computational part* (paper Alg. 3).
+``MultiBodyKernel`` implementation for the staged pipeline.  A backend
+supplies the kernel and, through the kernel's declarative staging
+contract, says how much of the shared staging machinery
+(`InteractionCache`, `Workspace`, filter, triplet expansion, parameter
+gathers) it wants done for it.
 
 Registered backends:
 
 - ``numpy``    — the wide-vector numpy kernel; always available, the
   default, and bitwise-unchanged by this package's existence.
 - ``compiled`` — a C kernel compiled at first use with the host
-  toolchain (strategy ``cext``), or a Numba-jitted loop kernel when
-  numba is installed (strategy ``numba``); same staging arrays, same
-  accumulation order, equivalence contract in DESIGN.md §12.
+  toolchain; it reads positions and the CSR neighbor list directly and
+  fuses filter, geometry and Alg. 3 in one pass, so nothing but the
+  list and the type column is staged for it.  Equivalence contract
+  against the numpy kernel in DESIGN.md §12.
 
 Selection is plumbed end-to-end: ``TersoffProduction(backend=...)``,
 ``make_solver(..., backend=...)``, ``repro run --backend``, ``repro
 bench run --backend``.  ``resolve()`` falls back to ``numpy`` with a
 one-time warning when the requested backend cannot run on this host
-(no C toolchain, no numba); pass ``fallback=False`` to make the
+(no C toolchain); pass ``fallback=False`` to make the
 unavailability a hard error instead.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import warnings
 
 from repro.backends.base import BackendUnavailableError, ComputeBackend, UnknownBackendError
@@ -140,12 +141,7 @@ def _make_numpy_tersoff(params, precision):
 def _compiled_probe() -> str | None:
     from repro.backends import cext
 
-    cext_reason = cext.probe()
-    if cext_reason is None:
-        return None
-    if importlib.util.find_spec("numba") is not None:
-        return None
-    return f"{cext_reason}; and numba is not installed"
+    return cext.probe()
 
 
 def _make_compiled_tersoff(params, precision):
@@ -166,7 +162,7 @@ register(
 register(
     ComputeBackend(
         name="compiled",
-        description="C kernel built with the host toolchain (or Numba-jitted loops)",
+        description="fused one-pass C kernel built with the host toolchain",
         probe=_compiled_probe,
         make_tersoff_kernel=_make_compiled_tersoff,
     )

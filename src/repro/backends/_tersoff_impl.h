@@ -1,20 +1,29 @@
-/* Tersoff staged-kernel computational part, REAL-templated.
+/* Tersoff fused computational part (paper Alg. 3), REAL-templated.
  *
  * Included twice from _tersoff.c (REAL=double/TSUF=f64, then
- * REAL=float/TSUF=f32).  This mirrors the numpy backend
+ * REAL=float/TSUF=f32).  Per atom i the scalar filter
+ * (ters_filter_row) leaves the max-cutoff short list; every entry
+ * inside its own inclusive per-type-pair R+D cutoff is a pair (i,j),
+ * and every *other* short-list entry is one of its k.  K loop 1
+ * accumulates zeta and caches the derivative terms, the pair terms
+ * follow, k loop 2 turns the cached terms into forces and virial sums —
+ * nothing is staged per pair or per triplet beyond the current row.
+ *
+ * The functional forms mirror the numpy oracle
  * (repro/core/tersoff/production.py::TersoffKernel.evaluate and
  * repro/core/tersoff/functional.py) term for term: same expressions,
- * same left-to-right association, same accumulation order (a numpy
- * bincount adds its weights sequentially in input order, so the
- * scatter passes below replay segsum3 exactly).  Compile with
- * -fno-fast-math -ffp-contract=off: a contracted FMA would change the
- * rounding and break the documented ULP contract against numpy.
+ * same left-to-right association.  Traversal order (i ascending, j and
+ * k in list order) is the oracle's pair/triplet row order, so zeta, the
+ * per-atom energy and the three virial sums accumulate in exactly its
+ * order; forces are added straight onto atoms i, j and k instead of
+ * replaying its five segmented sums, so they agree to rounding of the
+ * sum order only (DESIGN.md §12).  Compile with -fno-fast-math
+ * -ffp-contract=off: a contracted FMA would change the rounding and
+ * break the documented ULP contract against numpy.
  *
- * Inputs arrive as the exact staging arrays StagedPipeline produces:
- * geometry in float64, parameter blocks pre-gathered per pair/triplet
- * in the compute dtype.  Elementwise math runs in REAL; every
- * accumulation (zeta, per-atom energy, force scatters) runs in double,
- * matching the numpy kernel's accumulate discipline.
+ * Elementwise math runs in REAL; geometry arrives in double from the
+ * filter and every accumulation runs in ACC (double), matching the
+ * numpy kernel's accumulate discipline.
  */
 
 #define TFN(name) CAT(name, TSUF)
@@ -92,189 +101,180 @@ static inline void TFN(ters_bij_both_)(REAL z, REAL beta, REAL nn,
     }
 }
 
-/* Parameter-block layouts (field-major, matching the Python packers):
- * pp[f*P + p] with f over PROD_PAIR_FIELDS   (R D A lam1 B lam2 beta n c1 c2 c3 c4)
- * tpp[f*T + t] with f over PROD_TRIPLET_FIELDS (R D gamma c d h lam3) */
-void TFN(tersoff_eval_)(
-    const int64_t P, const int64_t T, const int64_t N,
-    const double *restrict pd,   /* (P,3) pair displacement x_j - x_i   */
-    const double *restrict pr,   /* (P,)  pair distance                 */
-    const int64_t *restrict ii,  /* (P,)  atom i per pair               */
-    const int64_t *restrict jj,  /* (P,)  atom j per pair               */
-    const double *restrict kd,   /* (K,3) k-candidate displacement      */
-    const double *restrict kr,   /* (K,)  k-candidate distance          */
-    const int64_t *restrict kjj, /* (K,)  atom j per k-candidate        */
-    const int64_t *restrict tp,  /* (T,)  pair row per triplet          */
-    const int64_t *restrict tk,  /* (T,)  k-candidate row per triplet   */
-    const REAL *restrict pp,     /* (12,P) gathered pair params         */
-    const REAL *restrict tpp,    /* (7,T)  gathered triplet params      */
-    const double *restrict mt,   /* (T,)  zeta exponent selector m      */
-    double *restrict zeta,       /* (P,)   scratch, zeroed here         */
-    REAL *restrict tscr,         /* (T,8)  scratch triplet intermediates */
-    REAL *restrict pref,         /* (P,)   scratch dV/dzeta prefactor   */
-    double *restrict fi,         /* (T,3)  scratch triplet force on i   */
-    double *restrict sbuf,       /* (N,3)  scratch per-pass scatter sum */
-    REAL *restrict e_pair,       /* (P,)   out                          */
-    double *restrict fvec,       /* (P,3)  out pair force term          */
-    double *restrict fj,         /* (T,3)  out triplet force on j       */
-    double *restrict fk,         /* (T,3)  out triplet force on k       */
-    double *restrict forces,     /* (N,3)  out, zeroed here             */
-    double *restrict peratom,    /* (N,)   out, zeroed here             */
-    double *restrict stress_p,   /* (3,3)  out: sum_p d[p,a] fvec[p,b]  */
-    double *restrict stress_j,   /* (3,3)  out: sum_t d[tp,a] fj[t,b]   */
-    double *restrict stress_k)   /* (3,3)  out: sum_t kd[tk,a] fk[t,b]  */
+/* Scratch, carved from one caller-owned buffer of
+ * max_row * SCRATCH_DOUBLES_PER_ENTRY doubles (16: 3 d + r, then 8
+ * cached k terms and 3 unit-vector components of at most 8 bytes, then
+ * j and type(j) as int32). */
+int TFN(tersoff_fused_)(
+    const int64_t n_atoms,
+    const int64_t *restrict offsets, /* (N+1,) CSR row offsets, as stored   */
+    const int32_t *restrict neighbors, /* (L,)  CSR columns, as stored      */
+    const int32_t *restrict types,   /* (N,)                                */
+    const double *restrict x,        /* (N,3) positions                     */
+    const double *restrict geo,      /* (8,)  box + max cutoff, see above   */
+    const int64_t ntypes,
+    const double *restrict cut,      /* (nt^3,) R+D per entry, double       */
+    const REAL *restrict ptab,       /* (nt^3, N_PARAM) parameter table     */
+    const int64_t max_row,           /* longest CSR row (sizes the scratch) */
+    double *restrict scratch,
+    double *restrict forces,         /* (N,3)  out, zeroed here             */
+    double *restrict peratom,        /* (N,)   out, zeroed here             */
+    double *restrict stress,         /* (3,3,3) out: pair, j and k virial sums */
+    int64_t *restrict info)          /* (2,) out: pairs, triplets in cutoff;
+                                        on error the offending atom pair    */
 {
-    int64_t t, p, x, c, a;
+    double *restrict sd = scratch;
+    double *restrict sr = sd + 3 * max_row;
+    REAL *restrict kterm = (REAL *)(sr + max_row);
+    REAL *restrict hat = kterm + N_KTERM * max_row; /* d / r per short-list slot */
+    int32_t *restrict sj = (int32_t *)(hat + 3 * max_row);
+    int32_t *restrict st = sj + max_row;
+    double *restrict stress_p = stress;      /* sum_p d_ij[a] fvec[b] */
+    double *restrict stress_j = stress + 9;  /* sum_t d_ij[a] fj[b]   */
+    double *restrict stress_k = stress + 18; /* sum_t d_ik[a] fk[b]   */
+    int64_t n_pairs = 0, n_triplets = 0;
+    int64_t i, mj, mk;
+    int a, c;
 
-    memset(zeta, 0, (size_t)P * sizeof(double));
-    memset(peratom, 0, (size_t)N * sizeof(double));
-    memset(stress_p, 0, 9 * sizeof(double));
-    memset(stress_j, 0, 9 * sizeof(double));
-    memset(stress_k, 0, 9 * sizeof(double));
+    memset(forces, 0, (size_t)(3 * n_atoms) * sizeof(double));
+    memset(peratom, 0, (size_t)n_atoms * sizeof(double));
+    memset(stress, 0, 27 * sizeof(double));
+    for (i = 0; i < n_atoms; i++)
+        if (types[i] < 0 || types[i] >= ntypes) return (int)-ters_fail(info, i, i, TERS_BAD_INPUT);
 
-    /* ---- triplet pass 1: zeta accumulation (bincount == t order) ---- */
-    for (t = 0; t < T; t++) {
-        const int64_t pt = tp[t], kt = tk[t];
-        const REAL dij0 = (REAL)pd[3 * pt], dij1 = (REAL)pd[3 * pt + 1], dij2 = (REAL)pd[3 * pt + 2];
-        const REAL dik0 = (REAL)kd[3 * kt], dik1 = (REAL)kd[3 * kt + 1], dik2 = (REAL)kd[3 * kt + 2];
-        const REAL rij = (REAL)pr[pt];
-        const REAL rik = (REAL)kr[kt];
-        const REAL cos_t = (dij0 * dik0 + dij1 * dik1 + dij2 * dik2) / (rij * rik);
+    for (i = 0; i < n_atoms; i++) {
+        const int64_t len = offsets[i + 1] - offsets[i];
+        if (len == 0) continue; /* blanked ghost row or isolated atom */
+        if (len < 0 || len > max_row) return (int)-ters_fail(info, i, i, TERS_BAD_INPUT);
+        const int64_t ns = ters_filter_row(x, types, n_atoms, i, neighbors + offsets[i], len,
+                                           geo, sd, sr, sj, st, info);
+        if (ns < 0) return (int)-ns;
+        for (mk = 0; mk < ns; mk++)
+            for (c = 0; c < 3; c++) hat[3 * mk + c] = (REAL)sd[3 * mk + c] / (REAL)sr[mk];
+        const int64_t ti = types[i];
+        ACC *f_i = forces + 3 * i;
 
-        const REAL Rt = tpp[0 * T + t], Dt = tpp[1 * T + t];
-        const REAL gam = tpp[2 * T + t], ct = tpp[3 * T + t], dt = tpp[4 * T + t];
-        const REAL ht = tpp[5 * T + t], l3 = tpp[6 * T + t];
+        for (mj = 0; mj < ns; mj++) {
+            const int64_t tj = st[mj];
+            const int64_t row_ij = (ti * ntypes + tj) * ntypes;
+            if (!(sr[mj] <= cut[row_ij + tj])) continue; /* inclusive R+D filter */
+            n_pairs++;
+            const int32_t j = sj[mj];
+            const double *restrict d_ij = sd + 3 * mj;
+            const REAL dij0 = (REAL)d_ij[0], dij1 = (REAL)d_ij[1], dij2 = (REAL)d_ij[2];
+            const REAL rij = (REAL)sr[mj];
+            ACC *f_j = forces + 3 * j;
 
-        const REAL fcik = TFN(ters_fc_)(rik, Rt, Dt);
-        const REAL fcdik = TFN(ters_fc_d_)(rik, Rt, Dt);
-        const REAL g = TFN(ters_g_)(cos_t, gam, ct, dt, ht);
-        const REAL gd = TFN(ters_g_d_)(cos_t, gam, ct, dt, ht);
+            /* ---- k loop 1: zeta and its cached derivative terms ---- */
+            ACC zeta = 0;
+            for (mk = 0; mk < ns; mk++) {
+                if (sj[mk] == j) continue;
+                n_triplets++;
+                const REAL *restrict tp = ptab + N_PARAM * (row_ij + st[mk]);
+                const double *restrict d_ik = sd + 3 * mk;
+                const REAL rik = (REAL)sr[mk];
+                const REAL cos_t = DOT3_EINSUM(dij0 * (REAL)d_ik[0], dij1 * (REAL)d_ik[1],
+                                               dij2 * (REAL)d_ik[2]) / (rij * rik);
+                const REAL Rt = tp[P_R], Dt = tp[P_D], l3 = tp[P_LAM3];
+                const REAL fcik = TFN(ters_fc_)(rik, Rt, Dt);
+                const REAL fcdik = TFN(ters_fc_d_)(rik, Rt, Dt);
+                const REAL g = TFN(ters_g_)(cos_t, tp[P_GAMMA], tp[P_C],
+                                            tp[P_DD], tp[P_H]);
+                const REAL gd = TFN(ters_g_d_)(cos_t, tp[P_GAMMA], tp[P_C],
+                                               tp[P_DD], tp[P_H]);
 
-        /* zeta_exp / zeta_exp_d_over, exponent clamped at +69 */
-        const REAL delr = rij - rik;
-        const REAL ld = l3 * delr;
-        const REAL expo = (mt[t] == (REAL)3.0) ? ld * ld * ld : ld;
-        const REAL ex = R_EXP(expo < (REAL)69.0 ? expo : (REAL)69.0);
-        const REAL exld = (expo >= (REAL)69.0)
-                              ? (REAL)0.0
-                              : ((mt[t] == (REAL)3.0) ? (REAL)3.0 * l3 * ld * ld : l3);
+                /* zeta_exp / zeta_exp_d_over, exponent clamped at +69;
+                 * exp(+-0) is exactly 1, so lam3 == 0 skips the libm call */
+                const int cubic = tp[P_M] == (REAL)3.0;
+                const REAL ld = l3 * (rij - rik);
+                const REAL expo = cubic ? ld * ld * ld : ld;
+                const REAL ex = expo == (REAL)0.0
+                                    ? (REAL)1.0
+                                    : R_EXP(expo < (REAL)69.0 ? expo : (REAL)69.0);
+                const REAL exld = (expo >= (REAL)69.0)
+                                      ? (REAL)0.0
+                                      : (cubic ? (REAL)3.0 * l3 * ld * ld : l3);
 
-        const REAL contrib = fcik * g * ex;
-        zeta[pt] += (double)contrib;
+                const REAL contrib = fcik * g * ex;
+                zeta += (ACC)contrib;
 
-        REAL *s = tscr + 8 * t;
-        s[0] = cos_t;
-        s[1] = fcik;
-        s[2] = fcdik;
-        s[3] = g;
-        s[4] = gd;
-        s[5] = ex;
-        s[6] = exld;
-        s[7] = contrib;
-    }
-
-    /* ---- pair terms (incl. per-atom energy bincount in p order) ---- */
-    for (p = 0; p < P; p++) {
-        const REAL r = (REAL)pr[p];
-        const REAL Rp = pp[0 * P + p], Dp = pp[1 * P + p];
-        const REAL A = pp[2 * P + p], lam1 = pp[3 * P + p];
-        const REAL B = pp[4 * P + p], lam2 = pp[5 * P + p];
-        const REAL beta = pp[6 * P + p], nn = pp[7 * P + p];
-        const REAL c1 = pp[8 * P + p], c2v = pp[9 * P + p];
-        const REAL c3 = pp[10 * P + p], c4 = pp[11 * P + p];
-
-        const REAL fcij = TFN(ters_fc_)(r, Rp, Dp);
-        const REAL fcdij = TFN(ters_fc_d_)(r, Rp, Dp);
-        const REAL fr = A * R_EXP(-lam1 * r);
-        const REAL frd = -lam1 * fr;
-        const REAL fa = -B * R_EXP(-lam2 * r);
-        const REAL fad = -lam2 * fa;
-        const REAL z = (REAL)zeta[p];
-        REAL bij, bijd;
-        TFN(ters_bij_both_)(z, beta, nn, c1, c2v, c3, c4, &bij, &bijd);
-
-        const REAL e = (REAL)0.5 * fcij * (fr + bij * fa);
-        const REAL dE = (REAL)0.5 * (fcdij * (fr + bij * fa) + fcij * (frd + bij * fad));
-        const REAL fp = -dE / r;
-
-        e_pair[p] = e;
-        pref[p] = (REAL)0.5 * fcij * fa * bijd;
-        fvec[3 * p] = (double)(fp * (REAL)pd[3 * p]);
-        fvec[3 * p + 1] = (double)(fp * (REAL)pd[3 * p + 1]);
-        fvec[3 * p + 2] = (double)(fp * (REAL)pd[3 * p + 2]);
-        peratom[ii[p]] += (double)e;
-        /* pair virial W_ab += d_a F_b; per-element accumulation order
-         * over p matches np.einsum("ia,ib->ab") (sequential over i) */
-        for (a = 0; a < 3; a++)
-            for (c = 0; c < 3; c++)
-                stress_p[3 * a + c] += pd[3 * p + a] * fvec[3 * p + c];
-    }
-
-    /* ---- triplet pass 2: zeta-derivative force terms ---- */
-    for (t = 0; t < T; t++) {
-        const int64_t pt = tp[t], kt = tk[t];
-        const REAL *s = tscr + 8 * t;
-        const REAL cos_t = s[0], fcik = s[1], fcdik = s[2], g = s[3];
-        const REAL gd = s[4], ex = s[5], exld = s[6], contrib = s[7];
-        const REAL rij = (REAL)pr[pt];
-        const REAL rik = (REAL)kr[kt];
-        const REAL pre = pref[pt];
-        const REAL crij = cos_t / rij;
-        const REAL crik = cos_t / rik;
-        const REAL fcgdex = fcik * gd * ex;
-        const REAL aj = contrib * exld;
-        const REAL ak = fcdik * g * ex - contrib * exld;
-        for (c = 0; c < 3; c++) {
-            const REAL hij = (REAL)pd[3 * pt + c] / rij;
-            const REAL hik = (REAL)kd[3 * kt + c] / rik;
-            const REAL dcj = hik / rij - crij * hij;
-            const REAL dck = hij / rik - crik * hik;
-            const REAL dzj = aj * hij + fcgdex * dcj;
-            const REAL dzk = ak * hik + fcgdex * dck;
-            const REAL dzi = -(dzj + dzk);
-            fi[3 * t + c] = (double)(pre * dzi);
-            fj[3 * t + c] = (double)(pre * dzj);
-            fk[3 * t + c] = (double)(pre * dzk);
-        }
-        /* triplet virial terms, same einsum accumulation order over t */
-        for (a = 0; a < 3; a++)
-            for (c = 0; c < 3; c++) {
-                stress_j[3 * a + c] += pd[3 * pt + a] * fj[3 * t + c];
-                stress_k[3 * a + c] += kd[3 * kt + a] * fk[3 * t + c];
+                REAL *restrict s = kterm + N_KTERM * mk;
+                s[K_COS] = cos_t;
+                s[K_FC] = fcik;
+                s[K_FCD] = fcdik;
+                s[K_G] = g;
+                s[K_GD] = gd;
+                s[K_EX] = ex;
+                s[K_EXLD] = exld;
+                s[K_ZETA] = contrib;
             }
+
+            /* ---- pair terms ---- */
+            const REAL *restrict pp = ptab + N_PARAM * (row_ij + tj);
+            const REAL fcij = TFN(ters_fc_)(rij, pp[P_R], pp[P_D]);
+            const REAL fcdij = TFN(ters_fc_d_)(rij, pp[P_R], pp[P_D]);
+            const REAL fr = pp[P_A] * R_EXP(-pp[P_LAM1] * rij);
+            const REAL frd = -pp[P_LAM1] * fr;
+            const REAL fa = -pp[P_B] * R_EXP(-pp[P_LAM2] * rij);
+            const REAL fad = -pp[P_LAM2] * fa;
+            REAL bij, bijd;
+            TFN(ters_bij_both_)((REAL)zeta, pp[P_BETA], pp[P_N], pp[P_C1],
+                                pp[P_C2], pp[P_C3], pp[P_C4], &bij, &bijd);
+
+            const REAL e = (REAL)0.5 * fcij * (fr + bij * fa);
+            const REAL dE = (REAL)0.5 * (fcdij * (fr + bij * fa) + fcij * (frd + bij * fad));
+            const REAL fp = -dE / rij;
+            const REAL pre = (REAL)0.5 * fcij * fa * bijd; /* dV/dzeta */
+
+            peratom[i] += (ACC)e;
+            const REAL fvec[3] = {fp * dij0, fp * dij1, fp * dij2};
+            for (c = 0; c < 3; c++) {
+                const ACC fv = (ACC)fvec[c];
+                f_i[c] -= fv;
+                f_j[c] += fv;
+                /* pair virial W_ab += d_a F_b, in pair-row order */
+                for (a = 0; a < 3; a++) stress_p[3 * a + c] += d_ij[a] * fv;
+            }
+
+            /* ---- k loop 2: zeta-derivative force terms ---- */
+            for (mk = 0; mk < ns; mk++) {
+                if (sj[mk] == j) continue;
+                const REAL *restrict s = kterm + N_KTERM * mk;
+                const double *restrict d_ik = sd + 3 * mk;
+                ACC *f_k = forces + 3 * sj[mk];
+                const REAL rik = (REAL)sr[mk];
+                const REAL crij = s[K_COS] / rij;
+                const REAL crik = s[K_COS] / rik;
+                const REAL fcgdex = s[K_FC] * s[K_GD] * s[K_EX];
+                const REAL aj = s[K_ZETA] * s[K_EXLD];
+                const REAL ak = s[K_FCD] * s[K_G] * s[K_EX]
+                                - s[K_ZETA] * s[K_EXLD];
+                for (c = 0; c < 3; c++) {
+                    const REAL hij = hat[3 * mj + c];
+                    const REAL hik = hat[3 * mk + c];
+                    const REAL dcj = hik / rij - crij * hij;
+                    const REAL dck = hij / rik - crik * hik;
+                    const REAL dzj = aj * hij + fcgdex * dcj;
+                    const REAL dzk = ak * hik + fcgdex * dck;
+                    const REAL dzi = -(dzj + dzk);
+                    const ACC fi = (ACC)(pre * dzi);
+                    const ACC fj = (ACC)(pre * dzj);
+                    const ACC fk = (ACC)(pre * dzk);
+                    f_i[c] -= fi;
+                    f_j[c] -= fj;
+                    f_k[c] -= fk;
+                    /* triplet virial terms, in triplet-row order */
+                    for (a = 0; a < 3; a++) {
+                        stress_j[3 * a + c] += d_ij[a] * fj;
+                        stress_k[3 * a + c] += d_ik[a] * fk;
+                    }
+                }
+            }
+        }
     }
-
-    /* ---- force scatter: replay segsum3 passes in the numpy order ----
-     * forces = 0; -= segsum(i, fvec); += segsum(j, fvec);
-     * -= segsum(i[tp], fi); -= segsum(j[tp], fj); -= segsum(kj[tk], fk) */
-    memset(forces, 0, (size_t)(3 * N) * sizeof(double));
-
-    memset(sbuf, 0, (size_t)(3 * N) * sizeof(double));
-    for (p = 0; p < P; p++)
-        for (c = 0; c < 3; c++) sbuf[3 * ii[p] + c] += fvec[3 * p + c];
-    for (x = 0; x < 3 * N; x++) forces[x] -= sbuf[x];
-
-    memset(sbuf, 0, (size_t)(3 * N) * sizeof(double));
-    for (p = 0; p < P; p++)
-        for (c = 0; c < 3; c++) sbuf[3 * jj[p] + c] += fvec[3 * p + c];
-    for (x = 0; x < 3 * N; x++) forces[x] += sbuf[x];
-
-    if (T) {
-        memset(sbuf, 0, (size_t)(3 * N) * sizeof(double));
-        for (t = 0; t < T; t++)
-            for (c = 0; c < 3; c++) sbuf[3 * ii[tp[t]] + c] += fi[3 * t + c];
-        for (x = 0; x < 3 * N; x++) forces[x] -= sbuf[x];
-
-        memset(sbuf, 0, (size_t)(3 * N) * sizeof(double));
-        for (t = 0; t < T; t++)
-            for (c = 0; c < 3; c++) sbuf[3 * jj[tp[t]] + c] += fj[3 * t + c];
-        for (x = 0; x < 3 * N; x++) forces[x] -= sbuf[x];
-
-        memset(sbuf, 0, (size_t)(3 * N) * sizeof(double));
-        for (t = 0; t < T; t++)
-            for (c = 0; c < 3; c++) sbuf[3 * kjj[tk[t]] + c] += fk[3 * t + c];
-        for (x = 0; x < 3 * N; x++) forces[x] -= sbuf[x];
-    }
+    info[0] = n_pairs;
+    info[1] = n_triplets;
+    return TERS_OK;
 }
 
 #undef TFN

@@ -1,6 +1,6 @@
 """Runtime C-extension builder/loader for the compiled backend.
 
-The compiled strategy ships C source (``_tersoff.c`` + the
+The compiled backend ships C source (``_tersoff.c`` + the
 REAL-templated ``_tersoff_impl.h``) inside the package and compiles it
 on first use with the host toolchain — no build-time step, no binary
 wheels, and ``pip install repro`` stays pure-Python.  The shared object
@@ -16,7 +16,7 @@ one rounding per operator, which is what makes the documented ULP
 bounds against the numpy backend (DESIGN.md §12) hold.
 
 ``REPRO_NO_CEXT=1`` force-disables the toolchain probe; tests and the
-no-extra CI leg use it to exercise the numpy fallback on hosts that do
+``backend-fallback`` CI leg use it to exercise the numpy fallback on hosts that do
 have a compiler.
 """
 
@@ -57,7 +57,7 @@ def find_compiler() -> str | None:
 
 
 def probe() -> str | None:
-    """``None`` when the cext strategy can run here, else the reason."""
+    """``None`` when the extension can be built here, else the reason."""
     if os.environ.get("REPRO_NO_CEXT"):
         return "disabled by REPRO_NO_CEXT"
     if find_compiler() is None:
@@ -123,10 +123,12 @@ def build(force: bool = False) -> Path:
 
 def _bind(lib: ctypes.CDLL, symbol: str):
     fn = getattr(lib, symbol)
-    # (P, T, N) then 26 raw buffer pointers; shapes/dtypes are enforced
-    # by the Python caller (CompiledTersoffKernel packs the buffers)
-    fn.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 26
-    fn.restype = None
+    # tersoff_fused_*(n_atoms, offsets, neighbors, types, x, geo, ntypes,
+    # cut, ptab, max_row, scratch, forces, peratom, stress, info) -> code;
+    # shapes/dtypes are enforced by the caller (CompiledTersoffKernel)
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    fn.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, i64, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr]
+    fn.restype = ctypes.c_int
     return fn
 
 
@@ -141,8 +143,8 @@ def load() -> dict[str, object]:
         # process-local lazy singleton: dlopen handles survive fork and
         # spawn re-imports fresh, so each worker lazily loads its own
         _lib = ctypes.CDLL(str(so_path))  # repro-lint: disable=KC003
-        _fns["f64"] = _bind(_lib, "tersoff_eval_f64")  # repro-lint: disable=KC003
-        _fns["f32"] = _bind(_lib, "tersoff_eval_f32")
+        _fns["f64"] = _bind(_lib, "tersoff_fused_f64")  # repro-lint: disable=KC003
+        _fns["f32"] = _bind(_lib, "tersoff_fused_f32")
     return _fns
 
 

@@ -1,253 +1,144 @@
-"""The ``compiled`` backend: Tersoff's computational part off the interpreter.
+"""The ``compiled`` backend: Tersoff in one pass of C over the neighbor list.
 
-:class:`CompiledTersoffKernel` subclasses the numpy
-:class:`~repro.core.tersoff.production.TersoffKernel` and replaces only
-``evaluate`` — the staging contract (filter, triplet expansion,
-parameter gathers, `InteractionCache`/`Workspace` reuse) is inherited
-verbatim, so cache hits, rebuild boundaries and multi-species staging
-behave identically across backends by construction.
+:class:`CompiledTersoffKernel` declares ``reads_list``: the staged
+pipeline hands it the CSR list as stored, the type column and the
+current positions (cache layers L1/L2 only), and one ctypes call into
+``_tersoff.c`` does everything else per atom — minimum-image geometry,
+the non-finite/coincident guards, the Sec. IV-D max-cutoff short list,
+the inclusive per-type-pair filter and Alg. 3 (ζ with cached derivative
+terms, pair terms, forces, per-atom energy, the three virial sums).  No
+pair or triplet table is ever staged, so a cache hit, a mask drift and a
+rebuilt list all cost the same kernel call.
 
-Two strategies supply the machine code:
+The numpy :class:`~repro.core.tersoff.production.TersoffKernel` is the
+oracle this kernel is tested against (DESIGN.md §12) and what the
+registry falls back to on a host without a C compiler.
 
-- ``cext``  — the C kernel in ``_tersoff.c``, built at first use with
-  the host toolchain (see :mod:`repro.backends.cext`);
-- ``numba`` — :func:`repro.backends.loops.tersoff_eval_loops` jitted by
-  Numba when no C compiler is present but the ``compiled`` extra is
-  installed;
-- ``python`` — the interpreted loop body; test-only oracle, selectable
-  via ``REPRO_COMPILED_STRATEGY=python``.
-
-Per-staging buffers (packed parameter blocks, scratch, outputs) are
-allocated once in ``build_staging`` — the cache-miss path — so steady-
-state stepping does no allocation beyond what the numpy kernel itself
-does.  Elementwise math runs in the compute dtype inside the kernel;
-energy, stress and the accumulate-dtype round-through stay in numpy on
-the kernel's per-element outputs, reusing the exact reduction code of
-the numpy backend (same pairwise-summation behaviour, same einsum).
-
-Engine preparation (C build/load or JIT compile) happens lazily on the
-first ``evaluate`` of each kernel instance and is reported as
-``timing.warmup_s`` so `StageTimers` can attribute it to the
-``warmup`` stage instead of polluting ``pair``/kernel medians.
+The kernel instance owns its scratch (a :class:`Workspace`), never the
+module: ctypes drops the GIL for the call, and each engine rank holds a
+private copy of its potential.  Loading (and, once per source hash,
+building) the extension happens on the first ``evaluate`` of each kernel
+instance and is reported as ``timing.warmup_s`` so `StageTimers` can
+attribute it to the ``warmup`` stage instead of ``pair``.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from importlib.util import find_spec
 
 import numpy as np
 
 from repro.analysis import hot_path
 from repro.backends import cext
 from repro.backends.base import BackendUnavailableError
-from repro.core.pipeline import PairData, Staging
-from repro.core.tersoff.kernels import PROD_PAIR_FIELDS, PROD_TRIPLET_FIELDS
-from repro.core.tersoff.production import TersoffKernel
+from repro.core.pipeline import DegenerateGeometryError, MultiBodyKernel, Staging, Workspace
 from repro.md.potential import ForceResult
 
-STRATEGIES = ("cext", "numba", "python")
-
-_NUMBA_JIT = None  # process-wide jitted loops (compiled once per dtype signature)
+#: Column order of the parameter table (``enum P_*`` in ``_tersoff.c``).
+PARAM_FIELDS = ("R", "D", "A", "lam1", "B", "lam2", "beta", "n", "c1", "c2", "c3", "c4",
+                "gamma", "c", "d", "h", "lam3", "m")
+#: Scratch doubles per neighbor of the longest row (``_tersoff_impl.h``).
+SCRATCH_DOUBLES_PER_ENTRY = 16
+#: Relative slack of the squared max-cutoff prefilter; entries it lets
+#: through are decided by the exact ``r <= cutoff`` test on the distance.
+_PREFILTER_MARGIN = 1.0 + 1.0e-9
+#: Error returns of ``tersoff_fused_*`` (``TERS_*`` in ``_tersoff.c``).
+_NONFINITE, _COINCIDENT = 1, 2
 
 
 def pick_strategy() -> str:
-    """Choose the best available strategy (or honour the env override)."""
-    forced = os.environ.get("REPRO_COMPILED_STRATEGY")
-    if forced:
-        if forced not in STRATEGIES:
-            raise ValueError(
-                f"REPRO_COMPILED_STRATEGY={forced!r}; expected one of {STRATEGIES}"
-            )
-        return forced
-    if cext.probe() is None:
-        return "cext"
-    if find_spec("numba") is not None:
-        return "numba"
-    raise BackendUnavailableError(
-        "compiled backend needs a C toolchain or numba; neither is available"
-    )
+    """``"cext"``, or raise when the host cannot build the extension."""
+    reason = cext.probe()
+    if reason is not None:
+        raise BackendUnavailableError(f"compiled backend needs a C toolchain: {reason}")
+    return "cext"
 
 
-def _loops_callable(strategy: str):
-    from repro.backends import loops
+class CompiledTersoffKernel(MultiBodyKernel):
+    """The fused C Tersoff kernel on the staged pipeline.
 
-    if strategy == "python":
-        return loops.tersoff_eval_loops
-    global _NUMBA_JIT
-    if _NUMBA_JIT is None:
-        import numba
-
-        # per-process JIT cache; workers re-ensure their own engine and
-        # hit numba's disk cache after the first build
-        _NUMBA_JIT = numba.njit(cache=True, fastmath=False)(  # repro-lint: disable=KC003
-            loops.tersoff_eval_loops
-        )
-    return _NUMBA_JIT
-
-
-class CompiledTersoffKernel(TersoffKernel):
-    """Tersoff computational part dispatched to compiled machine code.
-
-    Holds no ctypes/numba state itself — engine handles live in module
-    caches — so instances deepcopy/pickle cleanly into parallel-engine
-    workers; each worker process re-ensures its own engine (a disk-cache
-    hit after the first build).
+    Holds no ctypes state — the library handle lives in
+    :mod:`repro.backends.cext` — so instances deepcopy/pickle cleanly
+    into parallel-engine workers; each worker process loads its own
+    copy of the extension (a disk-cache hit after the first build).
     """
 
-    def __init__(self, params, precision, strategy: str | None = None):
-        super().__init__(params, precision)
-        self.strategy = strategy if strategy is not None else pick_strategy()
+    uses_types = True
+    reads_list = True
+
+    def __init__(self, params, precision):
+        self.params = params
+        self.precision = precision
+        flat = params.flat()
+        self._ntypes = flat.ntypes
+        self._cut = np.ascontiguousarray(flat.cut, dtype=np.float64)
+        self._ptab = np.ascontiguousarray(
+            np.stack([getattr(flat, name) for name in PARAM_FIELDS], axis=1),
+            dtype=precision.compute_dtype,
+        )
+        self.kcand_cutoff = float(np.max(flat.cut))
+        self._ws = Workspace()
         self._warmed = False
-
-    # ---- staging: inherit, then pack the compiled-call buffers ----------
-
-    def build_staging(self, pairs: PairData, kcand: PairData) -> Staging:
-        st = super().build_staging(pairs, kcand)
-        cd = self.precision.compute_dtype
-        P = pairs.n_pairs
-        T = st.tri.n_triplets
-        n = pairs.n_atoms
-
-        pp = st.gathers["pair_p"]
-        tpars = st.gathers["tri_p"]
-        pp_block = np.empty((len(PROD_PAIR_FIELDS), P), dtype=cd)
-        for row, field in enumerate(PROD_PAIR_FIELDS):
-            pp_block[row] = pp[field]
-        tp_block = np.empty((len(PROD_TRIPLET_FIELDS), T), dtype=cd)
-        for row, field in enumerate(PROD_TRIPLET_FIELDS):
-            tp_block[row] = tpars[field]
-
-        st.gathers["compiled"] = {
-            "pp": pp_block,
-            "tp": tp_block,
-            "mt": np.ascontiguousarray(st.gathers["m_t"], dtype=np.float64),
-            "ii": np.ascontiguousarray(pairs.i_idx, dtype=np.int64),
-            "jj": np.ascontiguousarray(pairs.j_idx, dtype=np.int64),
-            "kjj": np.ascontiguousarray(kcand.j_idx, dtype=np.int64),
-            "tpi": np.ascontiguousarray(st.tri.tri_pair, dtype=np.int64),
-            "tki": np.ascontiguousarray(st.tri.tri_k, dtype=np.int64),
-            # scratch (contents are per-call; allocation is per-staging)
-            "zeta": np.empty(P, dtype=np.float64),
-            "tscr": np.empty((T, 8), dtype=cd),
-            "pref": np.empty(P, dtype=cd),
-            "fi": np.empty((T, 3), dtype=np.float64),
-            "sbuf": np.empty((n, 3), dtype=np.float64),
-            # outputs
-            "e_pair": np.empty(P, dtype=cd),
-            "fvec": np.empty((P, 3), dtype=np.float64),
-            "fj": np.empty((T, 3), dtype=np.float64),
-            "fk": np.empty((T, 3), dtype=np.float64),
-            "forces": np.empty((n, 3), dtype=np.float64),
-            "peratom": np.empty(n, dtype=np.float64),
-            "stress_p": np.empty((3, 3), dtype=np.float64),
-            "stress_j": np.empty((3, 3), dtype=np.float64),
-            "stress_k": np.empty((3, 3), dtype=np.float64),
-        }
-        return st
-
-    # ---- engine preparation (the warmup cost) ---------------------------
-
-    def _ensure_engine(self) -> None:
-        if self.strategy == "cext":
-            cext.load()
-            return
-        fn = _loops_callable(self.strategy)
-        if self.strategy == "numba":
-            cd = self.precision.compute_dtype
-            # prime the JIT on empty arrays of the real signature so
-            # compile time lands in warmup, not in the first MD step
-            zi = np.zeros(0, dtype=np.int64)
-            zf = np.zeros(0, dtype=np.float64)
-            zc = np.zeros(0, dtype=cd)
-            fn(
-                np.zeros((0, 3), dtype=cd), zc, zi, zi,
-                np.zeros((0, 3), dtype=cd), zc, zi, zi, zi,
-                np.zeros((12, 0), dtype=cd), np.zeros((7, 0), dtype=cd), zf,
-                zf, np.zeros((0, 8), dtype=cd), zc,
-                np.zeros((0, 3), dtype=np.float64), np.zeros((0, 3), dtype=np.float64),
-                zc, np.zeros((0, 3), dtype=np.float64),
-                np.zeros((0, 3), dtype=np.float64), np.zeros((0, 3), dtype=np.float64),
-                np.zeros((0, 3), dtype=np.float64), zf,
-                np.zeros((3, 3), dtype=np.float64), np.zeros((3, 3), dtype=np.float64),
-                np.zeros((3, 3), dtype=np.float64),
-            )
-
-    # ---- the compiled computational part --------------------------------
 
     @hot_path(reason="computational part of every force call (compiled backend)")
     def evaluate(self, st: Staging, n: int) -> ForceResult:
-        pairs, kcand, tri = st.pairs, st.kcand, st.tri
-        P = pairs.n_pairs
-        if P == 0:
-            # empty-system early return: identical to the numpy backend
-            return super().evaluate(st, n)
-        T = tri.n_triplets
-        cd = self.precision.compute_dtype
+        lst = st.pairs
+        ws = self._ws
         ad = self.precision.accum_dtype
-        buf = st.gathers["compiled"]
 
+        t0 = time.perf_counter()
+        fn = cext.load()["f64" if self._ptab.dtype == np.float64 else "f32"]
         warmup_s = None
         if not self._warmed:
-            t0 = time.perf_counter()
-            # one-time warmup (guarded by _warmed), timed and reported
-            # separately; never on the steady-state path
-            self._ensure_engine()  # repro-lint: disable=KA003
+            # first call of this instance: the load (or build) is warmup
             warmup_s = time.perf_counter() - t0
             self._warmed = True
 
-        if self.strategy == "cext":
-            fn = cext.load()["f64" if np.dtype(cd) == np.float64 else "f32"]
-            fn(
-                P, T, n,
-                pairs.d.ctypes.data, pairs.r.ctypes.data,
-                buf["ii"].ctypes.data, buf["jj"].ctypes.data,
-                kcand.d.ctypes.data, kcand.r.ctypes.data, buf["kjj"].ctypes.data,
-                buf["tpi"].ctypes.data, buf["tki"].ctypes.data,
-                buf["pp"].ctypes.data, buf["tp"].ctypes.data, buf["mt"].ctypes.data,
-                buf["zeta"].ctypes.data, buf["tscr"].ctypes.data, buf["pref"].ctypes.data,
-                buf["fi"].ctypes.data, buf["sbuf"].ctypes.data,
-                buf["e_pair"].ctypes.data, buf["fvec"].ctypes.data,
-                buf["fj"].ctypes.data, buf["fk"].ctypes.data,
-                buf["forces"].ctypes.data, buf["peratom"].ctypes.data,
-                buf["stress_p"].ctypes.data, buf["stress_j"].ctypes.data,
-                buf["stress_k"].ctypes.data,
-            )
-        else:
-            loops_fn = _loops_callable(self.strategy)
-            loops_fn(
-                pairs.d.astype(cd, copy=False), pairs.r.astype(cd, copy=False),
-                buf["ii"], buf["jj"],
-                kcand.d.astype(cd, copy=False), kcand.r.astype(cd, copy=False),
-                buf["kjj"], buf["tpi"], buf["tki"],
-                buf["pp"], buf["tp"], buf["mt"],
-                buf["zeta"], buf["tscr"], buf["pref"], buf["fi"], buf["sbuf"],
-                buf["e_pair"], buf["fvec"], buf["fj"], buf["fk"],
-                buf["forces"], buf["peratom"],
-                buf["stress_p"], buf["stress_j"], buf["stress_k"],
-            )
+        box = lst.box
+        geo = ws.buf("geo", 8, np.float64)
+        geo[0:3] = box.lengths
+        geo[3:6] = [0.5 * span if per else np.inf for span, per in zip(box.lengths, box.periodic)]
+        geo[6] = self.kcand_cutoff
+        geo[7] = self.kcand_cutoff * self.kcand_cutoff * _PREFILTER_MARGIN
+        scratch = ws.buf("row", lst.max_row * SCRATCH_DOUBLES_PER_ENTRY, np.float64)
+        stress3 = ws.buf("stress", (3, 3, 3), np.float64)
+        info = ws.buf("info", 2, np.int64)
+        # results are handed to the caller: fresh arrays, written once by C
+        forces = np.empty((n, 3), dtype=np.float64)  # repro-lint: disable=KA003
+        per_atom = np.empty(n, dtype=np.float64)  # repro-lint: disable=KA003
 
-        # ---- reductions: energy via numpy's pairwise sum on the kernel's
-        # per-pair output; stress assembled from the kernel-accumulated
-        # virial terms (per-element accumulation order matches the numpy
-        # backend's einsum — verified bitwise in tests/test_backends.py) ----
-        energy = float(np.sum(buf["e_pair"].astype(ad, copy=False)))
-        stress = buf["stress_p"] - buf["stress_j"] - buf["stress_k"]
-        virial = float(np.trace(stress))
+        code = fn(
+            n, lst.offsets.ctypes.data, lst.neighbors.ctypes.data, lst.types.ctypes.data,
+            lst.x.ctypes.data, geo.ctypes.data,
+            self._ntypes, self._cut.ctypes.data, self._ptab.ctypes.data,
+            lst.max_row, scratch.ctypes.data,
+            forces.ctypes.data, per_atom.ctypes.data, stress3.ctypes.data, info.ctypes.data,
+        )
+        if code:
+            i, j = int(info[0]), int(info[1])
+            if code == _COINCIDENT:
+                raise DegenerateGeometryError(i, j)
+            if code == _NONFINITE:
+                raise ValueError(f"non-finite interatomic distance involving atom {i}")
+            raise ValueError(f"neighbor list or type column out of range at atom {i}")
 
+        P, T, L = int(info[0]), int(info[1]), lst.n_list_entries
+        energy = float(np.sum(per_atom.astype(ad, copy=False)))
+        stress = stress3[0] - stress3[1] - stress3[2]
         stats = {
             "pairs_in_cutoff": P,
             "triples": T,
-            "list_entries": pairs.n_list_entries,
-            "filter_efficiency": pairs.filter_efficiency,
+            "list_entries": L,
+            "filter_efficiency": P / L if L else 1.0,
             "virial_tensor": 0.5 * (stress + stress.T),
-            "per_atom_energy": buf["peratom"].copy(),
-            "backend": {"name": "compiled", "strategy": self.strategy},
+            "per_atom_energy": per_atom,
+            "backend": {"name": "compiled", "strategy": "cext"},
         }
         if warmup_s is not None:
             stats["timing"] = {"warmup_s": warmup_s}
-        # accumulate dtype discipline: round through ad if single precision —
-        # the float64 re-cast is the ForceResult ABI, not a promotion leak
-        forces = buf["forces"].astype(ad).astype(np.float64)  # repro-lint: disable=KA002
-        return ForceResult(energy=energy, forces=forces, virial=virial, stats=stats)
+        if ad != np.float64:
+            # accumulate dtype discipline: round through ad in single precision —
+            # the float64 re-cast is the ForceResult ABI, not a promotion leak
+            forces = forces.astype(ad).astype(np.float64)  # repro-lint: disable=KA002
+        return ForceResult(energy=energy, forces=forces, virial=float(np.trace(stress)),
+                           stats=stats)

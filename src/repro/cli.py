@@ -568,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--backend", choices=("numpy", "compiled"), default=None,
                        help="compute backend for the Tersoff Opt-* production path "
                             "(default: numpy; 'compiled' falls back with a warning "
-                            "when no toolchain/numba is available)")
+                            "when the host has no C toolchain)")
     p_run.add_argument("--skin", type=float, default=1.0)
     p_run.add_argument("--seed", type=int, default=2016)
     p_run.add_argument("--workers", type=int, default=None,

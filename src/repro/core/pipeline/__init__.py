@@ -17,6 +17,8 @@ from repro.core.pipeline.cache import InteractionCache
 from repro.core.pipeline.kernel import MultiBodyKernel, Staging
 from repro.core.pipeline.pipeline import PipelinePotential, StagedPipeline
 from repro.core.pipeline.topology import (
+    DegenerateGeometryError,
+    ListData,
     PairData,
     TripletData,
     build_pairs,
@@ -28,7 +30,9 @@ from repro.core.pipeline.workspace import CacheStats, Workspace
 
 __all__ = [
     "CacheStats",
+    "DegenerateGeometryError",
     "InteractionCache",
+    "ListData",
     "MultiBodyKernel",
     "PairData",
     "PipelinePotential",

@@ -32,6 +32,13 @@ L3 (masks)  L2 + the per-pair cutoff mask and (when     filtered pair /
                                                         indices
 ==========  ==========================================  =================
 
+A kernel that walks the list itself (``reads_list``: the fused C
+Tersoff kernel filters and builds its geometry per atom, straight from
+positions) stops after L2: the cache hands it the CSR arrays as stored,
+the longest row and the type column, and rewrites only ``x``/``box``
+per call.  There is no mask to drift, so every call at an unchanged
+list and type column is a hit.
+
 Geometry (``d``, ``r``) is recomputed from the current positions on
 *every* call — forces always follow the atoms — and the cutoff masks
 are recomputed from that fresh geometry, so a pair drifting across a
@@ -53,7 +60,7 @@ import numpy as np
 
 from repro.analysis import hot_path
 from repro.core.pipeline.kernel import MultiBodyKernel, Staging
-from repro.core.pipeline.topology import PairData, pair_geometry
+from repro.core.pipeline.topology import ListData, PairData, pair_geometry
 from repro.core.pipeline.workspace import CacheStats, Workspace
 
 
@@ -93,21 +100,64 @@ class InteractionCache:
         # arrays), so "spawn" workers simply warm their own copy.
         return (InteractionCache, ())
 
+    def _rekey(self, system, neigh) -> bool:
+        """L1: True (and re-keyed) when the list or atom count changed."""
+        if (
+            self._neigh_ref() is neigh
+            and self._version == neigh.version
+            and self._n_atoms == system.n
+        ):
+            return False
+        self._neigh_ref = weakref.ref(neigh)
+        self._version = neigh.version
+        self._n_atoms = system.n
+        self._types = None
+        return True
+
+    def _count(self, topo_valid: bool) -> None:
+        if topo_valid:
+            self.stats.hits += 1
+            self.stats.last_event = "hit"
+        else:
+            self.stats.invalidations += 1
+            self.stats.last_event = "invalidated"
+
+    def _prepare_list(self, system, neigh) -> Staging:
+        """L1/L2 only, for ``reads_list`` kernels."""
+        topo_valid = not self._rekey(system, neigh)
+        if not topo_valid:
+            offsets = np.ascontiguousarray(neigh.offsets, dtype=np.int64)
+            if offsets.shape[0] != system.n + 1 or offsets[-1] != neigh.neighbors.shape[0]:
+                # the kernel indexes these arrays unchecked by numpy; stay
+                # un-keyed so that a retry is validated again
+                self._version = -1
+                raise ValueError(
+                    f"neighbor list rows ({offsets.shape[0] - 1} atoms, "
+                    f"{neigh.neighbors.shape[0]} entries) do not match the system ({system.n} atoms)"
+                )
+            lst = ListData(
+                offsets=offsets,
+                neighbors=np.ascontiguousarray(neigh.neighbors, dtype=np.int32),
+                max_row=int(np.diff(offsets).max(initial=0)),
+            )
+            self._staging = Staging(pairs=lst, kcand=lst)
+        lst = self._staging.pairs
+        if self._types is None or not np.array_equal(system.type, self._types):
+            self._types = lst.types = np.array(system.type, dtype=np.int32)
+            topo_valid = False
+        self._count(topo_valid)
+        lst.x = np.ascontiguousarray(system.x, dtype=np.float64)
+        lst.box = system.box
+        return self._staging
+
     @hot_path(reason="per-step staging; geometry scratch must come from the Workspace")
     def prepare(self, system, neigh, kernel: MultiBodyKernel) -> Staging:
+        if kernel.reads_list:
+            return self._prepare_list(system, neigh)
         ws = self.workspace
-        topo_valid = True
-        if (
-            self._neigh_ref() is not neigh
-            or self._version != neigh.version
-            or self._n_atoms != system.n
-        ):
+        topo_valid = not self._rekey(system, neigh)
+        if not topo_valid:
             self._i_full, self._j_full = neigh.pairs()
-            self._neigh_ref = weakref.ref(neigh)
-            self._version = neigh.version
-            self._n_atoms = system.n
-            self._types = None
-            topo_valid = False
         if self._types is None or (
             kernel.uses_types and not np.array_equal(system.type, self._types)
         ):
@@ -134,12 +184,8 @@ class InteractionCache:
         if not kernel.uses_filter:
             # unfiltered kernels (scheme 1a) mask in-register: validity
             # is purely topological, every same-version call is a hit
-            if topo_valid:
-                self.stats.hits += 1
-                self.stats.last_event = "hit"
-            else:
-                self.stats.invalidations += 1
-                self.stats.last_event = "invalidated"
+            self._count(topo_valid)
+            if not topo_valid:
                 # invalidation path only: steady-state hits never rebuild
                 self._staging = self._build_staging(  # repro-lint: disable=KA003
                     kernel, None, None, L)

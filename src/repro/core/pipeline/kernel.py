@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.pipeline.topology import PairData, TripletData
+from repro.core.pipeline.topology import ListData, PairData, TripletData
 from repro.md.potential import ForceResult
 
 
@@ -36,11 +36,12 @@ class Staging:
     (kernels without a separate k-candidate cutoff).  ``idx3`` holds
     the fused segmented-sum index arrays; ``gathers`` is the kernel's
     own bag of topology-derived arrays (parameter gathers, lane
-    layouts, ...).
+    layouts, ...).  For a ``reads_list`` kernel ``pairs`` (and
+    ``kcand``) is a :class:`ListData` instead and ``tri`` stays ``None``.
     """
 
-    pairs: PairData
-    kcand: PairData
+    pairs: PairData | ListData
+    kcand: PairData | ListData
     tri: TripletData | None = None
     idx3: dict[str, np.ndarray] = field(default_factory=dict)
     gathers: dict[str, np.ndarray] = field(default_factory=dict)
@@ -75,6 +76,13 @@ class MultiBodyKernel:
         The kernel needs distances; when False the staging layer skips
         the square root (and the non-finite guard that needs it) and
         stages *squared* distances in ``pairs.r`` instead.
+    ``reads_list``
+        The kernel walks the CSR neighbor list itself — filter,
+        geometry and accumulation fused in one pass — so the cache
+        stages only the list (L1) and the type column (L2) as a
+        :class:`ListData`; no pair geometry, masks or
+        :meth:`build_staging`, and the filter attributes above are
+        not consulted.
     """
 
     uses_types: bool = False
@@ -82,6 +90,7 @@ class MultiBodyKernel:
     cutoff_inclusive: bool = True
     separate_kcand: bool = False
     needs_r: bool = True
+    reads_list: bool = False
 
     #: max-cutoff radius of the k-candidate set (``separate_kcand``).
     kcand_cutoff: float = 0.0

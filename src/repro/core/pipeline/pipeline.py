@@ -49,7 +49,7 @@ class StagedPipeline:
         t2 = time.perf_counter()
         result.stats["cache"] = cache_info
         # merge, don't overwrite: compiled kernels report one-time
-        # warmup_s (build/JIT) which must be excluded from kernel_s
+        # warmup_s (build/load) which must be excluded from kernel_s
         kernel_timing = result.stats.get("timing") or {}
         warm = float(kernel_timing.get("warmup_s", 0.0))
         result.stats["timing"] = {

@@ -24,7 +24,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.md.atoms import AtomSystem
+from repro.md.box import Box
 from repro.md.neighbor import NeighborList
+
+
+class DegenerateGeometryError(ValueError):
+    """Two atoms of one neighbor-list entry coincide (``r == 0``).
+
+    Every multi-body term divides by the pair distance, so the result
+    would be NaN forces behind a ``RuntimeWarning``; both backends
+    reject the configuration instead, naming the pair.
+    """
+
+    def __init__(self, i: int, j: int):
+        super().__init__(f"atoms {i} and {j} coincide (r == 0); forces are undefined")
+        self.pair = (i, j)
 
 
 @dataclass
@@ -55,6 +69,31 @@ class PairData:
         if self.n_list_entries == 0:
             return 1.0
         return self.n_pairs / self.n_list_entries
+
+
+@dataclass
+class ListData:
+    """What a kernel that walks the list itself (``reads_list``) gets.
+
+    The CSR list exactly as :class:`NeighborList` stores it plus the
+    type column (topology, cached per list version) and the positions
+    and box, rewritten by the cache before every ``evaluate``.  Nothing
+    is filtered here, so the staged-pair counters read the full list.
+    """
+
+    offsets: np.ndarray  # (n+1,) int64 row offsets
+    neighbors: np.ndarray  # (L,) int32 columns
+    max_row: int  # longest row: sizes the kernel's per-atom short list
+    types: np.ndarray | None = None  # (n,) int32
+    x: np.ndarray | None = None  # (n, 3) float64
+    box: Box | None = None
+
+    @property
+    def n_list_entries(self) -> int:
+        return int(self.neighbors.shape[0])
+
+    n_pairs = n_list_entries
+    filter_efficiency = 1.0
 
 
 @dataclass
@@ -93,9 +132,10 @@ def pair_geometry(
     cold paths agree bit for bit.
 
     With ``want_r=False`` the second return value is the *squared*
-    distance: the square root — and the non-finite guard, which needs
-    real distances to be meaningful against cutoffs — are skipped for
-    kernels that work in r² (the vectorized LJ contrast case).
+    distance: the square root — and the non-finite and coincident-atom
+    (:class:`DegenerateGeometryError`) guards, which need real distances
+    to be meaningful — are skipped for kernels that work in r² (the
+    vectorized LJ contrast case).
     """
     L = i_idx.shape[0]
     if workspace is None:
@@ -132,6 +172,9 @@ def pair_geometry(
         # be *silently dropped* by the filter — fail loudly instead
         bad = int(i_idx[np.nonzero(~np.isfinite(r))[0][0]])
         raise ValueError(f"non-finite interatomic distance involving atom {bad}")
+    if not r.all():
+        first = int(np.nonzero(r == 0.0)[0][0])
+        raise DegenerateGeometryError(int(i_idx[first]), int(j_idx[first]))
     return d, r
 
 

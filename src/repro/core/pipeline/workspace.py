@@ -28,7 +28,7 @@ class Workspace:
 
     def buf(self, name: str, shape, dtype) -> np.ndarray:
         dtype = np.dtype(dtype)
-        shape = (int(shape),) if np.ndim(shape) == 0 else tuple(int(s) for s in shape)
+        shape = tuple(int(s) for s in shape) if isinstance(shape, tuple) else (int(shape),)
         need = 1
         for s in shape:
             need *= s

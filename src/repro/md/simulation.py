@@ -35,7 +35,7 @@ class StageTimers:
     ``reduce`` (the host's fixed rank-order force reduction); on the
     engine path ``pair``/``prepare``/``neighbor`` report the busiest
     worker's critical-path seconds.  ``warmup`` is one-time backend
-    preparation (C extension build/load, JIT compilation) reported by
+    preparation (C extension build/load) reported by
     compiled kernels on their first call — keeping it out of ``pair``
     keeps per-step medians honest.
     """

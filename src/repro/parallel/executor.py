@@ -423,8 +423,15 @@ class ProcessExecutor:
     def submit(self, worker: int, cmd: str, payload: object = None) -> Future:
         if not self._started or self._shutdown:
             raise ExecutorError("executor not started (or shut down)")
-        self._conns[worker].send((cmd, payload))
         fut = _ChannelFuture(self, worker)
+        try:
+            self._conns[worker].send((cmd, payload))
+        except (BrokenPipeError, ConnectionResetError) as exc:
+            # the worker is already gone: nothing was sent, so no reply
+            # will ever pair with this future — fail it here, and what
+            # is still queued ahead of it fails when it is drained
+            fut.set_exception(WorkerFailure(worker, f"worker process died: {exc!r}"))
+            return fut
         self._pending[worker].append(fut)
         return fut
 

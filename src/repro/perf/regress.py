@@ -64,7 +64,7 @@ class CaseSkipped(Exception):
     """Raised by a case's ``setup`` when its prerequisites are absent.
 
     A skipped case (e.g. a compiled-backend case on a host with no C
-    toolchain and no numba) is recorded in the artifact's ``skipped``
+    toolchain) is recorded in the artifact's ``skipped``
     section instead of ``results`` and never gates a comparison — it
     shows up as ``missing`` with the skip reason, like a case removed
     from the suite.

@@ -259,7 +259,7 @@ def _backend_kernel_case(backend: str, *, tier: str) -> None:
         params, system, neigh = si_workload(4)
         pot = _prod(params, "double", backend=backend)
         thunk = lambda: pot.compute(system, neigh)  # noqa: E731
-        thunk()  # warm outside the timed region (JIT/dlopen for compiled)
+        thunk()  # warm outside the timed region (build/dlopen for compiled)
         return thunk
 
     register(BenchCase(

@@ -10,12 +10,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import backends
 from repro.core.tersoff.parameters import tersoff_si, tersoff_sic
 from repro.core.tersoff.reference import TersoffReference
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
 from repro.md.lattice import diamond_lattice, perturbed, zincblende_sic
 from repro.md.neighbor import NeighborList, NeighborSettings
+
+needs_compiled = pytest.mark.skipif(
+    not backends.is_available("compiled"), reason="compiled backend unavailable (no C toolchain)"
+)
 
 
 def make_cluster(n, *, species=("Si",), types=None, spread=2.4, seed=42, min_sep=1.9):

@@ -173,10 +173,15 @@ class TestProcessSpecific:
         try:
             ex.start(EchoFactory(), {"data": ((1,), "float64")})
             dead = ex.submit(0, "die")
+            # wait for the exit: the second submit then always finds the
+            # pipe closed, instead of racing the worker's last moments
+            ex._procs[0].join(timeout=30)
+            assert not ex._procs[0].is_alive()
             queued = ex.submit(0, "echo", "never")
+            assert queued.done()  # failed at submit, never sent
             with pytest.raises(WorkerFailure, match="worker process died"):
                 dead.result()
-            with pytest.raises(WorkerFailure):
+            with pytest.raises(WorkerFailure, match="worker process died"):
                 queued.result()
             # the other worker is unaffected
             assert ex.submit(1, "echo", "ok").result()[0] == "ok"

@@ -8,7 +8,8 @@ detectable."""
 import numpy as np
 import pytest
 
-from conftest import build_list
+from conftest import build_list, needs_compiled
+from repro.core.pipeline import DegenerateGeometryError
 from repro.core.sw import StillingerWeberProduction, sw_silicon
 from repro.core.tersoff.parameters import tersoff_si
 from repro.core.tersoff.production import TersoffProduction
@@ -70,6 +71,24 @@ class TestBadGeometry:
         with pytest.raises(ValueError, match="non-finite"):
             TersoffProduction(params).compute(s, nl)
 
+    @needs_compiled
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_nan_positions_rejected_compiled(self, bad, periodic):
+        """The fused C kernel owns geometry and filter, so it owns this
+        guard too (with and without the minimum-image branch)."""
+        from repro.md.atoms import AtomSystem
+        from repro.md.box import Box
+
+        params = tersoff_si()
+        s = perturbed(diamond_lattice(2, 2, 2), 0.05, seed=72)
+        if not periodic:
+            s = AtomSystem(box=Box(s.box.lo, s.box.hi, (False,) * 3), x=s.x)
+        nl = build_list(s, params.max_cutoff)
+        s.x[3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            TersoffProduction(params, backend="compiled").compute(s, nl)
+
     def test_nan_positions_rejected_sw(self):
         sw = sw_silicon()
         s = perturbed(diamond_lattice(2, 2, 2), 0.05, seed=72)
@@ -79,8 +98,20 @@ class TestBadGeometry:
             StillingerWeberProduction(sw).compute(s, nl)
 
     def test_coincident_atoms_finite_or_nan_not_wrong(self):
-        """Two atoms at the same site: distance 0 must not produce a
-        silently-wrong finite energy contribution from that pair."""
+        """Two atoms at the same site: every 1/r term is undefined, so
+        the answer is one typed error naming the pair — never a
+        silently-wrong finite energy, nor a RuntimeWarning and NaN forces."""
+        self.check_coincident_atoms_rejected("numpy")
+
+    @needs_compiled
+    def test_coincident_atoms_rejected_compiled(self):
+        """The same contract from the C kernel's error return."""
+        self.check_coincident_atoms_rejected("compiled")
+
+    @staticmethod
+    def check_coincident_atoms_rejected(backend):
+        import warnings
+
         from repro.md.atoms import AtomSystem
         from repro.md.box import Box
 
@@ -89,8 +120,12 @@ class TestBadGeometry:
         s = AtomSystem(box=Box.cubic(20.0, periodic=False), x=x)
         nl = NeighborList(NeighborSettings(cutoff=params.max_cutoff, skin=0.5))
         nl.build(s.x, s.box, brute_force=True)
-        res = TersoffProduction(params).compute(s, nl)
-        assert not np.isfinite(res.energy) or abs(res.energy) > 1e3 or np.isnan(res.energy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateGeometryError, match="atoms 0 and 1 coincide") as exc:
+                TersoffProduction(params, backend=backend).compute(s, nl)
+        assert exc.value.pair == (0, 1)
+        assert isinstance(exc.value, ValueError)
 
 
 class TestDecompositionGuards:
