@@ -1,0 +1,123 @@
+/* C cell-list build behind repro.md.neighbor.NeighborList.
+ *
+ * Compiled into the same shared object as _tersoff.c.  It writes the
+ * CSR list the numpy builder writes (_binned_pairs followed by the
+ * stable sort on i in NeighborList.build), entry for entry, because the
+ * kernels' bitwise guarantees rest on the order of a row (DESIGN.md
+ * §12): rows ascending i; within a row the 27 cell shifts in (dx,dy,dz)
+ * lexicographic order; within a cell ascending atom index.  The
+ * arithmetic that decides membership is the oracle's too: cell =
+ * (x - lo) / binsize truncated and clamped to [0, nbins-1], d -= L *
+ * rint(d / L) on periodic axes, r^2 by DOT3_EINSUM, inclusive <= rlist^2.
+ *
+ * Nothing here is REAL-templated: positions, box and list radius are
+ * f64 in every precision mode.
+ */
+
+#include <math.h>
+#include <stdint.h>
+#include <string.h>
+
+#include "_common.h"
+
+#define F64 double
+
+#define NBR_NONFINITE 1 /* info[0] names the first atom with a non-finite position */
+
+/* geometry block `geo` (13 doubles, packed by NeighborList.build):
+ * box lo, box lengths, bin size per axis, half lengths (+inf on
+ * non-periodic axes), list radius squared */
+enum { GEO_LO = 0, GEO_LEN = 3, GEO_BIN = 6, GEO_HALF = 9, GEO_R2 = 12 };
+
+/* Bin `t` of a neighboring cell along one axis of `nb` bins: wrapped
+ * (Python modulo) on a periodic axis, -1 past the edge of an open one. */
+static inline int64_t shifted_bin(const int64_t t, const int64_t nb, const int32_t periodic)
+{
+    if (t >= 0 && t < nb) return t;
+    if (!periodic) return -1;
+    return t < 0 ? nb - 1 : 0;
+}
+
+/* Returns the number of list entries, or -NBR_NONFINITE.  Entries past
+ * `cap` are counted but not written: the caller sizes `neighbors` from
+ * the density and calls again with the returned count when it was short. */
+int64_t neighbor_build(
+    const int64_t n,
+    const double *restrict x,         /* (n,3) positions                       */
+    const double *restrict geo,       /* (13,) see above                       */
+    const int64_t *restrict nbins,    /* (3,)  bins per axis                   */
+    const int32_t *restrict periodic, /* (3,)                                  */
+    const int32_t full,               /* 0: keep i < j only                    */
+    int64_t *restrict cell,           /* (n,)  scratch: linear cell per atom   */
+    int64_t *restrict cell_start,     /* (ncells+2,) scratch                   */
+    int32_t *restrict order,          /* (n,)  scratch: atoms sorted by cell   */
+    const int64_t cap,
+    int64_t *restrict offsets,        /* (n+1,) out                            */
+    int32_t *restrict neighbors,      /* (cap,) out                            */
+    int64_t *restrict info)
+{
+    const int64_t nb0 = nbins[0], nb1 = nbins[1], nb2 = nbins[2];
+    const int64_t ncells = nb0 * nb1 * nb2;
+    const F64 r2max = geo[GEO_R2];
+    int64_t i, total = 0;
+    int c;
+
+    /* bin; stable counting sort by linear cell: counts land two slots up
+     * so that after the fill cell_start[q] .. cell_start[q+1] is cell q */
+    memset(cell_start, 0, (size_t)(ncells + 2) * sizeof(int64_t));
+    for (i = 0; i < n; i++) {
+        int64_t b[3];
+        for (c = 0; c < 3; c++) {
+            const F64 f = (x[3 * i + c] - geo[GEO_LO + c]) / geo[GEO_BIN + c];
+            const int64_t last = nbins[c] - 1;
+            if (!isfinite(x[3 * i + c])) {
+                info[0] = i;
+                return -NBR_NONFINITE;
+            }
+            b[c] = f > 0 ? (f < (F64)last ? (int64_t)f : last) : 0;
+        }
+        cell[i] = (b[0] * nb1 + b[1]) * nb2 + b[2];
+        cell_start[cell[i] + 2]++;
+    }
+    for (i = 0; i < ncells; i++) cell_start[i + 2] += cell_start[i + 1];
+    for (i = 0; i < n; i++) order[cell_start[cell[i] + 1]++] = (int32_t)i;
+
+    for (i = 0; i < n; i++) {
+        const double *xi = x + 3 * i;
+        const int64_t b2 = cell[i] % nb2, b1 = (cell[i] / nb2) % nb1, b0 = cell[i] / (nb1 * nb2);
+        int64_t s0, s1, s2;
+        offsets[i] = total;
+        for (s0 = -1; s0 <= 1; s0++) {
+            const int64_t t0 = shifted_bin(b0 + s0, nb0, periodic[0]);
+            if (t0 < 0) continue;
+            for (s1 = -1; s1 <= 1; s1++) {
+                const int64_t t1 = shifted_bin(b1 + s1, nb1, periodic[1]);
+                if (t1 < 0) continue;
+                for (s2 = -1; s2 <= 1; s2++) {
+                    const int64_t t2 = shifted_bin(b2 + s2, nb2, periodic[2]);
+                    int64_t q, end;
+                    if (t2 < 0) continue;
+                    q = (t0 * nb1 + t1) * nb2 + t2;
+                    end = cell_start[q + 1];
+                    for (q = cell_start[q]; q < end; q++) {
+                        const int64_t j = order[q];
+                        F64 d[3];
+                        if (full ? j == i : j <= i) continue;
+                        for (c = 0; c < 3; c++) {
+                            d[c] = x[3 * j + c] - xi[c];
+                            /* where |d| <= L/2, rint(d/L) is exactly 0 */
+                            if (fabs(d[c]) > geo[GEO_HALF + c])
+                                d[c] -= geo[GEO_LEN + c] * rint(d[c] / geo[GEO_LEN + c]);
+                        }
+                        if (DOT3_EINSUM(d[0] * d[0], d[1] * d[1], d[2] * d[2]) <= r2max) {
+                            if (total < cap) neighbors[total] = (int32_t)j;
+                            total++;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    offsets[n] = total;
+    return total;
+}

@@ -15,17 +15,14 @@
 #include <stdint.h>
 #include <string.h>
 
+#include "_common.h"
+
 #define CAT_(a, b) a##b
 #define CAT(a, b) CAT_(a, b)
 
 /* np.pi/2 and np.pi/4 to the double ULP */
 #define HALF_PI_D 1.5707963267948966
 #define QUARTER_PI_D 0.7853981633974483
-
-/* np.einsum("ij,ij->i") adds a 3-term contraction as (p0 + p2) + p1 (its
- * paired SIMD lanes); r^2 and cos(theta) follow it so that they equal
- * the numpy oracle's bit for bit */
-#define DOT3_EINSUM(p0, p1, p2) (((p0) + (p2)) + (p1))
 
 /* accumulator type: f64 in every precision mode (zeta, per-atom energy,
  * force and virial sums), the accumulate discipline of the numpy kernel */

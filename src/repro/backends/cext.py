@@ -1,7 +1,8 @@
-"""Runtime C-extension builder/loader for the compiled backend.
+"""Runtime C-extension builder/loader.
 
-The compiled backend ships C source (``_tersoff.c`` + the
-REAL-templated ``_tersoff_impl.h``) inside the package and compiles it
+The package ships C source — the compiled backend's ``_tersoff.c`` with
+the REAL-templated ``_tersoff_impl.h``, and the cell-list neighbor build
+``_neighbor.c`` — and compiles it into one shared object
 on first use with the host toolchain — no build-time step, no binary
 wheels, and ``pip install repro`` stays pure-Python.  The shared object
 is keyed by a content hash of the sources, the compile flags and the
@@ -31,12 +32,14 @@ import tempfile
 from pathlib import Path
 
 _SRC_DIR = Path(__file__).resolve().parent
-_SOURCES = ("_tersoff.c", "_tersoff_impl.h")
+_UNITS = ("_tersoff.c", "_neighbor.c")
+_SOURCES = _UNITS + ("_tersoff_impl.h", "_common.h")
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off")
 _COMPILERS = ("cc", "gcc", "clang")
 
 _lib: ctypes.CDLL | None = None
 _fns: dict[str, object] = {}
+_build_error: str | None = None
 
 
 class CextBuildError(RuntimeError):
@@ -60,9 +63,11 @@ def probe() -> str | None:
     """``None`` when the extension can be built here, else the reason."""
     if os.environ.get("REPRO_NO_CEXT"):
         return "disabled by REPRO_NO_CEXT"
+    if _lib is not None:
+        return None  # loaded: the toolchain is not needed again
     if find_compiler() is None:
         return "no C compiler on PATH (tried CC, cc, gcc, clang)"
-    return None
+    return _build_error
 
 
 def _compiler_identity(cc: str) -> str:
@@ -107,7 +112,8 @@ def build(force: bool = False) -> Path:
     cache.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=str(cache))
     os.close(fd)
-    cmd = [cc, *_CFLAGS, str(_SRC_DIR / "_tersoff.c"), f"-I{_SRC_DIR}", "-o", tmp, "-lm"]
+    units = [str(_SRC_DIR / name) for name in _UNITS]
+    cmd = [cc, *_CFLAGS, *units, f"-I{_SRC_DIR}", "-o", tmp, "-lm"]
     try:
         res = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
         if res.returncode != 0:
@@ -121,30 +127,47 @@ def build(force: bool = False) -> Path:
     return so_path
 
 
-def _bind(lib: ctypes.CDLL, symbol: str):
+def _bind(lib: ctypes.CDLL, symbol: str, argtypes: list, restype):
     fn = getattr(lib, symbol)
-    # tersoff_fused_*(n_atoms, offsets, neighbors, types, x, geo, ntypes,
-    # cut, ptab, max_row, scratch, forces, peratom, stress, info) -> code;
-    # shapes/dtypes are enforced by the caller (CompiledTersoffKernel)
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    fn.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, i64, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr]
-    fn.restype = ctypes.c_int
+    fn.argtypes = argtypes
+    fn.restype = restype
     return fn
 
 
 def load() -> dict[str, object]:
     """Build if needed, load the library, and return the entry points.
 
-    Returns ``{"f64": <fn>, "f32": <fn>}``; cached per process.
+    Returns ``{"f64": <fn>, "f32": <fn>, "neighbor_build": <fn>}``;
+    cached per process.  A failed build is remembered: from then on
+    :func:`probe` gives its message as the reason the extension is
+    unavailable, so callers that probe first fall back instead of
+    recompiling on every call.
     """
-    global _lib
+    global _lib, _build_error
     if _lib is None:
-        so_path = build()
+        try:
+            so_path = build()
+        except CextBuildError as exc:
+            # a worker forked before the failure retries the build once
+            # and then remembers it itself; results never depend on it
+            _build_error = str(exc)  # repro-lint: disable=KC003
+            raise
         # process-local lazy singleton: dlopen handles survive fork and
         # spawn re-imports fresh, so each worker lazily loads its own
         _lib = ctypes.CDLL(str(so_path))  # repro-lint: disable=KC003
-        _fns["f64"] = _bind(_lib, "tersoff_fused_f64")  # repro-lint: disable=KC003
-        _fns["f32"] = _bind(_lib, "tersoff_fused_f32")
+        i32, i64, ptr = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
+        # tersoff_fused_*(n_atoms, offsets, neighbors, types, x, geo, ntypes,
+        # cut, ptab, max_row, scratch, forces, peratom, stress, info) -> code;
+        # shapes/dtypes are enforced by the caller (CompiledTersoffKernel)
+        fused = [i64, ptr, ptr, ptr, ptr, ptr, i64, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr]
+        _fns["f64"] = _bind(_lib, "tersoff_fused_f64", fused, ctypes.c_int)  # repro-lint: disable=KC003
+        _fns["f32"] = _bind(_lib, "tersoff_fused_f32", fused, ctypes.c_int)
+        # neighbor_build(n, x, geo, nbins, periodic, full, cell, cell_start,
+        # order, cap, offsets, neighbors, info) -> entries or -code; shapes
+        # and dtypes are enforced by the caller (NeighborList.build)
+        _fns["neighbor_build"] = _bind(
+            _lib, "neighbor_build",
+            [i64, ptr, ptr, ptr, ptr, i32, ptr, ptr, ptr, i64, ptr, ptr, ptr], i64)
     return _fns
 
 

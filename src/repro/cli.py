@@ -31,6 +31,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
     import repro
     from repro.backends import available, get, get_default
+    from repro.md.neighbor import active_builder
     from repro.perf.machines import host_fingerprint, list_machines
     from repro.vector.isa import ISA_REGISTRY
 
@@ -41,6 +42,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
         default = " (default)" if name == get_default() else ""
         print(f"  {name:8s} {status}{default}")
         print(f"           {get(name).description}")
+    print(f"\nneighbor list builder: {active_builder()}")
     print("\nexecutor start methods:")
     methods = multiprocessing.get_all_start_methods()
     print(f"  serial; process via {', '.join(methods)}")

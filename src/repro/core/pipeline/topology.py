@@ -19,6 +19,7 @@ skin-extended neighbor list:
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,17 +149,20 @@ def pair_geometry(
         np.subtract(d, xi, out=d)
     # in-place minimum image, same arithmetic as Box.minimum_image
     tmp = None if workspace is None else workspace.buf("pair_mi", L, np.float64)
-    for axis in range(3):
-        if box.periodic[axis]:
-            span = box.lengths[axis]
-            col = d[..., axis]
-            if tmp is None:
-                col -= span * np.round(col / span)
-            else:
-                np.divide(col, span, out=tmp)
-                np.round(tmp, out=tmp)
-                tmp *= span
-                col -= tmp
+    # an infinite position shifts to inf - inf: where the non-finite
+    # guard below reports it, the shift itself stays silent
+    with np.errstate(invalid="ignore") if want_r else contextlib.nullcontext():
+        for axis in range(3):
+            if box.periodic[axis]:
+                span = box.lengths[axis]
+                col = d[..., axis]
+                if tmp is None:
+                    col -= span * np.round(col / span)
+                else:
+                    np.divide(col, span, out=tmp)
+                    np.round(tmp, out=tmp)
+                    tmp *= span
+                    col -= tmp
     if workspace is None:
         r2 = np.einsum("ij,ij->i", d, d)
     else:

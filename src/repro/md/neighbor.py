@@ -11,17 +11,24 @@ all exist because of them.  This module therefore builds the *extended*
 list, exactly like LAMMPS: downstream code is responsible for skipping
 skin atoms.
 
-Construction uses cell binning (linear in the number of atoms); a
+Construction uses cell binning (linear in the number of atoms).  Where
+the runtime-built C extension is available (:mod:`repro.backends.cext`)
+the binned build is one C pass that writes the CSR arrays directly; the
+numpy build writes the same arrays bit for bit and remains as the
+fallback on hosts without a toolchain and as the test oracle.  A
 brute-force reference path exists both as a fallback for boxes too
 small to bin and as the oracle for the property-based tests.
 """
 
 from __future__ import annotations
 
+import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.backends import cext
 from repro.md.box import Box
 
 #: Above this atom count the binned builder refuses to fall back to the
@@ -113,14 +120,35 @@ def _brute_force_pairs(x: np.ndarray, box: Box, rlist: float) -> tuple[np.ndarra
     return np.concatenate(i_all), np.concatenate(j_all)
 
 
+def active_builder() -> str:
+    """Which binned builder :meth:`NeighborList.build` uses on this host."""
+    reason = cext.probe()
+    return "C cell list" if reason is None else f"numpy cell list ({reason})"
+
+
+def _bin_counts(box: Box, rlist: float) -> np.ndarray | None:
+    """Bins per axis, or ``None`` when a periodic axis fits fewer than 3."""
+    nbins = np.maximum((box.lengths // rlist).astype(np.int64), 1)
+    if np.any(nbins[np.array(box.periodic)] < 3):
+        return None
+    return nbins
+
+
+def _nonfinite_position(atom: int) -> ValueError:
+    return ValueError(
+        f"non-finite position of atom {atom}: it would be binned nowhere and "
+        f"silently dropped from the neighbor list"
+    )
+
+
 def _binned_pairs(x: np.ndarray, box: Box, rlist: float) -> tuple[np.ndarray, np.ndarray]:
     """Cell-binned ordered pair search; requires >= 3 bins per periodic axis."""
     n = x.shape[0]
     lengths = box.lengths
-    nbins = np.maximum((lengths // rlist).astype(np.int64), 1)
-    if np.any(nbins[np.array(box.periodic)] < 3):
+    nbins = _bin_counts(box, rlist)
+    if nbins is None:
         if n > BRUTE_FORCE_MAX_ATOMS:
-            short = lengths[np.array(box.periodic)].min() if np.any(box.periodic) else 0.0
+            short = lengths[np.array(box.periodic)].min()
             raise BruteForceFallbackError(
                 f"cell binning needs >= 3 bins per periodic axis but the box "
                 f"(shortest periodic edge {short:.2f} A) fits fewer at list "
@@ -130,9 +158,9 @@ def _binned_pairs(x: np.ndarray, box: Box, rlist: float) -> tuple[np.ndarray, np
             )
         return _brute_force_pairs(x, box, rlist)
     binsize = lengths / nbins
-    frac = (x - box.lo) / binsize
-    cell = np.minimum(frac.astype(np.int64), nbins - 1)
-    cell = np.maximum(cell, 0)
+    # clamped before the cast, so an atom far outside the box lands in
+    # an edge bin instead of overflowing int64
+    cell = np.clip((x - box.lo) / binsize, 0, nbins - 1).astype(np.int64)
     lin = (cell[:, 0] * nbins[1] + cell[:, 1]) * nbins[2] + cell[:, 2]
     order = np.argsort(lin, kind="stable")
     lin_sorted = lin[order]
@@ -176,6 +204,70 @@ def _binned_pairs(x: np.ndarray, box: Box, rlist: float) -> tuple[np.ndarray, np
     return np.concatenate(i_all), np.concatenate(j_all)
 
 
+def _numpy_csr(x: np.ndarray, box: Box, rlist: float, full: bool,
+               brute_force: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``(offsets, neighbors)`` from the numpy pair search."""
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise _nonfinite_position(int(np.argmin(finite)))
+    i_idx, j_idx = (_brute_force_pairs if brute_force else _binned_pairs)(x, box, rlist)
+    if not full:
+        keep = i_idx < j_idx
+        i_idx, j_idx = i_idx[keep], j_idx[keep]
+    n = x.shape[0]
+    order = np.argsort(i_idx, kind="stable")
+    i_idx, j_idx = i_idx[order], j_idx[order]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(i_idx, minlength=n), out=offsets[1:])
+    return offsets, j_idx.astype(np.int32)
+
+
+def _compiled_csr(x: np.ndarray, box: Box, rlist: float, nbins: np.ndarray,
+                  full: bool) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """``(offsets, neighbors, load_s)`` from the C cell-list build.
+
+    The arrays are what :func:`_numpy_csr` returns for a box that bins,
+    bit for bit (``_neighbor.c`` states the order and the arithmetic).
+    ``load_s`` is what the call spent loading (or, on a cold cache,
+    building) the extension when it was the first in this process to
+    need it.  ``None`` when the build fails: :func:`cext.probe` reports
+    the failure from then on and the numpy builder takes over.
+    """
+    first = not cext.loaded()
+    t0 = time.perf_counter()
+    try:
+        fn = cext.load()["neighbor_build"]
+    except cext.CextBuildError as exc:
+        warnings.warn(f"C neighbor build unavailable, using the numpy builder: {exc}",
+                      RuntimeWarning, stacklevel=3)
+        return None
+    load_s = time.perf_counter() - t0 if first else 0.0
+    n = x.shape[0]
+    lengths = box.lengths
+    periodic = np.array(box.periodic, dtype=np.int32)
+    geo = np.concatenate((box.lo, lengths, lengths / nbins,
+                          np.where(periodic, 0.5 * lengths, np.inf), [rlist * rlist]))
+    cell = np.empty(n, dtype=np.int64)
+    cell_start = np.empty(int(np.prod(nbins)) + 2, dtype=np.int64)
+    order = np.empty(n, dtype=np.int32)
+    offsets = np.empty(n + 1, dtype=np.int64)
+    info = np.zeros(1, dtype=np.int64)
+    # sized from the mean density with headroom (a diamond lattice at
+    # skin 1.0 holds 1.2x the mean); a short buffer costs a second call
+    sphere = 4.0 / 3.0 * np.pi * rlist**3
+    cap = min(int(1.5 * n * n * sphere / box.volume) + 64, n * n)
+    while True:
+        neighbors = np.empty(cap, dtype=np.int32)
+        total = fn(n, x.ctypes.data, geo.ctypes.data, nbins.ctypes.data, periodic.ctypes.data,
+                   int(full), cell.ctypes.data, cell_start.ctypes.data, order.ctypes.data,
+                   cap, offsets.ctypes.data, neighbors.ctypes.data, info.ctypes.data)
+        if total < 0:
+            raise _nonfinite_position(int(info[0]))
+        if total <= cap:
+            return offsets, neighbors[:total].copy(), load_s
+        cap = total
+
+
 class NeighborList:
     """A CSR-format Verlet neighbor list with rebuild tracking.
 
@@ -188,6 +280,11 @@ class NeighborList:
         ``neighbors[offsets[i]:offsets[i+1]]``.
     n_builds:
         How many times the list has been (re)built.
+    warmup_s:
+        Seconds the last :meth:`build` or :meth:`ensure` spent loading
+        the C extension (non-zero for the first C build of a process
+        only); callers that keep stage timers charge it to ``warmup``,
+        not ``neighbor``.
     version:
         Monotonic counter bumped on every :meth:`build`.  Anything
         derived from the list *topology* (pair expansions, triplet
@@ -202,6 +299,9 @@ class NeighborList:
         self.offsets = np.zeros(1, dtype=np.int64)
         self.n_builds = 0
         self.version = 0
+        # a timing report of the last call, not run state: a restored
+        # list has loaded nothing
+        self.warmup_s = 0.0  # repro-lint: disable=KD001
         self._x_ref: np.ndarray | None = None
         self._box: Box | None = None
 
@@ -218,22 +318,23 @@ class NeighborList:
         return np.diff(self.offsets)
 
     def build(self, x: np.ndarray, box: Box, *, brute_force: bool = False) -> None:
-        """(Re)build the list for positions `x` in `box`."""
+        """(Re)build the list for positions `x` in `box`.
+
+        Raises ``ValueError`` naming the first atom with a non-finite
+        position, before any state of the list changes.
+        """
         x = np.ascontiguousarray(x, dtype=np.float64)
-        box.check_cutoff(self.settings.list_cutoff)
-        if brute_force:
-            i_idx, j_idx = _brute_force_pairs(x, box, self.settings.list_cutoff)
-        else:
-            i_idx, j_idx = _binned_pairs(x, box, self.settings.list_cutoff)
-        if not self.settings.full:
-            keep = i_idx < j_idx
-            i_idx, j_idx = i_idx[keep], j_idx[keep]
-        n = x.shape[0]
-        order = np.argsort(i_idx, kind="stable")
-        i_idx, j_idx = i_idx[order], j_idx[order]
-        self.neighbors = j_idx.astype(np.int32)
-        self.offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(i_idx, minlength=n), out=self.offsets[1:])
+        if x.ndim != 2 or x.shape[1] != 3:
+            raise ValueError(f"positions must have shape (n, 3), got {x.shape}")
+        rlist = self.settings.list_cutoff
+        box.check_cutoff(rlist)
+        nbins = None if brute_force else _bin_counts(box, rlist)
+        csr = None
+        if nbins is not None and cext.probe() is None:
+            csr = _compiled_csr(x, box, rlist, nbins, self.settings.full)
+        if csr is None:
+            csr = (*_numpy_csr(x, box, rlist, self.settings.full, brute_force), 0.0)
+        self.offsets, self.neighbors, self.warmup_s = csr
         self.n_builds += 1
         self.version += 1
         self._x_ref = x.copy()
@@ -256,6 +357,7 @@ class NeighborList:
         if self.needs_rebuild(x):
             self.build(x, box)
             return True
+        self.warmup_s = 0.0
         return False
 
     def get_state(self) -> dict:

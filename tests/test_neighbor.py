@@ -1,14 +1,24 @@
 """Neighbor lists: binned vs brute-force equivalence, skin semantics,
-rebuild triggering, CSR/padded layouts; property-based completeness."""
+rebuild triggering, CSR/padded layouts; property-based completeness;
+the C cell-list build against the numpy build, bit for bit."""
 
 import numpy as np
 import pytest
+from conftest import needs_compiled
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backends import cext
+from repro.md import neighbor as neighbor_module
 from repro.md.box import Box
-from repro.md.lattice import diamond_lattice, perturbed
-from repro.md.neighbor import NeighborList, NeighborSettings, _expand_ranges
+from repro.md.lattice import diamond_lattice, perturbed, seeded_velocities
+from repro.md.neighbor import (
+    NeighborList,
+    NeighborSettings,
+    _brute_force_pairs,
+    _expand_ranges,
+    _numpy_csr,
+)
 
 
 def pairset(nl):
@@ -226,3 +236,223 @@ class TestBruteForceGuard:
             tracemalloc.stop()
         assert nl.n_builds == 1
         assert peak < 1.5e9, f"neighbor build peaked at {peak/1e9:.2f} GB"
+
+
+def assert_same_as_numpy(x, box, *, cutoff=3.0, skin=0.5, full=True):
+    """`NeighborList.build` (the C pass where it applies) writes the
+    arrays of the numpy build: same values, same order, same dtypes."""
+    settings_ = NeighborSettings(cutoff=cutoff, skin=skin, full=full)
+    nl = NeighborList(settings_)
+    nl.build(x, box)
+    offsets, neighbors = _numpy_csr(
+        np.ascontiguousarray(x, dtype=np.float64), box, settings_.list_cutoff, full, False)
+    assert nl.offsets.dtype == offsets.dtype == np.int64
+    assert nl.neighbors.dtype == neighbors.dtype == np.int32
+    assert np.array_equal(nl.offsets, offsets)
+    assert np.array_equal(nl.neighbors, neighbors)
+    return nl
+
+
+@pytest.fixture
+def numpy_build_forbidden(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the numpy builder ran")
+
+    monkeypatch.setattr(neighbor_module, "_numpy_csr", forbidden)
+
+
+@needs_compiled
+class TestCompiledBuild:
+    """The C cell-list pass behind `NeighborList.build`: the numpy
+    build is its oracle, entry for entry."""
+
+    def test_runs_where_the_box_bins(self, numpy_build_forbidden):
+        s = diamond_lattice(3, 3, 3)
+        nl = NeighborList(NeighborSettings(cutoff=3.0, skin=1.0))
+        nl.build(s.x, s.box)
+        assert nl.n_pairs == 16 * s.n
+
+    def test_thin_box_and_brute_force_stay_on_numpy(self, numpy_build_forbidden):
+        s = diamond_lattice(2, 2, 2)  # 2 bins per axis
+        nl = NeighborList(NeighborSettings(cutoff=3.0, skin=1.0))
+        with pytest.raises(AssertionError, match="numpy builder ran"):
+            nl.build(s.x, s.box)
+        s = diamond_lattice(3, 3, 3)
+        with pytest.raises(AssertionError, match="numpy builder ran"):
+            nl.build(s.x, s.box, brute_force=True)
+
+    @pytest.mark.parametrize("full", [True, False])
+    @pytest.mark.parametrize("skin", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("amplitude", [0.0, 0.1, 0.3, 0.8])
+    @pytest.mark.parametrize("cells", [(3, 3, 3), (4, 4, 4), (8, 8, 4)])
+    def test_lattices(self, cells, amplitude, skin, full):
+        s = perturbed(diamond_lattice(*cells), amplitude, seed=11)
+        assert_same_as_numpy(s.x, s.box, skin=skin, full=full)
+
+    @pytest.mark.parametrize("full", [True, False])
+    @pytest.mark.parametrize("periodic", [(True, True, False), (False, False, False),
+                                          (True, False, True)])
+    def test_open_boxes_ghosts_and_bin_edges(self, periodic, full):
+        rng = np.random.default_rng(5)
+        box = Box(lo=np.array([-2.0, 1.0, 0.0]), hi=np.array([19.0, 25.5, 16.0]), periodic=periodic)
+        rlist = 4.0
+        # ghosts up to 1.5 A outside [lo, hi) on every axis
+        x = rng.uniform(box.lo - 1.5, box.hi + 1.5, size=(900, 3))
+        binsize = box.lengths / (box.lengths // rlist)
+        x[:60] = box.lo + binsize * rng.integers(0, 4, size=(60, 3))  # exactly on bin edges
+        x[60:80, 0] = box.hi[0]  # on the hi face
+        x[80:100] = box.hi
+        x[100:110] = x[:10]  # coincident atoms are listed like any other pair
+        nl = assert_same_as_numpy(x, box, cutoff=3.0, skin=1.0, full=full)
+        assert nl.n_pairs > 0
+
+    def test_radius_on_a_pair_distance(self):
+        """`r^2 <= rlist^2` is decided on the oracle's own r^2: a list
+        radius that sits exactly on (or one ulp beside) a pair distance
+        lists the same pairs on both builders."""
+        s = perturbed(diamond_lattice(3, 3, 3), 0.2, seed=3)
+        i_idx, j_idx = _brute_force_pairs(s.x, s.box, 4.2)
+        d = s.box.minimum_image(s.x[j_idx] - s.x[i_idx])
+        r = np.sqrt(np.einsum("ij,ij->i", d, d))
+        rng = np.random.default_rng(0)
+        for r_pair in rng.choice(r[r > 3.2], size=40, replace=False):
+            for rlist in (np.nextafter(r_pair, 0.0), r_pair, np.nextafter(r_pair, 10.0)):
+                assert_same_as_numpy(s.x, s.box, cutoff=float(rlist), skin=0.0)
+
+    @given(
+        n=st.integers(min_value=2, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**31),
+        periodic=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+        full=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_points_match_brute_force(self, n, seed, periodic, full):
+        rng = np.random.default_rng(seed)
+        box = Box(lo=np.zeros(3), hi=np.array([20.0, 16.0, 24.0]), periodic=periodic)
+        x = rng.uniform(box.lo, box.hi, size=(n, 3))
+        nl = assert_same_as_numpy(x, box, cutoff=3.5, skin=1.5, full=full)
+        i_idx, j_idx = _brute_force_pairs(x, box, 5.0)
+        if not full:
+            keep = i_idx < j_idx
+            i_idx, j_idx = i_idx[keep], j_idx[keep]
+        assert pairset(nl) == set(zip(i_idx.tolist(), j_idx.tolist()))
+
+    def test_short_buffer_is_retried(self):
+        # everything in one corner of a large box: far above the mean
+        # density the output buffer is sized from
+        rng = np.random.default_rng(9)
+        box = Box.cubic(60.0)
+        x = rng.uniform(0.0, 6.0, size=(300, 3))
+        nl = assert_same_as_numpy(x, box, cutoff=3.0, skin=1.0)
+        assert nl.n_pairs > 1.5 * 300 * 300 * (4.0 / 3.0 * np.pi * 4.0**3) / box.volume + 64
+
+    def test_melt_run_identical_without_the_extension(self, monkeypatch):
+        from repro.runtime import RunSpec, SolverSpec, build_simulation
+
+        def melt():
+            system = diamond_lattice(4, 4, 4)
+            seeded_velocities(system, 6000.0, seed=2016)
+            sim = build_simulation(RunSpec(solver=SolverSpec(mode="Opt-D"), skin=0.5), system)
+            sim.run(200)
+            return system.x.copy(), sim.neigh.n_builds
+
+        x_c, builds_c = melt()
+        monkeypatch.setenv("REPRO_NO_CEXT", "1")
+        x_np, builds_np = melt()
+        assert builds_c == builds_np > 10
+        assert np.array_equal(x_c, x_np)
+
+    def test_state_round_trip_then_rebuild(self):
+        s = perturbed(diamond_lattice(3, 3, 3), 0.1, seed=6)
+        a = NeighborList(NeighborSettings(cutoff=3.0, skin=1.0))
+        a.build(s.x, s.box)
+        b = NeighborList(NeighborSettings(cutoff=3.0, skin=1.0))
+        b.set_state(a.get_state(), s.box)
+        assert np.array_equal(b.offsets, a.offsets) and np.array_equal(b.neighbors, a.neighbors)
+        moved = perturbed(s, 0.6, seed=8)
+        assert a.ensure(moved.x, moved.box) and b.ensure(moved.x, moved.box)
+        assert (b.n_builds, b.version) == (a.n_builds, a.version) == (2, 2)
+        assert np.array_equal(b.offsets, a.offsets) and np.array_equal(b.neighbors, a.neighbors)
+        assert_same_as_numpy(moved.x, moved.box, skin=1.0)
+
+    def test_first_build_reports_the_load_as_warmup(self, monkeypatch):
+        """The process's first C build loads the extension: that time
+        goes to `StageTimers.warmup`, not `neighbor`."""
+        from repro.md.simulation import Simulation
+        from repro.md.pair_lj import LennardJones
+
+        s = perturbed(diamond_lattice(3, 3, 3), 0.05, seed=1)
+        sim = Simulation(s, LennardJones(epsilon=0.01, sigma=2.0, cutoff=3.0))
+        monkeypatch.setattr(cext, "loaded", lambda: False)
+        sim.compute_forces()
+        load = sim.neigh.warmup_s
+        assert load > 0.0
+        assert sim.timers.warmup == load
+        monkeypatch.undo()
+        sim.neigh.build(s.x, s.box)
+        assert sim.neigh.warmup_s == 0.0
+
+    def test_engine_worker_reports_the_load_as_warmup(self, monkeypatch, si_params):
+        from repro.core.tersoff.production import TersoffProduction
+        from repro.md.simulation import Simulation
+
+        s = perturbed(diamond_lattice(4, 4, 4), 0.05, seed=1)
+        monkeypatch.setattr(cext, "loaded", lambda: False)
+        sim = Simulation(s, TersoffProduction(si_params), workers=1, ranks=2, executor="serial")
+        try:
+            sim.compute_forces()
+            per_rank = sim.engine.last_step.per_rank
+        finally:
+            sim.close()
+        assert all(r["warmup_s"] > 0.0 and r["neighbor_s"] > 0.0 for r in per_rank)
+        assert sim.timers.warmup == sum(r["warmup_s"] for r in per_rank)
+
+    def test_failed_build_falls_back_and_is_remembered(self, monkeypatch):
+        def broken(force=False):
+            raise cext.CextBuildError("cc: fatal error: math.h: No such file")
+
+        monkeypatch.setattr(cext, "_lib", None)
+        monkeypatch.setattr(cext, "_build_error", None)
+        monkeypatch.setattr(cext, "build", broken)
+        s = diamond_lattice(3, 3, 3)
+        nl = NeighborList(NeighborSettings(cutoff=3.0, skin=1.0))
+        with pytest.warns(RuntimeWarning, match="using the numpy builder"):
+            nl.build(s.x, s.box)
+        assert nl.n_pairs == 16 * s.n
+        assert "math.h" in cext.probe()
+        nl.build(s.x, s.box)  # probes first now: no second compile, no second warning
+        assert nl.n_builds == 2
+
+
+class TestNonFinitePositions:
+    """A NaN/inf position bins nowhere; the atom used to vanish from
+    the list and the energy stayed finite.  Both builders refuse."""
+
+    @pytest.mark.parametrize("builder", ["default", "numpy", "brute"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected_before_any_state_changes(self, monkeypatch, builder, bad):
+        if builder == "numpy":
+            monkeypatch.setenv("REPRO_NO_CEXT", "1")
+        s = perturbed(diamond_lattice(4, 4, 4), 0.1, seed=4)
+        nl = NeighborList(NeighborSettings(cutoff=3.0, skin=0.5))
+        nl.build(s.x, s.box)
+        before = nl.get_state()
+        x = s.x.copy()
+        x[5, 1] = bad
+        x[9, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite position of atom 5"):
+            nl.build(x, s.box, brute_force=builder == "brute")
+        after = nl.get_state()
+        assert (after["n_builds"], after["version"]) == (1, 1)
+        for key in ("offsets", "neighbors", "x_ref"):
+            assert np.array_equal(after[key], before[key])
+        assert not nl.needs_rebuild(s.x)
+
+    def test_far_outside_the_box_is_defined(self):
+        # finite but beyond int64 when divided by the bin size: an edge
+        # bin, no cast warning, and (non-periodic) no neighbors
+        box = Box.cubic(20.0, periodic=False)
+        x = np.random.default_rng(3).uniform(0.0, 20.0, size=(50, 3))
+        x[7] = [1e300, -1e300, 5.0]
+        nl = assert_same_as_numpy(x, box, cutoff=3.5, skin=0.5)
+        assert nl.neighbors_of(7).size == 0
