@@ -27,11 +27,10 @@ import sys
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    import multiprocessing
-
     import repro
     from repro.backends import available, get, get_default
     from repro.md.neighbor import active_builder
+    from repro.parallel.executor import EXECUTOR_NAMES
     from repro.perf.machines import host_fingerprint, list_machines
     from repro.vector.isa import ISA_REGISTRY
 
@@ -43,9 +42,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
         print(f"  {name:8s} {status}{default}")
         print(f"           {get(name).description}")
     print(f"\nneighbor list builder: {active_builder()}")
-    print("\nexecutor start methods:")
-    methods = multiprocessing.get_all_start_methods()
-    print(f"  serial; process via {', '.join(methods)}")
+    print(f"\nexecutors: {', '.join(EXECUTOR_NAMES)}")
     fp = host_fingerprint()
     print(f"\nhost: {fp.get('processor') or fp.get('arch', '?')} "
           f"({fp.get('cpu_count', '?')} cpus, fingerprint {fp.get('fingerprint_id')})")
@@ -74,8 +71,8 @@ def _restart_run_spec(ck, args: argparse.Namespace):
     """The effective :class:`RunSpec` for ``--restart-from``.
 
     The checkpoint pins the full configuration — solver (potential,
-    mode, cache, backend) *and* execution (executor, transport,
-    workers, ranks, sort, skin).  Explicitly-given CLI flags override
+    mode, cache, backend) *and* execution (executor, hosts, workers,
+    ranks, sort, skin).  Explicitly-given CLI flags override
     the execution knobs (resuming on different hardware is legitimate);
     the solver always comes from the checkpoint, so the physics cannot
     drift across a restart.
@@ -94,18 +91,12 @@ def _restart_run_spec(ck, args: argparse.Namespace):
         overrides["ranks"] = args.ranks
     if args.executor is not None:
         overrides["executor"] = args.executor
-        overrides.setdefault("transport", None)
-        overrides.setdefault("hosts", None)
-    if args.transport is not None:
-        overrides["transport"] = args.transport
-        overrides.setdefault("executor", None)
         overrides.setdefault("hosts", None)
     if args.hosts:
         overrides["hosts"] = tuple(
             h.strip() for h in args.hosts.split(",") if h.strip()
         )
         overrides.setdefault("executor", None)
-        overrides.setdefault("transport", None)
     if args.sort_domains:
         overrides["sort"] = True
     return pinned.with_overrides(**overrides) if overrides else pinned
@@ -118,7 +109,7 @@ def _report_comm(sim) -> None:
         return
     ct = eng.comm_total
     line = (f"comm: {ct.bytes / 1e6:.2f} MB halo traffic in {ct.messages} messages, "
-            f"{ct.measured_time_s * 1e3:.1f} ms measured")
+            f"{ct.time_s * 1e3:.1f} ms measured")
     wire_fn = getattr(eng._exec, "wire_bytes", None)
     if wire_fn is not None and not eng.closed:
         sent, received = wire_fn()
@@ -551,6 +542,8 @@ def _cmd_bench_list(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.parallel.executor import EXECUTOR_NAMES
+
     parser = argparse.ArgumentParser(prog="repro", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -580,17 +573,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "the physics depends only on ranks, never on workers")
     p_run.add_argument("--sort-domains", action="store_true",
                        help="Morton-order rank-local atoms (locality optimization)")
-    p_run.add_argument("--executor",
-                       choices=("serial", "thread", "process", "fork", "spawn",
-                                "forkserver", "tcp", "unix"),
-                       default=None,
+    p_run.add_argument("--executor", choices=EXECUTOR_NAMES, default=None,
                        help="execution backend for --workers (default: process pool via "
-                            "fork where available; physics is bitwise identical across "
-                            "executors)")
-    p_run.add_argument("--transport", choices=("tcp", "unix"), default=None,
-                       help="socket framing for the cluster executor (with --hosts: "
-                            "how to reach the workers; alone: spawn a local socket "
-                            "pool, same as --executor tcp/unix)")
+                            "fork where available; tcp/unix spawn a local socket pool; "
+                            "physics is bitwise identical across executors)")
     p_run.add_argument("--hosts", default=None, metavar="ADDR,ADDR,...",
                        help="connect to pre-started 'repro worker' listeners "
                             "(host:port for tcp, socket paths for unix); one worker "

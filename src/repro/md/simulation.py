@@ -128,14 +128,13 @@ class Simulation:
         optimization; permutes accumulation order, so leave off when
         bitwise equality with the serial path matters).
     executor:
-        Execution backend for the pool: ``"serial"``, ``"fork"``,
-        ``"spawn"``, ``"forkserver"``, ``"process"``, or an
+        Execution backend for the pool: one of
+        :data:`~repro.parallel.executor.EXECUTOR_NAMES` (``"serial"``,
+        ``"thread"``, ``"process"``, ``"fork"``, ``"spawn"``,
+        ``"forkserver"``, ``"tcp"``, ``"unix"``) or an
         :class:`~repro.parallel.executor.EngineExecutor` instance
-        (default: process pool via fork where available).  Bitwise
+        (default: ``"process"`` — fork where available).  Bitwise
         identical physics across executors.
-    start_method:
-        Back-compat alias for ``executor="<method>"`` (default: fork
-        where available).
     """
 
     def __init__(
@@ -150,7 +149,6 @@ class Simulation:
         ranks: int | None = None,
         sort: bool = False,
         executor=None,
-        start_method: str | None = None,
     ):
         self.system = system
         self.potential = potential
@@ -180,7 +178,6 @@ class Simulation:
                 ),
                 sort=sort,
                 executor=executor,
-                start_method=start_method,
             )
 
     @property
@@ -277,11 +274,8 @@ class Simulation:
                 "timers": dict(tm),
                 "bytes_forward": step.bytes_forward,
                 "bytes_reverse": step.bytes_reverse,
-                "bytes_forward_full": step.bytes_forward_full,
                 "bytes_wire": step.bytes_wire,
-                "comm_measured_s": (
-                    0.0 if step.comm is None else step.comm.measured_time_s
-                ),
+                "comm_measured_s": 0.0 if step.comm is None else step.comm.time_s,
             }
         }
         cache = self.engine.cache_summary()

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from repro.perf.network import (
     INFINIBAND_FDR,  # noqa: F401
     INTRA_NODE,  # noqa: F401
-    NetworkModel,
+    NetworkModel,  # noqa: F401
     PCIE_GEN2,  # noqa: F401
 )
 
@@ -25,35 +25,21 @@ from repro.perf.network import (
 class CommRecord:
     """Accumulated traffic of one rank (or one stage).
 
-    Two time columns coexist: :meth:`add` books *modeled* seconds (an
-    alpha-beta :class:`NetworkModel` applied to the byte count — the
-    sequential-SPMD path), :meth:`add_measured` books *measured* wall
-    seconds (the engine's real wire/staging time).  A given record
-    normally uses one or the other; ``by_stage`` entries carry
-    ``[count, bytes, seconds]`` of whichever kind populated them.
+    ``time_s`` is whatever seconds the caller books with each message:
+    the sequential-SPMD model passes ``network.message_time(nbytes)``,
+    the engine its measured wall seconds.  ``by_stage`` entries are
+    ``[count, bytes, seconds]``.
     """
 
     messages: int = 0
     bytes: int = 0
-    modeled_time_s: float = 0.0
-    measured_time_s: float = 0.0
+    time_s: float = 0.0
     by_stage: dict = field(default_factory=dict)
 
-    def add(self, network: NetworkModel, nbytes: int, *, stage: str = "halo") -> None:
+    def add(self, nbytes: int, seconds: float, *, stage: str = "halo") -> None:
         self.messages += 1
         self.bytes += int(nbytes)
-        t = network.message_time(nbytes)
-        self.modeled_time_s += t
-        entry = self.by_stage.setdefault(stage, [0, 0, 0.0])
-        entry[0] += 1
-        entry[1] += int(nbytes)
-        entry[2] += t
-
-    def add_measured(self, nbytes: int, seconds: float, *, stage: str = "halo") -> None:
-        """Record one *measured* exchange (wall seconds, not a model)."""
-        self.messages += 1
-        self.bytes += int(nbytes)
-        self.measured_time_s += float(seconds)
+        self.time_s += float(seconds)
         entry = self.by_stage.setdefault(stage, [0, 0, 0.0])
         entry[0] += 1
         entry[1] += int(nbytes)
@@ -63,8 +49,7 @@ class CommRecord:
         out = CommRecord(
             messages=self.messages + other.messages,
             bytes=self.bytes + other.bytes,
-            modeled_time_s=self.modeled_time_s + other.modeled_time_s,
-            measured_time_s=self.measured_time_s + other.measured_time_s,
+            time_s=self.time_s + other.time_s,
         )
         for src in (self.by_stage, other.by_stage):
             # sorted: merged stage order (and float accumulation order)

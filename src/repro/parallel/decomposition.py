@@ -263,28 +263,23 @@ class DomainDecomposition:
         Each rank receives its ghosts grouped by source rank (one
         message per neighbor rank) and sends symmetric traffic.
         """
-        records = [CommRecord() for _ in range(self.n_ranks)]
-        for dom in self.domains:
-            if dom.n_ghost == 0:
-                continue
-            sources, counts = np.unique(dom.ghost_source, return_counts=True)
-            for src, cnt in zip(sources, counts):
-                nbytes = int(cnt) * FORWARD_BYTES_PER_ATOM
-                records[dom.rank].add(network, nbytes, stage="forward")
-                records[int(src)].add(network, nbytes, stage="forward")
-        return records
+        return self._halo_comm(network, FORWARD_BYTES_PER_ATOM, "forward")
 
     def reverse_comm(self, network: NetworkModel = INTRA_NODE) -> list[CommRecord]:
         """Model one reverse halo exchange (ghost forces back to owners)."""
+        return self._halo_comm(network, REVERSE_BYTES_PER_ATOM, "reverse")
+
+    def _halo_comm(self, network: NetworkModel, bytes_per_atom: int, stage: str):
         records = [CommRecord() for _ in range(self.n_ranks)]
         for dom in self.domains:
             if dom.n_ghost == 0:
                 continue
             sources, counts = np.unique(dom.ghost_source, return_counts=True)
             for src, cnt in zip(sources, counts):
-                nbytes = int(cnt) * REVERSE_BYTES_PER_ATOM
-                records[dom.rank].add(network, nbytes, stage="reverse")
-                records[int(src)].add(network, nbytes, stage="reverse")
+                nbytes = int(cnt) * bytes_per_atom
+                seconds = network.message_time(nbytes)
+                records[dom.rank].add(nbytes, seconds, stage=stage)
+                records[int(src)].add(nbytes, seconds, stage=stage)
         return records
 
     # -- distributed force computation ----------------------------------------------

@@ -1,11 +1,11 @@
-"""Shared-memory parallel execution engine for the decomposed Tersoff path.
+"""Parallel execution engine for the decomposed Tersoff path.
 
 The paper's evaluation (Sec. VI, Figs. 5/8/9) and its journal follow-up
 make multi-threaded strong scaling the headline claim; this module is
-the repository's real (not modeled) counterpart: a persistent
-``multiprocessing`` worker pool that executes the ranks of a
+the repository's real (not modeled) counterpart: a persistent worker
+pool that executes the ranks of a
 :class:`~repro.parallel.decomposition.DomainDecomposition`
-concurrently on one node.
+concurrently, on one node or behind sockets.
 
 Architecture
 ------------
@@ -17,12 +17,10 @@ Architecture
 - **Ghost-only data plane.**  The host gathers each rank's owned+ghost
   positions (``local_idx`` rows, typically a small multiple of
   ``n/ranks``) and each rank returns only its local force slab — never
-  the full ``(n, 3)`` arrays.  Three transports carry that traffic:
-  shared-memory slabs (``halo_only=True``, the default: one
-  ``(ranks, n, 3)`` position block written sparsely), the legacy full
-  ``(n, 3)`` position broadcast (``halo_only=False``, kept as the
-  bandwidth contrast measured by ``parallel/halo-bytes``), and the
-  *wire* mode engaged automatically when the executor declares
+  the full ``(n, 3)`` arrays.  Two carriers, chosen from the executor:
+  shared slabs (serial, thread and process executors: one
+  ``(ranks, n, 3)`` position block and one force block, written
+  sparsely), and the *wire* when the executor declares
   ``wire_data_plane`` (the socket :class:`ClusterExecutor`): ghost
   positions travel in the step payload and owned-force slabs in the
   reply, so a multi-host step moves only halo-sized messages.
@@ -35,8 +33,8 @@ Architecture
 - **Decomposition lifecycle.**  The decomposition (and with it every
   rank's owned/ghost sets) is rebuilt when any atom has moved more than
   half the skin since it was built — the same criterion that triggers
-  neighbor-list rebuilds — and the new index sets are shipped to the
-  workers; between rebuilds only positions flow.
+  neighbor-list rebuilds — and each worker is sent its ranks' new atom
+  types and owned counts; between rebuilds only positions flow.
 
 Failure containment: a worker exception is caught in the worker,
 reported with its traceback, and surfaced on the host as
@@ -51,6 +49,7 @@ import copy
 import itertools
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -68,6 +67,7 @@ from repro.parallel.executor import (
     WorkerFailure,
     make_executor,
 )
+from repro.perf.network import AlphaBetaFit
 
 
 class EngineError(RuntimeError):
@@ -88,10 +88,8 @@ class WorkerCrash(EngineError):
 
 @dataclass
 class _RankState:
-    """One rank's long-lived state inside a worker process."""
+    """One rank's long-lived state inside a worker."""
 
-    rank: int
-    local_idx: np.ndarray
     n_owned: int
     system: AtomSystem
     neigh: NeighborList
@@ -99,124 +97,34 @@ class _RankState:
     force_rebuild: bool = True
 
 
-@hot_path(reason="per-worker per-step evaluation; reuses persistent lists/caches")
-def _step_ranks(
-    states: dict,
-    box: Box,
-    *,
-    X: np.ndarray | None = None,
-    XL: np.ndarray | None = None,
-    F: np.ndarray | None = None,
-    xblocks: dict | None = None,
-) -> list[dict]:
-    """Evaluate every rank owned by this worker.
-
-    Position sources, in priority order: ``xblocks[rank]`` (wire mode —
-    the ghost-region block arrived in the step payload), ``XL[rank]``
-    (halo-only shared slab, already gathered by the host), ``X`` (legacy
-    full broadcast, gathered here via ``local_idx``).  Each is a plain
-    elementwise copy into the rank's persistent position array, so all
-    three feed the kernel bit-identical coordinates.
-
-    Reuses the persistent neighbor list via the skin criterion (rebuild
-    + ghost-row blanking only when needed, or when a new decomposition
-    forced it), runs the potential, and writes the local force block
-    into the rank's shared-memory slab — or, in wire mode (``F is
-    None``), attaches it to the stats dict for the reply message.
-    """
-    out = []
-    for rank in sorted(states):
-        st = states[rank]
-        t0 = time.perf_counter()
-        m_local = st.local_idx.shape[0]
-        if xblocks is not None:
-            st.system.x[...] = xblocks[rank]
-        elif XL is not None:
-            st.system.x[...] = XL[rank, :m_local]
-        else:
-            np.take(X, st.local_idx, axis=0, out=st.system.x)
-        if st.force_rebuild:
-            st.neigh.build(st.system.x, box)
-            rebuilt = True
-            st.force_rebuild = False
-        else:
-            rebuilt = st.neigh.ensure(st.system.x, box)
-        if rebuilt:
-            blank_ghost_rows(st.neigh, st.n_owned)
-        t1 = time.perf_counter()
-        # the process's first C list build loads the extension
-        load = st.neigh.warmup_s
-        res = st.potential.compute(st.system, st.neigh)
-        t2 = time.perf_counter()
-        m = res.forces.shape[0]
-        if F is not None:
-            F[rank, :m, :] = res.forces
-        timing = res.stats.get("timing", {})
-        staging = min(max(float(timing.get("staging_s", 0.0)), 0.0), t2 - t1)
-        warmup = min(max(float(timing.get("warmup_s", 0.0)), 0.0), (t2 - t1) - staging)
-        info = {
-            "rank": rank,
-            "energy": res.energy,
-            "virial": res.virial,
-            "n_local": m,
-            "rebuilt": rebuilt,
-            "neighbor_s": t1 - t0 - load,
-            "staging_s": staging,
-            "warmup_s": warmup + load,
-            "kernel_s": (t2 - t1) - staging - warmup,
-            "total_s": t2 - t0,
-            "cache": res.stats.get("cache"),
-            "pairs_in_cutoff": res.stats.get("pairs_in_cutoff"),
-        }
-        if F is None:
-            # wire reply: the force slab travels back in the message.
-            # Safe to send without copying — the serve loop transmits
-            # the reply before this rank's workspace is touched again.
-            info["forces"] = res.forces
-        out.append(info)
-    return out
-
-
+@dataclass
 class WorkerHost:
     """One worker's long-lived state, commands served via :meth:`handle`.
 
-    This is the executor-agnostic half of the old worker loop: it owns
-    the per-rank states and the views into the shared position/force
-    arrays, and knows nothing about pipes, processes or shared-memory
-    lifecycle — :mod:`repro.parallel.executor` supplies those.  With
-    the :class:`~repro.parallel.executor.SerialExecutor` these hosts
-    simply live in the engine's own process.
+    It owns the per-rank states and the views into the shared
+    position/force slabs, and knows nothing about pipes, processes or
+    shared-memory lifecycle — :mod:`repro.parallel.executor` supplies
+    those, calling ``partial(WorkerHost, box=..., ...)(arrays)`` on the
+    worker's side.  Spawn and socket pools pickle that partial, so
+    everything bound into it (box, masses, the template potential,
+    neighbor settings) must pickle.
     """
 
-    def __init__(
-        self,
-        arrays: dict,
-        box: Box,
-        mass: np.ndarray,
-        species: tuple,
-        potential: Potential,
-        settings: NeighborSettings,
-    ):
-        # whichever data plane the engine chose: "x" (full broadcast),
-        # "xl" (halo-only slabs), or neither (wire mode — positions and
-        # forces travel in the step messages themselves)
-        self.X = arrays.get("x")
-        self.XL = arrays.get("xl")
-        self.F = arrays.get("f")
-        self.box = box
-        self.mass = mass
-        self.species = species
-        self.potential = potential
-        self.settings = settings
-        self.states: dict[int, _RankState] = {}
+    #: ``"xl"``/``"f"`` slabs, or empty in wire mode (positions and
+    #: forces then travel in the step messages themselves)
+    arrays: dict
+    box: Box
+    mass: np.ndarray
+    species: tuple
+    potential: Potential
+    settings: NeighborSettings
+    states: dict[int, _RankState] = field(default_factory=dict)
 
     def handle(self, cmd: str, payload):
         if cmd == "ranks":
             return self._set_ranks(payload)
         if cmd == "step":
-            xblocks = None if payload is None else payload.get("x")
-            return _step_ranks(self.states, self.box, X=self.X, XL=self.XL,
-                               F=self.F, xblocks=xblocks)
+            return self._step(None if payload is None else payload.get("x"))
         if cmd == "listrefs":
             # checkpoint support: each rank's last list-build positions,
             # so a restart can rebuild the *same* list
@@ -229,21 +137,85 @@ class WorkerHost:
             return self._warm(payload)
         raise ValueError(f"unknown command {cmd!r}")
 
+    @hot_path(reason="per-worker per-step evaluation; reuses persistent lists/caches")
+    def _step(self, xblocks: dict | None) -> list[dict]:
+        """Evaluate every rank owned by this worker.
+
+        Positions come from ``xblocks[rank]`` (wire mode — the
+        ghost-region block arrived in the step payload) or else the
+        rank's shared ``"xl"`` slab, already gathered by the host.
+        Either is a plain elementwise copy into the rank's persistent
+        position array, so both feed the kernel bit-identical
+        coordinates.
+
+        Reuses the persistent neighbor list via the skin criterion
+        (rebuild + ghost-row blanking only when needed, or when a new
+        decomposition forced it), runs the potential, and writes the
+        local force block into the rank's ``"f"`` slab — or, in wire
+        mode, attaches it to the stats dict for the reply message.
+        """
+        XL, F = self.arrays.get("xl"), self.arrays.get("f")
+        out = []
+        for rank in sorted(self.states):
+            st = self.states[rank]
+            t0 = time.perf_counter()
+            if xblocks is not None:
+                st.system.x[...] = xblocks[rank]
+            else:
+                st.system.x[...] = XL[rank, :st.system.n]
+            if st.force_rebuild:
+                st.neigh.build(st.system.x, self.box)
+                rebuilt = True
+                st.force_rebuild = False
+            else:
+                rebuilt = st.neigh.ensure(st.system.x, self.box)
+            if rebuilt:
+                blank_ghost_rows(st.neigh, st.n_owned)
+            t1 = time.perf_counter()
+            # the process's first C list build loads the extension
+            load = st.neigh.warmup_s
+            res = st.potential.compute(st.system, st.neigh)
+            t2 = time.perf_counter()
+            m = res.forces.shape[0]
+            if F is not None:
+                F[rank, :m, :] = res.forces
+            timing = res.stats.get("timing", {})
+            staging = min(max(float(timing.get("staging_s", 0.0)), 0.0), t2 - t1)
+            warmup = min(max(float(timing.get("warmup_s", 0.0)), 0.0), (t2 - t1) - staging)
+            info = {
+                "rank": rank,
+                "energy": res.energy,
+                "virial": res.virial,
+                "n_local": m,
+                "rebuilt": rebuilt,
+                "neighbor_s": t1 - t0 - load,
+                "staging_s": staging,
+                "warmup_s": warmup + load,
+                "kernel_s": (t2 - t1) - staging - warmup,
+                "total_s": t2 - t0,
+                "cache": res.stats.get("cache"),
+                "pairs_in_cutoff": res.stats.get("pairs_in_cutoff"),
+            }
+            if F is None:
+                # wire reply: the force slab travels back in the message.
+                # Safe to send without copying — the serve loop transmits
+                # the reply before this rank's workspace is touched again.
+                info["forces"] = res.forces
+            out.append(info)
+        return out
+
     def _set_ranks(self, payloads: list[dict]) -> None:
         # new decomposition generation: refresh topology but keep each
         # rank's potential (and its interaction cache / workspace)
         # alive across generations.
         for payload in payloads:
             rank = payload["rank"]
-            local_idx = payload["local_idx"]
             prev = self.states.get(rank)
             self.states[rank] = _RankState(
-                rank=rank,
-                local_idx=local_idx,
                 n_owned=payload["n_owned"],
                 system=AtomSystem(
                     box=self.box,
-                    x=np.zeros((local_idx.shape[0], 3), dtype=np.float64),
+                    x=np.zeros((payload["types"].shape[0], 3), dtype=np.float64),
                     type=payload["types"],
                     mass=self.mass,
                     species=self.species,
@@ -268,28 +240,6 @@ class WorkerHost:
 
 
 @dataclass
-class _HostFactory:
-    """Picklable recipe an executor uses to build one :class:`WorkerHost`.
-
-    Spawn-method pools pickle this into each worker; everything captured
-    here (box, masses, the template potential, neighbor settings) must
-    therefore pickle — the same contract the engine always had.
-    """
-
-    n_atoms: int
-    n_ranks: int
-    box: Box
-    mass: np.ndarray
-    species: tuple
-    potential: Potential
-    settings: NeighborSettings
-
-    def __call__(self, arrays) -> WorkerHost:
-        return WorkerHost(arrays, self.box, self.mass, self.species,
-                          self.potential, self.settings)
-
-
-@dataclass
 class EngineStep:
     """Result of one parallel force evaluation.
 
@@ -302,16 +252,13 @@ class EngineStep:
     ``kernel_s`` critical-path components.
 
     Traffic accounting (bytes of position/force payload this step):
-    ``bytes_forward`` is what the active data plane actually moved to
-    the workers (ghost-region rows for halo-only and wire modes, the
-    full broadcast for the legacy plane), ``bytes_reverse`` the local
-    force slabs that came back, and ``bytes_forward_full`` the
-    counterfactual full-broadcast cost (``workers * n * 24``) the
-    halo-only plane is measured against.  ``bytes_wire`` is the
-    ``(sent, received)`` socket byte delta for this step when the
-    executor exposes a wire (framing overhead included), else ``None``.
-    ``comm`` is the step's *measured* :class:`CommRecord` (forward and
-    reverse stages split from ``comm_s``).
+    ``bytes_forward`` is the ghost-region position rows moved to the
+    workers, ``bytes_reverse`` the local force slabs that came back.
+    ``bytes_wire`` is the ``(sent, received)`` socket byte delta for
+    this step when the executor exposes a wire (framing overhead
+    included), else ``None``.  ``comm`` is the step's :class:`CommRecord`
+    in measured seconds (forward and reverse stages split from
+    ``comm_s``).
     """
 
     energy: float
@@ -324,7 +271,6 @@ class EngineStep:
     virial: float = 0.0
     bytes_forward: int = 0
     bytes_reverse: int = 0
-    bytes_forward_full: int = 0
     bytes_wire: "tuple[int, int] | None" = None
     comm: "CommRecord | None" = None
 
@@ -341,7 +287,7 @@ class ParallelEngine:
     potential:
         Template potential; each worker holds one private copy per
         assigned rank (so interaction caches never alias).  Must be
-        picklable when ``start_method="spawn"``.
+        picklable when ``executor="spawn"``.
     workers:
         Number of worker processes (clamped to ``ranks``).
     ranks:
@@ -361,26 +307,15 @@ class ParallelEngine:
     grid:
         Explicit process grid (default: LAMMPS-style near-cubic).
     executor:
-        Execution backend: ``"serial"`` (in-process, no subprocesses),
-        ``"thread"`` (persistent thread per worker; real overlap with
-        the GIL-releasing compiled kernel), ``"fork"`` / ``"spawn"`` /
-        ``"forkserver"`` (process pool with that start method),
-        ``"process"`` (process pool, platform default method),
-        ``"tcp"`` / ``"unix"`` (socket-transport cluster pool), or a
-        ready :class:`EngineExecutor` instance — e.g. a
+        One of :data:`~repro.parallel.executor.EXECUTOR_NAMES` —
+        ``"serial"`` (in-process), ``"thread"`` (real overlap with the
+        GIL-releasing compiled kernel), ``"process"`` (the default:
+        ``fork`` where available, else ``spawn``), ``"fork"`` /
+        ``"spawn"`` / ``"forkserver"``, ``"tcp"`` / ``"unix"`` (spawned
+        socket pool) — or a ready :class:`EngineExecutor`, e.g. a
         :class:`~repro.parallel.transport.ClusterExecutor` connected to
-        remote hosts.  Default: process pool via fork where available.
-        The physics is bitwise identical across executors — they only
-        move where the rank evaluations run.
-    start_method:
-        Back-compat alias for ``executor="<method>"``; ``fork`` where
-        available (fast, nothing pickled), else ``spawn``.
-    halo_only:
-        Shared-memory data plane choice: ``True`` (default) stages only
-        each rank's owned+ghost position rows into a per-rank slab;
-        ``False`` keeps the legacy full ``(n, 3)`` broadcast.  Bitwise
-        identical either way (measured by ``parallel/halo-bytes``).
-        Ignored by wire executors, which are always ghost-only.
+        remote hosts.  The physics is bitwise identical across
+        executors — they only move where the rank evaluations run.
     """
 
     def __init__(
@@ -394,8 +329,6 @@ class ParallelEngine:
         sort: bool = False,
         grid: tuple[int, int, int] | None = None,
         executor: "str | EngineExecutor | None" = None,
-        start_method: str | None = None,
-        halo_only: bool = True,
     ):
         if workers < 1:
             raise EngineError("need at least one worker")
@@ -424,40 +357,32 @@ class ParallelEngine:
         self.last_step: EngineStep | None = None  # repro-lint: disable=KD001
         # measured traffic telemetry, same contract as last_step
         self.comm_total = CommRecord()  # repro-lint: disable=KD001
-        self._comm_samples: list = []  # repro-lint: disable=KD001
+        self._comm_fit = AlphaBetaFit()  # repro-lint: disable=KD001
         self._closed = False
 
         n = system.n
         try:
-            self._exec = make_executor(
-                executor, workers=self.workers, start_method=start_method)
+            self._exec = make_executor(executor, workers=self.workers)
         except ExecutorError as exc:
             raise EngineError(str(exc)) from exc
         # a ready-made executor fixes the pool size; follow it (still
         # never more submit targets than ranks)
         self.workers = min(self._exec.workers, ranks)
-        self.halo_only = bool(halo_only)
         # wire executors (sockets) carry positions/forces in the step
         # messages themselves; no shared arrays at all.
         self._wire = bool(getattr(self._exec, "wire_data_plane", False))
         if self._wire:
             specs = {}
-        elif self.halo_only:
+        else:
             specs = {"xl": ((ranks, n, 3), "float64"),
                      "f": ((ranks, n, 3), "float64")}
-        else:
-            specs = {"x": ((n, 3), "float64"), "f": ((ranks, n, 3), "float64")}
         views = self._exec.start(
-            _HostFactory(
-                n_atoms=n, n_ranks=ranks, box=system.box,
-                mass=system.mass.copy(), species=system.species,
-                potential=potential, settings=self.settings,
-            ),
+            partial(WorkerHost, box=system.box, mass=system.mass.copy(),
+                    species=system.species, potential=potential, settings=self.settings),
             specs,
         )
         # per-call staging in executor shared memory: repopulated from the
         # caller's positions on every compute(), never persistent state
-        self._X = views.get("x")  # repro-lint: disable=KD001
         self._XL = views.get("xl")  # repro-lint: disable=KD001
         # wire mode: host-local reduction buffer, filled from replies
         self._F = views.get("f")  # repro-lint: disable=KD001
@@ -483,7 +408,7 @@ class ParallelEngine:
         return max_disp2 > (0.5 * self.settings.skin) ** 2
 
     def _decompose(self, x: np.ndarray) -> None:
-        """Rebuild the decomposition at `x` and ship the new index sets."""
+        """Rebuild the decomposition at `x` and tell the workers their ranks."""
         snapshot = AtomSystem(
             box=self.system.box,
             x=np.array(x, dtype=np.float64, copy=True),
@@ -504,7 +429,6 @@ class ParallelEngine:
         for dom in self._dd.domains:
             payloads[self._worker_of(dom.rank)].append({
                 "rank": dom.rank,
-                "local_idx": dom.local_idx,
                 "n_owned": dom.n_owned,
                 "types": dom.local_system.type,
             })
@@ -513,20 +437,12 @@ class ParallelEngine:
     def _dispatch(self, cmd: str, payloads: list | None = None) -> list:
         """Send `cmd` to every worker, collect replies in worker order."""
         futs = [
-            self._submit(w, cmd, None if payloads is None else payloads[w])
+            self._exec.submit(w, cmd, None if payloads is None else payloads[w])
             for w in range(self.workers)
         ]
-        return [self._result(w, fut) for w, fut in enumerate(futs)]
+        return [self._result(fut) for fut in futs]
 
-    def _submit(self, worker: int, cmd: str, payload=None):
-        # wire executors can already detect a dead peer at send time
-        try:
-            return self._exec.submit(worker, cmd, payload)
-        except WorkerFailure as exc:
-            self.close()
-            raise WorkerCrash(exc.worker, exc.remote_traceback) from exc
-
-    def _result(self, worker: int, fut):
+    def _result(self, fut):
         try:
             return fut.result()
         except WorkerFailure as exc:
@@ -552,20 +468,17 @@ class ParallelEngine:
             for dom in self._dd.domains:
                 blocks[self._worker_of(dom.rank)][dom.rank] = np.take(
                     x, dom.local_idx, axis=0)
-            futs = [self._submit(w, "step", {"x": blocks[w]})
+            futs = [self._exec.submit(w, "step", {"x": blocks[w]})
                     for w in range(self.workers)]
-        elif self.halo_only:
+        else:
             # ghost-only shared-memory staging: write each rank's
             # owned+ghost rows into its slab, nothing else
             for dom in self._dd.domains:
                 m = dom.local_idx.shape[0]
                 np.take(x, dom.local_idx, axis=0, out=self._XL[dom.rank, :m])
-            futs = [self._submit(w, "step") for w in range(self.workers)]
-        else:
-            self._X[:] = x
-            futs = [self._submit(w, "step") for w in range(self.workers)]
+            futs = [self._exec.submit(w, "step") for w in range(self.workers)]
         t2 = time.perf_counter()
-        per_worker = [self._result(w, fut) for w, fut in enumerate(futs)]
+        per_worker = [self._result(fut) for fut in futs]
         t3 = time.perf_counter()
         per_rank = sorted(itertools.chain.from_iterable(per_worker), key=lambda r: r["rank"])
         if self._wire:
@@ -614,14 +527,9 @@ class ParallelEngine:
         if any_rebuilt:
             self.rebuild_steps += 1
 
-        # -- measured traffic accounting --
-        n = self.system.n
-        bytes_full = self.workers * n * 24  # full (n,3) float64 broadcast
-        bytes_reverse = self._local_rows * 24
-        if self._wire or self.halo_only:
-            bytes_forward = self._local_rows * 24
-        else:
-            bytes_forward = bytes_full
+        # -- measured traffic accounting: one float64 (x, y, z) row per
+        # owned+ghost atom each way --
+        bytes_forward = bytes_reverse = self._local_rows * 24
         bytes_wire = None
         wire_fn = getattr(self._exec, "wire_bytes", None)
         if wire_fn is not None:
@@ -633,11 +541,10 @@ class ParallelEngine:
         comm_s = timers["comm_s"]
         fwd_s = min(max(t2 - t1, 0.0), comm_s)
         comm = CommRecord()
-        comm.add_measured(bytes_forward, fwd_s, stage="forward")
-        comm.add_measured(bytes_reverse, comm_s - fwd_s, stage="reverse")
-        self.comm_total.add_measured(bytes_forward, fwd_s, stage="forward")
-        self.comm_total.add_measured(bytes_reverse, comm_s - fwd_s, stage="reverse")
-        self._comm_samples.append((bytes_forward + bytes_reverse, comm_s))
+        for record in (comm, self.comm_total):
+            record.add(bytes_forward, fwd_s, stage="forward")
+            record.add(bytes_reverse, comm_s - fwd_s, stage="reverse")
+        self._comm_fit.add(bytes_forward + bytes_reverse, comm_s)
 
         step = EngineStep(
             energy=energy,
@@ -650,7 +557,6 @@ class ParallelEngine:
             virial=virial,
             bytes_forward=bytes_forward,
             bytes_reverse=bytes_reverse,
-            bytes_forward_full=bytes_full,
             bytes_wire=bytes_wire,
             comm=comm,
         )
@@ -738,20 +644,16 @@ class ParallelEngine:
         this engine's *measured* per-step exchanges.
 
         Every :meth:`compute` contributes one ``(bytes, seconds)``
-        sample; the executor's own calibration (e.g.
+        sample to a running fit (its sufficient statistics, not the
+        samples); the executor's own calibration (e.g.
         :meth:`~repro.parallel.transport.ClusterExecutor.calibrate`)
         probes the raw fabric instead — this fit sees the end-to-end
         data plane including staging.  ``None`` until a step with a
         positive comm time has been measured.
         """
-        from repro.perf.network import fit_network_model
-
-        samples = [s for s in self._comm_samples if s[1] > 0.0]
-        if not samples:
+        if not self._comm_fit.count:
             return None
-        if name is None:
-            name = f"measured-{type(self._exec).__name__}"
-        return fit_network_model(samples, name=name)
+        return self._comm_fit.model(name or f"measured-{type(self._exec).__name__}")
 
     def workload_summary(self) -> dict:
         """Structural decomposition summary plus measured execution data.

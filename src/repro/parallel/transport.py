@@ -2,13 +2,12 @@
 exchange under the :class:`~repro.parallel.executor.EngineExecutor`
 protocol.
 
-The shared-memory engine (:mod:`repro.parallel.engine`) moves bulk data
-through ``multiprocessing.shared_memory`` — which only works on one
-host.  This module supplies the multi-node counterpart: ranks run in
-separate processes (same host or not) connected by length-prefixed,
-CRC-framed messages over TCP or unix-domain sockets, and the engine
-ships **only ghost-region positions and owned-force slabs** across the
-wire instead of broadcasting the full ``(n, 3)`` position array.
+The process pool moves bulk data through
+``multiprocessing.shared_memory`` — which only works on one host.  This
+module supplies the multi-node counterpart: ranks run in separate
+processes (same host or not) connected by length-prefixed, CRC-framed
+messages over TCP or unix-domain sockets, and the engine ships the same
+**ghost-region positions and owned-force slabs** inside them.
 
 Wire format
 -----------
@@ -42,17 +41,22 @@ import io
 import multiprocessing as mp
 import os
 import pickle
+import shutil
 import socket
-import struct
 import tempfile
 import time
 import traceback
-import weakref
-from collections import deque
+from functools import partial
 
-import numpy as np
-
-from repro.parallel.executor import ExecutorError, WorkerFailure, _ChannelFuture
+from repro.parallel.executor import (
+    ExecutorError,
+    PeerGone,
+    WorkerFailure,
+    _ChannelPool,
+    _local_arrays,
+    _message,
+    _serve,
+)
 from repro.state.format import (
     CorruptStateError,
     TruncatedStateError,
@@ -61,7 +65,7 @@ from repro.state.format import (
 )
 
 
-class TransportError(RuntimeError):
+class TransportError(PeerGone):
     """The socket transport is unusable or received unusable bytes."""
 
 
@@ -175,70 +179,64 @@ class FramedConnection:
                 pass
 
 
+class WireChannel(FramedConnection):
+    """A :class:`FramedConnection` as a pool channel: a close between
+    messages is :class:`PeerGone` too, not the :data:`CLOSED` sentinel."""
+
+    def recv(self):
+        msg = super().recv()
+        if msg is CLOSED:
+            raise PeerGone("connection closed by the peer")
+        return msg
+
+
 # ---------------------------------------------------------------------------
 # worker side
 # ---------------------------------------------------------------------------
 
 
-def serve_worker_connection(conn: FramedConnection) -> None:
+def serve_worker_connection(conn: WireChannel) -> None:
     """Serve one engine session on an established connection.
 
     Protocol: the host sends ``("__init__", {worker, factory, specs})``;
     the worker allocates its local arrays, builds the host object, acks,
-    then serves ``(cmd, payload)`` messages until ``__exit__``/EOF.
-    ``__ping__`` echoes its payload (calibration RTTs) without touching
-    the host object.
+    then serves ``(cmd, payload)`` messages until ``__exit__``.  A
+    session that ends any other way raises :class:`PeerGone`.
     """
-    msg = conn.recv()
-    if msg is CLOSED:
-        return
-    kind, body = msg
+    kind, body = _message(conn.recv())
     if kind != "__init__":
         raise TransportError(f"expected __init__ handshake, got {kind!r}")
-    host = None
     try:
-        arrays = {
-            name: np.zeros(tuple(shape), dtype=np.dtype(dtype))
-            for name, (shape, dtype) in body["specs"].items()
-        }
-        host = body["factory"](arrays)
+        host = body["factory"](_local_arrays(body["specs"]))
+        ack = {"worker": body["worker"], "pid": os.getpid()}
     except Exception:
         conn.send(("error", traceback.format_exc()))
         return
-    conn.send(("ok", {"worker": body["worker"], "pid": os.getpid()}))
-    try:
-        while True:
-            msg = conn.recv()
-            if msg is CLOSED:
-                break
-            cmd, payload = msg
-            if cmd == "__exit__":
-                break
-            if cmd == "__ping__":
-                conn.send(("ok", payload))
-                continue
-            try:
-                conn.send(("ok", host.handle(cmd, payload)))
-            except Exception:
-                conn.send(("error", traceback.format_exc()))
-    finally:
-        close = getattr(host, "close", None)
-        if close is not None:
-            close()
+    conn.send(("ok", ack))
+    _serve(conn, host)
 
 
 def _socket_worker_main(family: int, address, token: str, worker: int) -> None:
     """Entry point of a spawned cluster worker: dial home and serve."""
     sock = socket.socket(family, socket.SOCK_STREAM)
     sock.connect(address)
-    conn = FramedConnection(sock)
+    conn = WireChannel(sock)
     try:
         conn.send(("__hello__", {"worker": worker, "token": token}))
         serve_worker_connection(conn)
-    except (TornFrameError, CorruptFrameError):
+    except PeerGone:
         pass  # host died or stream broke; nothing to report to
     finally:
         conn.close()
+
+
+def _address(spec: str):
+    """``(family, address)`` of a worker address: ``host:port`` is TCP,
+    anything without a colon a unix socket path."""
+    if ":" in spec:
+        host, _, port = spec.rpartition(":")
+        return socket.AF_INET, (host or "127.0.0.1", int(port))
+    return socket.AF_UNIX, spec
 
 
 def run_worker(*, bind: str | None = None, unix: str | None = None,
@@ -248,21 +246,19 @@ def run_worker(*, bind: str | None = None, unix: str | None = None,
     ``bind`` is ``"host:port"`` for TCP (port 0 picks a free one);
     ``unix`` is a filesystem socket path.  Each accepted connection is
     one engine session (``__init__`` ... ``__exit__``); sessions are
-    served one at a time.  ``once`` exits after the first session —
-    what the CI cluster-equivalence job uses.
+    served one at a time, and one that breaks off or sends anything
+    else is reported and dropped without stopping the listener.
+    ``once`` exits after the first session — what the CI
+    cluster-equivalence job uses.
     """
     if (bind is None) == (unix is None):
         raise TransportError("exactly one of bind='host:port' or unix=path required")
-    if bind is not None:
-        host, _, port = bind.rpartition(":")
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    family, address = (socket.AF_UNIX, unix) if bind is None else _address(bind)
+    listener = socket.socket(family, socket.SOCK_STREAM)
+    if family == socket.AF_INET:
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((host or "127.0.0.1", int(port)))
-        where = "%s:%d" % listener.getsockname()[:2]
-    else:
-        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        listener.bind(unix)
-        where = unix
+    listener.bind(address)
+    where = unix or "%s:%d" % listener.getsockname()[:2]
     listener.listen(1)
     print(f"repro worker listening on {where}", flush=True)
     if _ready is not None:  # test hook: report the bound address
@@ -270,10 +266,10 @@ def run_worker(*, bind: str | None = None, unix: str | None = None,
     try:
         while True:
             sock, _ = listener.accept()
-            conn = FramedConnection(sock)
+            conn = WireChannel(sock)
             try:
                 serve_worker_connection(conn)
-            except (TornFrameError, CorruptFrameError) as exc:
+            except PeerGone as exc:
                 print(f"repro worker: session aborted: {exc}", flush=True)
             finally:
                 conn.close()
@@ -290,36 +286,7 @@ def run_worker(*, bind: str | None = None, unix: str | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _cleanup_cluster(conns, procs, listeners, paths) -> None:
-    """Finalizer: stop workers, close sockets, remove unix socket files."""
-    for conn in conns:
-        try:
-            conn.send(("__exit__", None))
-        except TransportError:
-            pass
-    for conn in conns:
-        conn.close()
-    for proc in procs:
-        proc.join(timeout=3.0)
-        if proc.is_alive():  # pragma: no cover - stuck worker safety net
-            proc.terminate()
-            proc.join(timeout=1.0)
-    for listener in listeners:
-        try:
-            listener.close()
-        except OSError:  # pragma: no cover
-            pass
-    for path in paths:  # socket file first, then its tmpdir
-        try:
-            if os.path.isdir(path):
-                os.rmdir(path)
-            elif os.path.exists(path):
-                os.unlink(path)
-        except OSError:  # pragma: no cover
-            pass
-
-
-class ClusterExecutor:
+class ClusterExecutor(_ChannelPool):
     """:class:`EngineExecutor` over framed sockets — the wire data plane.
 
     Two deployment modes:
@@ -330,8 +297,10 @@ class ClusterExecutor:
       multi-node layout, with every byte crossing a real socket —
       this is what the equivalence tests and CI pin down.
     - **Pre-started listeners** (``hosts=[...]``): connect to
-      ``repro worker`` processes already listening at ``host:port``
-      addresses (one worker per address) — the actual multi-host mode.
+      ``repro worker`` processes already listening, one worker per
+      address — the actual multi-host mode.  The socket family is read
+      off each address (``host:port`` is TCP, anything else a unix
+      socket path); ``transport`` plays no part.
 
     Unlike the shared-memory executors, ``start`` allocates *host-local*
     plain arrays (the engine's staging/reduction buffers); workers
@@ -359,78 +328,41 @@ class ClusterExecutor:
             if workers is not None and workers != len(self.hosts):
                 raise ExecutorError(
                     f"workers={workers} disagrees with {len(self.hosts)} --hosts addresses")
-            self.workers = len(self.hosts)
-        else:
-            if workers is None or workers < 1:
-                raise ExecutorError("need at least one worker (or a hosts list)")
-            self.workers = int(workers)
+            workers = len(self.hosts)
+        elif workers is None:
+            raise ExecutorError("need at least one worker (or a hosts list)")
+        super().__init__(workers, start_method)
         self.transport = transport
-        if start_method is None:
-            start_method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        self.start_method = start_method
         self.connect_timeout = float(connect_timeout)
-        self._conns: list[FramedConnection] = []
-        self._procs: list = []
-        self._pending: list[deque] = []
         self._tmpdir: str | None = None
-        self._started = False
-        self._shutdown = False
-        self._finalizer = None
 
     # -- lifecycle ----------------------------------------------------------------
 
-    def start(self, host_factory, array_specs):
-        if self._started:
-            raise ExecutorError("executor already started")
-        views = {
-            name: np.zeros(tuple(shape), dtype=np.dtype(dtype))
-            for name, (shape, dtype) in array_specs.items()
-        }
-        try:
-            if self.hosts:
-                self._connect_listeners()
-            else:
-                self._spawn_pool()
-            specs = {name: (tuple(shape), str(dtype))
-                     for name, (shape, dtype) in array_specs.items()}
-            for w, conn in enumerate(self._conns):
-                conn.send(("__init__", {
-                    "worker": w, "factory": host_factory, "specs": specs,
-                }))
-            for w, conn in enumerate(self._conns):
-                msg = conn.recv()
-                if msg is CLOSED:
-                    raise ExecutorError(f"worker {w} closed during handshake")
-                status, value = msg
-                if status != "ok":
-                    raise WorkerFailure(w, value)
-        except Exception:
-            _cleanup_cluster(self._conns, self._procs, [], self._cleanup_paths())
-            raise
-        self._pending = [deque() for _ in range(self.workers)]
-        self._started = True
-        self._finalizer = weakref.finalize(
-            self, _cleanup_cluster, self._conns, self._procs, [],
-            self._cleanup_paths())
-        return views
-
-    def _cleanup_paths(self) -> list[str]:
-        if self._tmpdir is None:
-            return []
-        return [os.path.join(self._tmpdir, "cluster.sock"), self._tmpdir]
+    def _open(self, host_factory, array_specs):
+        if self.hosts:
+            self._connect_listeners()
+        else:
+            self._spawn_pool()
+        for w, conn in enumerate(self._channels):
+            conn.send(("__init__", {"worker": w, "factory": host_factory,
+                                    "specs": dict(array_specs)}))
+        for w, conn in enumerate(self._channels):
+            status, value = _message(conn.recv())
+            if status != "ok":
+                raise WorkerFailure(w, value)
+        return _local_arrays(array_specs)
 
     def _spawn_pool(self) -> None:
         """Spawn local workers that dial back through a real socket."""
         if self.transport == "tcp":
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.bind(("127.0.0.1", 0))
-            family, address = socket.AF_INET, listener.getsockname()
+            family, address = socket.AF_INET, ("127.0.0.1", 0)
         else:
             self._tmpdir = tempfile.mkdtemp(prefix="repro-cluster-")
-            path = os.path.join(self._tmpdir, "cluster.sock")
-            listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            listener.bind(path)
-            family, address = socket.AF_UNIX, path
+            self._release.append(partial(shutil.rmtree, self._tmpdir, ignore_errors=True))
+            family, address = socket.AF_UNIX, os.path.join(self._tmpdir, "cluster.sock")
+        listener = socket.socket(family, socket.SOCK_STREAM)
+        listener.bind(address)
+        address = listener.getsockname()  # with the port the kernel picked
         listener.listen(self.workers)
         listener.settimeout(self.connect_timeout)
         token = os.urandom(8).hex()
@@ -445,31 +377,28 @@ class ClusterExecutor:
                 )
                 proc.start()
                 self._procs.append(proc)
-            by_worker: dict[int, FramedConnection] = {}
+            by_worker: dict[int, WireChannel] = {}
             for _ in range(self.workers):
                 try:
                     sock, _ = listener.accept()
                 except socket.timeout:
                     raise ExecutorError(
                         f"cluster workers did not connect within {self.connect_timeout}s")
-                conn = FramedConnection(sock)
-                kind, hello = conn.recv()
-                if kind != "__hello__" or hello.get("token") != token:
-                    conn.close()
+                conn = WireChannel(sock)
+                self._channels.append(conn)  # owned from here on, whatever it says
+                kind, hello = _message(conn.recv())
+                if (kind != "__hello__" or not isinstance(hello, dict)
+                        or hello.get("token") != token):
                     raise ExecutorError("unexpected peer on the cluster listener")
                 by_worker[int(hello["worker"])] = conn
-            self._conns = [by_worker[w] for w in range(self.workers)]
+            self._channels[:] = [by_worker[w] for w in range(self.workers)]
         finally:
             listener.close()
 
     def _connect_listeners(self) -> None:
         """Dial pre-started ``repro worker`` listeners (hosts mode)."""
         for w, spec in enumerate(self.hosts):
-            if ":" in spec:
-                host, _, port = spec.rpartition(":")
-                family, address = socket.AF_INET, (host or "127.0.0.1", int(port))
-            else:  # a unix socket path
-                family, address = socket.AF_UNIX, spec
+            family, address = _address(spec)
             deadline = time.monotonic() + self.connect_timeout
             while True:
                 sock = socket.socket(family, socket.SOCK_STREAM)
@@ -483,54 +412,14 @@ class ClusterExecutor:
                             f"cannot reach worker {w} at {spec!r} "
                             f"within {self.connect_timeout}s")
                     time.sleep(0.05)
-            self._conns.append(FramedConnection(sock))
-
-    # -- dispatch -----------------------------------------------------------------
-
-    def submit(self, worker: int, cmd: str, payload: object = None):
-        if not self._started or self._shutdown:
-            raise ExecutorError("executor not started (or shut down)")
-        try:
-            self._conns[worker].send((cmd, payload))
-        except TransportError as exc:
-            raise WorkerFailure(worker, f"worker connection lost: {exc}") from exc
-        fut = _ChannelFuture(self, worker)
-        self._pending[worker].append(fut)
-        return fut
-
-    def _drain_until(self, worker: int, fut) -> None:
-        """Receive replies (FIFO per worker) until `fut` is resolved."""
-        pending = self._pending[worker]
-        while not fut.done():
-            if not pending:  # pragma: no cover - internal invariant
-                raise ExecutorError("future already drained but not done")
-            head = pending.popleft()
-            try:
-                msg = self._conns[worker].recv()
-            except (TornFrameError, CorruptFrameError) as exc:
-                detail = f"worker connection failed: {exc}"
-                head.set_exception(WorkerFailure(worker, detail))
-                while pending:
-                    pending.popleft().set_exception(WorkerFailure(worker, detail))
-                return
-            if msg is CLOSED:
-                detail = "worker process died: connection closed"
-                head.set_exception(WorkerFailure(worker, detail))
-                while pending:
-                    pending.popleft().set_exception(WorkerFailure(worker, detail))
-                return
-            status, value = msg
-            if status == "error":
-                head.set_exception(WorkerFailure(worker, value))
-            else:
-                head.set_result(value)
+            self._channels.append(WireChannel(sock))
 
     # -- measurement --------------------------------------------------------------
 
     def wire_bytes(self) -> tuple[int, int]:
         """Cumulative ``(sent, received)`` wire bytes over all workers."""
-        sent = sum(c.bytes_sent for c in self._conns)
-        received = sum(c.bytes_received for c in self._conns)
+        sent = sum(c.bytes_sent for c in self._channels)
+        received = sum(c.bytes_received for c in self._channels)
         return sent, received
 
     def calibrate(self, *, sizes=(1 << 10, 1 << 16, 1 << 20), repeats: int = 3):
@@ -543,9 +432,8 @@ class ClusterExecutor:
         """
         from repro.perf.network import fit_network_model
 
-        if not self._started or self._shutdown:
-            raise ExecutorError("executor not started (or shut down)")
-        conn = self._conns[0]
+        self._require_live()
+        conn = self._channels[0]
         samples = []
         for size in sizes:
             blob = b"\x00" * int(size)
@@ -557,11 +445,3 @@ class ClusterExecutor:
                 rtt = time.perf_counter() - t0
                 samples.append((conn.bytes_sent - sent0, rtt / 2.0))
         return fit_network_model(samples, name=f"measured-{self.transport}")
-
-    def shutdown(self) -> None:
-        if self._shutdown:
-            return
-        self._shutdown = True
-        if self._finalizer is not None:
-            self._finalizer.detach()
-        _cleanup_cluster(self._conns, self._procs, [], self._cleanup_paths())

@@ -46,33 +46,69 @@ INFINIBAND_FDR = NetworkModel("infiniband-fdr", latency_s=1.5e-6, bandwidth_Bps=
 PCIE_GEN2 = NetworkModel("pcie-gen2", latency_s=10.0e-6, bandwidth_Bps=6.0e9)
 
 
+@dataclass
+class AlphaBetaFit:
+    """Running least-squares fit of ``t = alpha + n * beta``.
+
+    Holds the fit's sufficient statistics, not the samples, so a source
+    that adds one sample per MD step retains O(1) state.  Message sizes
+    are summed relative to the first one seen: a long run of near-equal
+    sizes (halo traffic between redecompositions) then does not cancel
+    in the normal equations.
+    """
+
+    count: int = 0
+    _n0: float = 0.0
+    _sd: float = 0.0
+    _sdd: float = 0.0
+    _st: float = 0.0
+    _sdt: float = 0.0
+
+    def add(self, nbytes: float, seconds: float) -> None:
+        """Add one observed exchange; non-positive times carry no information."""
+        seconds = float(seconds)
+        if seconds <= 0.0:
+            return
+        if self.count == 0:
+            self._n0 = float(nbytes)
+        d = float(nbytes) - self._n0
+        self.count += 1
+        self._sd += d
+        self._sdd += d * d
+        self._st += seconds
+        self._sdt += d * seconds
+
+    def model(self, name: str = "measured") -> NetworkModel:
+        """The fitted model, ``alpha`` clamped non-negative.  With fewer
+        than two distinct message sizes the system is rank-deficient;
+        the fit then degrades gracefully to zero latency and the
+        aggregate observed throughput."""
+        if not self.count:
+            raise ValueError("need at least one sample with positive time")
+        k = self.count
+        spread = k * self._sdd - self._sd * self._sd
+        if spread > 0.0:
+            beta = (k * self._sdt - self._sd * self._st) / spread
+            alpha = max((self._st - beta * self._sd) / k - beta * self._n0, 0.0)
+            beta = max(beta, 1e-15)  # seconds per byte; noise can fit <= 0
+        else:
+            alpha = 0.0
+            total = self._sd + k * self._n0
+            beta = self._st / total if total > 0.0 else 1e-15
+        return NetworkModel(name, latency_s=alpha, bandwidth_Bps=1.0 / beta)
+
+
 def fit_network_model(
     samples: "list[tuple[float, float]]", *, name: str = "measured"
 ) -> NetworkModel:
-    """Least-squares alpha-beta fit from observed ``(nbytes, seconds)``.
+    """Alpha-beta fit from observed ``(nbytes, seconds)`` samples.
 
     The calibration path that turns the analytic fabric constants above
     into *measured* ones: samples come from real exchanges (the cluster
-    executor's ping round-trips, or the engine's per-step halo traffic),
-    and ``t = alpha + n * beta`` is fit by ordinary least squares with
-    ``alpha`` clamped non-negative.  With fewer than two distinct
-    message sizes the system is rank-deficient; the fit then degrades
-    gracefully to zero latency and the aggregate observed throughput.
+    executor's ping round-trips); the engine's per-step halo traffic
+    feeds the same :class:`AlphaBetaFit` one step at a time.
     """
-    import numpy as np
-
-    pts = [(float(b), float(t)) for b, t in samples if float(t) > 0.0]
-    if not pts:
-        raise ValueError("need at least one sample with positive time")
-    nbytes = np.array([p[0] for p in pts], dtype=np.float64)
-    secs = np.array([p[1] for p in pts], dtype=np.float64)
-    if len(pts) >= 2 and float(np.ptp(nbytes)) > 0.0:
-        design = np.stack([np.ones_like(nbytes), nbytes], axis=1)
-        (alpha, beta), *_ = np.linalg.lstsq(design, secs, rcond=None)
-        alpha = max(float(alpha), 0.0)
-        beta = max(float(beta), 1e-15)  # seconds per byte; noise can fit <= 0
-    else:
-        alpha = 0.0
-        total = float(nbytes.sum())
-        beta = float(secs.sum()) / total if total > 0.0 else 1e-15
-    return NetworkModel(name, latency_s=alpha, bandwidth_Bps=1.0 / beta)
+    fit = AlphaBetaFit()
+    for nbytes, seconds in samples:
+        fit.add(nbytes, seconds)
+    return fit.model(name)

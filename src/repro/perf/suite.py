@@ -536,50 +536,6 @@ register(BenchCase(
 ))
 
 
-# Ghost-only vs full-broadcast traffic on the same step: the engine's
-# two shared-memory data planes on one workload.  The deterministic
-# byte metrics are the point (the halo-only plane must stay well under
-# the broadcast's workers*n*24); the timed thunk measures both planes'
-# host staging cost.  8 ranks on the serial executor: no process cost,
-# and enough surface-to-volume for the ghost regions to matter without
-# dominating.
-
-def _halo_bytes_setup() -> Callable[[], Any]:
-    from repro.parallel.engine import ParallelEngine
-
-    params, system = _parallel_workload()
-    engines = [
-        ParallelEngine(system, _prod(params), workers=8, ranks=8,
-                       executor="serial", halo_only=halo)
-        for halo in (True, False)
-    ]
-
-    def both_planes():
-        return [eng.compute(system.x) for eng in engines]
-
-    return both_planes
-
-
-def _halo_bytes_metrics(steps) -> dict:
-    halo, full = steps
-    return {
-        "bytes_halo": float(halo.bytes_forward),
-        "bytes_full": float(full.bytes_forward),
-        "reduction": float(full.bytes_forward / halo.bytes_forward),
-    }
-
-
-register(BenchCase(
-    name="parallel/halo-bytes",
-    setup=_halo_bytes_setup,
-    metrics=_halo_bytes_metrics,
-    extra=lambda steps: {
-        "bytes_reverse": steps[0].bytes_reverse,
-        "energy_match": steps[0].energy == steps[1].energy,
-    },
-))
-
-
 # ---- scale/* : strong and weak scaling to 10^6 atoms ------------------------
 # The Fig. 9 measurement done for real: big perturbed-Si lattices pushed
 # through the full parallel Simulation path, with *measured* comm time
@@ -622,9 +578,8 @@ def _scale_extra(sim) -> dict:
         "atoms": sim.system.n,
         "bytes_forward": step.bytes_forward,
         "bytes_reverse": step.bytes_reverse,
-        "bytes_forward_full": step.bytes_forward_full,
         "bytes_wire": step.bytes_wire,
-        "measured_total_s": eng.comm_total.measured_time_s,
+        "measured_total_s": eng.comm_total.time_s,
         "messages": eng.comm_total.messages,
         "stage_comm_s": sim.timers.comm,
         "network_fit": None if net is None else {

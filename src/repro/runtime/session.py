@@ -60,8 +60,8 @@ def build_simulation(
 
     ``potential`` optionally injects an already-built (possibly
     wrapped, e.g. sanitized) potential; by default the run's solver
-    spec is built.  Executor resolution — hosts mode, transport pools,
-    plain names — happens through :meth:`RunSpec.build_executor`.
+    spec is built.  Executor resolution — hosts mode or an executor
+    name — happens through :meth:`RunSpec.build_executor`.
     """
     from repro.md.neighbor import NeighborSettings
     from repro.md.simulation import Simulation

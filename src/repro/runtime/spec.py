@@ -40,9 +40,6 @@ _PARAM_SETS: dict[str, tuple[str, ...]] = {
     "sw": ("Si",),
 }
 
-_EXECUTORS = ("serial", "thread", "process", "fork", "spawn", "forkserver", "tcp", "unix")
-_TRANSPORTS = ("tcp", "unix")
-
 
 class SpecError(ValueError):
     """The spec is malformed, inconsistent, or from an unknown schema."""
@@ -207,8 +204,10 @@ class RunSpec:
     """How a solver runs: spec + execution topology.
 
     ``workers``/``ranks``/``sort`` select the PR-4 parallel engine
-    (physics depends only on ranks/sort, never workers), ``executor``/
-    ``transport``/``hosts`` the PR-7/9 execution backend, ``skin`` the
+    (physics depends only on ranks/sort, never workers), ``executor``
+    or ``hosts`` the PR-7/9 execution backend (a name from
+    :data:`~repro.parallel.executor.EXECUTOR_NAMES`, or the addresses
+    of pre-started ``repro worker`` listeners), ``skin`` the
     neighbor-list build margin.
     """
 
@@ -217,7 +216,6 @@ class RunSpec:
     ranks: int | None = None
     sort: bool = False
     executor: str | None = None
-    transport: str | None = None
     hosts: tuple[str, ...] | None = None
     skin: float = 1.0
 
@@ -234,20 +232,15 @@ class RunSpec:
             raise SpecError("ranks must be >= 1")
         if self.skin < 0.0:
             raise SpecError("skin must be non-negative")
-        if self.executor is not None and self.executor not in _EXECUTORS:
-            raise SpecError(
-                f"unknown executor {self.executor!r} (expected one of {_EXECUTORS})"
-            )
-        if self.transport is not None and self.transport not in _TRANSPORTS:
-            raise SpecError(
-                f"unknown transport {self.transport!r} (expected one of {_TRANSPORTS})"
-            )
-        if self.hosts is not None and self.executor is not None:
-            raise SpecError("--hosts already selects the cluster executor; drop --executor")
-        if self.transport is not None and self.executor not in (None, self.transport):
-            raise SpecError(
-                f"conflicting flags: --executor {self.executor} vs --transport {self.transport}"
-            )
+        if self.executor is not None:
+            from repro.parallel.executor import EXECUTOR_NAMES
+
+            if self.executor not in EXECUTOR_NAMES:
+                raise SpecError(
+                    f"unknown executor {self.executor!r} (expected one of {EXECUTOR_NAMES})"
+                )
+            if self.hosts is not None:
+                raise SpecError("--hosts already selects the cluster executor; drop --executor")
 
     # ---- serialization -------------------------------------------------------
 
@@ -259,7 +252,6 @@ class RunSpec:
             "ranks": self.ranks,
             "sort": self.sort,
             "executor": self.executor,
-            "transport": self.transport,
             "hosts": None if self.hosts is None else list(self.hosts),
             "skin": self.skin,
         }
@@ -272,9 +264,13 @@ class RunSpec:
         if "solver" not in data:
             raise SpecError("run spec is missing its solver section")
         kwargs: dict = {"solver": SolverSpec.from_dict(data["solver"])}
-        for key in ("workers", "ranks", "sort", "executor", "transport", "hosts", "skin"):
+        for key in ("workers", "ranks", "sort", "executor", "hosts", "skin"):
             if key in data:
                 kwargs[key] = data[key]
+        # specs pinned before the `transport` field was dropped: alone it
+        # named the spawned socket pool, which `executor` now spells
+        if data.get("transport") and not kwargs.get("executor") and not kwargs.get("hosts"):
+            kwargs["executor"] = data["transport"]
         return cls(**kwargs)
 
     def canonical_json(self) -> str:
@@ -289,8 +285,7 @@ class RunSpec:
 
         Recognized attributes (all optional): ``potential``, ``mode``,
         ``no_cache``, ``backend``, ``workers``, ``ranks``,
-        ``sort_domains``, ``executor``, ``transport``, ``hosts``,
-        ``skin``.  This is the *one* place CLI flags become a spec —
+        ``sort_domains``, ``executor``, ``hosts``, ``skin``.  This is the *one* place CLI flags become a spec —
         the three copies of keyword threading (`repro run`,
         `repro bench run`, the restart path) all call it.
         """
@@ -309,7 +304,6 @@ class RunSpec:
             ranks=getattr(args, "ranks", None),
             sort=getattr(args, "sort_domains", False),
             executor=getattr(args, "executor", None),
-            transport=getattr(args, "transport", None),
             hosts=hosts,
             skin=getattr(args, "skin", 1.0),
         )
@@ -325,21 +319,15 @@ class RunSpec:
     def build_executor(self):
         """Resolve the executor selection to ``(executor, workers)``.
 
-        ``hosts`` builds a connected
+        ``hosts`` builds a
         :class:`~repro.parallel.transport.ClusterExecutor` (one worker
         per address) and fixes the worker count to the address list;
-        ``transport`` alone selects the spawned local socket pool;
-        plain executor names pass through.
+        executor names pass through.
         """
         if self.hosts:
             from repro.parallel.transport import ClusterExecutor
 
-            executor = ClusterExecutor(
-                self.workers, transport=self.transport or "tcp", hosts=list(self.hosts)
-            )
-            return executor, len(self.hosts)
-        if self.transport:
-            return self.transport, self.workers
+            return ClusterExecutor(self.workers, hosts=list(self.hosts)), len(self.hosts)
         return self.executor, self.workers
 
     def build_simulation(self, system, **kwargs):

@@ -125,7 +125,7 @@ class Checkpoint:
 
         New checkpoints carry the full spec under
         ``user_meta["run_spec"]`` — potential, mode, cache, backend,
-        executor, workers/ranks/sort, transport and skin all round-trip,
+        executor, hosts, workers/ranks/sort and skin all round-trip,
         so ``--restart-from`` reproduces the original configuration
         instead of silently falling back to CLI defaults.  Legacy
         checkpoints (pre-runtime ``user_meta["run_config"]``) are
@@ -309,7 +309,6 @@ def restore_simulation(
     *,
     workers: int | None = None,
     executor=None,
-    start_method: str | None = None,
 ):
     """Rebuild a :class:`~repro.md.simulation.Simulation` from `ck`.
 
@@ -347,7 +346,6 @@ def restore_simulation(
             ranks=int(engine_meta["ranks"]),
             sort=bool(engine_meta["sort"]),
             executor=executor,
-            start_method=start_method,
         )
         if engine_meta.get("warm"):
             rank_refs: dict[int, np.ndarray | None] = {

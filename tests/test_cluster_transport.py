@@ -1,12 +1,12 @@
 """The cluster executor: real inter-process halo exchange over sockets.
 
-Three contracts under test:
+Three contracts under test (executor conformance — FIFO futures,
+remote tracebacks, dead workers, shutdown — is the shared battery in
+``tests/test_executors.py``, which runs over ``tcp`` and ``unix`` too):
 
-1. **Executor conformance** — :class:`ClusterExecutor` behaves like the
-   other :class:`EngineExecutor` implementations (FIFO futures, remote
-   tracebacks as :class:`WorkerFailure`, idempotent shutdown) while
-   actually running every worker in a separate process behind a framed
-   socket.
+1. **What only the wire has** — every worker in a separate process
+   behind a framed socket, payload arrays bit-exact through it, and a
+   ``repro worker`` listener that outlives a stray or broken session.
 2. **Bitwise physics over the wire** — a 2-rank engine on localhost TCP
    reproduces the serial executor's energy, forces, and virial to the
    byte, across precisions x cache on/off, through multiple
@@ -21,7 +21,11 @@ from __future__ import annotations
 import glob
 import os
 import signal
+import socket
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,32 +38,12 @@ from repro.md.neighbor import NeighborSettings
 from repro.md.simulation import Simulation
 from repro.parallel.engine import ParallelEngine, WorkerCrash
 from repro.parallel.executor import ExecutorError, WorkerFailure
-from repro.parallel.transport import ClusterExecutor, run_worker
-from repro.perf.network import fit_network_model
+from repro.parallel.transport import ClusterExecutor, encode_message, run_worker
+from repro.perf.network import AlphaBetaFit, fit_network_model
 from repro.state import load_checkpoint, restore_simulation, save_checkpoint
+from test_executors import EchoFactory  # its "echo" replies (payload, call count)
 
 SKIN = 1.0
-
-
-class _EchoHost:
-    def __init__(self, arrays):
-        self.arrays = arrays
-
-    def handle(self, cmd, payload):
-        if cmd == "echo":
-            return payload
-        if cmd == "pid":
-            return os.getpid()
-        if cmd == "boom":
-            raise RuntimeError("intentional cluster test error")
-        raise ValueError(f"unknown command {cmd!r}")
-
-
-class EchoFactory:
-    """Module-level so it pickles across the socket handshake."""
-
-    def __call__(self, arrays):
-        return _EchoHost(arrays)
 
 
 def _shm_segments():
@@ -67,7 +51,7 @@ def _shm_segments():
 
 
 # ---------------------------------------------------------------------------
-# 1. executor conformance
+# 1. what only the wire has
 # ---------------------------------------------------------------------------
 
 
@@ -85,29 +69,10 @@ class TestClusterExecutorConformance:
         assert len(pids) == 2
         assert os.getpid() not in pids
 
-    def test_fifo_per_worker(self, cluster2):
-        futs = [cluster2.submit(0, "echo", i) for i in range(5)]
-        assert [f.result() for f in futs] == list(range(5))
-
     def test_arrays_roundtrip_bitwise(self, cluster2):
         arr = np.array([np.nan, -0.0, 5e-324, 1.0 / 3.0])
-        out = cluster2.submit(0, "echo", arr).result()
+        out, _ = cluster2.submit(0, "echo", arr).result()
         assert out.tobytes() == arr.tobytes()
-
-    def test_remote_exception_carries_traceback(self, cluster2):
-        with pytest.raises(WorkerFailure) as ei:
-            cluster2.submit(1, "boom", None).result()
-        assert "intentional cluster test error" in ei.value.remote_traceback
-        # the worker survives its own exception and keeps serving
-        assert cluster2.submit(1, "echo", "alive").result() == "alive"
-
-    def test_shutdown_idempotent_then_submit_refused(self):
-        ex = ClusterExecutor(2, transport="tcp")
-        ex.start(EchoFactory(), {})
-        ex.shutdown()
-        ex.shutdown()  # second call is a no-op, not an error
-        with pytest.raises(ExecutorError):
-            ex.submit(0, "echo", 1)
 
     def test_rejects_bad_configuration(self):
         with pytest.raises(ExecutorError):
@@ -178,9 +143,9 @@ class TestClusterEngineBitwise:
             assert received > 0
             # per-step CommRecord carries a measured (wall-clock) time
             assert step.comm is not None
-            assert step.comm.measured_time_s > 0.0
+            assert step.comm.time_s > 0.0
             assert eng.comm_total.messages > 0
-            assert eng.comm_total.measured_time_s > 0.0
+            assert eng.comm_total.time_s > 0.0
             # enough samples to fit a measured fabric model
             net = eng.calibrated_network()
             assert net.bandwidth_Bps > 0.0
@@ -284,6 +249,38 @@ class TestHostsMode:
         for path in paths:  # `once` sessions unlink their sockets
             assert not os.path.exists(path)
 
+    def test_stray_sessions_are_rejected_and_the_listener_survives(self, tmp_path):
+        """Well-framed messages that are not a session (a bare string,
+        a non-``__init__`` command) abort that session with a printed
+        line; the same ``repro worker`` then serves a real engine."""
+        path = str(tmp_path / "w.sock")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "worker", "--unix", path],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            assert "listening on" in proc.stdout.readline()
+            for stray in ("nope", ("step", None)):
+                with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+                    raw.connect(path)
+                    raw.sendall(encode_message(stray))
+                    assert raw.recv(1) == b""  # dropped, no reply
+                assert "session aborted" in proc.stdout.readline()
+            system = perturbed(diamond_lattice(2, 2, 2), 0.05, seed=3)
+            energies = []
+            for executor in ("serial", ClusterExecutor(hosts=[path])):
+                with ParallelEngine(system.copy(), TersoffProduction(tersoff_si()),
+                                    workers=1, ranks=1, executor=executor) as eng:
+                    energies.append(eng.compute(system.x).energy)
+            assert energies[1] == energies[0]
+            assert proc.poll() is None  # still listening
+        finally:
+            proc.terminate()
+            _, err = proc.communicate(timeout=10)
+        assert "Traceback" not in err
+
 
 # ---------------------------------------------------------------------------
 # 3. crash containment
@@ -307,7 +304,7 @@ class TestCrashContainment:
         with pytest.raises(WorkerFailure):
             ex.submit(0, "echo", 1).result()
         # the surviving rank keeps serving
-        assert ex.submit(1, "echo", "ok").result() == "ok"
+        assert ex.submit(1, "echo", "ok").result()[0] == "ok"
 
         ex.shutdown()
         assert not os.path.exists(tmpdir), "orphan socket dir after shutdown"
@@ -355,6 +352,35 @@ class TestNetworkFit:
     def test_rejects_unusable_samples(self):
         with pytest.raises(ValueError):
             fit_network_model([(100.0, 0.0), (200.0, -1.0)])
+
+    def test_running_fit_is_the_least_squares_fit(self):
+        """The engine keeps the fit's sufficient statistics, one
+        ``add`` per step, instead of the samples: same model as the
+        all-at-once least-squares solve."""
+        alpha, bandwidth = 2e-5, 5e8
+        rng = np.random.default_rng(5)
+        cases = [
+            ([(n, alpha + n / bandwidth) for n in (1e3, 1e5, 1e6)], 1e-12),
+            ([(1000.0, 1e-3)], 1e-12),
+            # halo traffic: thousands of near-equal sizes, noisy times
+            ([(3_000_000 + 24 * int(k), 1e-3 + 3e-10 * 24 * int(k) + abs(rng.normal(0, 1e-6)))
+              for k in rng.integers(0, 400, size=4000)], 1e-9),
+        ]
+        for samples, rel in cases:
+            fit = AlphaBetaFit()
+            for nbytes, seconds in samples:
+                fit.add(nbytes, seconds)
+            nb = np.array([s[0] for s in samples], dtype=np.float64)
+            t = np.array([s[1] for s in samples], dtype=np.float64)
+            if np.ptp(nb) > 0.0:
+                (a_ref, b_ref), *_ = np.linalg.lstsq(
+                    np.stack([np.ones_like(nb), nb], axis=1), t, rcond=None)
+            else:
+                a_ref, b_ref = 0.0, t.sum() / nb.sum()
+            net = fit.model()
+            assert net.latency_s == pytest.approx(max(a_ref, 0.0), rel=rel, abs=1e-18)
+            assert net.bandwidth_Bps == pytest.approx(1.0 / b_ref, rel=rel)
+            assert fit_network_model(samples) == net
 
     def test_calibrate_measures_a_positive_fabric(self):
         ex = ClusterExecutor(1, transport="unix")

@@ -38,17 +38,19 @@ class TestNetworkModel:
 class TestCommRecord:
     def test_add_accumulates(self):
         r = CommRecord()
-        r.add(INTRA_NODE, 1000, stage="forward")
-        r.add(INTRA_NODE, 2000, stage="reverse")
+        r.add(1000, INTRA_NODE.message_time(1000), stage="forward")
+        r.add(2000, 0.25, stage="reverse")
         assert r.messages == 2
         assert r.bytes == 3000
-        assert r.modeled_time_s > 0
+        assert r.time_s == INTRA_NODE.message_time(1000) + 0.25
+        assert r.by_stage["reverse"] == [1, 2000, 0.25]
         assert set(r.by_stage) == {"forward", "reverse"}
 
     def test_merge(self):
         a, b = CommRecord(), CommRecord()
-        a.add(INTRA_NODE, 100, stage="forward")
-        b.add(INTRA_NODE, 200, stage="forward")
+        a.add(100, 1.0, stage="forward")
+        b.add(200, 0.5, stage="forward")
         m = a.merged_with(b)
         assert m.bytes == 300
+        assert m.time_s == 1.5
         assert m.by_stage["forward"][0] == 2

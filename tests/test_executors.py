@@ -1,19 +1,24 @@
 """EngineExecutor conformance: one contract, many implementations.
 
-Every executor (serial, thread pool, fork-pool, spawn-pool) must satisfy identical
-semantics — named shared arrays visible on both sides, per-worker FIFO
+Every executor (serial, thread pool, fork/spawn process pool, tcp/unix
+socket pool) must satisfy identical semantics — per-worker FIFO
 ordering, host exceptions surfaced as :class:`WorkerFailure` carrying
-the remote traceback, idempotent shutdown — so the parallel engine's
-physics cannot depend on which one is plugged in.
+the remote traceback, a dead worker failing its futures, idempotent
+shutdown, and (for all but the wire executors) named shared arrays
+visible on both sides — so the parallel engine's physics cannot depend
+on which one is plugged in.
 """
 
 import multiprocessing as mp
 import os
+import socket
 
 import numpy as np
 import pytest
 
+from repro.parallel import transport
 from repro.parallel.executor import (
+    EXECUTOR_NAMES,
     EngineExecutor,
     ExecutorError,
     ProcessExecutor,
@@ -22,6 +27,7 @@ from repro.parallel.executor import (
     WorkerFailure,
     make_executor,
 )
+from repro.parallel.transport import ClusterExecutor
 
 HAVE_FORK = "fork" in mp.get_all_start_methods()
 
@@ -59,22 +65,28 @@ class EchoFactory:
         return EchoHost(arrays)
 
 
-EXECUTORS = ["serial", "thread", "spawn"] + (["fork"] if HAVE_FORK else [])
+EXECUTORS = ["serial", "thread", "spawn"] + (["fork"] if HAVE_FORK else []) + ["tcp", "unix"]
+OUT_OF_PROCESS = [name for name in EXECUTORS if name not in ("serial", "thread")]
 
 
 @pytest.fixture(params=EXECUTORS)
 def started(request):
     """(executor, caller-side views) for each implementation, started
     with two workers and one 4-slot shared array."""
-    if request.param == "serial":
-        ex = SerialExecutor(2)
-    elif request.param == "thread":
-        ex = ThreadExecutor(2)
-    else:
-        ex = ProcessExecutor(2, start_method=request.param)
+    ex = make_executor(request.param, workers=2)
     views = ex.start(EchoFactory(), {"data": ((4,), "float64")})
     yield ex, views
     ex.shutdown()
+
+
+@pytest.fixture
+def shared(started):
+    """The conformance cases about arrays both sides see: wire
+    executors have none by design (data travels in the messages)."""
+    ex, views = started
+    if getattr(ex, "wire_data_plane", False):
+        pytest.skip("wire executors share no arrays")
+    return ex, views
 
 
 class TestConformance:
@@ -113,14 +125,14 @@ class TestConformance:
         _, calls_w1 = ex.submit(1, "echo").result()
         assert calls_w1 == 1  # worker 1's host never saw worker 0's commands
 
-    def test_shared_array_worker_to_caller(self, started):
-        ex, views = started
+    def test_shared_array_worker_to_caller(self, shared):
+        ex, views = shared
         ex.submit(0, "write", (1, 4.5)).result()
         ex.submit(1, "write", (2, -7.25)).result()
         assert views["data"][1] == 4.5 and views["data"][2] == -7.25
 
-    def test_shared_array_caller_to_worker(self, started):
-        ex, views = started
+    def test_shared_array_caller_to_worker(self, shared):
+        ex, views = shared
         views["data"][3] = 9.125
         assert ex.submit(0, "read", 3).result() == 9.125
         assert ex.submit(1, "read", 3).result() == 9.125
@@ -157,6 +169,13 @@ class TestConformance:
             ex.start(EchoFactory(), {"data": ((4,), "float64")})
 
 
+def _hang_up_worker(family, address, token, worker):
+    """A cluster worker that connects and exits before ``__hello__``."""
+    sock = socket.socket(family, socket.SOCK_STREAM)
+    sock.connect(address)
+    sock.close()
+
+
 class TestProcessSpecific:
     @pytest.mark.parametrize("method", ["spawn"] + (["fork"] if HAVE_FORK else []))
     def test_work_runs_out_of_process(self, method):
@@ -167,26 +186,42 @@ class TestProcessSpecific:
         finally:
             ex.shutdown()
 
-    def test_dead_worker_fails_its_futures(self):
-        method = "fork" if HAVE_FORK else "spawn"
-        ex = ProcessExecutor(2, start_method=method)
+    @pytest.mark.parametrize("name", OUT_OF_PROCESS)
+    def test_dead_worker_fails_its_futures(self, name):
+        ex = make_executor(name, workers=2)
         try:
             ex.start(EchoFactory(), {"data": ((1,), "float64")})
             dead = ex.submit(0, "die")
-            # wait for the exit: the second submit then always finds the
-            # pipe closed, instead of racing the worker's last moments
+            behind = ex.submit(0, "echo", "queued behind the crash")
+            # wait for the exit: the next submit then always finds the
+            # channel closed, instead of racing the worker's last moments
             ex._procs[0].join(timeout=30)
             assert not ex._procs[0].is_alive()
-            queued = ex.submit(0, "echo", "never")
-            assert queued.done()  # failed at submit, never sent
             with pytest.raises(WorkerFailure, match="worker process died"):
                 dead.result()
+            assert behind.done()  # fanned out with the head of the queue
             with pytest.raises(WorkerFailure, match="worker process died"):
-                queued.result()
+                behind.result()
+            # a later submit fails through its future, on every pool
+            late = ex.submit(0, "echo", "never")
+            with pytest.raises(WorkerFailure, match="worker process died"):
+                late.result()
             # the other worker is unaffected
             assert ex.submit(1, "echo", "ok").result()[0] == "ok"
         finally:
             ex.shutdown()
+
+    @pytest.mark.parametrize("kind", ["tcp", "unix"])
+    def test_worker_dead_before_hello_fails_the_start(self, kind, monkeypatch):
+        monkeypatch.setattr(transport, "_socket_worker_main", _hang_up_worker)
+        ex = ClusterExecutor(2, transport=kind)
+        with pytest.raises(ExecutorError, match="worker lost"):
+            ex.start(EchoFactory(), {})
+        # torn down from what had been opened: nothing left behind
+        assert all(not p.is_alive() for p in ex._procs)
+        assert ex._tmpdir is None or not os.path.exists(ex._tmpdir)
+        with pytest.raises(ExecutorError):
+            ex.submit(0, "echo")
 
     def test_serial_runs_in_process(self):
         ex = SerialExecutor(1)
@@ -213,26 +248,24 @@ class TestMakeExecutor:
         assert isinstance(make_executor("process", workers=2), ProcessExecutor)
         assert isinstance(make_executor("thread", workers=2), ThreadExecutor)
         assert isinstance(make_executor(None, workers=2), ProcessExecutor)
+        ex = make_executor("unix", workers=2)
+        assert isinstance(ex, ClusterExecutor) and ex.transport == "unix"
+
+    def test_every_listed_name_resolves(self):
+        available = mp.get_all_start_methods()
+        for name in EXECUTOR_NAMES:
+            if name in ("fork", "spawn", "forkserver") and name not in available:
+                continue
+            assert make_executor(name, workers=1).workers == 1
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ExecutorError, match="unknown executor"):
+        with pytest.raises(ExecutorError, match="unknown executor") as ei:
             make_executor("threads", workers=2)
+        assert all(name in str(ei.value) for name in EXECUTOR_NAMES)
 
     def test_instance_passthrough(self):
         inst = SerialExecutor(3)
         assert make_executor(inst, workers=2) is inst
-
-    def test_instance_with_start_method_rejected(self):
-        with pytest.raises(ExecutorError, match="start_method"):
-            make_executor(SerialExecutor(1), workers=1, start_method="fork")
-
-    def test_conflicting_name_and_start_method_rejected(self):
-        with pytest.raises(ExecutorError, match="conflicting"):
-            make_executor("spawn", workers=1, start_method="forkserver")
-
-    def test_agreeing_name_and_start_method_ok(self):
-        ex = make_executor("spawn", workers=1, start_method="spawn")
-        assert isinstance(ex, ProcessExecutor) and ex.start_method == "spawn"
 
     def test_bad_worker_counts(self):
         with pytest.raises(ExecutorError):
@@ -260,8 +293,7 @@ class TestEngineAcrossExecutors:
                 step = eng.compute(system.x)
                 return step.energy, step.forces.copy()
 
-        results = [run(ex) for ex in
-                   ("serial", "thread", "spawn", *(("fork",) if HAVE_FORK else ()))]
+        results = [run(ex) for ex in EXECUTORS]
         e0, f0 = results[0]
         for energy, forces in results[1:]:
             assert energy == e0

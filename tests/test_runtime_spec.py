@@ -150,8 +150,15 @@ class TestSpecValidation:
     def test_run_spec_conflicting_selectors(self):
         with pytest.raises(SpecError, match="hosts"):
             RunSpec(executor="thread", hosts=("h1", "h2"))
-        with pytest.raises(SpecError, match="conflicting"):
-            RunSpec(executor="thread", transport="tcp")
+
+    def test_executor_names_are_the_executor_modules(self):
+        from repro.parallel.executor import EXECUTOR_NAMES
+
+        for name in EXECUTOR_NAMES:
+            assert RunSpec(executor=name).executor == name
+        with pytest.raises(SpecError, match="unknown executor") as ei:
+            RunSpec(executor="threads")
+        assert all(name in str(ei.value) for name in EXECUTOR_NAMES)
 
 
 class TestRunSpec:
@@ -164,16 +171,31 @@ class TestRunSpec:
         assert RunSpec.from_dict(json.loads(run.canonical_json())) == run
 
     def test_hosts_round_trip(self):
-        run = RunSpec(hosts=["a:1", "b:2"], transport="tcp")
+        run = RunSpec(hosts=["a:1", "b:2"])
         again = RunSpec.from_dict(run.to_dict())
         assert again.hosts == ("a:1", "b:2")
         assert again == run
+
+    @pytest.mark.parametrize("transport", ["tcp", "unix"])
+    def test_legacy_pinned_transport_maps_onto_executor(self, transport):
+        """A spec pinned by ``repro run --transport unix`` (a field since
+        dropped) restarts on the same socket pool, not the default."""
+        legacy = RunSpec(workers=2).to_dict()
+        legacy.update(executor=None, transport=transport, hosts=None)
+        run = RunSpec.from_dict(legacy)
+        assert run.executor == transport
+        assert run.build_executor() == (transport, 2)
+        assert "transport" not in run.to_dict()
+        # with hosts the field was only a label: the addresses decide
+        legacy.update(hosts=["a:1", "b:2"])
+        run = RunSpec.from_dict(legacy)
+        assert run.executor is None and run.hosts == ("a:1", "b:2")
 
     def test_from_args_covers_the_flag_family(self):
         args = argparse.Namespace(
             potential="tersoff", mode="Opt-S", no_cache=True, backend=None,
             workers=2, ranks=4, sort_domains=True, executor="thread",
-            transport=None, hosts=None, skin=2.0,
+            hosts=None, skin=2.0,
         )
         run = RunSpec.from_args(args)
         assert run.solver == SolverSpec(mode="Opt-S", cache=False)
