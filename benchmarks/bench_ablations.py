@@ -15,19 +15,18 @@ measures the modelled-cycle consequence on the lane-faithful backend:
 
 import pytest
 
+from conftest import si_workload as _si_workload
 from repro.core.tersoff.parameters import tersoff_si, tersoff_sic
 from repro.core.tersoff.vectorized import TersoffVectorized
 from repro.md.lattice import diamond_lattice, perturbed, zincblende_sic
 from repro.md.neighbor import NeighborList, NeighborSettings
-from repro.perf.suite import si_workload as _suite_si_workload
 
 pytestmark = pytest.mark.bench
 
 
 @pytest.fixture(scope="module")
 def si_workload():
-    # Same builder the `repro bench` masking/ablation cases use.
-    return _suite_si_workload(4, seed=4)
+    return _si_workload(4, seed=4)
 
 
 def cycles(params, system, neigh, **options):

@@ -11,19 +11,17 @@ batching).
 import numpy as np
 import pytest
 
+from conftest import si_workload
 from repro.core.tersoff.optimized import TersoffOptimized
 from repro.core.tersoff.production import TersoffProduction
 from repro.core.tersoff.reference import TersoffReference
 from repro.md.neighbor import NeighborList, NeighborSettings
-from repro.perf.suite import si_workload
 
 pytestmark = pytest.mark.bench
 
 
 @pytest.fixture(scope="module")
 def workload():
-    # Shared with the `repro bench` suite (kernel/*-64 cases), so the
-    # pytest benches and the regression gate time identical work.
     return si_workload(2)
 
 
@@ -89,6 +87,24 @@ def test_md_step_wallclock(benchmark, big_workload):
                      neighbor=NeighborSettings(cutoff=params.max_cutoff, skin=1.0))
     sim.compute_forces()
     benchmark(sim.run, 1)
+
+
+@pytest.mark.benchmark(group="wallclock-segsum3")
+@pytest.mark.parametrize("variant", ["fused", "loop"])
+def test_segsum3_wallclock(benchmark, variant):
+    """The fused segmented sum (one bincount over ``idx*3+axis``) against
+    the per-axis loop that is its bitwise reference, triplet-sized input."""
+    from repro.core.pipeline import idx3_of, segsum3, segsum3_loop
+
+    rng = np.random.default_rng(7)
+    t, n = 200_000, 4096
+    idx = np.sort(rng.integers(0, n, size=t)).astype(np.int64)
+    vec = rng.standard_normal((t, 3))
+    if variant == "fused":
+        out = benchmark(segsum3, idx, vec, n, idx3=idx3_of(idx))
+    else:
+        out = benchmark(segsum3_loop, idx, vec, n)
+    assert out.shape == (n, 3)
 
 
 def test_production_beats_reference(workload):

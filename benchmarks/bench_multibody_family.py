@@ -57,6 +57,21 @@ def test_tersoff_wallclock(benchmark, workload):
     assert res.energy < 0
 
 
+@pytest.mark.benchmark(group="family-wallclock")
+def test_stillinger_weber_md_step_wallclock(benchmark, workload):
+    """One full SW timestep (the Tersoff step is ``test_md_step_wallclock``
+    and the e2e ``simulation.step_p50_ms``)."""
+    from repro.md.lattice import seeded_velocities
+    from repro.md.simulation import Simulation
+
+    system = workload[0].copy()
+    seeded_velocities(system, 300.0, seed=3)
+    sim = Simulation(system, StillingerWeberProduction(sw_silicon()),
+                     neighbor=NeighborSettings(cutoff=sw_silicon().cut, skin=1.0))
+    sim.compute_forces()
+    benchmark(sim.run, 1)
+
+
 def test_modeled_multibody_cost(workload):
     """On the lane backend both three-body kernels cost hundreds of
     cycles per atom — an order of magnitude above a pair kernel's

@@ -2,8 +2,9 @@
 measure kernel statistics on a small replica and extrapolate to the
 paper's 32k-2M atom workloads.
 
-Wall-clock of the production solver across system sizes, plus the
-modeled-cycle linearity assertion."""
+Wall-clock of the production solver across system sizes, the
+modeled-cycle linearity assertion, and the decomposed step's measured
+strong/weak scaling (Fig. 9 measured, not modeled)."""
 
 import pytest
 
@@ -14,6 +15,10 @@ from repro.md.lattice import diamond_lattice, perturbed
 from repro.md.neighbor import NeighborList, NeighborSettings
 
 SIZES = {2: 64, 4: 512, 6: 1728, 8: 4096}
+#: (cells, workers): weak scaling at 16384 atoms per rank on 1/2/4, strong
+#: at 65k atoms on 1/2/4 workers, then 262k and 10^6 atoms on 4
+DECOMPOSED = [((16, 16, 8), 1), ((16, 16, 16), 2), ((16, 16, 32), 1), ((16, 16, 32), 2),
+              ((16, 16, 32), 4), ((32, 32, 32), 4), ((50, 50, 50), 4)]
 
 
 def make_workload(cells):
@@ -31,6 +36,30 @@ def test_production_scaling_wallclock(benchmark, cells):
     pot = TersoffProduction(params)
     res = benchmark(pot.compute, system, nl)
     assert res.stats["pairs_in_cutoff"] >= 4 * system.n  # perturbation adds a few
+
+
+@pytest.mark.slow
+@pytest.mark.benchmark(group="scaling-decomposed")
+@pytest.mark.parametrize("cells,workers", DECOMPOSED,
+                         ids=[f"{8 * a * b * c}atoms-w{w}" for (a, b, c), w in DECOMPOSED])
+def test_decomposed_scaling_wallclock(benchmark, cells, workers):
+    from repro.md.lattice import seeded_velocities
+    from repro.runtime import RunSpec, build_simulation
+
+    system = perturbed(diamond_lattice(*cells), 0.05, seed=11)
+    seeded_velocities(system, 300.0, seed=3)
+    sim = build_simulation(RunSpec(workers=workers, ranks=workers, sort=True), system)
+    try:
+        sim.compute_forces()
+        benchmark.pedantic(sim.run, args=(1,), rounds=1, iterations=1)
+        step, net = sim.engine.last_step, sim.engine.calibrated_network()
+        fit = ("no fit" if net is None else
+               f"alpha {net.latency_s * 1e6:.1f} us, beta {net.bandwidth_Bps / 1e6:.0f} MB/s")
+        print(f"\n{system.n} atoms, {workers} workers: {benchmark.stats['mean']:.3f} s/step, "
+              f"halo {step.bytes_forward} B forward / {step.bytes_reverse} B reverse, "
+              f"comm {sim.engine.comm_total.time_s * 1e3:.1f} ms measured, {fit}")
+    finally:
+        sim.close()
 
 
 def test_modeled_cycles_linear():

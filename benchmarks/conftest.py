@@ -9,16 +9,33 @@ reproduction's bands.  Run with ``pytest benchmarks/ --benchmark-only``
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import pytest
 
 
 def pytest_collection_modifyitems(items):
     """The benchmark collection is long-running by construction: mark
     every item ``bench`` + ``slow`` so tier-1 (`-m "not slow"`) skips it
-    wholesale; ``repro bench`` covers the fast regression subset."""
+    wholesale."""
     for item in items:
         item.add_marker(pytest.mark.bench)
         item.add_marker(pytest.mark.slow)
+
+
+@lru_cache(maxsize=8)
+def si_workload(cells: int, seed: int = 1):
+    """Perturbed diamond-Si system + built neighbor list, ``8 * cells^3``
+    atoms.  Cached: the benches time the work, not the construction."""
+    from repro.core.tersoff.parameters import tersoff_si
+    from repro.md.lattice import diamond_lattice, perturbed
+    from repro.md.neighbor import NeighborList, NeighborSettings
+
+    params = tersoff_si()
+    system = perturbed(diamond_lattice(cells, cells, cells), 0.1, seed=seed)
+    neigh = NeighborList(NeighborSettings(cutoff=params.max_cutoff, skin=1.0))
+    neigh.build(system.x, system.box)
+    return params, system, neigh
 
 
 def regenerate(benchmark, driver, *args, **kwargs):

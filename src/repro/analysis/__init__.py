@@ -16,7 +16,7 @@ This package turns the contracts into machine-checked rules:
   findings;
 - :mod:`repro.analysis.dataflow` — lightweight intra-function dataflow
   (which names hold compute-dtype arrays, which are masks, which
-  allocations flow through the :class:`~repro.core.tersoff.cache.Workspace`);
+  allocations flow through the :class:`~repro.core.pipeline.Workspace`);
 - :mod:`repro.analysis.rules` — the KA001–KA005 kernel-contract rules;
 - :mod:`repro.analysis.baseline` — the grandfathered-findings file;
 - :mod:`repro.analysis.cli` — the ``repro lint`` subcommand (text and

@@ -12,8 +12,6 @@ Commands
     Regenerate one of the paper's figures/tables (fig1..fig9, table1..3).
 ``sweep``
     The performance-portability sweep (modes x machines).
-``bench``
-    The wall-clock regression harness: run / baseline / compare / list.
 ``lint``
     The kernel-contract static analyzer (rules KA001-KA005).
 ``telemetry``
@@ -31,7 +29,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     from repro.backends import available, get, get_default
     from repro.md.neighbor import active_builder
     from repro.parallel.executor import EXECUTOR_NAMES
-    from repro.perf.machines import host_fingerprint, list_machines
+    from repro.perf.machines import list_machines, processor_name, usable_cores
     from repro.vector.isa import ISA_REGISTRY
 
     print(f"repro {repro.__version__} — Tersoff vectorization reproduction (SC'16)")
@@ -43,9 +41,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
         print(f"           {get(name).description}")
     print(f"\nneighbor list builder: {active_builder()}")
     print(f"\nexecutors: {', '.join(EXECUTOR_NAMES)}")
-    fp = host_fingerprint()
-    print(f"\nhost: {fp.get('processor') or fp.get('arch', '?')} "
-          f"({fp.get('cpu_count', '?')} cpus, fingerprint {fp.get('fingerprint_id')})")
+    print(f"\nhost: {processor_name()} ({usable_cores()} usable cores)")
     print("\nvector backends:")
     for name, isa in sorted(ISA_REGISTRY.items()):
         feats = []
@@ -329,8 +325,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     from repro.serve.protocol import system_payload
 
     try:
-        spec = SolverSpec(potential=args.potential, mode=args.mode,
-                          cache=not args.no_cache, backend=args.backend)
+        spec = SolverSpec(potential=args.potential, mode=args.mode, backend=args.backend)
     except SpecError as exc:
         print(f"loadgen: {exc}", file=sys.stderr)
         return 2
@@ -453,94 +448,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_progress(name: str) -> None:
-    print(f"  running {name} ...", file=sys.stderr)
-
-
-def _cmd_bench_run(args: argparse.Namespace) -> int:
-    from repro.perf import regress
-
-    try:
-        artifact = regress.run_suite(
-            smoke=args.smoke, filter=args.filter,
-            repeats=args.repeats, warmup=args.warmup, min_time=args.min_time,
-            backend=args.backend,
-            progress=None if args.quiet else _bench_progress,
-        )
-    except regress.ArtifactError as exc:
-        print(f"bench run: {exc}", file=sys.stderr)
-        return 2
-    path = regress.write_artifact(artifact, args.out)
-    fp = artifact["machine"]
-    print(f"wrote {path} ({len(artifact['results'])} cases, "
-          f"host {fp['fingerprint_id']}: {fp['processor']})")
-    for name, res in sorted(artifact["results"].items()):
-        print(f"  {name:32s} median {res['median_s'] * 1e3:9.3f} ms "
-              f"(n={res['kept']}, dropped {res['dropped_outliers']})")
-    for name, reason in sorted(artifact.get("skipped", {}).items()):
-        print(f"  {name:32s} skipped: {reason}")
-    return 0
-
-
-def _cmd_bench_baseline(args: argparse.Namespace) -> int:
-    from repro.perf import regress
-
-    try:
-        artifact = regress.run_suite(
-            smoke=args.smoke, filter=args.filter,
-            repeats=args.repeats, warmup=args.warmup, min_time=args.min_time,
-            backend=args.backend,
-            progress=None if args.quiet else _bench_progress,
-        )
-    except regress.ArtifactError as exc:
-        print(f"bench baseline: {exc}", file=sys.stderr)
-        return 2
-    out = args.out or (regress.BASELINE_DIR / f"{args.name}.json")
-    path = regress.write_artifact(artifact, out)
-    print(f"wrote baseline {path} ({len(artifact['results'])} cases)")
-    return 0
-
-
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    from repro.perf import regress
-
-    try:
-        baseline = regress.load_artifact(args.baseline)
-        if args.current:
-            current = regress.load_artifact(args.current)
-        else:
-            current = regress.run_suite(
-                smoke=baseline.get("smoke", False),
-                filter=baseline.get("config", {}).get("filter"),
-                backend=baseline.get("config", {}).get("backend"),
-                repeats=args.repeats, warmup=args.warmup, min_time=args.min_time,
-                progress=None if args.quiet else _bench_progress,
-            )
-        comparison = regress.compare(
-            baseline, current,
-            fail_tol=args.fail_tol, warn_tol=args.warn_tol, mode=args.mode,
-            allow_machine_mismatch=args.allow_machine_mismatch,
-        )
-    except regress.MachineMismatchError as exc:
-        print(f"refusing to compare across hosts: {exc}\n"
-              "(re-run with --allow-machine-mismatch to override)", file=sys.stderr)
-        return 2
-    except regress.ArtifactError as exc:
-        print(f"bench compare: {exc}", file=sys.stderr)
-        return 2
-    print(regress.render_comparison(comparison))
-    return comparison.exit_code
-
-
-def _cmd_bench_list(args: argparse.Namespace) -> int:
-    from repro.perf.suite import get_suite
-
-    for case in get_suite(smoke=args.smoke, filter=args.filter):
-        flags = [case.tier] + (["smoke"] if case.smoke else [])
-        print(f"  {case.name:32s} [{', '.join(flags)}]")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     from repro.parallel.executor import EXECUTOR_NAMES
 
@@ -557,9 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--temperature", type=float, default=600.0)
     p_run.add_argument("--mode", choices=("Ref", "Opt-D", "Opt-S", "Opt-M"), default="Opt-M")
     p_run.add_argument("--potential", choices=("tersoff", "sw"), default="tersoff")
-    p_run.add_argument("--no-cache", action="store_true",
-                       help="disable the step-persistent interaction cache "
-                            "(results are bit-for-bit identical either way)")
     p_run.add_argument("--backend", choices=("numpy", "compiled"), default=None,
                        help="compute backend for the Tersoff Opt-* production path "
                             "(default: numpy; 'compiled' falls back with a warning "
@@ -640,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_load.add_argument("--potential", default="tersoff", choices=("tersoff", "sw"))
     p_load.add_argument("--mode", default="Opt-M",
                         choices=("Ref", "Opt-D", "Opt-S", "Opt-M"))
-    p_load.add_argument("--no-cache", action="store_true")
     p_load.add_argument("--backend", default=None)
     p_load.add_argument("--tenant", default="default")
     p_load.add_argument("--json", action="store_true", help="machine-readable summary")
@@ -666,59 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("double", "single", "mixed"))
     p_prof.add_argument("--scheme", default="auto")
     p_prof.set_defaults(func=_cmd_profile)
-
-    p_bench = sub.add_parser("bench", help="wall-clock regression harness")
-    bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
-
-    def _add_run_args(p):
-        p.add_argument("--smoke", action="store_true",
-                       help="fast CI-friendly subset of the suite")
-        p.add_argument("--filter", default=None,
-                       help="only cases whose name contains this substring")
-        p.add_argument("--repeats", type=int, default=5)
-        p.add_argument("--warmup", type=int, default=1)
-        p.add_argument("--min-time", type=float, default=0.5,
-                       help="sample each case for at least this many seconds")
-        p.add_argument("--backend", choices=("numpy", "compiled"), default=None,
-                       help="process-default compute backend for the run "
-                            "(cases that pin a backend are unaffected)")
-        p.add_argument("--quiet", action="store_true")
-
-    pb_run = bench_sub.add_parser("run", help="run the suite, write BENCH_<timestamp>.json")
-    _add_run_args(pb_run)
-    pb_run.add_argument("--out", default=None, help="artifact path (default: BENCH_<timestamp>.json)")
-    pb_run.set_defaults(func=_cmd_bench_run)
-
-    pb_base = bench_sub.add_parser("baseline",
-                                   help="run the suite, write a committed baseline")
-    _add_run_args(pb_base)
-    pb_base.add_argument("--name", default="default",
-                         help="baseline name under benchmarks/baselines/")
-    pb_base.add_argument("--out", default=None, help="explicit baseline path")
-    pb_base.set_defaults(func=_cmd_bench_baseline)
-
-    pb_cmp = bench_sub.add_parser("compare", help="compare a run against a baseline")
-    pb_cmp.add_argument("--baseline", required=True, help="baseline artifact JSON")
-    pb_cmp.add_argument("--current", default=None,
-                        help="current artifact JSON (default: run the suite now)")
-    pb_cmp.add_argument("--mode", choices=("strict", "warn"), default="strict")
-    pb_cmp.add_argument("--fail-tol", type=float, default=0.20,
-                        help="hard-fail relative slowdown threshold (default 0.20)")
-    pb_cmp.add_argument("--warn-tol", type=float, default=0.10,
-                        help="warn relative slowdown threshold (default 0.10)")
-    pb_cmp.add_argument("--allow-machine-mismatch", action="store_true",
-                        help="compare artifacts from different hosts anyway")
-    pb_cmp.add_argument("--repeats", type=int, default=5)
-    pb_cmp.add_argument("--warmup", type=int, default=1)
-    pb_cmp.add_argument("--min-time", type=float, default=0.5,
-                        help="sample each case for at least this many seconds")
-    pb_cmp.add_argument("--quiet", action="store_true")
-    pb_cmp.set_defaults(func=_cmd_bench_compare)
-
-    pb_list = bench_sub.add_parser("list", help="list the curated suite")
-    pb_list.add_argument("--smoke", action="store_true")
-    pb_list.add_argument("--filter", default=None)
-    pb_list.set_defaults(func=_cmd_bench_list)
 
     p_tel = sub.add_parser("telemetry", help="inspect structured run telemetry")
     tel_sub = p_tel.add_subparsers(dest="telemetry_command", required=True)

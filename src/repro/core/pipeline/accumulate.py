@@ -1,9 +1,8 @@
 """Conflict-safe accumulation primitives shared by all pipeline kernels.
 
-Moved verbatim from ``repro.core.tersoff.cache`` (PR 2).  Segmented
-sums are the Sec. V-A (3) building block: scatter-with-conflicts
-expressed as a bin reduction so every potential accumulates forces the
-same audited way.
+Segmented sums are the Sec. V-A (3) building block of
+:mod:`repro.core.pipeline`: scatter-with-conflicts expressed as a bin
+reduction so every potential accumulates forces the same audited way.
 """
 
 from __future__ import annotations

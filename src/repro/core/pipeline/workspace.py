@@ -1,7 +1,6 @@
 """Reusable scratch arena and cache counters for the staged pipeline.
 
-Moved verbatim from ``repro.core.tersoff.cache`` (PR 2): the arena and
-the counters were never Tersoff-specific, and every pipeline kernel now
+Neither is potential-specific: every :mod:`repro.core.pipeline` kernel
 shares them.
 """
 

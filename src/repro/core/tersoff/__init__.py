@@ -12,10 +12,10 @@ Implementations, in the order the paper develops them:
 - :class:`~repro.core.tersoff.production.TersoffProduction` — the wide
   numpy rendition of the optimized kernel used for real simulations,
   with step-persistent staging from
-  :class:`~repro.core.tersoff.cache.InteractionCache`.
+  :class:`~repro.core.pipeline.InteractionCache`.
 """
 
-from repro.core.tersoff.cache import CacheStats, InteractionCache, Workspace
+from repro.core.pipeline import CacheStats, InteractionCache, Workspace
 from repro.core.tersoff.optimized import TersoffOptimized
 from repro.core.tersoff.parameters import (
     ELEMENT_SETS,

@@ -3,7 +3,7 @@ lane-faithful backend (paper Sec. IV-B/C/D, Fig. 1).
 
 All three schemes share:
 
-- the scalar **filter component** (:mod:`repro.core.tersoff.prepare`)
+- the scalar **filter component** (:mod:`repro.core.pipeline.topology`)
   that packs in-cutoff pairs densely before any vector code runs;
 - the **computational component**
   (:mod:`repro.core.tersoff.kernels`) — straight-line lane math;
@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.pipeline import PairData, build_pairs, group_by_i
 from repro.core.tersoff.kernels import (
     ParamFields,
     gather_params,
@@ -48,7 +49,6 @@ from repro.core.tersoff.kernels import (
     _TRIPLET_FIELDS,
 )
 from repro.core.tersoff.parameters import TersoffParams
-from repro.core.tersoff.prepare import PairData, build_pairs, group_by_i
 from repro.md.atoms import AtomSystem
 from repro.md.neighbor import NeighborList
 from repro.md.potential import ForceResult, Potential

@@ -66,8 +66,7 @@ class ExperimentResult:
 
 
 def fmt_value(v) -> str:
-    """Compact number/tuple formatting shared by tables and the bench
-    comparator (``repro.perf.regress``)."""
+    """Compact number/tuple formatting for the result tables."""
     if isinstance(v, float):
         if v == 0 or (1e-3 <= abs(v) < 1e5):
             return f"{v:.4g}"

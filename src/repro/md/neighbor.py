@@ -290,7 +290,7 @@ class NeighborList:
         derived from the list *topology* (pair expansions, triplet
         layouts, parameter gathers) is valid exactly as long as the
         version it was computed against — the interaction cache
-        (:mod:`repro.core.tersoff.cache`) keys on it.
+        (:mod:`repro.core.pipeline.cache`) keys on it.
     """
 
     def __init__(self, settings: NeighborSettings):

@@ -11,9 +11,7 @@ from repro.perf.machines import (
     Accelerator,
     Machine,
     MACHINES,
-    fingerprints_match,
     get_machine,
-    host_fingerprint,
     list_machines,
     table_i,
     table_ii,
@@ -21,47 +19,19 @@ from repro.perf.machines import (
 )
 from repro.perf.model import KernelProfile, PerformanceModel, StepTime
 from repro.perf.offload import OffloadModel, balanced_split
-from repro.perf.regress import (
-    ArtifactError,
-    Comparison,
-    MachineMismatchError,
-    SCHEMA_VERSION,
-    SchemaMismatchError,
-    compare,
-    load_artifact,
-    render_comparison,
-    run_suite,
-    write_artifact,
-)
-from repro.perf.suite import BenchCase, SUITE, get_suite
 
 __all__ = [
     "Accelerator",
-    "ArtifactError",
-    "BenchCase",
-    "Comparison",
     "KernelProfile",
     "MACHINES",
     "Machine",
-    "MachineMismatchError",
     "OffloadModel",
     "PerformanceModel",
-    "SCHEMA_VERSION",
-    "SUITE",
-    "SchemaMismatchError",
     "StepTime",
     "balanced_split",
-    "compare",
-    "fingerprints_match",
     "get_machine",
-    "get_suite",
-    "host_fingerprint",
     "list_machines",
-    "load_artifact",
-    "render_comparison",
-    "run_suite",
     "table_i",
     "table_ii",
     "table_iii",
-    "write_artifact",
 ]

@@ -10,7 +10,6 @@ global across experiments, and documented in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import platform
 import sys
@@ -156,47 +155,19 @@ def table_iii() -> list[Machine]:
     return list_machines("III")
 
 
-# ---- Host fingerprint --------------------------------------------------------
-# The modeled machines above describe the *paper's* hardware; wall-clock
-# benchmarks (repro.perf.regress) run on whatever host executes them.
-# Baselines recorded on one host must never be silently compared against
-# runs from another, so every benchmark artifact embeds this block.
+# ---- Host --------------------------------------------------------------------
+# The modeled machines above describe the *paper's* hardware; these two
+# describe the host `repro info` runs on.
 
-def host_fingerprint() -> dict:
-    """Identify the host this process runs on, for benchmark artifacts.
-
-    Only fields that affect wall-clock comparability go into the
-    ``fingerprint_id`` hash: CPU architecture, processor model, core
-    count, OS and the Python major.minor (interpreter perf varies across
-    minors).  Hostname and exact patch versions are recorded for
-    provenance but excluded from the hash so e.g. a CI runner pool with
-    interchangeable nodes still matches itself.
-    """
-    import numpy
-
-    uname = platform.uname()
-    identity = {
-        "arch": uname.machine,
-        "processor": _processor_name(),
-        "cpu_count": os.cpu_count() or 0,
-        "system": uname.system,
-        "python": ".".join(platform.python_version_tuple()[:2]),
-    }
-    digest = hashlib.sha256(
-        "|".join(f"{k}={identity[k]}" for k in sorted(identity)).encode()
-    ).hexdigest()[:16]
-    return {
-        "fingerprint_id": digest,
-        **identity,
-        "hostname": uname.node,
-        "python_full": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "numpy": numpy.__version__,
-        "sys_platform": sys.platform,
-    }
+def usable_cores() -> int:
+    """Cores this process may be scheduled on (affinity-aware) — the
+    count ``benchmarks/e2e/run.py`` records and refuses to scale past."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _processor_name() -> str:
+def processor_name() -> str:
     """Best-effort CPU model string (``platform.processor`` is often empty on Linux)."""
     if sys.platform.startswith("linux"):
         try:
@@ -207,8 +178,3 @@ def _processor_name() -> str:
         except OSError:
             pass
     return platform.processor() or platform.machine()
-
-
-def fingerprints_match(a: dict, b: dict) -> bool:
-    """True when two artifact fingerprint blocks describe comparable hosts."""
-    return bool(a.get("fingerprint_id")) and a.get("fingerprint_id") == b.get("fingerprint_id")

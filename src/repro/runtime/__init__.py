@@ -1,15 +1,9 @@
 """``repro.runtime`` — the single source of truth for "what solver, how".
 
-Before this package, the solver/run configuration lived in four
-hand-rolled copies: :func:`repro.core.schemes.make_solver` keyword
-threading, the ``repro run`` / ``repro bench`` CLI flag plumbing, the
-checkpoint ``user_meta`` pinning in :mod:`repro.state.checkpoint`, and
-the :mod:`repro.perf.suite` case constructors.  Every new knob (PR-5
-``cache=``, PR-7 ``backend=``/``executor=``) had to be patched into
-each copy separately, and the restart path silently dropped whatever
-the copies disagreed on.
-
-Now there is one declarative, schema-versioned description:
+The solver/run configuration has one declarative, schema-versioned
+description; :func:`repro.core.schemes.make_solver`, the ``repro run``
+flags, ``repro serve`` requests and the checkpoint ``user_meta``
+pinning in :mod:`repro.state.checkpoint` all go through it:
 
 :class:`SolverSpec`
     *What* computes forces — potential family, execution mode
@@ -20,9 +14,7 @@ Now there is one declarative, schema-versioned description:
     neighbor skin.
 
 Both serialize to canonical JSON-able dicts (:meth:`SolverSpec.to_dict`)
-and restore bitwise-equivalent solvers (:meth:`SolverSpec.build`); the
-checkpoint layer, the CLI, the bench suite and the ``repro serve``
-evaluation service (:mod:`repro.serve`) all construct through here.
+and restore bitwise-equivalent solvers (:meth:`SolverSpec.build`).
 
 :class:`SolverPool` keeps *warm* solver sessions — potential plus
 step-persistent :class:`~repro.core.pipeline.InteractionCache` and

@@ -281,13 +281,13 @@ class RunSpec:
     @classmethod
     def from_args(cls, args) -> "RunSpec":
         """Build from an argparse namespace carrying the ``repro run``
-        flag family (also used by the bench and restart paths).
+        flag family (also used by the restart path).
 
         Recognized attributes (all optional): ``potential``, ``mode``,
-        ``no_cache``, ``backend``, ``workers``, ``ranks``,
-        ``sort_domains``, ``executor``, ``hosts``, ``skin``.  This is the *one* place CLI flags become a spec —
-        the three copies of keyword threading (`repro run`,
-        `repro bench run`, the restart path) all call it.
+        ``backend``, ``workers``, ``ranks``, ``sort_domains``,
+        ``executor``, ``hosts``, ``skin``.  This is the *one* place CLI
+        flags become a spec (the interaction cache has no flag: it is
+        always on from the CLI, ``SolverSpec.cache`` is the library knob).
         """
         hosts = getattr(args, "hosts", None)
         if isinstance(hosts, str):
@@ -295,7 +295,6 @@ class RunSpec:
         solver = SolverSpec(
             potential=getattr(args, "potential", "tersoff"),
             mode=getattr(args, "mode", "Opt-M"),
-            cache=not getattr(args, "no_cache", False),
             backend=getattr(args, "backend", None),
         )
         return cls(

@@ -10,20 +10,19 @@ session (asserted in ``tests/test_serve.py`` and gated by the CI
 
 Layers, bottom up:
 
-- :mod:`repro.serve.protocol`  — canonical JSON wire format (msgpack
-  optional, gated on availability), bitwise float round-trips;
+- :mod:`repro.serve.protocol`  — canonical JSON wire format, bitwise float
+  round-trips;
 - :mod:`repro.serve.validate`  — the L0-L3 request validation tiers;
 - :mod:`repro.serve.server`    — the HTTP server: bounded backpressure
   queue, single batching dispatcher over a
   :class:`~repro.runtime.SolverPool`;
 - :mod:`repro.serve.client`    — a thin stdlib client (TCP + unix);
 - :mod:`repro.serve.loadgen`   — the load generator behind
-  ``repro loadgen`` and the ``serve/throughput-512`` bench case.
+  ``repro loadgen``.
 """
 
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.protocol import (
-    HAVE_MSGPACK,
     SERVE_SCHEMA_VERSION,
     decode_payload,
     encode_payload,
@@ -34,7 +33,6 @@ from repro.serve.server import EvalServer, ServeConfig
 from repro.serve.validate import RequestError, validate_request
 
 __all__ = [
-    "HAVE_MSGPACK",
     "SERVE_SCHEMA_VERSION",
     "EvalServer",
     "RequestError",

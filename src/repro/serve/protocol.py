@@ -6,15 +6,12 @@ form since Python 3.1), so every float64 coordinate and force survives
 an encode/decode cycle *bitwise* — the property the serve-equivalence
 contract rests on.  NaN/Infinity are rejected on encode (``allow_nan``
 off): non-finite geometry is a validation error, not a wire value.
-
-msgpack is supported opportunistically when the host happens to have
-it installed (it is *not* a dependency); :data:`HAVE_MSGPACK` gates it
-and the server advertises only formats it can actually decode.
+It is the only encoding: what the server accepts never depends on what
+happens to be installed on the host.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import json
 
 import numpy as np
@@ -24,34 +21,16 @@ import numpy as np
 SERVE_SCHEMA_VERSION = 1
 
 JSON_CONTENT_TYPE = "application/json"
-MSGPACK_CONTENT_TYPE = "application/msgpack"
-
-#: Whether the optional msgpack codec is importable on this host.
-HAVE_MSGPACK = importlib.util.find_spec("msgpack") is not None
 
 
 class ProtocolError(ValueError):
     """Undecodable body or unsupported content type."""
 
 
-def content_types() -> tuple[str, ...]:
-    """Content types this host can decode (JSON always; msgpack when
-    the optional codec is present)."""
-    if HAVE_MSGPACK:
-        return (JSON_CONTENT_TYPE, MSGPACK_CONTENT_TYPE)
-    return (JSON_CONTENT_TYPE,)
-
-
 def encode_payload(obj, content_type: str = JSON_CONTENT_TYPE) -> bytes:
     """Serialize `obj` for the wire.  JSON floats round-trip bitwise."""
     if content_type == JSON_CONTENT_TYPE:
         return json.dumps(obj, allow_nan=False, separators=(",", ":")).encode()
-    if content_type == MSGPACK_CONTENT_TYPE:
-        if not HAVE_MSGPACK:
-            raise ProtocolError("msgpack requested but the codec is not installed")
-        import msgpack
-
-        return msgpack.packb(obj, use_bin_type=True)
     raise ProtocolError(f"unsupported content type {content_type!r}")
 
 
@@ -63,15 +42,6 @@ def decode_payload(data: bytes, content_type: str = JSON_CONTENT_TYPE):
             return json.loads(data.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ProtocolError(f"undecodable JSON body: {exc}") from exc
-    if base == MSGPACK_CONTENT_TYPE:
-        if not HAVE_MSGPACK:
-            raise ProtocolError("msgpack body but the codec is not installed")
-        import msgpack
-
-        try:
-            return msgpack.unpackb(data, raw=False)
-        except Exception as exc:
-            raise ProtocolError(f"undecodable msgpack body: {exc}") from exc
     raise ProtocolError(f"unsupported content type {content_type!r}")
 
 

@@ -40,7 +40,6 @@ from repro.serve.protocol import (
     JSON_CONTENT_TYPE,
     SERVE_SCHEMA_VERSION,
     ProtocolError,
-    content_types,
     decode_payload,
     encode_payload,
 )
@@ -320,7 +319,7 @@ class EvalServer:
             "queue_depth": self._queue.qsize(),
             "backlog": self.config.backlog,
             "batch_max": self.config.batch_max,
-            "content_types": list(content_types()),
+            "content_types": [JSON_CONTENT_TYPE],
             "pool": self.pool.snapshot(),
         }
 

@@ -19,6 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.pipeline import (
+    CacheStats,
+    PairData,
+    TripletData,
+    Workspace,
+    build_pairs,
+    build_triplets,
+    group_by_i,
+    idx3_of,
+    pair_geometry,
+    segsum3,
+)
 from repro.core.sw.functional import phi2, phi3
 from repro.core.sw.parameters import SWParams
 from repro.core.tersoff.functional import (
@@ -42,15 +54,6 @@ from repro.core.tersoff.kernels import (
     gather_flat,
 )
 from repro.core.tersoff.parameters import FlatParams, TersoffParams
-from repro.core.tersoff.prepare import (
-    PairData,
-    TripletData,
-    build_pairs,
-    build_triplets,
-    group_by_i,
-    pair_geometry,
-)
-from repro.core.pipeline import CacheStats, Workspace, idx3_of, segsum3
 from repro.md.atoms import AtomSystem
 from repro.md.neighbor import NeighborList
 from repro.md.potential import ForceResult, Potential

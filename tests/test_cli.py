@@ -1,5 +1,9 @@
 """Command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -21,6 +25,18 @@ class TestInfo:
         out = capsys.readouterr().out
         for token in ("avx2", "imci", "cuda", "IV+2KNC", "KNL"):
             assert token in out
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity API")
+    def test_reports_usable_not_installed_cores(self):
+        """The count is the one benchmarks/e2e records and refuses on:
+        cores this process may run on, not cores the machine has."""
+        code = ("import os, sys\n"
+                "from repro.cli import main\n"
+                "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                "sys.exit(main(['info']))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True)
+        assert "(1 usable cores)" in proc.stdout
 
 
 class TestRun:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import build_list, make_cluster
-from repro.core.tersoff.cache import (
+from repro.core.pipeline import (
     CacheStats,
     Workspace,
     idx3_of,

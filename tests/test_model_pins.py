@@ -1,0 +1,66 @@
+"""Exact pins on the deterministic modeled metrics.
+
+Modeled cycles, lane utilisation, kernel invocations, spin iterations
+and predicted ns/day carry no timer noise: any drift is a behavioural
+change in the lane simulator or the cost model, so the values are
+pinned exactly (integer-valued stats) or to float noise (ratios).
+"""
+
+import pytest
+
+from conftest import build_list
+from repro.core.tersoff.vectorized import TersoffVectorized
+from repro.harness.experiments import PAPER_ATOMS, kernel_profile
+from repro.md.lattice import diamond_lattice, perturbed
+from repro.perf.machines import get_machine
+from repro.perf.model import PerformanceModel
+
+RTOL = 1e-6
+
+
+@pytest.fixture(scope="module")
+def workload(si_params):
+    """216-atom perturbed diamond Si with a full (both-directions) list."""
+    system = perturbed(diamond_lattice(3, 3, 3), 0.08, seed=3)
+    return si_params, system, build_list(system, si_params.max_cutoff)
+
+
+@pytest.mark.parametrize("scheme,isa,cycles,invocations,utilization", [
+    ("1a", "avx", 332424, 1080, 0.8132387706855791),
+    ("1b", "imci", 125388, 432, 1.0),
+    ("1c", "cuda", 32970, 112, 0.9705852826021484),
+], ids=["1a-avx", "1b-imci", "1c-cuda"])
+def test_fig1_scheme_stats(workload, scheme, isa, cycles, invocations, utilization):
+    params, system, neigh = workload
+    stats = TersoffVectorized(params, isa=isa, scheme=scheme).compute(system, neigh).stats
+    assert stats["cycles"] == cycles
+    assert stats["kernel_invocations"] == invocations
+    assert stats["utilization"] == pytest.approx(utilization, rel=RTOL)
+
+
+@pytest.mark.parametrize("fast_forward,filter_neighbors,cycles,spins,utilization", [
+    (False, False, 160730, 0, 0.4165142877630777),
+    (True, False, 103254, 1758, 1.0),
+    (True, True, 75654, 378, 1.0),
+], ids=["naive", "fast-forward", "fast-forward+filter"])
+def test_fig2_masking_stats(workload, fast_forward, filter_neighbors, cycles, spins,
+                            utilization):
+    params, system, neigh = workload
+    pot = TersoffVectorized(params, isa="imci", precision="single", scheme="1b",
+                            fast_forward=fast_forward, filter_neighbors=filter_neighbors)
+    stats = pot.compute(system, neigh).stats
+    assert stats["cycles"] == cycles
+    assert stats["spin_iterations"] == spins
+    assert stats["utilization"] == pytest.approx(utilization, rel=RTOL)
+
+
+@pytest.mark.parametrize("name,mode,ns_per_day", [
+    ("WM", "Opt-D", 16.778215384615383),
+    ("HW", "Opt-M", 68.49071560690864),
+    ("KNL", "Opt-M", 118.82874322326266),
+], ids=["WM-Opt-D", "HW-Opt-M", "KNL-Opt-M"])
+def test_predicted_ns_per_day(name, mode, ns_per_day):
+    machine = get_machine(name)
+    step = PerformanceModel(machine).step_time(
+        kernel_profile(mode, machine.isa), PAPER_ATOMS["fig4"], cores=machine.cores)
+    assert step.ns_per_day() == pytest.approx(ns_per_day, rel=RTOL)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import build_list, make_cluster
 from repro.core.tersoff.parameters import tersoff_si
-from repro.core.tersoff.prepare import build_pairs, build_triplets, group_by_i
+from repro.core.pipeline import build_pairs, build_triplets, group_by_i
 
 
 class TestBuildPairs:

@@ -193,12 +193,12 @@ class TestRunSpec:
 
     def test_from_args_covers_the_flag_family(self):
         args = argparse.Namespace(
-            potential="tersoff", mode="Opt-S", no_cache=True, backend=None,
+            potential="tersoff", mode="Opt-S", backend=None,
             workers=2, ranks=4, sort_domains=True, executor="thread",
             hosts=None, skin=2.0,
         )
         run = RunSpec.from_args(args)
-        assert run.solver == SolverSpec(mode="Opt-S", cache=False)
+        assert run.solver == SolverSpec(mode="Opt-S")
         assert (run.workers, run.ranks, run.sort) == (2, 4, True)
         assert run.executor == "thread"
         assert run.skin == 2.0

@@ -29,7 +29,12 @@ from repro.serve import (
     validate_request,
 )
 from repro.serve.loadgen import percentile, run_load
-from repro.serve.protocol import SERVE_SCHEMA_VERSION, decode_payload, encode_payload
+from repro.serve.protocol import (
+    SERVE_SCHEMA_VERSION,
+    ProtocolError,
+    decode_payload,
+    encode_payload,
+)
 
 SPEC = SolverSpec(potential="tersoff", mode="Opt-M")
 
@@ -172,6 +177,24 @@ class TestValidationTaxonomy:
             body = json.loads(resp.read())
             assert resp.status == 400
             assert body["error"]["code"] == "undecodable"
+
+    def test_http_unknown_content_type(self, server):
+        """JSON is the only codec on every host: any other content type,
+        whatever happens to be installed, is the same typed L0 reject."""
+        body = encode_payload(_request())
+        with ServeClient(server.address) as c:
+            for ctype in ("application/msgpack", "application/x-unknown"):
+                conn = c._connection()
+                conn.request("POST", "/v1/evaluate", body=body,
+                             headers={"Content-Type": ctype})
+                resp = conn.getresponse()
+                error = json.loads(resp.read())["error"]
+                assert resp.status == 400
+                assert (error["tier"], error["code"]) == ("L0", "undecodable")
+                assert "unsupported content type" in error["message"]
+                with pytest.raises(ProtocolError, match="unsupported content type"):
+                    encode_payload({}, ctype)
+            assert c.stats()["content_types"] == ["application/json"]
 
     def test_http_not_found(self, client):
         with pytest.raises(ServeError) as info:
