@@ -64,6 +64,24 @@ def test_production_precisions_wallclock(benchmark, big_workload, precision):
     assert np.isfinite(res.energy)
 
 
+@pytest.mark.benchmark(group="wallclock-4096atoms")
+@pytest.mark.parametrize("precision", ["double", "single", "mixed"])
+def test_compiled_precisions_wallclock(benchmark, big_workload, precision):
+    """Opt-D / Opt-S / Opt-M on the compiled scheme-1a kernel, one thread
+    (EXPERIMENTS.md "Wall-clock on this machine"): both REAL
+    instantiations run four lanes, so float buys cheaper divisions and
+    pays for the conversions to the f64 accumulators — nothing else."""
+    from repro import backends
+
+    if not backends.is_available("compiled"):
+        pytest.skip("compiled backend unavailable (no C toolchain)")
+    params, system, neigh = big_workload
+    pot = TersoffProduction(params, precision=precision, backend="compiled")
+    pot.compute(system, neigh)  # build/load is warmup, not the measurement
+    res = benchmark(pot.compute, system, neigh)
+    assert np.isfinite(res.energy)
+
+
 @pytest.mark.benchmark(group="wallclock-substrate")
 def test_neighbor_build_wallclock(benchmark, big_workload):
     params, system, _ = big_workload

@@ -1,8 +1,9 @@
 """C-kernel REAL-discipline rules (KE family).
 
-``backends/_tersoff_impl.h`` is a precision template: it is compiled
-twice by ``_tersoff.c``, once with ``#define REAL double`` and once
-with ``#define REAL float``, exactly the paper's single-source
+``backends/_tersoff_impl.h`` and the lane layer under it (``_vec.h``,
+``_vmath.h``) are a precision template: compiled twice by
+``_tersoff.c``, once with ``#define REAL double`` and once with
+``#define REAL float``, exactly the paper's single-source
 double/mixed/single scheme (Sec. V-D).  That only works if the
 template body never commits to a concrete floating type:
 
@@ -11,12 +12,20 @@ KE001
     local variables, array element types, and return types must be
     ``REAL`` (or ``double`` only where the interface deliberately pins
     it, e.g. ``(double)`` accumulation casts and ``double *`` buffer
-    parameters, both of which are allowed).
+    parameters, both of which are allowed).  Vector lanes follow the
+    same rule through their typedef: ``typedef REAL v
+    __attribute__((vector_size(N * sizeof(REAL))))`` is REAL-clean and
+    ``typedef ACC vacc __attribute__((vector_size(N * sizeof(ACC))))``
+    is the accumulator interface (``ACC`` is pinned on a ``#define``
+    line, like every deliberate f64), while a lane typedef spelled
+    ``typedef double ...`` is flagged — it would freeze both
+    instantiations at one width.
 KE002
     a bare floating-point *literal* (``1.0``, ``.5f``, ``1e-3``) not
-    preceded by a ``(REAL)`` or ``(double)`` cast and not on a
-    preprocessor line; an uncast literal is ``double`` in C, silently
-    promoting single-precision arithmetic back to double.
+    preceded by a ``(REAL)``, ``(ACC)`` or ``(double)`` cast and not on
+    a preprocessor line; an uncast literal is ``double`` in C, silently
+    promoting single-precision arithmetic back to double.  Polynomial
+    coefficient tables are ``#define``d per instantiation.
 
 What is deliberately allowed:
 
@@ -25,8 +34,8 @@ What is deliberately allowed:
   double on purpose);
 - pointer declarations — ``const double *restrict x`` is the fixed
   f64 interface layer of the mixed-precision contract;
-- ``(double)`` casts and ``sizeof(double)`` — explicit accumulation
-  promotion and interface-buffer sizing;
+- ``(double)``/``(ACC)`` casts and ``sizeof(double)`` — explicit
+  accumulation promotion and interface-buffer sizing;
 - comments and string literals (stripped before matching, with line
   numbers preserved).
 
@@ -49,15 +58,16 @@ C_RULE_IDS: tuple[str, ...] = ("KE001", "KE002")
 
 C_RULE_DESCRIPTIONS: dict[str, str] = {
     "KE001": (
-        "scalar double/float declaration in REAL-templated C kernel code; "
-        "use REAL so the template stays precision-neutral (pointer params, "
-        "(double) casts and sizeof(double) are the allowed f64 interface)"
+        "scalar double/float declaration or vector-lane typedef in "
+        "REAL-templated C kernel code; use REAL (ACC for accumulator lanes) "
+        "so the template stays precision-neutral (pointer params, (double) "
+        "casts and sizeof(double) are the allowed f64 interface)"
     ),
     "KE002": (
         "bare floating-point literal in REAL-templated C kernel code; an "
         "uncast literal is double and silently promotes single-precision "
-        "arithmetic — write (REAL)1.0 (or (double)1.0 for deliberate "
-        "accumulation constants)"
+        "arithmetic — write (REAL)1.0 (or (ACC)1.0 / (double)1.0 for "
+        "deliberate accumulation constants)"
     ),
 }
 
@@ -160,7 +170,9 @@ _FP_LITERAL_RE = re.compile(
     r"(?<![\w.])(\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)[fFlL]?"
 )
 
-_CAST_PREFIX_RE = re.compile(r"\(\s*(?:const\s+)?(?:REAL|double)\s*\)\s*[-+]?\s*$")
+_CAST_PREFIX_RE = re.compile(r"\(\s*(?:const\s+)?(?:REAL|ACC|double)\s*\)\s*[-+]?\s*$")
+
+_LANE_TYPEDEF_RE = re.compile(r"\btypedef\b.*\bvector_size\b")
 
 
 def _finding(path: str, lines: list[str], rule: str, lineno: int, col: int, msg: str) -> Finding:
@@ -195,18 +207,13 @@ def check_c_source(path: str, source: str, enabled: set[str] | None = None) -> l
                     rest = rest.lstrip()
                 if after.startswith("*") or rest.startswith("*"):
                     continue
-                findings.append(
-                    _finding(
-                        path,
-                        source_lines,
-                        "KE001",
-                        lineno,
-                        m.start(),
-                        f"scalar '{m.group(1)}' declaration in REAL-templated "
-                        "kernel code; use REAL (pointer params and casts are "
-                        "exempt)",
-                    )
-                )
+                if _LANE_TYPEDEF_RE.search(line):
+                    msg = (f"vector lanes of '{m.group(1)}' in REAL-templated kernel "
+                           "code; lanes are REAL (the accumulator vector ACC)")
+                else:
+                    msg = (f"scalar '{m.group(1)}' declaration in REAL-templated "
+                           "kernel code; use REAL (pointer params and casts are exempt)")
+                findings.append(_finding(path, source_lines, "KE001", lineno, m.start(), msg))
         if run_ke002:
             for m in _FP_LITERAL_RE.finditer(line):
                 before = line[: m.start()]

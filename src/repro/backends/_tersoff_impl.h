@@ -1,110 +1,167 @@
-/* Tersoff fused computational part (paper Alg. 3), REAL-templated.
+/* Tersoff fused computational part (paper Alg. 3) as scheme 1a (Sec.
+ * IV-B, Fig. 1a), REAL-templated over _vec.h / _vmath.h.
  *
  * Included twice from _tersoff.c (REAL=double/TSUF=f64, then
  * REAL=float/TSUF=f32).  Per atom i the scalar filter
  * (ters_filter_row) leaves the max-cutoff short list; every entry
  * inside its own inclusive per-type-pair R+D cutoff is a pair (i,j),
- * and every *other* short-list entry is one of its k.  K loop 1
- * accumulates zeta and caches the derivative terms, the pair terms
- * follow, k loop 2 turns the cached terms into forces and virial sums —
- * nothing is staged per pair or per triplet beyond the current row.
+ * and every *other* short-list entry is one of its k.  The pairs of the
+ * atom sit VLANES to a vector (J -> lanes); the K loop walks the one
+ * short list for all lanes at once, so everything about k is a
+ * broadcast and the `k is not j` test is the lane mask.  K loop 1
+ * accumulates zeta per lane and caches the derivative terms of each k
+ * body that fired, the pair terms follow, K loop 2 turns the cached
+ * terms into forces (after the pair terms, not before: its divisions
+ * fill the latency of the zeta -> pow -> pow -> prefactor chain).  F_i
+ * and F_k leave through in-register reductions, F_j and the per-atom
+ * energy through a lane loop (a row's j are distinct slots written in
+ * lane order, so there is no conflict to resolve).
  *
- * The functional forms mirror the numpy oracle
- * (repro/core/tersoff/production.py::TersoffKernel.evaluate and
- * repro/core/tersoff/functional.py) term for term: same expressions,
- * same left-to-right association.  Traversal order (i ascending, j and
- * k in list order) is the oracle's pair/triplet row order, so zeta, the
- * per-atom energy and the three virial sums accumulate in exactly its
- * order; forces are added straight onto atoms i, j and k instead of
- * replaying its five segmented sums, so they agree to rounding of the
- * sum order only (DESIGN.md §12).  Compile with -fno-fast-math
- * -ffp-contract=off: a contracted FMA would change the rounding and
- * break the documented ULP contract against numpy.
+ * Every lane executes the scalar expression sequence of the numpy
+ * oracle (repro/core/tersoff/production.py::TersoffKernel.evaluate and
+ * repro/core/tersoff/functional.py) operator for operator, with the
+ * same left-to-right association; parameter-only subexpressions are
+ * formed once per parameter row (ters_memo_fill) instead of once per
+ * use, which changes no bit.  zeta, the pair energy and the per-atom
+ * energy therefore accumulate in exactly the oracle's order (i
+ * ascending, j and k in list order); what differs from it is the
+ * transcendental kernels (_vmath.h instead of numpy's SIMD loops) and
+ * the order of the force and virial sums (DESIGN.md §12).  Nothing here
+ * depends on what the four lanes are lowered to: compile with
+ * -fno-fast-math -ffp-contract=off, any -march.
  *
  * Elementwise math runs in REAL; geometry arrives in double from the
  * filter and every accumulation runs in ACC (double), matching the
  * numpy kernel's accumulate discipline.
  */
 
-#define TFN(name) CAT(name, TSUF)
+#define MV(base, row) v_load((base) + VLANES * (row))
 
-static inline REAL TFN(ters_fc_)(REAL r, REAL Rp, REAL Dp) {
-    /* numpy: where(r < R-D, 1, where(r > R+D, 0, 0.5*(1-sin(clip(arg))))) */
-    if (r < Rp - Dp) return (REAL)1.0;
-    if (r > Rp + Dp) return (REAL)0.0;
-    REAL arg = (REAL)HALF_PI_D * (r - Rp) / Dp;
-    if (arg < -(REAL)HALF_PI_D) arg = -(REAL)HALF_PI_D;
-    if (arg > (REAL)HALF_PI_D) arg = (REAL)HALF_PI_D;
-    return (REAL)0.5 * ((REAL)1.0 - R_SIN(arg));
-}
-
-static inline REAL TFN(ters_fc_d_)(REAL r, REAL Rp, REAL Dp) {
-    if (r < Rp - Dp || r > Rp + Dp) return (REAL)0.0;
-    REAL arg = (REAL)HALF_PI_D * (r - Rp) / Dp;
-    return -((REAL)QUARTER_PI_D / Dp) * R_COS(arg);
-}
-
-static inline REAL TFN(ters_g_)(REAL cth, REAL gam, REAL c, REAL d, REAL h) {
-    REAL hcth = h - cth;
-    REAL c2 = c * c;
-    REAL d2 = d * d;
-    return gam * ((REAL)1.0 + c2 / d2 - c2 / (d2 + hcth * hcth));
-}
-
-static inline REAL TFN(ters_g_d_)(REAL cth, REAL gam, REAL c, REAL d, REAL h) {
-    REAL hcth = h - cth;
-    REAL c2 = c * c;
-    REAL d2 = d * d;
-    REAL denom = d2 + hcth * hcth;
-    return gam * (-(REAL)2.0 * c2 * hcth) / (denom * denom);
-}
-
-/* b_order / b_order_d fused: the np.where override chain rewritten as
- * the equivalent priority if-chain (last-applied numpy where wins ->
- * first C test): tmp>c1, tmp>c2, tmp<c4, tmp<c3, else exact.  Shared
- * subexpressions (sqrt, pow) are numpy-identical CSE — numpy computes
- * them twice with identical inputs.  One intentional algebraic
- * deviation, for half the libm pow traffic on the dominant branch: the
- * derivative's pow(1+x, -1-q) is computed as pow(1+x, -q)/(1+x)
- * (exact in real arithmetic, ~1 ULP in float).  It only feeds the
- * dV/dzeta prefactor, i.e. triplet forces/stress, whose equivalence
- * contract is norm-scaled, not elementwise-ULP (DESIGN.md §12);
- * b_ij itself — the energy path — keeps numpy's exact expression. */
-static inline void TFN(ters_bij_both_)(REAL z, REAL beta, REAL nn,
-                                       REAL c1, REAL c2v, REAL c3, REAL c4,
-                                       REAL *bij, REAL *bijd) {
-    REAL tmp = beta * z;
-    REAL tmp_safe = tmp > (REAL)1.0e-300 ? tmp : (REAL)1.0e-300;
-    if (tmp > c1) {
-        REAL s = R_SQRT(tmp_safe);
-        *bij = (REAL)1.0 / s;
-        *bijd = beta * ((REAL)-0.5 / (tmp_safe * s));
-    } else if (tmp > c2v) {
-        REAL s = R_SQRT(tmp_safe);
-        REAL tmp_mn = R_POW(tmp_safe, -nn);
-        *bij = ((REAL)1.0 - tmp_mn / ((REAL)2.0 * nn)) / s;
-        *bijd = beta * ((REAL)-0.5 / (tmp_safe * s)
-                        * ((REAL)1.0 - ((REAL)1.0 + (REAL)0.5 / nn) * tmp_mn));
-    } else if (tmp < c4) {
-        *bij = (REAL)1.0;
-        *bijd = (REAL)0.0;
-    } else if (tmp < c3) {
-        REAL tmp_n = R_POW(tmp_safe, nn);
-        *bij = (REAL)1.0 - tmp_n / ((REAL)2.0 * nn);
-        *bijd = (REAL)-0.5 * beta * R_POW(tmp_safe, nn - (REAL)1.0);
-    } else {
-        REAL zeta_safe = z > (REAL)1.0e-300 ? z : (REAL)1.0e-300;
-        REAL tmp_n = R_POW(tmp_safe, nn);
-        REAL b = R_POW((REAL)1.0 + tmp_n, (REAL)-1.0 / ((REAL)2.0 * nn));
-        *bij = b;
-        *bijd = (REAL)-0.5 * (b / ((REAL)1.0 + tmp_n)) * tmp_n / zeta_safe;
+static void TFN(ters_memo_fill_)(REAL *restrict memo, const REAL *restrict ptab,
+                                 const int64_t ntypes, const int64_t ti,
+                                 const int32_t *restrict tj)
+{
+    int l;
+    int64_t tk;
+    for (l = 0; l < VLANES; l++) {
+        const int64_t row = (ti * ntypes + tj[l]) * ntypes;
+        for (tk = -1; tk < ntypes; tk++) { /* -1: the pair rows */
+            const REAL *restrict p = ptab + N_PARAM * (row + (tk < 0 ? tj[l] : tk));
+            REAL *restrict v = memo + (tk < 0 ? 0 : VLANES * (N_PV + tk * N_TV)) + l;
+            v[VLANES * CV_RMD] = p[P_R] - p[P_D];
+            v[VLANES * CV_RPD] = p[P_R] + p[P_D];
+            v[VLANES * CV_R] = p[P_R];
+            v[VLANES * CV_D] = p[P_D];
+            v[VLANES * CV_NQPID] = -((REAL)QUARTER_PI_D / p[P_D]);
+            if (tk < 0) {
+                v[VLANES * PV_A] = p[P_A];
+                v[VLANES * PV_NLAM1] = -p[P_LAM1];
+                v[VLANES * PV_NB] = -p[P_B];
+                v[VLANES * PV_NLAM2] = -p[P_LAM2];
+                v[VLANES * PV_BETA] = p[P_BETA];
+                v[VLANES * PV_N] = p[P_N];
+                v[VLANES * PV_NN] = -p[P_N];
+                v[VLANES * PV_TWON] = (REAL)2.0 * p[P_N];
+                v[VLANES * PV_H2N] = (REAL)1.0 + (REAL)0.5 / p[P_N];
+                v[VLANES * PV_NM1] = p[P_N] - (REAL)1.0;
+                v[VLANES * PV_NINV2N] = (REAL)-1.0 / ((REAL)2.0 * p[P_N]);
+                v[VLANES * PV_C1] = p[P_C1];
+                v[VLANES * PV_C2] = p[P_C2];
+                v[VLANES * PV_C3] = p[P_C3];
+                v[VLANES * PV_C4] = p[P_C4];
+            } else {
+                const REAL c2 = p[P_C] * p[P_C], d2 = p[P_DD] * p[P_DD];
+                /* the cubic flag is stored as a lane mask (all bits / none) */
+                const IREAL cubic = p[P_M] == (REAL)3.0 ? -1 : 0;
+                v[VLANES * TV_GAMMA] = p[P_GAMMA];
+                v[VLANES * TV_C2] = c2;
+                v[VLANES * TV_D2] = d2;
+                v[VLANES * TV_GONE] = (REAL)1.0 + c2 / d2;
+                v[VLANES * TV_M2C2] = -(REAL)2.0 * c2;
+                v[VLANES * TV_H] = p[P_H];
+                v[VLANES * TV_LAM3] = p[P_LAM3];
+                v[VLANES * TV_3LAM3] = (REAL)3.0 * p[P_LAM3];
+                memcpy(v + VLANES * TV_CUBIC, &cubic, sizeof cubic);
+            }
+        }
     }
 }
 
-/* Scratch, carved from one caller-owned buffer of
- * max_row * SCRATCH_DOUBLES_PER_ENTRY doubles (16: 3 d + r, then 8
- * cached k terms and 3 unit-vector components of at most 8 bytes, then
- * j and type(j) as int32). */
+/* fC and fC' of the lanes `live`.  numpy: where(r < R-D, 1, where(r >
+ * R+D, 0, 0.5*(1-sin(clip(arg))))).  The polynomials run only when a
+ * live lane is past R-D; every lane's result is the same either way. */
+static inline void TFN(ters_fc_both_)(const VREAL r, const REAL *restrict cv, const VMASK live,
+                                      VREAL *fc, VREAL *fcd)
+{
+    const VREAL zero = v_set1((REAL)0.0), one = v_set1((REAL)1.0);
+    const VREAL half_pi = v_set1((REAL)HALF_PI_D);
+    const VMASK inner = r < MV(cv, CV_RMD);
+    *fc = one;
+    *fcd = zero;
+    if (!vm_any(live & ~inner)) return;
+    const VMASK outer = r > MV(cv, CV_RPD);
+    const VREAL arg = half_pi * (r - MV(cv, CV_R)) / MV(cv, CV_D);
+    VREAL clip = v_sel(arg < -half_pi, -half_pi, arg);
+    clip = v_sel(clip > half_pi, half_pi, clip);
+    const VREAL mid = v_set1((REAL)0.5) * (one - TFN(vm_sin_)(clip));
+    *fc = v_sel(inner, one, v_sel(outer, zero, mid));
+    *fcd = v_sel(inner | outer, zero, MV(cv, CV_NQPID) * TFN(vm_cos_)(arg));
+}
+
+/* b_order / b_order_d fused: the np.where override chain as lane masks
+ * in priority order (last-applied numpy where wins -> first mask):
+ * tmp>c1, tmp>c2, tmp<c4, tmp<c3, else exact; a branch is evaluated
+ * only when a live lane takes it.  Shared subexpressions (sqrt, pow)
+ * are numpy-identical CSE — numpy computes them twice with identical
+ * inputs.  One intentional algebraic deviation, for half the pow
+ * traffic on the dominant branch: the derivative's pow(1+x, -1-q) is
+ * computed as pow(1+x, -q)/(1+x) (exact in real arithmetic, ~1 ULP in
+ * float).  It only feeds the dV/dzeta prefactor, i.e. triplet
+ * forces/stress, whose equivalence contract is norm-scaled, not
+ * elementwise-ULP (DESIGN.md §12); b_ij itself — the energy path —
+ * keeps numpy's exact expression. */
+static inline void TFN(ters_bij_both_)(const VREAL z, const REAL *restrict pv, const VMASK live,
+                                       VREAL *bij, VREAL *bijd)
+{
+    const VREAL one = v_set1((REAL)1.0), mhalf = v_set1((REAL)-0.5);
+    const VREAL tiny = v_set1((REAL)1.0e-300);
+    const VREAL beta = MV(pv, PV_BETA), nn = MV(pv, PV_N);
+    const VREAL tmp = beta * z;
+    const VREAL tmp_safe = v_sel(tmp > tiny, tmp, tiny);
+    const VMASK large = tmp > MV(pv, PV_C1);
+    const VMASK large2 = ~large & (tmp > MV(pv, PV_C2));
+    const VMASK unit = ~(large | large2) & (tmp < MV(pv, PV_C4));
+    const VMASK small2 = ~(large | large2 | unit) & (tmp < MV(pv, PV_C3));
+    const VMASK exact = ~(large | large2 | unit | small2);
+    VREAL b = one, bd = v_set1((REAL)0.0); /* the unit branch */
+    if (vm_any(live & (large | large2))) {
+        const VREAL s = v_sqrt(tmp_safe);
+        const VREAL dl = mhalf / (tmp_safe * s);
+        b = v_sel(large, one / s, b);
+        bd = v_sel(large, beta * dl, bd);
+        if (vm_any(live & large2)) {
+            const VREAL tmp_mn = TFN(vm_pow_)(tmp_safe, MV(pv, PV_NN));
+            b = v_sel(large2, (one - tmp_mn / MV(pv, PV_TWON)) / s, b);
+            bd = v_sel(large2, beta * (dl * (one - MV(pv, PV_H2N) * tmp_mn)), bd);
+        }
+    }
+    if (vm_any(live & (small2 | exact))) {
+        const VREAL tmp_n = TFN(vm_pow_)(tmp_safe, nn);
+        if (vm_any(live & small2)) {
+            b = v_sel(small2, one - tmp_n / MV(pv, PV_TWON), b);
+            bd = v_sel(small2, mhalf * beta * TFN(vm_pow_)(tmp_safe, MV(pv, PV_NM1)), bd);
+        }
+        if (vm_any(live & exact)) {
+            const VREAL zeta_safe = v_sel(z > tiny, z, tiny);
+            const VREAL be = TFN(vm_pow_)(one + tmp_n, MV(pv, PV_NINV2N));
+            b = v_sel(exact, be, b);
+            bd = v_sel(exact, mhalf * (be / (one + tmp_n)) * tmp_n / zeta_safe, bd);
+        }
+    }
+    *bij = b;
+    *bijd = bd;
+}
+
 int TFN(tersoff_fused_)(
     const int64_t n_atoms,
     const int64_t *restrict offsets, /* (N+1,) CSR row offsets, as stored   */
@@ -116,29 +173,45 @@ int TFN(tersoff_fused_)(
     const double *restrict cut,      /* (nt^3,) R+D per entry, double       */
     const REAL *restrict ptab,       /* (nt^3, N_PARAM) parameter table     */
     const int64_t max_row,           /* longest CSR row (sizes the scratch) */
-    double *restrict scratch,
+    double *restrict scratch,        /* tersoff_scratch_doubles() doubles   */
     double *restrict forces,         /* (N,3)  out, zeroed here             */
     double *restrict peratom,        /* (N,)   out, zeroed here             */
     double *restrict stress,         /* (3,3,3) out: pair, j and k virial sums */
-    int64_t *restrict info)          /* (2,) out: pairs, triplets in cutoff;
-                                        on error the offending atom pair    */
+    int64_t *restrict info)          /* (4,) out: pairs, triplets in cutoff,
+                                        kernel bodies issued, active lanes in
+                                        them; on error the offending atom pair */
 {
-    double *restrict sd = scratch;
-    double *restrict sr = sd + 3 * max_row;
-    REAL *restrict kterm = (REAL *)(sr + max_row);
-    REAL *restrict hat = kterm + N_KTERM * max_row; /* d / r per short-list slot */
-    int32_t *restrict sj = (int32_t *)(hat + 3 * max_row);
-    int32_t *restrict st = sj + max_row;
-    double *restrict stress_p = stress;      /* sum_p d_ij[a] fvec[b] */
-    double *restrict stress_j = stress + 9;  /* sum_t d_ij[a] fj[b]   */
-    double *restrict stress_k = stress + 18; /* sum_t d_ik[a] fk[b]   */
-    int64_t n_pairs = 0, n_triplets = 0;
-    int64_t i, mj, mk;
-    int a, c;
+    /* ---- scratch: SoA, every row padded to whole vectors ---- */
+    const int64_t mr = (max_row + VLANES - 1) / VLANES * VLANES;
+    double *restrict sr = scratch;                 /* short list: r, d */
+    double *const sd[3] = {sr + mr, sr + 2 * mr, sr + 3 * mr};
+    double *restrict pr = sr + 4 * mr;             /* pair list: r, d  */
+    double *const pd[3] = {pr + mr, pr + 2 * mr, pr + 3 * mr};
+    REAL *restrict kr = (REAL *)(pr + 4 * mr);     /* k geometry in REAL: r, d, d / r */
+    REAL *const kd[3] = {kr + mr, kr + 2 * mr, kr + 3 * mr};
+    REAL *const kh[3] = {kr + 4 * mr, kr + 5 * mr, kr + 6 * mr};
+    REAL *restrict kterm = kr + 7 * mr;            /* N_KTERM vectors per fired k */
+    IREAL *restrict pj = (IREAL *)(kterm + N_KTERM * VLANES * mr); /* pair j, lane-mask width */
+    int32_t *restrict sj = (int32_t *)(pj + mr);
+    int32_t *restrict st = sj + mr;
+    int32_t *restrict ptj = st + mr;
+    int32_t *restrict kslot = ptj + mr;            /* short-list slot of each fired k */
+    REAL *restrict memo = (REAL *)(scratch + mr * ROW_DOUBLES);
+    int64_t *restrict memo_key = (int64_t *)(memo + ntypes * MEMO_REALS(ntypes));
+
+    const VREAL zero = v_set1((REAL)0.0), one = v_set1((REAL)1.0), half = v_set1((REAL)0.5);
+    const VMASK lane_id = {0, 1, 2, 3};
+    vacc w_p[9], w_j[9];                     /* pair and j virial sums, per lane */
+    double *restrict stress_k = stress + 18; /* sum_t d_ik[a] fk[b] */
+    int64_t n_pairs = 0, n_triplets = 0, n_bodies = 0;
+    int64_t i, q, q0, mk, s;
+    int a, c, l;
 
     memset(forces, 0, (size_t)(3 * n_atoms) * sizeof(double));
     memset(peratom, 0, (size_t)n_atoms * sizeof(double));
     memset(stress, 0, 27 * sizeof(double));
+    for (a = 0; a < 9; a++) w_p[a] = w_j[a] = vacc_set1(0);
+    for (i = 0; i < ntypes; i++) memo_key[i] = -1;
     for (i = 0; i < n_atoms; i++)
         if (types[i] < 0 || types[i] >= ntypes) return (int)-ters_fail(info, i, i, TERS_BAD_INPUT);
 
@@ -149,132 +222,170 @@ int TFN(tersoff_fused_)(
         const int64_t ns = ters_filter_row(x, types, n_atoms, i, neighbors + offsets[i], len,
                                            geo, sd, sr, sj, st, info);
         if (ns < 0) return (int)-ns;
-        for (mk = 0; mk < ns; mk++)
-            for (c = 0; c < 3; c++) hat[3 * mk + c] = (REAL)sd[3 * mk + c] / (REAL)sr[mk];
         const int64_t ti = types[i];
         ACC *f_i = forces + 3 * i;
 
-        for (mj = 0; mj < ns; mj++) {
-            const int64_t tj = st[mj];
-            const int64_t row_ij = (ti * ntypes + tj) * ntypes;
-            if (!(sr[mj] <= cut[row_ij + tj])) continue; /* inclusive R+D filter */
-            n_pairs++;
-            const int32_t j = sj[mj];
-            const double *restrict d_ij = sd + 3 * mj;
-            const REAL dij0 = (REAL)d_ij[0], dij1 = (REAL)d_ij[1], dij2 = (REAL)d_ij[2];
-            const REAL rij = (REAL)sr[mj];
-            ACC *f_j = forces + 3 * j;
+        /* REAL copies of the k geometry; the entries inside their own
+         * inclusive R+D are the pairs, packed densely in list order */
+        int64_t np = 0;
+        for (mk = 0; mk < ns; mk++) {
+            const int64_t tj = st[mk];
+            kr[mk] = (REAL)sr[mk];
+            for (c = 0; c < 3; c++) {
+                kd[c][mk] = (REAL)sd[c][mk];
+                kh[c][mk] = (REAL)sd[c][mk] / (REAL)sr[mk];
+            }
+            if (!(sr[mk] <= cut[((ti * ntypes + tj) * ntypes + tj)])) continue;
+            pr[np] = sr[mk];
+            for (c = 0; c < 3; c++) pd[c][np] = sd[c][mk];
+            pj[np] = sj[mk];
+            ptj[np] = (int32_t)tj;
+            np++;
+        }
+        /* pad the last block: unit distance, no atom, the type of its lane 0 */
+        for (q = np; q % VLANES; q++) {
+            pr[q] = 1;
+            for (c = 0; c < 3; c++) pd[c][q] = 0;
+            pj[q] = -1;
+            ptj[q] = ptj[np - np % VLANES];
+        }
 
-            /* ---- k loop 1: zeta and its cached derivative terms ---- */
-            ACC zeta = 0;
+        for (q0 = 0; q0 < np; q0 += VLANES) {
+            const int nv = np - q0 < VLANES ? (int)(np - q0) : VLANES;
+            const VMASK valid = lane_id < vm_set1(nv);
+            const VMASK jv = vm_load(pj + q0);
+            const vacc dij_acc[3] = {vacc_load(pd[0] + q0), vacc_load(pd[1] + q0),
+                                     vacc_load(pd[2] + q0)};
+            const VREAL rij = v_from_acc(vacc_load(pr + q0));
+            VREAL dij[3], hij[3];
+            for (c = 0; c < 3; c++) {
+                dij[c] = v_from_acc(dij_acc[c]);
+                hij[c] = dij[c] / rij;
+            }
+
+            /* parameter vectors of this block, rebuilt only when (ti, tj
+             * lanes) changes: once per call on a single-species system */
+            int64_t key = 0;
+            for (l = VLANES - 1; l >= 0; l--) key = key * ntypes + ptj[q0 + l];
+            REAL *restrict pv = memo + ti * MEMO_REALS(ntypes);
+            if (memo_key[ti] != key) {
+                TFN(ters_memo_fill_)(pv, ptab, ntypes, ti, ptj + q0);
+                memo_key[ti] = key;
+            }
+
+            /* ---- K loop 1: zeta and its cached derivative terms ---- */
+            vacc zeta = vacc_set1(0);
+            int64_t nk = 0;
             for (mk = 0; mk < ns; mk++) {
-                if (sj[mk] == j) continue;
-                n_triplets++;
-                const REAL *restrict tp = ptab + N_PARAM * (row_ij + st[mk]);
-                const double *restrict d_ik = sd + 3 * mk;
-                const REAL rik = (REAL)sr[mk];
-                const REAL cos_t = DOT3_EINSUM(dij0 * (REAL)d_ik[0], dij1 * (REAL)d_ik[1],
-                                               dij2 * (REAL)d_ik[2]) / (rij * rik);
-                const REAL Rt = tp[P_R], Dt = tp[P_D], l3 = tp[P_LAM3];
-                const REAL fcik = TFN(ters_fc_)(rik, Rt, Dt);
-                const REAL fcdik = TFN(ters_fc_d_)(rik, Rt, Dt);
-                const REAL g = TFN(ters_g_)(cos_t, tp[P_GAMMA], tp[P_C],
-                                            tp[P_DD], tp[P_H]);
-                const REAL gd = TFN(ters_g_d_)(cos_t, tp[P_GAMMA], tp[P_C],
-                                               tp[P_DD], tp[P_H]);
+                const VMASK live = valid & (jv != vm_set1(sj[mk]));
+                const int n_live = vm_count(live);
+                if (!n_live) continue;
+                n_triplets += n_live;
+                const REAL *restrict tv = pv + VLANES * (N_PV + st[mk] * N_TV);
+                const VREAL rik = v_set1(kr[mk]);
+                const VREAL cos_t = DOT3_EINSUM(dij[0] * v_set1(kd[0][mk]),
+                                                dij[1] * v_set1(kd[1][mk]),
+                                                dij[2] * v_set1(kd[2][mk])) / (rij * rik);
+                VREAL fcik, fcdik;
+                TFN(ters_fc_both_)(rik, tv, live, &fcik, &fcdik);
+
+                const VREAL hcth = MV(tv, TV_H) - cos_t;
+                const VREAL denom = MV(tv, TV_D2) + hcth * hcth;
+                const VREAL g = MV(tv, TV_GAMMA) * (MV(tv, TV_GONE) - MV(tv, TV_C2) / denom);
+                const VREAL gd = MV(tv, TV_GAMMA) * (MV(tv, TV_M2C2) * hcth) / (denom * denom);
 
                 /* zeta_exp / zeta_exp_d_over, exponent clamped at +69;
-                 * exp(+-0) is exactly 1, so lam3 == 0 skips the libm call */
-                const int cubic = tp[P_M] == (REAL)3.0;
-                const REAL ld = l3 * (rij - rik);
-                const REAL expo = cubic ? ld * ld * ld : ld;
-                const REAL ex = expo == (REAL)0.0
-                                    ? (REAL)1.0
-                                    : R_EXP(expo < (REAL)69.0 ? expo : (REAL)69.0);
-                const REAL exld = (expo >= (REAL)69.0)
-                                      ? (REAL)0.0
-                                      : (cubic ? (REAL)3.0 * l3 * ld * ld : l3);
+                 * exp(+-0) is exactly 1, so lam3 == 0 skips the polynomial */
+                const VMASK cubic = (VMASK)MV(tv, TV_CUBIC);
+                const VREAL top = v_set1((REAL)69.0);
+                const VREAL ld = MV(tv, TV_LAM3) * (rij - rik);
+                const VREAL expo = v_sel(cubic, ld * ld * ld, ld);
+                VREAL ex = one;
+                if (vm_any(live & (expo != zero)))
+                    ex = v_sel(expo == zero, one, TFN(vm_exp_)(v_sel(expo < top, expo, top)));
+                const VREAL exld = v_sel(expo >= top, zero,
+                                         v_sel(cubic, MV(tv, TV_3LAM3) * ld * ld, MV(tv, TV_LAM3)));
 
-                const REAL contrib = fcik * g * ex;
-                zeta += (ACC)contrib;
+                const VREAL contrib = fcik * g * ex;
+                zeta += v_to_acc(v_sel(live, contrib, zero));
 
-                REAL *restrict s = kterm + N_KTERM * mk;
-                s[K_COS] = cos_t;
-                s[K_FC] = fcik;
-                s[K_FCD] = fcdik;
-                s[K_G] = g;
-                s[K_GD] = gd;
-                s[K_EX] = ex;
-                s[K_EXLD] = exld;
-                s[K_ZETA] = contrib;
+                REAL *restrict ks = kterm + VLANES * N_KTERM * nk;
+                v_store(ks + VLANES * K_COS, cos_t);
+                v_store(ks + VLANES * K_FCGDEX, fcik * gd * ex);
+                v_store(ks + VLANES * K_AJ, contrib * exld);
+                v_store(ks + VLANES * K_AK, fcdik * g * ex - contrib * exld);
+                kslot[nk++] = (int32_t)mk;
             }
 
             /* ---- pair terms ---- */
-            const REAL *restrict pp = ptab + N_PARAM * (row_ij + tj);
-            const REAL fcij = TFN(ters_fc_)(rij, pp[P_R], pp[P_D]);
-            const REAL fcdij = TFN(ters_fc_d_)(rij, pp[P_R], pp[P_D]);
-            const REAL fr = pp[P_A] * R_EXP(-pp[P_LAM1] * rij);
-            const REAL frd = -pp[P_LAM1] * fr;
-            const REAL fa = -pp[P_B] * R_EXP(-pp[P_LAM2] * rij);
-            const REAL fad = -pp[P_LAM2] * fa;
-            REAL bij, bijd;
-            TFN(ters_bij_both_)((REAL)zeta, pp[P_BETA], pp[P_N], pp[P_C1],
-                                pp[P_C2], pp[P_C3], pp[P_C4], &bij, &bijd);
+            VREAL fcij, fcdij, bij, bijd;
+            TFN(ters_fc_both_)(rij, pv, valid, &fcij, &fcdij);
+            const VREAL fr = MV(pv, PV_A) * TFN(vm_exp_)(MV(pv, PV_NLAM1) * rij);
+            const VREAL frd = MV(pv, PV_NLAM1) * fr;
+            const VREAL fa = MV(pv, PV_NB) * TFN(vm_exp_)(MV(pv, PV_NLAM2) * rij);
+            const VREAL fad = MV(pv, PV_NLAM2) * fa;
+            TFN(ters_bij_both_)(v_from_acc(zeta), pv, valid, &bij, &bijd);
 
-            const REAL e = (REAL)0.5 * fcij * (fr + bij * fa);
-            const REAL dE = (REAL)0.5 * (fcdij * (fr + bij * fa) + fcij * (frd + bij * fad));
-            const REAL fp = -dE / rij;
-            const REAL pre = (REAL)0.5 * fcij * fa * bijd; /* dV/dzeta */
+            const VREAL e = half * fcij * (fr + bij * fa);
+            const VREAL dE = half * (fcdij * (fr + bij * fa) + fcij * (frd + bij * fad));
+            const VREAL fp = v_sel(valid, -dE / rij, zero);
+            const VREAL pre = v_sel(valid, half * fcij * fa * bijd, zero); /* dV/dzeta */
 
-            peratom[i] += (ACC)e;
-            const REAL fvec[3] = {fp * dij0, fp * dij1, fp * dij2};
-            for (c = 0; c < 3; c++) {
-                const ACC fv = (ACC)fvec[c];
-                f_i[c] -= fv;
-                f_j[c] += fv;
-                /* pair virial W_ab += d_a F_b, in pair-row order */
-                for (a = 0; a < 3; a++) stress_p[3 * a + c] += d_ij[a] * fv;
-            }
-
-            /* ---- k loop 2: zeta-derivative force terms ---- */
-            for (mk = 0; mk < ns; mk++) {
-                if (sj[mk] == j) continue;
-                const REAL *restrict s = kterm + N_KTERM * mk;
-                const double *restrict d_ik = sd + 3 * mk;
+            /* ---- K loop 2: zeta-derivative force terms; a lane whose j is
+             * this k holds finite garbage and is scaled by exactly zero ---- */
+            vacc f_it[3], f_jt[3];
+            for (c = 0; c < 3; c++) f_it[c] = f_jt[c] = vacc_set1(0);
+            for (s = 0; s < nk; s++) {
+                const REAL *restrict ks = kterm + VLANES * N_KTERM * s;
+                mk = kslot[s];
+                const VREAL pre_k = v_sel(jv != vm_set1(sj[mk]), pre, zero);
+                const VREAL rik = v_set1(kr[mk]);
+                const VREAL cos_t = MV(ks, K_COS), fcgdex = MV(ks, K_FCGDEX);
+                const VREAL aj = MV(ks, K_AJ), ak = MV(ks, K_AK);
+                const VREAL crij = cos_t / rij;
+                const VREAL crik = cos_t / rik;
                 ACC *f_k = forces + 3 * sj[mk];
-                const REAL rik = (REAL)sr[mk];
-                const REAL crij = s[K_COS] / rij;
-                const REAL crik = s[K_COS] / rik;
-                const REAL fcgdex = s[K_FC] * s[K_GD] * s[K_EX];
-                const REAL aj = s[K_ZETA] * s[K_EXLD];
-                const REAL ak = s[K_FCD] * s[K_G] * s[K_EX]
-                                - s[K_ZETA] * s[K_EXLD];
                 for (c = 0; c < 3; c++) {
-                    const REAL hij = hat[3 * mj + c];
-                    const REAL hik = hat[3 * mk + c];
-                    const REAL dcj = hik / rij - crij * hij;
-                    const REAL dck = hij / rik - crik * hik;
-                    const REAL dzj = aj * hij + fcgdex * dcj;
-                    const REAL dzk = ak * hik + fcgdex * dck;
-                    const REAL dzi = -(dzj + dzk);
-                    const ACC fi = (ACC)(pre * dzi);
-                    const ACC fj = (ACC)(pre * dzj);
-                    const ACC fk = (ACC)(pre * dzk);
-                    f_i[c] -= fi;
-                    f_j[c] -= fj;
+                    const VREAL hik = v_set1(kh[c][mk]);
+                    const VREAL dcj = hik / rij - crij * hij[c];
+                    const VREAL dck = hij[c] / rik - crik * hik;
+                    const VREAL dzj = aj * hij[c] + fcgdex * dcj;
+                    const VREAL dzk = ak * hik + fcgdex * dck;
+                    const VREAL dzi = -(dzj + dzk);
+                    f_it[c] += v_to_acc(pre_k * dzi);
+                    f_jt[c] += v_to_acc(pre_k * dzj);
+                    const ACC fk = vacc_hsum(v_to_acc(pre_k * dzk));
                     f_k[c] -= fk;
-                    /* triplet virial terms, in triplet-row order */
-                    for (a = 0; a < 3; a++) {
-                        stress_j[3 * a + c] += d_ij[a] * fj;
-                        stress_k[3 * a + c] += d_ik[a] * fk;
-                    }
+                    for (a = 0; a < 3; a++) stress_k[3 * a + c] += sd[a][mk] * fk;
                 }
             }
+
+            /* ---- out: F_i by reduction, F_j and e lane by lane ---- */
+            const vacc e_acc = v_to_acc(e);
+            for (c = 0; c < 3; c++) {
+                const vacc fv = v_to_acc(fp * dij[c]);
+                f_i[c] -= vacc_hsum(fv + f_it[c]);
+                for (l = 0; l < nv; l++) forces[3 * pj[q0 + l] + c] += fv[l] - f_jt[c][l];
+                /* virial W_ab += d_a F_b, summed per lane */
+                for (a = 0; a < 3; a++) {
+                    w_p[3 * a + c] += dij_acc[a] * fv;
+                    w_j[3 * a + c] += dij_acc[a] * f_jt[c];
+                }
+            }
+            for (l = 0; l < nv; l++) peratom[i] += e_acc[l];
+            n_pairs += nv;
+            n_bodies += nk + 1;
         }
+    }
+    for (a = 0; a < 9; a++) {
+        stress[a] = vacc_hsum(w_p[a]);     /* sum_p d_ij[a] fvec[b] */
+        stress[9 + a] = vacc_hsum(w_j[a]); /* sum_t d_ij[a] fj[b]   */
     }
     info[0] = n_pairs;
     info[1] = n_triplets;
+    info[2] = n_bodies;
+    info[3] = n_pairs + n_triplets; /* every active lane is a pair or a triplet */
     return TERS_OK;
 }
 
-#undef TFN
+#undef MV

@@ -1,20 +1,26 @@
 """Runtime C-extension builder/loader.
 
 The package ships C source — the compiled backend's ``_tersoff.c`` with
-the REAL-templated ``_tersoff_impl.h``, and the cell-list neighbor build
+the REAL-templated ``_tersoff_impl.h`` over the lane abstraction
+``_vec.h`` / ``_vmath.h``, and the cell-list neighbor build
 ``_neighbor.c`` — and compiles it into one shared object
 on first use with the host toolchain — no build-time step, no binary
 wheels, and ``pip install repro`` stays pure-Python.  The shared object
-is keyed by a content hash of the sources, the compile flags and the
-compiler identity, cached under ``~/.cache/repro/cext`` (override with
-``REPRO_CEXT_CACHE``), and published atomically (tmp file +
-``os.replace``) so concurrent builders — e.g. spawn-executor workers
-warming simultaneously — race benignly.
+is keyed by a content hash of the sources, the compile flags, the
+compiler identity and the host's instruction set, cached under
+``~/.cache/repro/cext`` (override with ``REPRO_CEXT_CACHE``), and
+published atomically (tmp file + ``os.replace``) so concurrent builders
+— e.g. spawn-executor workers warming simultaneously — race benignly.
 
 Float-determinism flags are part of the contract, not an optimization
 choice: ``-fno-fast-math -ffp-contract=off`` keeps every expression at
 one rounding per operator, which is what makes the documented ULP
-bounds against the numpy backend (DESIGN.md §12) hold.
+bounds against the numpy backend (DESIGN.md §12) hold.  The host-ISA
+flag (``-march=native`` where the compiler takes it) is the opposite: it
+only chooses the instructions the kernel's four lanes are lowered to and
+changes no result bit (``tests/test_backends.py::TestIsaIndependence``),
+but an object built with it must not be loaded on a lesser host — hence
+the ISA tag in the key, for cache directories shared between machines.
 
 ``REPRO_NO_CEXT=1`` force-disables the toolchain probe; tests and the
 ``backend-fallback`` CI leg use it to exercise the numpy fallback on hosts that do
@@ -26,6 +32,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import platform
 import shutil
 import subprocess
 import tempfile
@@ -33,8 +40,12 @@ from pathlib import Path
 
 _SRC_DIR = Path(__file__).resolve().parent
 _UNITS = ("_tersoff.c", "_neighbor.c")
-_SOURCES = _UNITS + ("_tersoff_impl.h", "_common.h")
-_CFLAGS = ("-O3", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off")
+_SOURCES = _UNITS + ("_tersoff_impl.h", "_vec.h", "_vmath.h", "_common.h")
+_CFLAGS = ("-O3", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off",
+           "-fno-math-errno", "-Wno-psabi")
+#: tried first, dropped when the compiler rejects it (generic lowering of
+#: the vector types is just as correct)
+_HOST_ISA_FLAGS = ("-march=native",)
 _COMPILERS = ("cc", "gcc", "clang")
 
 _lib: ctypes.CDLL | None = None
@@ -90,14 +101,37 @@ def _cache_dir() -> Path:
     return base / "repro" / "cext"
 
 
+def _isa_tag() -> str:
+    """What ``-march=native`` means on this host, read without a
+    subprocess: the machine plus a digest of the CPU feature flags."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith(("flags", "Features")):
+                    flags = " ".join(sorted(set(line.partition(":")[2].split())))
+                    return f"{platform.machine()}-{hashlib.sha256(flags.encode()).hexdigest()[:8]}"
+    except OSError:
+        pass
+    return platform.machine()
+
+
 def _build_key(cc: str) -> str:
     h = hashlib.sha256()
     for name in _SOURCES:
         h.update(name.encode())
         h.update((_SRC_DIR / name).read_bytes())
-    h.update(" ".join(_CFLAGS).encode())
+    h.update(" ".join(_CFLAGS + _HOST_ISA_FLAGS).encode())
     h.update(_compiler_identity(cc).encode())
+    h.update(_isa_tag().encode())
     return h.hexdigest()[:16]
+
+
+def _compile(cc: str, isa_flags: tuple[str, ...], out: str) -> tuple[list[str], str | None]:
+    """One compiler run into ``out``: ``(command, stderr or None on success)``."""
+    units = [str(_SRC_DIR / name) for name in _UNITS]
+    cmd = [cc, *_CFLAGS, *isa_flags, *units, f"-I{_SRC_DIR}", "-o", out, "-lm"]
+    res = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+    return cmd, None if res.returncode == 0 else res.stderr.strip()
 
 
 def build(force: bool = False) -> Path:
@@ -112,14 +146,15 @@ def build(force: bool = False) -> Path:
     cache.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=str(cache))
     os.close(fd)
-    units = [str(_SRC_DIR / name) for name in _UNITS]
-    cmd = [cc, *_CFLAGS, *units, f"-I{_SRC_DIR}", "-o", tmp, "-lm"]
     try:
-        res = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
-        if res.returncode != 0:
-            raise CextBuildError(
-                f"C backend build failed ({' '.join(cmd)}):\n{res.stderr.strip()}"
-            )
+        # host lowering first; a compiler that rejects the flag builds the
+        # generic lowering under the same key (the key names the attempt)
+        for isa_flags in (_HOST_ISA_FLAGS, ()):
+            cmd, err = _compile(cc, isa_flags, tmp)
+            if err is None:
+                break
+        else:
+            raise CextBuildError(f"C backend build failed ({' '.join(cmd)}):\n{err}")
         os.replace(tmp, so_path)  # atomic publish; concurrent builders race benignly
     finally:
         if os.path.exists(tmp):
@@ -127,18 +162,44 @@ def build(force: bool = False) -> Path:
     return so_path
 
 
-def _bind(lib: ctypes.CDLL, symbol: str, argtypes: list, restype):
-    fn = getattr(lib, symbol)
-    fn.argtypes = argtypes
-    fn.restype = restype
-    return fn
+def _entry_points(lib: ctypes.CDLL) -> dict[str, object]:
+    """Typed entry points of one loaded shared object."""
+    i32, i64, ptr = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
+
+    def bind(symbol: str, argtypes: list, restype):
+        fn = getattr(lib, symbol)
+        fn.argtypes = argtypes
+        fn.restype = restype
+        return fn
+
+    fns: dict[str, object] = {}
+    # tersoff_fused_*(n_atoms, offsets, neighbors, types, x, geo, ntypes,
+    # cut, ptab, max_row, scratch, forces, peratom, stress, info) -> code;
+    # shapes/dtypes are enforced by the caller (CompiledTersoffKernel)
+    fused = [i64, ptr, ptr, ptr, ptr, ptr, i64, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr]
+    for suffix in ("f64", "f32"):
+        fns[suffix] = bind(f"tersoff_fused_{suffix}", fused, ctypes.c_int)
+        # test hook: ters_vmath_*(kind, n, in, in2, out) -> code (_vmath.h)
+        fns[f"vmath_{suffix}"] = bind(f"ters_vmath_{suffix}", [i64, i64, ptr, ptr, ptr], ctypes.c_int)
+    # neighbor_build(n, x, geo, nbins, periodic, full, cell, cell_start,
+    # order, cap, offsets, neighbors, info) -> entries or -code; shapes
+    # and dtypes are enforced by the caller (NeighborList.build)
+    fns["neighbor_build"] = bind(
+        "neighbor_build",
+        [i64, ptr, ptr, ptr, ptr, i32, ptr, ptr, ptr, i64, ptr, ptr, ptr], i64)
+    # doubles of scratch tersoff_fused_* needs for (max_row, ntypes)
+    fns["scratch_doubles"] = bind("tersoff_scratch_doubles", [i64, i64], i64)
+    fns["lanes"] = bind("ters_lanes", [], i64)
+    fns["isa"] = bind("ters_isa", [], ctypes.c_char_p)
+    return fns
 
 
 def load() -> dict[str, object]:
     """Build if needed, load the library, and return the entry points.
 
-    Returns ``{"f64": <fn>, "f32": <fn>, "neighbor_build": <fn>}``;
-    cached per process.  A failed build is remembered: from then on
+    Returns ``{"f64": <fn>, "f32": <fn>, "neighbor_build": <fn>, ...}``
+    (every key of :func:`_entry_points`); cached per process.  A failed
+    build is remembered: from then on
     :func:`probe` gives its message as the reason the extension is
     unavailable, so callers that probe first fall back instead of
     recompiling on every call.
@@ -155,21 +216,16 @@ def load() -> dict[str, object]:
         # process-local lazy singleton: dlopen handles survive fork and
         # spawn re-imports fresh, so each worker lazily loads its own
         _lib = ctypes.CDLL(str(so_path))  # repro-lint: disable=KC003
-        i32, i64, ptr = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
-        # tersoff_fused_*(n_atoms, offsets, neighbors, types, x, geo, ntypes,
-        # cut, ptab, max_row, scratch, forces, peratom, stress, info) -> code;
-        # shapes/dtypes are enforced by the caller (CompiledTersoffKernel)
-        fused = [i64, ptr, ptr, ptr, ptr, ptr, i64, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr]
-        _fns["f64"] = _bind(_lib, "tersoff_fused_f64", fused, ctypes.c_int)  # repro-lint: disable=KC003
-        _fns["f32"] = _bind(_lib, "tersoff_fused_f32", fused, ctypes.c_int)
-        # neighbor_build(n, x, geo, nbins, periodic, full, cell, cell_start,
-        # order, cap, offsets, neighbors, info) -> entries or -code; shapes
-        # and dtypes are enforced by the caller (NeighborList.build)
-        _fns["neighbor_build"] = _bind(
-            _lib, "neighbor_build",
-            [i64, ptr, ptr, ptr, ptr, i32, ptr, ptr, ptr, i64, ptr, ptr, ptr], i64)
+        _fns.update(_entry_points(_lib))  # repro-lint: disable=KC003
     return _fns
 
 
 def loaded() -> bool:
     return _lib is not None
+
+
+def build_info() -> dict[str, object]:
+    """What the loaded kernel is (loads it if need be): the mapping
+    scheme, its lane count and the ISA the compiler lowered the lanes to."""
+    fns = load()
+    return {"scheme": "1a", "lanes": int(fns["lanes"]()), "isa": fns["isa"]().decode()}

@@ -5,10 +5,12 @@ pipeline hands it the CSR list as stored, the type column and the
 current positions (cache layers L1/L2 only), and one ctypes call into
 ``_tersoff.c`` does everything else per atom — minimum-image geometry,
 the non-finite/coincident guards, the Sec. IV-D max-cutoff short list,
-the inclusive per-type-pair filter and Alg. 3 (ζ with cached derivative
-terms, pair terms, forces, per-atom energy, the three virial sums).  No
-pair or triplet table is ever staged, so a cache hit, a mask drift and a
-rebuilt list all cost the same kernel call.
+the inclusive per-type-pair filter and Alg. 3 as the paper's scheme 1a:
+the pairs of an atom in four vector lanes, the K loop shared by the
+lanes (ζ with stored derivative vectors, pair terms, forces, per-atom
+energy, the three virial sums).  No pair or triplet table is ever
+staged, so a cache hit, a mask drift and a rebuilt list all cost the
+same kernel call.
 
 The numpy :class:`~repro.core.tersoff.production.TersoffKernel` is the
 oracle this kernel is tested against (DESIGN.md §12) and what the
@@ -37,8 +39,6 @@ from repro.md.potential import ForceResult
 #: Column order of the parameter table (``enum P_*`` in ``_tersoff.c``).
 PARAM_FIELDS = ("R", "D", "A", "lam1", "B", "lam2", "beta", "n", "c1", "c2", "c3", "c4",
                 "gamma", "c", "d", "h", "lam3", "m")
-#: Scratch doubles per neighbor of the longest row (``_tersoff_impl.h``).
-SCRATCH_DOUBLES_PER_ENTRY = 16
 #: Relative slack of the squared max-cutoff prefilter; entries it lets
 #: through are decided by the exact ``r <= cutoff`` test on the distance.
 _PREFILTER_MARGIN = 1.0 + 1.0e-9
@@ -87,7 +87,8 @@ class CompiledTersoffKernel(MultiBodyKernel):
         ad = self.precision.accum_dtype
 
         t0 = time.perf_counter()
-        fn = cext.load()["f64" if self._ptab.dtype == np.float64 else "f32"]
+        fns = cext.load()
+        fn = fns["f64" if self._ptab.dtype == np.float64 else "f32"]
         warmup_s = None
         if not self._warmed:
             # first call of this instance: the load (or build) is warmup
@@ -100,9 +101,9 @@ class CompiledTersoffKernel(MultiBodyKernel):
         geo[3:6] = [0.5 * span if per else np.inf for span, per in zip(box.lengths, box.periodic)]
         geo[6] = self.kcand_cutoff
         geo[7] = self.kcand_cutoff * self.kcand_cutoff * _PREFILTER_MARGIN
-        scratch = ws.buf("row", lst.max_row * SCRATCH_DOUBLES_PER_ENTRY, np.float64)
+        scratch = ws.buf("row", fns["scratch_doubles"](lst.max_row, self._ntypes), np.float64)
         stress3 = ws.buf("stress", (3, 3, 3), np.float64)
-        info = ws.buf("info", 2, np.int64)
+        info = ws.buf("info", 4, np.int64)
         # results are handed to the caller: fresh arrays, written once by C
         forces = np.empty((n, 3), dtype=np.float64)  # repro-lint: disable=KA003
         per_atom = np.empty(n, dtype=np.float64)  # repro-lint: disable=KA003
@@ -123,6 +124,7 @@ class CompiledTersoffKernel(MultiBodyKernel):
             raise ValueError(f"neighbor list or type column out of range at atom {i}")
 
         P, T, L = int(info[0]), int(info[1]), lst.n_list_entries
+        bodies, active = int(info[2]), int(info[3])
         energy = float(np.sum(per_atom.astype(ad, copy=False)))
         stress = stress3[0] - stress3[1] - stress3[2]
         stats = {
@@ -132,7 +134,12 @@ class CompiledTersoffKernel(MultiBodyKernel):
             "filter_efficiency": P / L if L else 1.0,
             "virial_tensor": 0.5 * (stress + stress.T),
             "per_atom_energy": per_atom,
-            "backend": {"name": "compiled", "strategy": "cext"},
+            # vector bodies issued (K-loop + pair) and the share of their
+            # lanes doing a pair or a triplet: what the repro.vector
+            # scheme-1a simulation predicts (tests/test_model_pins.py)
+            "backend": {"name": "compiled", "strategy": "cext",
+                        "kernel_invocations": bodies,
+                        "lane_occupancy": active / (fns["lanes"]() * bodies) if bodies else 1.0},
         }
         if warmup_s is not None:
             stats["timing"] = {"warmup_s": warmup_s}

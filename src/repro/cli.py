@@ -26,7 +26,7 @@ import sys
 
 def _cmd_info(args: argparse.Namespace) -> int:
     import repro
-    from repro.backends import available, get, get_default
+    from repro.backends import available, cext, get, get_default
     from repro.md.neighbor import active_builder
     from repro.parallel.executor import EXECUTOR_NAMES
     from repro.perf.machines import list_machines, processor_name, usable_cores
@@ -36,6 +36,15 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print("\ncompute backends:")
     for name, reason in available().items():
         status = "available" if reason is None else f"unavailable: {reason}"
+        if name == "compiled" and reason is None:
+            # what was built (this builds it, once per cache): a cache shared
+            # between hosts holds one object per ISA tag
+            try:
+                built = cext.build_info()
+                status += (f" — cext, scheme {built['scheme']}, {built['lanes']} lanes, "
+                           f"built for {built['isa']}")
+            except cext.CextBuildError as exc:
+                status = f"unavailable: {exc}"
         default = " (default)" if name == get_default() else ""
         print(f"  {name:8s} {status}{default}")
         print(f"           {get(name).description}")

@@ -215,7 +215,8 @@ def triplet_kernel(
     if masked:
         zeta_contrib = np.where(mask, zeta_contrib, 0.0)
     bk.counter.record("arith", rows * 2, bk.isa.costs.arith, width=bk.width, masked=masked)
-    bk.counter.record_kernel_invocation(rows)
+    bk.counter.record_kernel_invocation(
+        rows, width=bk.width, active_lanes=np.count_nonzero(mask) if masked else None)
     if not with_derivatives:
         return zeta_contrib, None, None, None
 
@@ -288,7 +289,8 @@ def pair_kernel(
         fpair = -dE_dr / safe_rij
         prefactor = 0.5 * fc * fa * bij_d
     charge(bk, RECIPE_PAIR_FORCE, rows, mask=mask, masked=masked)
-    bk.counter.record_kernel_invocation(rows)
+    bk.counter.record_kernel_invocation(
+        rows, width=bk.width, active_lanes=np.count_nonzero(mask) if masked else None)
     if masked:
         e_pair = np.where(mask, e_pair, 0.0)
         fpair = np.where(mask, fpair, 0.0)

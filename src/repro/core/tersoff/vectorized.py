@@ -501,6 +501,7 @@ class TersoffVectorized(Potential):
             "cycles": st.cycles,
             "instructions": st.instructions,
             "utilization": st.utilization,
+            "lane_occupancy": st.lane_occupancy,
             "kernel_invocations": st.kernel_invocations,
             "spin_iterations": st.spin_iterations,
             "by_category": st.by_category,

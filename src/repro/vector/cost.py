@@ -31,6 +31,11 @@ class KernelStats:
         Of those, slots doing useful (unmasked) work.
     kernel_invocations:
         Times the numerical kernel body fired.
+    kernel_lanes, kernel_lanes_active:
+        Lanes those bodies issued (``invocations x width``) and the ones
+        doing a pair or a triplet: the *unweighted* occupancy a real
+        kernel can count (``utilization`` weights every lane slot by the
+        instructions issued on it).
     spin_iterations:
         Fast-forward bookkeeping iterations (Sec. IV-C).
     by_category:
@@ -42,6 +47,8 @@ class KernelStats:
     lane_slots: int = 0
     lane_slots_active: int = 0
     kernel_invocations: int = 0
+    kernel_lanes: int = 0
+    kernel_lanes_active: int = 0
     spin_iterations: int = 0
     by_category: dict[str, int] = field(default_factory=dict)
 
@@ -52,6 +59,13 @@ class KernelStats:
             return 1.0
         return self.lane_slots_active / self.lane_slots
 
+    @property
+    def lane_occupancy(self) -> float:
+        """Fraction of the lanes of the fired kernel bodies that were active."""
+        if self.kernel_lanes == 0:
+            return 1.0
+        return self.kernel_lanes_active / self.kernel_lanes
+
     def scaled(self, factor: float) -> "KernelStats":
         """Stats linearly extrapolated to `factor`x the workload."""
         return KernelStats(
@@ -60,6 +74,8 @@ class KernelStats:
             lane_slots=int(self.lane_slots * factor),
             lane_slots_active=int(self.lane_slots_active * factor),
             kernel_invocations=int(self.kernel_invocations * factor),
+            kernel_lanes=int(self.kernel_lanes * factor),
+            kernel_lanes_active=int(self.kernel_lanes_active * factor),
             spin_iterations=int(self.spin_iterations * factor),
             by_category={k: int(v * factor) for k, v in self.by_category.items()},
         )
@@ -75,6 +91,8 @@ class CostCounter:
         self.lane_slots: int = 0
         self.lane_slots_active: int = 0
         self.kernel_invocations: int = 0
+        self.kernel_lanes: int = 0
+        self.kernel_lanes_active: int = 0
         self.spin_iterations: int = 0
         self.by_category: defaultdict[str, int] = defaultdict(int)
 
@@ -118,8 +136,13 @@ class CostCounter:
             self.lane_slots += slots
             self.lane_slots_active += slots if active_lanes is None else int(active_lanes)
 
-    def record_kernel_invocation(self, n: int = 1) -> None:
+    def record_kernel_invocation(self, n: int = 1, *, width: int = 0,
+                                 active_lanes: int | None = None) -> None:
+        """`n` kernel bodies fired; with a `width`, their lanes are
+        counted too (`active_lanes` of them useful, default all)."""
         self.kernel_invocations += n
+        self.kernel_lanes += n * width
+        self.kernel_lanes_active += n * width if active_lanes is None else int(active_lanes)
 
     def record_spin(self, n: int = 1) -> None:
         """Fast-forward bookkeeping iterations (Sec. IV-C 'spinning')."""
@@ -134,6 +157,8 @@ class CostCounter:
             lane_slots=self.lane_slots,
             lane_slots_active=self.lane_slots_active,
             kernel_invocations=self.kernel_invocations,
+            kernel_lanes=self.kernel_lanes,
+            kernel_lanes_active=self.kernel_lanes_active,
             spin_iterations=self.spin_iterations,
             by_category=dict(self.by_category),
         )
@@ -144,6 +169,8 @@ class CostCounter:
         self.lane_slots = 0
         self.lane_slots_active = 0
         self.kernel_invocations = 0
+        self.kernel_lanes = 0
+        self.kernel_lanes_active = 0
         self.spin_iterations = 0
         self.by_category.clear()
 
@@ -157,6 +184,8 @@ class CostCounter:
         out.lane_slots = self.lane_slots + other.lane_slots
         out.lane_slots_active = self.lane_slots_active + other.lane_slots_active
         out.kernel_invocations = self.kernel_invocations + other.kernel_invocations
+        out.kernel_lanes = self.kernel_lanes + other.kernel_lanes
+        out.kernel_lanes_active = self.kernel_lanes_active + other.kernel_lanes_active
         out.spin_iterations = self.spin_iterations + other.spin_iterations
         for key in set(self.by_category) | set(other.by_category):
             out.by_category[key] = self.by_category.get(key, 0) + other.by_category.get(key, 0)

@@ -1026,6 +1026,20 @@ class TestKERules:
     def test_sizeof_double_is_clean(self):
         assert check_c_source("k.c", "memset(p, 0, n * sizeof(double));\n") == []
 
+    def test_real_and_acc_lane_typedefs_are_clean(self):
+        src = ("typedef REAL vreal __attribute__((vector_size(4 * sizeof(REAL))));\n"
+               "typedef ACC vacc __attribute__((vector_size(4 * sizeof(ACC))));\n"
+               "typedef int64_t vmask __attribute__((vector_size(4 * sizeof(double))));\n"
+               "static inline vacc zero(void) { return (vacc){(ACC)0.0, 0, 0, 0}; }\n")
+        assert check_c_source("k.h", src) == []
+
+    def test_bare_double_lane_typedef_fires(self):
+        """Lanes frozen at f64 in template code: the float instantiation
+        would silently compute in double."""
+        src = "typedef double vlane __attribute__((vector_size(32)));\n"
+        (finding,) = check_c_source("k.h", src)
+        assert finding.rule == "KE001" and "lanes" in finding.message
+
     def test_comment_and_string_content_is_free(self):
         src = '/* double x = 1.0; */ const char *s = "double 2.0";\n'
         assert check_c_source("k.c", src) == []

@@ -2,18 +2,21 @@
 
 The contract under test (DESIGN.md §12): the ``compiled`` Tersoff
 kernel is one fused C pass over positions and the CSR neighbor list —
-it owns the minimum image, both cutoff filters and every accumulation —
-and must agree with the numpy kernel, its oracle, to documented
-per-field bounds: energy to a couple of ULPs, per-atom energies and the
-scalar virial to small ULP counts, forces and the virial tensor to tight
-*relative* bounds (elementwise ULP is meaningless there: near-cancelling
-force components legitimately differ by many ULPs at ~1e-11 relative
-error).  Its answer may depend on nothing but ``(x, list)``.  The
-registry must fall back to numpy gracefully (one warning per process),
-and the numpy default must be bitwise-unchanged by the backends package
-existing.
+it owns the minimum image, both cutoff filters and every accumulation,
+runs the pairs of an atom in four vector lanes (scheme 1a) and its own
+exp/log/sin/cos — and must agree with the numpy kernel, its oracle, to
+documented per-field bounds: energy to a couple of ULPs, per-atom
+energies and the scalar virial to small ULP counts, forces and the
+virial tensor to tight *relative* bounds (elementwise ULP is meaningless
+there: near-cancelling force components legitimately differ by many ULPs
+at ~1e-11 relative error).  Its answer may depend on nothing but ``(x,
+list)`` — not on history, and not on the ISA its lanes were lowered to.
+The registry must fall back to numpy gracefully (one warning per
+process), and the numpy default must be bitwise-unchanged by the
+backends package existing.
 """
 
+import ctypes
 import subprocess
 import sys
 import warnings
@@ -21,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_list, needs_compiled
 from repro import backends
@@ -35,15 +40,19 @@ from repro.vector.precision import Precision
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-# ---- documented equivalence bounds (DESIGN.md §12, measured with margin) ----
-ENERGY_ULP = 4          # measured 2
-PERATOM_ULP = 64        # measured 8 (one SiC seed just after its rebuild: 64)
-VIRIAL_ULP = 32         # measured 20
-TENSOR_MAXREL = 1e-13   # measured 2.0e-15
-FORCES_MAXREL = 1e-10   # measured 1.9e-15 (relative to the max force magnitude)
+# ---- documented equivalence bounds (DESIGN.md §12, measured with margin;
+# "measured" is the worst case of this file's workloads, the 10-seed matrix
+# of §12 in brackets) ----
+ENERGY_ULP = 4          # measured 2 [2]
+PERATOM_ULP = 64        # measured 10 [36]
+VIRIAL_ULP = 32         # measured 7 [two open-box seeds read 44 and 47, the other 178
+                        # configurations <= 28: the trace nearly cancels and the
+                        # sums no longer replay the oracle's order]
+TENSOR_MAXREL = 1e-13   # measured 2.2e-15 [4.4e-15]
+FORCES_MAXREL = 1e-10   # measured 1.8e-15 [7.0e-15] (relative to the max force magnitude)
 # float32 compute (single/mixed) reorders rounding: relative bounds only
-REDUCED_ENERGY_REL = 1e-5
-REDUCED_FORCES_MAXREL = 1e-3
+REDUCED_ENERGY_REL = 1e-5      # measured 2.4e-7 (the 10-seed matrix)
+REDUCED_FORCES_MAXREL = 1e-3   # measured 1.6e-5
 
 
 def ulp_diff(a, b):
@@ -442,6 +451,13 @@ class TestListStaging:
         with pytest.raises(ValueError, match="out of range at atom 5"):
             pot.compute(system, neigh)
         system.type[5] = 0
+        # a longest-row figure smaller than a row would overrun the scratch
+        from repro.core.pipeline import InteractionCache
+
+        st = InteractionCache().prepare(system, neigh, pot.kernel)
+        st.pairs.max_row = 3
+        with pytest.raises(ValueError, match="out of range at atom 0"):
+            pot.kernel.evaluate(st, system.n)
         smaller = system.select(np.arange(system.n) < system.n - 1)
         for _ in range(2):  # a retry is validated again, not served from the key
             with pytest.raises(ValueError, match="do not match the system"):
@@ -489,6 +505,264 @@ class TestNumpyOracle:
         rc = StagedPipeline(CompiledTersoffKernel(params, precision), cache=True).run(system, neigh)
         rn = StagedPipeline(TersoffKernel(params, precision), cache=True).run(system, neigh)
         assert_tracks(rc, rn)
+
+
+# ------------------------------------------- the build: key, flags, lowering
+
+
+def _variant(tmp_path, name, isa_flags):
+    """Entry points of the extension built with `isa_flags` into a
+    throw-away file: the private, test-only way to a second lowering."""
+    from repro.backends import cext
+
+    out = tmp_path / f"{name}.so"
+    _, err = cext._compile(cext.find_compiler(), isa_flags, str(out))
+    assert err is None, err
+    return cext._entry_points(ctypes.CDLL(str(out)))
+
+
+@needs_compiled
+class TestCextBuild:
+    def test_isa_tag_is_part_of_the_object_name(self, monkeypatch, tmp_path):
+        """A cache directory shared between machines must not hand one
+        host's -march=native object to another."""
+        from repro.backends import cext
+
+        monkeypatch.setenv("REPRO_CEXT_CACHE", str(tmp_path))
+        cc = cext.find_compiler()
+        here = cext._build_key(cc)
+        assert here == cext._build_key(cc)  # stable, and no build needed to name it
+        monkeypatch.setattr(cext, "_isa_tag", lambda: "x86_64-0badcafe")
+        assert cext._build_key(cc) != here
+
+    def test_isa_tag_names_the_machine(self):
+        import platform
+
+        from repro.backends import cext
+
+        assert cext._isa_tag().startswith(platform.machine())
+
+    def test_rejected_host_flag_still_builds_and_agrees(self, monkeypatch, tmp_path):
+        """A compiler that does not take the host-ISA flag gets the
+        generic lowering, which is the same kernel."""
+        from repro.backends import cext
+
+        monkeypatch.setenv("REPRO_CEXT_CACHE", str(tmp_path))
+        monkeypatch.setattr(cext, "_HOST_ISA_FLAGS", ("-march=no-such-cpu",))
+        so_path = cext.build()
+        assert so_path.parent == tmp_path and so_path.exists()
+        fns = cext._entry_points(ctypes.CDLL(str(so_path)))
+        monkeypatch.setattr(cext, "load", lambda: fns)
+        params, system, neigh = sic_workload()
+        rn = TersoffProduction(params).compute(system, neigh)
+        rc = TersoffProduction(params, backend="compiled").compute(system, neigh)
+        assert_tracks(rc, rn)
+
+    def test_build_failure_reports_the_compiler_output(self, monkeypatch, tmp_path):
+        from repro.backends import cext
+
+        monkeypatch.setenv("REPRO_CEXT_CACHE", str(tmp_path))
+        monkeypatch.setattr(cext, "_CFLAGS", cext._CFLAGS + ("-fno-such-option",))
+        with pytest.raises(cext.CextBuildError, match="no-such-option"):
+            cext.build()
+        assert list(tmp_path.iterdir()) == []  # no half-written object left behind
+
+    def test_build_info_names_scheme_lanes_and_isa(self):
+        from repro.backends import cext
+
+        info = cext.build_info()
+        assert info["scheme"] == "1a" and info["lanes"] == 4
+        assert info["isa"] and info["isa"].isascii()
+
+
+@needs_compiled
+class TestIsaIndependence:
+    """Lanes are the algorithm, the ISA is only speed: the baseline
+    lowering of the four lanes and the host's return the same bits.
+    What lets bitwise restarts and `serve`'s answers-vs-direct check
+    survive a move to another host."""
+
+    @pytest.fixture(scope="class")
+    def lowerings(self, tmp_path_factory):
+        from repro.backends import cext
+
+        tmp = tmp_path_factory.mktemp("lowerings")
+        try:
+            host = _variant(tmp, "host", cext._HOST_ISA_FLAGS)
+        except AssertionError:
+            pytest.skip("compiler rejects the host-ISA flag: one lowering only")
+        return _variant(tmp, "baseline", ()), host
+
+    @pytest.mark.parametrize("periodic", ["ppp", "fff"])
+    @pytest.mark.parametrize("precision", ["double", "mixed"])
+    @pytest.mark.parametrize("workload", [si_workload, sic_workload], ids=["si", "sic"])
+    def test_baseline_and_host_lowering_are_bitwise_equal(self, lowerings, monkeypatch,
+                                                          workload, precision, periodic):
+        from repro.backends import cext
+
+        params, system, _ = workload()
+        system = with_periodicity(system, PERIODICITIES[periodic])
+        neigh = build_list(system, params.max_cutoff)
+        results = []
+        for fns in lowerings:
+            monkeypatch.setattr(cext, "load", lambda fns=fns: fns)
+            pot = TersoffProduction(params, precision=precision, backend="compiled")
+            res = pot.compute(system, neigh)
+            sums = pot.kernel._ws.buf("stress", (3, 3, 3), np.float64).copy()
+            results.append((res, sums))
+        (base, base_sums), (host, host_sums) = results
+        assert_bitwise(host, base)
+        assert np.array_equal(host_sums, base_sums)  # pair, j and k virial sums
+        assert_same_counts(host, base)
+        assert host.stats["backend"] == base.stats["backend"]
+
+
+# ------------------------------------------------------- in-kernel exp/log/...
+
+VM_KINDS = {"exp": 0, "log": 1, "pow": 2, "sin": 3, "cos": 4}
+VM_DTYPES = {"f64": np.float64, "f32": np.float32}
+#: exp domain: down to the last normal result, up to the zeta-exponent clamp
+VM_EXP_RANGE = {"f64": (-708.0, 69.0), "f32": (-87.0, 69.0)}
+# measured worst case over 4e6 points per function (error in units of the
+# result's spacing, against numpy in the next precision up), pinned with margin
+VM_EXP_ULP = 2        # measured 1.06 (f32; f64 1.00)
+VM_LOG_ULP = 2        # measured 0.82
+VM_SIN_ULP = 4        # measured 2.0
+VM_COS_EPS = 2        # |err| / eps(1) on [-pi/2, pi/2], measured 1.1: cos is
+                      # absolute-accurate (Taylor), it vanishes at the edge
+#: pow = exp(y log x): its error grows with |y log x|.  Over everything
+#: b_ij can feed it — tmp in [c4, c1] (1e-22 .. 1e20), y in {n, -n, n-1},
+#: and (1 + tmp^n)^(-1/2n) — measured 33 (f64) / 57 (f32); 112 at the
+#: 1e-300 floor; where a solid's beta*zeta lives tmp^n reads 19 and the
+#: bond order (1 + tmp^n)^(-1/2n) 0.5
+VM_POW_ULP = {"f64": 64, "f32": 96}
+VM_POW_FLOOR_ULP = 192
+
+
+def vmath(kind, x, y=None, prec="f64"):
+    """`kind` of x (and y) through the kernel's vector lanes."""
+    from repro.backends import cext
+
+    dtype = VM_DTYPES[prec]
+    x = np.ascontiguousarray(x, dtype=dtype)
+    y = x if y is None else np.ascontiguousarray(np.broadcast_to(y, x.shape), dtype=dtype)
+    out = np.empty_like(x)
+    code = cext.load()[f"vmath_{prec}"](VM_KINDS[kind], x.size, x.ctypes.data, y.ctypes.data,
+                                        out.ctypes.data)
+    assert code == 0
+    return out
+
+
+def spacing_err(got, exact):
+    """|got - exact| in units of the spacing of got's dtype at `exact`;
+    `exact` is in the next precision up."""
+    ref = exact.astype(got.dtype)
+    return np.max(np.abs(got.astype(exact.dtype) - exact) / np.spacing(np.abs(ref)))
+
+
+def bij_pow_cases(params, prec):
+    """(base, exponent) over everything `ters_bij_both` raises to a power
+    for one parameter set, branch edges included."""
+    dtype = VM_DTYPES[prec]
+    rng = np.random.default_rng(11)
+    flat = params.flat()
+    rows = sorted(set(zip(*(getattr(flat, f).tolist() for f in ("n", "c1", "c2", "c3", "c4")))))
+    for n, c1, c2, c3, c4 in rows:
+        edges = np.array([c1, c2, c3, c4], dtype=dtype)
+        tmp = np.concatenate([np.exp(rng.uniform(np.log(c4), np.log(c1), 20000)).astype(dtype),
+                              edges, np.nextafter(edges, dtype(0)), np.nextafter(edges, dtype(np.inf))])
+        for y in (n, -n, n - 1.0):
+            yield tmp, dtype(y)
+        inner = tmp[(tmp >= c3) & (tmp <= c2)]
+        yield dtype(1.0) + vmath("pow", inner, dtype(n), prec), dtype(-1.0 / (2.0 * n))
+
+
+@needs_compiled
+@pytest.mark.parametrize("prec", ["f64", "f32"])
+class TestVectorMath:
+    """The polynomial kernels of `_vmath.h` against numpy one precision
+    up (longdouble for the double lanes, double for the float lanes)."""
+
+    @staticmethod
+    def wide(x):
+        return x.astype(np.longdouble if x.dtype == np.float64 else np.float64)
+
+    def check(self, kind, x, prec, bound, y=None):
+        x = np.asarray(x, dtype=VM_DTYPES[prec])
+        got = vmath(kind, x, y, prec)
+        fn = {"exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos}.get(kind)
+        exact = fn(self.wide(x)) if fn else np.power(self.wide(x), self.wide(np.asarray(y)))
+        if kind == "cos":
+            err = np.max(np.abs(self.wide(got) - exact)) / np.finfo(got.dtype).eps
+        else:
+            err = spacing_err(got, exact)
+        assert err <= bound, (kind, prec, float(err))
+
+    def test_worst_case_over_dense_samples(self, prec):
+        dtype, rng, n = VM_DTYPES[prec], np.random.default_rng(5), 200_000
+        lo, hi = VM_EXP_RANGE[prec]
+        self.check("exp", np.concatenate([rng.uniform(lo, hi, n), rng.uniform(-12.0, 0.0, n),
+                                          [lo, hi, 0.0, -0.0, 1e-30, -1e-30]]), prec, VM_EXP_ULP)
+        tiny, huge = np.finfo(dtype).tiny, np.finfo(dtype).max
+        self.check("log", np.concatenate([np.exp(rng.uniform(np.log(tiny), np.log(huge), n)),
+                                          rng.uniform(0.5, 2.0, n), 1.0 + rng.uniform(0, 1e-3, n),
+                                          [tiny, 1.0, 2.0, 0.5]]), prec, VM_LOG_ULP)
+        angle = np.concatenate([rng.uniform(-np.pi / 2, np.pi / 2, n), rng.uniform(-1e-3, 1e-3, n),
+                                [-np.pi / 2, np.pi / 2, 0.0, 1e-10, -1e-10]])
+        self.check("sin", angle, prec, VM_SIN_ULP)
+        self.check("cos", angle, prec, VM_COS_EPS)
+
+    @pytest.mark.parametrize("params", [tersoff_si, tersoff_sic], ids=["si", "sic"])
+    def test_pow_over_what_the_bond_order_feeds_it(self, prec, params):
+        for base, y in bij_pow_cases(params(), prec):
+            self.check("pow", base, prec, VM_POW_ULP[prec], y=y)
+
+    def test_pow_at_the_zeta_floor(self, prec):
+        """tmp_safe = max(beta*zeta, 1e-300): a normal double, zero in float."""
+        if prec == "f32":
+            assert np.float32(1.0e-300) == 0.0  # never fed: tmp < c4 takes the unit branch
+            return
+        for y in (0.78734, -0.78734, 0.78734 - 1.0):
+            self.check("pow", np.full(4, 1.0e-300), prec, VM_POW_FLOOR_ULP, y=y)
+        # n = 22.956 (Si(B)): under- and overflow saturate instead of trapping
+        assert np.array_equal(vmath("pow", np.full(4, 1.0e-300), 22.956), np.zeros(4))
+        assert np.array_equal(vmath("pow", np.full(4, 1.0e-300), -22.956), np.full(4, np.inf))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_input_in_range_meets_the_bounds(self, prec, data):
+        width = 64 if prec == "f64" else 32
+        lo, hi = VM_EXP_RANGE[prec]
+
+        def draw(a, b, **kw):
+            return data.draw(st.lists(st.floats(a, b, width=width, **kw), min_size=1, max_size=9))
+
+        self.check("exp", draw(lo, hi), prec, VM_EXP_ULP)
+        tiny = float(np.finfo(VM_DTYPES[prec]).tiny)
+        self.check("log", draw(tiny, float(np.finfo(VM_DTYPES[prec]).max)), prec, VM_LOG_ULP)
+        half_pi = float(np.nextafter(VM_DTYPES[prec](np.pi / 2), VM_DTYPES[prec](0)))
+        angle = draw(-half_pi, half_pi)
+        self.check("sin", angle, prec, VM_SIN_ULP)
+        self.check("cos", angle, prec, VM_COS_EPS)
+
+    @settings(max_examples=40, deadline=None)
+    @given(poison=st.lists(st.integers(0, 31), min_size=1, max_size=16, unique=True),
+           value=st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -1.0, 1e30]),
+           kind=st.sampled_from(sorted(VM_KINDS)), n=st.integers(29, 32))
+    def test_a_poisoned_lane_never_leaks(self, prec, poison, value, kind, n):
+        """Whatever a masked-off or padded lane holds, every other lane's
+        result is bitwise unchanged; a ragged tail is padded, not read."""
+        dtype = VM_DTYPES[prec]
+        rng = np.random.default_rng(3)
+        x = rng.uniform(0.1, 1.5, 32).astype(dtype)
+        y = rng.uniform(-2.0, 2.0, 32).astype(dtype)
+        clean = vmath(kind, x, y, prec)
+        bad_x, bad_y = x.copy(), y.copy()
+        bad_x[poison] = value
+        bad_y[poison] = value
+        got = vmath(kind, bad_x[:n], bad_y[:n], prec)
+        keep = np.setdiff1d(np.arange(n), poison)
+        assert np.array_equal(got[keep], clean[keep])
 
 
 # ------------------------------------------------- engine × compiled backend

@@ -26,6 +26,17 @@ class TestInfo:
         for token in ("avx2", "imci", "cuda", "IV+2KNC", "KNL"):
             assert token in out
 
+    def test_names_what_was_built_for_the_compiled_backend(self, capsys):
+        from repro import backends
+        from repro.backends import cext
+
+        if not backends.is_available("compiled"):
+            pytest.skip("compiled backend unavailable (no C toolchain)")
+        assert main(["info"]) == 0
+        built = cext.build_info()
+        assert (f"compiled available — cext, scheme 1a, 4 lanes, built for {built['isa']}"
+                in capsys.readouterr().out)
+
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity API")
     def test_reports_usable_not_installed_cores(self):
         """The count is the one benchmarks/e2e records and refuses on:

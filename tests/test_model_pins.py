@@ -8,7 +8,8 @@ pinned exactly (integer-valued stats) or to float noise (ratios).
 
 import pytest
 
-from conftest import build_list
+from conftest import build_list, needs_compiled
+from repro.core.tersoff.production import TersoffProduction
 from repro.core.tersoff.vectorized import TersoffVectorized
 from repro.harness.experiments import PAPER_ATOMS, kernel_profile
 from repro.md.lattice import diamond_lattice, perturbed
@@ -36,6 +37,28 @@ def test_fig1_scheme_stats(workload, scheme, isa, cycles, invocations, utilizati
     assert stats["cycles"] == cycles
     assert stats["kernel_invocations"] == invocations
     assert stats["utilization"] == pytest.approx(utilization, rel=RTOL)
+
+
+@needs_compiled
+def test_scheme_1a_simulation_meets_the_compiled_kernel(workload):
+    """The model meets a measurement (ROADMAP 1(d)): the C kernel *is*
+    scheme 1a on four double lanes, so the vector bodies it counts
+    (K-loop + pair) equal what the lane simulator fires, exactly, and so
+    does the share of their lanes doing a pair or a triplet.  Like is
+    compared with like: the simulator's pinned `utilization` (0.8132)
+    weights each lane by the instructions issued on it — the pair body
+    issues more than a K body — while a real kernel can only count
+    lanes, so the simulator reports the unweighted figure next to it."""
+    params, system, neigh = workload
+    sim = TersoffVectorized(params, isa="avx", scheme="1a").compute(system, neigh).stats
+    res = TersoffProduction(params, backend="compiled").compute(system, neigh)
+    measured = res.stats["backend"]
+    pairs, triplets = res.stats["pairs_in_cutoff"], res.stats["triples"]
+    assert sim["width"] == 4
+    assert measured["kernel_invocations"] == sim["kernel_invocations"] == 1080
+    assert measured["lane_occupancy"] == (pairs + triplets) / (4 * 1080) == 0.8
+    assert sim["lane_occupancy"] == pytest.approx(measured["lane_occupancy"], rel=RTOL)
+    assert sim["lane_occupancy"] < sim["utilization"]  # 0.800 unweighted, 0.813 weighted
 
 
 @pytest.mark.parametrize("fast_forward,filter_neighbors,cycles,spins,utilization", [
