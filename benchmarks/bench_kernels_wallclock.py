@@ -77,9 +77,31 @@ def test_compiled_precisions_wallclock(benchmark, big_workload, precision):
         pytest.skip("compiled backend unavailable (no C toolchain)")
     params, system, neigh = big_workload
     pot = TersoffProduction(params, precision=precision, backend="compiled")
+    pot.kernel.threads = 1
     pot.compute(system, neigh)  # build/load is warmup, not the measurement
     res = benchmark(pot.compute, system, neigh)
     assert np.isfinite(res.energy)
+
+
+@pytest.mark.benchmark(group="wallclock-4096atoms")
+@pytest.mark.parametrize("threads", [1, 2])
+def test_compiled_threads_wallclock(benchmark, big_workload, threads):
+    """Opt-D on one and on two threads of the kernel's pool (EXPERIMENTS.md
+    "Thread scaling"): the same bits, the I loop claimed in chunks of 64
+    rows.  Back-to-back calls keep the helper polling, as an MD run does."""
+    from repro import backends
+    from repro.host import usable_cores
+
+    if not backends.is_available("compiled"):
+        pytest.skip("compiled backend unavailable (no C toolchain)")
+    if threads > usable_cores():
+        pytest.skip(f"{usable_cores()} usable cores: {threads} threads would measure contention")
+    params, system, neigh = big_workload
+    pot = TersoffProduction(params, backend="compiled")
+    pot.kernel.threads = threads
+    pot.compute(system, neigh)
+    res = benchmark(pot.compute, system, neigh)
+    assert res.stats["backend"]["threads"] == threads
 
 
 @pytest.mark.benchmark(group="wallclock-substrate")

@@ -3,8 +3,10 @@ measure kernel statistics on a small replica and extrapolate to the
 paper's 32k-2M atom workloads.
 
 Wall-clock of the production solver across system sizes, the
-modeled-cycle linearity assertion, and the decomposed step's measured
-strong/weak scaling (Fig. 9 measured, not modeled)."""
+modeled-cycle linearity assertion, the decomposed step's measured
+strong/weak scaling (Fig. 9 measured, not modeled) and, on the compiled
+kernel, the two ways to use a second core for the same atoms: threads
+inside the kernel against a two-worker decomposition (ROADMAP 2(e))."""
 
 import pytest
 
@@ -58,6 +60,54 @@ def test_decomposed_scaling_wallclock(benchmark, cells, workers):
         print(f"\n{system.n} atoms, {workers} workers: {benchmark.stats['mean']:.3f} s/step, "
               f"halo {step.bytes_forward} B forward / {step.bytes_reverse} B reverse, "
               f"comm {sim.engine.comm_total.time_s * 1e3:.1f} ms measured, {fit}")
+    finally:
+        sim.close()
+
+
+#: three ways to run the same atoms on this host: one process on one or on
+#: two kernel threads, or two forked workers of one rank (and thread) each
+SECOND_CORE = {"1-thread": {"threads": 1}, "2-threads": {"threads": 2},
+               "2-workers": {"workers": 2, "ranks": 2, "executor": "fork"}}
+
+
+@pytest.mark.benchmark(group="scaling-second-core")
+@pytest.mark.parametrize("how", sorted(SECOND_CORE))
+@pytest.mark.parametrize("cells", [(8, 8, 8), (16, 16, 8)], ids=["4096atoms", "16384atoms"])
+def test_threads_vs_decomposition_wallclock(benchmark, cells, how):
+    """Whole MD steps, compiled `Opt-D`, 600 K: the kernel's share of the
+    step is printed next to the step, so that what threads cannot reach —
+    integrate, the skin test, Python glue — is a stated Amdahl fraction
+    (EXPERIMENTS.md "Thread scaling")."""
+    import multiprocessing
+
+    from repro import backends
+    from repro.md.lattice import seeded_velocities
+    from repro.host import usable_cores
+    from repro.runtime import RunSpec, SolverSpec, build_simulation
+
+    if not backends.is_available("compiled"):
+        pytest.skip("compiled backend unavailable (no C toolchain)")
+    setup = dict(SECOND_CORE[how])
+    threads = setup.pop("threads", None)
+    if usable_cores() < 2 and how != "1-thread":
+        pytest.skip("one usable core: a second thread or worker would measure contention")
+    if setup and "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork start method")
+    system = diamond_lattice(*cells)
+    seeded_velocities(system, 600.0, seed=3)
+    spec = RunSpec(solver=SolverSpec(mode="Opt-D", backend="compiled"), **setup)
+    sim = build_simulation(spec, system)
+    try:
+        if threads is not None:
+            sim.potential.kernel.threads = threads
+        sim.run(20)  # lists built, helper or workers warm
+        steps, rounds, pair_before = 40, 5, sim.timers.pair
+        benchmark.pedantic(sim.run, args=(steps,), rounds=rounds, iterations=1)
+        step_ms = benchmark.stats["median"] / steps * 1e3
+        kernel_ms = (sim.timers.pair - pair_before) / (steps * rounds) * 1e3
+        print(f"\n{system.n} atoms, {how}: step {step_ms:.2f} ms, kernel {kernel_ms:.2f} ms "
+              f"({kernel_ms / step_ms:.0%} of the step), "
+              f"{system.n / step_ms * 1e3:.3g} atom-steps/s")
     finally:
         sim.close()
 

@@ -36,6 +36,13 @@ What is deliberately allowed:
   f64 interface layer of the mixed-precision contract;
 - ``(double)``/``(ACC)`` casts and ``sizeof(double)`` — explicit
   accumulation promotion and interface-buffer sizing;
+- everything that is not floating point: the thread pool (``_pool.c``)
+  and the chunk bookkeeping of the template declare ``pthread_*``
+  objects, ``_Atomic int64_t`` counters and ``int64_t`` records, none of
+  which can leak a REAL.  A per-chunk *partial sum* is ``ACC`` like
+  every accumulator — spelled ``double`` it is flagged, also as
+  ``_Atomic double`` or ``_Atomic(double)``, which is a declaration and
+  not the cast it looks like;
 - comments and string literals (stripped before matching, with line
   numbers preserved).
 
@@ -197,8 +204,10 @@ def check_c_source(path: str, source: str, enabled: set[str] | None = None) -> l
             for m in _TYPE_WORD_RE.finditer(line):
                 before = line[: m.start()].rstrip()
                 after = line[m.end():].lstrip()
-                # (double) casts and sizeof(double): '(' ... ')'
-                if before.endswith("(") and after.startswith(")"):
+                # (double) casts and sizeof(double): '(' ... ')' — but
+                # _Atomic(double) is a type specifier, i.e. a declaration
+                if (before.endswith("(") and after.startswith(")")
+                        and not before.endswith("_Atomic(")):
                     continue
                 # pointer declarations are the fixed f64 interface layer
                 rest = after

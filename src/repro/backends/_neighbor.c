@@ -121,3 +121,38 @@ int64_t neighbor_build(
     offsets[n] = total;
     return total;
 }
+
+/* The transposed index of a CSR list: for every atom a the entries e
+ * with neighbors[e] == a, in ascending e — a stable counting sort of the
+ * entries by column, O(L).  It is what lets the Tersoff kernel *gather*
+ * the force on an atom from per-entry partials instead of scattering
+ * into it (Fan et al., arXiv 1610.03343), in an order fixed by the list.
+ * Built from the list as the kernel will see it, so a half-blanked
+ * (asymmetric) list is as good as a symmetric one.  A column outside
+ * [0, n) is left out here; the kernel's filter reports it.  Returns the
+ * entries placed, or -1 for a list too long for int32 entry numbers. */
+int64_t neighbor_transpose(
+    const int64_t n,
+    const int64_t n_entries,
+    const int32_t *restrict neighbors, /* (n_entries,)                      */
+    int64_t *restrict in_offsets,      /* (n+1,) out                        */
+    int32_t *restrict in_entries)      /* (n_entries,) out                  */
+{
+    int64_t a, e;
+    if (n_entries > INT32_MAX) return -1;
+    memset(in_offsets, 0, (size_t)(n + 1) * sizeof(int64_t));
+    for (e = 0; e < n_entries; e++) {
+        const int64_t j = neighbors[e];
+        if (j >= 0 && j < n) in_offsets[j + 1]++;
+    }
+    for (a = 1; a <= n; a++) in_offsets[a] += in_offsets[a - 1];
+    /* the fill walks slot a from the start of atom a to its end, which is
+     * the start of atom a + 1: shift back by one afterwards */
+    for (e = 0; e < n_entries; e++) {
+        const int64_t j = neighbors[e];
+        if (j >= 0 && j < n) in_entries[in_offsets[j]++] = (int32_t)e;
+    }
+    for (a = n; a > 0; a--) in_offsets[a] = in_offsets[a - 1];
+    in_offsets[0] = 0;
+    return in_offsets[n];
+}

@@ -2,8 +2,9 @@
 
 The package ships C source — the compiled backend's ``_tersoff.c`` with
 the REAL-templated ``_tersoff_impl.h`` over the lane abstraction
-``_vec.h`` / ``_vmath.h``, and the cell-list neighbor build
-``_neighbor.c`` — and compiles it into one shared object
+``_vec.h`` / ``_vmath.h`` and the thread pool ``_pool.c``, and the
+cell-list neighbor build ``_neighbor.c`` — and compiles it into one
+shared object
 on first use with the host toolchain — no build-time step, no binary
 wheels, and ``pip install repro`` stays pure-Python.  The shared object
 is keyed by a content hash of the sources, the compile flags, the
@@ -39,9 +40,9 @@ import tempfile
 from pathlib import Path
 
 _SRC_DIR = Path(__file__).resolve().parent
-_UNITS = ("_tersoff.c", "_neighbor.c")
-_SOURCES = _UNITS + ("_tersoff_impl.h", "_vec.h", "_vmath.h", "_common.h")
-_CFLAGS = ("-O3", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off",
+_UNITS = ("_tersoff.c", "_neighbor.c", "_pool.c")
+_SOURCES = _UNITS + ("_tersoff_impl.h", "_vec.h", "_vmath.h", "_common.h", "_pool.h")
+_CFLAGS = ("-O3", "-fPIC", "-shared", "-pthread", "-fno-fast-math", "-ffp-contract=off",
            "-fno-math-errno", "-Wno-psabi")
 #: tried first, dropped when the compiler rejects it (generic lowering of
 #: the vector types is just as correct)
@@ -173,10 +174,12 @@ def _entry_points(lib: ctypes.CDLL) -> dict[str, object]:
         return fn
 
     fns: dict[str, object] = {}
-    # tersoff_fused_*(n_atoms, offsets, neighbors, types, x, geo, ntypes,
-    # cut, ptab, max_row, scratch, forces, peratom, stress, info) -> code;
-    # shapes/dtypes are enforced by the caller (CompiledTersoffKernel)
-    fused = [i64, ptr, ptr, ptr, ptr, ptr, i64, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr]
+    # tersoff_fused_*(n_atoms, offsets, neighbors, in_offsets, in_entries,
+    # types, x, geo, ntypes, cut, ptab, max_row, threads, scratch, partial,
+    # where, forces, peratom, stress, info) -> code; shapes/dtypes are
+    # enforced by the caller (CompiledTersoffKernel)
+    fused = [i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, ptr, i64, i64,
+             ptr, ptr, ptr, ptr, ptr, ptr, ptr]
     for suffix in ("f64", "f32"):
         fns[suffix] = bind(f"tersoff_fused_{suffix}", fused, ctypes.c_int)
         # test hook: ters_vmath_*(kind, n, in, in2, out) -> code (_vmath.h)
@@ -187,8 +190,12 @@ def _entry_points(lib: ctypes.CDLL) -> dict[str, object]:
     fns["neighbor_build"] = bind(
         "neighbor_build",
         [i64, ptr, ptr, ptr, ptr, i32, ptr, ptr, ptr, i64, ptr, ptr, ptr], i64)
-    # doubles of scratch tersoff_fused_* needs for (max_row, ntypes)
-    fns["scratch_doubles"] = bind("tersoff_scratch_doubles", [i64, i64], i64)
+    # neighbor_transpose(n, n_entries, neighbors, in_offsets, in_entries)
+    # -> entries placed or -1 (repro.md.neighbor.incoming_index)
+    fns["neighbor_transpose"] = bind("neighbor_transpose", [i64, i64, ptr, ptr, ptr], i64)
+    # doubles of scratch tersoff_fused_* needs for (max_row, ntypes,
+    # n_atoms, threads)
+    fns["scratch_doubles"] = bind("tersoff_scratch_doubles", [i64, i64, i64, i64], i64)
     fns["lanes"] = bind("ters_lanes", [], i64)
     fns["isa"] = bind("ters_isa", [], ctypes.c_char_p)
     return fns

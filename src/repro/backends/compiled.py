@@ -8,9 +8,16 @@ the non-finite/coincident guards, the Sec. IV-D max-cutoff short list,
 the inclusive per-type-pair filter and Alg. 3 as the paper's scheme 1a:
 the pairs of an atom in four vector lanes, the K loop shared by the
 lanes (ζ with stored derivative vectors, pair terms, forces, per-atom
-energy, the three virial sums).  No pair or triplet table is ever
-staged, so a cache hit, a mask drift and a rebuilt list all cost the
-same kernel call.
+energy, the three virial sums), the atoms in chunks of rows over the
+threads of a small pool inside that one call.  No pair or triplet table
+is ever staged, so a cache hit, a mask drift and a rebuilt list all cost
+the same kernel call.
+
+How many threads a call uses is decided here, from what can be observed
+and from nothing a user sets: ``min(share, rows // THREAD_GRAIN)``, the
+share being the cores this process may run on (``threads = None``) or
+what :class:`~repro.parallel.engine.ParallelEngine` gave this rank's
+kernel.  No result bit depends on it (DESIGN.md §12).
 
 The numpy :class:`~repro.core.tersoff.production.TersoffKernel` is the
 oracle this kernel is tested against (DESIGN.md §12) and what the
@@ -34,6 +41,7 @@ from repro.analysis import hot_path
 from repro.backends import cext
 from repro.backends.base import BackendUnavailableError
 from repro.core.pipeline import DegenerateGeometryError, MultiBodyKernel, Staging, Workspace
+from repro.host import usable_cores
 from repro.md.potential import ForceResult
 
 #: Column order of the parameter table (``enum P_*`` in ``_tersoff.c``).
@@ -44,6 +52,11 @@ PARAM_FIELDS = ("R", "D", "A", "lam1", "B", "lam2", "beta", "n", "c1", "c2", "c3
 _PREFILTER_MARGIN = 1.0 + 1.0e-9
 #: Error returns of ``tersoff_fused_*`` (``TERS_*`` in ``_tersoff.c``).
 _NONFINITE, _COINCIDENT = 1, 2
+#: Rows per thread below which one more thread does not pay for its
+#: wake-up, barrier and cache traffic (measured, EXPERIMENTS.md "Thread
+#: scaling"): a 1728-atom call stays on one thread, a 2048-atom call
+#: gets two.
+THREAD_GRAIN = 1024
 
 
 def pick_strategy() -> str:
@@ -77,6 +90,8 @@ class CompiledTersoffKernel(MultiBodyKernel):
             dtype=precision.compute_dtype,
         )
         self.kcand_cutoff = float(np.max(flat.cut))
+        #: most threads a call may use; ``None`` = every usable core
+        self.threads: int | None = None
         self._ws = Workspace()
         self._warmed = False
 
@@ -101,18 +116,30 @@ class CompiledTersoffKernel(MultiBodyKernel):
         geo[3:6] = [0.5 * span if per else np.inf for span, per in zip(box.lengths, box.periodic)]
         geo[6] = self.kcand_cutoff
         geo[7] = self.kcand_cutoff * self.kcand_cutoff * _PREFILTER_MARGIN
-        scratch = ws.buf("row", fns["scratch_doubles"](lst.max_row, self._ntypes), np.float64)
+        threads = n // THREAD_GRAIN
+        if threads > 1:
+            threads = min(threads, usable_cores() if self.threads is None else self.threads)
+        threads = max(threads, 1)
+        in_offsets, in_entries = lst.incoming
+        L = lst.n_list_entries
+        if in_offsets.shape[0] != n + 1 or in_entries.shape[0] != L or lst.offsets[n] != L:
+            raise ValueError("neighbor list and its transposed index do not match")
+        scratch = ws.buf("row", fns["scratch_doubles"](lst.max_row, self._ntypes, n, threads),
+                         np.float64)
+        partial = ws.buf("partial", (L + 1, 3), np.float64)
+        where = ws.buf("where", L, np.int32)
         stress3 = ws.buf("stress", (3, 3, 3), np.float64)
-        info = ws.buf("info", 4, np.int64)
+        info = ws.buf("info", 5, np.int64)
         # results are handed to the caller: fresh arrays, written once by C
         forces = np.empty((n, 3), dtype=np.float64)  # repro-lint: disable=KA003
         per_atom = np.empty(n, dtype=np.float64)  # repro-lint: disable=KA003
 
         code = fn(
-            n, lst.offsets.ctypes.data, lst.neighbors.ctypes.data, lst.types.ctypes.data,
+            n, lst.offsets.ctypes.data, lst.neighbors.ctypes.data,
+            in_offsets.ctypes.data, in_entries.ctypes.data, lst.types.ctypes.data,
             lst.x.ctypes.data, geo.ctypes.data,
             self._ntypes, self._cut.ctypes.data, self._ptab.ctypes.data,
-            lst.max_row, scratch.ctypes.data,
+            lst.max_row, threads, scratch.ctypes.data, partial.ctypes.data, where.ctypes.data,
             forces.ctypes.data, per_atom.ctypes.data, stress3.ctypes.data, info.ctypes.data,
         )
         if code:
@@ -123,7 +150,7 @@ class CompiledTersoffKernel(MultiBodyKernel):
                 raise ValueError(f"non-finite interatomic distance involving atom {i}")
             raise ValueError(f"neighbor list or type column out of range at atom {i}")
 
-        P, T, L = int(info[0]), int(info[1]), lst.n_list_entries
+        P, T = int(info[0]), int(info[1])
         bodies, active = int(info[2]), int(info[3])
         energy = float(np.sum(per_atom.astype(ad, copy=False)))
         stress = stress3[0] - stress3[1] - stress3[2]
@@ -136,10 +163,12 @@ class CompiledTersoffKernel(MultiBodyKernel):
             "per_atom_energy": per_atom,
             # vector bodies issued (K-loop + pair) and the share of their
             # lanes doing a pair or a triplet: what the repro.vector
-            # scheme-1a simulation predicts (tests/test_model_pins.py)
+            # scheme-1a simulation predicts (tests/test_model_pins.py);
+            # threads: what the call's rows were offered to
             "backend": {"name": "compiled", "strategy": "cext",
                         "kernel_invocations": bodies,
-                        "lane_occupancy": active / (fns["lanes"]() * bodies) if bodies else 1.0},
+                        "lane_occupancy": active / (fns["lanes"]() * bodies) if bodies else 1.0,
+                        "threads": int(info[4])},
         }
         if warmup_s is not None:
             stats["timing"] = {"warmup_s": warmup_s}

@@ -29,7 +29,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
     from repro.backends import available, cext, get, get_default
     from repro.md.neighbor import active_builder
     from repro.parallel.executor import EXECUTOR_NAMES
-    from repro.perf.machines import list_machines, processor_name, usable_cores
+    from repro.host import processor_name, usable_cores
+    from repro.perf.machines import list_machines
     from repro.vector.isa import ISA_REGISTRY
 
     print(f"repro {repro.__version__} — Tersoff vectorization reproduction (SC'16)")
@@ -41,8 +42,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
             # between hosts holds one object per ISA tag
             try:
                 built = cext.build_info()
-                status += (f" — cext, scheme {built['scheme']}, {built['lanes']} lanes, "
-                           f"built for {built['isa']}")
+                status += (f" — cext, scheme {built['scheme']}, {built['lanes']} lanes × "
+                           f"{usable_cores()} threads, built for {built['isa']}")
             except cext.CextBuildError as exc:
                 status = f"unavailable: {exc}"
         default = " (default)" if name == get_default() else ""
@@ -197,10 +198,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"\n{result.timers.breakdown()}")
     print(f"throughput: {result.ns_per_day(sim.dt):.3f} ns/day "
           f"({result.neighbor_builds} neighbor rebuilds)")
-    cache_info = (sim.last_result.stats.get("cache", {}) if sim.last_result else {})
+    last_stats = sim.last_result.stats if sim.last_result else {}
+    cache_info = last_stats.get("cache", {})
     if cache_info.get("enabled"):
         print(f"interaction cache: {cache_info['hits']} hits, {cache_info['misses']} misses, "
               f"{cache_info['invalidations']} invalidations (list v{cache_info['list_version']})")
+    kernel_info = last_stats.get("backend", {})
+    if "threads" in kernel_info:
+        print(f"kernel: {kernel_info['name']} ({kernel_info['strategy']}), "
+              f"{kernel_info['threads']} threads on the last call")
     summary = sim.workload_summary()
     if summary is not None:
         print(f"parallel: grid {summary['grid']}, "

@@ -35,9 +35,9 @@ L3 (masks)  L2 + the per-pair cutoff mask and (when     filtered pair /
 A kernel that walks the list itself (``reads_list``: the fused C
 Tersoff kernel filters and builds its geometry per atom, straight from
 positions) stops after L2: the cache hands it the CSR arrays as stored,
-the longest row and the type column, and rewrites only ``x``/``box``
-per call.  There is no mask to drift, so every call at an unchanged
-list and type column is a hit.
+the longest row, the list's transposed index and the type column, and
+rewrites only ``x``/``box`` per call.  There is no mask to drift, so
+every call at an unchanged list and type column is a hit.
 
 Geometry (``d``, ``r``) is recomputed from the current positions on
 *every* call — forces always follow the atoms — and the cutoff masks
@@ -62,6 +62,7 @@ from repro.analysis import hot_path
 from repro.core.pipeline.kernel import MultiBodyKernel, Staging
 from repro.core.pipeline.topology import ListData, PairData, pair_geometry
 from repro.core.pipeline.workspace import CacheStats, Workspace
+from repro.md.neighbor import incoming_index
 
 
 class InteractionCache:
@@ -135,10 +136,12 @@ class InteractionCache:
                     f"neighbor list rows ({offsets.shape[0] - 1} atoms, "
                     f"{neigh.neighbors.shape[0]} entries) do not match the system ({system.n} atoms)"
                 )
+            neighbors = np.ascontiguousarray(neigh.neighbors, dtype=np.int32)
             lst = ListData(
                 offsets=offsets,
-                neighbors=np.ascontiguousarray(neigh.neighbors, dtype=np.int32),
+                neighbors=neighbors,
                 max_row=int(np.diff(offsets).max(initial=0)),
+                incoming=incoming_index(neighbors, system.n),
             )
             self._staging = Staging(pairs=lst, kcand=lst)
         lst = self._staging.pairs

@@ -76,15 +76,19 @@ class PairData:
 class ListData:
     """What a kernel that walks the list itself (``reads_list``) gets.
 
-    The CSR list exactly as :class:`NeighborList` stores it plus the
-    type column (topology, cached per list version) and the positions
-    and box, rewritten by the cache before every ``evaluate``.  Nothing
-    is filtered here, so the staged-pair counters read the full list.
+    The CSR list exactly as :class:`NeighborList` stores it, its
+    transposed index and the type column (topology, cached per list
+    version), and the positions and box, rewritten by the cache before
+    every ``evaluate``.  Nothing is filtered here, so the staged-pair
+    counters read the full list.
     """
 
     offsets: np.ndarray  # (n+1,) int64 row offsets
     neighbors: np.ndarray  # (L,) int32 columns
     max_row: int  # longest row: sizes the kernel's per-atom short list
+    #: ``(offsets, entries)`` of :func:`repro.md.neighbor.incoming_index`:
+    #: per atom the list entries that name it, in list order
+    incoming: tuple[np.ndarray, np.ndarray]
     types: np.ndarray | None = None  # (n,) int32
     x: np.ndarray | None = None  # (n, 3) float64
     box: Box | None = None

@@ -25,6 +25,13 @@ class Workspace:
         self._bufs: dict[str, np.ndarray] = {}
         self.grow_events = 0
 
+    def __reduce__(self):
+        # Pickle and deep-copy as a *fresh* arena: the buffers are scratch
+        # that every user overwrites before reading, so a warmed owner
+        # sent to a spawn/socket worker or copied per rank would only
+        # carry megabytes nobody reads.
+        return (Workspace, ())
+
     def buf(self, name: str, shape, dtype) -> np.ndarray:
         dtype = np.dtype(dtype)
         shape = tuple(int(s) for s in shape) if isinstance(shape, tuple) else (int(shape),)

@@ -34,16 +34,30 @@ class VelocityVerlet:
         if dt <= 0.0:
             raise ValueError("timestep must be positive")
         self.dt = float(dt)
+        self._tmp = np.empty((0, 3))  # the one (n, 3) temporary of a kick
+
+    def _half_kick(self, system: AtomSystem) -> None:
+        """``v += ((dt/2 FTM2V) f) / m`` — that association, every step."""
+        if system.mass.shape[0] == 1:
+            # one species: 1/m is one number, and multiplying by it is
+            # what multiplying by a column of it does, bit for bit
+            inv_m = 1.0 / system.mass[0]
+        else:
+            inv_m = 1.0 / system.per_atom_mass()[:, None]
+        if self._tmp.shape != system.f.shape:
+            self._tmp = np.empty_like(system.f)
+        np.multiply(0.5 * self.dt * FTM2V, system.f, out=self._tmp)
+        np.multiply(self._tmp, inv_m, out=self._tmp)
+        system.v += self._tmp
 
     def initial_integrate(self, system: AtomSystem) -> None:
-        inv_m = 1.0 / system.per_atom_mass()[:, None]
-        system.v += (0.5 * self.dt * FTM2V) * system.f * inv_m
-        system.x += self.dt * system.v
+        self._half_kick(system)
+        np.multiply(self.dt, system.v, out=self._tmp)
+        system.x += self._tmp
         system.wrap()
 
     def final_integrate(self, system: AtomSystem) -> None:
-        inv_m = 1.0 / system.per_atom_mass()[:, None]
-        system.v += (0.5 * self.dt * FTM2V) * system.f * inv_m
+        self._half_kick(system)
 
 
 class Langevin:

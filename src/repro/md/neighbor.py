@@ -268,6 +268,27 @@ def _compiled_csr(x: np.ndarray, box: Box, rlist: float, nbins: np.ndarray,
         cap = total
 
 
+def incoming_index(neighbors: np.ndarray, n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
+    """The transposed index ``(offsets, entries)`` of a CSR list.
+
+    ``entries[offsets[a]:offsets[a + 1]]`` are the positions ``e`` in
+    `neighbors` (int32, contiguous) with ``neighbors[e] == a``,
+    ascending: what a kernel that *gathers* the force on an atom from
+    per-entry partials walks (the compiled Tersoff kernel's second
+    sweep, DESIGN.md §12).  One O(L) counting sort in ``_neighbor.c`` —
+    the extension is what its only reader is made of.  Columns outside
+    ``[0, n_atoms)`` are left out: the kernel's own filter reports them.
+    """
+    total = neighbors.shape[0]
+    offsets = np.empty(n_atoms + 1, dtype=np.int64)
+    entries = np.empty(total, dtype=np.int32)
+    placed = cext.load()["neighbor_transpose"](n_atoms, total, neighbors.ctypes.data,
+                                               offsets.ctypes.data, entries.ctypes.data)
+    if placed < 0:
+        raise ValueError(f"neighbor list of {total} entries is too long for int32 entry numbers")
+    return offsets, entries
+
+
 class NeighborList:
     """A CSR-format Verlet neighbor list with rebuild tracking.
 

@@ -55,6 +55,7 @@ import numpy as np
 
 from repro.analysis import hot_path
 from repro.core.pipeline import Workspace
+from repro.host import usable_cores
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
 from repro.md.neighbor import NeighborList, NeighborSettings
@@ -118,6 +119,10 @@ class WorkerHost:
     species: tuple
     potential: Potential
     settings: NeighborSettings
+    #: workers of the engine this host serves: a rank's kernel may thread
+    #: over this host's usable cores divided by it, so that ranks that run
+    #: side by side never oversubscribe (threads change no result bit)
+    workers: int = 1
     states: dict[int, _RankState] = field(default_factory=dict)
 
     def handle(self, cmd: str, payload):
@@ -221,11 +226,19 @@ class WorkerHost:
                     species=self.species,
                 ),
                 neigh=prev.neigh if prev is not None else NeighborList(self.settings),
-                potential=prev.potential if prev is not None
-                else copy.deepcopy(self.potential),
+                potential=prev.potential if prev is not None else self._rank_potential(),
             )
         for rank in [r for r in self.states if r not in {p["rank"] for p in payloads}]:
             del self.states[rank]
+
+    def _rank_potential(self) -> Potential:
+        """A rank's private copy of the template potential, its kernel
+        threading over this worker's share of the host."""
+        potential = copy.deepcopy(self.potential)
+        kernel = getattr(potential, "kernel", None)
+        if hasattr(kernel, "threads"):
+            kernel.threads = max(1, usable_cores() // self.workers)
+        return potential
 
     def _warm(self, payloads: list[dict]) -> None:
         # restart support: rebuild each rank's list at its checkpointed
@@ -378,7 +391,8 @@ class ParallelEngine:
                      "f": ((ranks, n, 3), "float64")}
         views = self._exec.start(
             partial(WorkerHost, box=system.box, mass=system.mass.copy(),
-                    species=system.species, potential=potential, settings=self.settings),
+                    species=system.species, potential=potential, settings=self.settings,
+                    workers=self.workers),
             specs,
         )
         # per-call staging in executor shared memory: repopulated from the

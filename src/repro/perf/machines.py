@@ -10,9 +10,6 @@ global across experiments, and documented in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import os
-import platform
-import sys
 from dataclasses import dataclass
 
 
@@ -153,28 +150,3 @@ def table_ii() -> list[Machine]:
 def table_iii() -> list[Machine]:
     """Table III rows (Xeon Phi systems)."""
     return list_machines("III")
-
-
-# ---- Host --------------------------------------------------------------------
-# The modeled machines above describe the *paper's* hardware; these two
-# describe the host `repro info` runs on.
-
-def usable_cores() -> int:
-    """Cores this process may be scheduled on (affinity-aware) — the
-    count ``benchmarks/e2e/run.py`` records and refuses to scale past."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def processor_name() -> str:
-    """Best-effort CPU model string (``platform.processor`` is often empty on Linux)."""
-    if sys.platform.startswith("linux"):
-        try:
-            with open("/proc/cpuinfo") as fh:
-                for line in fh:
-                    if line.lower().startswith("model name"):
-                        return line.split(":", 1)[1].strip()
-        except OSError:
-            pass
-    return platform.processor() or platform.machine()

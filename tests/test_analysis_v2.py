@@ -1044,6 +1044,29 @@ class TestKERules:
         src = '/* double x = 1.0; */ const char *s = "double 2.0";\n'
         assert check_c_source("k.c", src) == []
 
+    def test_pool_and_chunk_bookkeeping_is_clean(self):
+        """Threads, atomics and integer records cannot leak a REAL."""
+        src = ("static pthread_mutex_t lock = PTHREAD_MUTEX_INITIALIZER;\n"
+               "static pthread_t thread[63];\n"
+               "static _Atomic uint64_t job;\n"
+               "typedef struct {\n"
+               "    ACC w[27];\n"
+               "    int64_t count[3];\n"
+               "    _Alignas(64) _Atomic int64_t next_rows;\n"
+               "    double *partial;\n"
+               "} __attribute__((aligned(64))) rec;\n"
+               "static int64_t now_ns(void) { return (int64_t)t.tv_sec * 1000000000; }\n")
+        assert check_c_source("_pool.c", src) == []
+
+    @pytest.mark.parametrize("decl", ["double w[27];", "_Atomic double sum;",
+                                      "_Atomic(double) sum;"])
+    def test_bare_double_partial_in_a_chunk_record_fires(self, decl):
+        """A per-chunk partial frozen at f64 by its spelling instead of by
+        ACC: the one place threading could leak a type into the template."""
+        src = f"typedef struct {{\n    {decl}\n    int64_t count[3];\n}} rec;\n"
+        (finding,) = check_c_source("_tersoff_impl.h", src)
+        assert finding.rule == "KE001" and finding.line == 2
+
     def test_c_comment_suppression(self, tmp_path):
         src = "double acc = 1.5; /* repro-lint: disable=KE001,KE002 */\n"
         res = self.lint_c(tmp_path, src)

@@ -10,15 +10,18 @@ energies and the scalar virial to small ULP counts, forces and the
 virial tensor to tight *relative* bounds (elementwise ULP is meaningless
 there: near-cancelling force components legitimately differ by many ULPs
 at ~1e-11 relative error).  Its answer may depend on nothing but ``(x,
-list)`` — not on history, and not on the ISA its lanes were lowered to.
+list)`` — not on history, not on the ISA its lanes were lowered to and
+not on how many threads its rows were split over.
 The registry must fall back to numpy gracefully (one warning per
 process), and the numpy default must be bitwise-unchanged by the
 backends package existing.
 """
 
 import ctypes
+import os
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -49,7 +52,7 @@ VIRIAL_ULP = 32         # measured 7 [two open-box seeds read 44 and 47, the oth
                         # configurations <= 28: the trace nearly cancels and the
                         # sums no longer replay the oracle's order]
 TENSOR_MAXREL = 1e-13   # measured 2.2e-15 [4.4e-15]
-FORCES_MAXREL = 1e-10   # measured 1.8e-15 [7.0e-15] (relative to the max force magnitude)
+FORCES_MAXREL = 1e-10   # measured 1.9e-15 [6.9e-15] (relative to the max force magnitude)
 # float32 compute (single/mixed) reorders rounding: relative bounds only
 REDUCED_ENERGY_REL = 1e-5      # measured 2.4e-7 (the 10-seed matrix)
 REDUCED_FORCES_MAXREL = 1e-3   # measured 1.6e-5
@@ -84,9 +87,9 @@ def si_workload(cells=2, seed=5):
     return params, system, build_list(system, params.max_cutoff)
 
 
-def sic_workload(seed=9):
+def sic_workload(cells=2, seed=9):
     params = tersoff_sic()
-    system = perturbed(zincblende_sic(2, 2, 2), 0.10, seed=seed)
+    system = perturbed(zincblende_sic(cells, cells, cells), 0.10, seed=seed)
     return params, system, build_list(system, params.max_cutoff)
 
 
@@ -118,6 +121,11 @@ def assert_bitwise(res_a, res_b):
     assert np.array_equal(res_a.forces, res_b.forces)
     assert np.array_equal(res_a.stats["virial_tensor"], res_b.stats["virial_tensor"])
     assert np.array_equal(res_a.stats["per_atom_energy"], res_b.stats["per_atom_energy"])
+
+
+def kernel_sums(pot):
+    """The pair, j and k virial sums of the kernel's last call."""
+    return pot.kernel._ws.buf("stress", (3, 3, 3), np.float64).copy()
 
 
 def assert_equivalent(res_c, res_n):
@@ -216,10 +224,7 @@ class TestRegistry:
             "assert any('falling back' in str(x.message) for x in w)\n"
             "print('OK')\n"
         )
-        env = {"REPRO_NO_CEXT": "1", "PYTHONPATH": str(REPO_ROOT / "src")}
-        import os
-
-        env = {**os.environ, **env}
+        env = {**os.environ, "REPRO_NO_CEXT": "1", "PYTHONPATH": str(REPO_ROOT / "src")}
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
@@ -608,13 +613,292 @@ class TestIsaIndependence:
             monkeypatch.setattr(cext, "load", lambda fns=fns: fns)
             pot = TersoffProduction(params, precision=precision, backend="compiled")
             res = pot.compute(system, neigh)
-            sums = pot.kernel._ws.buf("stress", (3, 3, 3), np.float64).copy()
-            results.append((res, sums))
+            results.append((res, kernel_sums(pot)))
         (base, base_sums), (host, host_sums) = results
         assert_bitwise(host, base)
         assert np.array_equal(host_sums, base_sums)  # pair, j and k virial sums
         assert_same_counts(host, base)
         assert host.stats["backend"] == base.stats["backend"]
+
+
+# ------------------------------------------ atoms I on threads: no bit moves
+
+
+def assert_same_call(res, sums, ref, ref_sums):
+    """Everything a call returns but the thread count itself."""
+    assert_bitwise(res, ref)
+    assert np.array_equal(sums, ref_sums)
+    assert_same_counts(res, ref)
+    for key in ("kernel_invocations", "lane_occupancy"):
+        assert res.stats["backend"][key] == ref.stats["backend"][key], key
+
+
+@pytest.fixture
+def every_call_threads(monkeypatch):
+    """The grain keeps systems of this file's size on one thread; without
+    it 216 atoms are four chunks of rows — 64, 64, 64 and a partial 24 —
+    for up to four threads to claim."""
+    from repro.backends import compiled
+
+    monkeypatch.setattr(compiled, "THREAD_GRAIN", 1)
+
+
+@needs_compiled
+@pytest.mark.usefixtures("every_call_threads")
+class TestThreadInvariance:
+    """Threads never define physics: the rows are claimed in fixed
+    chunks, every chunk's sums are reduced in chunk order and every force
+    is gathered in list order, so one, two, three and four threads — more
+    than this host may have cores — and any assignment of chunks to them
+    return the same bits."""
+
+    @staticmethod
+    def run(params, system, neigh, threads, precision="double"):
+        pot = TersoffProduction(params, precision=precision, backend="compiled")
+        pot.kernel.threads = threads
+        res = pot.compute(system, neigh)
+        # the job was opened for that many threads (never more than chunks)
+        assert res.stats["backend"]["threads"] == min(threads, -(-system.n // 64))
+        return res, kernel_sums(pot)
+
+    @pytest.mark.parametrize("periodic", list(PERIODICITIES))
+    @pytest.mark.parametrize("precision", ["double", "mixed"])
+    @pytest.mark.parametrize("workload", [si_workload, sic_workload], ids=["si", "sic"])
+    def test_bitwise_for_one_to_four_threads(self, workload, precision, periodic):
+        params, system, _ = workload(cells=3)
+        system = with_periodicity(system, PERIODICITIES[periodic])
+        neigh = build_list(system, params.max_cutoff)
+        assert system.n % 64  # the last chunk is partial
+        ref, ref_sums = self.run(params, system, neigh, 1, precision)
+        for threads in (2, 3, 4):
+            for _ in range(3):  # who claims which chunk differs run to run
+                res, sums = self.run(params, system, neigh, threads, precision)
+                assert_same_call(res, sums, ref, ref_sums)
+
+    @pytest.mark.parametrize("precision", ["double", "mixed"])
+    def test_decomposed_rank_with_blanked_ghost_rows(self, precision):
+        """An asymmetric list: ghosts are named by rows and have none."""
+        from repro.md.neighbor import NeighborSettings
+        from repro.parallel.decomposition import DomainDecomposition
+
+        params, system, _ = si_workload(cells=3)
+        dd = DomainDecomposition(system, 2, halo=params.max_cutoff + 1.0)
+        settings = NeighborSettings(cutoff=params.max_cutoff, skin=1.0, full=True)
+        for dom in dd.domains:
+            neigh, _ = dd.ensure_local_list(dom.rank, settings)
+            assert dom.n_ghost > 0 and np.all(neigh.counts()[dom.n_owned:] == 0)
+            ref, ref_sums = self.run(params, dom.local_system, neigh, 1, precision)
+            assert ref.forces[dom.n_owned:].any()  # gathered onto atoms without a row
+            for threads in (2, 3, 4):
+                res, sums = self.run(params, dom.local_system, neigh, threads, precision)
+                assert_same_call(res, sums, ref, ref_sums)
+
+    @pytest.mark.parametrize("brute", [False, True], ids=["binned", "brute-force"])
+    def test_restored_list(self, brute):
+        """A list that came back through `set_state` — C-built, or the
+        numpy O(n^2) build with its rows in another order — is transposed
+        from what the kernel sees, like any other."""
+        from repro.md.neighbor import NeighborList
+
+        params, system, _ = sic_workload(cells=3)
+        built = build_list(system, params.max_cutoff, brute=brute)
+        restored = NeighborList(built.settings)
+        restored.set_state(built.get_state(), system.box)
+        ref, ref_sums = self.run(params, system, built, 1)
+        for threads in (1, 2, 3, 4):
+            res, sums = self.run(params, system, restored, threads)
+            assert_same_call(res, sums, ref, ref_sums)
+
+    def test_first_error_is_the_lowest_atoms(self):
+        """Two faults in different chunks: whoever gets to its chunk
+        first, the error of the lower rows is the one reported."""
+        params, system, neigh = si_workload(cells=3)
+        rows = np.repeat(np.arange(system.n), neigh.counts())
+        high = next(e for e in range(neigh.n_pairs)
+                    if rows[e] >= 192 and neigh.neighbors[e] >= 192)
+        a, b = int(rows[high]), int(neigh.neighbors[high])
+        system.x[a] = system.x[b]  # a coincident pair in the last chunk
+
+        def failure(threads):
+            pot = TersoffProduction(params, backend="compiled")
+            pot.kernel.threads = threads
+            with pytest.raises(ValueError) as caught:
+                pot.compute(system, neigh)
+            return type(caught.value), str(caught.value)
+
+        from repro.core.pipeline import DegenerateGeometryError
+
+        alone = failure(1)
+        assert alone == (DegenerateGeometryError,
+                         str(DegenerateGeometryError(min(a, b), max(a, b))))
+        system.x[10] = np.nan  # and a non-finite atom in the first
+        first = failure(1)
+        assert first[0] is ValueError and "non-finite" in first[1]
+        for threads in (2, 3, 4):
+            for _ in range(5):
+                assert failure(threads) == first
+
+
+#: what every lifecycle script starts with: threads on small systems, one
+#: evaluation, and an engine whose ranks keep the template's thread count
+#: (the engine itself would give each of two workers half the host)
+LIFECYCLE_PRELUDE = textwrap.dedent("""
+    import copy
+    import numpy as np
+    from test_backends import si_workload, sic_workload
+    from repro.backends import compiled
+    from repro.core.tersoff.production import TersoffProduction
+    from repro.parallel.engine import ParallelEngine, WorkerHost
+
+    compiled.THREAD_GRAIN = 1
+    WorkerHost._rank_potential = lambda self: copy.deepcopy(self.potential)
+
+    def evaluate(workload, threads):
+        params, system, neigh = workload
+        pot = TersoffProduction(params, backend="compiled")
+        pot.kernel.threads = threads
+        res = pot.compute(system, neigh)
+        return res.energy, res.forces, res.stats["backend"]["threads"]
+
+    def engine_steps(cells, executor, threads, steps=1):
+        params, system, _ = si_workload(cells=cells)
+        pot = TersoffProduction(params, backend="compiled")
+        pot.kernel.threads = threads
+        rng, out = np.random.default_rng(31), []
+        with ParallelEngine(system.copy(), pot, workers=2, ranks=2, executor=executor) as eng:
+            x = system.x.copy()
+            for _ in range(steps):
+                step = eng.compute(x)
+                out.append((step.energy, step.forces.copy()))
+                x = x + 0.01 * rng.standard_normal(x.shape)
+        return out
+
+    def same(a, b):
+        return a[0] == b[0] and np.array_equal(a[1], b[1])
+""")
+
+
+def run_isolated(code, *, timeout=180):
+    """The prelude and `code` in a fresh interpreter that must finish: a
+    hung pool is a failed test, not a hung suite (no pytest-timeout here)."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"),
+                                                       str(REPO_ROOT / "tests")])}
+    proc = subprocess.run([sys.executable, "-c", LIFECYCLE_PRELUDE + textwrap.dedent(code)],
+                          env=env, capture_output=True, text=True, timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "OK"
+
+
+@needs_compiled
+class TestPoolLifecycle:
+    """The pool outlives calls, is shared by every kernel of the process
+    and knows nothing of Python: what happens around it — fork, spawn,
+    concurrent callers, resizing, a restricted CPU set, exit — is tested
+    from outside, each in its own interpreter with a timeout."""
+
+    @pytest.mark.parametrize("executor", ["fork", "spawn"])
+    def test_engine_workers_after_a_threaded_call_in_the_parent(self, executor):
+        """A forked child inherits "helpers started" and no helper; its
+        ranks thread all the same (the prelude's patch travels with the
+        fork) and start their own."""
+        import multiprocessing
+
+        if executor not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {executor} start method")
+        run_isolated(f"""
+            if __name__ == "__main__":
+                assert evaluate(si_workload(cells=3), 3)[2] == 3  # helpers are up
+                pooled = engine_steps(3, {executor!r}, 3)
+                assert same(pooled[0], engine_steps(3, "serial", 1)[0])
+                assert evaluate(si_workload(cells=3), 3)[2] == 3  # and still are
+                print("OK")
+            """)
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self/task"),
+                        reason="needs fork and /proc")
+    def test_forked_child_starts_its_own_helpers(self):
+        """Not merely "does not hang": the child's calls are threaded
+        again, on helpers of its own."""
+        run_isolated("""
+            import os, signal
+
+            workload = si_workload(cells=3)
+            before = len(os.listdir("/proc/self/task"))  # numpy may have its own
+            ref = evaluate(workload, 4)
+            assert len(os.listdir("/proc/self/task")) == before + 3
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(60)  # a child that hangs must not outlive the test
+                alone = len(os.listdir("/proc/self/task"))
+                res = evaluate(workload, 4)
+                grown = len(os.listdir("/proc/self/task"))
+                os._exit(0 if same(res, ref) and res[2] == 4 and (alone, grown) == (1, 4) else 1)
+            assert os.waitpid(pid, 0)[1] == 0
+            assert same(evaluate(workload, 4), ref)
+            print("OK")
+            """)
+
+    def test_concurrent_callers_never_wait_for_each_other(self):
+        """Two `ThreadExecutor` ranks that may each use three threads:
+        whoever finds the pool taken runs its chunks alone — same bits."""
+        run_isolated("""
+            import sys
+
+            sys.setswitchinterval(1e-5)
+            threaded, serial = engine_steps(4, "thread", 3, 40), engine_steps(4, "serial", 1, 40)
+            assert all(same(a, b) for a, b in zip(threaded, serial))
+            print("OK")
+            """)
+
+    def test_resizing_and_regrowing_neither_hangs_nor_leaks(self):
+        """500 calls over thread counts 1..4 and two sizes: the pool
+        grows to three helpers and stays there, the scratch regrows."""
+        run_isolated("""
+            import os
+
+            def tasks():
+                return len(os.listdir("/proc/self/task"))
+
+            workloads = si_workload(cells=3), si_workload(cells=4)
+            pot = TersoffProduction(workloads[0][0], backend="compiled")
+            refs = [evaluate(w, 1) for w in workloads]
+            before = tasks()
+            for call in range(500):
+                which = (call // 3) % 2
+                pot.kernel.threads = 1 + call % 4
+                res = pot.compute(*workloads[which][1:])
+                assert same((res.energy, res.forces), refs[which]), call
+            assert pot.kernel._ws.grow_events > 4
+            assert tasks() <= before + 3, (before, tasks())
+            print("OK")
+            """)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity API")
+    def test_one_allowed_cpu(self):
+        """`taskset -c 0`: the share resolves to one thread; an explicit
+        four still runs (helpers have nowhere else to go) and agrees."""
+        run_isolated("""
+            import os
+
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            workload = sic_workload(cells=3)
+            auto, one, four = (evaluate(workload, t) for t in (None, 1, 4))
+            assert (auto[2], one[2], four[2]) == (1, 1, 4)
+            assert same(auto, one) and same(four, one)
+            print("OK")
+            """)
+
+    @pytest.mark.parametrize("nap", [0.0, 0.05], ids=["spinning", "asleep"])
+    def test_exit_with_parked_helpers_is_clean(self, nap):
+        """Helpers poll, then sleep; neither state delays or dirties the
+        interpreter's exit."""
+        run_isolated(f"""
+            import time
+
+            assert evaluate(si_workload(cells=3), 4)[2] == 4
+            time.sleep({nap})  # the spin budget is 2 ms
+            print("OK")
+            """, timeout=60)
 
 
 # ------------------------------------------------------- in-kernel exp/log/...
@@ -788,6 +1072,31 @@ class TestEngineWithCompiledBackend:
         ew, fw = run(workers)
         assert e1 == ew
         assert np.array_equal(f1, fw)
+
+    @pytest.mark.parametrize("workers,share", [(1, 8), (2, 4), (3, 2), (16, 1)])
+    def test_a_rank_threads_over_its_workers_share_of_the_host(self, monkeypatch, workers,
+                                                               share):
+        """Workers run side by side, so each rank's kernel gets the usable
+        cores divided by them — `--workers 2` on two cores is one thread
+        per rank — and the caller's template is left alone."""
+        from repro.md.neighbor import NeighborSettings
+        from repro.parallel import engine
+
+        monkeypatch.setattr(engine, "usable_cores", lambda: 8)
+        params, system, _ = si_workload()
+        for backend in ("compiled", "numpy"):  # a kernel without threads is left alone
+            pot = TersoffProduction(params, backend=backend)
+            host = engine.WorkerHost(
+                arrays={}, box=system.box, mass=system.mass, species=system.species,
+                potential=pot, settings=NeighborSettings(cutoff=params.max_cutoff),
+                workers=workers)
+            host.handle("ranks", [{"rank": 0, "n_owned": system.n, "types": system.type}])
+            kernel = host.states[0].potential.kernel
+            assert kernel is not pot.kernel
+            if backend == "compiled":
+                assert (kernel.threads, pot.kernel.threads) == (share, None)
+            else:
+                assert not hasattr(kernel, "threads")
 
     def test_serial_executor_matches_process(self):
         from repro.parallel.engine import ParallelEngine

@@ -32,15 +32,20 @@ class TestInfo:
 
         if not backends.is_available("compiled"):
             pytest.skip("compiled backend unavailable (no C toolchain)")
+        from repro.host import usable_cores
+
         assert main(["info"]) == 0
         built = cext.build_info()
-        assert (f"compiled available — cext, scheme 1a, 4 lanes, built for {built['isa']}"
-                in capsys.readouterr().out)
+        assert (f"compiled available — cext, scheme 1a, 4 lanes × {usable_cores()} threads, "
+                f"built for {built['isa']}" in capsys.readouterr().out)
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity API")
     def test_reports_usable_not_installed_cores(self):
         """The count is the one benchmarks/e2e records and refuses on:
-        cores this process may run on, not cores the machine has."""
+        cores this process may run on, not cores the machine has — and
+        the threads of the compiled kernel follow it."""
+        from repro import backends
+
         code = ("import os, sys\n"
                 "from repro.cli import main\n"
                 "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
@@ -48,6 +53,8 @@ class TestInfo:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, check=True)
         assert "(1 usable cores)" in proc.stdout
+        if backends.is_available("compiled"):
+            assert "4 lanes × 1 threads" in proc.stdout
 
 
 class TestRun:
@@ -63,6 +70,15 @@ class TestRun:
     def test_ref_mode_run(self, capsys):
         assert main(["run", "--atoms", "64", "--steps", "2", "--mode", "Ref"]) == 0
         assert "Ref" in capsys.readouterr().out
+
+    def test_compiled_run_says_how_many_threads_ran(self, capsys):
+        """64 atoms are below the grain: one thread, whatever the host."""
+        from repro import backends
+
+        if not backends.is_available("compiled"):
+            pytest.skip("compiled backend unavailable (no C toolchain)")
+        assert main(["run", "--atoms", "64", "--steps", "2", "--backend", "compiled"]) == 0
+        assert "kernel: compiled (cext), 1 threads on the last call" in capsys.readouterr().out
 
 
 class TestFigure:

@@ -65,6 +65,24 @@ class EchoFactory:
         return EchoHost(arrays)
 
 
+class ScratchFactory:
+    """A factory that owns a warmed `Workspace`, like the potential bound
+    into the engine's worker factory, and is its own host: the copy that
+    arrived in the worker reports what it arrived with."""
+
+    def __init__(self):
+        from repro.core.pipeline import Workspace
+
+        self.ws = Workspace()
+        self.ws.buf("partial", (1 << 17, 3), np.float64)  # 3 MiB of scratch
+
+    def __call__(self, arrays):
+        return self
+
+    def handle(self, cmd, payload):
+        return self.ws.nbytes, self.ws.grow_events
+
+
 EXECUTORS = ["serial", "thread", "spawn"] + (["fork"] if HAVE_FORK else []) + ["tcp", "unix"]
 OUT_OF_PROCESS = [name for name in EXECUTORS if name not in ("serial", "thread")]
 
@@ -185,6 +203,19 @@ class TestProcessSpecific:
             assert ex.submit(0, "pid").result() != os.getpid()
         finally:
             ex.shutdown()
+
+    def test_scratch_does_not_travel_to_spawned_workers(self):
+        """A `Workspace` pickles as a fresh arena: a warmed kernel sent
+        to a spawn (or socket) worker carries no megabytes of scratch."""
+        factory = ScratchFactory()
+        assert factory.ws.nbytes == 3 << 20
+        ex = ProcessExecutor(1, start_method="spawn")
+        try:
+            ex.start(factory, {"data": ((1,), "float64")})
+            assert ex.submit(0, "scratch").result() == (0, 0)
+        finally:
+            ex.shutdown()
+        assert factory.ws.nbytes == 3 << 20  # the sender keeps its own
 
     @pytest.mark.parametrize("name", OUT_OF_PROCESS)
     def test_dead_worker_fails_its_futures(self, name):

@@ -71,6 +71,56 @@ class TestVelocityVerlet:
         assert np.allclose(-s.v, v0, atol=1e-12)
 
 
+class SeedVelocityVerlet(VelocityVerlet):
+    """The half-kicks as they were written before they reused a scratch
+    array: the oracle of the order of operations, kept verbatim."""
+
+    def initial_integrate(self, system):
+        inv_m = 1.0 / system.per_atom_mass()[:, None]
+        system.v += (0.5 * self.dt * FTM2V) * system.f * inv_m
+        system.x += self.dt * system.v
+        system.wrap()
+
+    def final_integrate(self, system):
+        inv_m = 1.0 / system.per_atom_mass()[:, None]
+        system.v += (0.5 * self.dt * FTM2V) * system.f * inv_m
+
+
+class TestTrajectoriesAreBitwiseTheSeeds:
+    """Scratch reuse and the one-species scalar 1/m change no operand and
+    no association — ``((dt/2 FTM2V) f) / m``, ``x += dt v`` — so 50 NVE
+    steps land on the same bits, two species (a 1/m column) or one."""
+
+    @pytest.mark.parametrize("species", ["sic", "si"])
+    def test_fifty_nve_steps(self, species):
+        from repro.core.tersoff.parameters import tersoff_si, tersoff_sic
+        from repro.core.tersoff.production import TersoffProduction
+        from repro.md.lattice import zincblende_sic
+        from repro.md.neighbor import NeighborList, NeighborSettings
+
+        params = tersoff_sic() if species == "sic" else tersoff_si()
+        lattice = zincblende_sic if species == "sic" else diamond_lattice
+
+        def trajectory(integrator):
+            system = lattice(2, 2, 2)
+            assert len(system.mass) == (2 if species == "sic" else 1)
+            seeded_velocities(system, 900.0, seed=4)
+            pot = TersoffProduction(params)
+            neigh = NeighborList(NeighborSettings(cutoff=params.max_cutoff, skin=1.0))
+            neigh.build(system.x, system.box)
+            system.f = pot.compute(system, neigh).forces
+            for _ in range(50):
+                integrator.initial_integrate(system)
+                neigh.ensure(system.x, system.box)
+                system.f = pot.compute(system, neigh).forces
+                integrator.final_integrate(system)
+            return system
+
+        new, old = trajectory(VelocityVerlet(0.002)), trajectory(SeedVelocityVerlet(0.002))
+        assert np.array_equal(new.x, old.x) and np.array_equal(new.v, old.v)
+        assert np.any(new.x != lattice(2, 2, 2).x)  # it did move
+
+
 class TestLangevin:
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):

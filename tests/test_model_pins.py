@@ -61,6 +61,22 @@ def test_scheme_1a_simulation_meets_the_compiled_kernel(workload):
     assert sim["lane_occupancy"] < sim["utilization"]  # 0.800 unweighted, 0.813 weighted
 
 
+@needs_compiled
+@pytest.mark.parametrize("threads", [2, 3, 4])
+def test_the_compiled_counters_hold_on_any_number_of_threads(workload, monkeypatch, threads):
+    """Bodies and active lanes are counted per chunk of rows and added
+    up: 216 atoms are four chunks for `threads` threads to claim."""
+    from repro.backends import compiled
+
+    monkeypatch.setattr(compiled, "THREAD_GRAIN", 1)
+    params, system, neigh = workload
+    pot = TersoffProduction(params, backend="compiled")
+    pot.kernel.threads = threads
+    measured = pot.compute(system, neigh).stats["backend"]
+    assert measured["threads"] == threads
+    assert (measured["kernel_invocations"], measured["lane_occupancy"]) == (1080, 0.8)
+
+
 @pytest.mark.parametrize("fast_forward,filter_neighbors,cycles,spins,utilization", [
     (False, False, 160730, 0, 0.4165142877630777),
     (True, False, 103254, 1758, 1.0),

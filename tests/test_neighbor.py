@@ -18,6 +18,7 @@ from repro.md.neighbor import (
     _brute_force_pairs,
     _expand_ranges,
     _numpy_csr,
+    incoming_index,
 )
 
 
@@ -422,6 +423,46 @@ class TestCompiledBuild:
         assert "math.h" in cext.probe()
         nl.build(s.x, s.box)  # probes first now: no second compile, no second warning
         assert nl.n_builds == 2
+
+
+@needs_compiled
+class TestIncomingIndex:
+    """The transposed index the compiled kernel gathers forces through:
+    per atom the list entries that name it, in list order."""
+
+    @staticmethod
+    def check(neighbors, n):
+        offsets, entries = incoming_index(neighbors, n)
+        assert (offsets.dtype, entries.dtype) == (np.int64, np.int32)
+        assert offsets.shape == (n + 1,) and offsets[0] == 0
+        assert offsets[n] == np.count_nonzero((neighbors >= 0) & (neighbors < n))
+        for a in range(n):
+            assert np.array_equal(entries[offsets[a]:offsets[a + 1]],
+                                  np.nonzero(neighbors == a)[0]), a
+
+    @pytest.mark.parametrize("full", [True, False])
+    def test_built_lists(self, full):
+        s = perturbed(diamond_lattice(3, 3, 3), 0.2, seed=2)
+        nl = NeighborList(NeighborSettings(cutoff=3.0, skin=1.0, full=full))
+        nl.build(s.x, s.box)
+        self.check(nl.neighbors, s.n)
+
+    def test_blanked_ghost_rows_leave_an_asymmetric_list(self):
+        from repro.parallel.decomposition import blank_ghost_rows
+
+        s = perturbed(diamond_lattice(3, 3, 3), 0.2, seed=2)
+        nl = NeighborList(NeighborSettings(cutoff=3.0, skin=1.0))
+        nl.build(s.x, s.box)
+        blank_ghost_rows(nl, 150)
+        self.check(nl.neighbors, s.n)
+        offsets, _ = incoming_index(nl.neighbors, s.n)
+        assert np.diff(offsets)[150:].any()  # atoms without a row are still named
+
+    def test_columns_out_of_range_are_left_for_the_kernel_to_report(self):
+        neighbors = np.array([2, 9, 0, -1, 2, 1, 0], dtype=np.int32)
+        self.check(neighbors, 3)
+        self.check(np.empty(0, dtype=np.int32), 4)
+        self.check(np.empty(0, dtype=np.int32), 0)
 
 
 class TestNonFinitePositions:

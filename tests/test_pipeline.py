@@ -8,14 +8,19 @@ seed implementations (:mod:`legacy_frozen`) exactly — energy, forces,
 virial, virial tensor and per-atom energy.
 """
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
+from conftest import needs_compiled
 from legacy_frozen import (
     LegacyLennardJonesVectorized,
     LegacyStillingerWeberProduction,
     LegacyTersoffProduction,
 )
+from repro.core.pipeline import Workspace
 from repro.core.sw import StillingerWeberProduction, sw_silicon
 from repro.core.tersoff.parameters import tersoff_si, tersoff_sic
 from repro.core.tersoff.production import TersoffProduction
@@ -176,3 +181,34 @@ class TestLJFrozen:
         assert stats.invalidations == 4  # initial + 3 rebuilds
         assert stats.misses == 0
         assert stats.hits == 8
+
+
+class TestWorkspaceTravelsEmpty:
+    """Scratch is overwritten before it is read, so a copy of its owner
+    — pickled to a spawn/socket worker, deep-copied per engine rank —
+    starts with an empty arena, like `InteractionCache`."""
+
+    def test_pickle_and_deepcopy_start_a_fresh_arena(self):
+        ws = Workspace()
+        ws.buf("partial", (1000, 3), np.float64)
+        assert (ws.nbytes, ws.grow_events) == (24000, 1)
+        for clone in (pickle.loads(pickle.dumps(ws)), copy.deepcopy(ws)):
+            assert (clone.nbytes, clone.grow_events) == (0, 0)
+            assert clone.buf("partial", 4, np.float64).shape == (4,)
+        assert (ws.nbytes, ws.grow_events) == (24000, 1)  # the original keeps its own
+
+    @needs_compiled
+    def test_warmed_compiled_potential_travels_as_light_as_a_cold_one(self):
+        params = tersoff_si()
+        system, cutoff, skin = _si_workload()
+        neigh = NeighborList(NeighborSettings(cutoff=cutoff, skin=skin))
+        neigh.build(system.x, system.box)
+        pot = TersoffProduction(params, backend="compiled")
+        cold = len(pickle.dumps(pot))
+        ref = pot.compute(system, neigh)
+        assert pot.kernel._ws.nbytes > 24 * neigh.n_pairs  # the pair partials alone
+        assert len(pickle.dumps(pot)) < cold + 64
+        for clone in (pickle.loads(pickle.dumps(pot)), copy.deepcopy(pot)):
+            assert clone.kernel._ws.nbytes == 0
+            res = clone.compute(system, neigh)
+            assert res.energy == ref.energy and np.array_equal(res.forces, ref.forces)
