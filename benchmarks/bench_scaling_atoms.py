@@ -64,10 +64,14 @@ def test_decomposed_scaling_wallclock(benchmark, cells, workers):
         sim.close()
 
 
-#: three ways to run the same atoms on this host: one process on one or on
-#: two kernel threads, or two forked workers of one rank (and thread) each
+#: ways to run the same atoms on this host: one process on one or on two
+#: kernel threads, or two workers of one rank (and thread) each — under the
+#: default process pool (fork + shared memory here), Python threads, or the
+#: unix-socket pool (ROADMAP 2(e); EXPERIMENTS.md "Executors on one node")
 SECOND_CORE = {"1-thread": {"threads": 1}, "2-threads": {"threads": 2},
-               "2-workers": {"workers": 2, "ranks": 2, "executor": "fork"}}
+               "2-workers": {"workers": 2, "ranks": 2, "executor": "process"},
+               "2-workers-thread": {"workers": 2, "ranks": 2, "executor": "thread"},
+               "2-workers-unix": {"workers": 2, "ranks": 2, "executor": "unix"}}
 
 
 @pytest.mark.benchmark(group="scaling-second-core")
@@ -78,8 +82,6 @@ def test_threads_vs_decomposition_wallclock(benchmark, cells, how):
     step is printed next to the step, so that what threads cannot reach —
     integrate, the skin test, Python glue — is a stated Amdahl fraction
     (EXPERIMENTS.md "Thread scaling")."""
-    import multiprocessing
-
     from repro import backends
     from repro.md.lattice import seeded_velocities
     from repro.host import usable_cores
@@ -91,8 +93,6 @@ def test_threads_vs_decomposition_wallclock(benchmark, cells, how):
     threads = setup.pop("threads", None)
     if usable_cores() < 2 and how != "1-thread":
         pytest.skip("one usable core: a second thread or worker would measure contention")
-    if setup and "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("no fork start method")
     system = diamond_lattice(*cells)
     seeded_velocities(system, 600.0, seed=3)
     spec = RunSpec(solver=SolverSpec(mode="Opt-D", backend="compiled"), **setup)

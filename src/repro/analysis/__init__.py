@@ -11,14 +11,13 @@ the enemy of sustained performance.
 
 This package turns the contracts into machine-checked rules:
 
-- :mod:`repro.analysis.engine` — AST pass over ``src/repro`` with
-  per-line suppressions and a committed baseline for grandfathered
-  findings;
+- :mod:`repro.analysis.engine` — one stateless pass over ``src/repro``
+  (python AST rules, C token rules) with in-place suppressions as the
+  only mechanism for exceptions;
 - :mod:`repro.analysis.dataflow` — lightweight intra-function dataflow
   (which names hold compute-dtype arrays, which are masks, which
   allocations flow through the :class:`~repro.core.pipeline.Workspace`);
 - :mod:`repro.analysis.rules` — the KA001–KA005 kernel-contract rules;
-- :mod:`repro.analysis.baseline` — the grandfathered-findings file;
 - :mod:`repro.analysis.cli` — the ``repro lint`` subcommand (text and
   JSON output, CI exit-code contract);
 - :mod:`repro.analysis.sanitize` — the runtime companion: a debug-only

@@ -1,13 +1,10 @@
 """``repro lint`` — the kernel-contract gate.
 
 Text output for humans, ``--format=json`` for CI, and the exit-code
-contract the workflows rely on: 0 clean, 1 new findings, 2 engine
-error.  ``--update-baseline`` rewrites the committed grandfathered set
-(entries get placeholder justifications that must be edited before
-commit).  ``--rules`` takes rule ids or two-letter families
-(``--rules KB,KC``); ``--fix`` applies the mechanically safe KA001
-dtype insertions (``--fix --dry-run`` previews the diff); results are
-cached per content hash (``--no-cache`` disables).
+contract the workflows rely on: 0 clean, 1 findings, 2 engine error.
+``--rules`` takes rule ids or two-letter families (``--rules KB,KC``).
+One stateless pass: the command reads the sources and nothing else, and
+writes nothing.
 """
 
 from __future__ import annotations
@@ -17,10 +14,8 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analysis import baseline as baseline_mod
 from repro.analysis import engine
 from repro.analysis.crules import C_RULE_DESCRIPTIONS, C_RULE_IDS
-from repro.analysis.fixes import plan_fixes
 from repro.analysis.rules import ALL_RULES
 
 
@@ -30,65 +25,21 @@ def add_lint_parser(sub) -> None:
     p.add_argument("paths", nargs="*", default=None,
                    help="files/directories to check (default: the installed repro package)")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--baseline", default=None,
-                   help=f"baseline file (default: <repo>/{baseline_mod.DEFAULT_BASELINE_NAME})")
-    p.add_argument("--no-baseline", action="store_true",
-                   help="ignore the baseline; report every finding as new")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="rewrite the baseline to absorb all current findings")
     p.add_argument("--rules", default=None,
                    help="comma-separated rule ids or families, e.g. KA001,KB,KC (default: all)")
     p.add_argument("--list-rules", action="store_true",
                    help="describe the rules and exit")
-    p.add_argument("--fix", action="store_true",
-                   help="apply mechanically safe fixes (KA001 dtype insertion), then re-lint")
-    p.add_argument("--dry-run", action="store_true",
-                   help="with --fix: print the diff without writing files")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the content-hash result cache")
-    p.add_argument("--cache", default=None,
-                   help=f"cache file (default: <repo>/{engine.DEFAULT_CACHE_NAME})")
     p.set_defaults(func=cmd_lint)
 
 
-def _render_text(result: engine.LintResult, *, verbose_baseline: bool = False) -> str:
-    lines: list[str] = []
-    for f in result.findings:
-        lines.append(f.render())
-    for entry in result.stale_baseline:
-        lines.append(
-            f"warning: stale baseline entry {entry.rule} {entry.path} "
-            f"({entry.code!r} no longer found) — remove it"
-        )
-    s = result.summary()
-    cached = f", {result.files_cached} cached" if result.files_cached else ""
+def _render_text(result: engine.LintResult) -> str:
+    lines = [f.render() for f in result.findings]
     lines.append(
-        f"repro lint: {result.files_checked} files{cached}, {s['new']} new finding(s), "
-        f"{s['baselined']} baselined, {s['suppressed']} suppressed"
-        + (f", {s['stale_baseline']} stale baseline entrie(s)" if s["stale_baseline"] else "")
+        f"repro lint: {result.files_checked} files, {len(result.findings)} finding(s), "
+        f"{len(result.suppressed)} suppressed"
     )
-    if result.errors:
-        lines.extend(f"error: {e}" for e in result.errors)
+    lines.extend(f"error: {e}" for e in result.errors)
     return "\n".join(lines)
-
-
-def _cmd_fix(paths: list[Path] | None, config: engine.LintConfig, dry_run: bool) -> int:
-    plan = plan_fixes(paths if paths is not None else engine.default_paths(), config=config)
-    for err in plan.errors:
-        print(f"repro lint --fix: {err}", file=sys.stderr)
-    if not plan.fixes:
-        print("repro lint --fix: nothing to fix")
-        return 2 if plan.errors else 0
-    if dry_run:
-        for fix in plan.fixes:
-            sys.stdout.write(fix.diff())
-        print(f"repro lint --fix --dry-run: {plan.total_sites} site(s) in "
-              f"{len(plan.fixes)} file(s) would be rewritten")
-        return 0
-    plan.apply()
-    print(f"repro lint --fix: inserted dtype= at {plan.total_sites} site(s) in "
-          f"{len(plan.fixes)} file(s)")
-    return 2 if plan.errors else 0
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -112,34 +63,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
             return 2
     config = engine.LintConfig(enabled_rules=enabled)
 
-    if args.fix:
-        return _cmd_fix(paths, config, args.dry_run)
-
-    cache: Path | None = None
-    if not args.no_cache:
-        cache = Path(args.cache) if args.cache else engine.default_cache_path()
-
-    baseline_path = Path(args.baseline) if args.baseline else engine.default_baseline_path()
-
-    if args.update_baseline:
-        result = engine.run_lint(paths, config=config, baseline=None, cache=cache)
-        if result.errors:
-            print(_render_text(result), file=sys.stderr)
-            return 2
-        baseline_mod.write_baseline(baseline_path, result.findings)
-        print(f"wrote {baseline_path} ({len(result.findings)} finding(s) grandfathered); "
-              "edit the placeholder justifications before committing")
-        return 0
-
-    baseline = None
-    if not args.no_baseline:
-        try:
-            baseline = baseline_mod.load_baseline(baseline_path)
-        except baseline_mod.BaselineError as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 2
-
-    result = engine.run_lint(paths, config=config, baseline=baseline, cache=cache)
+    result = engine.run_lint(paths, config=config)
     if args.format == "json":
         print(json.dumps(result.as_dict(), indent=2))
     else:

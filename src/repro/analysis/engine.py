@@ -1,21 +1,20 @@
-"""Rule engine: file discovery, suppressions, baseline, result assembly.
+"""Rule engine: file discovery, suppressions, result assembly.
 
-The engine walks python sources, classifies each module (kernel module?
-scatter-exempt?), parses it once, runs every enabled rule over the
-shared :class:`~repro.analysis.rules.ModuleContext`, then filters the
-raw findings through two mechanisms:
+The engine is a pure function of the sources: it walks them, classifies
+each module (kernel module? scatter-exempt?), parses it once, runs every
+enabled rule over the shared :class:`~repro.analysis.rules.ModuleContext`
+and drops the findings suppressed in place.  It reads no other file and
+writes none.
 
-1. **suppressions** — ``# repro-lint: disable=KA001`` (comma-separated
-   rule ids, or ``all``) on the offending line silences it in place;
-   ``# repro-lint: disable-file=KA004`` on its own line anywhere in the
-   file silences a rule for the whole module.  Suppressions are for
-   intentional, locally-explained exceptions;
-2. **baseline** — the committed grandfathered set
-   (:mod:`repro.analysis.baseline`), for pre-existing findings that are
-   tracked for eventual burn-down instead of being endorsed in-line.
+**Suppressions** are the one mechanism for exceptions:
+``# repro-lint: disable=KA001`` (comma-separated rule ids, or ``all``)
+on the offending line silences it there, with the argument next to it;
+``# repro-lint: disable-file=KA004`` on its own line anywhere in the
+file silences a rule for the whole module.
 
-Exit-code contract (used verbatim by CI): 0 = clean (baselined findings
-allowed), 1 = new findings, 2 = engine/configuration error.
+Exit-code contract (used verbatim by CI): 0 = clean, 1 = findings,
+2 = engine/configuration error (a syntax error, an unreadable file, a
+path that does not exist or holds no source).
 """
 
 from __future__ import annotations
@@ -24,18 +23,6 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE_NAME,
-    Baseline,
-    BaselineEntry,
-    load_baseline,
-)
-from repro.analysis.cache import (
-    DEFAULT_CACHE_NAME,
-    ResultCache,
-    content_hash,
-    make_global_key,
-)
 from repro.analysis.crules import C_RULE_IDS, check_c_source, is_c_source
 from repro.analysis.rules import ALL_RULES, RULE_FAMILIES, Finding, Rule, make_context
 
@@ -137,29 +124,14 @@ class LintConfig:
         rel = rel_path.replace("\\", "/")
         return any(pat in rel for pat in self.c_modules)
 
-    def cache_repr(self) -> str:
-        """Stable string of every classification knob, for the cache key."""
-        return repr(
-            (
-                self.kernel_modules,
-                self.scatter_exempt_modules,
-                self.physics_modules,
-                self.worker_modules,
-                self.c_modules,
-            )
-        )
-
 
 @dataclass
 class LintResult:
     """Outcome of one engine run."""
 
-    findings: list[Finding] = field(default_factory=list)  # new (gate-failing)
-    baselined: list[Finding] = field(default_factory=list)
+    findings: list[Finding] = field(default_factory=list)  # gate-failing
     suppressed: list[Finding] = field(default_factory=list)
-    stale_baseline: list[BaselineEntry] = field(default_factory=list)
     files_checked: int = 0
-    files_cached: int = 0
     errors: list[str] = field(default_factory=list)
 
     @property
@@ -170,13 +142,10 @@ class LintResult:
 
     def as_dict(self) -> dict:
         return {
-            "version": 2,
+            "version": 3,
             "files_checked": self.files_checked,
-            "files_cached": self.files_cached,
             "findings": [f.as_dict() for f in self.findings],
-            "baselined": [f.as_dict() for f in self.baselined],
             "suppressed_count": len(self.suppressed),
-            "stale_baseline": [e.as_dict() for e in self.stale_baseline],
             "errors": self.errors,
             "summary": self.summary(),
         }
@@ -188,13 +157,10 @@ class LintResult:
             by_rule[f.rule] = by_rule.get(f.rule, 0) + 1
             by_family[f.family] = by_family.get(f.family, 0) + 1
         return {
-            "new": len(self.findings),
-            "baselined": len(self.baselined),
+            "findings": len(self.findings),
             "suppressed": len(self.suppressed),
-            "stale_baseline": len(self.stale_baseline),
             "by_rule": by_rule,
             "by_family": by_family,
-            "files_cached": self.files_cached,
             "exit_code": self.exit_code,
         }
 
@@ -212,22 +178,25 @@ def default_paths() -> list[Path]:
     return [Path(__file__).resolve().parents[1]]  # src/repro
 
 
-def default_baseline_path() -> Path:
-    return repo_root() / DEFAULT_BASELINE_NAME
+def _iter_sources(paths: list[Path], errors: list[str]) -> list[Path]:
+    """Every source under ``paths``; a path that yields none is an error.
 
-
-def default_cache_path() -> Path:
-    return repo_root() / DEFAULT_CACHE_NAME
-
-
-def _iter_sources(paths: list[Path]) -> list[Path]:
+    A gate that passes on nothing is a typo away from a green check, so
+    a missing path or one without a ``.py``/``.c``/``.h`` file is
+    reported (exit 2), not skipped.
+    """
     files: list[Path] = []
     for p in paths:
+        found: list[Path] = []
         if p.is_dir():
-            files.extend(sorted(p.rglob("*.py")))
-            files.extend(sorted(q for q in p.rglob("*") if q.suffix in (".c", ".h")))
-        elif p.suffix in (".py", ".c", ".h"):
-            files.append(p)
+            found = sorted(p.rglob("*.py"))
+            found.extend(sorted(q for q in p.rglob("*") if q.suffix in (".c", ".h")))
+        elif p.suffix in (".py", ".c", ".h") and p.is_file():
+            found = [p]
+        if not found:
+            why = "no .py/.c/.h source to check" if p.exists() else "no such file or directory"
+            errors.append(f"{p}: {why}")
+        files.extend(found)
     return files
 
 
@@ -287,50 +256,25 @@ def run_lint(
     paths: list[Path] | None = None,
     *,
     config: LintConfig | None = None,
-    baseline: Baseline | Path | str | None = None,
     root: Path | None = None,
-    cache: Path | str | None = None,
 ) -> LintResult:
     """Run every enabled rule over ``paths`` and assemble a result.
 
-    ``baseline`` may be a loaded :class:`Baseline`, a path to one, or
-    ``None`` for no baseline.  ``root`` anchors the repo-relative paths
-    used in findings and baseline fingerprints (defaults to the
-    repository root).  ``cache`` points at a result-cache file
-    (:mod:`repro.analysis.cache`); ``None`` disables caching.
+    ``root`` anchors the repo-relative paths used in findings and in the
+    module classification (defaults to the repository root).
     """
     config = config or LintConfig()
     paths = paths if paths is not None else default_paths()
     root = (root or repo_root()).resolve()
-    if isinstance(baseline, (str, Path)):
-        baseline = load_baseline(baseline)
-    rcache: ResultCache | None = None
-    if cache is not None:
-        rcache = ResultCache.load(
-            Path(cache), make_global_key(config.rule_ids(), config.cache_repr())
-        )
 
     result = LintResult()
-    raw: list[Finding] = []
-    for path in _iter_sources(paths):
+    for path in _iter_sources(paths, result.errors):
         rel = _rel_path(path, root)
         try:
-            data = path.read_bytes()
+            source = path.read_bytes().decode()
         except OSError as exc:
             result.errors.append(f"{rel}: unreadable ({exc})")
             continue
-        digest = content_hash(data) if rcache is not None else ""
-        if rcache is not None:
-            hit = rcache.get(rel, digest)
-            if hit is not None:
-                kept, suppressed = hit
-                raw.extend(kept)
-                result.suppressed.extend(suppressed)
-                result.files_checked += 1
-                result.files_cached += 1
-                continue
-        try:
-            source = data.decode()
         except UnicodeDecodeError as exc:
             result.errors.append(f"{rel}: undecodable ({exc})")
             continue
@@ -339,19 +283,7 @@ def run_lint(
             continue
         kept, suppressed = outcome
         result.files_checked += 1
-        raw.extend(kept)
+        result.findings.extend(kept)
         result.suppressed.extend(suppressed)
-        if rcache is not None:
-            rcache.put(rel, digest, kept, suppressed)
-    if rcache is not None:
-        rcache.save()
-
-    raw.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    if baseline is not None:
-        new, baselined, stale = baseline.apply(raw)
-        result.findings = new
-        result.baselined = baselined
-        result.stale_baseline = stale
-    else:
-        result.findings = raw
+    result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return result

@@ -175,6 +175,6 @@ class CompiledTersoffKernel(MultiBodyKernel):
         if ad != np.float64:
             # accumulate dtype discipline: round through ad in single precision —
             # the float64 re-cast is the ForceResult ABI, not a promotion leak
-            forces = forces.astype(ad).astype(np.float64)  # repro-lint: disable=KA002
+            forces = forces.astype(ad).astype(np.float64)
         return ForceResult(energy=energy, forces=forces, virial=float(np.trace(stress)),
                            stats=stats)

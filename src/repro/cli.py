@@ -486,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--skin", type=float, default=1.0)
     p_run.add_argument("--seed", type=int, default=2016)
     p_run.add_argument("--workers", type=int, default=None,
-                       help="run forces on a persistent N-process shared-memory pool")
+                       help="run forces on a persistent pool of N workers (see --executor)")
     p_run.add_argument("--ranks", type=int, default=None,
                        help="domain-decomposition size for --workers (default: workers); "
                             "the physics depends only on ranks, never on workers")

@@ -130,8 +130,7 @@ class Simulation:
     executor:
         Execution backend for the pool: one of
         :data:`~repro.parallel.executor.EXECUTOR_NAMES` (``"serial"``,
-        ``"thread"``, ``"process"``, ``"fork"``, ``"spawn"``,
-        ``"forkserver"``, ``"tcp"``, ``"unix"``) or an
+        ``"thread"``, ``"process"``, ``"tcp"``, ``"unix"``) or an
         :class:`~repro.parallel.executor.EngineExecutor` instance
         (default: ``"process"`` — fork where available).  Bitwise
         identical physics across executors.

@@ -300,7 +300,7 @@ class ParallelEngine:
     potential:
         Template potential; each worker holds one private copy per
         assigned rank (so interaction caches never alias).  Must be
-        picklable when ``executor="spawn"``.
+        picklable where the pool starts its workers with ``spawn``.
     workers:
         Number of worker processes (clamped to ``ranks``).
     ranks:
@@ -322,10 +322,11 @@ class ParallelEngine:
     executor:
         One of :data:`~repro.parallel.executor.EXECUTOR_NAMES` —
         ``"serial"`` (in-process), ``"thread"`` (real overlap with the
-        GIL-releasing compiled kernel), ``"process"`` (the default:
-        ``fork`` where available, else ``spawn``), ``"fork"`` /
-        ``"spawn"`` / ``"forkserver"``, ``"tcp"`` / ``"unix"`` (spawned
-        socket pool) — or a ready :class:`EngineExecutor`, e.g. a
+        GIL-releasing compiled kernel), ``"process"`` (the default;
+        started by ``fork`` where the platform offers it, else
+        ``spawn``), ``"tcp"`` / ``"unix"`` (spawned socket pool) — or a
+        ready :class:`EngineExecutor`, e.g. a ``ProcessExecutor`` pinned
+        to one start method or a
         :class:`~repro.parallel.transport.ClusterExecutor` connected to
         remote hosts.  The physics is bitwise identical across
         executors — they only move where the rank evaluations run.
@@ -369,8 +370,8 @@ class ParallelEngine:
         # deliberately outside the checkpoint contract
         self.last_step: EngineStep | None = None  # repro-lint: disable=KD001
         # measured traffic telemetry, same contract as last_step
-        self.comm_total = CommRecord()  # repro-lint: disable=KD001
-        self._comm_fit = AlphaBetaFit()  # repro-lint: disable=KD001
+        self.comm_total = CommRecord()
+        self._comm_fit = AlphaBetaFit()
         self._closed = False
 
         n = system.n
@@ -397,12 +398,12 @@ class ParallelEngine:
         )
         # per-call staging in executor shared memory: repopulated from the
         # caller's positions on every compute(), never persistent state
-        self._XL = views.get("xl")  # repro-lint: disable=KD001
+        self._XL = views.get("xl")
         # wire mode: host-local reduction buffer, filled from replies
         self._F = views.get("f")  # repro-lint: disable=KD001
         if self._F is None:
             self._F = np.zeros((ranks, n, 3), dtype=np.float64)
-        self._local_rows = 0  # repro-lint: disable=KD001
+        self._local_rows = 0
         self._wire_prev = (0, 0)  # repro-lint: disable=KD001
 
     # -- decomposition lifecycle --------------------------------------------------

@@ -17,8 +17,9 @@ The engine talks to an :class:`EngineExecutor` and never to
   processes, ``/dev/shm`` segments or socket files.
 
 Implementations, by name (:data:`EXECUTOR_NAMES`): :class:`SerialExecutor`,
-:class:`ThreadExecutor`, :class:`ProcessExecutor` (``"process"`` or a
-start method) and, for ``"tcp"`` / ``"unix"``,
+:class:`ThreadExecutor`, :class:`ProcessExecutor` (``"process"``; its
+start method is an argument of the pool, derived from the platform, not
+a name) and, for ``"tcp"`` / ``"unix"``,
 :class:`~repro.parallel.transport.ClusterExecutor`.  The two
 out-of-process pools are one :class:`_ChannelPool` (pipelined
 ``submit``, lazy FIFO futures, dead-peer fan-out, one teardown) plus
@@ -48,7 +49,7 @@ ArraySpec = tuple[tuple[int, ...], str]
 
 #: Every name :func:`make_executor` resolves — the one list `RunSpec`
 #: validation and the CLI's ``--executor`` choices read.
-EXECUTOR_NAMES = ("serial", "thread", "process", "fork", "spawn", "forkserver", "tcp", "unix")
+EXECUTOR_NAMES = ("serial", "thread", "process", "tcp", "unix")
 
 
 class ExecutorError(RuntimeError):
@@ -103,8 +104,6 @@ def make_executor(spec: "str | EngineExecutor | None", *, workers: int) -> Engin
         from repro.parallel.transport import ClusterExecutor  # avoid import cycle
 
         return ClusterExecutor(workers, transport=spec)
-    if spec in EXECUTOR_NAMES:
-        return ProcessExecutor(workers, start_method=spec)
     raise ExecutorError(
         f"unknown executor {spec!r}; expected one of {', '.join(EXECUTOR_NAMES)}"
     )

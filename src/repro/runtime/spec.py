@@ -271,6 +271,10 @@ class RunSpec:
         # named the spawned socket pool, which `executor` now spells
         if data.get("transport") and not kwargs.get("executor") and not kwargs.get("hosts"):
             kwargs["executor"] = data["transport"]
+        # ... and before a start method stopped being an executor name:
+        # each was the process pool, and executors never define physics
+        if kwargs.get("executor") in ("fork", "spawn", "forkserver"):
+            kwargs["executor"] = "process"
         return cls(**kwargs)
 
     def canonical_json(self) -> str:

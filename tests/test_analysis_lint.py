@@ -1,7 +1,7 @@
 """Kernel-contract static analyzer (``repro lint``) and its runtime companion.
 
 Covers, per ISSUE: one positive + one negative fixture per rule,
-suppression and baseline mechanics, the repo-wide self-lint gate, the
+suppression mechanics, the repo-wide self-lint gate, the
 CLI exit-code contract, bitwise equivalence of the scatter-helper
 migration in all three precision modes, and the ``--sanitize`` runtime
 guards.
@@ -21,13 +21,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import HOT_PATH_REGISTRY, hot_path
-from repro.analysis.baseline import (
-    Baseline,
-    BaselineEntry,
-    BaselineError,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.engine import LintConfig, run_lint
 from repro.analysis.sanitize import (
     SanitizedPotential,
@@ -46,10 +39,10 @@ SRC = REPO_ROOT / "src"
 KERNEL_EVERYWHERE = LintConfig(kernel_modules=("",), scatter_exempt_modules=("exempt_",))
 
 
-def lint_source(tmp_path, source, *, name="mod.py", config=KERNEL_EVERYWHERE, baseline=None):
+def lint_source(tmp_path, source, *, name="mod.py", config=KERNEL_EVERYWHERE):
     path = tmp_path / name
     path.write_text(textwrap.dedent(source))
-    return run_lint([path], config=config, baseline=baseline, root=tmp_path)
+    return run_lint([path], config=config, root=tmp_path)
 
 
 def rules_of(result):
@@ -277,7 +270,7 @@ class TestKA005RawScatter:
         assert res.findings == []
 
 
-# --------------------------------------------------- suppressions + baseline
+# ---------------------------------------------------------- suppressions
 
 
 class TestSuppressionsAndBaseline:
@@ -323,79 +316,6 @@ class TestSuppressionsAndBaseline:
         )
         assert rules_of(res) == ["KA001"]
 
-    def test_baseline_absorbs_and_reports_stale(self, tmp_path):
-        source = """
-        import numpy as np
-
-        def merge(forces, idx, contrib):
-            np.add.at(forces, idx, contrib)
-        """
-        baseline = Baseline(
-            entries=[
-                BaselineEntry(
-                    rule="KA005",
-                    path="mod.py",
-                    code="np.add.at(forces, idx, contrib)",
-                    justification="grandfathered",
-                ),
-                BaselineEntry(
-                    rule="KA001",
-                    path="gone.py",
-                    code="np.zeros(n)",
-                    justification="file was deleted",
-                ),
-            ]
-        )
-        res = lint_source(tmp_path, source, baseline=baseline)
-        assert res.findings == []
-        assert [f.rule for f in res.baselined] == ["KA005"]
-        assert [e.path for e in res.stale_baseline] == ["gone.py"]
-        assert res.exit_code == 0
-
-    def test_baseline_budget_is_consumed(self, tmp_path):
-        # a second copy of a grandfathered line still fails the gate
-        source = """
-        import numpy as np
-
-        def merge(forces, idx, contrib):
-            np.add.at(forces, idx, contrib)
-            np.add.at(forces, idx, contrib)
-        """
-        baseline = Baseline(
-            entries=[
-                BaselineEntry(
-                    rule="KA005",
-                    path="mod.py",
-                    code="np.add.at(forces, idx, contrib)",
-                    justification="one copy only",
-                    count=1,
-                )
-            ]
-        )
-        res = lint_source(tmp_path, source, baseline=baseline)
-        assert len(res.baselined) == 1
-        assert len(res.findings) == 1
-        assert res.exit_code == 1
-
-    def test_baseline_roundtrip_and_malformed(self, tmp_path):
-        res = lint_source(
-            tmp_path,
-            """
-            import numpy as np
-
-            def kernel(n):
-                return np.zeros(n)
-            """,
-        )
-        path = tmp_path / "baseline.json"
-        write_baseline(path, res.findings)
-        loaded = load_baseline(path)
-        assert len(loaded.entries) == 1
-        assert loaded.entries[0].rule == "KA001"
-        path.write_text(json.dumps({"version": 1, "findings": [{"rule": "KA001"}]}))
-        with pytest.raises(BaselineError):
-            load_baseline(path)
-
     def test_syntax_error_is_engine_error(self, tmp_path):
         res = lint_source(tmp_path, "def broken(:\n    pass\n")
         assert res.exit_code == 2
@@ -407,22 +327,14 @@ class TestSuppressionsAndBaseline:
 
 class TestRepoSelfLint:
     def test_repo_lints_clean_against_committed_baseline(self):
-        res = run_lint(
-            [SRC / "repro"],
-            baseline=REPO_ROOT / ".repro-lint-baseline.json",
-            root=REPO_ROOT,
-        )
+        """The self-lint gate: the committed tree has no open finding.
+
+        (There is no baseline file any more; the id is the one the test
+        floor tracks.)"""
+        res = run_lint([SRC / "repro"], root=REPO_ROOT)
         assert res.errors == []
         new = "\n".join(f.render() for f in res.findings)
-        assert res.findings == [], f"new kernel-contract violations:\n{new}"
-        assert res.stale_baseline == [], "baseline has stale entries; regenerate it"
-
-    def test_committed_baseline_is_justified(self):
-        # The baseline shrank to empty when the decomposition's np.add.at
-        # merge moved to scatter_add_rows; it must stay empty-or-justified.
-        baseline = load_baseline(REPO_ROOT / ".repro-lint-baseline.json")
-        for e in baseline.entries:
-            assert e.justification and "TODO" not in e.justification
+        assert res.findings == [], f"kernel-contract violations:\n{new}"
 
     def test_analyzer_finds_the_historical_violations(self, tmp_path):
         """The exact pre-fix patterns from production.py/vectorized.py are
@@ -539,14 +451,14 @@ class TestLintCLI:
     def test_seeded_violation_exits_1(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text("import numpy as np\nnp.add.at([], 0, 1)\n")
-        proc = run_cli(str(bad), "--no-baseline", cwd=REPO_ROOT)
+        proc = run_cli(str(bad), cwd=REPO_ROOT)
         assert proc.returncode == 1
         assert "KA005" in proc.stdout
 
     def test_clean_file_exits_0(self, tmp_path):
         good = tmp_path / "good.py"
         good.write_text("import numpy as np\nx = np.zeros(3, dtype=np.float64)\n")
-        proc = run_cli(str(good), "--no-baseline", cwd=REPO_ROOT)
+        proc = run_cli(str(good), cwd=REPO_ROOT)
         assert proc.returncode == 0
 
     def test_repo_tree_exits_0_with_baseline(self):
@@ -556,7 +468,7 @@ class TestLintCLI:
     def test_json_format(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text("import numpy as np\nnp.add.at([], 0, 1)\n")
-        proc = run_cli(str(bad), "--no-baseline", "--format=json", cwd=REPO_ROOT)
+        proc = run_cli(str(bad), "--format=json", cwd=REPO_ROOT)
         data = json.loads(proc.stdout)
         assert data["summary"]["exit_code"] == 1
         assert data["findings"][0]["rule"] == "KA005"
@@ -565,15 +477,35 @@ class TestLintCLI:
         # KA005 applies everywhere; selecting only KA003 must silence it
         bad = tmp_path / "bad.py"
         bad.write_text("import numpy as np\nnp.add.at([], 0, 1)\n")
-        proc = run_cli(str(bad), "--no-baseline", "--rules=KA003", cwd=REPO_ROOT)
+        proc = run_cli(str(bad), "--rules=KA003", cwd=REPO_ROOT)
         assert proc.returncode == 0
-        proc = run_cli(str(bad), "--no-baseline", "--rules=KA005", cwd=REPO_ROOT)
+        proc = run_cli(str(bad), "--rules=KA005", cwd=REPO_ROOT)
         assert proc.returncode == 1
         assert "KA005" in proc.stdout
 
     def test_unknown_rule_exits_2(self, tmp_path):
         proc = run_cli("--rules=KA999", cwd=REPO_ROOT)
         assert proc.returncode == 2
+
+    def test_missing_path_exits_2(self, tmp_path):
+        # a typo in a CI path must not be a green check
+        missing = tmp_path / "no" / "such" / "dir"
+        proc = run_cli(str(missing), cwd=REPO_ROOT)
+        assert proc.returncode == 2, proc.stdout
+        assert str(missing) in proc.stdout
+
+    def test_path_without_sources_exits_2(self, tmp_path):
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "notes.md").write_text("# notes\n")
+        for target in (REPO_ROOT / "README.md", tmp_path / "docs"):
+            proc = run_cli(str(target), cwd=REPO_ROOT)
+            assert proc.returncode == 2, proc.stdout
+            assert str(target) in proc.stdout
+        # one good path does not excuse a bad one beside it
+        good = tmp_path / "good.py"
+        good.write_text("x = 1\n")
+        proc = run_cli(str(good), str(tmp_path / "docs"), cwd=REPO_ROOT)
+        assert proc.returncode == 2, proc.stdout
 
     def test_list_rules(self):
         proc = run_cli("--list-rules", cwd=REPO_ROOT)

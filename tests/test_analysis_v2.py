@@ -1,12 +1,10 @@
 """Whole-program analyzer (``repro lint`` v2): call graph, KB/KC/KD
-families, interprocedural KA003/KA004, the KE C-kernel pass, the
-content-hash result cache, and ``--fix``.
+families, interprocedural KA003/KA004 and the KE C-kernel pass.
 
 Per ISSUE 8: positive + negative + suppressed fixtures for every new
 rule, call-graph unit tests (one-level resolution, recursion/cycle
-tolerance), cache invalidation on content change, the acceptance
-deletions (one ``unlink``, one ``state_dict`` key, one fixed-order
-reduction), and proof that ``--fix`` output is bitwise-unchanged.
+tolerance) and the acceptance deletions (one ``unlink``, one
+``state_dict`` key, one fixed-order reduction).
 """
 
 from __future__ import annotations
@@ -21,13 +19,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.cache import ResultCache, make_global_key
 from repro.analysis.callgraph import CallGraph
-from repro.analysis.cli import _cmd_fix
 from repro.analysis.crules import check_c_source
 from repro.analysis.dataflow import collect_functions
 from repro.analysis.engine import LintConfig, expand_rule_selection, run_lint
-from repro.analysis.fixes import plan_fixes
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
@@ -42,10 +37,10 @@ EVERYWHERE = LintConfig(
 )
 
 
-def lint_source(tmp_path, source, *, name="mod.py", config=EVERYWHERE, cache=None):
+def lint_source(tmp_path, source, *, name="mod.py", config=EVERYWHERE):
     path = tmp_path / name
     path.write_text(textwrap.dedent(source))
-    return run_lint([path], config=config, baseline=None, root=tmp_path, cache=cache)
+    return run_lint([path], config=config, root=tmp_path)
 
 
 def rules_of(result):
@@ -997,7 +992,7 @@ class TestKERules:
     def lint_c(self, tmp_path, source, *, name="kern.c", config=EVERYWHERE):
         path = tmp_path / name
         path.write_text(source)
-        return run_lint([path], config=config, baseline=None, root=tmp_path)
+        return run_lint([path], config=config, root=tmp_path)
 
     def test_disciplined_template_is_clean(self, tmp_path):
         res = self.lint_c(tmp_path, C_OK)
@@ -1087,7 +1082,6 @@ class TestKERules:
         res = run_lint(
             [SRC / "repro" / "backends"],
             config=LintConfig(enabled_rules=("KE",)),
-            baseline=None,
             root=REPO_ROOT,
         )
         assert res.findings == [], [f.render() for f in res.findings]
@@ -1136,200 +1130,19 @@ class TestFamilySelection:
         assert res.as_dict()["summary"]["by_family"]["KB"] == 1
 
 
-# ------------------------------------------------------------ result cache
-
-
-class TestResultCache:
-    SOURCE = """
-        import numpy as np
-
-        def f(n):
-            return np.zeros(n)
-        """
-
-    def test_second_run_hits_cache_with_identical_result(self, tmp_path):
-        cache = tmp_path / "cache.json"
-        r1 = lint_source(tmp_path, self.SOURCE, cache=cache)
-        r2 = lint_source(tmp_path, self.SOURCE, cache=cache)
-        assert r1.files_cached == 0
-        assert r2.files_cached == r2.files_checked == 1
-        assert [f.as_dict() for f in r1.findings] == [f.as_dict() for f in r2.findings]
-        assert len(r1.suppressed) == len(r2.suppressed)
-
-    def test_content_change_invalidates(self, tmp_path):
-        cache = tmp_path / "cache.json"
-        lint_source(tmp_path, self.SOURCE, cache=cache)
-        changed = self.SOURCE.replace("np.zeros(n)", "np.zeros(n, dtype=np.float64)")
-        r2 = lint_source(tmp_path, changed, cache=cache)
-        assert r2.files_cached == 0
-        assert r2.findings == []
-
-    def test_rule_selection_changes_global_key(self, tmp_path):
-        cache = tmp_path / "cache.json"
-        lint_source(tmp_path, self.SOURCE, cache=cache)
-        cfg = LintConfig(kernel_modules=("",), enabled_rules=("KA001",))
-        r2 = lint_source(tmp_path, self.SOURCE, config=cfg, cache=cache)
-        assert r2.files_cached == 0  # different global key, no stale replay
-        assert rules_of(r2) == ["KA001"]
-
-    def test_cached_suppressions_replay(self, tmp_path):
-        cache = tmp_path / "cache.json"
-        src = """
-            import numpy as np
-
-            def f(n):
-                return np.zeros(n)  # repro-lint: disable=KA001
-            """
-        r1 = lint_source(tmp_path, src, cache=cache)
-        r2 = lint_source(tmp_path, src, cache=cache)
-        assert r1.findings == [] and r2.findings == []
-        assert len(r2.suppressed) == 1 and r2.files_cached == 1
-
-    def test_corrupt_cache_is_discarded(self, tmp_path):
-        cache = tmp_path / "cache.json"
-        cache.write_text("{not json")
-        res = lint_source(tmp_path, self.SOURCE, cache=cache)
-        assert res.files_cached == 0
-        assert "KA001" in rules_of(res)
-        # and the run repaired it
-        assert json.loads(cache.read_text())["version"] == 1
-
-    def test_analyzer_salt_guards_key(self):
-        k1 = make_global_key(("KA001",), "cfg")
-        k2 = make_global_key(("KA002",), "cfg")
-        k3 = make_global_key(("KA001",), "other-cfg")
-        assert len({k1, k2, k3}) == 3
-
-    def test_cache_roundtrip_preserves_findings(self, tmp_path):
-        cache_path = tmp_path / "c.json"
-        rc = ResultCache.load(cache_path, "key")
-        res = lint_source(tmp_path, self.SOURCE)
-        rc.put("mod.py", "digest", list(res.findings), [])
-        rc.save()
-        rc2 = ResultCache.load(cache_path, "key")
-        hit = rc2.get("mod.py", "digest")
-        assert hit is not None
-        kept, suppressed = hit
-        assert [f.as_dict() for f in kept] == [f.as_dict() for f in res.findings]
-        assert suppressed == []
-        assert rc2.get("mod.py", "other-digest") is None
-
-
-# ------------------------------------------------------------------ --fix
-
-
-FIXABLE = """\
-import numpy as np
-
-
-def stage(n):
-    a = np.zeros(n)
-    b = np.empty((n, 3))
-    c = np.ones(4)
-    d = np.zeros(n, dtype=np.int64)     # already explicit: untouched
-    e = np.full(n, 2.0)                 # dtype follows fill value: untouched
-    f = np.arange(n)                    # dtype inferred: untouched
-    g = np.zeros(n)  # repro-lint: disable=KA001
-    h = np.zeros(
-        n
-    )                                   # multi-line: untouched
-    return a, b, c, d, e, f, g, h
-"""
-
-
-class TestFix:
-    def test_plan_targets_only_safe_sites(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text(FIXABLE)
-        plan = plan_fixes([path], config=EVERYWHERE, root=tmp_path)
-        assert plan.errors == []
-        (fix,) = plan.fixes
-        assert fix.sites == 3
-        new = fix.new
-        assert "a = np.zeros(n, dtype=np.float64)" in new
-        assert "b = np.empty((n, 3), dtype=np.float64)" in new
-        assert "c = np.ones(4, dtype=np.float64)" in new
-        assert "np.full(n, 2.0)" in new
-        assert "np.arange(n)" in new
-        assert "g = np.zeros(n)  # repro-lint" in new
-        assert "h = np.zeros(\n" in new
-
-    def test_remaining_findings_are_the_unfixable_ones(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text(FIXABLE)
-        plan = plan_fixes([path], config=EVERYWHERE, root=tmp_path)
-        plan.apply()
-        fixed = path.read_text()
-        ast.parse(fixed)
-        res = run_lint([path], config=EVERYWHERE, baseline=None, root=tmp_path)
-        # full/arange (dtype not pinnable) and the multi-line call are
-        # deliberately left for a human
-        lines = FIXABLE.splitlines()
-        expected = sorted(
-            lines.index(marker) + 1
-            for marker in (
-                "    e = np.full(n, 2.0)                 # dtype follows fill value: untouched",
-                "    f = np.arange(n)                    # dtype inferred: untouched",
-                "    h = np.zeros(",
-            )
-        )
-        assert [f.line for f in res.findings if f.rule == "KA001"] == expected
-
-    def test_fix_is_bitwise_unchanged(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text(FIXABLE)
-        ns_before: dict = {}
-        exec(compile(FIXABLE, "mod", "exec"), ns_before)
-        before = ns_before["stage"](5)
-        plan = plan_fixes([path], config=EVERYWHERE, root=tmp_path)
-        plan.apply()
-        ns_after: dict = {}
-        exec(compile(path.read_text(), "mod", "exec"), ns_after)
-        after = ns_after["stage"](5)
-        for old, new in zip(before, after):
-            assert old.dtype == new.dtype
-            assert old.shape == new.shape
-        # every deterministic constructor must match bit for bit
-        # (index 1 is np.empty — contents indeterminate by definition)
-        for idx in (0, 2, 3, 4, 5, 6, 7):
-            assert before[idx].tobytes() == after[idx].tobytes()
-
-    def test_dry_run_prints_diff_and_writes_nothing(self, tmp_path, capsys):
-        path = tmp_path / "mod.py"
-        path.write_text(FIXABLE)
-        rc = _cmd_fix([path], EVERYWHERE, dry_run=True)
-        assert rc == 0
-        assert path.read_text() == FIXABLE  # untouched
-        out = capsys.readouterr().out
-        assert "+    a = np.zeros(n, dtype=np.float64)" in out
-        assert "3 site(s)" in out
-
-    def test_fix_rewrites(self, tmp_path, capsys):
-        path = tmp_path / "mod.py"
-        path.write_text(FIXABLE)
-        rc = _cmd_fix([path], EVERYWHERE, dry_run=False)
-        assert rc == 0
-        assert "dtype=np.float64" in path.read_text()
-        assert "3 site(s)" in capsys.readouterr().out
-
-
 # --------------------------------------------------------- self-lint gate
 
 
 class TestSelfLintV2:
     def test_repo_is_clean_under_the_full_rule_set(self):
-        # KB/KC/KD/KE + interprocedural KA over the whole tree, no
-        # baseline: the committed tree must be contract-clean
-        res = run_lint([SRC / "repro"], config=LintConfig(), baseline=None, root=REPO_ROOT)
+        # KB/KC/KD/KE + interprocedural KA over the whole tree: the
+        # committed tree must be contract-clean
+        res = run_lint([SRC / "repro"], config=LintConfig(), root=REPO_ROOT)
         assert res.errors == []
         assert res.findings == [], "\n".join(f.render() for f in res.findings)
 
-    def test_committed_baseline_stays_empty(self):
-        data = json.loads((REPO_ROOT / ".repro-lint-baseline.json").read_text())
-        assert data["findings"] == []
-
     def test_c_kernels_are_linted(self):
-        res = run_lint([SRC / "repro"], config=LintConfig(), baseline=None, root=REPO_ROOT)
+        res = run_lint([SRC / "repro"], config=LintConfig(), root=REPO_ROOT)
         # the REAL-template sources are part of the checked set
         assert res.files_checked > 90
 
@@ -1355,8 +1168,7 @@ class TestLintCLIv2:
         bad = tmp_path / "bad.py"
         bad.write_text("def f(d):\n    return sum(d.values())\n")
         proc = run_cli(
-            str(bad), "--no-baseline", "--no-cache", "--rules", "KB,KC",
-            "--format=json", cwd=REPO_ROOT,
+            str(bad), "--rules", "KB,KC", "--format=json", cwd=REPO_ROOT,
         )
         data = json.loads(proc.stdout)
         # tmp dirs are not physics modules under the default config, so
@@ -1368,22 +1180,6 @@ class TestLintCLIv2:
         proc = run_cli("--rules", "KX", cwd=REPO_ROOT)
         assert proc.returncode == 2
         assert "KX" in proc.stderr
-
-    def test_warm_cache_run_is_fast_and_identical(self, tmp_path):
-        import time
-
-        cache = tmp_path / "cache.json"
-        cold = run_cli("--no-baseline", "--cache", str(cache), "--format=json", cwd=REPO_ROOT)
-        assert cold.returncode == 0, cold.stdout + cold.stderr
-        t0 = time.perf_counter()
-        warm = run_cli("--no-baseline", "--cache", str(cache), "--format=json", cwd=REPO_ROOT)
-        warm_s = time.perf_counter() - t0
-        assert warm.returncode == 0
-        cold_d, warm_d = json.loads(cold.stdout), json.loads(warm.stdout)
-        assert warm_d["files_cached"] == warm_d["files_checked"] > 0
-        assert cold_d["findings"] == warm_d["findings"]
-        # the CI budget is 10 s; leave headroom for slow runners here
-        assert warm_s < 10.0, f"warm self-lint took {warm_s:.1f}s"
 
     def test_list_rules_covers_every_family(self):
         proc = run_cli("--list-rules", cwd=REPO_ROOT)

@@ -749,6 +749,7 @@ LIFECYCLE_PRELUDE = textwrap.dedent("""
     from repro.backends import compiled
     from repro.core.tersoff.production import TersoffProduction
     from repro.parallel.engine import ParallelEngine, WorkerHost
+    from repro.parallel.executor import ProcessExecutor
 
     compiled.THREAD_GRAIN = 1
     WorkerHost._rank_potential = lambda self: copy.deepcopy(self.potential)
@@ -796,19 +797,19 @@ class TestPoolLifecycle:
     concurrent callers, resizing, a restricted CPU set, exit — is tested
     from outside, each in its own interpreter with a timeout."""
 
-    @pytest.mark.parametrize("executor", ["fork", "spawn"])
-    def test_engine_workers_after_a_threaded_call_in_the_parent(self, executor):
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_engine_workers_after_a_threaded_call_in_the_parent(self, start_method):
         """A forked child inherits "helpers started" and no helper; its
         ranks thread all the same (the prelude's patch travels with the
         fork) and start their own."""
         import multiprocessing
 
-        if executor not in multiprocessing.get_all_start_methods():
-            pytest.skip(f"no {executor} start method")
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {start_method} start method")
         run_isolated(f"""
             if __name__ == "__main__":
                 assert evaluate(si_workload(cells=3), 3)[2] == 3  # helpers are up
-                pooled = engine_steps(3, {executor!r}, 3)
+                pooled = engine_steps(3, ProcessExecutor(2, start_method={start_method!r}), 3)
                 assert same(pooled[0], engine_steps(3, "serial", 1)[0])
                 assert evaluate(si_workload(cells=3), 3)[2] == 3  # and still are
                 print("OK")
@@ -1149,8 +1150,8 @@ class TestEngineWithCompiledBackend:
 
 class TestLintClean:
     def test_new_modules_lint_clean(self):
-        """KA001–KA005 over the backends package and the executor, with
-        no baseline allowance: new hot-path code starts clean."""
+        """KA001–KA005 over the backends package and the executor: new
+        hot-path code starts clean."""
         from repro.analysis.engine import run_lint
 
         res = run_lint(

@@ -1,8 +1,10 @@
 """Command-line interface."""
 
+import argparse
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,52 @@ class TestParser:
     def test_run_defaults(self):
         args = build_parser().parse_args(["run"])
         assert args.mode == "Opt-M" and args.atoms == 512
+
+
+def _subcommands(parser):
+    return {name: sub for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+            for name, sub in action.choices.items()}
+
+
+def _option_flags(parser):
+    """Long options of `parser` and of everything nested under it."""
+    own = {o for action in parser._actions for o in action.option_strings
+           if o.startswith("--") and o != "--help"}
+    return sorted(own) + [f for sub in _subcommands(parser).values() for f in _option_flags(sub)]
+
+
+class TestTrackedQuantities:
+    """ROADMAP's north star: commands, flags and executor spellings "go
+    down".  A PR that adds one has to edit a number here to do it."""
+
+    def test_commands_and_flags_do_not_grow(self):
+        parser = build_parser()
+        assert len(_subcommands(parser)) <= 11
+        assert len(_option_flags(parser)) <= 51
+
+    def test_python_source_lines_do_not_grow(self):
+        import repro
+
+        package = Path(repro.__file__).parent
+
+        def lines(root):
+            return sum(len(f.read_text().splitlines()) for f in root.rglob("*.py"))
+
+        assert lines(package) <= 18_550
+        assert lines(package / "analysis") <= 2_650
+
+    def test_lint_is_one_stateless_pass(self):
+        lint = _subcommands(build_parser())["lint"]
+        assert _option_flags(lint) == ["--format", "--list-rules", "--rules"]
+
+    def test_executor_spellings(self):
+        from repro.parallel.executor import EXECUTOR_NAMES
+
+        assert EXECUTOR_NAMES == ("serial", "thread", "process", "tcp", "unix")
+        run = _subcommands(build_parser())["run"]
+        (executor,) = [a for a in run._actions if a.dest == "executor"]
+        assert tuple(executor.choices) == EXECUTOR_NAMES
 
 
 class TestInfo:

@@ -83,15 +83,23 @@ class ScratchFactory:
         return self.ws.nbytes, self.ws.grow_events
 
 
+# battery labels: an executor name, or the process pool pinned to one
+# start method (an argument of the pool, so built as an instance)
 EXECUTORS = ["serial", "thread", "spawn"] + (["fork"] if HAVE_FORK else []) + ["tcp", "unix"]
 OUT_OF_PROCESS = [name for name in EXECUTORS if name not in ("serial", "thread")]
+
+
+def pool(label, workers=2):
+    if label in ("spawn", "fork"):
+        return ProcessExecutor(workers, start_method=label)
+    return make_executor(label, workers=workers)
 
 
 @pytest.fixture(params=EXECUTORS)
 def started(request):
     """(executor, caller-side views) for each implementation, started
     with two workers and one 4-slot shared array."""
-    ex = make_executor(request.param, workers=2)
+    ex = pool(request.param)
     views = ex.start(EchoFactory(), {"data": ((4,), "float64")})
     yield ex, views
     ex.shutdown()
@@ -219,7 +227,7 @@ class TestProcessSpecific:
 
     @pytest.mark.parametrize("name", OUT_OF_PROCESS)
     def test_dead_worker_fails_its_futures(self, name):
-        ex = make_executor(name, workers=2)
+        ex = pool(name)
         try:
             ex.start(EchoFactory(), {"data": ((1,), "float64")})
             dead = ex.submit(0, "die")
@@ -274,25 +282,24 @@ class TestProcessSpecific:
 class TestMakeExecutor:
     def test_names(self):
         assert isinstance(make_executor("serial", workers=2), SerialExecutor)
-        ex = make_executor("spawn", workers=2)
-        assert isinstance(ex, ProcessExecutor) and ex.start_method == "spawn"
-        assert isinstance(make_executor("process", workers=2), ProcessExecutor)
+        ex = make_executor("process", workers=2)
+        assert isinstance(ex, ProcessExecutor)
+        assert ex.start_method == ("fork" if HAVE_FORK else "spawn")
         assert isinstance(make_executor("thread", workers=2), ThreadExecutor)
         assert isinstance(make_executor(None, workers=2), ProcessExecutor)
         ex = make_executor("unix", workers=2)
         assert isinstance(ex, ClusterExecutor) and ex.transport == "unix"
 
     def test_every_listed_name_resolves(self):
-        available = mp.get_all_start_methods()
         for name in EXECUTOR_NAMES:
-            if name in ("fork", "spawn", "forkserver") and name not in available:
-                continue
             assert make_executor(name, workers=1).workers == 1
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ExecutorError, match="unknown executor") as ei:
-            make_executor("threads", workers=2)
-        assert all(name in str(ei.value) for name in EXECUTOR_NAMES)
+        # a start method is an argument of ProcessExecutor, not a name
+        for bad in ("threads", "fork", "spawn", "forkserver"):
+            with pytest.raises(ExecutorError, match="unknown executor") as ei:
+                make_executor(bad, workers=2)
+            assert all(name in str(ei.value) for name in EXECUTOR_NAMES)
 
     def test_instance_passthrough(self):
         inst = SerialExecutor(3)
@@ -320,7 +327,7 @@ class TestEngineAcrossExecutors:
         def run(executor):
             pot = TersoffProduction(tersoff_si())
             with ParallelEngine(system.copy(), pot, workers=2, ranks=2,
-                                executor=executor) as eng:
+                                executor=pool(executor)) as eng:
                 step = eng.compute(system.x)
                 return step.energy, step.forces.copy()
 

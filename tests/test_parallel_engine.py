@@ -27,6 +27,7 @@ from repro.md.potential import Potential
 from repro.md.simulation import Simulation
 from repro.parallel.decomposition import DomainDecomposition
 from repro.parallel.engine import EngineError, ParallelEngine, WorkerCrash
+from repro.parallel.executor import ProcessExecutor
 
 SKIN = 1.0
 
@@ -146,7 +147,8 @@ class TestBitwiseEquivalence:
         system = si_system()
         pot = TersoffProduction(tersoff_si(), cache=True)
         e_ref, f_ref = sequential_reference(system, pot, [system.x], ranks=2)[0]
-        with ParallelEngine(system, pot, workers=2, ranks=2, executor="spawn") as eng:
+        spawned = ProcessExecutor(2, start_method="spawn")
+        with ParallelEngine(system, pot, workers=2, ranks=2, executor=spawned) as eng:
             step = eng.compute(system.x)
             assert step.energy == e_ref
             assert np.array_equal(step.forces, f_ref)

@@ -191,6 +191,42 @@ class TestRunSpec:
         run = RunSpec.from_dict(legacy)
         assert run.executor is None and run.hosts == ("a:1", "b:2")
 
+    @pytest.mark.parametrize("retired", ["fork", "spawn", "forkserver"])
+    def test_legacy_pinned_start_method_restarts_on_process(self, retired, tmp_path):
+        """A checkpoint pinned when a start method was still an executor
+        name restarts on the process pool and continues bitwise
+        (executors never define physics)."""
+        from repro.md.lattice import seeded_velocities
+        from repro.runtime.session import restore_run
+        from repro.state import load_checkpoint, save_checkpoint
+
+        system = perturbed(diamond_lattice(2, 2, 2), 0.05, seed=7)
+        seeded_velocities(system, 300.0, seed=7)
+        run = RunSpec(workers=2, ranks=2, executor="serial")
+        sim = run.build_simulation(system)
+        try:
+            sim.run(2)
+            pinned = run.to_dict()
+            pinned["executor"] = retired
+            save_checkpoint(sim, tmp_path / "a.ckpt", user_meta={"run_spec": pinned})
+            sim.run(2)
+            x, v = sim.system.x.copy(), sim.system.v.copy()
+        finally:
+            sim.close()
+
+        ck = load_checkpoint(tmp_path / "a.ckpt")
+        resumed_spec = ck.run_spec()
+        assert resumed_spec.executor == "process"
+        assert resumed_spec.build_executor() == ("process", 2)
+        assert resumed_spec.to_dict()["executor"] == "process"
+        resumed = restore_run(resumed_spec, ck)
+        try:
+            resumed.run(2)
+            assert np.array_equal(resumed.system.x, x)
+            assert np.array_equal(resumed.system.v, v)
+        finally:
+            resumed.close()
+
     def test_from_args_covers_the_flag_family(self):
         args = argparse.Namespace(
             potential="tersoff", mode="Opt-S", backend=None,
