@@ -295,27 +295,20 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import EvalServer, ServeConfig
 
-    if args.unix:
-        config = ServeConfig(
-            unix_path=args.unix,
-            max_sessions=args.max_sessions, per_tenant_cap=args.per_tenant_cap,
-            skin=args.skin, backlog=args.backlog, batch_max=args.batch_max,
-            max_atoms=args.max_atoms,
-        )
-    else:
+    listen = {"unix_path": args.unix}
+    if not args.unix:
         host, _, port = args.bind.rpartition(":")
         try:
-            port = int(port)
+            listen = {"host": host or "127.0.0.1", "port": int(port)}
         except ValueError:
             print(f"serve: bad --bind {args.bind!r} (expected HOST:PORT)",
                   file=sys.stderr)
             return 2
-        config = ServeConfig(
-            host=host or "127.0.0.1", port=port,
-            max_sessions=args.max_sessions, per_tenant_cap=args.per_tenant_cap,
-            skin=args.skin, backlog=args.backlog, batch_max=args.batch_max,
-            max_atoms=args.max_atoms,
-        )
+    config = ServeConfig(
+        **listen, max_sessions=args.max_sessions, per_tenant_cap=args.per_tenant_cap,
+        skin=args.skin, backlog=args.backlog, batch_max=args.batch_max,
+        max_atoms=args.max_atoms,
+    )
     try:
         server = EvalServer(config)
     except OSError as exc:
@@ -337,7 +330,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     from repro.md.lattice import diamond_lattice, perturbed
     from repro.runtime import SolverSpec, SpecError
     from repro.serve.loadgen import run_load
-    from repro.serve.protocol import system_payload
 
     try:
         spec = SolverSpec(potential=args.potential, mode=args.mode, backend=args.backend)
@@ -347,7 +339,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     system = perturbed(diamond_lattice(args.cells, args.cells, args.cells),
                        0.1, seed=args.seed)
     result = run_load(
-        args.address, spec.to_dict(), system_payload(system),
+        args.address, spec.to_dict(), system,
         requests=args.requests, concurrency=args.concurrency,
         tenant=args.tenant,
     )

@@ -47,14 +47,8 @@ class PoolStats:
     by_tenant: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "session_hits": self.session_hits,
-            "session_misses": self.session_misses,
-            "evictions": self.evictions,
-            "tenant_evictions": self.tenant_evictions,
-            "requests": self.requests,
-            "by_tenant": {k: dict(v) for k, v in sorted(self.by_tenant.items())},
-        }
+        by_tenant = {k: dict(v) for k, v in sorted(self.by_tenant.items())}
+        return {**vars(self), "by_tenant": by_tenant}
 
 
 class SolverSession:
@@ -213,10 +207,6 @@ class SolverPool:
                 "per_tenant_cap": self.per_tenant_cap,
                 **self.stats.as_dict(),
             }
-
-    def clear(self) -> None:
-        with self._lock:
-            self._sessions.clear()
 
 
 def copy_forces(result: ForceResult) -> np.ndarray:

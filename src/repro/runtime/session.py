@@ -103,11 +103,3 @@ def restore_run(run: RunSpec, checkpoint, *, potential=None):
     return restore_simulation(
         checkpoint, potential, workers=workers, executor=executor
     )
-
-
-def spec_from_potential_kwargs(
-    potential: str, mode: str, cache: bool, backend: str | None
-) -> SolverSpec:
-    """Adapter for legacy ``(potential, mode, cache, backend)`` tuples
-    (the pre-runtime checkpoint ``user_meta`` layout)."""
-    return SolverSpec(potential=potential, mode=mode, cache=bool(cache), backend=backend)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 #: Bump on any incompatible change to the serialized spec layout.
 RUNTIME_SCHEMA_VERSION = 1
@@ -117,9 +118,6 @@ class SolverSpec:
         """``"double"`` / ``"single"`` / ``"mixed"``; ``None`` for Ref."""
         return _MODE_PRECISION.get(self.mode)
 
-    def resolved_params_set(self) -> str:
-        return "Si" if self.params_set == "default" else self.params_set
-
     # ---- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -150,18 +148,17 @@ class SolverSpec:
         return cls(**kwargs)
 
     def canonical_json(self) -> str:
-        """Stable string form — equal strings iff equal specs."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """Stable string form — equal strings iff equal specs — and so
+        the hashable identity for pool/cache keying."""
+        return _solver_json(self)
 
-    def key(self) -> str:
-        """Hashable identity for pool/cache keying."""
-        return self.canonical_json()
+    key = canonical_json
 
     # ---- construction --------------------------------------------------------
 
     def build_params(self):
         """The parameter object for this spec's family and set."""
-        name = self.resolved_params_set()
+        name = "Si" if self.params_set == "default" else self.params_set
         if self.potential == "tersoff":
             from repro.core.tersoff.parameters import (
                 tersoff_carbon,
@@ -197,6 +194,13 @@ class SolverSpec:
         from repro.runtime.session import build_potential
 
         return build_potential(self, params=params)
+
+
+# every served request rebuilds its spec from the envelope and asks for
+# the key twice: memoised by value, as validate._spec_limits is
+@lru_cache(maxsize=256)
+def _solver_json(spec: SolverSpec) -> str:
+    return json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ session (asserted in ``tests/test_serve.py`` and gated by the CI
 
 Layers, bottom up:
 
-- :mod:`repro.serve.protocol`  — canonical JSON wire format, bitwise float
-  round-trips;
+- :mod:`repro.serve.protocol`  — the envelope's two bitwise encodings:
+  CRC-framed array buffers and JSON;
 - :mod:`repro.serve.validate`  — the L0-L3 request validation tiers;
 - :mod:`repro.serve.server`    — the HTTP server: bounded backpressure
   queue, single batching dispatcher over a
@@ -26,7 +26,6 @@ from repro.serve.protocol import (
     SERVE_SCHEMA_VERSION,
     decode_payload,
     encode_payload,
-    system_from_payload,
     system_payload,
 )
 from repro.serve.server import EvalServer, ServeConfig
@@ -41,7 +40,6 @@ __all__ = [
     "ServeError",
     "decode_payload",
     "encode_payload",
-    "system_from_payload",
     "system_payload",
     "validate_request",
 ]

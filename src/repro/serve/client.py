@@ -1,7 +1,10 @@
 """Stdlib client for the evaluation service (TCP and unix socket).
 
 One :class:`ServeClient` holds one keep-alive HTTP/1.1 connection —
-the load generator opens one per worker thread.  Addresses:
+the load generator opens one per worker thread.  Request bodies are
+always frames (:mod:`repro.serve.protocol`); an answer is decoded by the
+content type it arrives with, which is frames for an evaluation and
+JSON for errors, health and stats.  Addresses:
 
 - ``"host:port"`` or ``"http://host:port"`` — TCP;
 - a filesystem path (contains ``/`` or exists) — AF_UNIX.
@@ -12,10 +15,8 @@ from __future__ import annotations
 import http.client
 import socket
 
-import numpy as np
-
 from repro.serve.protocol import (
-    JSON_CONTENT_TYPE,
+    FRAME_CONTENT_TYPE,
     SERVE_SCHEMA_VERSION,
     decode_payload,
     encode_payload,
@@ -31,22 +32,16 @@ class ServeError(RuntimeError):
     status:
         HTTP status code.
     error:
-        The decoded ``error`` object (``tier``/``code``/``message``).
+        The decoded ``error`` object (``tier``/``code``/``message``);
+        its ``code`` and ``tier`` are attributes too.
     """
 
     def __init__(self, status: int, error: dict):
-        code = error.get("code", "unknown")
-        super().__init__(f"HTTP {status}: {code}: {error.get('message', '')}")
         self.status = status
         self.error = error
-
-    @property
-    def code(self) -> str:
-        return self.error.get("code", "unknown")
-
-    @property
-    def tier(self) -> str | None:
-        return self.error.get("tier")
+        self.code: str = error.get("code", "unknown")
+        self.tier: str | None = error.get("tier")
+        super().__init__(f"HTTP {status}: {self.code}: {error.get('message', '')}")
 
 
 class _UnixHTTPConnection(http.client.HTTPConnection):
@@ -106,8 +101,8 @@ class ServeClient:
         body = None
         headers = {}
         if payload is not None:
-            body = encode_payload(payload, JSON_CONTENT_TYPE)
-            headers["Content-Type"] = JSON_CONTENT_TYPE
+            body = encode_payload(payload, FRAME_CONTENT_TYPE)
+            headers["Content-Type"] = FRAME_CONTENT_TYPE
         try:
             conn.request(method, path, body=body, headers=headers)
             resp = conn.getresponse()
@@ -141,9 +136,7 @@ class ServeClient:
             "tenant": tenant,
             "system": system if isinstance(system, dict) else system_payload(system),
         }
-        out = self._request("POST", "/v1/evaluate", payload)
-        out["forces"] = np.asarray(out["forces"], dtype=np.float64)
-        return out
+        return self._request("POST", "/v1/evaluate", payload)
 
     def stats(self) -> dict:
         return self._request("GET", "/v1/stats")

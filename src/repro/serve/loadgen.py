@@ -2,9 +2,8 @@
 
 Drives N worker threads, each with its own keep-alive connection,
 through a fixed number of requests and reports latency percentiles.
-Used by ``repro loadgen`` and by the ``serve/throughput-512`` bench
-case (p50/p99 land in the artifact's informational ``extra`` section —
-latencies are host-noise, never a compared metric).
+Used by ``repro loadgen``; the numbers that decide anything are those of
+``benchmarks/e2e`` (``serve-replay-512``, ``serve-mixed``).
 """
 
 from __future__ import annotations
@@ -49,11 +48,12 @@ class LoadResult:
         }
 
 
-def run_load(address: str, solver: dict, system_payload: dict, *,
+def run_load(address: str, solver: dict, system, *,
              requests: int, concurrency: int = 1,
              tenant: str = "default", timeout: float = 120.0) -> LoadResult:
-    """Issue `requests` evaluations against `address` from
-    `concurrency` worker threads and collect per-request latency.
+    """Issue `requests` evaluations of `system` (an ``AtomSystem`` or its
+    payload dict) against `address` from `concurrency` worker threads
+    and collect per-request latency.
 
     Backpressure rejections (HTTP 429) are counted under
     ``errors["backpressure"]``, not retried — the generator measures
@@ -73,7 +73,7 @@ def run_load(address: str, solver: dict, system_payload: dict, *,
                         return
                 t0 = time.perf_counter()
                 try:
-                    client.evaluate(solver, system_payload, tenant=tenant)
+                    client.evaluate(solver, system, tenant=tenant)
                 except ServeError as exc:
                     with lock:
                         result.errors[exc.code] = result.errors.get(exc.code, 0) + 1

@@ -3,19 +3,23 @@
 Architecture (one box, no third-party dependencies):
 
 - a :class:`ThreadingHTTPServer` (TCP) or its AF_UNIX twin accepts
-  connections; handler threads do parse + validate only;
+  connections.  A handler thread does what needs no solver: it refuses
+  an oversized body unread, decodes it (frame or JSON), validates it
+  once, on arrays (L0-L3), and later encodes the answer as it was asked;
 - accepted requests become jobs on a **bounded** queue — when the
   queue is full the handler answers ``429`` with the typed
   ``backpressure`` error *immediately* instead of stacking latency;
 - a single **dispatcher** thread drains the queue in batches (up to
   ``batch_max`` jobs per drain) and evaluates them on the warm
-  :class:`~repro.runtime.SolverPool`.  Batch fusion here is *dispatch*
+  :class:`~repro.runtime.SolverPool`: validated arrays in, a detached
+  force array out, never a Python list.  Batch fusion here is *dispatch*
   fusion: one dequeue wakes the dispatcher once for N requests, and
   jobs sharing a ``(tenant, spec)`` session run back-to-back while the
   session is hot.  Geometric fusion (concatenating systems into one
   neighbor build) is deliberately excluded — it would change
   summation order and break the bitwise serve-equivalence contract;
-- handler threads block on their job's event and write the response.
+- handler threads block on their job's event and write the response;
+  ``/v1/stats`` sums each job's queue wait, evaluation and response time.
 
 Shutdown is clean by construction: :meth:`EvalServer.close` stops the
 dispatcher with a sentinel, shuts the listener down, and unlinks the
@@ -31,17 +35,20 @@ import queue
 import socket
 import socketserver
 import threading
+import time
 import weakref
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.runtime.pool import SolverPool, copy_forces
 from repro.serve.protocol import (
+    CONTENT_TYPES,
     JSON_CONTENT_TYPE,
     SERVE_SCHEMA_VERSION,
     ProtocolError,
     decode_payload,
     encode_payload,
+    wire_type,
 )
 from repro.serve.validate import DEFAULT_MAX_ATOMS, RequestError, validate_request
 
@@ -69,7 +76,8 @@ class ServeConfig:
 class _Job:
     """One accepted request travelling handler → dispatcher → handler."""
 
-    __slots__ = ("spec", "system", "tenant", "event", "response", "error", "batch")
+    __slots__ = ("spec", "system", "tenant", "event", "response", "error",
+                 "enqueued", "evaluated")
 
     def __init__(self, spec, system, tenant):
         self.spec = spec
@@ -78,7 +86,7 @@ class _Job:
         self.event = threading.Event()
         self.response = None
         self.error = None
-        self.batch = (0, 1)  # (index within drain, drain size)
+        self.enqueued = self.evaluated = 0.0  # perf_counter stamps
 
 
 @dataclass
@@ -93,20 +101,15 @@ class _ServerCounters:
     batches: int = 0
     fused_requests: int = 0
     max_batch: int = 0
+    # summed per job: enqueue → pick-up → evaluate-done → response-written
+    queue_wait_us: float = 0.0
+    evaluate_us: float = 0.0
+    respond_us: float = 0.0
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def as_dict(self) -> dict:
         with self.lock:
-            return {
-                "received": self.received,
-                "completed": self.completed,
-                "failed": self.failed,
-                "rejected_backpressure": self.rejected_backpressure,
-                "rejected_invalid": self.rejected_invalid,
-                "batches": self.batches,
-                "fused_requests": self.fused_requests,
-                "max_batch": self.max_batch,
-            }
+            return {k: round(v) for k, v in vars(self).items() if k != "lock"}
 
 
 class _UnixHTTPServer(ThreadingHTTPServer):
@@ -246,6 +249,7 @@ class EvalServer:
 
     def submit(self, job: _Job) -> bool:
         """Enqueue a job; False means the backlog is full (429)."""
+        job.enqueued = time.perf_counter()
         try:
             self._queue.put_nowait(job)
         except queue.Full:
@@ -286,29 +290,26 @@ class EvalServer:
         # (order within a key is arrival order — deterministic)
         batch.sort(key=lambda j: (j.tenant, j.spec.key()))
         for i, job in enumerate(batch):
-            job.batch = (i, size)
+            picked_up = time.perf_counter()
             try:
                 result = self.pool.evaluate(job.spec, job.system, tenant=job.tenant)
                 job.response = {
                     "schema": SERVE_SCHEMA_VERSION,
                     "energy": float(result.energy),
                     "virial": float(result.virial),
-                    "forces": copy_forces(result).tolist(),
+                    "forces": copy_forces(result),
                     "n": int(job.system.n),
                     "batch": {"index": i, "size": size},
                 }
-                with self.counters.lock:
-                    self.counters.completed += 1
             except Exception as exc:  # evaluation failure → typed 500
-                job.error = {
-                    "tier": None,
-                    "code": "evaluation_failed",
-                    "message": f"{type(exc).__name__}: {exc}",
-                }
-                with self.counters.lock:
-                    self.counters.failed += 1
-            finally:
-                job.event.set()
+                job.error = f"{type(exc).__name__}: {exc}"
+            job.evaluated = time.perf_counter()
+            with self.counters.lock:
+                self.counters.completed += job.error is None
+                self.counters.failed += job.error is not None
+                self.counters.queue_wait_us += (picked_up - job.enqueued) * 1e6
+                self.counters.evaluate_us += (job.evaluated - picked_up) * 1e6
+            job.event.set()
 
     # ---- introspection ------------------------------------------------------
 
@@ -319,13 +320,15 @@ class EvalServer:
             "queue_depth": self._queue.qsize(),
             "backlog": self.config.backlog,
             "batch_max": self.config.batch_max,
-            "content_types": [JSON_CONTENT_TYPE],
+            "content_types": list(CONTENT_TYPES),
             "pool": self.pool.snapshot(),
         }
 
 
 def _make_handler(server: EvalServer):
     """The request handler class, closed over its EvalServer."""
+    # JSON spends under 80 bytes on an atom's three doubles and type, a frame 28
+    body_cap = 65536 + 128 * server.config.max_atoms
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
@@ -333,16 +336,25 @@ def _make_handler(server: EvalServer):
         def log_message(self, fmt, *args):  # noqa: A003 - stdlib signature
             pass
 
-        def _send(self, status: int, obj: dict) -> None:
-            body = encode_payload(obj, JSON_CONTENT_TYPE)
+        def _send(self, status: int, obj: dict, ctype: str = JSON_CONTENT_TYPE,
+                  close: bool = False) -> None:
+            body = encode_payload(obj, ctype)
             self.send_response(status)
-            self.send_header("Content-Type", JSON_CONTENT_TYPE)
+            self.send_header("Content-Type", ctype)
             self.send_header("Content-Length", str(len(body)))
+            if close:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
 
-        def _send_error(self, status: int, err: dict) -> None:
-            self._send(status, {"schema": SERVE_SCHEMA_VERSION, "error": err})
+        def _fail(self, status: int, code: str, message: str, tier: str | None = None,
+                  close: bool = False) -> None:
+            """A typed error, always JSON; with a tier it is a request refused."""
+            if tier is not None:
+                with server.counters.lock:
+                    server.counters.rejected_invalid += 1
+            error = {"tier": tier, "code": code, "message": message}
+            self._send(status, {"schema": SERVE_SCHEMA_VERSION, "error": error}, close=close)
 
         def do_GET(self):  # noqa: N802 - stdlib casing
             if self.path == "/healthz":
@@ -350,33 +362,33 @@ def _make_handler(server: EvalServer):
             elif self.path == "/v1/stats":
                 self._send(200, server.stats())
             else:
-                self._send_error(404, {"tier": None, "code": "not_found",
-                                       "message": f"no route {self.path}"})
+                self._fail(404, "not_found", f"no route {self.path}")
 
         def do_POST(self):  # noqa: N802 - stdlib casing
             if self.path != "/v1/evaluate":
-                self._send_error(404, {"tier": None, "code": "not_found",
-                                       "message": f"no route {self.path}"})
+                self._fail(404, "not_found", f"no route {self.path}")
                 return
+            with server.counters.lock:
+                server.counters.received += 1
             try:
                 length = int(self.headers.get("Content-Length", "0"))
             except ValueError:
                 length = -1
+            # either way the body stays unread, so the connection cannot go on
             if length < 0:
-                self._send_error(400, {"tier": "L0", "code": "bad_length",
-                                       "message": "missing/invalid Content-Length"})
+                self._fail(400, "bad_length", "missing/invalid Content-Length", "L0", close=True)
+                return
+            if length > body_cap:
+                self._fail(413, "body_too_large",
+                           f"Content-Length {length} is above the {body_cap} bytes a "
+                           f"{server.config.max_atoms}-atom system can need", "L0", close=True)
                 return
             body = self.rfile.read(length)
-            ctype = self.headers.get("Content-Type", JSON_CONTENT_TYPE)
-            with server.counters.lock:
-                server.counters.received += 1
             try:
+                ctype = wire_type(self.headers.get("Content-Type", ""))
                 payload = decode_payload(body, ctype)
             except ProtocolError as exc:
-                with server.counters.lock:
-                    server.counters.rejected_invalid += 1
-                self._send_error(400, {"tier": "L0", "code": "undecodable",
-                                       "message": str(exc)})
+                self._fail(400, "undecodable", str(exc), "L0")
                 return
             try:
                 spec, system, tenant = validate_request(
@@ -384,27 +396,26 @@ def _make_handler(server: EvalServer):
                     skin=server.config.skin,
                 )
             except RequestError as exc:
-                with server.counters.lock:
-                    server.counters.rejected_invalid += 1
-                self._send_error(400, exc.as_dict())
+                self._fail(400, exc.code, str(exc), exc.tier)
                 return
             job = _Job(spec, system, tenant)
             if not server.submit(job):
                 with server.counters.lock:
                     server.counters.rejected_backpressure += 1
-                self._send_error(429, {
-                    "tier": None, "code": "backpressure",
-                    "message": f"queue full ({server.config.backlog} pending); "
-                               "retry with backoff",
-                })
+                self._fail(429, "backpressure", f"queue full ({server.config.backlog} "
+                                                "pending); retry with backoff")
                 return
             if not job.event.wait(timeout=server.config.request_timeout):
-                self._send_error(504, {"tier": None, "code": "timeout",
-                                       "message": "evaluation timed out"})
+                self._fail(504, "timeout", "evaluation timed out")
                 return
+            if job.error is None:
+                try:
+                    self._send(200, job.response, ctype)
+                except ValueError as exc:  # non-finite forces are no wire value
+                    job.error = f"unencodable result: {exc}"
             if job.error is not None:
-                self._send_error(500, job.error)
-            else:
-                self._send(200, job.response)
+                self._fail(500, "evaluation_failed", job.error)
+            with server.counters.lock:
+                server.counters.respond_us += (time.perf_counter() - job.evaluated) * 1e6
 
     return Handler

@@ -14,8 +14,8 @@ tier      what it checks
           type indices to ``(n,)`` ints, the box to two 3-vectors
 ``L2``    physical sanity: finite values, non-empty, size cap,
           positive box extent, type indices inside the species table
-``L3``    feasibility: the spec's cutoff (plus skin) fits the box
-          under the minimum-image convention
+``L3``    feasibility: the spec's parameter set covers the species and
+          its cutoff (plus skin) fits the box under minimum image
 ========  ====================================================
 
 The tiers are ordered so that no numerical work touches data that has
@@ -30,14 +30,14 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro.md.atoms import AtomSystem
+from repro.md.box import Box
 from repro.runtime.spec import SolverSpec, SpecError
-from repro.serve.protocol import SERVE_SCHEMA_VERSION, system_from_payload
+from repro.serve.protocol import SERVE_SCHEMA_VERSION
 
 #: Refuse requests above this many atoms (tier L2 ``too_large``) —
 #: a single oversized request would monopolize the dispatcher.
 DEFAULT_MAX_ATOMS = 65536
-
-TIERS = ("L0", "L1", "L2", "L3")
 
 
 class RequestError(ValueError):
@@ -56,9 +56,6 @@ class RequestError(ValueError):
         self.tier = tier
         self.code = code
 
-    def as_dict(self) -> dict:
-        return {"tier": self.tier, "code": self.code, "message": str(self)}
-
 
 def _l0_envelope(payload) -> tuple[SolverSpec, dict, str]:
     """Tier L0: the request envelope is structurally a request."""
@@ -74,10 +71,8 @@ def _l0_envelope(payload) -> tuple[SolverSpec, dict, str]:
     for key in ("solver", "system"):
         if key not in payload:
             raise RequestError("L0", "missing_field", f"request lacks {key!r}")
-    if not isinstance(payload["solver"], dict):
-        raise RequestError("L0", "bad_field", "'solver' must be an object")
-    if not isinstance(payload["system"], dict):
-        raise RequestError("L0", "bad_field", "'system' must be an object")
+        if not isinstance(payload[key], dict):
+            raise RequestError("L0", "bad_field", f"{key!r} must be an object")
     tenant = payload.get("tenant", "default")
     if not isinstance(tenant, str) or not tenant:
         raise RequestError("L0", "bad_field", "'tenant' must be a non-empty string")
@@ -88,10 +83,15 @@ def _l0_envelope(payload) -> tuple[SolverSpec, dict, str]:
     return spec, payload["system"], tenant
 
 
-def _l1_shapes(system_payload: dict):
-    """Tier L1: arrays parse to the right shapes and dtypes."""
+def _l1_shapes(system_payload: dict) -> tuple:
+    """Tier L1: arrays parse to the right shapes and dtypes.  The only
+    place they are parsed: L2, L3 and the :class:`AtomSystem` get what
+    this returns.  An ``ndarray`` (from a frame) is never converted."""
+    x = system_payload.get("x")
     try:
-        x = np.asarray(system_payload.get("x"), dtype=np.float64)
+        if isinstance(x, np.ndarray) and x.dtype != np.float64:
+            raise ValueError(f"dtype {x.dtype.str}, the wire carries <f8")
+        x = np.asarray(x, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise RequestError("L1", "bad_positions",
                            f"positions are not numeric: {exc}") from exc
@@ -104,33 +104,33 @@ def _l1_shapes(system_payload: dict):
     try:
         lo = np.asarray(box.get("lo"), dtype=np.float64).reshape(3)
         hi = np.asarray(box.get("hi"), dtype=np.float64).reshape(3)
+        periodic = tuple(bool(p) for p in box.get("periodic", (True, True, True)))
     except (TypeError, ValueError) as exc:
         raise RequestError("L1", "bad_box",
                            f"box lo/hi must be 3-vectors: {exc}") from exc
-    periodic = box.get("periodic", (True, True, True))
-    if len(tuple(periodic)) != 3:
+    if len(periodic) != 3:
         raise RequestError("L1", "bad_box", "box periodic must have 3 flags")
     types = system_payload.get("types")
     if types is not None:
         try:
-            t = np.asarray(types)
-            if not np.issubdtype(t.dtype, np.integer):
-                raise ValueError(f"dtype {t.dtype} is not integral")
-            t = t.astype(np.int32)
+            types = np.asarray(types)
         except (TypeError, ValueError) as exc:
+            raise RequestError("L1", "bad_types", f"type indices: {exc}") from exc
+        if not np.issubdtype(types.dtype, np.integer):
             raise RequestError("L1", "bad_types",
-                               f"type indices must be integers: {exc}") from exc
-        if t.shape != (x.shape[0],):
+                               f"type indices must be integers, got dtype {types.dtype}")
+        if types.shape != (x.shape[0],):
             raise RequestError("L1", "bad_types",
-                               f"types must be ({x.shape[0]},), got {t.shape}")
+                               f"types must be ({x.shape[0]},), got {types.shape}")
     species = system_payload.get("species", ("Si",))
-    if not all(isinstance(s, str) for s in species) or not len(tuple(species)):
+    if (not isinstance(species, (list, tuple)) or not species
+            or not all(isinstance(s, str) for s in species)):
         raise RequestError("L1", "bad_species",
                            "species must be a non-empty list of symbols")
-    return x, lo, hi
+    return x, types, tuple(species), lo, hi, periodic
 
 
-def _l2_sanity(x, lo, hi, system_payload: dict, max_atoms: int):
+def _l2_sanity(x, types, nspecies: int, lo, hi, max_atoms: int):
     """Tier L2: the numbers describe a physically sane system."""
     n = x.shape[0]
     if n == 0:
@@ -145,26 +145,28 @@ def _l2_sanity(x, lo, hi, system_payload: dict, max_atoms: int):
     if np.any(hi <= lo):
         raise RequestError("L2", "bad_box_extent",
                            f"box must have positive extent, got lo={lo} hi={hi}")
-    types = system_payload.get("types")
-    nspecies = len(tuple(system_payload.get("species", ("Si",))))
-    if types is not None:
-        t = np.asarray(types)
-        if t.size and (t.min() < 0 or t.max() >= nspecies):
-            raise RequestError("L2", "type_range",
-                               f"type indices must lie in [0, {nspecies})")
+    # on the integers as sent: AtomSystem's int32 cast would wrap 2**32 to 0
+    if types is not None and (types.min() < 0 or types.max() >= nspecies):
+        raise RequestError("L2", "type_range",
+                           f"type indices must lie in [0, {nspecies})")
 
 
-# memoized (spec → cutoff): tier L3 runs per request, parameter table
-# construction should not.  SolverSpec is frozen/hashable, so lru_cache
-# keys on it directly.
+# memoized (spec → cutoff, species): tier L3 runs per request, parameter
+# table construction should not.  SolverSpec is frozen/hashable, so
+# lru_cache keys on it directly.
 @lru_cache(maxsize=256)
-def _spec_cutoff(spec: SolverSpec) -> float:
-    return float(spec.cutoff())
+def _spec_limits(spec: SolverSpec) -> tuple:
+    params = spec.build_params()
+    return float(spec.cutoff(params)), getattr(params, "species", None)
 
 
 def _l3_feasibility(spec: SolverSpec, system, skin: float):
-    """Tier L3: the spec's interaction range fits this box."""
-    cutoff = _spec_cutoff(spec)
+    """Tier L3: the spec can evaluate this system — its parameter set is
+    for these species, and its interaction range fits this box."""
+    cutoff, species = _spec_limits(spec)
+    if species is not None and system.species != species:
+        raise RequestError("L3", "species_mismatch", f"params_set {spec.params_set!r} "
+                           f"is for species {species}, the system names {system.species}")
     try:
         system.box.check_cutoff(cutoff + skin)
     except ValueError as exc:
@@ -179,10 +181,10 @@ def validate_request(payload, *, max_atoms: int = DEFAULT_MAX_ATOMS,
     :class:`RequestError` at the first failing tier.
     """
     spec, sys_payload, tenant = _l0_envelope(payload)
-    x, lo, hi = _l1_shapes(sys_payload)
-    _l2_sanity(x, lo, hi, sys_payload, max_atoms)
+    x, types, species, lo, hi, periodic = _l1_shapes(sys_payload)
+    _l2_sanity(x, types, len(species), lo, hi, max_atoms)
     try:
-        system = system_from_payload(sys_payload)
+        system = AtomSystem(box=Box(lo, hi, periodic), x=x, type=types, species=species)
     except ValueError as exc:
         # AtomSystem's own invariants are stricter in corner cases
         # (e.g. species/mass table mismatch) — surface them as L2

@@ -22,12 +22,18 @@ On top of frames, :func:`pack_arrays` / :func:`unpack_arrays` give a
 bit-exact numpy array codec: a JSON manifest (name, dtype, shape,
 byte length) followed by the concatenated raw buffers.  ``tobytes`` /
 ``frombuffer`` round-trip every IEEE bit pattern, including NaN
-payloads, so checkpoint restore is bitwise by construction.
+payloads, so checkpoint restore is bitwise by construction.  A *record*
+(:func:`pack_record`) is a JSON head in front of such a block: a
+trajectory frame, or — through :func:`decode_wire_record`, the only way
+in for bytes a peer sent — a ``repro serve`` request or answer.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import math
+import operator
 import struct
 import zlib
 from typing import BinaryIO
@@ -65,12 +71,13 @@ def write_frame(fh: BinaryIO, payload: bytes, *, compress: bool = True) -> int:
     return len(header) + len(stored)
 
 
-def read_frame(fh: BinaryIO) -> bytes | None:
+def read_frame(fh: BinaryIO, *, inflate: bool = True) -> bytes | None:
     """Read the frame at the current offset.
 
     Returns ``None`` at a clean end-of-file, raises
     :class:`TruncatedStateError` on a partial frame and
-    :class:`CorruptStateError` on a CRC mismatch.
+    :class:`CorruptStateError` on a CRC mismatch — and, with ``inflate``
+    off, on a deflated frame, whose inflated size is the sender's choice.
     """
     header = fh.read(_HEADER.size)
     if not header:
@@ -88,6 +95,8 @@ def read_frame(fh: BinaryIO) -> bytes | None:
     if (zlib.crc32(stored) & 0xFFFFFFFF) != crc:
         raise CorruptStateError("frame CRC32 mismatch")
     if flags & FLAG_ZLIB:
+        if not inflate:
+            raise CorruptStateError("deflated frame where only stored frames are accepted")
         try:
             return zlib.decompress(stored)
         except zlib.error as exc:  # pragma: no cover - CRC catches this first
@@ -150,6 +159,22 @@ def unpack_json(payload: bytes) -> dict:
     return obj
 
 
+def _pack_head(obj: dict) -> bytes:
+    """A JSON object behind its little-endian uint32 length."""
+    head = pack_json(obj)
+    return struct.pack("<I", len(head)) + head
+
+
+def _unpack_head(payload: bytes, what: str) -> tuple[dict, int]:
+    """Inverse of :func:`_pack_head` at the start of `payload`, and where it ends."""
+    if len(payload) < 4:
+        raise CorruptStateError(f"{what} too short for its length field")
+    (head_len,) = struct.unpack_from("<I", payload, 0)
+    if 4 + head_len > len(payload):
+        raise CorruptStateError(f"{what} extends past the frame")
+    return unpack_json(payload[4 : 4 + head_len]), 4 + head_len
+
+
 def pack_arrays(arrays: dict[str, np.ndarray]) -> bytes:
     """Serialize named arrays bit-exactly (manifest + raw buffers)."""
     manifest = []
@@ -162,33 +187,63 @@ def pack_arrays(arrays: dict[str, np.ndarray]) -> bytes:
             {"name": name, "dtype": arr.dtype.str, "shape": shape, "nbytes": len(raw)}
         )
         buffers.append(raw)
-    head = pack_json({"arrays": manifest})
-    return struct.pack("<I", len(head)) + head + b"".join(buffers)
+    return _pack_head({"arrays": manifest}) + b"".join(buffers)
 
 
 def unpack_arrays(payload: bytes) -> dict[str, np.ndarray]:
     """Inverse of :func:`pack_arrays`; unknown manifest keys are ignored."""
-    if len(payload) < 4:
-        raise CorruptStateError("array block too short for its manifest length")
-    (head_len,) = struct.unpack_from("<I", payload, 0)
-    if 4 + head_len > len(payload):
-        raise CorruptStateError("array manifest extends past the frame")
-    manifest = unpack_json(payload[4 : 4 + head_len])
+    manifest, offset = _unpack_head(payload, "array manifest")
     entries = manifest.get("arrays")
     if not isinstance(entries, list):
         raise CorruptStateError("array manifest missing its 'arrays' list")
     out: dict[str, np.ndarray] = {}
-    offset = 4 + head_len
     for entry in entries:
         try:
             name, dtype = entry["name"], np.dtype(entry["dtype"])
-            shape, nbytes = tuple(entry["shape"]), int(entry["nbytes"])
-        except (KeyError, TypeError, ValueError) as exc:
+            shape = tuple(operator.index(d) for d in entry["shape"])
+            nbytes = operator.index(entry["nbytes"])
+        except (KeyError, TypeError, ValueError, SyntaxError) as exc:  # np.dtype(",")
             raise CorruptStateError(f"malformed array manifest entry: {entry!r}") from exc
+        if not isinstance(name, str) or name in out:
+            raise CorruptStateError(f"array name {name!r} is not a string or appears twice")
+        count = math.prod(shape)
+        # frombuffer / reshape would refuse these too, with a bare ValueError
+        if (dtype.hasobject or not dtype.itemsize or min(shape, default=0) < 0
+                or count * dtype.itemsize != nbytes):
+            raise CorruptStateError(
+                f"array {name!r}: shape {shape} of dtype {dtype.str} is not {nbytes} bytes")
         if offset + nbytes > len(payload):
             raise CorruptStateError(f"array {name!r} extends past the frame")
         out[name] = np.frombuffer(
-            payload, dtype=dtype, count=nbytes // dtype.itemsize, offset=offset
-        ).reshape(shape).copy()
+            payload, dtype=dtype, count=count, offset=offset).reshape(shape).copy()
         offset += nbytes
     return out
+
+
+def pack_record(head: dict, arrays: dict[str, np.ndarray]) -> bytes:
+    """A JSON head in front of an array block, as one frame payload."""
+    return _pack_head(head) + pack_arrays(arrays)
+
+
+def unpack_record(payload: bytes) -> tuple[dict, dict[str, np.ndarray]]:
+    """Inverse of :func:`pack_record`."""
+    head, end = _unpack_head(payload, "record head")
+    return head, unpack_arrays(payload[end:])
+
+
+def encode_wire_record(head: dict, arrays: dict[str, np.ndarray]) -> bytes:
+    """One record as one stored (never deflated) frame, for a socket."""
+    out = io.BytesIO()
+    write_frame(out, pack_record(head, arrays), compress=False)
+    return out.getvalue()
+
+
+def decode_wire_record(data: bytes) -> tuple[dict, dict[str, np.ndarray]]:
+    """Inverse of :func:`encode_wire_record`, for bytes a peer sent:
+    exactly one frame, its CRC verified before a byte of the payload is
+    parsed, refused without inflating if it is deflated."""
+    fh = io.BytesIO(data)
+    payload = read_frame(fh, inflate=False)
+    if payload is None or fh.read(1):
+        raise CorruptStateError("a body must be one frame with nothing behind it")
+    return unpack_record(payload)

@@ -16,15 +16,13 @@ streams each frame as one self-contained CRC'd zlib frame
   :func:`recover_trajectory` drops the torn tail.
 
 File layout: 8-byte magic ``b"REPROTR1"``, then one frame per stored
-MD frame.  Frame payload: a little-endian uint32 JSON-header length,
-the JSON header (step, species, masses, periodicity), then a
-:func:`repro.state.format.pack_arrays` block with ``x``, ``box_lo``,
-``box_hi``, ``type`` and optionally ``v``.
+MD frame.  Frame payload: a :func:`repro.state.format.pack_record`
+whose JSON head carries step, species, masses and periodicity and whose
+arrays are ``x``, ``box_lo``, ``box_hi``, ``type`` and optionally ``v``.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,12 +32,10 @@ from repro.md.atoms import AtomSystem
 from repro.md.box import Box
 from repro.state.format import (
     CorruptStateError,
-    pack_arrays,
-    pack_json,
+    pack_record,
     read_frame,
     scan_frames,
-    unpack_arrays,
-    unpack_json,
+    unpack_record,
     write_frame,
 )
 
@@ -89,14 +85,14 @@ class BinaryTrajectory:
     def write_frame(self, system: AtomSystem, *, step: int) -> None:
         if self._fh is None:
             raise ValueError("trajectory is closed")
-        head = pack_json({
+        head = {
             "step": int(step),
             "n": system.n,
             "species": list(system.species),
             "mass": [float(m) for m in system.mass],
             "box_periodic": list(system.box.periodic),
             "has_v": self.velocities,
-        })
+        }
         arrays = {
             "x": system.x,
             "box_lo": system.box.lo,
@@ -105,8 +101,7 @@ class BinaryTrajectory:
         }
         if self.velocities:
             arrays["v"] = system.v
-        payload = struct.pack("<I", len(head)) + head + pack_arrays(arrays)
-        write_frame(self._fh, payload)
+        write_frame(self._fh, pack_record(head, arrays))
         self._fh.flush()
         self.frames_written += 1
         self.last_step_written = step
@@ -155,13 +150,7 @@ class TrajectoryScan:
 
 
 def _decode_frame(payload: bytes) -> TrajectoryFrame:
-    if len(payload) < 4:
-        raise CorruptStateError("trajectory frame too short for its header length")
-    (head_len,) = struct.unpack_from("<I", payload, 0)
-    if 4 + head_len > len(payload):
-        raise CorruptStateError("trajectory frame header extends past the frame")
-    head = unpack_json(payload[4 : 4 + head_len])
-    arrays = unpack_arrays(payload[4 + head_len:])
+    head, arrays = unpack_record(payload)
     box = Box(arrays["box_lo"], arrays["box_hi"], tuple(head["box_periodic"]))
     system = AtomSystem(
         box=box,

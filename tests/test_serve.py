@@ -1,19 +1,23 @@
-"""The evaluation service: bitwise serve-equivalence, the validation
-taxonomy, warm-pool behavior, batch fusion, backpressure, and clean
-death.  This file is the substance behind the CI ``serve-equivalence``
-job."""
+"""The evaluation service: bitwise serve-equivalence in both encodings,
+the validation taxonomy, the frame refusal battery, warm-pool behavior,
+batch fusion, backpressure, and clean death.  This file is the substance
+behind the CI ``serve-equivalence`` job."""
 
 import json
 import os
 import signal
+import struct
 import subprocess
 import sys
 import threading
 import time
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.md.lattice import diamond_lattice, perturbed
 from repro.runtime import SolverPool, SolverSpec
@@ -24,17 +28,20 @@ from repro.serve import (
     ServeClient,
     ServeConfig,
     ServeError,
-    system_from_payload,
     system_payload,
     validate_request,
 )
 from repro.serve.loadgen import percentile, run_load
 from repro.serve.protocol import (
+    CONTENT_TYPES,
+    FRAME_CONTENT_TYPE,
+    JSON_CONTENT_TYPE,
     SERVE_SCHEMA_VERSION,
     ProtocolError,
     decode_payload,
     encode_payload,
 )
+from repro.state.format import FLAG_ZLIB, FRAME_MAGIC, pack_arrays, pack_json
 
 SPEC = SolverSpec(potential="tersoff", mode="Opt-M")
 
@@ -67,22 +74,103 @@ def client(server):
         yield c
 
 
+def _post(address, body: bytes, ctype: str, length=None):
+    """One raw POST on its own connection: ``(response, decoded body)``.
+    ``length`` overrides the Content-Length the body would get."""
+    with ServeClient(address, timeout=30) as c:
+        conn = c._connection()
+        conn.putrequest("POST", "/v1/evaluate")
+        conn.putheader("Content-Type", ctype)
+        conn.putheader("Content-Length", str(len(body) if length is None else length))
+        conn.endheaders(body)
+        resp = conn.getresponse()
+        return resp, decode_payload(resp.read(), resp.headers["Content-Type"])
+
+
+def _refusal(address, body: bytes, ctype: str = FRAME_CONTENT_TYPE, length=None):
+    """``(status, tier, code)`` of a request the server must refuse."""
+    resp, out = _post(address, body, ctype, length)
+    assert resp.headers["Content-Type"] == JSON_CONTENT_TYPE  # errors are always JSON
+    return resp.status, out["error"]["tier"], out["error"]["code"]
+
+
+class JsonClient(ServeClient):
+    """What ``curl`` does: the documented JSON form of a request.
+    :class:`ServeClient` itself has one path, and that one sends frames."""
+
+    def _request(self, method, path, payload=None):
+        if payload is None:
+            return super()._request(method, path)
+        resp, out = _post(self.address, encode_payload(payload, JSON_CONTENT_TYPE),
+                          JSON_CONTENT_TYPE)
+        assert resp.headers["Content-Type"] == JSON_CONTENT_TYPE  # answered as asked
+        if resp.status != 200:
+            raise ServeError(resp.status, out["error"])
+        out["forces"] = np.asarray(out["forces"], dtype=np.float64)
+        return out
+
+
+def _seal(payload: bytes, flags: int = 0) -> bytes:
+    """`payload` as one frame with a true length and CRC."""
+    return struct.pack("<4sBII", FRAME_MAGIC, flags, len(payload),
+                       zlib.crc32(payload) & 0xFFFFFFFF) + payload
+
+
+def _record(head: dict, manifest: list, blob: bytes) -> bytes:
+    """A record payload with a hand-written array manifest."""
+    head, manifest = pack_json(head), pack_json({"arrays": manifest})
+    return (struct.pack("<I", len(head)) + head
+            + struct.pack("<I", len(manifest)) + manifest + blob)
+
+
+def _frame_parts(system=None):
+    """Head, manifest and buffer of a valid frame request, for tampering."""
+    system = system if system is not None else _system()
+    head = _request(system=system)
+    head["system"] = {k: v for k, v in head["system"].items() if k not in ("x", "types")}
+    manifest = [{"name": "system.x", "dtype": "<f8", "shape": list(system.x.shape),
+                 "nbytes": system.x.nbytes}]
+    return head, manifest, system.x.tobytes()
+
+
 # ---- wire format -------------------------------------------------------------
 
 
 class TestProtocol:
     def test_json_floats_round_trip_bitwise(self):
         system = _system()
-        again = system_from_payload(
-            decode_payload(encode_payload(system_payload(system)))
-        )
+        _, again, _ = validate_request(decode_payload(encode_payload(_request(system=system))))
         assert np.array_equal(again.x, system.x)
         assert np.array_equal(again.box.lo, system.box.lo)
         assert np.array_equal(again.box.hi, system.box.hi)
 
+    @pytest.mark.parametrize("ctype", CONTENT_TYPES)
+    def test_every_bit_pattern_round_trips(self, ctype):
+        """-0.0, subnormals and the largest double keep their bits in
+        both encodings, requests and answers alike."""
+        system = _system()
+        system.x[0] = [-0.0, 5e-324, -2.5e-310]
+        system.x[1, 0] = 1.7976931348623157e308
+        system.type[:] = 0
+        system.type[2] = 1  # a non-zero type makes `types` travel
+        req = decode_payload(encode_payload(_request(system=system), ctype), ctype)
+        assert np.asarray(req["system"]["x"]).tobytes() == system.x.tobytes()
+        assert np.array_equal(req["system"]["types"], system.type)
+        assert req["solver"] == SPEC.to_dict() and req["system"]["species"] == ["Si"]
+        answer = {"schema": 1, "energy": -0.1, "virial": 5e-324, "n": system.n,
+                  "batch": {"index": 0, "size": 1}, "forces": -system.x}
+        back = decode_payload(encode_payload(answer, ctype), ctype)
+        assert np.asarray(back.pop("forces")).tobytes() == (-system.x).tobytes()
+        assert back == {k: v for k, v in answer.items() if k != "forces"}
+
     def test_nan_rejected_on_encode(self):
         with pytest.raises(ValueError):
             encode_payload({"x": float("nan")})
+        req = _request()
+        req["system"]["x"] = np.full((8, 3), np.inf)
+        for ctype in CONTENT_TYPES:
+            with pytest.raises(ValueError):
+                encode_payload(req, ctype)
 
 
 # ---- validation tiers --------------------------------------------------------
@@ -128,6 +216,9 @@ class TestValidationTaxonomy:
         (lambda r: {**r, "system": {**r["system"],
                                     "box": {"lo": [0, 0, 0], "hi": [3, 3, 3]}}},
          "L3", "cutoff_box"),
+        # found by the mutated-frame property as a 500: "Si" one byte off
+        (lambda r: {**r, "system": {**r["system"], "species": ["S "]}},
+         "L3", "species_mismatch"),
     ])
     def test_tier_and_code(self, mutate, tier, code):
         with pytest.raises(RequestError) as info:
@@ -155,35 +246,33 @@ class TestValidationTaxonomy:
         assert tenant == "default"
         assert system.n == _system().n
 
-    def test_http_taxonomy(self, client):
-        """Over the wire each family keeps its typed 400."""
-        for req, want in [
-            ({**_request(), "schema": 99}, ("L0", "schema_version")),
-            ({**_request(), "system": {"x": [[1, 2]], "box": {"lo": [0, 0, 0],
-                                                              "hi": [9, 9, 9]}}},
-             ("L1", "bad_positions")),
-        ]:
-            with pytest.raises(ServeError) as info:
-                client._request("POST", "/v1/evaluate", req)
-            assert info.value.status == 400
-            assert (info.value.tier, info.value.code) == want
+    def test_http_taxonomy(self, server):
+        """Over the wire each family keeps its typed 400, in either encoding."""
+        for ctype in CONTENT_TYPES:
+            for req, want in [
+                ({**_request(), "schema": 99}, ("L0", "schema_version")),
+                ({**_request(), "system": {"x": [[1, 2]], "box": {"lo": [0, 0, 0],
+                                                                  "hi": [9, 9, 9]}}},
+                 ("L1", "bad_positions")),
+                ({**_request(), "system": {**_request()["system"], "types": [0.5] * 64}},
+                 ("L1", "bad_types")),
+                ({**_request(), "system": {**_request()["system"], "types": [2**32] * 64}},
+                 ("L2", "type_range")),
+            ]:
+                assert _refusal(server.address, encode_payload(req, ctype), ctype) \
+                    == (400, *want), ctype
 
     def test_http_undecodable_body(self, server):
-        with ServeClient(server.address) as c:
-            conn = c._connection()
-            conn.request("POST", "/v1/evaluate", body=b"{nope",
-                         headers={"Content-Type": "application/json"})
-            resp = conn.getresponse()
-            body = json.loads(resp.read())
-            assert resp.status == 400
-            assert body["error"]["code"] == "undecodable"
+        for ctype, body in [(JSON_CONTENT_TYPE, b"{nope"), (FRAME_CONTENT_TYPE, b"{nope"),
+                            (FRAME_CONTENT_TYPE, b"")]:
+            assert _refusal(server.address, body, ctype) == (400, "L0", "undecodable")
 
     def test_http_unknown_content_type(self, server):
-        """JSON is the only codec on every host: any other content type,
-        whatever happens to be installed, is the same typed L0 reject."""
+        """Two codecs on every host: any other content type, whatever
+        happens to be installed, is the same typed L0 reject."""
         body = encode_payload(_request())
         with ServeClient(server.address) as c:
-            for ctype in ("application/msgpack", "application/x-unknown"):
+            for ctype in ("application/msgpack", "application/x-unknown", "text/json"):
                 conn = c._connection()
                 conn.request("POST", "/v1/evaluate", body=body,
                              headers={"Content-Type": ctype})
@@ -194,7 +283,8 @@ class TestValidationTaxonomy:
                 assert "unsupported content type" in error["message"]
                 with pytest.raises(ProtocolError, match="unsupported content type"):
                     encode_payload({}, ctype)
-            assert c.stats()["content_types"] == ["application/json"]
+            assert c.stats()["content_types"] == [
+                "application/x-repro-frame", "application/json"]
 
     def test_http_not_found(self, client):
         with pytest.raises(ServeError) as info:
@@ -268,6 +358,206 @@ class TestServeEquivalence:
         off = client.evaluate(SolverSpec(mode="Opt-M", cache=False).to_dict(), system)
         assert on["energy"] == off["energy"]
         assert np.array_equal(on["forces"], off["forces"])
+
+
+    def test_encodings_agree_bitwise(self, server):
+        """One system, asked in JSON and in a frame (each on its own
+        tenant, so on its own fresh list): the same bits as each other
+        and as direct evaluation, -0.0 and subnormal coordinates included."""
+        system = _system()
+        system.x[0] = [-0.0, 5e-324, -2.5e-310]
+        ref = SolverSession(SPEC, skin=1.0).evaluate(system)
+        with ServeClient(server.address) as frames, JsonClient(server.address) as curl:
+            for tenant, c in (("frames", frames), ("curl", curl)):
+                out = c.evaluate(SPEC.to_dict(), system, tenant=tenant)
+                assert (out["energy"], out["virial"], out["n"]) \
+                    == (ref.energy, ref.virial, system.n)
+                assert out["forces"].tobytes() == copy_forces(ref).tobytes()
+
+
+class TestServeEquivalenceJson(TestServeEquivalence):
+    """The same battery through the JSON encoding."""
+
+    @pytest.fixture()
+    def client(self, server):
+        with JsonClient(server.address) as c:
+            yield c
+
+
+# ---- frames from a hostile peer -----------------------------------------------
+
+
+def _tampered(case: str) -> bytes:
+    head, manifest, blob = _frame_parts()
+    (x,) = manifest
+    good = _seal(_record(head, manifest, blob))
+    if case == "crc":
+        return good[:-9] + bytes([good[-9] ^ 0x10]) + good[-8:]
+    if case == "truncated":
+        return good[:-7]
+    if case == "trailing":
+        return good + b"\0"
+    if case == "deflated":
+        return _seal(zlib.compress(_record(head, manifest, blob)), FLAG_ZLIB)
+    if case == "bomb":  # 64 MiB of zeros in 64 KiB: refused by its flag, not its size
+        return _seal(zlib.compress(bytes(1 << 26)), FLAG_ZLIB)
+    if case == "object_dtype":
+        manifest = [{**x, "dtype": "|O"}]
+    elif case == "nbytes_lies":
+        manifest = [{**x, "shape": [x["shape"][0] + 1, 3]}]
+    elif case == "negative_dim":
+        manifest = [{**x, "shape": [-x["shape"][0], -3]}]
+    elif case == "unknown_name":
+        manifest = [x, {**x, "name": "system.v"}]
+        blob += blob
+    elif case == "duplicate_name":
+        manifest = [x, x]
+        blob += blob
+    elif case == "x_is_f4":
+        manifest = [{**x, "dtype": "<f4", "shape": [2 * x["shape"][0], 3]}]
+    elif case == "x_is_str":
+        manifest = [{**x, "dtype": "<U2"}]
+    elif case == "types_are_floats":
+        n = x["shape"][0]
+        manifest = [x, {"name": "system.types", "dtype": "<f8", "shape": [n], "nbytes": 8 * n}]
+        blob += bytes(8 * n)
+    elif case == "nan":
+        blob = np.full(x["shape"], np.nan).tobytes()
+    elif case == "inf":
+        blob = blob[:-8] + np.array([-np.inf]).tobytes()
+    return _seal(_record(head, manifest, blob))
+
+
+class TestFrameRefusals:
+    """A frame is bytes a stranger wrote.  Each way to get one wrong has
+    its typed ``(tier, code)``, returned over the socket as a 400."""
+
+    @pytest.mark.parametrize("case,tier,code", [
+        ("crc", "L0", "undecodable"),
+        ("truncated", "L0", "undecodable"),
+        ("trailing", "L0", "undecodable"),
+        ("deflated", "L0", "undecodable"),
+        ("bomb", "L0", "undecodable"),
+        ("object_dtype", "L0", "undecodable"),
+        ("nbytes_lies", "L0", "undecodable"),
+        ("negative_dim", "L0", "undecodable"),
+        ("unknown_name", "L0", "undecodable"),
+        ("duplicate_name", "L0", "undecodable"),
+        ("x_is_f4", "L1", "bad_positions"),
+        ("x_is_str", "L1", "bad_positions"),
+        ("types_are_floats", "L1", "bad_types"),
+        # JSON could not carry these; in a frame only L2 stands in the way
+        ("nan", "L2", "nonfinite"),
+        ("inf", "L2", "nonfinite"),
+    ])
+    def test_typed_refusal(self, server, monkeypatch, case, tier, code):
+        def inflate(*args, **kwargs):
+            raise AssertionError("the server inflated a frame it had not measured")
+
+        monkeypatch.setattr(zlib, "decompress", inflate)
+        assert _refusal(server.address, _tampered(case)) == (400, tier, code)
+        assert server.stats()["server"]["rejected_invalid"] == 1
+
+    def test_untampered_frame_is_served(self, server):
+        """The battery's starting point is a request the server answers."""
+        resp, out = _post(server.address, _seal(_record(*_frame_parts())), FRAME_CONTENT_TYPE)
+        assert resp.status == 200 and resp.headers["Content-Type"] == FRAME_CONTENT_TYPE
+        ref = SolverSession(SPEC, skin=1.0).evaluate(_system())
+        assert out["forces"].tobytes() == copy_forces(ref).tobytes()
+
+    @pytest.mark.parametrize("ctype", CONTENT_TYPES)
+    def test_oversized_content_length_is_refused_unread(self, tmp_path, ctype):
+        """The header alone is enough: a typed 413, the connection
+        closed, nothing allocated for the body that was announced."""
+        with EvalServer(ServeConfig(unix_path=str(tmp_path / "s.sock"), max_atoms=64)) as srv:
+            body = encode_payload(_request(), ctype)  # 64 atoms: fits
+            assert _post(srv.address, body, ctype)[0].status == 200
+            resp, out = _post(srv.address, b"", ctype, length=10**15)
+            assert resp.status == 413 and resp.headers["Connection"] == "close"
+            assert (out["error"]["tier"], out["error"]["code"]) == ("L0", "body_too_large")
+            with ServeClient(srv.address) as c:
+                assert c.health()
+                assert c.stats()["server"]["rejected_invalid"] == 1
+
+    def test_no_mutation_crashes_the_handler(self, tmp_path):
+        """ROADMAP 3(e) for this boundary: whatever is done to a frame's
+        bytes or manifest, the answer is a typed 4xx or a 200 that is
+        bitwise what a local pool gives for the request as decoded —
+        never a 500, a dropped connection or a hang."""
+        head, (x,), blob = _frame_parts()
+        n = x["shape"][0]
+        types = {"name": "system.types", "dtype": "<i4", "shape": [n], "nbytes": 4 * n}
+        blob += bytes(8 * n)  # room for a type array of zeros, up to <i8
+        junk = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70), st.text(max_size=8),
+                         st.floats(allow_nan=False), st.lists(st.integers(-3, 3), max_size=3))
+        field = st.one_of(
+            st.tuples(st.just("dtype"), st.one_of(junk, st.sampled_from(
+                ["<f8", ">f8", "<f4", "<i4", "<i8", "<u1", "|O", "<U4", "|V8", "|S0", "<M8[ns]",
+                 "f8,i4", "<c16", "|b1", "", "O8", "(2,3)f8", ",", "4)"]))),
+            st.tuples(st.just("shape"), st.one_of(junk, st.lists(st.one_of(
+                junk, st.sampled_from([0, 1, 3, n, 3 * n, -1, -n, 2**31, 2**63, 2**64])),
+                max_size=3))),
+            st.tuples(st.just("nbytes"), st.one_of(junk, st.sampled_from(
+                [0, 4 * n, 8 * n, 24 * n, 24 * n + 1, -24 * n, 2**40]))),
+            st.tuples(st.just("name"), st.one_of(junk, st.sampled_from(
+                ["system.x", "system.types", "forces", "system", "system.box", ".x"]))),
+        )
+        entry = st.tuples(st.sampled_from([x, types]), st.lists(field, max_size=2)).map(
+            lambda pair: {**pair[0], **dict(pair[1])})
+        system_patch = st.tuples(
+            st.sampled_from(["box", "species", "x", "types"]),
+            st.one_of(junk, st.fixed_dictionaries({}, optional={
+                "lo": junk, "hi": junk, "periodic": junk}).map(
+                    lambda sub: {**head["system"]["box"], **sub}))).map(
+                        lambda kv: {"system": {**head["system"], kv[0]: kv[1]}})
+        mutation = st.one_of(
+            st.tuples(st.just("manifest"), st.lists(st.one_of(entry, junk), max_size=3)),
+            st.tuples(st.just("head"), st.one_of(system_patch, st.tuples(
+                st.sampled_from(["schema", "solver", "tenant", "system"]), junk).map(
+                    lambda kv: {kv[0]: kv[1]}))),
+            # bytes of the sealed payload: the CRC holds, so the parsers see them
+            st.tuples(st.just("payload"), st.lists(
+                st.tuples(st.integers(0, len(blob) + 600), st.integers(0, 255)),
+                min_size=1, max_size=3)),
+            # the frame itself: magic, flags, length, CRC, a cut or a padded tail
+            st.tuples(st.just("frame"), st.tuples(
+                st.integers(0, 12), st.integers(0, 255), st.integers(-40, 40))),
+        )
+
+        with EvalServer(ServeConfig(unix_path=str(tmp_path / "s.sock"))) as srv:
+            mirror = SolverPool(skin=1.0)
+
+            @given(mutation)
+            @settings(max_examples=400, deadline=None)
+            def mutate(mutation):
+                kind, arg = mutation
+                payload = bytearray(_record(
+                    {**head, **(arg if kind == "head" else {})},
+                    arg if kind == "manifest" else [x, types], blob))
+                if kind == "payload":
+                    for at, byte in arg:
+                        payload[at % len(payload)] = byte
+                body = _seal(bytes(payload))
+                if kind == "frame":
+                    at, byte, cut = arg
+                    body = body[:at] + bytes([byte]) + body[at + 1:]
+                    body = body[:cut] if cut < 0 else body + bytes(cut)
+                resp, out = _post(srv.address, body, FRAME_CONTENT_TYPE)
+                if resp.status == 200:
+                    spec, system, tenant = validate_request(
+                        decode_payload(body, FRAME_CONTENT_TYPE))
+                    ref = mirror.evaluate(spec, system, tenant=tenant)
+                    assert out["energy"] == ref.energy
+                    assert out["forces"].tobytes() == copy_forces(ref).tobytes()
+                else:
+                    assert 400 <= resp.status < 500, out
+                    assert out["error"]["tier"] in ("L0", "L1", "L2", "L3")
+                    assert isinstance(out["error"]["code"], str)
+
+            mutate()
+            stats = srv.stats()["server"]
+            assert stats["failed"] == 0
+            assert stats["completed"] >= 1  # some mutations are harmless, and were served
 
 
 # ---- pool behavior -----------------------------------------------------------

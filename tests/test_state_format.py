@@ -22,6 +22,8 @@ from repro.state.format import (
     CorruptStateError,
     StateFormatError,
     TruncatedStateError,
+    decode_wire_record,
+    encode_wire_record,
     pack_arrays,
     pack_json,
     read_frame,
@@ -187,6 +189,67 @@ class TestArrayCodec:
         payload = pack_arrays({"x": np.arange(16.0)})
         with pytest.raises(StateFormatError):
             unpack_arrays(payload[:-8])
+
+    @pytest.mark.parametrize("patch", [
+        {"dtype": "|O"}, {"dtype": "|V0"}, {"dtype": ","}, {"dtype": "no such type"},
+        {"dtype": ["<f8"]}, {"shape": [5]}, {"shape": [-4]}, {"shape": [2, -2]},
+        {"shape": [2.0, 2]}, {"shape": "4"}, {"shape": [2**62, 2**62]}, {"nbytes": 31},
+        {"nbytes": -32}, {"nbytes": "32"}, {"name": ["x"]}, {"name": None},
+    ])
+    def test_bad_manifest_entry_is_a_typed_error(self, patch):
+        """dtype, shape and byte count are a stranger's claims: whatever
+        they say, the error is CorruptStateError — never the bare
+        ValueError (or SyntaxError, or ZeroDivisionError) of numpy."""
+        payload = pack_arrays({"x": np.arange(4.0)})
+        (mlen,) = struct.unpack_from("<I", payload, 0)
+        manifest = unpack_json(payload[4 : 4 + mlen])
+        manifest["arrays"][0].update(patch)
+        head = pack_json(manifest)
+        with pytest.raises(CorruptStateError):
+            unpack_arrays(struct.pack("<I", len(head)) + head + payload[4 + mlen:])
+
+    def test_duplicate_array_name_refused(self):
+        payload = pack_arrays({"x": np.arange(4.0)})
+        (mlen,) = struct.unpack_from("<I", payload, 0)
+        manifest = unpack_json(payload[4 : 4 + mlen])
+        manifest["arrays"] *= 2
+        head = pack_json(manifest)
+        with pytest.raises(CorruptStateError, match="twice"):
+            unpack_arrays(struct.pack("<I", len(head)) + head + payload[4 + mlen:] * 2)
+
+
+class TestWireRecord:
+    """The one way in for bytes a peer sent."""
+
+    HEAD, ARRAYS = {"n": 3, "e": -0.0}, {"x": np.array([[np.nan, -0.0, 5e-324]])}
+
+    def test_roundtrip_bitwise(self):
+        head, arrays = decode_wire_record(encode_wire_record(self.HEAD, self.ARRAYS))
+        assert head == self.HEAD and list(arrays) == ["x"]
+        assert arrays["x"].tobytes() == self.ARRAYS["x"].tobytes()
+
+    def test_never_deflated_never_inflated(self, monkeypatch):
+        body = encode_wire_record({}, {"x": np.zeros(4096)})
+        assert len(body) > 8 * 4096  # stored, however well it would deflate
+        buf = io.BytesIO()
+        write_frame(buf, bytes(1 << 20))
+        assert len(buf.getvalue()) < 2048  # a deflated frame: fine for a file
+        assert read_frame(io.BytesIO(buf.getvalue())) == bytes(1 << 20)
+        monkeypatch.setattr(zlib, "decompress", None)  # calling it would be a TypeError
+        with pytest.raises(CorruptStateError, match="deflated"):
+            decode_wire_record(buf.getvalue())
+        with pytest.raises(CorruptStateError, match="deflated"):
+            read_frame(io.BytesIO(buf.getvalue()), inflate=False)
+
+    def test_exactly_one_frame(self):
+        body = encode_wire_record(self.HEAD, self.ARRAYS)
+        for bad in (b"", body + b"\0", body + body):
+            with pytest.raises(CorruptStateError, match="one frame"):
+                decode_wire_record(bad)
+        with pytest.raises(TruncatedStateError):
+            decode_wire_record(body[:-1])
+        with pytest.raises(CorruptStateError, match="CRC"):
+            decode_wire_record(body[:-1] + bytes([body[-1] ^ 1]))
 
 
 class TestJsonCodec:
