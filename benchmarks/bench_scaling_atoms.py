@@ -50,7 +50,7 @@ def test_decomposed_scaling_wallclock(benchmark, cells, workers):
 
     system = perturbed(diamond_lattice(*cells), 0.05, seed=11)
     seeded_velocities(system, 300.0, seed=3)
-    sim = build_simulation(RunSpec(workers=workers, ranks=workers, sort=True), system)
+    sim = build_simulation(RunSpec(workers=workers, ranks=workers), system)
     try:
         sim.compute_forces()
         benchmark.pedantic(sim.run, args=(1,), rounds=1, iterations=1)

@@ -21,8 +21,8 @@ Registered backends:
   against the numpy kernel in DESIGN.md §12.
 
 Selection is plumbed end-to-end: ``TersoffProduction(backend=...)``,
-``make_solver(..., backend=...)``, ``repro run --backend``, ``repro
-bench run --backend``.  ``resolve()`` falls back to ``numpy`` with a
+``make_solver(..., backend=...)``, ``SolverSpec.backend`` and ``repro
+run --backend``.  ``resolve()`` falls back to ``numpy`` with a
 one-time warning when the requested backend cannot run on this host
 (no C toolchain); pass ``fallback=False`` to make the
 unavailability a hard error instead.
@@ -45,7 +45,6 @@ __all__ = [
     "names",
     "register",
     "resolve",
-    "set_default",
 ]
 
 _REGISTRY: dict[str, ComputeBackend] = {}
@@ -86,13 +85,6 @@ def is_available(name: str) -> bool:
 
 def get_default() -> str:
     return _DEFAULT_NAME
-
-
-def set_default(name: str) -> None:
-    """Set the process-wide default backend (used by ``--backend`` flags)."""
-    global _DEFAULT_NAME
-    get(name)  # validate
-    _DEFAULT_NAME = name
 
 
 def resolve(name: str | None = None, *, fallback: bool = True) -> ComputeBackend:

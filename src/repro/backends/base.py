@@ -34,8 +34,5 @@ class ComputeBackend:
     probe: Callable[[], str | None]
     make_tersoff_kernel: Callable[..., Any]
 
-    def availability(self) -> str | None:
-        return self.probe()
-
     def tersoff_kernel(self, params: Any, precision: Any) -> Any:
         return self.make_tersoff_kernel(params, precision)

@@ -78,7 +78,7 @@ def _restart_run_spec(ck, args: argparse.Namespace):
 
     The checkpoint pins the full configuration — solver (potential,
     mode, cache, backend) *and* execution (executor, hosts, workers,
-    ranks, sort, skin).  Explicitly-given CLI flags override
+    ranks, skin).  Explicitly-given CLI flags override
     the execution knobs (resuming on different hardware is legitimate);
     the solver always comes from the checkpoint, so the physics cannot
     drift across a restart.
@@ -103,8 +103,6 @@ def _restart_run_spec(ck, args: argparse.Namespace):
             h.strip() for h in args.hosts.split(",") if h.strip()
         )
         overrides.setdefault("executor", None)
-    if args.sort_domains:
-        overrides["sort"] = True
     return pinned.with_overrides(**overrides) if overrides else pinned
 
 
@@ -306,8 +304,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return 2
     config = ServeConfig(
         **listen, max_sessions=args.max_sessions, per_tenant_cap=args.per_tenant_cap,
-        skin=args.skin, backlog=args.backlog, batch_max=args.batch_max,
-        max_atoms=args.max_atoms,
+        skin=args.skin, backlog=args.backlog, max_atoms=args.max_atoms,
     )
     try:
         server = EvalServer(config)
@@ -315,47 +312,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"serve: {exc}", file=sys.stderr)
         return 2
     print(f"serving on {server.address} "
-          f"(pool {config.max_sessions}, backlog {config.backlog}, "
-          f"batch {config.batch_max})", flush=True)
+          f"(pool {config.max_sessions}, backlog {config.backlog})", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover - interactive stop
         server.close()
     return 0
-
-
-def _cmd_loadgen(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.md.lattice import diamond_lattice, perturbed
-    from repro.runtime import SolverSpec, SpecError
-    from repro.serve.loadgen import run_load
-
-    try:
-        spec = SolverSpec(potential=args.potential, mode=args.mode, backend=args.backend)
-    except SpecError as exc:
-        print(f"loadgen: {exc}", file=sys.stderr)
-        return 2
-    system = perturbed(diamond_lattice(args.cells, args.cells, args.cells),
-                       0.1, seed=args.seed)
-    result = run_load(
-        args.address, spec.to_dict(), system,
-        requests=args.requests, concurrency=args.concurrency,
-        tenant=args.tenant,
-    )
-    summary = result.summary()
-    summary["atoms"] = system.n
-    if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
-    else:
-        print(f"{summary['requests']} requests ({system.n} atoms), "
-              f"{summary['rps']:.1f} req/s over {summary['wall_s']:.2f}s")
-        print(f"latency ms: p50 {summary['p50_ms']:.2f}  "
-              f"p90 {summary['p90_ms']:.2f}  p99 {summary['p99_ms']:.2f}  "
-              f"max {summary['max_ms']:.2f}")
-        if summary["errors"]:
-            print(f"errors: {summary['errors']}")
-    return 0 if not summary["errors"] else 1
 
 
 def _cmd_telemetry_summarize(args: argparse.Namespace) -> int:
@@ -408,7 +370,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     from repro.harness.validation import render_validation, run_validation
 
-    checks = run_validation(verbose=args.verbose)
+    checks = run_validation()
     print(render_validation(checks))
     return 0 if all(ok for _, ok, _ in checks) else 1
 
@@ -482,8 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--ranks", type=int, default=None,
                        help="domain-decomposition size for --workers (default: workers); "
                             "the physics depends only on ranks, never on workers")
-    p_run.add_argument("--sort-domains", action="store_true",
-                       help="Morton-order rank-local atoms (locality optimization)")
     p_run.add_argument("--executor", choices=EXECUTOR_NAMES, default=None,
                        help="execution backend for --workers (default: process pool via "
                             "fork where available; tcp/unix spawn a local socket pool; "
@@ -535,26 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="neighbor skin for serve sessions")
     p_serve.add_argument("--backlog", type=int, default=64,
                          help="bounded queue depth; overflow answers 429")
-    p_serve.add_argument("--batch-max", type=int, default=16,
-                         help="max requests fused per dispatch")
     p_serve.add_argument("--max-atoms", type=int, default=65536,
                          help="refuse systems above this size (L2)")
     p_serve.set_defaults(func=_cmd_serve)
-
-    p_load = sub.add_parser("loadgen", help="load-generate against a repro serve instance")
-    p_load.add_argument("address", help="HOST:PORT or unix socket path")
-    p_load.add_argument("--requests", type=int, default=64)
-    p_load.add_argument("--concurrency", type=int, default=4)
-    p_load.add_argument("--cells", type=int, default=4,
-                        help="diamond lattice cells per edge (8*cells^3 atoms)")
-    p_load.add_argument("--seed", type=int, default=1)
-    p_load.add_argument("--potential", default="tersoff", choices=("tersoff", "sw"))
-    p_load.add_argument("--mode", default="Opt-M",
-                        choices=("Ref", "Opt-D", "Opt-S", "Opt-M"))
-    p_load.add_argument("--backend", default=None)
-    p_load.add_argument("--tenant", default="default")
-    p_load.add_argument("--json", action="store_true", help="machine-readable summary")
-    p_load.set_defaults(func=_cmd_loadgen)
 
     p_fig = sub.add_parser("figure", help="regenerate a paper artifact")
     p_fig.add_argument("which", help="fig1..fig9, table1..table3, or 'all'")
@@ -567,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_val = sub.add_parser("validate", help="run the correctness battery")
-    p_val.add_argument("--verbose", action="store_true")
     p_val.set_defaults(func=_cmd_validate)
 
     p_prof = sub.add_parser("profile", help="cycle profile of the vector kernel")

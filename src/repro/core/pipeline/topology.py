@@ -19,7 +19,6 @@ skin-extended neighbor list:
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,10 +136,10 @@ def pair_geometry(
     cold paths agree bit for bit.
 
     With ``want_r=False`` the second return value is the *squared*
-    distance: the square root — and the non-finite and coincident-atom
-    (:class:`DegenerateGeometryError`) guards, which need real distances
-    to be meaningful — are skipped for kernels that work in r² (the
-    vectorized LJ contrast case).
+    distance and the square root is skipped, for kernels that work in r²
+    (the vectorized LJ contrast case).  The non-finite and
+    coincident-atom (:class:`DegenerateGeometryError`) guards hold either
+    way: r² is 0 exactly when r is, and finite exactly when r is.
     """
     L = i_idx.shape[0]
     if workspace is None:
@@ -155,7 +154,7 @@ def pair_geometry(
     tmp = None if workspace is None else workspace.buf("pair_mi", L, np.float64)
     # an infinite position shifts to inf - inf: where the non-finite
     # guard below reports it, the shift itself stays silent
-    with np.errstate(invalid="ignore") if want_r else contextlib.nullcontext():
+    with np.errstate(invalid="ignore"):
         for axis in range(3):
             if box.periodic[axis]:
                 span = box.lengths[axis]
@@ -172,9 +171,9 @@ def pair_geometry(
     else:
         r2 = workspace.buf("pair_r", L, np.float64)
         np.einsum("ij,ij->i", d, d, out=r2)
-    if not want_r:
-        return d, r2
-    r = np.sqrt(r2) if workspace is None else np.sqrt(r2, out=r2)
+    r = r2
+    if want_r:
+        r = np.sqrt(r2) if workspace is None else np.sqrt(r2, out=r2)
     if not np.isfinite(r).all():
         # NaN/inf distances compare False against every cutoff and would
         # be *silently dropped* by the filter — fail loudly instead

@@ -262,9 +262,6 @@ class TersoffParams:
         s = self.species
         return self.table[(s[ti], s[tj], s[tk])]
 
-    def pair_entry(self, ti: int, tj: int) -> TersoffEntry:
-        return self.entry(ti, tj, tj)
-
     @property
     def ntypes(self) -> int:
         return len(self.species)

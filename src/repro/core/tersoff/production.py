@@ -243,8 +243,8 @@ class TersoffProduction(PipelinePotential):
         bit-for-bit identical either way.
     backend:
         Compute-backend name from :mod:`repro.backends` (``"numpy"``,
-        ``"compiled"``) or ``None`` for the process default
-        (``numpy`` unless ``repro.backends.set_default`` changed it).
+        ``"compiled"``) or ``None`` for the default
+        (``repro.backends.get_default()``: ``numpy``).
         An unavailable backend falls back to ``numpy`` with a one-time
         warning; the staging/cache machinery is identical either way.
     """

@@ -93,10 +93,6 @@ class _KCandidates:
             end=starts + counts,
         )
 
-    @property
-    def max_per_atom(self) -> int:
-        return int(np.max(self.end - self.start)) if self.start.size else 0
-
 
 @dataclass
 class _LaneState:
@@ -188,15 +184,6 @@ class TersoffVectorized(Potential):
         self._nt = self._flat.ntypes
 
     # ------------------------------------------------------------------ utils
-
-    def _pf_index(self, ti, tj, tk=None):
-        """Flat parameter index; collapses to a scalar for one species."""
-        nt = self._nt
-        if nt == 1:
-            return 0
-        if tk is None:
-            return (ti * nt + tj) * nt + tj
-        return (ti * nt + tj) * nt + tk
 
     def _params_for(self, bk: VectorBackend, flat_idx, fields, mask=None) -> ParamFields:
         return gather_params(bk, self._pblock, flat_idx, fields=fields, mask=mask)

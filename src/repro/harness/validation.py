@@ -21,7 +21,7 @@ def _listed(system, cutoff, skin=1.0):
     return nl
 
 
-def run_validation(*, verbose: bool = False) -> list[tuple[str, bool, str]]:
+def run_validation() -> list[tuple[str, bool, str]]:
     """Execute the battery; returns a list of (check, ok, detail)."""
     checks: list[tuple[str, bool, str]] = []
 

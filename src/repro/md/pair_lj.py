@@ -67,6 +67,11 @@ class LennardJones(Potential):
         r2 = np.einsum("ij,ij->i", d, d)
         within = r2 <= self.cutoff * self.cutoff
         i_idx, j_idx, d, r2 = i_idx[within], j_idx[within], d[within], r2[within]
+        if not r2.all():
+            from repro.core.pipeline import DegenerateGeometryError  # lazy: it imports repro.md
+
+            first = int(np.nonzero(r2 == 0.0)[0][0])
+            raise DegenerateGeometryError(int(i_idx[first]), int(j_idx[first]))
 
         ti, tj = system.type[i_idx], system.type[j_idx]
         eps = self.epsilon[ti, tj]

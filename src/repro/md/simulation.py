@@ -100,9 +100,8 @@ class Simulation:
     evaluation is delegated to a persistent
     :class:`~repro.parallel.engine.ParallelEngine` pool executing a
     fixed ``ranks``-way domain decomposition concurrently.  For a fixed
-    ``ranks``/``sort`` configuration the trajectory is bitwise
-    independent of ``workers``; ``workers=1, ranks=1`` reproduces the
-    serial path bitwise.
+    ``ranks`` the trajectory is bitwise independent of ``workers``;
+    ``workers=1, ranks=1`` reproduces the serial path bitwise.
 
     Parameters
     ----------
@@ -121,12 +120,7 @@ class Simulation:
         in-process evaluation).
     ranks:
         Decomposition size for the parallel path (default: ``workers``).
-        The physics depends only on ``ranks``/``sort``, never on
-        ``workers``.
-    sort:
-        Morton-order rank-local atoms on the parallel path (locality
-        optimization; permutes accumulation order, so leave off when
-        bitwise equality with the serial path matters).
+        The physics depends only on ``ranks``, never on ``workers``.
     executor:
         Execution backend for the pool: one of
         :data:`~repro.parallel.executor.EXECUTOR_NAMES` (``"serial"``,
@@ -146,7 +140,6 @@ class Simulation:
         thermostat: Langevin | NoseHoover | VelocityRescale | None = None,
         workers: int | None = None,
         ranks: int | None = None,
-        sort: bool = False,
         executor=None,
     ):
         self.system = system
@@ -175,7 +168,6 @@ class Simulation:
                 neighbor=NeighborSettings(
                     cutoff=neighbor.cutoff, skin=neighbor.skin, full=True
                 ),
-                sort=sort,
                 executor=executor,
             )
 

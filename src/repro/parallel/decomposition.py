@@ -15,18 +15,11 @@ owned atoms, so summing rank energies and reverse-adding ghost forces
 reproduces the single-domain result bit-for-bit up to floating-point
 reassociation (validated in tests to ~1e-12).
 
-Determinism contract: for a *fixed* decomposition (rank count, grid,
-sort flag), the rank-by-rank evaluation plus the fixed rank-order
-reduction in :meth:`DomainDecomposition.compute_forces` is the
-reference result, and the engine reproduces it bitwise for any number
-of worker processes (see ``tests/test_parallel_engine.py``).
-
-Rank-local atoms can be Morton-ordered (``sort=True``): owned and
-ghost indices are arranged along the Z-order curve of
-:mod:`repro.md.sorting` before the local arrays are gathered, so a
-rank's neighbor-list walks touch storage-adjacent atoms — the
-``atom_modify sort`` locality effect of Sec. V-C, measured by the
-``locality_*`` keys of :meth:`workload_summary`.
+Determinism contract: for a *fixed* decomposition (rank count, grid),
+the rank-by-rank evaluation plus the fixed rank-order reduction in
+:meth:`DomainDecomposition.compute_forces` is the reference result, and
+the engine reproduces it bitwise for any number of worker processes
+(see ``tests/test_parallel_engine.py``).
 """
 
 from __future__ import annotations
@@ -39,7 +32,6 @@ from repro.core.pipeline import Workspace
 from repro.md.atoms import AtomSystem
 from repro.md.neighbor import NeighborList, NeighborSettings
 from repro.md.potential import ForceResult, Potential
-from repro.md.sorting import morton_keys
 from repro.parallel.comm import CommRecord, NetworkModel, INTRA_NODE
 from repro.vector.backend import scatter_add_rows
 
@@ -102,10 +94,6 @@ class RankDomain:
     def n_ghost(self) -> int:
         return int(self.ghost_idx.shape[0])
 
-    @property
-    def neighbor_ranks(self) -> np.ndarray:
-        return np.unique(self.ghost_source)
-
 
 class DomainDecomposition:
     """Partition a system across a process grid and run halo exchanges.
@@ -120,10 +108,6 @@ class DomainDecomposition:
     halo:
         Ghost-region width; must be >= the neighbor-list cutoff
         (cutoff + skin) of the potential that will run on the domains.
-    sort:
-        Morton-order the rank-local atoms (owned first, then ghosts,
-        each along the Z-order curve) so local neighbor gathers touch
-        storage-adjacent memory.
     """
 
     def __init__(
@@ -133,7 +117,6 @@ class DomainDecomposition:
         halo: float,
         *,
         grid: tuple[int, int, int] | None = None,
-        sort: bool = False,
     ):
         if n_ranks < 1:
             raise ValueError("need at least one rank")
@@ -145,7 +128,6 @@ class DomainDecomposition:
         if int(np.prod(self.grid)) != n_ranks:
             raise ValueError(f"grid {self.grid} does not have {n_ranks} cells")
         self.n_ranks = n_ranks
-        self.sort = bool(sort)
         box = system.box
         lengths = box.lengths
         sub = lengths / np.array(self.grid, dtype=np.float64)
@@ -178,7 +160,6 @@ class DomainDecomposition:
         cells = self._cell_of(system.x)
         lin = (cells[:, 0] * grid[1] + cells[:, 1]) * grid[2] + cells[:, 2]
         owner = lin  # rank id per atom
-        zkeys = morton_keys(system) if self.sort else None
         domains: list[RankDomain] = []
         for rank in range(self.n_ranks):
             cz = rank % grid[2]
@@ -211,9 +192,6 @@ class DomainDecomposition:
                 ghost_idx = others[ghost_mask]
             else:
                 ghost_idx = np.empty(0, dtype=np.int64)
-            if zkeys is not None:
-                owned_idx = owned_idx[np.argsort(zkeys[owned_idx], kind="stable")]
-                ghost_idx = ghost_idx[np.argsort(zkeys[ghost_idx], kind="stable")]
             local_idx = np.concatenate([owned_idx, ghost_idx])
             local = AtomSystem(
                 box=box,
@@ -358,34 +336,15 @@ class DomainDecomposition:
 
     # -- summaries -----------------------------------------------------------------
 
-    def _locality_adjacent(self) -> float:
-        """Mean distance (Angstrom) between storage-adjacent local atoms.
-
-        A cheap proxy for the cache behaviour of rank-local neighbor
-        gathers: Morton-sorted domains place spatial neighbors next to
-        each other in memory, so this drops when ``sort=True``.
-        """
-        total, count = 0.0, 0
-        for dom in self.domains:
-            xs = dom.local_system.x
-            if xs.shape[0] < 2:
-                continue
-            d = dom.local_system.box.minimum_image(xs[1:] - xs[:-1])
-            total += float(np.sum(np.sqrt(np.einsum("ij,ij->i", d, d))))
-            count += xs.shape[0] - 1
-        return total / count if count else 0.0
-
     def workload_summary(self) -> dict:
-        """Per-rank owned/ghost counts and locality for the performance model."""
+        """Per-rank owned/ghost counts for the performance model."""
         owned = np.array([d.n_owned for d in self.domains])
         ghosts = np.array([d.n_ghost for d in self.domains])
         return {
             "grid": self.grid,
-            "sorted": self.sort,
             "owned_max": int(owned.max()),
             "owned_mean": float(owned.mean()),
             "ghost_max": int(ghosts.max()) if ghosts.size else 0,
             "ghost_mean": float(ghosts.mean()) if ghosts.size else 0.0,
             "imbalance": float(owned.max() / max(owned.mean(), 1e-300)),
-            "locality_adjacent_A": self._locality_adjacent(),
         }

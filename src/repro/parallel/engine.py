@@ -305,18 +305,13 @@ class ParallelEngine:
         Number of worker processes (clamped to ``ranks``).
     ranks:
         Decomposition size (default: ``workers``).  The physics result
-        depends only on ``ranks`` (and ``sort``), never on ``workers``.
+        depends only on ``ranks``, never on ``workers``; with
+        ``ranks=1`` the local ordering matches the single-domain serial
+        path exactly, so the engine result is bitwise identical to it.
     neighbor:
         Neighbor settings for the rank-local lists; defaults to the
         potential cutoff with skin 1.0.  ``full`` is forced — the
         decomposed i-loop restriction requires full lists.
-    sort:
-        Morton-order rank-local atoms (see :class:`DomainDecomposition`).
-        Off by default: with ``sort=False`` and ``ranks=1`` the local
-        ordering matches the single-domain serial path exactly, so the
-        engine result is bitwise identical to it; sorting permutes the
-        accumulation order (a locality optimization, not a physics
-        change).
     grid:
         Explicit process grid (default: LAMMPS-style near-cubic).
     executor:
@@ -340,7 +335,6 @@ class ParallelEngine:
         workers: int,
         ranks: int | None = None,
         neighbor: NeighborSettings | None = None,
-        sort: bool = False,
         grid: tuple[int, int, int] | None = None,
         executor: "str | EngineExecutor | None" = None,
     ):
@@ -353,7 +347,6 @@ class ParallelEngine:
         self.potential = potential
         self.ranks = ranks
         self.workers = min(int(workers), ranks)
-        self.sort = bool(sort)
         self.grid = grid
         if neighbor is None:
             neighbor = NeighborSettings(cutoff=potential.cutoff, skin=1.0, full=True)
@@ -432,8 +425,7 @@ class ParallelEngine:
             species=self.system.species,
         )
         self._dd = DomainDecomposition(
-            snapshot, self.ranks, halo=self.settings.list_cutoff,
-            grid=self.grid, sort=self.sort,
+            snapshot, self.ranks, halo=self.settings.list_cutoff, grid=self.grid,
         )
         self._x_ref = snapshot.x
         self.generation += 1
@@ -598,7 +590,6 @@ class ParallelEngine:
             rank_refs.update(refs)
         return {
             "ranks": self.ranks,
-            "sort": self.sort,
             "generation": self.generation,
             "steps": self.steps,
             "rebuild_steps": self.rebuild_steps,
@@ -621,8 +612,6 @@ class ParallelEngine:
             raise EngineError(
                 f"checkpoint was taken with ranks={state['ranks']}, engine has ranks={self.ranks}"
             )
-        if bool(state["sort"]) != self.sort:
-            raise EngineError("checkpoint/engine disagree on domain sorting")
         self._decompose(np.ascontiguousarray(state["x_ref"], dtype=np.float64))
         payloads: list[list[dict]] = [[] for _ in range(self.workers)]
         for rank, x_ref in state["rank_refs"].items():

@@ -10,7 +10,7 @@ pinning in :mod:`repro.state.checkpoint` all go through it:
     (precision), parameter set, interaction cache, compute backend.
 :class:`RunSpec`
     *How* it runs — a :class:`SolverSpec` plus execution topology
-    (workers/ranks/sort), executor/hosts selection and the
+    (workers/ranks), executor/hosts selection and the
     neighbor skin.
 
 Both serialize to canonical JSON-able dicts (:meth:`SolverSpec.to_dict`)

@@ -81,7 +81,6 @@ def build_simulation(
         thermostat=thermostat,
         workers=workers,
         ranks=run.ranks,
-        sort=run.sort,
         executor=executor,
         **kwargs,
     )

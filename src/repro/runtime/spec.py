@@ -207,8 +207,8 @@ def _solver_json(spec: SolverSpec) -> str:
 class RunSpec:
     """How a solver runs: spec + execution topology.
 
-    ``workers``/``ranks``/``sort`` select the PR-4 parallel engine
-    (physics depends only on ranks/sort, never workers), ``executor``
+    ``workers``/``ranks`` select the PR-4 parallel engine (physics
+    depends only on ranks, never workers), ``executor``
     or ``hosts`` the PR-7/9 execution backend (a name from
     :data:`~repro.parallel.executor.EXECUTOR_NAMES`, or the addresses
     of pre-started ``repro worker`` listeners), ``skin`` the
@@ -218,7 +218,6 @@ class RunSpec:
     solver: SolverSpec = field(default_factory=SolverSpec)
     workers: int | None = None
     ranks: int | None = None
-    sort: bool = False
     executor: str | None = None
     hosts: tuple[str, ...] | None = None
     skin: float = 1.0
@@ -254,7 +253,6 @@ class RunSpec:
             "solver": self.solver.to_dict(),
             "workers": self.workers,
             "ranks": self.ranks,
-            "sort": self.sort,
             "executor": self.executor,
             "hosts": None if self.hosts is None else list(self.hosts),
             "skin": self.skin,
@@ -267,8 +265,13 @@ class RunSpec:
         _require_version(data, "run spec")
         if "solver" not in data:
             raise SpecError("run spec is missing its solver section")
+        # a sorted run summed in Morton order: resumed unsorted, its
+        # bits would change, so refuse it rather than drop the field
+        if data.get("sort"):
+            raise SpecError("run spec asks for Morton-sorted domains (sort: true), "
+                            "which this build no longer supports")
         kwargs: dict = {"solver": SolverSpec.from_dict(data["solver"])}
-        for key in ("workers", "ranks", "sort", "executor", "hosts", "skin"):
+        for key in ("workers", "ranks", "executor", "hosts", "skin"):
             if key in data:
                 kwargs[key] = data[key]
         # specs pinned before the `transport` field was dropped: alone it
@@ -292,8 +295,8 @@ class RunSpec:
         flag family (also used by the restart path).
 
         Recognized attributes (all optional): ``potential``, ``mode``,
-        ``backend``, ``workers``, ``ranks``, ``sort_domains``,
-        ``executor``, ``hosts``, ``skin``.  This is the *one* place CLI
+        ``backend``, ``workers``, ``ranks``, ``executor``, ``hosts``,
+        ``skin``.  This is the *one* place CLI
         flags become a spec (the interaction cache has no flag: it is
         always on from the CLI, ``SolverSpec.cache`` is the library knob).
         """
@@ -309,7 +312,6 @@ class RunSpec:
             solver=solver,
             workers=getattr(args, "workers", None),
             ranks=getattr(args, "ranks", None),
-            sort=getattr(args, "sort_domains", False),
             executor=getattr(args, "executor", None),
             hosts=hosts,
             skin=getattr(args, "skin", 1.0),

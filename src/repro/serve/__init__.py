@@ -16,9 +16,7 @@ Layers, bottom up:
 - :mod:`repro.serve.server`    — the HTTP server: bounded backpressure
   queue, single batching dispatcher over a
   :class:`~repro.runtime.SolverPool`;
-- :mod:`repro.serve.client`    — a thin stdlib client (TCP + unix);
-- :mod:`repro.serve.loadgen`   — the load generator behind
-  ``repro loadgen``.
+- :mod:`repro.serve.client`    — a thin stdlib client (TCP + unix).
 """
 
 from repro.serve.client import ServeClient, ServeError

@@ -10,7 +10,7 @@ Architecture (one box, no third-party dependencies):
   queue is full the handler answers ``429`` with the typed
   ``backpressure`` error *immediately* instead of stacking latency;
 - a single **dispatcher** thread drains the queue in batches (up to
-  ``batch_max`` jobs per drain) and evaluates them on the warm
+  :data:`BATCH_MAX` jobs per drain) and evaluates them on the warm
   :class:`~repro.runtime.SolverPool`: validated arrays in, a detached
   force array out, never a Python list.  Batch fusion here is *dispatch*
   fusion: one dequeue wakes the dispatcher once for N requests, and
@@ -20,6 +20,8 @@ Architecture (one box, no third-party dependencies):
   summation order and break the bitwise serve-equivalence contract;
 - handler threads block on their job's event and write the response;
   ``/v1/stats`` sums each job's queue wait, evaluation and response time.
+  A handler that gives up (``504``) abandons its job: the dispatcher
+  skips it and counts it failed.
 
 Shutdown is clean by construction: :meth:`EvalServer.close` stops the
 dispatcher with a sentinel, shuts the listener down, and unlinks the
@@ -52,6 +54,9 @@ from repro.serve.protocol import (
 )
 from repro.serve.validate import DEFAULT_MAX_ATOMS, RequestError, validate_request
 
+#: jobs fused per dispatcher drain
+BATCH_MAX = 16
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -68,7 +73,6 @@ class ServeConfig:
     per_tenant_cap: int = 8
     skin: float = 1.0
     backlog: int = 64  # bounded queue depth; overflow answers 429
-    batch_max: int = 16  # jobs fused per dispatcher drain
     max_atoms: int = DEFAULT_MAX_ATOMS
     request_timeout: float = 120.0  # handler wait for its job
 
@@ -77,7 +81,7 @@ class _Job:
     """One accepted request travelling handler → dispatcher → handler."""
 
     __slots__ = ("spec", "system", "tenant", "event", "response", "error",
-                 "enqueued", "evaluated")
+                 "abandoned", "enqueued", "evaluated")
 
     def __init__(self, spec, system, tenant):
         self.spec = spec
@@ -86,6 +90,7 @@ class _Job:
         self.event = threading.Event()
         self.response = None
         self.error = None
+        self.abandoned = False  # its handler answered 504 and left
         self.enqueued = self.evaluated = 0.0  # perf_counter stamps
 
 
@@ -266,10 +271,10 @@ class EvalServer:
                 continue
             if first is None:
                 return
-            # batch fusion: one wake-up drains up to batch_max jobs;
+            # batch fusion: one wake-up drains up to BATCH_MAX jobs;
             # jobs sharing a (tenant, spec) run on the same hot session
             batch = [first]
-            while len(batch) < self.config.batch_max:
+            while len(batch) < BATCH_MAX:
                 try:
                     nxt = self._queue.get_nowait()
                 except queue.Empty:
@@ -291,25 +296,29 @@ class EvalServer:
         batch.sort(key=lambda j: (j.tenant, j.spec.key()))
         for i, job in enumerate(batch):
             picked_up = time.perf_counter()
-            try:
-                result = self.pool.evaluate(job.spec, job.system, tenant=job.tenant)
-                job.response = {
-                    "schema": SERVE_SCHEMA_VERSION,
-                    "energy": float(result.energy),
-                    "virial": float(result.virial),
-                    "forces": copy_forces(result),
-                    "n": int(job.system.n),
-                    "batch": {"index": i, "size": size},
-                }
-            except Exception as exc:  # evaluation failure → typed 500
-                job.error = f"{type(exc).__name__}: {exc}"
+            if not job.abandoned:
+                try:
+                    result = self.pool.evaluate(job.spec, job.system, tenant=job.tenant)
+                    job.response = {
+                        "schema": SERVE_SCHEMA_VERSION,
+                        "energy": float(result.energy),
+                        "virial": float(result.virial),
+                        "forces": copy_forces(result),
+                        "n": int(job.system.n),
+                        "batch": {"index": i, "size": size},
+                    }
+                except Exception as exc:  # evaluation failure → typed 500
+                    job.error = f"{type(exc).__name__}: {exc}"
             job.evaluated = time.perf_counter()
             with self.counters.lock:
-                self.counters.completed += job.error is None
-                self.counters.failed += job.error is not None
+                ok = job.error is None and not job.abandoned
+                self.counters.completed += ok
+                self.counters.failed += not ok
                 self.counters.queue_wait_us += (picked_up - job.enqueued) * 1e6
                 self.counters.evaluate_us += (job.evaluated - picked_up) * 1e6
-            job.event.set()
+                # under the lock: a handler that times out sees either this
+                # answer or none, never one it already reported as a 504
+                job.event.set()
 
     # ---- introspection ------------------------------------------------------
 
@@ -319,7 +328,6 @@ class EvalServer:
             "server": self.counters.as_dict(),
             "queue_depth": self._queue.qsize(),
             "backlog": self.config.backlog,
-            "batch_max": self.config.batch_max,
             "content_types": list(CONTENT_TYPES),
             "pool": self.pool.snapshot(),
         }
@@ -406,8 +414,11 @@ def _make_handler(server: EvalServer):
                                                 "pending); retry with backoff")
                 return
             if not job.event.wait(timeout=server.config.request_timeout):
-                self._fail(504, "timeout", "evaluation timed out")
-                return
+                with server.counters.lock:
+                    job.abandoned = not job.event.is_set()
+                if job.abandoned:
+                    self._fail(504, "timeout", "evaluation timed out")
+                    return
             if job.error is None:
                 try:
                     self._send(200, job.response, ctype)

@@ -125,7 +125,7 @@ class Checkpoint:
 
         New checkpoints carry the full spec under
         ``user_meta["run_spec"]`` — potential, mode, cache, backend,
-        executor, hosts, workers/ranks/sort and skin all round-trip,
+        executor, hosts, workers/ranks and skin all round-trip,
         so ``--restart-from`` reproduces the original configuration
         instead of silently falling back to CLI defaults.  Legacy
         checkpoints (pre-runtime ``user_meta["run_config"]``) are
@@ -136,7 +136,8 @@ class Checkpoint:
         no user_meta).
 
         Raises :class:`CheckpointError` when a pinned spec is present
-        but unreadable (unknown schema version, malformed fields).
+        but unreadable (unknown schema version, malformed fields, or
+        Morton-sorted domains, which this build no longer runs).
         """
         from repro.runtime.spec import RunSpec, SolverSpec, SpecError
 
@@ -148,6 +149,7 @@ class Checkpoint:
             legacy = um.get("run_config")
             if legacy is None:
                 return None
+            _refuse_sorted(engine)
             solver = SolverSpec(
                 potential=legacy.get("potential", "tersoff"),
                 mode=legacy.get("mode", "Opt-M"),
@@ -158,7 +160,6 @@ class Checkpoint:
                 solver=solver,
                 workers=engine.get("workers"),
                 ranks=engine.get("ranks"),
-                sort=bool(engine.get("sort", False)),
                 skin=float(self.meta["neighbor"]["skin"]),
             )
         except SpecError as exc:
@@ -179,6 +180,16 @@ class Checkpoint:
             type=a["type"].copy(), mass=a["mass"].copy(),
             species=tuple(self.meta["species"]),
             tag=a["tag"].copy(),
+        )
+
+
+def _refuse_sorted(engine_meta: dict) -> None:
+    # checkpoints of older builds record ``sort``; a sorted run summed in
+    # Morton order, so resuming it unsorted would not be bitwise
+    if engine_meta.get("sort"):
+        raise CheckpointError(
+            "checkpoint was taken with Morton-sorted domains (sort: true), "
+            "which this build no longer supports"
         )
 
 
@@ -208,7 +219,6 @@ def save_checkpoint(sim, path, *, user_meta: dict | None = None) -> Path:
         engine_meta = {
             "ranks": sim.engine.ranks,
             "workers": sim.engine.workers,
-            "sort": sim.engine.sort,
             "warm": estate is not None,
         }
         if estate is not None:
@@ -340,11 +350,11 @@ def restore_simulation(
             system, potential, neighbor=settings, dt=float(meta["dt"]), thermostat=thermostat
         )
     else:
+        _refuse_sorted(engine_meta)
         sim = Simulation(
             system, potential, neighbor=settings, dt=float(meta["dt"]), thermostat=thermostat,
             workers=int(engine_meta["workers"]) if workers is None else int(workers),
             ranks=int(engine_meta["ranks"]),
-            sort=bool(engine_meta["sort"]),
             executor=executor,
         )
         if engine_meta.get("warm"):
@@ -354,7 +364,6 @@ def restore_simulation(
             }
             sim.engine.restore_state({
                 "ranks": engine_meta["ranks"],
-                "sort": engine_meta["sort"],
                 "generation": engine_meta["generation"],
                 "steps": engine_meta["steps"],
                 "rebuild_steps": engine_meta["rebuild_steps"],

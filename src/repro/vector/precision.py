@@ -56,8 +56,3 @@ class Precision(enum.Enum):
                 f"unknown precision {value!r}; expected one of "
                 f"{[p.value for p in cls]}"
             ) from None
-
-    @property
-    def mode_suffix(self) -> str:
-        """The paper's mode letter: D / S / M."""
-        return {"double": "D", "single": "S", "mixed": "M"}[self.value]

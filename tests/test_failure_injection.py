@@ -17,6 +17,8 @@ from repro.core.tersoff.reference import TersoffReference
 from repro.core.tersoff.vectorized import TersoffVectorized
 from repro.md.lattice import diamond_lattice, perturbed
 from repro.md.neighbor import NeighborList, NeighborSettings
+from repro.md.pair_lj import LennardJones
+from repro.md.pair_lj_vectorized import LennardJonesVectorized
 
 
 @pytest.fixture(scope="module")
@@ -101,29 +103,38 @@ class TestBadGeometry:
         """Two atoms at the same site: every 1/r term is undefined, so
         the answer is one typed error naming the pair — never a
         silently-wrong finite energy, nor a RuntimeWarning and NaN forces."""
-        self.check_coincident_atoms_rejected("numpy")
+        self.check_coincident_atoms_rejected(TersoffProduction(tersoff_si(), backend="numpy"))
 
     @needs_compiled
     def test_coincident_atoms_rejected_compiled(self):
         """The same contract from the C kernel's error return."""
-        self.check_coincident_atoms_rejected("compiled")
+        self.check_coincident_atoms_rejected(TersoffProduction(tersoff_si(), backend="compiled"))
+
+    @pytest.mark.parametrize("make_pot", [
+        lambda: LennardJones(0.07, 2.0951, 4.2),
+        lambda: LennardJonesVectorized(0.07, 2.0951, 4.2),
+    ], ids=["lj", "lj_vectorized"])
+    def test_coincident_atoms_rejected_lj(self, make_pot):
+        """The pair baselines keep the contract too: the vectorized one
+        works in r², the legacy one divides by it."""
+        self.check_coincident_atoms_rejected(make_pot())
 
     @staticmethod
-    def check_coincident_atoms_rejected(backend):
+    def check_coincident_atoms_rejected(pot):
         import warnings
 
         from repro.md.atoms import AtomSystem
         from repro.md.box import Box
 
-        params = tersoff_si()
         x = np.array([[5.0, 5.0, 5.0], [5.0, 5.0, 5.0], [7.4, 5.0, 5.0]])
         s = AtomSystem(box=Box.cubic(20.0, periodic=False), x=x)
-        nl = NeighborList(NeighborSettings(cutoff=params.max_cutoff, skin=0.5))
+        nl = NeighborList(NeighborSettings(cutoff=pot.cutoff, skin=0.5,
+                                           full=pot.needs_full_list))
         nl.build(s.x, s.box, brute_force=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DegenerateGeometryError, match="atoms 0 and 1 coincide") as exc:
-                TersoffProduction(params, backend=backend).compute(s, nl)
+                pot.compute(s, nl)
         assert exc.value.pair == (0, 1)
         assert isinstance(exc.value, ValueError)
 

@@ -36,7 +36,7 @@ def si_system():
     return perturbed(diamond_lattice(4, 4, 4), 0.05, seed=3)  # 512 atoms
 
 
-def sequential_reference(system, potential, xs, *, ranks, sort=False):
+def sequential_reference(system, potential, xs, *, ranks):
     """Replay positions `xs` through the sequential decomposition path
     with the engine's redecomposition criterion (moved > skin/2 since
     the decomposition was built).  Returns [(energy, forces), ...]."""
@@ -53,7 +53,7 @@ def sequential_reference(system, potential, xs, *, ranks, sort=False):
         if redo:
             snap = system.copy()
             snap.x[:] = x
-            dd = DomainDecomposition(snap, ranks, halo=settings.list_cutoff, sort=sort)
+            dd = DomainDecomposition(snap, ranks, halo=settings.list_cutoff)
             x_ref = x.copy()
         else:
             dd.refresh_positions(x)
@@ -130,18 +130,6 @@ class TestBitwiseEquivalence:
                 step = eng.compute(x)
                 assert step.energy == e_ref
                 assert np.array_equal(step.forces, f_ref)
-
-    def test_sorted_decomposition_bitwise_across_workers(self):
-        """sort=True changes the physics association, but still
-        identically for every worker count."""
-        system = si_system()
-        pot = TersoffProduction(tersoff_si(), cache=True)
-        ref = sequential_reference(system, pot, [system.x], ranks=4, sort=True)[0]
-        for workers in (1, 2):
-            with ParallelEngine(system, pot, workers=workers, ranks=4, sort=True) as eng:
-                step = eng.compute(system.x)
-                assert step.energy == ref[0]
-                assert np.array_equal(step.forces, ref[1])
 
     def test_spawn_start_method_bitwise(self):
         system = si_system()
@@ -316,7 +304,7 @@ class TestSimulationIntegration:
             assert "reduce" in result.timers.breakdown()
             summary = sim.workload_summary()
             for key in ("imbalance_measured", "parallel_efficiency", "rank_seconds",
-                        "workers", "ranks", "generations", "locality_adjacent_A"):
+                        "workers", "ranks", "generations"):
                 assert key in summary
             assert summary["imbalance_measured"] >= 1.0
             assert len(summary["rank_seconds"]) == 2
@@ -340,34 +328,6 @@ class TestDecompositionSatellites:
         dd.compute_forces(pot, skin=SKIN)
         assert set(dd._lists) == {0, 1, 2, 3}
         assert all(nl.n_builds == 1 for nl in dd._lists.values())
-
-    def test_morton_sort_improves_locality_of_shuffled_input(self):
-        base = perturbed(diamond_lattice(4, 4, 4), 0.05, seed=3)
-        perm = np.random.default_rng(0).permutation(base.n)
-        from repro.md.atoms import AtomSystem
-
-        shuffled = AtomSystem(box=base.box, x=base.x[perm], type=base.type[perm],
-                              mass=base.mass, species=base.species)
-        halo = 4.2
-        plain = DomainDecomposition(shuffled, 4, halo=halo, sort=False)
-        sorted_dd = DomainDecomposition(shuffled, 4, halo=halo, sort=True)
-        a_plain = plain.workload_summary()["locality_adjacent_A"]
-        a_sorted = sorted_dd.workload_summary()["locality_adjacent_A"]
-        assert a_sorted < a_plain
-        assert sorted_dd.workload_summary()["sorted"] is True
-
-    def test_sort_is_order_canonical(self):
-        """Morton order is independent of the input permutation."""
-        base = perturbed(diamond_lattice(3, 3, 3), 0.05, seed=3)
-        perm = np.random.default_rng(1).permutation(base.n)
-        from repro.md.atoms import AtomSystem
-
-        shuffled = AtomSystem(box=base.box, x=base.x[perm], type=base.type[perm],
-                              mass=base.mass, species=base.species)
-        dd1 = DomainDecomposition(base, 2, halo=4.2, sort=True)
-        dd2 = DomainDecomposition(shuffled, 2, halo=4.2, sort=True)
-        for d1, d2 in zip(dd1.domains, dd2.domains):
-            assert np.array_equal(d1.local_system.x, d2.local_system.x)
 
 
 class TestGhostOnlyDataPlane:

@@ -165,7 +165,7 @@ class TestRunSpec:
     def test_round_trip(self):
         run = RunSpec(
             solver=SolverSpec(mode="Opt-S", cache=False),
-            workers=4, ranks=8, sort=True, executor="thread", skin=0.5,
+            workers=4, ranks=8, executor="thread", skin=0.5,
         )
         assert RunSpec.from_dict(run.to_dict()) == run
         assert RunSpec.from_dict(json.loads(run.canonical_json())) == run
@@ -230,12 +230,12 @@ class TestRunSpec:
     def test_from_args_covers_the_flag_family(self):
         args = argparse.Namespace(
             potential="tersoff", mode="Opt-S", backend=None,
-            workers=2, ranks=4, sort_domains=True, executor="thread",
+            workers=2, ranks=4, executor="thread",
             hosts=None, skin=2.0,
         )
         run = RunSpec.from_args(args)
         assert run.solver == SolverSpec(mode="Opt-S")
-        assert (run.workers, run.ranks, run.sort) == (2, 4, True)
+        assert (run.workers, run.ranks) == (2, 4)
         assert run.executor == "thread"
         assert run.skin == 2.0
 

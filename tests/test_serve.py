@@ -31,7 +31,6 @@ from repro.serve import (
     system_payload,
     validate_request,
 )
-from repro.serve.loadgen import percentile, run_load
 from repro.serve.protocol import (
     CONTENT_TYPES,
     FRAME_CONTENT_TYPE,
@@ -603,8 +602,7 @@ class TestDispatch:
     def test_batch_fusion_across_queued_requests(self, tmp_path):
         """Requests queued while the dispatcher is busy drain as one
         fused batch."""
-        srv = EvalServer(ServeConfig(unix_path=str(tmp_path / "b.sock"),
-                                     batch_max=8))
+        srv = EvalServer(ServeConfig(unix_path=str(tmp_path / "b.sock")))
         try:
             # enqueue before the dispatcher exists: the first drain
             # must fuse everything
@@ -685,6 +683,31 @@ class TestDispatch:
         finally:
             srv.close()
 
+    def test_timed_out_request_is_never_evaluated(self, tmp_path):
+        """A request answered 504 is abandoned: the dispatcher that
+        reaches it later skips it and counts it failed, not completed."""
+        srv = EvalServer(ServeConfig(unix_path=str(tmp_path / "t.sock"),
+                                     request_timeout=0.3))
+        srv._dispatcher = threading.Thread(target=lambda: None, daemon=True)
+        srv.start()
+        dispatcher = threading.Thread(target=srv._dispatch_loop, daemon=True)
+        try:
+            with ServeClient(srv.address, timeout=30) as c:
+                with pytest.raises(ServeError) as info:
+                    c.evaluate(SPEC.to_dict(), _system())
+            assert (info.value.status, info.value.code) == (504, "timeout")
+            dispatcher.start()  # now the queued job is picked up
+            deadline = time.monotonic() + 30
+            while srv.stats()["server"]["failed"] == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            server = srv.stats()["server"]
+            assert (server["completed"], server["failed"]) == (0, 1)
+            assert srv.pool.stats.requests == 0
+        finally:
+            srv.close()
+            dispatcher.join(timeout=10)
+        assert not dispatcher.is_alive()
+
 
 # ---- lifecycle ---------------------------------------------------------------
 
@@ -758,24 +781,3 @@ class TestLifecycle:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
-
-
-# ---- loadgen -----------------------------------------------------------------
-
-
-class TestLoadgen:
-    def test_percentile_nearest_rank(self):
-        lat = [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert percentile(lat, 0) == 1.0
-        assert percentile(lat, 100) == 5.0
-        assert percentile(lat, 50) == 3.0
-        assert np.isnan(percentile([], 50))
-
-    def test_run_load_collects_latencies(self, server):
-        result = run_load(server.address, SPEC.to_dict(),
-                          system_payload(_system()), requests=6, concurrency=2)
-        summary = result.summary()
-        assert summary["requests"] == 6
-        assert summary["errors"] == {}
-        assert summary["p50_ms"] > 0
-        assert summary["p99_ms"] >= summary["p50_ms"]

@@ -14,7 +14,9 @@ Covered here:
   resuming with a different worker count than the original run;
 - kill -9 durability: a SIGKILL'd CLI run leaves a loadable
   checkpoint, a recoverable trajectory and parseable telemetry, and
-  both the API and the CLI can resume from it.
+  both the API and the CLI can resume from it;
+- checkpoints of older builds: ``sort: false`` resumes, ``sort: true``
+  is refused.
 """
 
 from __future__ import annotations
@@ -35,7 +37,10 @@ from repro.md.integrate import Langevin
 from repro.md.lattice import diamond_lattice, perturbed, seeded_velocities
 from repro.md.neighbor import NeighborSettings
 from repro.md.simulation import Simulation
+from repro.runtime import RunSpec, SolverSpec, SpecError
+from repro.runtime.session import restore_run
 from repro.state import (
+    CheckpointError,
     load_checkpoint,
     read_binary_trajectory,
     restore_simulation,
@@ -328,3 +333,58 @@ def test_legacy_run_config_upgrades_to_run_spec(tmp_path):
     assert upgraded is not None
     assert upgraded.solver.mode == spec_dict["solver"]["mode"]
     assert upgraded.skin == 1.0
+
+
+class TestSortedDomainsRefused:
+    """Morton-sorted domains are gone.  A checkpoint an older build wrote
+    with ``sort: false`` resumes bitwise as before; one with ``sort:
+    true`` summed in Morton order, so resuming it unsorted would change
+    its bits, and it is refused with a typed error instead."""
+
+    def checkpoint(self, si_params, tmp_path, sort):
+        """A ranks=2 checkpoint in the older layout: ``sort`` in the
+        pinned run spec and in the engine metadata."""
+        from repro.state.checkpoint import CHECKPOINT_MAGIC
+        from repro.state.format import pack_arrays, pack_json, write_frame
+
+        run = RunSpec(solver=SolverSpec(mode="Opt-D"), workers=2, ranks=2, skin=SKIN)
+        with build_sim(si_params, workers=2, ranks=2) as sim:
+            sim.run(K_STEPS)
+            save_checkpoint(sim, tmp_path / "k.ckpt", user_meta={"run_spec": run.to_dict()})
+        ck = load_checkpoint(tmp_path / "k.ckpt")
+        for where, value in sort.items():
+            meta = ck.meta["engine"] if where == "engine" else ck.meta["user_meta"]["run_spec"]
+            meta["sort"] = value
+        with open(tmp_path / "k.ckpt", "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            write_frame(fh, pack_json(ck.meta))
+            write_frame(fh, pack_arrays(ck.arrays))
+        return load_checkpoint(tmp_path / "k.ckpt")
+
+    def test_sort_false_resumes_bitwise(self, si_params, tmp_path):
+        with build_sim(si_params, workers=2, ranks=2) as truth:
+            truth.run(N_STEPS)
+        ck = self.checkpoint(si_params, tmp_path, {"engine": False, "run_spec": False})
+        with restore_run(ck.run_spec(), ck) as resumed:
+            resumed.run(N_STEPS - K_STEPS)
+            assert_bitwise_equal(resumed, truth)
+
+    @pytest.mark.parametrize("where", ["run_spec", "engine"])
+    def test_sort_true_is_refused(self, si_params, tmp_path, where):
+        ck = self.checkpoint(si_params, tmp_path, {where: True})
+        if where == "run_spec":
+            with pytest.raises(SpecError, match="Morton-sorted"):
+                RunSpec.from_dict(ck.user_meta["run_spec"])
+            with pytest.raises(CheckpointError, match="Morton-sorted"):
+                ck.run_spec()
+        else:
+            with pytest.raises(CheckpointError, match="Morton-sorted"):
+                restore_run(ck.run_spec(), ck)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "--restart-from", "k.ckpt", "--steps", "1"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert out.returncode == 2
+        assert "Morton-sorted" in out.stderr
