@@ -10,19 +10,30 @@
  * (x - lo) / binsize truncated and clamped to [0, nbins-1], d -= L *
  * rint(d / L) on periodic axes, r^2 by DOT3_EINSUM, inclusive <= rlist^2.
  *
+ * The binning is one serial pass; the row fill runs over the threads of
+ * _pool.c.  Neither the thread count nor who fills which rows moves an
+ * entry: every chunk of rows writes into its own slice of the output and
+ * records its row lengths, and a prefix sum and an in-order move of the
+ * slices then leave the one-thread arrays.
+ *
  * Nothing here is REAL-templated: positions, box and list radius are
  * f64 in every precision mode.
  */
 
 #include <math.h>
+#include <stdatomic.h>
 #include <stdint.h>
 #include <string.h>
 
 #include "_common.h"
+#include "_pool.h"
 
 #define F64 double
 
 #define NBR_NONFINITE 1 /* info[0] names the first atom with a non-finite position */
+
+/* rows a chunk of a threaded fill holds; one thread fills every row as one */
+#define NBR_ROWS_PER_CHUNK 64
 
 /* geometry block `geo` (13 doubles, packed by NeighborList.build):
  * box lo, box lengths, bin size per axis, half lengths (+inf on
@@ -38,9 +49,101 @@ static inline int64_t shifted_bin(const int64_t t, const int64_t nb, const int32
     return t < 0 ? nb - 1 : 0;
 }
 
-/* Returns the number of list entries, or -NBR_NONFINITE.  Entries past
- * `cap` are counted but not written: the caller sizes `neighbors` from
- * the density and calls again with the returned count when it was short. */
+/* One build, as the threads of its row fill see it. */
+typedef struct {
+    int64_t n;
+    const double *x;
+    const double *geo;
+    const int64_t *nbins;
+    const int32_t *periodic;
+    int32_t full;
+    const int64_t *cell;
+    const int64_t *cell_start;
+    const int32_t *order;
+    int64_t rows;     /* per chunk */
+    int64_t n_chunks;
+    int64_t per;      /* output slots per chunk; the last runs to the end */
+    int64_t cap;
+    int64_t *offsets; /* the fill leaves row i's length in offsets[i + 1] */
+    int32_t *neighbors;
+    _Alignas(POOL_CACHE_LINE) _Atomic int64_t next; /* chunk claims */
+} nbr_job;
+
+/* Row i into `out` from slot `count` on (slots past `room` are counted,
+ * not written); returns the count after it. */
+static int64_t nbr_row(const nbr_job *job, const int64_t i, int32_t *restrict out,
+                       const int64_t room, int64_t count)
+{
+    const double *restrict x = job->x, *restrict geo = job->geo, *xi = x + 3 * i;
+    const int64_t *restrict cell_start = job->cell_start;
+    const int32_t *restrict order = job->order, *restrict periodic = job->periodic;
+    const int64_t nb0 = job->nbins[0], nb1 = job->nbins[1], nb2 = job->nbins[2];
+    const int64_t ci = job->cell[i];
+    const int64_t b2 = ci % nb2, b1 = (ci / nb2) % nb1, b0 = ci / (nb1 * nb2);
+    const F64 r2max = geo[GEO_R2];
+    int64_t s0, s1, s2;
+    int c;
+    for (s0 = -1; s0 <= 1; s0++) {
+        const int64_t t0 = shifted_bin(b0 + s0, nb0, periodic[0]);
+        if (t0 < 0) continue;
+        for (s1 = -1; s1 <= 1; s1++) {
+            const int64_t t1 = shifted_bin(b1 + s1, nb1, periodic[1]);
+            if (t1 < 0) continue;
+            for (s2 = -1; s2 <= 1; s2++) {
+                const int64_t t2 = shifted_bin(b2 + s2, nb2, periodic[2]);
+                int64_t q, end;
+                if (t2 < 0) continue;
+                q = (t0 * nb1 + t1) * nb2 + t2;
+                end = cell_start[q + 1];
+                for (q = cell_start[q]; q < end; q++) {
+                    const int64_t j = order[q];
+                    F64 d[3];
+                    if (job->full ? j == i : j <= i) continue;
+                    for (c = 0; c < 3; c++) {
+                        d[c] = x[3 * j + c] - xi[c];
+                        /* where |d| <= L/2, rint(d/L) is exactly 0 */
+                        if (fabs(d[c]) > geo[GEO_HALF + c])
+                            d[c] -= geo[GEO_LEN + c] * rint(d[c] / geo[GEO_LEN + c]);
+                    }
+                    if (DOT3_EINSUM(d[0] * d[0], d[1] * d[1], d[2] * d[2]) <= r2max) {
+                        if (count < room) out[count] = (int32_t)j;
+                        count++;
+                    }
+                }
+            }
+        }
+    }
+    return count;
+}
+
+/* The chunks of rows this thread claims, each into its own slice. */
+static void nbr_fill(void *ctx, const int tid)
+{
+    nbr_job *job = ctx;
+    int64_t chunk;
+    (void)tid;
+    while ((chunk = atomic_fetch_add_explicit(&job->next, 1, memory_order_relaxed)) <
+           job->n_chunks) {
+        const int64_t first = chunk * job->rows;
+        const int64_t end = first + job->rows < job->n ? first + job->rows : job->n;
+        const int64_t room = chunk + 1 < job->n_chunks ? job->per : job->cap - chunk * job->per;
+        int32_t *out = job->neighbors + chunk * job->per;
+        int64_t i, count = 0;
+        for (i = first; i < end; i++) {
+            const int64_t before = count;
+            count = nbr_row(job, i, out, room, count);
+            job->offsets[i + 1] = count - before;
+        }
+    }
+}
+
+/* Returns the number of list entries, or -NBR_NONFINITE, or — when a
+ * chunk's slice of `cap` was short — a larger `cap` under which every
+ * slice fits: the caller sizes `neighbors` from the density and calls
+ * again with the returned count when it exceeds `cap`.  One thread fills
+ * all rows as one chunk and its slice is the whole buffer, so there the
+ * count returned is the number of entries either way.  On success
+ * info[0] is the number of threads the fill was opened for. */
 int64_t neighbor_build(
     const int64_t n,
     const double *restrict x,         /* (n,3) positions                       */
@@ -54,12 +157,13 @@ int64_t neighbor_build(
     const int64_t cap,
     int64_t *restrict offsets,        /* (n+1,) out                            */
     int32_t *restrict neighbors,      /* (cap,) out                            */
+    const int64_t threads,            /* most threads the fill may use         */
     int64_t *restrict info)
 {
-    const int64_t nb0 = nbins[0], nb1 = nbins[1], nb2 = nbins[2];
-    const int64_t ncells = nb0 * nb1 * nb2;
-    const F64 r2max = geo[GEO_R2];
-    int64_t i, total = 0;
+    const int64_t nb1 = nbins[1], nb2 = nbins[2];
+    const int64_t ncells = nbins[0] * nb1 * nb2;
+    nbr_job job;
+    int64_t i, k, most = 0, short_slice = 0;
     int c;
 
     /* bin; stable counting sort by linear cell: counts land two slots up
@@ -82,44 +186,42 @@ int64_t neighbor_build(
     for (i = 0; i < ncells; i++) cell_start[i + 2] += cell_start[i + 1];
     for (i = 0; i < n; i++) order[cell_start[cell[i] + 1]++] = (int32_t)i;
 
-    for (i = 0; i < n; i++) {
-        const double *xi = x + 3 * i;
-        const int64_t b2 = cell[i] % nb2, b1 = (cell[i] / nb2) % nb1, b0 = cell[i] / (nb1 * nb2);
-        int64_t s0, s1, s2;
-        offsets[i] = total;
-        for (s0 = -1; s0 <= 1; s0++) {
-            const int64_t t0 = shifted_bin(b0 + s0, nb0, periodic[0]);
-            if (t0 < 0) continue;
-            for (s1 = -1; s1 <= 1; s1++) {
-                const int64_t t1 = shifted_bin(b1 + s1, nb1, periodic[1]);
-                if (t1 < 0) continue;
-                for (s2 = -1; s2 <= 1; s2++) {
-                    const int64_t t2 = shifted_bin(b2 + s2, nb2, periodic[2]);
-                    int64_t q, end;
-                    if (t2 < 0) continue;
-                    q = (t0 * nb1 + t1) * nb2 + t2;
-                    end = cell_start[q + 1];
-                    for (q = cell_start[q]; q < end; q++) {
-                        const int64_t j = order[q];
-                        F64 d[3];
-                        if (full ? j == i : j <= i) continue;
-                        for (c = 0; c < 3; c++) {
-                            d[c] = x[3 * j + c] - xi[c];
-                            /* where |d| <= L/2, rint(d/L) is exactly 0 */
-                            if (fabs(d[c]) > geo[GEO_HALF + c])
-                                d[c] -= geo[GEO_LEN + c] * rint(d[c] / geo[GEO_LEN + c]);
-                        }
-                        if (DOT3_EINSUM(d[0] * d[0], d[1] * d[1], d[2] * d[2]) <= r2max) {
-                            if (total < cap) neighbors[total] = (int32_t)j;
-                            total++;
-                        }
-                    }
-                }
-            }
-        }
+    job.n = n;
+    job.x = x;
+    job.geo = geo;
+    job.nbins = nbins;
+    job.periodic = periodic;
+    job.full = full;
+    job.cell = cell;
+    job.cell_start = cell_start;
+    job.order = order;
+    job.rows = threads > 1 ? NBR_ROWS_PER_CHUNK : (n > 0 ? n : 1);
+    job.n_chunks = (n + job.rows - 1) / job.rows;
+    job.per = job.n_chunks > 1 ? cap / job.n_chunks : cap;
+    job.cap = cap;
+    job.offsets = offsets;
+    job.neighbors = neighbors;
+    atomic_init(&job.next, 0);
+    info[0] = pool_run((int)(threads < job.n_chunks ? threads : job.n_chunks), nbr_fill, &job);
+
+    offsets[0] = 0;
+    for (i = 0; i < n; i++) offsets[i + 1] += offsets[i];
+    for (k = 0; k < job.n_chunks; k++) {
+        const int64_t first = k * job.rows, end = first + job.rows < n ? first + job.rows : n;
+        const int64_t count = offsets[end] - offsets[first];
+        const int64_t room = k + 1 < job.n_chunks ? job.per : cap - k * job.per;
+        if (count > room) short_slice = 1;
+        if (count > most) most = count;
     }
-    offsets[n] = total;
-    return total;
+    if (short_slice) return job.n_chunks * most;
+    /* the slices, in chunk order, to where their rows start: never past
+     * where the next slice starts, so nothing is overwritten unread */
+    for (k = 1; k < job.n_chunks; k++) {
+        const int64_t first = k * job.rows, end = first + job.rows < n ? first + job.rows : n;
+        memmove(neighbors + offsets[first], neighbors + k * job.per,
+                (size_t)(offsets[end] - offsets[first]) * sizeof(int32_t));
+    }
+    return offsets[n];
 }
 
 /* The transposed index of a CSR list: for every atom a the entries e

@@ -2,16 +2,16 @@
 
 The package ships C source — the compiled backend's ``_tersoff.c`` with
 the REAL-templated ``_tersoff_impl.h`` over the lane abstraction
-``_vec.h`` / ``_vmath.h`` and the thread pool ``_pool.c``, and the
-cell-list neighbor build ``_neighbor.c`` — and compiles it into one
-shared object
-on first use with the host toolchain — no build-time step, no binary
-wheels, and ``pip install repro`` stays pure-Python.  The shared object
-is keyed by a content hash of the sources, the compile flags, the
-compiler identity and the host's instruction set, cached under
-``~/.cache/repro/cext`` (override with ``REPRO_CEXT_CACHE``), and
-published atomically (tmp file + ``os.replace``) so concurrent builders
-— e.g. spawn-executor workers warming simultaneously — race benignly.
+``_vec.h`` / ``_vmath.h`` and the thread pool ``_pool.c``, the cell-list
+neighbor build ``_neighbor.c`` and an MD step's integrator and skin test
+``_step.c`` — and compiles it into one shared object on first use with
+the host toolchain: no build-time step, no binary wheels, and ``pip
+install repro`` stays pure-Python.  The shared object is keyed by a
+content hash of the sources, the compile flags, the compiler identity
+and the host's instruction set, cached under ``~/.cache/repro/cext``
+(override with ``REPRO_CEXT_CACHE``), and published atomically (tmp file
++ ``os.replace``) so concurrent builders — e.g. spawn-executor workers
+warming simultaneously — race benignly.
 
 Float-determinism flags are part of the contract, not an optimization
 choice: ``-fno-fast-math -ffp-contract=off`` keeps every expression at
@@ -39,8 +39,10 @@ import subprocess
 import tempfile
 from pathlib import Path
 
+from repro.host import usable_cores
+
 _SRC_DIR = Path(__file__).resolve().parent
-_UNITS = ("_tersoff.c", "_neighbor.c", "_pool.c")
+_UNITS = ("_tersoff.c", "_neighbor.c", "_pool.c", "_step.c")
 _SOURCES = _UNITS + ("_tersoff_impl.h", "_vec.h", "_vmath.h", "_common.h", "_pool.h")
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-pthread", "-fno-fast-math", "-ffp-contract=off",
            "-fno-math-errno", "-Wno-psabi")
@@ -48,6 +50,10 @@ _CFLAGS = ("-O3", "-fPIC", "-shared", "-pthread", "-fno-fast-math", "-ffp-contra
 #: the vector types is just as correct)
 _HOST_ISA_FLAGS = ("-march=native",)
 _COMPILERS = ("cc", "gcc", "clang")
+#: Rows per thread below which one more thread does not pay for its wake-up
+#: (EXPERIMENTS.md "Thread scaling"): 1728 rows stay on one thread, 2048 get
+#: two.  The compiled kernel and the C list build both split by it.
+THREAD_GRAIN = 1024
 
 _lib: ctypes.CDLL | None = None
 _fns: dict[str, object] = {}
@@ -83,14 +89,15 @@ def probe() -> str | None:
 
 
 def _compiler_identity(cc: str) -> str:
+    """The binary `cc` resolves to, its size and mtime, read without a
+    subprocess: every process's first load names its object, and a child
+    of a large process is charged that process's peak RSS."""
+    real = os.path.realpath(cc)
     try:
-        out = subprocess.run(
-            [cc, "--version"], capture_output=True, text=True, timeout=30, check=False
-        ).stdout
-        first = out.splitlines()[0] if out else ""
+        st = os.stat(real)
     except OSError:
-        first = ""
-    return f"{cc}:{first}"
+        return real
+    return f"{real}:{st.st_size}:{st.st_mtime_ns}"
 
 
 def _cache_dir() -> Path:
@@ -185,11 +192,17 @@ def _entry_points(lib: ctypes.CDLL) -> dict[str, object]:
         # test hook: ters_vmath_*(kind, n, in, in2, out) -> code (_vmath.h)
         fns[f"vmath_{suffix}"] = bind(f"ters_vmath_{suffix}", [i64, i64, ptr, ptr, ptr], ctypes.c_int)
     # neighbor_build(n, x, geo, nbins, periodic, full, cell, cell_start,
-    # order, cap, offsets, neighbors, info) -> entries or -code; shapes
-    # and dtypes are enforced by the caller (NeighborList.build)
+    # order, cap, offsets, neighbors, threads, info) -> entries, a larger cap
+    # or -code; shapes and dtypes are enforced by the caller (NeighborList.build)
     fns["neighbor_build"] = bind(
         "neighbor_build",
-        [i64, ptr, ptr, ptr, ptr, i32, ptr, ptr, ptr, i64, ptr, ptr, ptr], i64)
+        [i64, ptr, ptr, ptr, ptr, i32, ptr, ptr, ptr, i64, ptr, ptr, i64, ptr], i64)
+    # _step.c: md_initial / md_kick(c, dt, n, v, f, type, mass, ntypes, x, lo,
+    # lengths, 3 x periodic) -> 0/1; md_max_disp2(n, x, x_ref, 3 x length, 3 x periodic)
+    f64 = ctypes.c_double
+    step = [f64, f64, i64, ptr, ptr, ptr, ptr, i64, ptr, ptr, ptr, i32, i32, i32]
+    fns["md_initial"], fns["md_kick"] = bind("md_initial", step, i64), bind("md_kick", step, i64)
+    fns["md_max_disp2"] = bind("md_max_disp2", [i64, ptr, ptr, f64, f64, f64, i32, i32, i32], f64)
     # neighbor_transpose(n, n_entries, neighbors, in_offsets, in_entries)
     # -> entries placed or -1 (repro.md.neighbor.incoming_index)
     fns["neighbor_transpose"] = bind("neighbor_transpose", [i64, i64, ptr, ptr, ptr], i64)
@@ -229,6 +242,21 @@ def load() -> dict[str, object]:
 
 def loaded() -> bool:
     return _lib is not None
+
+
+def entry(name: str):
+    """The entry point `name` of :func:`load`, or ``None`` where :func:`probe`
+    finds the extension unavailable or its build fails (remembered there)."""
+    try:
+        return None if probe() else load()[name]
+    except CextBuildError:
+        return None
+
+
+def threads_for(rows: int, share: int | None) -> int:
+    """``min(share, rows // THREAD_GRAIN)``, at least 1; `share` None: every usable core."""
+    threads = rows // THREAD_GRAIN
+    return max(1, min(threads, usable_cores() if share is None else share)) if threads > 1 else 1
 
 
 def build_info() -> dict[str, object]:

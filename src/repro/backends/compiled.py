@@ -13,8 +13,8 @@ threads of a small pool inside that one call.  No pair or triplet table
 is ever staged, so a cache hit, a mask drift and a rebuilt list all cost
 the same kernel call.
 
-How many threads a call uses is decided here, from what can be observed
-and from nothing a user sets: ``min(share, rows // THREAD_GRAIN)``, the
+How many threads a call uses is decided by :func:`cext.threads_for`,
+from nothing a user sets: ``min(share, rows // THREAD_GRAIN)``, the
 share being the cores this process may run on (``threads = None``) or
 what :class:`~repro.parallel.engine.ParallelEngine` gave this rank's
 kernel.  No result bit depends on it (DESIGN.md §12).
@@ -41,7 +41,6 @@ from repro.analysis import hot_path
 from repro.backends import cext
 from repro.backends.base import BackendUnavailableError
 from repro.core.pipeline import DegenerateGeometryError, MultiBodyKernel, Staging, Workspace
-from repro.host import usable_cores
 from repro.md.potential import ForceResult
 
 #: Column order of the parameter table (``enum P_*`` in ``_tersoff.c``).
@@ -52,11 +51,6 @@ PARAM_FIELDS = ("R", "D", "A", "lam1", "B", "lam2", "beta", "n", "c1", "c2", "c3
 _PREFILTER_MARGIN = 1.0 + 1.0e-9
 #: Error returns of ``tersoff_fused_*`` (``TERS_*`` in ``_tersoff.c``).
 _NONFINITE, _COINCIDENT = 1, 2
-#: Rows per thread below which one more thread does not pay for its
-#: wake-up, barrier and cache traffic (measured, EXPERIMENTS.md "Thread
-#: scaling"): a 1728-atom call stays on one thread, a 2048-atom call
-#: gets two.
-THREAD_GRAIN = 1024
 
 
 def pick_strategy() -> str:
@@ -116,10 +110,7 @@ class CompiledTersoffKernel(MultiBodyKernel):
         geo[3:6] = [0.5 * span if per else np.inf for span, per in zip(box.lengths, box.periodic)]
         geo[6] = self.kcand_cutoff
         geo[7] = self.kcand_cutoff * self.kcand_cutoff * _PREFILTER_MARGIN
-        threads = n // THREAD_GRAIN
-        if threads > 1:
-            threads = min(threads, usable_cores() if self.threads is None else self.threads)
-        threads = max(threads, 1)
+        threads = cext.threads_for(n, self.threads)
         in_offsets, in_entries = lst.incoming
         L = lst.n_list_entries
         if in_offsets.shape[0] != n + 1 or in_entries.shape[0] != L or lst.offsets[n] != L:

@@ -36,8 +36,8 @@ class Box:
     _lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        lo = np.asarray(self.lo, dtype=np.float64).reshape(3)
-        hi = np.asarray(self.hi, dtype=np.float64).reshape(3)
+        lo = np.ascontiguousarray(self.lo, dtype=np.float64).reshape(3)
+        hi = np.ascontiguousarray(self.hi, dtype=np.float64).reshape(3)
         if np.any(hi <= lo):
             raise ValueError(f"box must have positive extent, got lo={lo} hi={hi}")
         object.__setattr__(self, "lo", lo)
@@ -69,31 +69,15 @@ class Box:
                 f"{float(np.min(self._lengths[per])) / 2.0}; minimum image invalid"
             )
 
-    def wrap(self, x: np.ndarray) -> np.ndarray:
-        """Wrap positions into the primary cell along periodic axes.
-
-        Returns a new array; the input is not modified.
-        """
-        x = np.array(x, dtype=np.float64, copy=True)
-        for axis in range(3):
-            if self.periodic[axis]:
-                span = self._lengths[axis]
-                col = np.mod(x[..., axis] - self.lo[axis], span)
-                # np.mod of a tiny negative can round to exactly `span`,
-                # which lies outside [0, span)
-                col[col >= span] = 0.0
-                x[..., axis] = self.lo[axis] + col
-        return x
-
     def wrap_inplace(self, x: np.ndarray) -> None:
-        """Wrap positions in place (used by the integrator hot loop)."""
+        """Wrap positions into ``[lo, hi)`` along periodic axes, in place."""
         for axis in range(3):
             if self.periodic[axis]:
                 span = self._lengths[axis]
                 col = x[..., axis]
                 col -= self.lo[axis]
                 np.mod(col, span, out=col)
-                col[col >= span] = 0.0  # guard the mod-rounds-to-span case
+                col[col >= span] = 0.0  # a tiny negative's mod can round to `span`
                 col += self.lo[axis]
 
     def minimum_image(self, delta: np.ndarray) -> np.ndarray:
@@ -116,15 +100,3 @@ class Box:
         """Minimum-image distance between position arrays `a` and `b`."""
         d = self.minimum_image(np.asarray(b, dtype=np.float64) - np.asarray(a, dtype=np.float64))
         return np.sqrt(np.sum(d * d, axis=-1))
-
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        """Boolean mask of positions inside ``[lo, hi)`` on every axis."""
-        x = np.asarray(x)
-        return np.all((x >= self.lo) & (x < self.hi), axis=-1)
-
-    def replicate(self, nx: int, ny: int, nz: int) -> "Box":
-        """The box of an ``nx x ny x nz`` replication of this cell."""
-        if min(nx, ny, nz) < 1:
-            raise ValueError("replication factors must be >= 1")
-        reps = np.array([nx, ny, nz], dtype=np.float64)
-        return Box(self.lo, self.lo + self._lengths * reps, self.periodic)

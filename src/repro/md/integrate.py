@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.backends import cext
 from repro.md.atoms import AtomSystem
 from repro.md.units import BOLTZMANN, FTM2V, MVV2E
 
@@ -35,29 +36,46 @@ class VelocityVerlet:
             raise ValueError("timestep must be positive")
         self.dt = float(dt)
         self._tmp = np.empty((0, 3))  # the one (n, 3) temporary of a kick
+        self._c: tuple = ((), ())  # the arrays of the last C pass, and its arguments from them
 
     def _half_kick(self, system: AtomSystem) -> None:
         """``v += ((dt/2 FTM2V) f) / m`` — that association, every step."""
-        if system.mass.shape[0] == 1:
-            # one species: 1/m is one number, and multiplying by it is
-            # what multiplying by a column of it does, bit for bit
-            inv_m = 1.0 / system.mass[0]
-        else:
-            inv_m = 1.0 / system.per_atom_mass()[:, None]
         if self._tmp.shape != system.f.shape:
             self._tmp = np.empty_like(system.f)
         np.multiply(0.5 * self.dt * FTM2V, system.f, out=self._tmp)
-        np.multiply(self._tmp, inv_m, out=self._tmp)
+        np.multiply(self._tmp, 1.0 / system.per_atom_mass()[:, None], out=self._tmp)
         system.v += self._tmp
 
+    def _in_c(self, name: str, system: AtomSystem) -> bool:
+        """Run ``_step.c``'s `name` (the numpy body's bits) and return True, or return
+        False with nothing written where the extension, C-contiguous f64/int32 columns
+        or in-range types are missing.  Addresses are re-read only for new columns."""
+        fn = cext.entry(name)
+        if fn is None:
+            return False
+        key = (system.x, system.v, system.f, system.type, system.mass, system.box)
+        if len(key) != len(self._c[0]) or any(a is not b for a, b in zip(key, self._c[0])):
+            x, v, f, t, m, box = key
+            n = x.shape[0]
+            if not all(a.dtype == d and a.flags.c_contiguous and a.shape == s for a, d, s in (
+                    (x, np.float64, (n, 3)), (v, np.float64, (n, 3)), (f, np.float64, (n, 3)),
+                    (t, np.int32, (n,)), (m, np.float64, m.shape[:1]))):
+                return False
+            self._c = key, (n, v.ctypes.data, f.ctypes.data, t.ctypes.data, m.ctypes.data, m.shape[0],
+                            x.ctypes.data, box.lo.ctypes.data, box.lengths.ctypes.data, *box.periodic)
+        return fn(0.5 * self.dt * FTM2V, self.dt, *self._c[1]) == 0
+
     def initial_integrate(self, system: AtomSystem) -> None:
+        if self._in_c("md_initial", system):
+            return
         self._half_kick(system)
         np.multiply(self.dt, system.v, out=self._tmp)
         system.x += self._tmp
         system.wrap()
 
     def final_integrate(self, system: AtomSystem) -> None:
-        self._half_kick(system)
+        if not self._in_c("md_kick", system):
+            self._half_kick(system)
 
 
 class Langevin:

@@ -13,9 +13,9 @@ skin atoms.
 
 Construction uses cell binning (linear in the number of atoms).  Where
 the runtime-built C extension is available (:mod:`repro.backends.cext`)
-the binned build is one C pass that writes the CSR arrays directly; the
-numpy build writes the same arrays bit for bit and remains as the
-fallback on hosts without a toolchain and as the test oracle.  A
+the build (its rows filled on the kernel's thread pool) and the skin
+test are C passes; the numpy bodies give the same arrays and decisions
+bit for bit and stay as the no-toolchain fallback and the test oracle.  A
 brute-force reference path exists both as a fallback for boxes too
 small to bin and as the oracle for the property-based tests.
 """
@@ -223,15 +223,15 @@ def _numpy_csr(x: np.ndarray, box: Box, rlist: float, full: bool,
 
 
 def _compiled_csr(x: np.ndarray, box: Box, rlist: float, nbins: np.ndarray,
-                  full: bool) -> tuple[np.ndarray, np.ndarray, float] | None:
+                  full: bool, threads: int) -> tuple[np.ndarray, np.ndarray, float] | None:
     """``(offsets, neighbors, load_s)`` from the C cell-list build.
 
     The arrays are what :func:`_numpy_csr` returns for a box that bins,
-    bit for bit (``_neighbor.c`` states the order and the arithmetic).
-    ``load_s`` is what the call spent loading (or, on a cold cache,
-    building) the extension when it was the first in this process to
-    need it.  ``None`` when the build fails: :func:`cext.probe` reports
-    the failure from then on and the numpy builder takes over.
+    bit for bit, for any `threads` (``_neighbor.c`` states the order and
+    the arithmetic).  ``load_s`` is what the call spent loading (or, on a
+    cold cache, building) the extension when it was the first in this
+    process to need it.  ``None`` when the build fails: :func:`cext.probe`
+    reports the failure from then on and the numpy builder takes over.
     """
     first = not cext.loaded()
     t0 = time.perf_counter()
@@ -252,15 +252,15 @@ def _compiled_csr(x: np.ndarray, box: Box, rlist: float, nbins: np.ndarray,
     order = np.empty(n, dtype=np.int32)
     offsets = np.empty(n + 1, dtype=np.int64)
     info = np.zeros(1, dtype=np.int64)
-    # sized from the mean density with headroom (a diamond lattice at
-    # skin 1.0 holds 1.2x the mean); a short buffer costs a second call
+    # sized from the mean density with headroom (a diamond lattice at skin
+    # 1.0 holds 1.2x the mean); a short buffer (or slice of it) costs a call
     sphere = 4.0 / 3.0 * np.pi * rlist**3
     cap = min(int(1.5 * n * n * sphere / box.volume) + 64, n * n)
     while True:
         neighbors = np.empty(cap, dtype=np.int32)
         total = fn(n, x.ctypes.data, geo.ctypes.data, nbins.ctypes.data, periodic.ctypes.data,
                    int(full), cell.ctypes.data, cell_start.ctypes.data, order.ctypes.data,
-                   cap, offsets.ctypes.data, neighbors.ctypes.data, info.ctypes.data)
+                   cap, offsets.ctypes.data, neighbors.ctypes.data, threads, info.ctypes.data)
         if total < 0:
             raise _nonfinite_position(int(info[0]))
         if total <= cap:
@@ -323,6 +323,8 @@ class NeighborList:
         # a timing report of the last call, not run state: a restored
         # list has loaded nothing
         self.warmup_s = 0.0  # repro-lint: disable=KD001
+        #: most threads a C build may use; ``None`` = every usable core
+        self.threads: int | None = None
         self._x_ref: np.ndarray | None = None
         self._box: Box | None = None
 
@@ -352,7 +354,8 @@ class NeighborList:
         nbins = None if brute_force else _bin_counts(box, rlist)
         csr = None
         if nbins is not None and cext.probe() is None:
-            csr = _compiled_csr(x, box, rlist, nbins, self.settings.full)
+            csr = _compiled_csr(x, box, rlist, nbins, self.settings.full,
+                                cext.threads_for(x.shape[0], self.threads))
         if csr is None:
             csr = (*_numpy_csr(x, box, rlist, self.settings.full, brute_force), 0.0)
         self.offsets, self.neighbors, self.warmup_s = csr
@@ -362,20 +365,25 @@ class NeighborList:
         self._box = box
 
     def needs_rebuild(self, x: np.ndarray) -> bool:
-        """LAMMPS criterion: any atom moved more than half the skin."""
-        if self._x_ref is None or self._box is None:
+        """LAMMPS criterion: an atom moved more than half the skin, or to NaN/inf."""
+        if (self._x_ref is None or self._box is None or x.shape != self._x_ref.shape
+                or self.settings.skin == 0.0):
             return True
-        if x.shape != self._x_ref.shape:
-            return True
-        if self.settings.skin == 0.0:
-            return True
-        d = self._box.minimum_image(x - self._x_ref)
-        max_disp2 = float(np.max(np.einsum("ij,ij->i", d, d))) if x.shape[0] else 0.0
-        return max_disp2 > (0.5 * self.settings.skin) ** 2
+        box, fn = self._box, cext.entry("md_max_disp2")
+        if fn is not None and x.dtype == np.float64 and x.flags.c_contiguous:
+            max_disp2 = fn(x.shape[0], x.ctypes.data, self._x_ref.ctypes.data,
+                           *box.lengths, *box.periodic)
+        else:
+            with np.errstate(invalid="ignore", over="ignore"):  # inf moved: NaN, a rebuild
+                d = box.minimum_image(x - self._x_ref)
+                max_disp2 = float(np.max(np.einsum("ij,ij->i", d, d))) if x.shape[0] else 0.0
+        return not max_disp2 <= (0.5 * self.settings.skin) ** 2
 
     def ensure(self, x: np.ndarray, box: Box) -> bool:
-        """Rebuild if needed; returns True if a rebuild happened."""
-        if self.needs_rebuild(x):
+        """Rebuild if atoms moved or `box` is not the last build's; True if it did."""
+        old = self._box
+        if self.needs_rebuild(x) or old is not box and (old.periodic != box.periodic or not (
+                np.array_equal(old.lo, box.lo) and np.array_equal(old.hi, box.hi))):
             self.build(x, box)
             return True
         self.warmup_s = 0.0
@@ -417,16 +425,3 @@ class NeighborList:
             np.arange(self.n_atoms, dtype=np.int64), np.diff(self.offsets)
         )
         return i_idx, self.neighbors.astype(np.int64)
-
-    def to_padded(self, pad_value: int = -1) -> tuple[np.ndarray, np.ndarray]:
-        """Dense ``(n, max_neighbors)`` padded matrix plus per-row counts.
-
-        The lane-faithful scheme (1a) iterates this layout directly: row
-        = atom i, columns = neighbor slots, pad slots masked off.
-        """
-        counts = self.counts()
-        maxn = int(counts.max()) if counts.size else 0
-        padded = np.full((self.n_atoms, maxn), pad_value, dtype=np.int64)
-        rows, within = _expand_ranges(np.zeros_like(counts), counts)
-        padded[rows, within] = self.neighbors
-        return padded, counts

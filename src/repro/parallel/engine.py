@@ -119,9 +119,9 @@ class WorkerHost:
     species: tuple
     potential: Potential
     settings: NeighborSettings
-    #: workers of the engine this host serves: a rank's kernel may thread
-    #: over this host's usable cores divided by it, so that ranks that run
-    #: side by side never oversubscribe (threads change no result bit)
+    #: workers of the engine this host serves: a rank's kernel and list
+    #: build thread over at most this host's usable cores divided by it,
+    #: so ranks side by side never oversubscribe (no result bit moves)
     workers: int = 1
     states: dict[int, _RankState] = field(default_factory=dict)
 
@@ -216,6 +216,8 @@ class WorkerHost:
         for payload in payloads:
             rank = payload["rank"]
             prev = self.states.get(rank)
+            neigh = prev.neigh if prev is not None else NeighborList(self.settings)
+            neigh.threads = max(1, usable_cores() // self.workers)
             self.states[rank] = _RankState(
                 n_owned=payload["n_owned"],
                 system=AtomSystem(
@@ -225,7 +227,7 @@ class WorkerHost:
                     mass=self.mass,
                     species=self.species,
                 ),
-                neigh=prev.neigh if prev is not None else NeighborList(self.settings),
+                neigh=neigh,
                 potential=prev.potential if prev is not None else self._rank_potential(),
             )
         for rank in [r for r in self.states if r not in {p["rank"] for p in payloads}]:

@@ -97,9 +97,6 @@ class VectorBackend:
     def zeros(self, shape) -> np.ndarray:
         return np.zeros(shape, dtype=self.compute_dtype)
 
-    def zeros_accum(self, shape) -> np.ndarray:
-        return np.zeros(shape, dtype=self.accum_dtype)
-
     def _rows(self, x: np.ndarray, rows_active: int | None) -> int:
         n = int(x.shape[0]) if x.ndim else 1
         return n if rows_active is None else min(rows_active, n)
@@ -174,9 +171,6 @@ class VectorBackend:
 
     def cos(self, a, *, mask=None, rows_active=None):
         return self._unary("trig", self.isa.costs.trig, np.cos, a, mask=mask, rows_active=rows_active)
-
-    def neg(self, a, *, rows_active=None):
-        return self._unary("arith", self.isa.costs.arith, np.negative, a, rows_active=rows_active)
 
     def minimum(self, a, b, *, rows_active=None):
         return self._binary("arith", self.isa.costs.arith, np.minimum, a, b, rows_active=rows_active)

@@ -633,9 +633,9 @@ def every_call_threads(monkeypatch):
     """The grain keeps systems of this file's size on one thread; without
     it 216 atoms are four chunks of rows — 64, 64, 64 and a partial 24 —
     for up to four threads to claim."""
-    from repro.backends import compiled
+    from repro.backends import cext
 
-    monkeypatch.setattr(compiled, "THREAD_GRAIN", 1)
+    monkeypatch.setattr(cext, "THREAD_GRAIN", 1)
 
 
 @needs_compiled
@@ -704,6 +704,48 @@ class TestThreadInvariance:
             res, sums = self.run(params, system, restored, threads)
             assert_same_call(res, sums, ref, ref_sums)
 
+    @pytest.mark.parametrize("full", [True, False], ids=["full", "half"])
+    @pytest.mark.parametrize("case", ["lattice", "open-box", "crowded"])
+    def test_neighbor_build_for_one_to_four_threads(self, monkeypatch, case, full):
+        """The C list build fills its rows in chunks of 64, each chunk into
+        its own slice of the output, and moves the slices together in row
+        order: one, two, three and four threads write the numpy build's
+        arrays.  A crowded corner leaves every slice short and is built
+        again with room, threads and all."""
+        from repro.backends import cext
+        from repro.md.neighbor import NeighborList, NeighborSettings, _numpy_csr
+
+        fns, opened = cext.load(), []
+
+        def spy(*args):  # the threads each call was opened for, from info[0]
+            total = fns["neighbor_build"](*args)
+            opened.append(ctypes.c_int64.from_address(args[-1]).value)
+            return total
+
+        monkeypatch.setattr(cext, "load", lambda: {**fns, "neighbor_build": spy})
+        rng = np.random.default_rng(7)
+        if case == "lattice":
+            s = perturbed(diamond_lattice(4, 4, 4), 0.3, seed=3)
+            x, box = s.x, s.box
+        elif case == "open-box":
+            box = Box(np.array([-2.0, 1.0, 0.0]), np.array([19.0, 25.5, 16.0]), (True, False, True))
+            x = rng.uniform(box.lo - 1.5, box.hi + 1.5, size=(900, 3))
+        else:
+            box = Box.cubic(60.0)
+            x = rng.uniform(0.0, 6.0, size=(300, 3))
+        settings_ = NeighborSettings(cutoff=3.0, skin=1.0, full=full)
+        offsets, neighbors = _numpy_csr(x, box, settings_.list_cutoff, full, False)
+        for threads in (1, 2, 3, 4):
+            for _ in range(3):  # who fills which chunk differs run to run
+                opened.clear()
+                nl = NeighborList(settings_)
+                nl.threads = threads
+                nl.build(x, box)
+                assert np.array_equal(nl.offsets, offsets)
+                assert np.array_equal(nl.neighbors, neighbors)
+                assert set(opened) == {min(threads, -(-x.shape[0] // 64))}
+                assert len(opened) == (2 if case == "crowded" else 1)
+
     def test_first_error_is_the_lowest_atoms(self):
         """Two faults in different chunks: whoever gets to its chunk
         first, the error of the lower rows is the one reported."""
@@ -741,12 +783,12 @@ LIFECYCLE_PRELUDE = textwrap.dedent("""
     import copy
     import numpy as np
     from test_backends import si_workload, sic_workload
-    from repro.backends import compiled
+    from repro.backends import cext
     from repro.core.tersoff.production import TersoffProduction
     from repro.parallel.engine import ParallelEngine, WorkerHost
     from repro.parallel.executor import ProcessExecutor
 
-    compiled.THREAD_GRAIN = 1
+    cext.THREAD_GRAIN = 1
     WorkerHost._rank_potential = lambda self: copy.deepcopy(self.potential)
 
     def evaluate(workload, threads):
@@ -818,8 +860,8 @@ class TestPoolLifecycle:
         run_isolated("""
             import os, signal
 
-            workload = si_workload(cells=3)
             before = len(os.listdir("/proc/self/task"))  # numpy may have its own
+            workload = si_workload(cells=3)  # its list build may start helpers too
             ref = evaluate(workload, 4)
             assert len(os.listdir("/proc/self/task")) == before + 3
             pid = os.fork()

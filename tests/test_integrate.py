@@ -1,12 +1,18 @@
-"""Integrators: velocity Verlet correctness, thermostats."""
+"""Integrators: velocity Verlet correctness, the C step against its
+numpy oracle, thermostats."""
 
 import numpy as np
 import pytest
+from conftest import needs_compiled
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.backends import cext
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
 from repro.md.integrate import Langevin, VelocityRescale, VelocityVerlet
 from repro.md.lattice import diamond_lattice, seeded_velocities
+from repro.md.neighbor import NeighborList, NeighborSettings
 from repro.md.units import FTM2V
 
 
@@ -119,6 +125,116 @@ class TestTrajectoriesAreBitwiseTheSeeds:
         new, old = trajectory(VelocityVerlet(0.002)), trajectory(SeedVelocityVerlet(0.002))
         assert np.array_equal(new.x, old.x) and np.array_equal(new.v, old.v)
         assert np.any(new.x != lattice(2, 2, 2).x)  # it did move
+
+
+@st.composite
+def md_states(draw):
+    """A system one step of Verlet has to get right: bounds off the origin,
+    mixed periodicity, one or two species, and coordinates inside, several
+    box lengths outside (two exactly), on ``lo`` or one ULP below it, with
+    ``x - lo`` one ULP below the length, ``-0.0`` or NaN; velocities and
+    forces with signed zeros."""
+    n = draw(st.integers(1, 12))
+    ntypes = draw(st.sampled_from([1, 2]))
+    lo = np.array([draw(st.sampled_from([0.0, -0.0]) | st.floats(-40, 40)) for _ in range(3)])
+    box = Box(lo, lo + np.array([draw(st.floats(2.0, 30.0)) for _ in range(3)]),
+              tuple(draw(st.booleans()) for _ in range(3)))
+
+    def coordinate(a):
+        lo, span = box.lo[a], box.lengths[a]
+        return draw(st.sampled_from([lo, np.nextafter(lo, -np.inf), lo + np.nextafter(span, 0.0),
+                                     lo - 2.0 * span, -0.0, np.nan])
+                    | st.floats(0.0, 1.0).map(lambda u: lo + u * span)
+                    | st.floats(-6.0, 6.0).map(lambda u: lo + u * span))
+
+    def column():
+        return draw(st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-50.0, 50.0),
+                             min_size=3 * n, max_size=3 * n))
+
+    return AtomSystem(
+        box=box, x=np.array([[coordinate(a) for a in range(3)] for _ in range(n)]),
+        v=np.reshape(column(), (n, 3)), f=np.reshape(column(), (n, 3)),
+        type=np.array(draw(st.lists(st.integers(0, ntypes - 1), min_size=n, max_size=n))),
+        mass=np.array([28.0855, 12.011][:ntypes]), species=("Si", "C")[:ntypes],
+    ), draw(st.sampled_from([0.001, 0.002, 0.0137]))
+
+
+def numpy_max_disp2(x, x_ref, box):
+    """What `NeighborList.needs_rebuild` compares, from its numpy body."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        d = box.minimum_image(x - x_ref)
+        return float(np.max(np.einsum("ij,ij->i", d, d)))
+
+
+@needs_compiled
+class TestTheCompiledStepIsTheNumpyStep:
+    """``_step.c`` behind `initial_integrate`, `final_integrate` and
+    `needs_rebuild`: the numpy bodies (``REPRO_NO_CEXT=1``) are its
+    oracle, to the bit — NaN where they give NaN, +0.0 where they do."""
+
+    @staticmethod
+    def step(system, dt, skins, monkeypatch, numpy):
+        with monkeypatch.context() as mp:
+            if numpy:
+                mp.setenv("REPRO_NO_CEXT", "1")
+            s, vv = system.copy(), VelocityVerlet(dt)
+            vv.initial_integrate(s)
+            drift = (s.x.copy(), s.v.copy())
+            vv.final_integrate(s)
+            nl = NeighborList(NeighborSettings(cutoff=1.0, skin=1.0))
+            nl.set_state({"neighbors": np.empty(0), "offsets": np.zeros(s.n + 1), "n_builds": 1,
+                          "version": 1, "x_ref": system.x}, system.box)
+            rebuild = []
+            for skin in skins:
+                nl.settings = NeighborSettings(cutoff=1.0, skin=skin)
+                rebuild.append(nl.needs_rebuild(s.x))
+            return drift, s.v, s.x, rebuild
+
+    @given(case=md_states())
+    @settings(max_examples=400, deadline=None)
+    def test_one_step_bitwise(self, case):
+        system, dt = case
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            first = VelocityVerlet(dt)
+            moved = system.copy()
+            first.initial_integrate(moved)
+            worst = numpy_max_disp2(moved.x, system.x, system.box)
+            edge = 2.0 * np.sqrt(worst) if np.isfinite(worst) else 1.0
+            skins = [1e-3, edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf), 100.0]
+            c = self.step(system, dt, skins, monkeypatch, numpy=False)
+            ref = self.step(system, dt, skins, monkeypatch, numpy=True)
+        (cx, cv), (rx, rv) = c[0], ref[0]
+        assert cx.tobytes() == rx.tobytes() and cv.tobytes() == rv.tobytes()
+        assert c[1].tobytes() == ref[1].tobytes()
+        assert c[3] == ref[3]
+        c_worst = cext.load()["md_max_disp2"](
+            system.n, c[2].ctypes.data, system.x.ctypes.data, *system.box.lengths,
+            *system.box.periodic)
+        ref_worst = numpy_max_disp2(ref[2], system.x, system.box)
+        assert np.isnan(c_worst) == np.isnan(ref_worst)
+        assert np.isnan(c_worst) or c_worst == ref_worst
+
+    def test_the_c_passes_run(self, monkeypatch):
+        """The property compares C with numpy only if C runs: every pass
+        is taken for a system of contiguous columns, none for one whose
+        forces are a strided view (the numpy body runs, same bits)."""
+        calls = []
+        fns = cext.load()
+        monkeypatch.setattr(cext, "load", lambda: {
+            name: (lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+            for name, fn in fns.items()})
+        s = diamond_lattice(2, 2, 2)
+        seeded_velocities(s, 300.0, seed=1)
+        vv = VelocityVerlet(0.001)
+        vv.initial_integrate(s)
+        vv.final_integrate(s)
+        nl = NeighborList(NeighborSettings(cutoff=2.0, skin=1.0))
+        nl.build(s.x, s.box)
+        assert not nl.needs_rebuild(s.x)
+        assert calls == ["md_initial", "md_kick", "neighbor_build", "md_max_disp2"]
+        s.f = np.zeros((s.n, 6))[:, ::2]
+        vv.final_integrate(s)
+        assert calls[-1] == "md_max_disp2"
 
 
 class TestLangevin:

@@ -66,9 +66,9 @@ def test_scheme_1a_simulation_meets_the_compiled_kernel(workload):
 def test_the_compiled_counters_hold_on_any_number_of_threads(workload, monkeypatch, threads):
     """Bodies and active lanes are counted per chunk of rows and added
     up: 216 atoms are four chunks for `threads` threads to claim."""
-    from repro.backends import compiled
+    from repro.backends import cext
 
-    monkeypatch.setattr(compiled, "THREAD_GRAIN", 1)
+    monkeypatch.setattr(cext, "THREAD_GRAIN", 1)
     params, system, neigh = workload
     pot = TersoffProduction(params, backend="compiled")
     pot.kernel.threads = threads

@@ -1,6 +1,7 @@
 """Neighbor lists: binned vs brute-force equivalence, skin semantics,
-rebuild triggering, CSR/padded layouts; property-based completeness;
-the C cell-list build against the numpy build, bit for bit."""
+rebuild triggering (atoms that moved, a box that changed), the CSR
+layout; property-based completeness; the C cell-list build against the
+numpy build, bit for bit."""
 
 import numpy as np
 import pytest
@@ -157,19 +158,30 @@ class TestRebuild:
         nl.build(s.x, s.box)
         assert nl.needs_rebuild(s.x)
 
+    @pytest.mark.parametrize("builder", ["default", "numpy"])
+    def test_a_changed_box_rebuilds(self, monkeypatch, builder):
+        """Atoms that did not move in a box that did: the list of the old
+        box is not the list of the new one, so `ensure` rebuilds — on
+        other bounds (same lengths included: the bins move) or another
+        periodicity — and keeps the list for an equal box."""
+        if builder == "numpy":
+            monkeypatch.setenv("REPRO_NO_CEXT", "1")
+        s = perturbed(diamond_lattice(4, 4, 4), 0.1, seed=4)
+        lo, hi = s.box.lo, s.box.hi
+        slab = Box(lo, hi, (True, True, False))
+        nl = NeighborList(NeighborSettings(cutoff=3.0, skin=1.0))
+        assert nl.ensure(s.x, slab)
+        assert not nl.ensure(s.x, Box(lo.copy(), hi.copy(), (True, True, False)))
+        for box in (s.box, Box(lo - 0.5, hi + 0.25), Box(lo + 0.3, hi + 0.3), slab):
+            assert nl.ensure(s.x, box)
+            fresh = NeighborList(nl.settings)
+            fresh.build(s.x, box)
+            assert np.array_equal(nl.offsets, fresh.offsets)
+            assert np.array_equal(nl.neighbors, fresh.neighbors)
+        assert nl.n_builds == 5
+
 
 class TestLayouts:
-    def test_padded_roundtrip(self):
-        s = perturbed(diamond_lattice(3, 3, 3), 0.1, seed=4)
-        nl = NeighborList(NeighborSettings(cutoff=3.0, skin=1.0))
-        nl.build(s.x, s.box)
-        padded, counts = nl.to_padded()
-        assert padded.shape[0] == s.n
-        for i in range(s.n):
-            row = padded[i, : counts[i]]
-            assert np.array_equal(np.sort(row), np.sort(nl.neighbors_of(i)))
-            assert np.all(padded[i, counts[i]:] == -1)
-
     def test_neighbors_of_matches_pairs(self):
         s = perturbed(diamond_lattice(3, 3, 3), 0.1, seed=5)
         nl = NeighborList(NeighborSettings(cutoff=3.0, skin=1.0))
@@ -488,6 +500,23 @@ class TestNonFinitePositions:
         for key in ("offsets", "neighbors", "x_ref"):
             assert np.array_equal(after[key], before[key])
         assert not nl.needs_rebuild(s.x)
+
+    @pytest.mark.parametrize("builder", ["default", "numpy"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_the_skin_test_hands_it_to_the_build(self, monkeypatch, builder, bad):
+        """NaN compares false: the skin test used to keep the list, and
+        the kernel then blamed the NaN atom's neighbor.  A non-finite
+        displacement is a rebuild, and the build names the atom."""
+        if builder == "numpy":
+            monkeypatch.setenv("REPRO_NO_CEXT", "1")
+        s = perturbed(diamond_lattice(4, 4, 4), 0.1, seed=4)
+        nl = NeighborList(NeighborSettings(cutoff=3.0, skin=0.5))
+        nl.build(s.x, s.box)
+        x = s.x.copy()
+        x[5, 1] = bad
+        assert nl.needs_rebuild(x)
+        with pytest.raises(ValueError, match="non-finite position of atom 5"):
+            nl.ensure(x, s.box)
 
     def test_far_outside_the_box_is_defined(self):
         # finite but beyond int64 when divided by the bin size: an edge

@@ -19,6 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import needs_compiled
+
+from repro.md.box import Box
 from repro.md.lattice import diamond_lattice, perturbed
 from repro.runtime import SolverPool, SolverSpec
 from repro.runtime.pool import SolverSession, copy_forces
@@ -376,6 +379,26 @@ class TestServeEquivalence:
 
 class TestServeEquivalenceJson(TestServeEquivalence):
     """The same battery through the JSON encoding."""
+
+
+@pytest.mark.parametrize("backend", [
+    "numpy", pytest.param("compiled", marks=needs_compiled)])
+def test_a_session_answers_for_the_box_it_is_given(backend):
+    """The same 512 positions as a (T, T, F) slab, then fully periodic:
+    the warm session used to keep the slab's list and answer the slab's
+    energy again (-2198.36 eV against -2330.16 eV).  It answers what a
+    fresh session answers; the same goes for two same-`n` serve requests."""
+    spec = SolverSpec(mode="Opt-D", backend=backend)
+    bulk = _system(cells=4)
+    slab = bulk.copy()
+    slab.box = Box(bulk.box.lo, bulk.box.hi, (True, True, False))
+    session = SolverSession(spec, skin=1.0)
+    e_slab = session.evaluate(slab).energy
+    warm = session.evaluate(bulk)
+    warm_forces = copy_forces(warm)
+    fresh = SolverSession(spec, skin=1.0).evaluate(bulk)
+    assert warm.energy == fresh.energy != e_slab
+    assert np.array_equal(warm_forces, copy_forces(fresh))
 
     @pytest.fixture()
     def client(self, server):
