@@ -58,13 +58,26 @@ static int inverse_masses(const int64_t n, const int32_t *restrict type,
     return !bad;
 }
 
+/* The final half-kick.  Returns 0, or 1 with nothing written. */
+int64_t md_kick(const F64 c, const int64_t n, double *restrict v, const double *restrict f,
+                const int32_t *restrict type, const double *restrict mass, const int64_t ntypes)
+{
+    F64 inv_m[MD_MAX_TYPES];
+    int64_t i, k;
+    if (!inverse_masses(n, type, mass, ntypes, inv_m)) return 1;
+    for (i = 0; i < n; i++)
+        for (k = 3 * i; k < 3 * i + 3; k++) v[k] = v[k] + (c * f[k]) * inv_m[type[i]];
+    return 0;
+}
+
 /* Half-kick, drift and wrap in one pass over the atoms: between force
  * calls the columns have left the cache, and in a 4096-atom MD loop this
- * pass took 29 us where one (vectorised) pass per stage took 43.
+ * pass took 29 us where one (vectorised) pass per stage took 43.  The
+ * arguments are md_kick's, then the drift's and the wrap's.
  * Returns 0, or 1 with nothing written. */
-int64_t md_initial(const F64 c, const F64 dt, const int64_t n, double *restrict v,
-                   const double *restrict f, const int32_t *restrict type,
-                   const double *restrict mass, const int64_t ntypes, double *restrict x,
+int64_t md_initial(const F64 c, const int64_t n, double *restrict v, const double *restrict f,
+                   const int32_t *restrict type, const double *restrict mass,
+                   const int64_t ntypes, const F64 dt, double *restrict x,
                    const double *restrict lo, const double *restrict len, /* (3,) each */
                    const int32_t p0, const int32_t p1, const int32_t p2) /* periodic axes */
 {
@@ -84,27 +97,6 @@ int64_t md_initial(const F64 c, const F64 dt, const int64_t n, double *restrict 
             }
         }
     }
-    return 0;
-}
-
-/* The final half-kick: md_initial's arguments, of which dt, x and the box
- * are not read.  Returns 0, or 1 with nothing written. */
-int64_t md_kick(const F64 c, const F64 dt, const int64_t n, double *restrict v,
-                const double *restrict f, const int32_t *restrict type,
-                const double *restrict mass, const int64_t ntypes, double *restrict x,
-                const double *restrict lo, const double *restrict len,
-                const int32_t p0, const int32_t p1, const int32_t p2)
-{
-    F64 inv_m[MD_MAX_TYPES];
-    int64_t i, k;
-    (void)dt, (void)x, (void)lo, (void)len, (void)p0, (void)p1, (void)p2;
-    if (!inverse_masses(n, type, mass, ntypes, inv_m)) return 1;
-    if (ntypes == 1) { /* one species: one flat loop over every component */
-        for (k = 0; k < 3 * n; k++) v[k] = v[k] + (c * f[k]) * inv_m[0];
-        return 0;
-    }
-    for (i = 0; i < n; i++)
-        for (k = 3 * i; k < 3 * i + 3; k++) v[k] = v[k] + (c * f[k]) * inv_m[type[i]];
     return 0;
 }
 

@@ -89,15 +89,15 @@ def probe() -> str | None:
 
 
 def _compiler_identity(cc: str) -> str:
-    """The binary `cc` resolves to, its size and mtime, read without a
-    subprocess: every process's first load names its object, and a child
+    """`cc` (apart from the binary it resolves to: ccache's ``gcc`` and ``clang``
+    are one), that binary, its size and mtime, read without a subprocess: a child
     of a large process is charged that process's peak RSS."""
     real = os.path.realpath(cc)
     try:
         st = os.stat(real)
     except OSError:
-        return real
-    return f"{real}:{st.st_size}:{st.st_mtime_ns}"
+        return f"{cc}:{real}"
+    return f"{cc}:{real}:{st.st_size}:{st.st_mtime_ns}"
 
 
 def _cache_dir() -> Path:
@@ -197,11 +197,12 @@ def _entry_points(lib: ctypes.CDLL) -> dict[str, object]:
     fns["neighbor_build"] = bind(
         "neighbor_build",
         [i64, ptr, ptr, ptr, ptr, i32, ptr, ptr, ptr, i64, ptr, ptr, i64, ptr], i64)
-    # _step.c: md_initial / md_kick(c, dt, n, v, f, type, mass, ntypes, x, lo,
+    # _step.c: md_kick(c, n, v, f, type, mass, ntypes), md_initial(the same, dt, x, lo,
     # lengths, 3 x periodic) -> 0/1; md_max_disp2(n, x, x_ref, 3 x length, 3 x periodic)
     f64 = ctypes.c_double
-    step = [f64, f64, i64, ptr, ptr, ptr, ptr, i64, ptr, ptr, ptr, i32, i32, i32]
-    fns["md_initial"], fns["md_kick"] = bind("md_initial", step, i64), bind("md_kick", step, i64)
+    kick = [f64, i64, ptr, ptr, ptr, ptr, i64]
+    fns["md_kick"] = bind("md_kick", kick, i64)
+    fns["md_initial"] = bind("md_initial", kick + [f64, ptr, ptr, ptr, i32, i32, i32], i64)
     fns["md_max_disp2"] = bind("md_max_disp2", [i64, ptr, ptr, f64, f64, f64, i32, i32, i32], f64)
     # neighbor_transpose(n, n_entries, neighbors, in_offsets, in_entries)
     # -> entries placed or -1 (repro.md.neighbor.incoming_index)

@@ -36,7 +36,7 @@ class VelocityVerlet:
             raise ValueError("timestep must be positive")
         self.dt = float(dt)
         self._tmp = np.empty((0, 3))  # the one (n, 3) temporary of a kick
-        self._c: tuple = ((), ())  # the arrays of the last C pass, and its arguments from them
+        self._c: tuple = ((), (), ())  # the last C pass's arrays, kick and drift arguments
 
     def _half_kick(self, system: AtomSystem) -> None:
         """``v += ((dt/2 FTM2V) f) / m`` — that association, every step."""
@@ -61,9 +61,10 @@ class VelocityVerlet:
                     (x, np.float64, (n, 3)), (v, np.float64, (n, 3)), (f, np.float64, (n, 3)),
                     (t, np.int32, (n,)), (m, np.float64, m.shape[:1]))):
                 return False
-            self._c = key, (n, v.ctypes.data, f.ctypes.data, t.ctypes.data, m.ctypes.data, m.shape[0],
-                            x.ctypes.data, box.lo.ctypes.data, box.lengths.ctypes.data, *box.periodic)
-        return fn(0.5 * self.dt * FTM2V, self.dt, *self._c[1]) == 0
+            self._c = key, (n, v.ctypes.data, f.ctypes.data, t.ctypes.data, m.ctypes.data, m.shape[0]), (
+                x.ctypes.data, box.lo.ctypes.data, box.lengths.ctypes.data, *box.periodic)
+        c, (_, kick, drift) = 0.5 * self.dt * FTM2V, self._c
+        return (fn(c, *kick) if name == "md_kick" else fn(c, *kick, self.dt, *drift)) == 0
 
     def initial_integrate(self, system: AtomSystem) -> None:
         if self._in_c("md_initial", system):

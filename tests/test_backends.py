@@ -535,6 +535,17 @@ class TestCextBuild:
         monkeypatch.setattr(cext, "_isa_tag", lambda: "x86_64-0badcafe")
         assert cext._build_key(cc) != here
 
+    def test_a_compiler_wrapper_keeps_compilers_apart(self, tmp_path):
+        """ccache puts `gcc` and `clang` symlinks to itself first on PATH:
+        both resolve to one binary, and must still name different objects."""
+        from repro.backends import cext
+
+        wrapper = tmp_path / "ccache"
+        wrapper.write_bytes(b"\x7fELF")
+        for name in ("gcc", "clang"):
+            (tmp_path / name).symlink_to(wrapper)
+        assert cext._build_key(str(tmp_path / "gcc")) != cext._build_key(str(tmp_path / "clang"))
+
     def test_isa_tag_names_the_machine(self):
         import platform
 

@@ -352,6 +352,19 @@ class TestServeEquivalence:
             out = client.evaluate(SPEC.to_dict(), drifted)
             assert np.array_equal(out["forces"], ref), f"diverged at step {step}"
 
+    def test_same_n_requests_in_different_boxes(self, client):
+        """Two same-`n` requests on one warm session, a (T, T, F) slab and
+        then the same positions fully periodic: each answers what a fresh
+        direct session answers for its own box."""
+        bulk = _system()
+        slab = bulk.copy()
+        slab.box = Box(bulk.box.lo, bulk.box.hi, (True, True, False))
+        for system in (slab, bulk):
+            ref = SolverSession(SPEC, skin=1.0).evaluate(system)
+            out = client.evaluate(SPEC.to_dict(), system)
+            assert out["energy"] == ref.energy
+            assert np.array_equal(out["forces"], copy_forces(ref))
+
     def test_cache_on_off_sessions_agree(self, client):
         """Cold and cached serve sessions answer identically (the
         PR-2/5 bitwise cache contract, observed end to end)."""
@@ -380,6 +393,14 @@ class TestServeEquivalence:
 class TestServeEquivalenceJson(TestServeEquivalence):
     """The same battery through the JSON encoding."""
 
+    @pytest.fixture()
+    def client(self, server):
+        with JsonClient(server.address) as c:
+            yield c
+
+    def test_the_battery_speaks_json(self, client):
+        assert type(client) is JsonClient
+
 
 @pytest.mark.parametrize("backend", [
     "numpy", pytest.param("compiled", marks=needs_compiled)])
@@ -387,7 +408,7 @@ def test_a_session_answers_for_the_box_it_is_given(backend):
     """The same 512 positions as a (T, T, F) slab, then fully periodic:
     the warm session used to keep the slab's list and answer the slab's
     energy again (-2198.36 eV against -2330.16 eV).  It answers what a
-    fresh session answers; the same goes for two same-`n` serve requests."""
+    fresh session answers."""
     spec = SolverSpec(mode="Opt-D", backend=backend)
     bulk = _system(cells=4)
     slab = bulk.copy()
@@ -399,11 +420,6 @@ def test_a_session_answers_for_the_box_it_is_given(backend):
     fresh = SolverSession(spec, skin=1.0).evaluate(bulk)
     assert warm.energy == fresh.energy != e_slab
     assert np.array_equal(warm_forces, copy_forces(fresh))
-
-    @pytest.fixture()
-    def client(self, server):
-        with JsonClient(server.address) as c:
-            yield c
 
 
 # ---- frames from a hostile peer -----------------------------------------------
