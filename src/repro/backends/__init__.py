@@ -12,20 +12,18 @@ gathers) it wants done for it.
 
 Registered backends:
 
-- ``numpy``    — the wide-vector numpy kernel; always available, the
-  default, and bitwise-unchanged by this package's existence.
 - ``compiled`` — a C kernel compiled at first use with the host
   toolchain; it reads positions and the CSR neighbor list directly and
-  fuses filter, geometry and Alg. 3 in one pass, so nothing but the
-  list and the type column is staged for it.  Equivalence contract
-  against the numpy kernel in DESIGN.md §12.
+  fuses filter, geometry and Alg. 3 in one pass.  The default wherever
+  the extension loads (probe passes *and* build/load succeeds).
+- ``numpy``    — the wide-vector numpy kernel; always available, the
+  oracle (DESIGN.md §12) and the default without a working toolchain.
 
-Selection is plumbed end-to-end: ``TersoffProduction(backend=...)``,
-``make_solver(..., backend=...)``, ``SolverSpec.backend`` and ``repro
-run --backend``.  ``resolve()`` falls back to ``numpy`` with a
-one-time warning when the requested backend cannot run on this host
-(no C toolchain); pass ``fallback=False`` to make the
-unavailability a hard error instead.
+Selection: ``TersoffProduction(backend=...)``, ``SolverSpec.backend``,
+``repro run --backend``; ``None`` is :func:`get_default`, chosen without
+a warning (a default is not a request).  A *requested* backend that
+cannot run here falls back to ``numpy`` with a one-time warning;
+``fallback=False`` makes that a hard error instead.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ __all__ = [
 ]
 
 _REGISTRY: dict[str, ComputeBackend] = {}
-_DEFAULT_NAME = "numpy"
 _FALLBACK_WARNED: set[str] = set()
 
 
@@ -84,18 +81,19 @@ def is_available(name: str) -> bool:
 
 
 def get_default() -> str:
-    return _DEFAULT_NAME
+    """``compiled`` where the extension loads, else ``numpy``."""
+    return "compiled" if is_available("compiled") else "numpy"
 
 
 def resolve(name: str | None = None, *, fallback: bool = True) -> ComputeBackend:
     """Resolve a backend name (``None`` = process default) to a usable entry.
 
-    Unavailable + ``fallback=True``: returns the ``numpy`` backend and
+    Requested but unavailable + ``fallback=True``: returns the ``numpy`` backend and
     warns once per backend name per process.  ``fallback=False`` raises
     :class:`BackendUnavailableError` instead (bench cases use this so a
     "compiled" measurement can never silently time numpy).
     """
-    backend = get(name if name is not None else _DEFAULT_NAME)
+    backend = get(name if name is not None else get_default())
     reason = backend.probe()
     if reason is None:
         return backend
@@ -131,9 +129,14 @@ def _make_numpy_tersoff(params, precision):
 
 
 def _compiled_probe() -> str | None:
+    # a compiler on PATH is not a working one (CC=false): load, and `cext`
+    # remembers a failed build so that it is tried once per process
     from repro.backends import cext
 
-    return cext.probe()
+    try:
+        return cext.probe() or (cext.load() and None)
+    except cext.CextBuildError as exc:
+        return str(exc)
 
 
 def _make_compiled_tersoff(params, precision):
@@ -145,7 +148,7 @@ def _make_compiled_tersoff(params, precision):
 register(
     ComputeBackend(
         name="numpy",
-        description="wide-vector numpy kernel (default; the frozen reference)",
+        description="wide-vector numpy kernel (the oracle; default without a toolchain)",
         probe=_numpy_probe,
         make_tersoff_kernel=_make_numpy_tersoff,
     )

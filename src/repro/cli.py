@@ -38,14 +38,11 @@ def _cmd_info(args: argparse.Namespace) -> int:
     for name, reason in available().items():
         status = "available" if reason is None else f"unavailable: {reason}"
         if name == "compiled" and reason is None:
-            # what was built (this builds it, once per cache): a cache shared
-            # between hosts holds one object per ISA tag
-            try:
-                built = cext.build_info()
-                status += (f" — cext, scheme {built['scheme']}, {built['lanes']} lanes × "
-                           f"{usable_cores()} threads, built for {built['isa']}")
-            except cext.CextBuildError as exc:
-                status = f"unavailable: {exc}"
+            # what the probe loaded: a cache shared between hosts holds one
+            # object per ISA tag
+            built = cext.build_info()
+            status += (f" — cext, scheme {built['scheme']}, {built['lanes']} lanes × "
+                       f"{usable_cores()} threads, built for {built['isa']}")
         default = " (default)" if name == get_default() else ""
         print(f"  {name:8s} {status}{default}")
         print(f"           {get(name).description}")
@@ -130,9 +127,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.md.thermo import ThermoSample
     from repro.parallel.executor import ExecutorError
     from repro.runtime.session import build_potential, build_simulation, restore_run
-    from repro.runtime.spec import RunSpec, SpecError
+    from repro.runtime.spec import RunSpec, SolverSpec, SpecError
     from repro.state import CheckpointError, load_checkpoint
 
+    ck = None
     if args.restart_from:
         # the checkpoint pins the full run spec — solver *and*
         # executor/workers/cache; explicit CLI flags override only the
@@ -142,17 +140,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             print(f"restart: cannot load checkpoint: {exc}", file=sys.stderr)
             return 2
-        try:
-            run = _restart_run_spec(ck, args)
-            pot = build_potential(run.solver)
-        except (SpecError, ValueError) as exc:
-            print(f"run: {exc}", file=sys.stderr)
-            return 2
-        if args.sanitize:
-            from repro.analysis.sanitize import SanitizedPotential
+    try:
+        run = RunSpec.from_args(args) if ck is None else _restart_run_spec(ck, args)
+        pot = build_potential(run.solver)
+    except (SpecError, ValueError) as exc:
+        print(f"run: {exc}", file=sys.stderr)
+        return 2
+    if args.sanitize:
+        from repro.analysis.sanitize import SanitizedPotential
 
-            pot = SanitizedPotential(pot)
-            print("sanitize: FP faults raise, force results NaN-guarded (debug mode)")
+        pot = SanitizedPotential(pot)
+        print("sanitize: FP faults raise, force results NaN-guarded (debug mode)")
+    if ck is not None:
         try:
             sim = restore_run(run, ck, potential=pot)
         except (CheckpointError, ExecutorError) as exc:
@@ -161,32 +160,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"restarted from {args.restart_from} at step {sim.step_index} "
               f"({sim.system.n} atoms, {run.solver.potential} ({run.solver.mode}))")
     else:
-        try:
-            run = RunSpec.from_args(args)
-            pot = build_potential(run.solver)
-        except (SpecError, ValueError) as exc:
-            print(f"run: {exc}", file=sys.stderr)
-            return 2
-        if args.sanitize:
-            from repro.analysis.sanitize import SanitizedPotential
-
-            pot = SanitizedPotential(pot)
-            print("sanitize: FP faults raise, force results NaN-guarded (debug mode)")
-        cells = cells_for_atoms(args.atoms)
-        system = diamond_lattice(*cells)
+        system = diamond_lattice(*cells_for_atoms(args.atoms))
         seeded_velocities(system, args.temperature, seed=args.seed)
         try:
             sim = build_simulation(run, system, potential=pot)
         except (SpecError, ValueError, ExecutorError) as exc:
             print(f"run: {exc}", file=sys.stderr)
             return 2
+    if getattr(pot, "backend_name", run.solver.backend) != run.solver.backend:  # pin what ran
+        run = run.with_overrides(solver=SolverSpec.from_dict({**run.solver.to_dict(),
+                                                              "backend": pot.backend_name}))
     callbacks, sinks = _run_sinks(args, run, resume_step=sim.step_index)
 
     par = ""
     if sim.engine is not None:
         par = f", {sim.engine.workers} workers x {sim.engine.ranks} ranks"
-    backend_name = getattr(pot, "backend_name", None)
-    be = f", backend {backend_name}" if run.solver.backend is not None and backend_name else ""
+    be = f", backend {run.solver.backend}" if run.solver.backend else ""
     print(f"{sim.system.n} Si atoms, {run.solver.potential} ({run.solver.mode}), "
           f"{args.steps} steps at {args.temperature:.0f} K{par}{be}")
     print(ThermoSample.format_header())
@@ -435,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--potential", choices=("tersoff", "sw"), default="tersoff")
     p_run.add_argument("--backend", choices=("numpy", "compiled"), default=None,
                        help="compute backend for the Tersoff Opt-* production path "
-                            "(default: numpy; 'compiled' falls back with a warning "
-                            "when the host has no C toolchain)")
+                            "(default: compiled where the C extension loads, else numpy, "
+                            "the oracle; an explicit 'compiled' falls back with a warning)")
     p_run.add_argument("--skin", type=float, default=1.0)
     p_run.add_argument("--seed", type=int, default=2016)
     p_run.add_argument("--workers", type=int, default=None,

@@ -243,10 +243,10 @@ class TersoffProduction(PipelinePotential):
         bit-for-bit identical either way.
     backend:
         Compute-backend name from :mod:`repro.backends` (``"numpy"``,
-        ``"compiled"``) or ``None`` for the default
-        (``repro.backends.get_default()``: ``numpy``).
-        An unavailable backend falls back to ``numpy`` with a one-time
-        warning; the staging/cache machinery is identical either way.
+        ``"compiled"``) or ``None`` for ``repro.backends.get_default()``:
+        compiled where the C extension loads, else numpy (the oracle).
+        A requested backend that cannot run falls back to ``numpy`` with a
+        one-time warning; the staging/cache machinery is identical.
     """
 
     needs_full_list = True

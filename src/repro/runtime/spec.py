@@ -18,7 +18,7 @@ without a bump).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 #: Bump on any incompatible change to the serialized spec layout.
@@ -72,7 +72,8 @@ class SolverSpec:
         way; ignored for ``Ref``).
     backend:
         Compute backend for the Tersoff production path (``None`` =
-        process default; see :mod:`repro.backends`).
+        process default: compiled where it loads, see :mod:`repro.backends`;
+        a checkpoint pins the name that ran).
     params_set:
         Named parameter set within the family (``"default"`` resolves
         to the canonical one: Si for both families).
@@ -319,8 +320,6 @@ class RunSpec:
 
     def with_overrides(self, **changes) -> "RunSpec":
         """A copy with the given fields replaced (restart-flag overrides)."""
-        from dataclasses import replace
-
         return replace(self, **changes)
 
     # ---- construction --------------------------------------------------------

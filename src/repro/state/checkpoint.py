@@ -43,6 +43,7 @@ within a schema version are allowed to land without a bump).
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -133,7 +134,8 @@ class Checkpoint:
         the topology from the engine metadata and the skin from the
         neighbor settings.  Returns ``None`` when no configuration was
         pinned at all (checkpoints written through the library API with
-        no user_meta).
+        no user_meta).  The backend is the one that ran (``meta["backend"]``);
+        without that pin, ``backend: null`` meant numpy when written.
 
         Raises :class:`CheckpointError` when a pinned spec is present
         but unreadable (unknown schema version, malformed fields, or
@@ -143,27 +145,27 @@ class Checkpoint:
 
         um = self.user_meta
         engine = self.meta.get("engine") or {}
+        legacy = um.get("run_config")
+        if "run_spec" not in um and legacy is None:
+            return None
         try:
             if "run_spec" in um:
-                return RunSpec.from_dict(um["run_spec"])
-            legacy = um.get("run_config")
-            if legacy is None:
-                return None
-            _refuse_sorted(engine)
-            solver = SolverSpec(
-                potential=legacy.get("potential", "tersoff"),
-                mode=legacy.get("mode", "Opt-M"),
-                cache=bool(legacy.get("cache", True)),
-                backend=legacy.get("backend"),
-            )
-            return RunSpec(
-                solver=solver,
-                workers=engine.get("workers"),
-                ranks=engine.get("ranks"),
-                skin=float(self.meta["neighbor"]["skin"]),
-            )
+                run = RunSpec.from_dict(um["run_spec"])
+            else:
+                _refuse_sorted(engine)
+                solver = SolverSpec(potential=legacy.get("potential", "tersoff"),
+                                    mode=legacy.get("mode", "Opt-M"),
+                                    cache=bool(legacy.get("cache", True)),
+                                    backend=legacy.get("backend"))
+                run = RunSpec(solver=solver, workers=engine.get("workers"),
+                              ranks=engine.get("ranks"), skin=float(self.meta["neighbor"]["skin"]))
         except SpecError as exc:
             raise CheckpointError(f"checkpoint pins an unreadable run spec: {exc}") from exc
+        ran = self.meta.get("backend")
+        if run.solver.potential == "tersoff" and run.solver.mode != "Ref" and (
+                ran or run.solver.backend is None):
+            run = run.with_overrides(solver=replace(run.solver, backend=ran or "numpy"))
+        return run
 
     def system(self) -> AtomSystem:
         """Reconstruct the :class:`AtomSystem` (bit-exact arrays).
@@ -245,6 +247,8 @@ def save_checkpoint(sim, path, *, user_meta: dict | None = None) -> Path:
         # exactly as the uninterrupted run's next step would see them
         "last_energy": None if sim.last_result is None else float(sim.last_result.energy),
         "dt": sim.dt,
+        # the kernel that ran, so that a restart resolves no default again
+        "backend": getattr(sim.potential, "backend_name", None),
         "species": list(system.species),
         "box_periodic": list(system.box.periodic),
         "neighbor": {

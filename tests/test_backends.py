@@ -13,8 +13,9 @@ at ~1e-11 relative error).  Its answer may depend on nothing but ``(x,
 list)`` — not on history, not on the ISA its lanes were lowered to and
 not on how many threads its rows were split over.
 The registry must fall back to numpy gracefully (one warning per
-process), and the numpy default must be bitwise-unchanged by the
-backends package existing.
+process for a requested backend, none for the default), the default
+must be compiled exactly where the extension loads, and numpy where it
+does not, bitwise the explicit `backend="numpy"`.
 """
 
 import ctypes
@@ -156,9 +157,22 @@ class TestRegistry:
         with pytest.raises(ValueError, match="already registered"):
             backends.register(backends.get("numpy"))
 
-    def test_default_is_numpy(self):
-        assert backends.get_default() == "numpy"
-        assert backends.resolve(None).name == "numpy"
+    def test_default_is_numpy(self, monkeypatch):
+        """... where the extension does not load, and chosen without a
+        warning: a default is not a request."""
+        monkeypatch.setenv("REPRO_NO_CEXT", "1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert backends.get_default() == "numpy"
+            assert backends.resolve(None).name == "numpy"
+
+    @needs_compiled
+    def test_default_is_compiled_where_it_loads(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert backends.get_default() == "compiled"
+            assert backends.resolve(None).name == "compiled"
+            assert TersoffProduction(tersoff_si()).backend_name == "compiled"
 
     def test_available_probes_every_backend(self):
         avail = backends.available()
@@ -225,14 +239,33 @@ class TestRegistry:
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "OK"
 
+    @pytest.mark.parametrize("flags", [[], ["--backend", "compiled"]], ids=["default", "compiled"])
+    def test_a_compiler_that_cannot_build_falls_back(self, flags, tmp_path):
+        """A compiler on PATH is not a working one: resolution loads the
+        extension, so a failed build picks numpy — silently for the
+        default, with the one-time warning for an explicit request —
+        instead of raising from the first force call."""
+        env = {k: v for k, v in os.environ.items() if k != "REPRO_NO_CEXT"}
+        env.update(CC="false", REPRO_CEXT_CACHE=str(tmp_path), PYTHONPATH=str(REPO_ROOT / "src"))
+        out = subprocess.run([sys.executable, "-m", "repro", "run", "--atoms", "64", "--steps", "2",
+                              *flags], env=env, capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert "backend numpy" in out.stdout.splitlines()[0]
+        assert ("falling back to 'numpy'" in out.stderr) == bool(flags), out.stderr
+
 
 class TestDefaultPathUnchanged:
-    def test_default_backend_is_numpy_kernel(self, si_params):
+    """Without the extension the default is the numpy kernel, bit for bit."""
+
+    def test_default_backend_is_numpy_kernel(self, si_params, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_CEXT", "1")
         pot = TersoffProduction(si_params)
         assert pot.backend_name == "numpy"
         assert type(pot.kernel) is TersoffKernel
 
-    def test_explicit_numpy_is_bitwise_default(self, si_params, si_lattice_222, si_neigh_222):
+    def test_explicit_numpy_is_bitwise_default(self, si_params, si_lattice_222, si_neigh_222,
+                                               monkeypatch):
+        monkeypatch.setenv("REPRO_NO_CEXT", "1")
         r0 = TersoffProduction(si_params).compute(si_lattice_222, si_neigh_222)
         r1 = TersoffProduction(si_params, backend="numpy").compute(si_lattice_222, si_neigh_222)
         assert r0.energy == r1.energy
@@ -248,7 +281,7 @@ class TestCompiledEquivalence:
     @pytest.mark.parametrize("cache", [True, False])
     def test_si_double(self, cache):
         params, system, neigh = si_workload()
-        rn = TersoffProduction(params, cache=cache).compute(system, neigh)
+        rn = TersoffProduction(params, cache=cache, backend="numpy").compute(system, neigh)
         rc = TersoffProduction(params, cache=cache, backend="compiled").compute(system, neigh)
         assert rc.stats["backend"]["name"] == "compiled"
         assert_equivalent(rc, rn)
@@ -256,14 +289,14 @@ class TestCompiledEquivalence:
     @pytest.mark.parametrize("cache", [True, False])
     def test_sic_multispecies(self, cache):
         params, system, neigh = sic_workload()
-        rn = TersoffProduction(params, cache=cache).compute(system, neigh)
+        rn = TersoffProduction(params, cache=cache, backend="numpy").compute(system, neigh)
         rc = TersoffProduction(params, cache=cache, backend="compiled").compute(system, neigh)
         assert_equivalent(rc, rn)
 
     def test_across_rebuild_boundaries(self):
         """Bounds must hold on cache hits AND on restaged topologies."""
         params, system, neigh = si_workload()
-        pn = TersoffProduction(params, cache=True)
+        pn = TersoffProduction(params, cache=True, backend="numpy")
         pc = TersoffProduction(params, cache=True, backend="compiled")
         rng = np.random.default_rng(17)
         for step in range(4):
@@ -280,7 +313,7 @@ class TestCompiledEquivalence:
     def test_reduced_precision_tracks_numpy(self, precision):
         """float32 compute paths reorder rounding; bounds are relative."""
         params, system, neigh = si_workload()
-        rn = TersoffProduction(params, precision=precision).compute(system, neigh)
+        rn = TersoffProduction(params, precision=precision, backend="numpy").compute(system, neigh)
         rc = TersoffProduction(params, precision=precision,
                                backend="compiled").compute(system, neigh)
         assert abs(rc.energy - rn.energy) / abs(rn.energy) < 1e-5
@@ -288,7 +321,7 @@ class TestCompiledEquivalence:
 
     def test_stats_contract_parity(self):
         params, system, neigh = si_workload()
-        rn = TersoffProduction(params).compute(system, neigh)
+        rn = TersoffProduction(params, backend="numpy").compute(system, neigh)
         rc = TersoffProduction(params, backend="compiled").compute(system, neigh)
         assert rc.stats["pairs_in_cutoff"] == rn.stats["pairs_in_cutoff"]
         assert rc.stats["triples"] == rn.stats["triples"]
@@ -325,7 +358,7 @@ class TestBoundsMatrix:
         # ULP bounds mean nothing on a configuration distorted until its
         # energy cancels to ~0
         neigh = build_list(system, params.max_cutoff, skin=0.4)
-        pn = TersoffProduction(params, precision=precision, cache=cache)
+        pn = TersoffProduction(params, precision=precision, cache=cache, backend="numpy")
         pc = TersoffProduction(params, precision=precision, cache=cache, backend="compiled")
         rng = np.random.default_rng(23)
         for move in (0.02, 0.12, 0.0):  # then: a cache hit, a rebuild
@@ -345,7 +378,7 @@ class TestBoundsMatrix:
         params, system, _ = si_workload(cells=3)
         dd = DomainDecomposition(system, 2, halo=params.max_cutoff + 1.0)
         settings = NeighborSettings(cutoff=params.max_cutoff, skin=1.0, full=True)
-        pn = TersoffProduction(params, precision=precision)
+        pn = TersoffProduction(params, precision=precision, backend="numpy")
         pc = TersoffProduction(params, precision=precision, backend="compiled")
         for dom in dd.domains:
             neigh, _ = dd.ensure_local_list(dom.rank, settings)
@@ -427,7 +460,7 @@ class TestListStaging:
 
     def test_type_change_invalidates_by_value(self):
         params, system, neigh = sic_workload()
-        pn = TersoffProduction(params)
+        pn = TersoffProduction(params, backend="numpy")
         pc = TersoffProduction(params, backend="compiled")
         pc.compute(system, neigh)
         system.type = system.type[::-1].copy()
@@ -483,7 +516,7 @@ class TestStressAccumulation:
         numpy's einsum reduction only by the rounding of the force
         terms themselves; trace and symmetry are exact on both."""
         params, system, neigh = workload()
-        rn = TersoffProduction(params).compute(system, neigh)
+        rn = TersoffProduction(params, backend="numpy").compute(system, neigh)
         rc = TersoffProduction(params, backend="compiled").compute(system, neigh)
         tensor = rc.stats["virial_tensor"]
         assert maxrel(tensor, rn.stats["virial_tensor"]) <= TENSOR_MAXREL
@@ -565,7 +598,7 @@ class TestCextBuild:
         fns = cext._entry_points(ctypes.CDLL(str(so_path)))
         monkeypatch.setattr(cext, "load", lambda: fns)
         params, system, neigh = sic_workload()
-        rn = TersoffProduction(params).compute(system, neigh)
+        rn = TersoffProduction(params, backend="numpy").compute(system, neigh)
         rc = TersoffProduction(params, backend="compiled").compute(system, neigh)
         assert_tracks(rc, rn)
 

@@ -95,8 +95,9 @@ class TestBitForBitEquivalence:
         params = tersoff_si()
         system = make_cluster(8, seed=23, spread=2.3)
         nl = build_list(system, params.max_cutoff, skin=4.5, brute=True)
-        cached = TersoffProduction(params, cache=True)
-        cold = TersoffProduction(params, cache=False)
+        # the mask is numpy staging's L3 (a reads_list kernel stages no mask)
+        cached = TersoffProduction(params, cache=True, backend="numpy")
+        cold = TersoffProduction(params, cache=False, backend="numpy")
         cached.compute(system, nl)  # cold start: invalidation
 
         # push an atom out beyond the cutoff but within cutoff+skin

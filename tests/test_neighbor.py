@@ -365,7 +365,8 @@ class TestCompiledBuild:
         def melt():
             system = diamond_lattice(4, 4, 4)
             seeded_velocities(system, 6000.0, seed=2016)
-            sim = build_simulation(RunSpec(solver=SolverSpec(mode="Opt-D"), skin=0.5), system)
+            spec = SolverSpec(mode="Opt-D", backend="numpy")  # the kernel both runs share
+            sim = build_simulation(RunSpec(solver=spec, skin=0.5), system)
             sim.run(200)
             return system.x.copy(), sim.neigh.n_builds
 

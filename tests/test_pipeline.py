@@ -87,14 +87,16 @@ def _assert_bitwise(new, old, *, tensor=True, per_atom=True):
 
 
 class TestTersoffFrozen:
-    """Tersoff through the pipeline vs the frozen seed production path."""
+    """Tersoff through the pipeline vs the frozen seed production path,
+    which is the numpy kernel: the oracle is named, not defaulted."""
 
     @pytest.mark.parametrize("precision", PRECISIONS)
     @pytest.mark.parametrize("cache", [True, False])
     def test_si_bitwise(self, precision, cache):
         params = tersoff_si()
         new = _run_sequence(
-            TersoffProduction(params, precision=precision, cache=cache), _si_workload
+            TersoffProduction(params, precision=precision, cache=cache, backend="numpy"),
+            _si_workload,
         )
         old = _run_sequence(
             LegacyTersoffProduction(params, precision=precision, cache=cache),
@@ -104,7 +106,8 @@ class TestTersoffFrozen:
 
     def test_sic_multispecies_bitwise(self):
         params = tersoff_sic()
-        new = _run_sequence(TersoffProduction(params, precision="mixed"), _sic_workload)
+        new = _run_sequence(TersoffProduction(params, precision="mixed", backend="numpy"),
+                            _sic_workload)
         old = _run_sequence(
             LegacyTersoffProduction(params, precision="mixed"), _sic_workload
         )
@@ -113,7 +116,7 @@ class TestTersoffFrozen:
     def test_cache_exercised(self):
         """The sequence must actually hit, miss and invalidate — a
         battery that only ever staged cold would prove nothing."""
-        pot = TersoffProduction(tersoff_si(), cache=True)
+        pot = TersoffProduction(tersoff_si(), cache=True, backend="numpy")
         _run_sequence(pot, _si_workload)
         stats = pot.cache_stats
         assert stats.hits > 0

@@ -227,6 +227,39 @@ class TestRunSpec:
         finally:
             resumed.close()
 
+    def test_a_restart_keeps_its_kernel(self, tmp_path):
+        """A checkpoint names the backend that ran, so a default run
+        restarts on it; one from before that pin, whose spec says
+        ``backend: null``, was written when null meant numpy and
+        continues bitwise like an uninterrupted numpy run."""
+        from repro.md.lattice import seeded_velocities
+        from repro.runtime.session import restore_run
+        from repro.state import load_checkpoint, save_checkpoint
+
+        def start(backend):
+            system = perturbed(diamond_lattice(3, 3, 3), 0.05, seed=7)
+            seeded_velocities(system, 600.0, seed=7)
+            return RunSpec(solver=SolverSpec(mode="Opt-D", backend=backend)).build_simulation(system)
+
+        default = start(None)
+        default.run(1)
+        save_checkpoint(default, tmp_path / "d.ckpt", user_meta={"run_spec": RunSpec().to_dict()})
+        assert load_checkpoint(tmp_path / "d.ckpt").run_spec().solver.backend == backends.get_default()
+
+        truth = start("numpy")
+        truth.run(3)
+        save_checkpoint(truth, tmp_path / "n.ckpt", user_meta={
+            "run_spec": RunSpec(solver=SolverSpec(mode="Opt-D")).to_dict()})
+        truth.run(3)
+        ck = load_checkpoint(tmp_path / "n.ckpt")
+        del ck.meta["backend"]  # as written before the pin
+        resumed_spec = ck.run_spec()
+        assert resumed_spec.solver.backend == "numpy"
+        resumed = restore_run(resumed_spec, ck)
+        resumed.run(3)
+        assert np.array_equal(resumed.system.x, truth.system.x)
+        assert np.array_equal(resumed.system.v, truth.system.v)
+
     def test_from_args_covers_the_flag_family(self):
         args = argparse.Namespace(
             potential="tersoff", mode="Opt-S", backend=None,

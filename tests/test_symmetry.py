@@ -2,7 +2,9 @@
 
 The diamond lattice's cubic point group gives exact expectations for
 how energies and forces must transform — an end-to-end invariance check
-independent of any reference implementation."""
+independent of any reference implementation.  Tersoff's rotations and
+translations are checked on every backend, precision and thread count by
+``tests/test_invariants.py``; what stays here is SW and the inversion."""
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from repro.core.tersoff.parameters import tersoff_si
 from repro.core.tersoff.production import TersoffProduction
 from repro.md.atoms import AtomSystem
 from repro.md.lattice import diamond_lattice, perturbed
+from test_invariants import ROTATIONS
 
 
 def rotated_system(system, rot):
@@ -26,35 +29,12 @@ def rotated_system(system, rot):
     return new
 
 
-# proper rotations of the cube that are plain axis permutations/signs
-ROTATIONS = [
-    np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]], dtype=float),  # 90 deg about z
-    np.array([[1, 0, 0], [0, 0, -1], [0, 1, 0]], dtype=float),  # 90 deg about x
-    np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=float),  # 120 deg about [111]
-    np.array([[-1, 0, 0], [0, -1, 0], [0, 0, 1]], dtype=float),  # 180 deg about z
-]
-
-
 @pytest.fixture(scope="module")
 def disturbed():
     return perturbed(diamond_lattice(2, 2, 2), 0.12, seed=91)
 
 
 class TestCubicInvariance:
-    @pytest.mark.parametrize("rot_idx", range(len(ROTATIONS)))
-    def test_tersoff_energy_invariant_forces_covariant(self, disturbed, rot_idx):
-        rot = ROTATIONS[rot_idx]
-        params = tersoff_si()
-        pot = TersoffProduction(params)
-        nl = build_list(disturbed, params.max_cutoff)
-        base = pot.compute(disturbed, nl)
-        rotated = rotated_system(disturbed, rot)
-        nl_r = build_list(rotated, params.max_cutoff)
-        res = pot.compute(rotated, nl_r)
-        assert res.energy == pytest.approx(base.energy, rel=1e-11)
-        # forces rotate with the configuration
-        assert np.max(np.abs(res.forces - base.forces @ rot.T)) < 1e-9
-
     def test_sw_energy_invariant(self, disturbed):
         sw = sw_silicon()
         pot = StillingerWeberProduction(sw)
@@ -81,18 +61,3 @@ class TestCubicInvariance:
         res = pot.compute(inverted, nl_i)
         assert res.energy == pytest.approx(base.energy, rel=1e-11)
         assert np.max(np.abs(res.forces + base.forces)) < 1e-9
-
-    def test_supercell_translation(self):
-        """Shifting the crystal by one full lattice vector is a no-op."""
-        params = tersoff_si()
-        pot = TersoffProduction(params)
-        s = perturbed(diamond_lattice(2, 2, 2), 0.1, seed=92)
-        nl = build_list(s, params.max_cutoff)
-        base = pot.compute(s, nl)
-        shifted = s.copy()
-        shifted.x += np.array([5.431, 0.0, 0.0])
-        shifted.wrap()
-        nl_s = build_list(shifted, params.max_cutoff)
-        res = pot.compute(shifted, nl_s)
-        assert res.energy == pytest.approx(base.energy, rel=1e-12)
-        assert np.max(np.abs(res.forces - base.forces)) < 1e-10
