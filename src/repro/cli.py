@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -127,7 +128,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.md.thermo import ThermoSample
     from repro.parallel.executor import ExecutorError
     from repro.runtime.session import build_potential, build_simulation, restore_run
-    from repro.runtime.spec import RunSpec, SolverSpec, SpecError
+    from repro.runtime.spec import RunSpec, SpecError
     from repro.state import CheckpointError, load_checkpoint
 
     ck = None
@@ -167,9 +168,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except (SpecError, ValueError, ExecutorError) as exc:
             print(f"run: {exc}", file=sys.stderr)
             return 2
-    if getattr(pot, "backend_name", run.solver.backend) != run.solver.backend:  # pin what ran
-        run = run.with_overrides(solver=SolverSpec.from_dict({**run.solver.to_dict(),
-                                                              "backend": pot.backend_name}))
+    # the spec a checkpoint pins names the kernel that ran, as its meta["backend"] does
+    run = run.with_overrides(solver=replace(run.solver, backend=getattr(pot, "backend_name", None)))
     callbacks, sinks = _run_sinks(args, run, resume_step=sim.step_index)
 
     par = ""

@@ -143,13 +143,13 @@ def fig1_scheme_mappings() -> ExperimentResult:
 
     Runs each scheme on the same small system and reports the lane
     geometry (width, registers filled, occupancy) plus the correctness
-    check against the production solver.
+    check against the numpy production kernel (the oracle on every host).
     """
     params = tersoff_si()
     system = perturbed(diamond_lattice(3, 3, 3), 0.08, seed=3)
     neigh = NeighborList(NeighborSettings(cutoff=params.max_cutoff, skin=1.0, full=True))
     neigh.build(system.x, system.box)
-    ref = TersoffProduction(params).compute(system, neigh)
+    ref = TersoffProduction(params, backend="numpy").compute(system, neigh)
     rows = []
     for scheme, isa in (("1a", "avx"), ("1b", "imci"), ("1c", "cuda")):
         pot = TersoffVectorized(params, isa=isa, scheme=scheme)
@@ -228,7 +228,8 @@ def fig3_precision_validation(
     relative deviation; this scaled default (512 atoms, 600 steps) runs
     the identical experiment — both solvers integrate the same initial
     condition and the *relative* deviation per step is what matters.
-    Pass larger `cells`/`steps` to approach the paper's run.
+    Pass larger `cells`/`steps` to approach the paper's run.  Both solvers
+    run on the default kernel: compiled where it loads, else numpy.
     """
     params = tersoff_si()
 

@@ -53,8 +53,10 @@ from functools import partial
 
 import numpy as np
 
+from repro import backends
 from repro.analysis import hot_path
 from repro.core.pipeline import Workspace
+from repro.core.tersoff.production import TersoffProduction
 from repro.host import usable_cores
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
@@ -234,9 +236,15 @@ class WorkerHost:
             del self.states[rank]
 
     def _rank_potential(self) -> Potential:
-        """A rank's private copy of the template potential, its kernel
-        threading over this worker's share of the host."""
-        potential = copy.deepcopy(self.potential)
+        """A rank's private copy of the template potential, its kernel threading over
+        this worker's share of the host; a backend the host resolved that cannot load
+        here (no toolchain) falls back to numpy with resolve()'s warning."""
+        t = self.potential
+        if isinstance(t, TersoffProduction) and not backends.is_available(t.backend_name):
+            potential = TersoffProduction(t.params, precision=t.precision, cache=t.cache_enabled,
+                                          backend=t.backend_name)
+        else:
+            potential = copy.deepcopy(t)
         kernel = getattr(potential, "kernel", None)
         if hasattr(kernel, "threads"):
             kernel.threads = max(1, usable_cores() // self.workers)

@@ -161,10 +161,9 @@ class Checkpoint:
                               ranks=engine.get("ranks"), skin=float(self.meta["neighbor"]["skin"]))
         except SpecError as exc:
             raise CheckpointError(f"checkpoint pins an unreadable run spec: {exc}") from exc
-        ran = self.meta.get("backend")
-        if run.solver.potential == "tersoff" and run.solver.mode != "Ref" and (
-                ran or run.solver.backend is None):
-            run = run.with_overrides(solver=replace(run.solver, backend=ran or "numpy"))
+        if run.solver.potential == "tersoff" and run.solver.mode != "Ref":
+            ran = self.meta.get("backend") or run.solver.backend or "numpy"
+            run = run.with_overrides(solver=replace(run.solver, backend=ran))
         return run
 
     def system(self) -> AtomSystem:

@@ -6,7 +6,10 @@ The central property (and the reason the cache is safe to ship on by
 default): for any trajectory — including ones that cross ≥3 neighbor
 rebuild boundaries and drift pairs across cutoff masks — the cached
 path must produce *identical bits* to staging from scratch, in every
-precision mode.
+precision mode.  The staging and invalidation tests name the numpy
+backend: its L1-L4 staging is what the cache reuses, while a
+``reads_list`` kernel (compiled, the default where it loads) stops after
+L2 and is held to the same property by :class:`TestListKernelStaging`.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import build_list, make_cluster
+from conftest import build_list, make_cluster, needs_compiled
 from repro.core.pipeline import (
     CacheStats,
     Workspace,
@@ -54,8 +57,8 @@ class TestBitForBitEquivalence:
         system = perturbed(diamond_lattice(2, 2, 2), 0.12, seed=11)
         nl = NeighborList(NeighborSettings(cutoff=params.max_cutoff, skin=0.6))
         nl.build(system.x, system.box)
-        cached = TersoffProduction(params, precision=precision, cache=True)
-        cold = TersoffProduction(params, precision=precision, cache=False)
+        cached = TersoffProduction(params, precision=precision, cache=True, backend="numpy")
+        cold = TersoffProduction(params, precision=precision, cache=False, backend="numpy")
 
         builds0 = nl.n_builds
         for _ in _drift(system, nl, 22, seed=13):
@@ -81,8 +84,8 @@ class TestBitForBitEquivalence:
         system = perturbed(zincblende_sic(2, 2, 2), 0.10, seed=17)
         nl = NeighborList(NeighborSettings(cutoff=params.max_cutoff, skin=0.6))
         nl.build(system.x, system.box)
-        cached = TersoffProduction(params, cache=True)
-        cold = TersoffProduction(params, cache=False)
+        cached = TersoffProduction(params, cache=True, backend="numpy")
+        cold = TersoffProduction(params, cache=False, backend="numpy")
         for _ in _drift(system, nl, 10, seed=19, kick_every=4):
             rc = cached.compute(system, nl)
             rf = cold.compute(system, nl)
@@ -95,7 +98,6 @@ class TestBitForBitEquivalence:
         params = tersoff_si()
         system = make_cluster(8, seed=23, spread=2.3)
         nl = build_list(system, params.max_cutoff, skin=4.5, brute=True)
-        # the mask is numpy staging's L3 (a reads_list kernel stages no mask)
         cached = TersoffProduction(params, cache=True, backend="numpy")
         cold = TersoffProduction(params, cache=False, backend="numpy")
         cached.compute(system, nl)  # cold start: invalidation
@@ -114,7 +116,7 @@ class TestBitForBitEquivalence:
     def test_empty_pair_set_cached(self, si_params):
         s = make_cluster(2, seed=31, spread=8.0, min_sep=6.0)
         nl = build_list(s, si_params.max_cutoff, brute=True)
-        pot = TersoffProduction(si_params, cache=True)
+        pot = TersoffProduction(si_params, cache=True, backend="numpy")
         for _ in range(2):
             res = pot.compute(s, nl)
             assert res.energy == 0.0
@@ -125,7 +127,7 @@ class TestBitForBitEquivalence:
 class TestInvalidation:
     def test_version_bump_invalidates(self, si_params, si_lattice_222):
         nl = build_list(si_lattice_222, si_params.max_cutoff)
-        pot = TersoffProduction(si_params, cache=True)
+        pot = TersoffProduction(si_params, cache=True, backend="numpy")
         pot.compute(si_lattice_222, nl)
         pot.compute(si_lattice_222, nl)
         assert pot.cache_stats.as_dict()["hits"] == 1
@@ -137,7 +139,7 @@ class TestInvalidation:
     def test_different_list_object_invalidates(self, si_params, si_lattice_222):
         nl1 = build_list(si_lattice_222, si_params.max_cutoff)
         nl2 = build_list(si_lattice_222, si_params.max_cutoff)
-        pot = TersoffProduction(si_params, cache=True)
+        pot = TersoffProduction(si_params, cache=True, backend="numpy")
         pot.compute(si_lattice_222, nl1)
         pot.compute(si_lattice_222, nl2)
         assert pot.cache_stats.invalidations == 2
@@ -146,11 +148,11 @@ class TestInvalidation:
         params = tersoff_sic()
         system = perturbed(zincblende_sic(2, 2, 2), 0.08, seed=29)
         nl = build_list(system, params.max_cutoff)
-        pot = TersoffProduction(params, cache=True)
+        pot = TersoffProduction(params, cache=True, backend="numpy")
         r1 = pot.compute(system, nl)
         system.type = system.type[::-1].copy()  # same list, new species map
         r2 = pot.compute(system, nl)
-        cold = TersoffProduction(params, cache=False).compute(system, nl)
+        cold = TersoffProduction(params, cache=False, backend="numpy").compute(system, nl)
         assert r2.energy == cold.energy
         assert np.array_equal(r2.forces, cold.forces)
         assert r2.energy != r1.energy
@@ -163,6 +165,48 @@ class TestInvalidation:
         assert nl.version == 1
         nl.build(si_lattice_222.x, si_lattice_222.box)
         assert nl.version == 2
+
+
+@needs_compiled
+class TestListKernelStaging:
+    """The compiled kernel's cache keeps the list (L1) and the type column
+    (L2) only; reusing them must be as exact as numpy's full staging."""
+
+    @pytest.mark.parametrize("precision", ["double", "single", "mixed"])
+    def test_equal_across_rebuilds(self, precision):
+        params = tersoff_si()
+        system = perturbed(diamond_lattice(2, 2, 2), 0.12, seed=11)
+        nl = NeighborList(NeighborSettings(cutoff=params.max_cutoff, skin=0.6))
+        nl.build(system.x, system.box)
+        cached = TersoffProduction(params, precision=precision, cache=True, backend="compiled")
+        cold = TersoffProduction(params, precision=precision, cache=False, backend="compiled")
+
+        builds0 = nl.n_builds
+        for _ in _drift(system, nl, 22, seed=13):
+            rc = cached.compute(system, nl)
+            rf = cold.compute(system, nl)
+            assert rc.energy == rf.energy
+            assert np.array_equal(rc.forces, rf.forces)
+            assert rc.virial == rf.virial
+        rebuilds = nl.n_builds - builds0
+        stats = cached.cache_stats
+        assert rebuilds >= 3
+        assert stats.invalidations == rebuilds + 1  # + the cold start
+        assert stats.hits == 22 - stats.invalidations
+
+    def test_type_change_invalidates(self):
+        params = tersoff_sic()
+        system = perturbed(zincblende_sic(2, 2, 2), 0.08, seed=29)
+        nl = build_list(system, params.max_cutoff)
+        pot = TersoffProduction(params, cache=True, backend="compiled")
+        r1 = pot.compute(system, nl)
+        system.type = system.type[::-1].copy()  # same list, new species map
+        r2 = pot.compute(system, nl)
+        cold = TersoffProduction(params, cache=False, backend="compiled").compute(system, nl)
+        assert r2.energy == cold.energy
+        assert np.array_equal(r2.forces, cold.forces)
+        assert r2.energy != r1.energy
+        assert pot.cache_stats.invalidations == 2
 
 
 class TestSegsum3:
@@ -235,7 +279,7 @@ class TestWorkspace:
     def test_steady_state_no_allocation(self, si_params, si_lattice_222):
         """After warmup, repeated force calls must not grow the arena."""
         nl = build_list(si_lattice_222, si_params.max_cutoff)
-        pot = TersoffProduction(si_params, cache=True)
+        pot = TersoffProduction(si_params, cache=True, backend="numpy")
         pot.compute(si_lattice_222, nl)
         grown = pot._cache.workspace.grow_events
         for _ in range(3):

@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 from multiprocessing import shared_memory
 
+from conftest import needs_compiled
+from repro import backends
 from repro.core.sw import StillingerWeberProduction, sw_silicon
 from repro.core.tersoff.parameters import tersoff_si, tersoff_sic
 from repro.core.tersoff.production import TersoffProduction
@@ -140,6 +142,31 @@ class TestBitwiseEquivalence:
             step = eng.compute(system.x)
             assert step.energy == e_ref
             assert np.array_equal(step.forces, f_ref)
+
+
+class TestRankBackendFallback:
+    @needs_compiled
+    def test_a_rank_that_cannot_load_the_kernel_runs_numpy(self, monkeypatch):
+        """The host resolved compiled; a rank where it cannot load (here:
+        REPRO_NO_CEXT from then on) gets numpy with resolve()'s warning
+        instead of a build error on its first step, and the engine then
+        matches a numpy engine bit for bit.  A separate rank host:
+        tests/test_cluster_transport.py::TestHostsMode."""
+        system = perturbed(diamond_lattice(2, 2, 2), 0.1, seed=13)
+        template = TersoffProduction(tersoff_si(), backend="compiled")
+        monkeypatch.setenv("REPRO_NO_CEXT", "1")
+        monkeypatch.setattr(backends, "_FALLBACK_WARNED", set())
+
+        def step(pot):
+            with ParallelEngine(system.copy(), pot, workers=2, ranks=2, executor="serial") as eng:
+                res = eng.compute(system.x)
+                return res.energy, res.forces.copy()
+
+        with pytest.warns(RuntimeWarning, match="falling back to 'numpy'"):
+            energy, forces = step(template)
+        e_ref, f_ref = step(TersoffProduction(tersoff_si(), backend="numpy"))
+        assert energy == e_ref
+        assert np.array_equal(forces, f_ref)
 
 
 class TestCachePersistence:

@@ -1,4 +1,5 @@
-"""Full virial stress tensor of the production Tersoff solver.
+"""Full virial stress tensor of the production Tersoff solver (the numpy
+oracle).
 
 Trace = scalar virial and the strain derivative are checked over every
 backend, precision and thread count by ``tests/test_invariants.py``."""
@@ -15,7 +16,7 @@ from repro.md.thermo import pressure
 
 @pytest.fixture(scope="module")
 def pot():
-    return TersoffProduction(tersoff_si())
+    return TersoffProduction(tersoff_si(), backend="numpy")
 
 
 def tensor_of(pot, system):
