@@ -1,25 +1,27 @@
 """Pluggable compute backends (the repo's Sec.-V argument made real).
 
-The paper's thesis is performance portability: one Tersoff algorithm,
+The paper's thesis is performance portability: one algorithm,
 specialized per instruction set through an abstraction layer.  This
 package is that abstraction layer for the reproduction: a registry of
 :class:`ComputeBackend` entries, each able to supply a
-``MultiBodyKernel`` implementation for the staged pipeline.  A backend
-supplies the kernel and, through the kernel's declarative staging
-contract, says how much of the shared staging machinery
-(`InteractionCache`, `Workspace`, filter, triplet expansion, parameter
-gathers) it wants done for it.
+``MultiBodyKernel`` for every potential family of the staged pipeline
+(Tersoff and SW).  A backend supplies the kernel and, through the
+kernel's declarative staging contract, says how much of the shared
+staging machinery (`InteractionCache`, `Workspace`, filter, triplet
+expansion, parameter gathers) it wants done for it.
 
 Registered backends:
 
-- ``compiled`` — a C kernel compiled at first use with the host
-  toolchain; it reads positions and the CSR neighbor list directly and
-  fuses filter, geometry and Alg. 3 in one pass.  The default wherever
-  the extension loads (probe passes *and* build/load succeeds).
-- ``numpy``    — the wide-vector numpy kernel; always available, the
+- ``compiled`` — C kernels compiled at first use with the host
+  toolchain; one list walker reads positions and the CSR neighbor list
+  directly and fuses filter, geometry and each potential's body in one
+  pass.  The default wherever the extension loads (probe passes *and*
+  build/load succeeds).
+- ``numpy``    — the wide-vector numpy kernels; always available, the
   oracle (DESIGN.md §12) and the default without a working toolchain.
 
-Selection: ``TersoffProduction(backend=...)``, ``SolverSpec.backend``,
+Selection: ``TersoffProduction(backend=...)``,
+``StillingerWeberProduction(backend=...)``, ``SolverSpec.backend``,
 ``repro run --backend``; ``None`` is :func:`get_default`, chosen without
 a warning (a default is not a request).  A *requested* backend that
 cannot run here falls back to ``numpy`` with a one-time warning;
@@ -114,7 +116,7 @@ def resolve(name: str | None = None, *, fallback: bool = True) -> ComputeBackend
 
 # ---------------------------------------------------------------------------
 # built-in backends (factories import lazily: registering costs nothing,
-# and repro.core.tersoff.production can import this package cycle-free)
+# and the production potentials can import this package cycle-free)
 # ---------------------------------------------------------------------------
 
 
@@ -122,7 +124,11 @@ def _numpy_probe() -> str | None:
     return None
 
 
-def _make_numpy_tersoff(params, precision):
+def _make_numpy_kernel(family, params, precision):
+    if family == "sw":
+        from repro.core.sw.production import SWKernel
+
+        return SWKernel(params, precision)
     from repro.core.tersoff.production import TersoffKernel
 
     return TersoffKernel(params, precision)
@@ -139,26 +145,26 @@ def _compiled_probe() -> str | None:
         return str(exc)
 
 
-def _make_compiled_tersoff(params, precision):
-    from repro.backends.compiled import CompiledTersoffKernel
+def _make_compiled_kernel(family, params, precision):
+    from repro.backends.compiled import CompiledSWKernel, CompiledTersoffKernel
 
-    return CompiledTersoffKernel(params, precision)
+    return (CompiledSWKernel if family == "sw" else CompiledTersoffKernel)(params, precision)
 
 
 register(
     ComputeBackend(
         name="numpy",
-        description="wide-vector numpy kernel (the oracle; default without a toolchain)",
+        description="wide-vector numpy kernels (the oracle; default without a toolchain)",
         probe=_numpy_probe,
-        make_tersoff_kernel=_make_numpy_tersoff,
+        make_kernel=_make_numpy_kernel,
     )
 )
 
 register(
     ComputeBackend(
         name="compiled",
-        description="fused one-pass C kernel built with the host toolchain",
+        description="one-pass C list walker built with the host toolchain",
         probe=_compiled_probe,
-        make_tersoff_kernel=_make_compiled_tersoff,
+        make_kernel=_make_compiled_kernel,
     )
 )

@@ -3,35 +3,19 @@
  * REAL-templated over _vec.h / _vmath.h.
  *
  * Included twice from _tersoff.c (REAL=double/TSUF=f64, then
- * REAL=float/TSUF=f32).  Per atom i the scalar filter
- * (ters_filter_row) leaves the max-cutoff short list; every entry
- * inside its own inclusive per-type-pair R+D cutoff is a pair (i,j),
- * and every *other* short-list entry is one of its k.  The pairs of the
- * atom sit VLANES to a vector (J -> lanes); the K loop walks the one
- * short list for all lanes at once, so everything about k is a
+ * REAL=float/TSUF=f32) as the body of the list walker (_walker.c).  Per
+ * atom i the walker's filter leaves the max-cutoff short list; every
+ * entry inside its own inclusive per-type-pair R+D cutoff is a pair
+ * (i,j), and every *other* short-list entry is one of its k.  The pairs
+ * of the atom sit VLANES to a vector (J -> lanes); the K loop walks the
+ * one short list for all lanes at once, so everything about k is a
  * broadcast and the `k is not j` test is the lane mask.  K loop 1
  * accumulates zeta per lane and caches the derivative terms of each k
  * body that fired, the pair terms follow, K loop 2 turns the cached
  * terms into forces (after the pair terms, not before: its divisions
- * fill the latency of the zeta -> pow -> pow -> prefactor chain).
- *
- * Forces leave in two sweeps (Fan et al., arXiv 1610.03343), so that no
- * two rows ever write one address and the I loop can be split over
- * threads without atomics.  Sweep 1, per row: F_i and the per-atom
- * energy go to atom i, written by nobody else; every j and k of the row
- * is a slot of its short list, so F_j (lane by lane) and F_k (an
- * in-register reduction per k) accumulate in one 3-vector per slot, and
- * the slots are `partial` entries of the row's own CSR range; `where`
- * says for every entry of the row which slot holds its force, if any.
- * Sweep 2, per atom a, after all of sweep 1: F_a += the slots of the
- * entries that name a, in ascending entry order, found through the
- * list's transposed index (_neighbor.c).  Rows are claimed in chunks of
- * ROWS_PER_CHUNK, atoms in chunks of GATHER_ATOMS; virial sums, counters
- * and the first error are kept per chunk of rows and reduced in chunk
- * order by the caller.  Chunk size is a constant and the gather order is
- * the list's, so every output is bitwise the same for any number of
- * threads and any assignment of chunks to them; one thread runs the
- * same two sweeps alone.
+ * fill the latency of the zeta -> pow -> pow -> prefactor chain).  F_j
+ * (lane by lane) and F_k (an in-register reduction per k) go to the
+ * walker's per-slot partials, F_i and the energy to the row.
  *
  * Every lane executes the scalar expression sequence of the numpy
  * oracle (repro/core/tersoff/production.py::TersoffKernel.evaluate and
@@ -178,379 +162,201 @@ static inline void TFN(ters_bij_both_)(const VREAL z, const REAL *restrict pv, c
     *bijd = bd;
 }
 
-/* Sweep 1 for the chunks of rows this thread claims, then — once every
- * chunk is done — sweep 2 for the chunks of atoms it claims.  Nothing a
- * thread writes is written by another: forces[i] and peratom[i] belong
- * to the owner of row i, partial[e] to the owner of e's row, a chunk
- * record to the chunk's owner, and sweep 2 writes forces[a] for the
- * atoms it claimed. */
-static void TFN(ters_work_)(void *ctx, const int tid)
+/* The computational part for one row (a walk_kind body): the short list
+ * of atom i in, F_i, e_i, the force on every slot and the row's share of
+ * the chunk's virial sums and counters out. */
+static void TFN(ters_row_)(const walk_job *job, walk_row *row, walk_acc *restrict acc,
+                           void *scratch)
 {
-    ters_job *job = ctx;
-    const int64_t n_atoms = job->n_atoms, ntypes = job->ntypes, max_row = job->max_row;
-    const int64_t *restrict offsets = job->offsets;
-    const int32_t *restrict neighbors = job->neighbors, *restrict types = job->types;
-    const double *restrict x = job->x, *restrict geo = job->geo, *restrict cut = job->cut;
+    const int64_t ntypes = job->ntypes, ti = row->ti, ns = row->ns;
+    const double *restrict cut = job->cut;
     const REAL *restrict ptab = job->ptab;
-    double *restrict partial = job->partial, *restrict forces = job->forces;
-    double *restrict peratom = job->peratom;
-    int32_t *restrict where = job->where;
-    const int32_t nowhere = (int32_t)offsets[n_atoms]; /* the slot that stays zero */
+    const double *restrict sr = row->r;
+    const double *const *sd = row->d;
+    const int32_t *restrict sj = row->j, *restrict st = row->t;
+    ACC *restrict fs = row->f;
 
     /* ---- this thread's scratch: SoA, every row padded to whole vectors ---- */
-    const int64_t mr = (max_row + VLANES - 1) / VLANES * VLANES;
-    double *restrict sr = job->row_scratch + tid * job->thread_doubles; /* short list: r, d */
-    double *const sd[3] = {sr + mr, sr + 2 * mr, sr + 3 * mr};
-    double *restrict pr = sr + 4 * mr;             /* pair list: r, d  */
+    const int64_t mr = (job->max_row + VLANES - 1) / VLANES * VLANES;
+    double *restrict pr = scratch;                 /* pair list: r, d  */
     double *const pd[3] = {pr + mr, pr + 2 * mr, pr + 3 * mr};
     REAL *restrict kr = (REAL *)(pr + 4 * mr);     /* k geometry in REAL: r, d, d / r */
     REAL *const kd[3] = {kr + mr, kr + 2 * mr, kr + 3 * mr};
     REAL *const kh[3] = {kr + 4 * mr, kr + 5 * mr, kr + 6 * mr};
     REAL *restrict kterm = kr + 7 * mr;            /* N_KTERM vectors per fired k */
     IREAL *restrict pj = (IREAL *)(kterm + N_KTERM * VLANES * mr); /* pair j, lane-mask width */
-    int32_t *restrict sj = (int32_t *)(pj + mr);
-    int32_t *restrict st = sj + mr;
-    int32_t *restrict sq = st + mr;                /* row position of each short-list slot */
-    int32_t *restrict ptj = sq + mr;
+    int32_t *restrict ptj = (int32_t *)(pj + mr);
     int32_t *restrict pslot = ptj + mr;            /* short-list slot of each pair */
     int32_t *restrict kslot = pslot + mr;          /* short-list slot of each fired k */
-    REAL *restrict memo = (REAL *)(sr + mr * ROW_DOUBLES);
+    REAL *restrict memo = (REAL *)((double *)scratch + mr * ROW_DOUBLES);
+    /* 0: no entry yet (the scratch starts every call zeroed) */
     int64_t *restrict memo_key = (int64_t *)(memo + ntypes * MEMO_REALS(ntypes));
 
     const VREAL zero = v_set1((REAL)0.0), one = v_set1((REAL)1.0), half = v_set1((REAL)0.5);
     const VMASK lane_id = {0, 1, 2, 3};
-    int64_t chunk, i, q, q0, mk, s;
+    ACC f_i[3] = {0, 0, 0}, e_i = 0;
+    int64_t q, q0, mk, s;
     int a, c, l;
 
-    for (i = 0; i < ntypes; i++) memo_key[i] = -1;
-
-    while ((chunk = atomic_fetch_add_explicit(&job->next_rows, 1, memory_order_relaxed)) <
-           job->n_chunks) {
-        ters_chunk *restrict out = job->chunk + chunk;
-        const int64_t i_end =
-            (chunk + 1) * ROWS_PER_CHUNK < n_atoms ? (chunk + 1) * ROWS_PER_CHUNK : n_atoms;
-        vacc w_p[9], w_j[9]; /* pair and j virial sums, per lane */
-        ACC w_k[9];          /* sum_t d_ik[a] fk[b] */
-        int64_t n_pairs = 0, n_triplets = 0, n_bodies = 0;
-        for (a = 0; a < 9; a++) {
-            w_p[a] = w_j[a] = vacc_set1(0);
-            w_k[a] = 0;
+    /* REAL copies of the k geometry; the entries inside their own
+     * inclusive R+D are the pairs, packed densely in list order */
+    int64_t np = 0;
+    for (mk = 0; mk < ns; mk++) {
+        const int64_t tj = st[mk];
+        kr[mk] = (REAL)sr[mk];
+        for (c = 0; c < 3; c++) {
+            kd[c][mk] = (REAL)sd[c][mk];
+            kh[c][mk] = (REAL)sd[c][mk] / (REAL)sr[mk];
         }
-        out->fail[0] = TERS_OK;
-
-        for (i = chunk * ROWS_PER_CHUNK; i < i_end; i++) {
-            const int64_t len = offsets[i + 1] - offsets[i];
-            ACC f_i[3] = {0, 0, 0}, e_i = 0;
-            if (len < 0 || len > max_row) {
-                ters_fail(out->fail, i, i, TERS_BAD_INPUT);
-                break;
-            }
-            const int64_t ns = ters_filter_row(x, types, n_atoms, i, neighbors + offsets[i], len,
-                                               geo, sd, sr, sj, st, sq, out->fail);
-            if (ns < 0) break;
-            const int64_t ti = types[i];
-            /* the force on short-list slot m accumulates in partial slot m
-             * of the row's own entries; `where` tells sweep 2 which slot
-             * an entry's force is in, or that there is none */
-            ACC *restrict fs = partial + 3 * offsets[i];
-            int32_t *restrict w_row = where + offsets[i];
-            memset(fs, 0, (size_t)(3 * ns) * sizeof(ACC));
-            for (q = 0; q < len; q++) w_row[q] = nowhere;
-            for (mk = 0; mk < ns; mk++) w_row[sq[mk]] = (int32_t)(offsets[i] + mk);
-
-            /* REAL copies of the k geometry; the entries inside their own
-             * inclusive R+D are the pairs, packed densely in list order */
-            int64_t np = 0;
-            for (mk = 0; mk < ns; mk++) {
-                const int64_t tj = st[mk];
-                kr[mk] = (REAL)sr[mk];
-                for (c = 0; c < 3; c++) {
-                    kd[c][mk] = (REAL)sd[c][mk];
-                    kh[c][mk] = (REAL)sd[c][mk] / (REAL)sr[mk];
-                }
-                if (!(sr[mk] <= cut[((ti * ntypes + tj) * ntypes + tj)])) continue;
-                pr[np] = sr[mk];
-                for (c = 0; c < 3; c++) pd[c][np] = sd[c][mk];
-                pj[np] = sj[mk];
-                ptj[np] = (int32_t)tj;
-                pslot[np] = (int32_t)mk;
-                np++;
-            }
-            /* pad the last block: unit distance, no atom, the type of its lane 0 */
-            for (q = np; q % VLANES; q++) {
-                pr[q] = 1;
-                for (c = 0; c < 3; c++) pd[c][q] = 0;
-                pj[q] = -1;
-                ptj[q] = ptj[np - np % VLANES];
-            }
-
-            for (q0 = 0; q0 < np; q0 += VLANES) {
-                const int nv = np - q0 < VLANES ? (int)(np - q0) : VLANES;
-                const VMASK valid = lane_id < vm_set1(nv);
-                const VMASK jv = vm_load(pj + q0);
-                const vacc dij_acc[3] = {vacc_load(pd[0] + q0), vacc_load(pd[1] + q0),
-                                         vacc_load(pd[2] + q0)};
-                const VREAL rij = v_from_acc(vacc_load(pr + q0));
-                VREAL dij[3], hij[3];
-                for (c = 0; c < 3; c++) {
-                    dij[c] = v_from_acc(dij_acc[c]);
-                    hij[c] = dij[c] / rij;
-                }
-
-                /* parameter vectors of this block, rebuilt only when (ti, tj
-                 * lanes) changes: once per call and thread on a single-species
-                 * system */
-                int64_t key = 0;
-                for (l = VLANES - 1; l >= 0; l--) key = key * ntypes + ptj[q0 + l];
-                REAL *restrict pv = memo + ti * MEMO_REALS(ntypes);
-                if (memo_key[ti] != key) {
-                    TFN(ters_memo_fill_)(pv, ptab, ntypes, ti, ptj + q0);
-                    memo_key[ti] = key;
-                }
-
-                /* ---- K loop 1: zeta and its cached derivative terms ---- */
-                vacc zeta = vacc_set1(0);
-                int64_t nk = 0;
-                for (mk = 0; mk < ns; mk++) {
-                    const VMASK live = valid & (jv != vm_set1(sj[mk]));
-                    const int n_live = vm_count(live);
-                    if (!n_live) continue;
-                    n_triplets += n_live;
-                    const REAL *restrict tv = pv + VLANES * (N_PV + st[mk] * N_TV);
-                    const VREAL rik = v_set1(kr[mk]);
-                    const VREAL cos_t = DOT3_EINSUM(dij[0] * v_set1(kd[0][mk]),
-                                                    dij[1] * v_set1(kd[1][mk]),
-                                                    dij[2] * v_set1(kd[2][mk])) / (rij * rik);
-                    VREAL fcik, fcdik;
-                    TFN(ters_fc_both_)(rik, tv, live, &fcik, &fcdik);
-
-                    const VREAL hcth = MV(tv, TV_H) - cos_t;
-                    const VREAL denom = MV(tv, TV_D2) + hcth * hcth;
-                    const VREAL g = MV(tv, TV_GAMMA) * (MV(tv, TV_GONE) - MV(tv, TV_C2) / denom);
-                    const VREAL gd = MV(tv, TV_GAMMA) * (MV(tv, TV_M2C2) * hcth) / (denom * denom);
-
-                    /* zeta_exp / zeta_exp_d_over, exponent clamped at +69;
-                     * exp(+-0) is exactly 1, so lam3 == 0 skips the polynomial */
-                    const VMASK cubic = (VMASK)MV(tv, TV_CUBIC);
-                    const VREAL top = v_set1((REAL)69.0);
-                    const VREAL ld = MV(tv, TV_LAM3) * (rij - rik);
-                    const VREAL expo = v_sel(cubic, ld * ld * ld, ld);
-                    VREAL ex = one;
-                    if (vm_any(live & (expo != zero)))
-                        ex = v_sel(expo == zero, one, TFN(vm_exp_)(v_sel(expo < top, expo, top)));
-                    const VREAL exld = v_sel(expo >= top, zero,
-                                             v_sel(cubic, MV(tv, TV_3LAM3) * ld * ld, MV(tv, TV_LAM3)));
-
-                    const VREAL contrib = fcik * g * ex;
-                    zeta += v_to_acc(v_sel(live, contrib, zero));
-
-                    REAL *restrict ks = kterm + VLANES * N_KTERM * nk;
-                    v_store(ks + VLANES * K_COS, cos_t);
-                    v_store(ks + VLANES * K_FCGDEX, fcik * gd * ex);
-                    v_store(ks + VLANES * K_AJ, contrib * exld);
-                    v_store(ks + VLANES * K_AK, fcdik * g * ex - contrib * exld);
-                    kslot[nk++] = (int32_t)mk;
-                }
-
-                /* ---- pair terms ---- */
-                VREAL fcij, fcdij, bij, bijd;
-                TFN(ters_fc_both_)(rij, pv, valid, &fcij, &fcdij);
-                const VREAL fr = MV(pv, PV_A) * TFN(vm_exp_)(MV(pv, PV_NLAM1) * rij);
-                const VREAL frd = MV(pv, PV_NLAM1) * fr;
-                const VREAL fa = MV(pv, PV_NB) * TFN(vm_exp_)(MV(pv, PV_NLAM2) * rij);
-                const VREAL fad = MV(pv, PV_NLAM2) * fa;
-                TFN(ters_bij_both_)(v_from_acc(zeta), pv, valid, &bij, &bijd);
-
-                const VREAL e = half * fcij * (fr + bij * fa);
-                const VREAL dE = half * (fcdij * (fr + bij * fa) + fcij * (frd + bij * fad));
-                const VREAL fp = v_sel(valid, -dE / rij, zero);
-                const VREAL pre = v_sel(valid, half * fcij * fa * bijd, zero); /* dV/dzeta */
-
-                /* ---- K loop 2: zeta-derivative force terms; a lane whose j is
-                 * this k holds finite garbage and is scaled by exactly zero ---- */
-                vacc f_it[3], f_jt[3];
-                for (c = 0; c < 3; c++) f_it[c] = f_jt[c] = vacc_set1(0);
-                for (s = 0; s < nk; s++) {
-                    const REAL *restrict ks = kterm + VLANES * N_KTERM * s;
-                    mk = kslot[s];
-                    const VREAL pre_k = v_sel(jv != vm_set1(sj[mk]), pre, zero);
-                    const VREAL rik = v_set1(kr[mk]);
-                    const VREAL cos_t = MV(ks, K_COS), fcgdex = MV(ks, K_FCGDEX);
-                    const VREAL aj = MV(ks, K_AJ), ak = MV(ks, K_AK);
-                    const VREAL crij = cos_t / rij;
-                    const VREAL crik = cos_t / rik;
-                    for (c = 0; c < 3; c++) {
-                        const VREAL hik = v_set1(kh[c][mk]);
-                        const VREAL dcj = hik / rij - crij * hij[c];
-                        const VREAL dck = hij[c] / rik - crik * hik;
-                        const VREAL dzj = aj * hij[c] + fcgdex * dcj;
-                        const VREAL dzk = ak * hik + fcgdex * dck;
-                        const VREAL dzi = -(dzj + dzk);
-                        f_it[c] += v_to_acc(pre_k * dzi);
-                        f_jt[c] += v_to_acc(pre_k * dzj);
-                        const ACC fk = vacc_hsum(v_to_acc(pre_k * dzk));
-                        fs[3 * mk + c] -= fk;
-                        for (a = 0; a < 3; a++) w_k[3 * a + c] += sd[a][mk] * fk;
-                    }
-                }
-
-                /* ---- out: F_i by reduction, F_j and e lane by lane ---- */
-                const vacc e_acc = v_to_acc(e);
-                for (c = 0; c < 3; c++) {
-                    const vacc fv = v_to_acc(fp * dij[c]);
-                    f_i[c] -= vacc_hsum(fv + f_it[c]);
-                    for (l = 0; l < nv; l++) fs[3 * pslot[q0 + l] + c] += fv[l] - f_jt[c][l];
-                    /* virial W_ab += d_a F_b, summed per lane */
-                    for (a = 0; a < 3; a++) {
-                        w_p[3 * a + c] += dij_acc[a] * fv;
-                        w_j[3 * a + c] += dij_acc[a] * f_jt[c];
-                    }
-                }
-                for (l = 0; l < nv; l++) e_i += e_acc[l];
-                n_pairs += nv;
-                n_bodies += nk + 1;
-            }
-
-            /* ---- the row leaves: F_i and e_i to their atom; the force on
-             * its j and k is where sweep 2 will look for it ---- */
-            for (c = 0; c < 3; c++) forces[3 * i + c] = f_i[c];
-            peratom[i] = e_i;
-        }
-
-        if (out->fail[0] != TERS_OK)
-            atomic_store_explicit(&job->failed, 1, memory_order_relaxed);
-        for (a = 0; a < 9; a++) {
-            out->w[a] = vacc_hsum(w_p[a]);     /* sum_p d_ij[a] fvec[b] */
-            out->w[9 + a] = vacc_hsum(w_j[a]); /* sum_t d_ij[a] fj[b]   */
-            out->w[18 + a] = w_k[a];
-        }
-        out->count[0] = n_pairs;
-        out->count[1] = n_triplets;
-        out->count[2] = n_bodies;
-        atomic_fetch_add_explicit(&job->rows_done, 1, memory_order_release);
+        if (!(sr[mk] <= cut[((ti * ntypes + tj) * ntypes + tj)])) continue;
+        pr[np] = sr[mk];
+        for (c = 0; c < 3; c++) pd[c][np] = sd[c][mk];
+        pj[np] = sj[mk];
+        ptj[np] = (int32_t)tj;
+        pslot[np] = (int32_t)mk;
+        np++;
+    }
+    /* pad the last block: unit distance, no atom, the type of its lane 0 */
+    for (q = np; q % VLANES; q++) {
+        pr[q] = 1;
+        for (c = 0; c < 3; c++) pd[c][q] = 0;
+        pj[q] = -1;
+        ptj[q] = ptj[np - np % VLANES];
     }
 
-    /* ---- the barrier: every partial is written before one is read ---- */
-    while (atomic_load_explicit(&job->rows_done, memory_order_acquire) < job->n_chunks)
-        pool_pause();
-    if (atomic_load_explicit(&job->failed, memory_order_relaxed)) return;
-
-    /* ---- sweep 2: F_a += the partials of the entries that name a, in
-     * ascending entry order — the list's order, whoever wrote them ---- */
-    const int64_t *restrict in_off = job->in_off;
-    const int32_t *restrict in_ent = job->in_ent;
-    const int64_t n_gathers = ters_chunks(n_atoms, GATHER_ATOMS);
-    const int64_t n_in = in_off[n_atoms];
-    while ((chunk = atomic_fetch_add_explicit(&job->next_gather, 1, memory_order_relaxed)) <
-           n_gathers) {
-        const int64_t a_end =
-            (chunk + 1) * GATHER_ATOMS < n_atoms ? (chunk + 1) * GATHER_ATOMS : n_atoms;
-        for (i = chunk * GATHER_ATOMS; i < a_end; i++) {
-            ACC *restrict f_a = forces + 3 * i;
-            ACC f0 = f_a[0], f1 = f_a[1], f2 = f_a[2];
-            for (q = in_off[i]; q < in_off[i + 1]; q++) {
-                if (q + GATHER_AHEAD < n_in) {
-                    __builtin_prefetch(where + in_ent[q + GATHER_AHEAD]);
-                    __builtin_prefetch(partial + 3 * (int64_t)where[in_ent[q + GATHER_AHEAD / 4]]);
-                }
-                const double *restrict p = partial + 3 * (int64_t)where[in_ent[q]];
-                f0 += p[0];
-                f1 += p[1];
-                f2 += p[2];
-            }
-            f_a[0] = f0;
-            f_a[1] = f1;
-            f_a[2] = f2;
+    for (q0 = 0; q0 < np; q0 += VLANES) {
+        const int nv = np - q0 < VLANES ? (int)(np - q0) : VLANES;
+        const VMASK valid = lane_id < vm_set1(nv);
+        const VMASK jv = vm_load(pj + q0);
+        const vacc dij_acc[3] = {vacc_load(pd[0] + q0), vacc_load(pd[1] + q0),
+                                 vacc_load(pd[2] + q0)};
+        const VREAL rij = v_from_acc(vacc_load(pr + q0));
+        VREAL dij[3], hij[3];
+        for (c = 0; c < 3; c++) {
+            dij[c] = v_from_acc(dij_acc[c]);
+            hij[c] = dij[c] / rij;
         }
+
+        /* parameter vectors of this block, rebuilt only when (ti, tj
+         * lanes) changes: once per call and thread on a single-species
+         * system */
+        int64_t key = 1;
+        for (l = VLANES - 1; l >= 0; l--) key = key * ntypes + ptj[q0 + l];
+        REAL *restrict pv = memo + ti * MEMO_REALS(ntypes);
+        if (memo_key[ti] != key) {
+            TFN(ters_memo_fill_)(pv, ptab, ntypes, ti, ptj + q0);
+            memo_key[ti] = key;
+        }
+
+        /* ---- K loop 1: zeta and its cached derivative terms ---- */
+        vacc zeta = vacc_set1(0);
+        int64_t nk = 0;
+        for (mk = 0; mk < ns; mk++) {
+            const VMASK live = valid & (jv != vm_set1(sj[mk]));
+            const int n_live = vm_count(live);
+            if (!n_live) continue;
+            acc->count[1] += n_live;
+            const REAL *restrict tv = pv + VLANES * (N_PV + st[mk] * N_TV);
+            const VREAL rik = v_set1(kr[mk]);
+            const VREAL cos_t = DOT3_EINSUM(dij[0] * v_set1(kd[0][mk]),
+                                            dij[1] * v_set1(kd[1][mk]),
+                                            dij[2] * v_set1(kd[2][mk])) / (rij * rik);
+            VREAL fcik, fcdik;
+            TFN(ters_fc_both_)(rik, tv, live, &fcik, &fcdik);
+
+            const VREAL hcth = MV(tv, TV_H) - cos_t;
+            const VREAL denom = MV(tv, TV_D2) + hcth * hcth;
+            const VREAL g = MV(tv, TV_GAMMA) * (MV(tv, TV_GONE) - MV(tv, TV_C2) / denom);
+            const VREAL gd = MV(tv, TV_GAMMA) * (MV(tv, TV_M2C2) * hcth) / (denom * denom);
+
+            /* zeta_exp / zeta_exp_d_over, exponent clamped at +69;
+             * exp(+-0) is exactly 1, so lam3 == 0 skips the polynomial */
+            const VMASK cubic = (VMASK)MV(tv, TV_CUBIC);
+            const VREAL top = v_set1((REAL)69.0);
+            const VREAL ld = MV(tv, TV_LAM3) * (rij - rik);
+            const VREAL expo = v_sel(cubic, ld * ld * ld, ld);
+            VREAL ex = one;
+            if (vm_any(live & (expo != zero)))
+                ex = v_sel(expo == zero, one, TFN(vm_exp_)(v_sel(expo < top, expo, top)));
+            const VREAL exld = v_sel(expo >= top, zero,
+                                     v_sel(cubic, MV(tv, TV_3LAM3) * ld * ld, MV(tv, TV_LAM3)));
+
+            const VREAL contrib = fcik * g * ex;
+            zeta += v_to_acc(v_sel(live, contrib, zero));
+
+            REAL *restrict ks = kterm + VLANES * N_KTERM * nk;
+            v_store(ks + VLANES * K_COS, cos_t);
+            v_store(ks + VLANES * K_FCGDEX, fcik * gd * ex);
+            v_store(ks + VLANES * K_AJ, contrib * exld);
+            v_store(ks + VLANES * K_AK, fcdik * g * ex - contrib * exld);
+            kslot[nk++] = (int32_t)mk;
+        }
+
+        /* ---- pair terms ---- */
+        VREAL fcij, fcdij, bij, bijd;
+        TFN(ters_fc_both_)(rij, pv, valid, &fcij, &fcdij);
+        const VREAL fr = MV(pv, PV_A) * TFN(vm_exp_)(MV(pv, PV_NLAM1) * rij);
+        const VREAL frd = MV(pv, PV_NLAM1) * fr;
+        const VREAL fa = MV(pv, PV_NB) * TFN(vm_exp_)(MV(pv, PV_NLAM2) * rij);
+        const VREAL fad = MV(pv, PV_NLAM2) * fa;
+        TFN(ters_bij_both_)(v_from_acc(zeta), pv, valid, &bij, &bijd);
+
+        const VREAL e = half * fcij * (fr + bij * fa);
+        const VREAL dE = half * (fcdij * (fr + bij * fa) + fcij * (frd + bij * fad));
+        const VREAL fp = v_sel(valid, -dE / rij, zero);
+        const VREAL pre = v_sel(valid, half * fcij * fa * bijd, zero); /* dV/dzeta */
+
+        /* ---- K loop 2: zeta-derivative force terms; a lane whose j is
+         * this k holds finite garbage and is scaled by exactly zero ---- */
+        vacc f_it[3], f_jt[3];
+        for (c = 0; c < 3; c++) f_it[c] = f_jt[c] = vacc_set1(0);
+        for (s = 0; s < nk; s++) {
+            const REAL *restrict ks = kterm + VLANES * N_KTERM * s;
+            mk = kslot[s];
+            const VREAL pre_k = v_sel(jv != vm_set1(sj[mk]), pre, zero);
+            const VREAL rik = v_set1(kr[mk]);
+            const VREAL cos_t = MV(ks, K_COS), fcgdex = MV(ks, K_FCGDEX);
+            const VREAL aj = MV(ks, K_AJ), ak = MV(ks, K_AK);
+            const VREAL crij = cos_t / rij;
+            const VREAL crik = cos_t / rik;
+            for (c = 0; c < 3; c++) {
+                const VREAL hik = v_set1(kh[c][mk]);
+                const VREAL dcj = hik / rij - crij * hij[c];
+                const VREAL dck = hij[c] / rik - crik * hik;
+                const VREAL dzj = aj * hij[c] + fcgdex * dcj;
+                const VREAL dzk = ak * hik + fcgdex * dck;
+                const VREAL dzi = -(dzj + dzk);
+                f_it[c] += v_to_acc(pre_k * dzi);
+                f_jt[c] += v_to_acc(pre_k * dzj);
+                const ACC fk = vacc_hsum(v_to_acc(pre_k * dzk));
+                fs[3 * mk + c] -= fk;
+                for (a = 0; a < 3; a++) acc->k[3 * a + c] += sd[a][mk] * fk;
+            }
+        }
+
+        /* ---- out: F_i by reduction, F_j and e lane by lane ---- */
+        const vacc e_acc = v_to_acc(e);
+        for (c = 0; c < 3; c++) {
+            const vacc fv = v_to_acc(fp * dij[c]);
+            f_i[c] -= vacc_hsum(fv + f_it[c]);
+            for (l = 0; l < nv; l++) fs[3 * pslot[q0 + l] + c] += fv[l] - f_jt[c][l];
+            /* virial W_ab += d_a F_b, summed per lane */
+            for (a = 0; a < 3; a++) {
+                acc->lane[3 * a + c] += dij_acc[a] * fv;
+                acc->lane[9 + 3 * a + c] += dij_acc[a] * f_jt[c];
+            }
+        }
+        for (l = 0; l < nv; l++) e_i += e_acc[l];
+        acc->count[0] += nv;
+        acc->count[2] += nk + 1;
     }
+
+    for (c = 0; c < 3; c++) row->f_i[c] = f_i[c];
+    row->e_i = e_i;
 }
 
-int TFN(tersoff_fused_)(
-    const int64_t n_atoms,
-    const int64_t *restrict offsets, /* (N+1,) CSR row offsets, as stored   */
-    const int32_t *restrict neighbors, /* (L,)  CSR columns, as stored      */
-    const int64_t *restrict in_off,  /* (N+1,) transposed index: offsets    */
-    const int32_t *restrict in_ent,  /* (L,)   ... and CSR entries          */
-    const int32_t *restrict types,   /* (N,)                                */
-    const double *restrict x,        /* (N,3) positions                     */
-    const double *restrict geo,      /* (8,)  box + max cutoff, see above   */
-    const int64_t ntypes,
-    const double *restrict cut,      /* (nt^3,) R+D per entry, double       */
-    const REAL *restrict ptab,       /* (nt^3, N_PARAM) parameter table     */
-    const int64_t max_row,           /* longest CSR row (sizes the scratch) */
-    const int64_t threads,           /* most threads to split the rows over */
-    double *restrict scratch,        /* tersoff_scratch_doubles() doubles   */
-    double *restrict partial,        /* (L+1,3) scratch: per-slot forces    */
-    int32_t *restrict where,         /* (L,)   scratch: slot of each entry  */
-    double *restrict forces,         /* (N,3)  out                          */
-    double *restrict peratom,        /* (N,)   out                          */
-    double *restrict stress,         /* (3,3,3) out: pair, j and k virial sums */
-    int64_t *restrict info)          /* (5,) out: pairs, triplets in cutoff,
-                                        kernel bodies issued, active lanes in
-                                        them, threads the job was opened for;
-                                        on error the offending atom pair */
-{
-    ters_job job;
-    int64_t i, n_pairs = 0, n_triplets = 0, n_bodies = 0;
-    int a;
+static const walk_kind TFN(ters_kind_) = {TFN(ters_row_), ters_scratch, 0};
 
-    for (i = 0; i < n_atoms; i++)
-        if (types[i] < 0 || types[i] >= ntypes) {
-            info[0] = info[1] = i;
-            return TERS_BAD_INPUT;
-        }
-
-    job.n_atoms = n_atoms;
-    job.offsets = offsets;
-    job.neighbors = neighbors;
-    job.types = types;
-    job.x = x;
-    job.geo = geo;
-    job.ntypes = ntypes;
-    job.cut = cut;
-    job.ptab = ptab;
-    job.max_row = max_row;
-    job.in_off = in_off;
-    job.in_ent = in_ent;
-    job.n_chunks = ters_chunks(n_atoms, ROWS_PER_CHUNK);
-    job.chunk = (ters_chunk *)(((uintptr_t)scratch + POOL_CACHE_LINE - 1) &
-                               ~(uintptr_t)(POOL_CACHE_LINE - 1));
-    job.row_scratch = (double *)(job.chunk + job.n_chunks);
-    job.thread_doubles = ters_thread_doubles(max_row, ntypes);
-    job.partial = partial;
-    job.where = where;
-    memset(partial + 3 * offsets[n_atoms], 0, 3 * sizeof(double));
-    job.forces = forces;
-    job.peratom = peratom;
-    atomic_init(&job.next_rows, 0);
-    atomic_init(&job.rows_done, 0);
-    atomic_init(&job.failed, 0);
-    atomic_init(&job.next_gather, 0);
-
-    /* a thread per chunk at most; the caller alone runs the same two sweeps */
-    info[4] = pool_run((int)(threads < job.n_chunks ? threads : job.n_chunks),
-                       TFN(ters_work_), &job);
-
-    /* ---- reduce the chunk records in chunk order; the first error of the
-     * lowest chunk is the first error of the I loop ---- */
-    memset(stress, 0, 27 * sizeof(double));
-    for (i = 0; i < job.n_chunks; i++) {
-        const ters_chunk *restrict rec = job.chunk + i;
-        if (rec->fail[0] != TERS_OK) {
-            info[0] = rec->fail[1];
-            info[1] = rec->fail[2];
-            return (int)rec->fail[0];
-        }
-        for (a = 0; a < 27; a++) stress[a] += rec->w[a];
-        n_pairs += rec->count[0];
-        n_triplets += rec->count[1];
-        n_bodies += rec->count[2];
-    }
-    info[0] = n_pairs;
-    info[1] = n_triplets;
-    info[2] = n_bodies;
-    info[3] = n_pairs + n_triplets; /* every active lane is a pair or a triplet */
-    return TERS_OK;
-}
+WALK_ENTRY(TFN(tersoff_fused_), TFN(ters_kind_))
 
 #undef MV

@@ -1,4 +1,4 @@
-/* The lane abstraction of the compiled Tersoff kernel (paper Sec. V: one
+/* The lane abstraction of the compiled kernels (paper Sec. V: one
  * kernel source over a small set of vector building blocks, lowered per
  * instruction set).  Written against the GCC/Clang `vector_size`
  * extension only — no intrinsics — so the same text becomes SSE2, AVX2,
@@ -6,15 +6,15 @@
  * every operation below is one IEEE operation per lane whatever it is
  * lowered to: the result cannot depend on the ISA.
  *
- * Included once per REAL instantiation from _tersoff.c, which defines
- * REAL, IREAL/UREAL (the signed/unsigned integers of REAL's width),
- * R_SQRT, TSUF and, once, ACC and VLANES.  VLANES is a property of the
- * algorithm (scheme 1a: the pairs of one atom, four to a vector — a
- * diamond row has four), not of the register width, and is the same for
- * both instantiations; the accumulator vector is VLANES x ACC in both.
- * The first inclusion also defines what does not depend on REAL: the
- * accumulator vector and the instantiation-neutral names (v_sel, ...)
- * the kernel is written in.
+ * Included once per REAL instantiation from _tersoff.c and _sw.c, which
+ * define REAL, IREAL/UREAL (the signed/unsigned integers of REAL's
+ * width), R_SQRT and TSUF after _walker.h, which defines ACC, VLANES and
+ * the accumulator vector (VLANES x ACC in both instantiations).  VLANES
+ * is a property of the algorithm (scheme 1a: the pairs of one atom, four
+ * to a vector — a diamond row has four), not of the register width, and
+ * is the same for both instantiations.  The first inclusion also defines
+ * what does not depend on REAL: the instantiation-neutral names (v_sel,
+ * ...) the kernels are written in.
  *
  * Only constructs both compilers take in C: operators and comparisons on
  * vector types, subscripts, same-size casts (bit reinterpretation),
@@ -26,20 +26,6 @@
 #define REPRO_VEC_H
 
 #define TFN(name) CAT(name, TSUF)
-
-typedef ACC vacc __attribute__((vector_size(VLANES * sizeof(ACC))));
-
-static inline vacc vacc_set1(const ACC s) { return (vacc){s, s, s, s}; }
-
-static inline vacc vacc_load(const double *p)
-{
-    vacc v;
-    memcpy(&v, p, sizeof v);
-    return v;
-}
-
-/* the one horizontal sum: fixed order, the cheap one on a 2x2 register */
-static inline ACC vacc_hsum(const vacc v) { return (v[0] + v[2]) + (v[1] + v[3]); }
 
 /* type and function names of the current instantiation */
 #define VREAL TFN(vreal_)

@@ -184,7 +184,8 @@ static inline VREAL TFN(vm_cos_)(const VREAL x)
 
 /* Test hook (tests/test_backends.py::TestVectorMath): out[q] = f(in[q]
  * [, in2[q]]) through the lanes, VLANES at a time; the tail block is
- * padded with 1. */
+ * padded with 1.  Defined by the one unit that sets REPRO_VMATH_HOOK. */
+#ifdef REPRO_VMATH_HOOK
 #ifndef REPRO_VMATH_KINDS
 #define REPRO_VMATH_KINDS
 enum { VM_EXP, VM_LOG, VM_POW, VM_SIN, VM_COS };
@@ -213,3 +214,4 @@ int TFN(ters_vmath_)(const int64_t kind, const int64_t n, const REAL *in, const 
     }
     return 0;
 }
+#endif

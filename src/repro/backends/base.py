@@ -18,11 +18,12 @@ class BackendUnavailableError(RuntimeError):
 class ComputeBackend:
     """One entry in the compute-backend registry.
 
-    A backend is a *kernel supplier*: given a parameterization and a
-    precision mode it returns a :class:`~repro.core.pipeline.kernel.
-    MultiBodyKernel` implementation.  Everything around the kernel —
-    neighbor lists, the staged pipeline, `InteractionCache`/`Workspace`,
-    the parallel engine — is backend-agnostic and shared verbatim.
+    A backend is a *kernel supplier*: given a potential family
+    (``"tersoff"``, ``"sw"``), its parameterization and a precision mode
+    it returns a :class:`~repro.core.pipeline.kernel.MultiBodyKernel`
+    implementation.  Everything around the kernel — neighbor lists, the
+    staged pipeline, `InteractionCache`/`Workspace`, the parallel engine —
+    is backend-agnostic and shared verbatim.
 
     ``probe`` answers "can this backend run here?" without importing or
     building anything heavy: ``None`` means available, a string is the
@@ -32,7 +33,4 @@ class ComputeBackend:
     name: str
     description: str
     probe: Callable[[], str | None]
-    make_tersoff_kernel: Callable[..., Any]
-
-    def tersoff_kernel(self, params: Any, precision: Any) -> Any:
-        return self.make_tersoff_kernel(params, precision)
+    make_kernel: Callable[[str, Any, Any], Any]

@@ -1,10 +1,11 @@
 """Runtime C-extension builder/loader.
 
-The package ships C source — the compiled backend's ``_tersoff.c`` with
-the REAL-templated ``_tersoff_impl.h`` over the lane abstraction
-``_vec.h`` / ``_vmath.h`` and the thread pool ``_pool.c``, the cell-list
-neighbor build ``_neighbor.c`` and an MD step's integrator and skin test
-``_step.c`` — and compiles it into one shared object on first use with
+The package ships C source — the compiled backend's list walker
+``_walker.c`` with its two potentials, ``_tersoff.c`` and ``_sw.c`` and
+their REAL-templated bodies ``_tersoff_impl.h`` / ``_sw_impl.h`` over the
+lane abstraction ``_vec.h`` / ``_vmath.h``, the thread pool ``_pool.c``,
+the cell-list neighbor build ``_neighbor.c`` and an MD step's integrator
+and skin test ``_step.c`` — and compiles it into one shared object on first use with
 the host toolchain: no build-time step, no binary wheels, and ``pip
 install repro`` stays pure-Python.  The shared object is keyed by a
 content hash of the sources, the compile flags, the compiler identity
@@ -42,8 +43,9 @@ from pathlib import Path
 from repro.host import usable_cores
 
 _SRC_DIR = Path(__file__).resolve().parent
-_UNITS = ("_tersoff.c", "_neighbor.c", "_pool.c", "_step.c")
-_SOURCES = _UNITS + ("_tersoff_impl.h", "_vec.h", "_vmath.h", "_common.h", "_pool.h")
+_UNITS = ("_walker.c", "_tersoff.c", "_sw.c", "_neighbor.c", "_pool.c", "_step.c")
+_SOURCES = _UNITS + ("_walker.h", "_tersoff_impl.h", "_sw_impl.h", "_vec.h", "_vmath.h",
+                     "_common.h", "_pool.h")
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-pthread", "-fno-fast-math", "-ffp-contract=off",
            "-fno-math-errno", "-Wno-psabi")
 #: tried first, dropped when the compiler rejects it (generic lowering of
@@ -181,14 +183,18 @@ def _entry_points(lib: ctypes.CDLL) -> dict[str, object]:
         return fn
 
     fns: dict[str, object] = {}
-    # tersoff_fused_*(n_atoms, offsets, neighbors, in_offsets, in_entries,
+    # <potential>_fused_*(n_atoms, offsets, neighbors, in_offsets, in_entries,
     # types, x, geo, ntypes, cut, ptab, max_row, threads, scratch, partial,
-    # where, forces, peratom, stress, info) -> code; shapes/dtypes are
-    # enforced by the caller (CompiledTersoffKernel)
+    # where, forces, peratom, stress, info) -> code, and the doubles of scratch
+    # one call needs for (max_row, ntypes, n_atoms, threads); shapes and dtypes
+    # are enforced by the caller (CompiledListKernel)
     fused = [i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, ptr, i64, i64,
              ptr, ptr, ptr, ptr, ptr, ptr, ptr]
+    for potential in ("tersoff", "sw"):
+        for suffix in ("f64", "f32"):
+            fns[f"{potential}_{suffix}"] = bind(f"{potential}_fused_{suffix}", fused, ctypes.c_int)
+        fns[f"{potential}_scratch"] = bind(f"{potential}_scratch_doubles", [i64] * 4, i64)
     for suffix in ("f64", "f32"):
-        fns[suffix] = bind(f"tersoff_fused_{suffix}", fused, ctypes.c_int)
         # test hook: ters_vmath_*(kind, n, in, in2, out) -> code (_vmath.h)
         fns[f"vmath_{suffix}"] = bind(f"ters_vmath_{suffix}", [i64, i64, ptr, ptr, ptr], ctypes.c_int)
     # neighbor_build(n, x, geo, nbins, periodic, full, cell, cell_start,
@@ -207,9 +213,6 @@ def _entry_points(lib: ctypes.CDLL) -> dict[str, object]:
     # neighbor_transpose(n, n_entries, neighbors, in_offsets, in_entries)
     # -> entries placed or -1 (repro.md.neighbor.incoming_index)
     fns["neighbor_transpose"] = bind("neighbor_transpose", [i64, i64, ptr, ptr, ptr], i64)
-    # doubles of scratch tersoff_fused_* needs for (max_row, ntypes,
-    # n_atoms, threads)
-    fns["scratch_doubles"] = bind("tersoff_scratch_doubles", [i64, i64, i64, i64], i64)
     fns["lanes"] = bind("ters_lanes", [], i64)
     fns["isa"] = bind("ters_isa", [], ctypes.c_char_p)
     return fns
@@ -218,7 +221,7 @@ def _entry_points(lib: ctypes.CDLL) -> dict[str, object]:
 def load() -> dict[str, object]:
     """Build if needed, load the library, and return the entry points.
 
-    Returns ``{"f64": <fn>, "f32": <fn>, "neighbor_build": <fn>, ...}``
+    Returns ``{"tersoff_f64": <fn>, "sw_f32": <fn>, "neighbor_build": <fn>, ...}``
     (every key of :func:`_entry_points`); cached per process.  A failed
     build is remembered: from then on
     :func:`probe` gives its message as the reason the extension is

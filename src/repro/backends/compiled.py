@@ -1,16 +1,17 @@
-"""The ``compiled`` backend: Tersoff in one pass of C over the neighbor list.
+"""The ``compiled`` backend: a potential in one pass of C over the neighbor list.
 
-:class:`CompiledTersoffKernel` declares ``reads_list``: the staged
-pipeline hands it the CSR list as stored, the type column and the
-current positions (cache layers L1/L2 only), and one ctypes call into
-``_tersoff.c`` does everything else per atom — minimum-image geometry,
-the non-finite/coincident guards, the Sec. IV-D max-cutoff short list,
-the inclusive per-type-pair filter and Alg. 3 as the paper's scheme 1a:
-the pairs of an atom in four vector lanes, the K loop shared by the
-lanes (ζ with stored derivative vectors, pair terms, forces, per-atom
-energy, the three virial sums), the atoms in chunks of rows over the
-threads of a small pool inside that one call.  No pair or triplet table
-is ever staged, so a cache hit, a mask drift and a rebuilt list all cost
+:class:`CompiledListKernel` declares ``reads_list``: the staged pipeline
+hands it the CSR list as stored, the type column and the current
+positions (cache layers L1/L2 only), and one ctypes call does everything
+else per atom.  The list walker (``_walker.c``) is shared: minimum-image
+geometry, the non-finite/coincident guards, the Sec. IV-D short list,
+the atoms in chunks of rows over the threads of a small pool inside that
+one call, the two force sweeps and the reductions.  Each potential is a
+subclass that supplies a parameter table and the entry point of its C
+body, the paper's scheme 1a (the pairs of an atom in four vector lanes):
+:class:`CompiledTersoffKernel` (Alg. 3) and :class:`CompiledSWKernel`
+(φ2 and the unordered (j, k) φ3 terms).  No pair or triplet table is
+ever staged, so a cache hit, a mask drift and a rebuilt list all cost
 the same kernel call.
 
 How many threads a call uses is decided by :func:`cext.threads_for`,
@@ -19,9 +20,8 @@ share being the cores this process may run on (``threads = None``) or
 what :class:`~repro.parallel.engine.ParallelEngine` gave this rank's
 kernel.  No result bit depends on it (DESIGN.md §12).
 
-The numpy :class:`~repro.core.tersoff.production.TersoffKernel` is the
-oracle this kernel is tested against (DESIGN.md §12) and what the
-registry falls back to on a host without a C compiler.
+The numpy kernels are the oracles these are tested against (DESIGN.md
+§12) and what the registry falls back to on a host without a C compiler.
 
 The kernel instance owns its scratch (a :class:`Workspace`), never the
 module: ctypes drops the GIL for the call, and each engine rank holds a
@@ -43,13 +43,13 @@ from repro.backends.base import BackendUnavailableError
 from repro.core.pipeline import DegenerateGeometryError, MultiBodyKernel, Staging, Workspace
 from repro.md.potential import ForceResult
 
-#: Column order of the parameter table (``enum P_*`` in ``_tersoff.c``).
+#: Column order of the Tersoff parameter table (``enum P_*`` in ``_tersoff.c``).
 PARAM_FIELDS = ("R", "D", "A", "lam1", "B", "lam2", "beta", "n", "c1", "c2", "c3", "c4",
                 "gamma", "c", "d", "h", "lam3", "m")
 #: Relative slack of the squared max-cutoff prefilter; entries it lets
-#: through are decided by the exact ``r <= cutoff`` test on the distance.
+#: through are decided by the exact test on the distance.
 _PREFILTER_MARGIN = 1.0 + 1.0e-9
-#: Error returns of ``tersoff_fused_*`` (``TERS_*`` in ``_tersoff.c``).
+#: Error returns of ``<potential>_fused_*`` (``WALK_*`` in ``_walker.h``).
 _NONFINITE, _COINCIDENT = 1, 2
 
 
@@ -61,43 +61,48 @@ def pick_strategy() -> str:
     return "cext"
 
 
-class CompiledTersoffKernel(MultiBodyKernel):
-    """The fused C Tersoff kernel on the staged pipeline.
+class CompiledListKernel(MultiBodyKernel):
+    """A potential's fused C body on the list walker, on the staged pipeline.
 
     Holds no ctypes state — the library handle lives in
     :mod:`repro.backends.cext` — so instances deepcopy/pickle cleanly
     into parallel-engine workers; each worker process loads its own
     copy of the extension (a disk-cache hit after the first build).
+    A subclass names its ``entry`` point and packs its parameters
+    (:meth:`table`).
     """
 
-    uses_types = True
     reads_list = True
+    #: the extension's ``<entry>_fused_f64/_f32`` and ``<entry>_scratch_doubles``
+    entry = ""
 
     def __init__(self, params, precision):
         self.params = params
         self.precision = precision
-        flat = params.flat()
-        self._ntypes = flat.ntypes
-        self._cut = np.ascontiguousarray(flat.cut, dtype=np.float64)
-        self._ptab = np.ascontiguousarray(
-            np.stack([getattr(flat, name) for name in PARAM_FIELDS], axis=1),
-            dtype=precision.compute_dtype,
-        )
-        self.kcand_cutoff = float(np.max(flat.cut))
+        self.accum_dtype = precision.accum_dtype
+        self._ntypes, cut, table = self.table(params)
+        self._cut = np.ascontiguousarray(cut, dtype=np.float64)
+        self._ptab = np.ascontiguousarray(table, dtype=precision.compute_dtype)
+        self.kcand_cutoff = float(np.max(self._cut))
         #: most threads a call may use; ``None`` = every usable core
         self.threads: int | None = None
         self._ws = Workspace()
         self._warmed = False
 
+    def table(self, params) -> tuple[int, np.ndarray, np.ndarray]:
+        """``(types, cutoff per type triple, parameter rows)``; the largest
+        cutoff is the short list's."""
+        raise NotImplementedError
+
     @hot_path(reason="computational part of every force call (compiled backend)")
     def evaluate(self, st: Staging, n: int) -> ForceResult:
         lst = st.pairs
         ws = self._ws
-        ad = self.precision.accum_dtype
+        ad = self.accum_dtype
 
         t0 = time.perf_counter()
         fns = cext.load()
-        fn = fns["f64" if self._ptab.dtype == np.float64 else "f32"]
+        fn = fns[f"{self.entry}_{'f64' if self._ptab.dtype == np.float64 else 'f32'}"]
         warmup_s = None
         if not self._warmed:
             # first call of this instance: the load (or build) is warmup
@@ -115,7 +120,7 @@ class CompiledTersoffKernel(MultiBodyKernel):
         L = lst.n_list_entries
         if in_offsets.shape[0] != n + 1 or in_entries.shape[0] != L or lst.offsets[n] != L:
             raise ValueError("neighbor list and its transposed index do not match")
-        scratch = ws.buf("row", fns["scratch_doubles"](lst.max_row, self._ntypes, n, threads),
+        scratch = ws.buf("row", fns[f"{self.entry}_scratch"](lst.max_row, self._ntypes, n, threads),
                          np.float64)
         partial = ws.buf("partial", (L + 1, 3), np.float64)
         where = ws.buf("where", L, np.int32)
@@ -169,3 +174,34 @@ class CompiledTersoffKernel(MultiBodyKernel):
             forces = forces.astype(ad).astype(np.float64)
         return ForceResult(energy=energy, forces=forces, virial=float(np.trace(stress)),
                            stats=stats)
+
+
+class CompiledTersoffKernel(CompiledListKernel):
+    """Tersoff (Alg. 3) on the list walker: ``_tersoff_impl.h``."""
+
+    uses_types = True
+    entry = "tersoff"
+
+    def table(self, params):
+        flat = params.flat()
+        return flat.ntypes, flat.cut, np.stack([getattr(flat, f) for f in PARAM_FIELDS], axis=1)
+
+
+class CompiledSWKernel(CompiledListKernel):
+    """Stillinger-Weber on the list walker: ``_sw_impl.h``.  Type-blind
+    and accumulated in double in every mode, as :class:`SWKernel` is."""
+
+    entry = "sw"
+
+    def __init__(self, params, precision):
+        super().__init__(params, precision)
+        self.accum_dtype = np.dtype(np.float64)
+
+    def table(self, p):
+        from repro.core.sw.functional import _MIN_GAP
+
+        # the parameter-only subexpressions of repro.core.sw.functional, in
+        # double as numpy forms them (enum S_* in _sw.c is this order)
+        return 1, [p.cut], [[p.sigma, -p.sigma, p.gamma * p.sigma, -(p.gamma * p.sigma), p.cut,
+                             p.cut - _MIN_GAP, p.B, -p.p * p.B, p.p, p.q, p.A * p.epsilon,
+                             p.lam * p.epsilon, 2.0 * p.lam * p.epsilon, p.cos_theta0]]

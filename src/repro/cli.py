@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -168,14 +167,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except (SpecError, ValueError, ExecutorError) as exc:
             print(f"run: {exc}", file=sys.stderr)
             return 2
-    # the spec a checkpoint pins names the kernel that ran, as its meta["backend"] does
-    run = run.with_overrides(solver=replace(run.solver, backend=getattr(pot, "backend_name", None)))
     callbacks, sinks = _run_sinks(args, run, resume_step=sim.step_index)
 
     par = ""
     if sim.engine is not None:
         par = f", {sim.engine.workers} workers x {sim.engine.ranks} ranks"
-    be = f", backend {run.solver.backend}" if run.solver.backend else ""
+    # the kernel that ran; the checkpoint's meta["backend"] is its one record
+    be = f", backend {pot.backend_name}" if hasattr(pot, "backend_name") else ""
     print(f"{sim.system.n} Si atoms, {run.solver.potential} ({run.solver.mode}), "
           f"{args.steps} steps at {args.temperature:.0f} K{par}{be}")
     print(ThermoSample.format_header())
@@ -423,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--mode", choices=("Ref", "Opt-D", "Opt-S", "Opt-M"), default="Opt-M")
     p_run.add_argument("--potential", choices=("tersoff", "sw"), default="tersoff")
     p_run.add_argument("--backend", choices=("numpy", "compiled"), default=None,
-                       help="compute backend for the Tersoff Opt-* production path "
+                       help="compute backend for the Tersoff and SW Opt-* production paths "
                             "(default: compiled where the C extension loads, else numpy, "
                             "the oracle; an explicit 'compiled' falls back with a warning)")
     p_run.add_argument("--skin", type=float, default=1.0)

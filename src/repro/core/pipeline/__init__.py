@@ -15,7 +15,7 @@ Lennard-Jones contrast case all run through it).
 from repro.core.pipeline.accumulate import idx3_of, segsum3, segsum3_loop
 from repro.core.pipeline.cache import InteractionCache
 from repro.core.pipeline.kernel import MultiBodyKernel, Staging
-from repro.core.pipeline.pipeline import PipelinePotential, StagedPipeline
+from repro.core.pipeline.pipeline import PipelinePotential, ProductionPotential, StagedPipeline
 from repro.core.pipeline.topology import (
     DegenerateGeometryError,
     ListData,
@@ -36,6 +36,7 @@ __all__ = [
     "MultiBodyKernel",
     "PairData",
     "PipelinePotential",
+    "ProductionPotential",
     "StagedPipeline",
     "Staging",
     "TripletData",

@@ -11,7 +11,7 @@ arXiv:1710.00882) observes that portable implementations lose their
 speedups in the *scalar segment*: neighbor-list filtering and data
 staging, not the floating-point kernel.  The skin distance exists
 precisely so the neighbor list — and therefore the list-level topology
-— stays fixed for many consecutive MD steps, so staging is made
+— stays fixed for many consecutive MD steps, so that topology is made
 step-persistent here.  Validity is layered:
 
 ==========  ==========================================  =================
@@ -22,34 +22,26 @@ L1 (list)   ``NeighborList`` identity + ``version``     full-list (i, j)
 L2 (types)  L1 + the system's ``type`` array (by        ``ti``/``tj``,
             value); only for kernels with               ``pair_flat``,
             ``uses_types``                              per-entry cutoff
-L3 (masks)  L2 + the per-pair cutoff mask and (when     filtered pair /
-            the kernel has a separate k-candidate       k-candidate
-            cutoff) the Sec. IV-D max-cutoff mask,      topology, triplet
-            compared element-wise against the           expansion, the
-            previous call; skipped entirely for         kernel's
-            unfiltered (scheme-1a) kernels              parameter gathers
-                                                        and segsum
-                                                        indices
 ==========  ==========================================  =================
 
-A kernel that walks the list itself (``reads_list``: the fused C
-Tersoff kernel filters and builds its geometry per atom, straight from
-positions) stops after L2: the cache hands it the CSR arrays as stored,
-the longest row, the list's transposed index and the type column, and
-rewrites only ``x``/``box`` per call.  There is no mask to drift, so
-every call at an unchanged list and type column is a hit.
+A kernel that walks the list itself (``reads_list``: the compiled
+kernels filter and build their geometry per atom, straight from
+positions) is handed the CSR arrays as stored, the longest row, the
+list's transposed index and the type column (zeros for a type-blind
+kernel), and only ``x``/``box`` are rewritten per call.
 
 Geometry (``d``, ``r``) is recomputed from the current positions on
-*every* call — forces always follow the atoms — and the cutoff masks
-are recomputed from that fresh geometry, so a pair drifting across a
-cutoff boundary between neighbor rebuilds invalidates L3 exactly when
-it must.  A cache **hit** therefore reuses only arrays that the cold
-path would have recomputed to identical values, which is what makes
-hits bit-for-bit exact rather than approximately right.
+*every* call — forces always follow the atoms — and so are the cutoff
+masks and, for a filtering kernel, everything it stages from them (the
+filtered pairs, triplets, parameter gathers and segsum indices): the
+numpy kernels are the oracle and the no-toolchain fallback, and their
+staging stays the plain cold path.  A cache **hit** therefore reuses
+only L1/L2 arrays that the cold path would have recomputed to identical
+values, which is what makes hits bit-for-bit exact rather than
+approximately right.
 
 Counters: an L1/L2 change is an *invalidation* (the list was rebuilt or
-repointed), a mask drift at fixed list version is a *miss*, everything
-else is a *hit*.
+repointed), everything else is a *hit*.
 """
 
 from __future__ import annotations
@@ -89,9 +81,6 @@ class InteractionCache:
         self._tj_full: np.ndarray | None = None
         self._pair_flat_full: np.ndarray | None = None
         self._cut_full = None  # per-entry array, or a scalar cutoff
-        # L3: mask-keyed filtered staging
-        self._maskp: np.ndarray | None = None
-        self._maskm: np.ndarray | None = None
         self._staging: Staging | None = None
 
     def __reduce__(self):
@@ -123,7 +112,7 @@ class InteractionCache:
             self.stats.invalidations += 1
             self.stats.last_event = "invalidated"
 
-    def _prepare_list(self, system, neigh) -> Staging:
+    def _prepare_list(self, system, neigh, kernel: MultiBodyKernel) -> Staging:
         """L1/L2 only, for ``reads_list`` kernels."""
         topo_valid = not self._rekey(system, neigh)
         if not topo_valid:
@@ -145,8 +134,12 @@ class InteractionCache:
             )
             self._staging = Staging(pairs=lst, kcand=lst)
         lst = self._staging.pairs
-        if self._types is None or not np.array_equal(system.type, self._types):
-            self._types = lst.types = np.array(system.type, dtype=np.int32)
+        if self._types is None or (
+            kernel.uses_types and not np.array_equal(system.type, self._types)
+        ):
+            # a type-blind kernel sees one type, whatever the system says
+            self._types = lst.types = (np.array(system.type, dtype=np.int32) if kernel.uses_types
+                                       else np.zeros(system.n, dtype=np.int32))
             topo_valid = False
         self._count(topo_valid)
         lst.x = np.ascontiguousarray(system.x, dtype=np.float64)
@@ -156,7 +149,8 @@ class InteractionCache:
     @hot_path(reason="per-step staging; geometry scratch must come from the Workspace")
     def prepare(self, system, neigh, kernel: MultiBodyKernel) -> Staging:
         if kernel.reads_list:
-            return self._prepare_list(system, neigh)
+            # allocates only when the list or the type column changed
+            return self._prepare_list(system, neigh, kernel)  # repro-lint: disable=KA003
         ws = self.workspace
         topo_valid = not self._rekey(system, neigh)
         if not topo_valid:
@@ -190,8 +184,7 @@ class InteractionCache:
             self._count(topo_valid)
             if not topo_valid:
                 # invalidation path only: steady-state hits never rebuild
-                self._staging = self._build_staging(  # repro-lint: disable=KA003
-                    kernel, None, None, L)
+                self._staging = self._build_staging(kernel, L)  # repro-lint: disable=KA003
             st = self._staging
             st.pairs.d = d
             st.pairs.r = r
@@ -208,71 +201,32 @@ class InteractionCache:
         else:
             maskm = maskp
 
-        if (
-            topo_valid
-            and self._maskp is not None
-            and np.array_equal(maskp, self._maskp)
-            and np.array_equal(maskm, self._maskm)
-        ):
-            self.stats.hits += 1
-            self.stats.last_event = "hit"
-        else:
-            if topo_valid:
-                self.stats.misses += 1
-                self.stats.last_event = "miss"
-            else:
-                self.stats.invalidations += 1
-                self.stats.last_event = "invalidated"
-            self._maskp = maskp.copy()
-            self._maskm = self._maskp if maskm is maskp else maskm.copy()
-            # miss/invalidation path only: steady-state hits never rebuild
-            self._staging = self._build_staging(  # repro-lint: disable=KA003
-                kernel, maskp, maskm, L)
+        self._count(topo_valid)
+        # cold every call: the masks follow the positions
+        return self._build_staging(kernel, L, maskp, maskm, d, r)  # repro-lint: disable=KA003
 
-        st = self._staging
-        # fresh geometry every call (hit or not): compress the full-list
-        # d/r through the masks into reused buffers — identical values to
-        # the cold path's boolean indexing.
-        P = st.pairs.n_pairs
-        st.pairs.d = np.compress(maskp, d, axis=0, out=ws.buf("dp", (P, 3), np.float64))
-        st.pairs.r = np.compress(maskp, r, out=ws.buf("rp", P, np.float64))
-        if st.kcand is not st.pairs:
-            K = st.kcand.n_pairs
-            st.kcand.d = np.compress(maskm, d, axis=0, out=ws.buf("dk", (K, 3), np.float64))
-            st.kcand.r = np.compress(maskm, r, out=ws.buf("rk", K, np.float64))
-        return st
-
-    def _build_staging(self, kernel, maskp, maskm, n_list: int) -> Staging:
+    def _build_staging(self, kernel, n_list: int, maskp=None, maskm=None, d=None, r=None) -> Staging:
         i_idx, j_idx = self._i_full, self._j_full
-        empty = np.empty(0, dtype=np.float64)
         if maskp is None:
             # unfiltered: the full skin-extended list is the pair set
             zt = np.zeros(n_list, dtype=np.int64)
             pairs = PairData(
-                i_idx=i_idx, j_idx=j_idx, d=empty, r=empty,
+                i_idx=i_idx, j_idx=j_idx, d=d, r=r,
                 ti=zt, tj=zt, pair_flat=zt,
                 n_atoms=self._n_atoms, n_list_entries=n_list,
             )
             return kernel.build_staging(pairs, pairs)
-        if self._ti_full is None:
-            zt = np.zeros(int(np.count_nonzero(maskp)), dtype=np.int64)
-            ti_p = tj_p = pf_p = zt
-        else:
-            ti_p = self._ti_full[maskp]
-            tj_p = self._tj_full[maskp]
-            pf_p = self._pair_flat_full[maskp]
-        pairs = PairData(
-            i_idx=i_idx[maskp], j_idx=j_idx[maskp], d=empty, r=empty,
-            ti=ti_p, tj=tj_p, pair_flat=pf_p,
-            n_atoms=self._n_atoms, n_list_entries=n_list,
-        )
-        if maskm is maskp:
-            kcand = pairs
-        else:
-            kcand = PairData(
-                i_idx=i_idx[maskm], j_idx=j_idx[maskm], d=empty, r=empty,
-                ti=self._ti_full[maskm], tj=self._tj_full[maskm],
-                pair_flat=self._pair_flat_full[maskm],
+
+        def subset(mask) -> PairData:
+            if self._ti_full is None:
+                ti = tj = flat = np.zeros(int(np.count_nonzero(mask)), dtype=np.int64)
+            else:
+                ti, tj, flat = self._ti_full[mask], self._tj_full[mask], self._pair_flat_full[mask]
+            return PairData(
+                i_idx=i_idx[mask], j_idx=j_idx[mask], d=d[mask], r=r[mask],
+                ti=ti, tj=tj, pair_flat=flat,
                 n_atoms=self._n_atoms, n_list_entries=n_list,
             )
-        return kernel.build_staging(pairs, kcand)
+
+        pairs = subset(maskp)
+        return kernel.build_staging(pairs, pairs if maskm is maskp else subset(maskm))

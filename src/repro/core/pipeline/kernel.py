@@ -106,9 +106,9 @@ class MultiBodyKernel:
     def build_staging(self, pairs: PairData, kcand: PairData) -> Staging:
         """Topology-derived staging (triplets, gathers, segsum indices).
 
-        Called only when the cache (re)validates; everything built here
-        is reused across calls until the topology or masks change, so
-        it must not depend on geometry.
+        A filtering kernel gets it built on every call, from the pairs
+        of the fresh masks; an unfiltered one only when the list changes,
+        and reuses it until then, so it must not depend on geometry.
         """
         raise NotImplementedError
 

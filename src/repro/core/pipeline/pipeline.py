@@ -10,6 +10,8 @@ timing, and the ``stats["cache"]``/``stats["timing"]`` contract.
 :class:`~repro.md.potential.Potential` interface; concrete potentials
 subclass it, construct their kernel, and optionally override
 :meth:`PipelinePotential.validate` for pre-flight checks.
+:class:`ProductionPotential` is the Opt-* path of a potential family,
+whose kernel a compute backend (:mod:`repro.backends`) supplies.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from repro.core.pipeline.kernel import MultiBodyKernel
 from repro.md.atoms import AtomSystem
 from repro.md.neighbor import NeighborList
 from repro.md.potential import ForceResult, Potential
+from repro.vector.precision import Precision
 
 
 class StagedPipeline:
@@ -98,3 +101,48 @@ class PipelinePotential(Potential):
         self.check_list(neigh)
         self.validate(system)
         return self._pipeline.run(system, neigh)
+
+
+class ProductionPotential(PipelinePotential):
+    """The optimized solver of a potential family (``Opt`` modes).
+
+    Parameters
+    ----------
+    params:
+        The family's parameterization.
+    precision:
+        ``"double"`` (Opt-D), ``"single"`` (Opt-S) or ``"mixed"``
+        (Opt-M).
+    cache:
+        Step-persistent interaction cache (default on).  ``False``
+        stages through an ephemeral cache per call; results are
+        bit-for-bit identical either way.
+    backend:
+        Compute-backend name from :mod:`repro.backends` (``"numpy"``,
+        ``"compiled"``) or ``None`` for ``repro.backends.get_default()``:
+        compiled where the C extension loads, else numpy (the oracle).
+        A requested backend that cannot run falls back to ``numpy`` with a
+        one-time warning; the staging/cache machinery is identical.
+    """
+
+    #: the potential family the backend supplies a kernel for
+    family = ""
+    needs_full_list = True
+
+    def __init__(self, params, *, precision: Precision | str = Precision.DOUBLE,
+                 cache: bool = True, backend: str | None = None):
+        # function-level import: repro.backends registers kernel
+        # factories that import the production modules, so the
+        # dependency edge must stay call-time to remain cycle-free
+        from repro.backends import resolve
+
+        self.params = params
+        self.precision = Precision.parse(precision)
+        self.cutoff = params.max_cutoff
+        self.backend = resolve(backend)
+        super().__init__(self.backend.make_kernel(self.family, params, self.precision),
+                         cache=cache)
+
+    @property
+    def backend_name(self) -> str:
+        return self.backend.name

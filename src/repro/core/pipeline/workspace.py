@@ -55,7 +55,7 @@ class Workspace:
 
 @dataclass
 class CacheStats:
-    """Cumulative cache behaviour of one potential instance."""
+    """Cumulative cache behaviour of one potential (``misses`` stays 0: no layer counts one)."""
 
     hits: int = 0
     misses: int = 0

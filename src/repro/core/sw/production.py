@@ -11,6 +11,11 @@ SW declares a *strict* cutoff comparison (``r < cut``): its tail
 function ``exp(sigma/(r - cut))`` diverges at exactly ``r == cut``, so
 an inclusive filter would poison the batch.  The k-candidate set is
 the filtered pair set itself (single species, single cutoff).
+
+:class:`SWKernel` is the ``numpy`` backend's SW kernel: the oracle, and
+the fallback without a C toolchain.  Where the extension loads,
+:class:`StillingerWeberProduction` runs
+:class:`~repro.backends.compiled.CompiledSWKernel` by default.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from repro.analysis import hot_path
 from repro.core.pipeline import (
     MultiBodyKernel,
     PairData,
-    PipelinePotential,
+    ProductionPotential,
     Staging,
     TripletData,
     build_triplets,
@@ -143,32 +148,9 @@ class SWKernel(MultiBodyKernel):
         return ForceResult(energy=energy, forces=forces, virial=virial, stats=stats)
 
 
-class StillingerWeberProduction(PipelinePotential):
-    """Wide batched SW with double/single/mixed precision.
+class StillingerWeberProduction(ProductionPotential):
+    """Wide batched SW with double/single/mixed precision: the computational
+    batches run in the compute dtype, accumulation in double.  See
+    :class:`~repro.core.pipeline.ProductionPotential` for the parameters."""
 
-    Parameters
-    ----------
-    params:
-        Stillinger-Weber parameterization.
-    precision:
-        ``"double"``, ``"single"`` or ``"mixed"`` — the computational
-        batches run in the compute dtype, accumulation in double.
-    cache:
-        Step-persistent interaction cache (default on).  ``False``
-        stages through an ephemeral cache per call; results are
-        bit-for-bit identical either way.
-    """
-
-    needs_full_list = True
-
-    def __init__(
-        self,
-        params: SWParams,
-        *,
-        precision: Precision | str = Precision.DOUBLE,
-        cache: bool = True,
-    ):
-        self.params = params
-        self.precision = Precision.parse(precision)
-        self.cutoff = params.cut
-        super().__init__(SWKernel(params, self.precision), cache=cache)
+    family = "sw"

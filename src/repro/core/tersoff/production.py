@@ -35,7 +35,7 @@ from repro.analysis import hot_path
 from repro.core.pipeline import (
     MultiBodyKernel,
     PairData,
-    PipelinePotential,
+    ProductionPotential,
     Staging,
     build_triplets,
     idx3_of,
@@ -227,52 +227,12 @@ class TersoffKernel(MultiBodyKernel):
         return ForceResult(energy=energy, forces=forces, virial=virial, stats=stats)
 
 
-class TersoffProduction(PipelinePotential):
-    """The optimized solver used for real simulations (``Opt`` modes).
+class TersoffProduction(ProductionPotential):
+    """The optimized Tersoff solver used for real simulations (``Opt``
+    modes); see :class:`~repro.core.pipeline.ProductionPotential` for the
+    parameters."""
 
-    Parameters
-    ----------
-    params:
-        Tersoff parameterization.
-    precision:
-        ``"double"`` (Opt-D), ``"single"`` (Opt-S) or ``"mixed"``
-        (Opt-M).
-    cache:
-        Step-persistent interaction cache (default on).  ``False``
-        stages through an ephemeral cache per call; results are
-        bit-for-bit identical either way.
-    backend:
-        Compute-backend name from :mod:`repro.backends` (``"numpy"``,
-        ``"compiled"``) or ``None`` for ``repro.backends.get_default()``:
-        compiled where the C extension loads, else numpy (the oracle).
-        A requested backend that cannot run falls back to ``numpy`` with a
-        one-time warning; the staging/cache machinery is identical.
-    """
-
-    needs_full_list = True
-
-    def __init__(
-        self,
-        params: TersoffParams,
-        *,
-        precision: Precision | str = Precision.DOUBLE,
-        cache: bool = True,
-        backend: str | None = None,
-    ):
-        # function-level import: repro.backends registers kernel
-        # factories that import this module, so the dependency edge
-        # must stay call-time to remain cycle-free
-        from repro.backends import resolve
-
-        self.params = params
-        self.precision = Precision.parse(precision)
-        self.cutoff = params.max_cutoff
-        self.backend = resolve(backend)
-        super().__init__(self.backend.tersoff_kernel(params, self.precision), cache=cache)
-
-    @property
-    def backend_name(self) -> str:
-        return self.backend.name
+    family = "tersoff"
 
     def validate(self, system) -> None:
         if system.species != self.params.species:

@@ -55,8 +55,7 @@ import numpy as np
 
 from repro import backends
 from repro.analysis import hot_path
-from repro.core.pipeline import Workspace
-from repro.core.tersoff.production import TersoffProduction
+from repro.core.pipeline import ProductionPotential, Workspace
 from repro.host import usable_cores
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
@@ -240,9 +239,9 @@ class WorkerHost:
         this worker's share of the host; a backend the host resolved that cannot load
         here (no toolchain) falls back to numpy with resolve()'s warning."""
         t = self.potential
-        if isinstance(t, TersoffProduction) and not backends.is_available(t.backend_name):
-            potential = TersoffProduction(t.params, precision=t.precision, cache=t.cache_enabled,
-                                          backend=t.backend_name)
+        if isinstance(t, ProductionPotential) and not backends.is_available(t.backend_name):
+            potential = type(t)(t.params, precision=t.precision, cache=t.cache_enabled,
+                                backend=t.backend_name)
         else:
             potential = copy.deepcopy(t)
         kernel = getattr(potential, "kernel", None)

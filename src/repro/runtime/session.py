@@ -34,7 +34,7 @@ def build_potential(spec: SolverSpec, *, params=None):
         if spec.mode == "Ref":
             return StillingerWeberReference(params)
         return StillingerWeberProduction(
-            params, precision=spec.precision, cache=spec.cache
+            params, precision=spec.precision, cache=spec.cache, backend=spec.backend
         )
     if spec.mode == "Ref":
         from repro.core.tersoff.reference import TersoffReference

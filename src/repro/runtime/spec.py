@@ -71,9 +71,9 @@ class SolverSpec:
         Step-persistent interaction cache (bit-for-bit identical either
         way; ignored for ``Ref``).
     backend:
-        Compute backend for the Tersoff production path (``None`` =
-        process default: compiled where it loads, see :mod:`repro.backends`;
-        a checkpoint pins the name that ran).
+        Compute backend for the Tersoff and SW Opt-* production paths
+        (``None`` = process default: compiled where it loads, see
+        :mod:`repro.backends`; a checkpoint pins the name that ran).
     params_set:
         Named parameter set within the family (``"default"`` resolves
         to the canonical one: Si for both families).
@@ -101,9 +101,9 @@ class SolverSpec:
                 f"(expected 'default' or one of {sets})"
             )
         if self.backend is not None:
-            if self.potential != "tersoff" or self.mode == "Ref":
+            if self.mode == "Ref":
                 raise SpecError(
-                    "backend selection only applies to the Tersoff Opt-* production path"
+                    "backend selection only applies to the Tersoff and SW Opt-* production paths"
                 )
             from repro.backends import names
 

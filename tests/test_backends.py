@@ -1,7 +1,8 @@
 """The compute-backend registry and the compiled/numpy equivalence contract.
 
 The contract under test (DESIGN.md §12): the ``compiled`` Tersoff
-kernel is one fused C pass over positions and the CSR neighbor list —
+kernel (and SW's, on the same list walker) is one fused C pass over
+positions and the CSR neighbor list —
 it owns the minimum image, both cutoff filters and every accumulation,
 runs the pairs of an atom in four vector lanes (scheme 1a) and its own
 exp/log/sin/cos — and must agree with the numpy kernel, its oracle, to
@@ -34,6 +35,7 @@ from hypothesis import strategies as st
 from conftest import build_list, needs_compiled
 from repro import backends
 from repro.backends.base import BackendUnavailableError, ComputeBackend, UnknownBackendError
+from repro.core.sw import StillingerWeberProduction, sw_silicon
 from repro.core.tersoff.parameters import tersoff_si, tersoff_sic
 from repro.core.tersoff.production import TersoffKernel, TersoffProduction
 from repro.md.atoms import AtomSystem
@@ -92,6 +94,12 @@ def sic_workload(cells=2, seed=9):
     params = tersoff_sic()
     system = perturbed(zincblende_sic(cells, cells, cells), 0.10, seed=seed)
     return params, system, build_list(system, params.max_cutoff)
+
+
+def sw_workload(cells=3, seed=5):
+    params = sw_silicon()
+    system = perturbed(diamond_lattice(cells, cells, cells), 0.12, seed=seed)
+    return params, system, build_list(system, params.cut)
 
 
 def with_periodicity(system, periodic):
@@ -184,7 +192,7 @@ class TestRegistry:
             name="test-broken",
             description="always unavailable (test)",
             probe=lambda: "no hardware",
-            make_tersoff_kernel=lambda p, pr: None,
+            make_kernel=lambda family, p, pr: None,
         )
         backends.register(broken)
         try:
@@ -202,7 +210,7 @@ class TestRegistry:
             name="test-strict",
             description="always unavailable (test)",
             probe=lambda: "no hardware",
-            make_tersoff_kernel=lambda p, pr: None,
+            make_kernel=lambda family, p, pr: None,
         )
         backends.register(broken)
         try:
@@ -318,6 +326,30 @@ class TestCompiledEquivalence:
                                backend="compiled").compute(system, neigh)
         assert abs(rc.energy - rn.energy) / abs(rn.energy) < 1e-5
         assert maxrel(rc.forces, rn.forces) < 1e-3
+
+    @pytest.mark.parametrize("periodic", ["ppp", "ppf", "fff"])
+    @pytest.mark.parametrize("precision", ["double", "single", "mixed"])
+    def test_sw_tracks_numpy(self, precision, periodic):
+        """SW's body on the same walker, held to the same bounds; its short
+        list is strict, so the counters equal the numpy filter's."""
+        params, system, _ = sw_workload()
+        system = with_periodicity(system, PERIODICITIES[periodic])
+        neigh = build_list(system, params.cut)
+        rn = StillingerWeberProduction(params, precision=precision,
+                                       backend="numpy").compute(system, neigh)
+        rc = StillingerWeberProduction(params, precision=precision,
+                                       backend="compiled").compute(system, neigh)
+        assert rc.stats["backend"]["name"] == "compiled"
+        assert_tracks(rc, rn, precision)
+
+    def test_sw_is_type_blind(self):
+        """SW has one species: a type column the numpy kernel ignores is
+        ignored by the compiled one too, bit for bit."""
+        params, system, neigh = sw_workload(cells=2)
+        typed = AtomSystem(box=system.box, x=system.x, type=np.arange(system.n) % 2,
+                           mass=np.ones(2), species=("Si", "Ge"))
+        pot = StillingerWeberProduction(params, backend="compiled")
+        assert_bitwise(pot.compute(typed, neigh), pot.compute(system, neigh))
 
     def test_stats_contract_parity(self):
         params, system, neigh = si_workload()
@@ -659,6 +691,25 @@ class TestIsaIndependence:
         assert_same_counts(host, base)
         assert host.stats["backend"] == base.stats["backend"]
 
+    @pytest.mark.parametrize("periodic", ["ppp", "fff"])
+    @pytest.mark.parametrize("precision", ["double", "mixed"])
+    def test_sw_baseline_and_host_lowering_are_bitwise_equal(self, lowerings, monkeypatch,
+                                                             precision, periodic):
+        from repro.backends import cext
+
+        params, system, _ = sw_workload()
+        system = with_periodicity(system, PERIODICITIES[periodic])
+        neigh = build_list(system, params.cut)
+        results = []
+        for fns in lowerings:
+            monkeypatch.setattr(cext, "load", lambda fns=fns: fns)
+            pot = StillingerWeberProduction(params, precision=precision, backend="compiled")
+            results.append((pot.compute(system, neigh), kernel_sums(pot)))
+        (base, base_sums), (host, host_sums) = results
+        assert_bitwise(host, base)
+        assert np.array_equal(host_sums, base_sums)
+        assert host.stats["backend"] == base.stats["backend"]
+
 
 # ------------------------------------------ atoms I on threads: no bit moves
 
@@ -713,6 +764,27 @@ class TestThreadInvariance:
             for _ in range(3):  # who claims which chunk differs run to run
                 res, sums = self.run(params, system, neigh, threads, precision)
                 assert_same_call(res, sums, ref, ref_sums)
+
+    @pytest.mark.parametrize("periodic", list(PERIODICITIES))
+    @pytest.mark.parametrize("precision", ["double", "mixed"])
+    def test_sw_bitwise_for_one_to_four_threads(self, precision, periodic):
+        """SW runs on the same walker: the same chunks, reductions and
+        gather, so the same invariance."""
+        params, system, _ = sw_workload()
+        system = with_periodicity(system, PERIODICITIES[periodic])
+        neigh = build_list(system, params.cut)
+
+        def run(threads):
+            pot = StillingerWeberProduction(params, precision=precision, backend="compiled")
+            pot.kernel.threads = threads
+            res = pot.compute(system, neigh)
+            assert res.stats["backend"]["threads"] == min(threads, -(-system.n // 64))
+            return res, kernel_sums(pot)
+
+        ref, ref_sums = run(1)
+        for threads in (2, 3, 4):
+            for _ in range(3):
+                assert_same_call(*run(threads), ref, ref_sums)
 
     @pytest.mark.parametrize("precision", ["double", "mixed"])
     def test_decomposed_rank_with_blanked_ghost_rows(self, precision):

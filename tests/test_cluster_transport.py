@@ -287,31 +287,43 @@ class TestHostsMode:
         """A no-flag run resolves compiled on its host; a `repro worker`
         whose host cannot load the extension (REPRO_NO_CEXT there) runs
         its ranks on numpy and says so, instead of failing the step."""
-        path = str(tmp_path / "w.sock")
-        env = dict(os.environ, REPRO_NO_CEXT="1")
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "worker", "--unix", path, "--once"],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        )
-        try:
-            assert "listening on" in proc.stdout.readline()
-            system = perturbed(diamond_lattice(2, 2, 2), 0.05, seed=3)
-            results = []
-            for pot, executor in ((TersoffProduction(tersoff_si()), ClusterExecutor(hosts=[path])),
-                                  (TersoffProduction(tersoff_si(), backend="numpy"), "serial")):
-                with ParallelEngine(system.copy(), pot, workers=1, ranks=1, executor=executor) as eng:
-                    step = eng.compute(system.x)
-                    results.append((step.energy, step.forces.tobytes()))
-            assert results[0] == results[1]
-            _, err = proc.communicate(timeout=30)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.communicate(timeout=10)
-        assert "compute backend 'compiled' unavailable" in err
-        assert "falling back to 'numpy'" in err
-        assert "Traceback" not in err
+        rank_host_falls_back(tmp_path, lambda **kw: TersoffProduction(tersoff_si(), **kw))
+
+    @needs_compiled
+    def test_an_sw_rank_host_without_the_extension_falls_back_loudly(self, tmp_path):
+        from repro.core.sw import StillingerWeberProduction, sw_silicon
+
+        rank_host_falls_back(tmp_path, lambda **kw: StillingerWeberProduction(sw_silicon(), **kw))
+
+
+def rank_host_falls_back(tmp_path, make):
+    """One rank on a REPRO_NO_CEXT `repro worker` matches a serial numpy
+    engine bit for bit, and the worker warns once that it fell back."""
+    path = str(tmp_path / "w.sock")
+    env = dict(os.environ, REPRO_NO_CEXT="1")
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "worker", "--unix", path, "--once"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        assert "listening on" in proc.stdout.readline()
+        system = perturbed(diamond_lattice(2, 2, 2), 0.05, seed=3)
+        results = []
+        for pot, executor in ((make(), ClusterExecutor(hosts=[path])),
+                              (make(backend="numpy"), "serial")):
+            with ParallelEngine(system.copy(), pot, workers=1, ranks=1, executor=executor) as eng:
+                step = eng.compute(system.x)
+                results.append((step.energy, step.forces.tobytes()))
+        assert results[0] == results[1]
+        _, err = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate(timeout=10)
+    assert err.count("compute backend 'compiled' unavailable") == 1
+    assert "falling back to 'numpy'" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

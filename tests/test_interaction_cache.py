@@ -7,9 +7,10 @@ default): for any trajectory — including ones that cross ≥3 neighbor
 rebuild boundaries and drift pairs across cutoff masks — the cached
 path must produce *identical bits* to staging from scratch, in every
 precision mode.  The staging and invalidation tests name the numpy
-backend: its L1-L4 staging is what the cache reuses, while a
-``reads_list`` kernel (compiled, the default where it loads) stops after
-L2 and is held to the same property by :class:`TestListKernelStaging`.
+backend, whose filtered staging is rebuilt from fresh masks on top of
+the cached L1/L2 topology; a ``reads_list`` kernel (compiled, the
+default where it loads) takes L1/L2 as they are and is held to the
+same property by :class:`TestListKernelStaging`.
 """
 
 from __future__ import annotations
@@ -92,9 +93,10 @@ class TestBitForBitEquivalence:
             assert rc.energy == rf.energy
             assert np.array_equal(rc.forces, rf.forces)
 
-    def test_mask_drift_is_a_miss_not_stale(self):
+    def test_mask_drift_restages_not_stale(self):
         """Moving one atom across the cutoff boundary *without* a list
-        rebuild must re-stage (miss), never serve stale topology."""
+        rebuild re-stages the filtered pairs from the fresh masks (the
+        list and types are still an L1/L2 hit), never stale topology."""
         params = tersoff_si()
         system = make_cluster(8, seed=23, spread=2.3)
         nl = build_list(system, params.max_cutoff, skin=4.5, brute=True)
@@ -110,8 +112,8 @@ class TestBitForBitEquivalence:
         rf = cold.compute(system, nl)
         assert rc.energy == rf.energy
         assert np.array_equal(rc.forces, rf.forces)
-        assert cached.cache_stats.misses == 1
-        assert cached.cache_stats.last_event == "miss"
+        assert rc.stats["pairs_in_cutoff"] == rf.stats["pairs_in_cutoff"]
+        assert cached.cache_stats.last_event == "hit"
 
     def test_empty_pair_set_cached(self, si_params):
         s = make_cluster(2, seed=31, spread=8.0, min_sep=6.0)

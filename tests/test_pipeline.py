@@ -132,7 +132,7 @@ class TestSWFrozen:
     def test_bitwise(self, precision, cache):
         params = sw_silicon()
         new = _run_sequence(
-            StillingerWeberProduction(params, precision=precision, cache=cache),
+            StillingerWeberProduction(params, precision=precision, cache=cache, backend="numpy"),
             _sw_workload,
         )
         old = _run_sequence(
@@ -146,8 +146,10 @@ class TestSWFrozen:
 
     def test_cache_on_off_bitwise(self):
         params = sw_silicon()
-        on = _run_sequence(StillingerWeberProduction(params, cache=True), _sw_workload)
-        off = _run_sequence(StillingerWeberProduction(params, cache=False), _sw_workload)
+        on = _run_sequence(StillingerWeberProduction(params, cache=True, backend="numpy"),
+                           _sw_workload)
+        off = _run_sequence(StillingerWeberProduction(params, cache=False, backend="numpy"),
+                            _sw_workload)
         _assert_bitwise(on, off)
 
 

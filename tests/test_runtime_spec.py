@@ -3,6 +3,10 @@ forward compatibility, and the CLI flag adapter."""
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from repro.runtime import (
     SpecError,
     build_potential,
 )
+from repro.state import load_checkpoint, save_checkpoint
 
 
 def _workload(spec, cells=2, seed=1):
@@ -29,6 +34,38 @@ def _workload(spec, cells=2, seed=1):
 
 
 ALL_MODES = ["Ref", "Opt-D", "Opt-S", "Opt-M"]
+
+
+def restart_keeps_its_kernel(tmp_path, potential):
+    """A default run's checkpoint restarts on the default backend; one
+    whose pin is missing restores as numpy and continues bitwise."""
+    from repro.md.lattice import seeded_velocities
+    from repro.runtime.session import restore_run
+
+    def start(backend):
+        system = perturbed(diamond_lattice(3, 3, 3), 0.05, seed=7)
+        seeded_velocities(system, 600.0, seed=7)
+        spec = SolverSpec(potential=potential, mode="Opt-D", backend=backend)
+        return RunSpec(solver=spec).build_simulation(system)
+
+    default = start(None)
+    default.run(1)
+    pinned = RunSpec(solver=SolverSpec(potential=potential, mode="Opt-D"))
+    save_checkpoint(default, tmp_path / "d.ckpt", user_meta={"run_spec": pinned.to_dict()})
+    assert load_checkpoint(tmp_path / "d.ckpt").run_spec().solver.backend == backends.get_default()
+
+    truth = start("numpy")
+    truth.run(3)
+    save_checkpoint(truth, tmp_path / "n.ckpt", user_meta={"run_spec": pinned.to_dict()})
+    truth.run(3)
+    ck = load_checkpoint(tmp_path / "n.ckpt")
+    del ck.meta["backend"]  # as written before the pin
+    resumed_spec = ck.run_spec()
+    assert resumed_spec.solver.backend == "numpy"
+    resumed = restore_run(resumed_spec, ck)
+    resumed.run(3)
+    assert np.array_equal(resumed.system.x, truth.system.x)
+    assert np.array_equal(resumed.system.v, truth.system.v)
 
 
 class TestSolverSpecRoundTrip:
@@ -133,9 +170,11 @@ class TestSpecValidation:
         with pytest.raises(SpecError, match="backend"):
             SolverSpec(mode="Ref", backend="numpy")
 
-    def test_backend_on_sw_rejected(self):
-        with pytest.raises(SpecError, match="backend"):
-            SolverSpec(potential="sw", mode="Opt-D", backend="numpy")
+    def test_backend_on_sw_ref_rejected(self):
+        """SW's Opt-* path takes a backend as Tersoff's does; its Ref has none."""
+        assert SolverSpec(potential="sw", mode="Opt-D", backend="numpy").backend == "numpy"
+        with pytest.raises(SpecError, match="Tersoff and SW Opt-"):
+            SolverSpec(potential="sw", mode="Ref", backend="numpy")
 
     def test_unknown_params_set_rejected(self):
         with pytest.raises(SpecError, match="params_set"):
@@ -232,33 +271,23 @@ class TestRunSpec:
         restarts on it; one from before that pin, whose spec says
         ``backend: null``, was written when null meant numpy and
         continues bitwise like an uninterrupted numpy run."""
-        from repro.md.lattice import seeded_velocities
-        from repro.runtime.session import restore_run
-        from repro.state import load_checkpoint, save_checkpoint
+        restart_keeps_its_kernel(tmp_path, "tersoff")
 
-        def start(backend):
-            system = perturbed(diamond_lattice(3, 3, 3), 0.05, seed=7)
-            seeded_velocities(system, 600.0, seed=7)
-            return RunSpec(solver=SolverSpec(mode="Opt-D", backend=backend)).build_simulation(system)
-
-        default = start(None)
-        default.run(1)
-        save_checkpoint(default, tmp_path / "d.ckpt", user_meta={"run_spec": RunSpec().to_dict()})
-        assert load_checkpoint(tmp_path / "d.ckpt").run_spec().solver.backend == backends.get_default()
-
-        truth = start("numpy")
-        truth.run(3)
-        save_checkpoint(truth, tmp_path / "n.ckpt", user_meta={
-            "run_spec": RunSpec(solver=SolverSpec(mode="Opt-D")).to_dict()})
-        truth.run(3)
-        ck = load_checkpoint(tmp_path / "n.ckpt")
-        del ck.meta["backend"]  # as written before the pin
-        resumed_spec = ck.run_spec()
-        assert resumed_spec.solver.backend == "numpy"
-        resumed = restore_run(resumed_spec, ck)
-        resumed.run(3)
-        assert np.array_equal(resumed.system.x, truth.system.x)
-        assert np.array_equal(resumed.system.v, truth.system.v)
+    def test_an_sw_restart_keeps_its_kernel(self, tmp_path):
+        """The same for SW, whose checkpoints before its compiled kernel
+        carry no backend at all; and `repro run --potential sw` pins the
+        kernel that ran, which a CLI restart runs again."""
+        restart_keeps_its_kernel(tmp_path, "sw")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        flags = ["--potential", "sw", "--atoms", "64", "--steps", "2", "--checkpoint", "a.ckpt",
+                 "--checkpoint-every", "2"]
+        for extra in ([], ["--restart-from", "a.ckpt"]):
+            out = subprocess.run([sys.executable, "-m", "repro", "run", *flags, *extra],
+                                 cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
+            assert out.returncode == 0, out.stderr
+            assert f"backend {backends.get_default()}" in out.stdout
+        ck = load_checkpoint(tmp_path / "a.ckpt")
+        assert ck.meta["backend"] == ck.run_spec().solver.backend == backends.get_default()
 
     def test_from_args_covers_the_flag_family(self):
         args = argparse.Namespace(

@@ -298,9 +298,18 @@ def test_restart_run_config_round_trip(tmp_path):
     assert run_spec.workers == 2
     assert run_spec.executor == "thread"
     assert run_spec.skin == 1.0
+    from dataclasses import replace
+
+    from repro.backends import get_default
     from repro.runtime import RunSpec
 
-    assert RunSpec.from_dict(cfg) == run_spec
+    # what was asked for is pinned (no --backend: the default); the kernel
+    # that ran is recorded once, in meta["backend"], and the resolved spec
+    # is the pinned one with that backend
+    pinned = RunSpec.from_dict(cfg)
+    assert pinned.solver.backend is None
+    assert ck.meta["backend"] == run_spec.solver.backend == get_default()
+    assert pinned.with_overrides(solver=replace(pinned.solver, backend=ck.meta["backend"])) == run_spec
 
 
 def test_legacy_run_config_upgrades_to_run_spec(tmp_path):
