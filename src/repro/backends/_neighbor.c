@@ -10,7 +10,8 @@
  * (x - lo) / binsize truncated and clamped to [0, nbins-1], d -= L *
  * rint(d / L) on periodic axes, r^2 by DOT3_EINSUM, inclusive <= rlist^2.
  *
- * The binning is one serial pass; the row fill runs over the threads of
+ * The binning is one serial pass, which also copies the positions into
+ * cell order as three columns; the row fill runs over the threads of
  * _pool.c.  Neither the thread count nor who fills which rows moves an
  * entry: every chunk of rows writes into its own slice of the output and
  * records its row lengths, and a prefix sum and an in-order move of the
@@ -60,6 +61,8 @@ typedef struct {
     const int64_t *cell;
     const int64_t *cell_start;
     const int32_t *order;
+    const double *xs;     /* positions in cell order, three columns */
+    const double *bounds; /* per cell: least x, y, z, then greatest */
     int64_t rows;     /* per chunk */
     int64_t n_chunks;
     int64_t per;      /* output slots per chunk; the last runs to the end */
@@ -69,20 +72,55 @@ typedef struct {
     _Alignas(POOL_CACHE_LINE) _Atomic int64_t next; /* chunk claims */
 } nbr_job;
 
-/* Row i into `out` from slot `count` on (slots past `room` are counted,
- * not written); returns the count after it. */
+/* The candidates q .. end-1 of one cell against atom i at xi: every one
+ * is stored at slot `count` and the count advances by the test, so the
+ * ~1 in 8 accepts leave no branch to mispredict.  `room` is only checked
+ * when the cell could run past it (slots past `room` are counted, not
+ * written).  j == i is tested through `self`, which is i in the atom's
+ * own cell and -1 elsewhere.  Without `wrap` the cell is known to lie
+ * within L/2 of xi on every axis, where the minimum image moves nothing. */
+static inline __attribute__((always_inline)) int64_t nbr_cell(
+    const nbr_job *job, const F64 *restrict xi, int64_t q, const int64_t end,
+    const int32_t self, int32_t *restrict out,
+    const int64_t room, int64_t count, const int guarded, const int wrap)
+{
+    const double *restrict geo = job->geo;
+    const double *restrict cx = job->xs, *restrict cy = cx + job->n, *restrict cz = cy + job->n;
+    const int32_t *restrict order = job->order;
+    const F64 r2max = geo[GEO_R2];
+    int32_t spill;
+    for (; q < end; q++) {
+        const int32_t j = order[q];
+        F64 d[3] = {cx[q] - xi[0], cy[q] - xi[1], cz[q] - xi[2]};
+        int c;
+        for (c = 0; c < 3 && wrap; c++)
+            /* where |d| <= L/2, rint(d/L) is exactly 0 */
+            if (fabs(d[c]) > geo[GEO_HALF + c])
+                d[c] -= geo[GEO_LEN + c] * rint(d[c] / geo[GEO_LEN + c]);
+        *(guarded && count >= room ? &spill : out + count) = j;
+        count += (DOT3_EINSUM(d[0] * d[0], d[1] * d[1], d[2] * d[2]) <= r2max) & (j != self);
+    }
+    return count;
+}
+
+/* Row i into `out` from slot `count` on; returns the count after it.
+ * Candidates come from the cell-ordered position columns, so a cell is
+ * one contiguous run of each. */
 static int64_t nbr_row(const nbr_job *job, const int64_t i, int32_t *restrict out,
                        const int64_t room, int64_t count)
 {
-    const double *restrict x = job->x, *restrict geo = job->geo, *xi = x + 3 * i;
+    const F64 xi[3] = {job->x[3 * i], job->x[3 * i + 1], job->x[3 * i + 2]};
     const int64_t *restrict cell_start = job->cell_start;
-    const int32_t *restrict order = job->order, *restrict periodic = job->periodic;
+    const int32_t *restrict periodic = job->periodic;
     const int64_t nb0 = job->nbins[0], nb1 = job->nbins[1], nb2 = job->nbins[2];
     const int64_t ci = job->cell[i];
     const int64_t b2 = ci % nb2, b1 = (ci / nb2) % nb1, b0 = ci / (nb1 * nb2);
-    const F64 r2max = geo[GEO_R2];
+    const int32_t *restrict order = job->order;
+    const F64 *half = job->geo + GEO_HALF;
+    /* a half list keeps j > i: a suffix of each cell, which holds its
+     * atoms in ascending index */
+    const int32_t above = job->full ? -1 : (int32_t)i;
     int64_t s0, s1, s2;
-    int c;
     for (s0 = -1; s0 <= 1; s0++) {
         const int64_t t0 = shifted_bin(b0 + s0, nb0, periodic[0]);
         if (t0 < 0) continue;
@@ -91,25 +129,26 @@ static int64_t nbr_row(const nbr_job *job, const int64_t i, int32_t *restrict ou
             if (t1 < 0) continue;
             for (s2 = -1; s2 <= 1; s2++) {
                 const int64_t t2 = shifted_bin(b2 + s2, nb2, periodic[2]);
+                /* three bins or more per periodic axis: only the unshifted
+                 * cell is the atom's own, so only there can j be i */
+                const int32_t self = (s0 | s1 | s2) == 0 ? (int32_t)i : -1;
+                const double *lim;
                 int64_t q, end;
+                int c, near = 1;
                 if (t2 < 0) continue;
                 q = (t0 * nb1 + t1) * nb2 + t2;
+                /* rounding is monotone, so every d of the cell lies between
+                 * the d of its least and of its greatest coordinate */
+                for (lim = job->bounds + 6 * q, c = 0; c < 3; c++)
+                    near &= (lim[3 + c] - xi[c] <= half[c]) & (lim[c] - xi[c] >= -half[c]);
                 end = cell_start[q + 1];
-                for (q = cell_start[q]; q < end; q++) {
-                    const int64_t j = order[q];
-                    F64 d[3];
-                    if (job->full ? j == i : j <= i) continue;
-                    for (c = 0; c < 3; c++) {
-                        d[c] = x[3 * j + c] - xi[c];
-                        /* where |d| <= L/2, rint(d/L) is exactly 0 */
-                        if (fabs(d[c]) > geo[GEO_HALF + c])
-                            d[c] -= geo[GEO_LEN + c] * rint(d[c] / geo[GEO_LEN + c]);
-                    }
-                    if (DOT3_EINSUM(d[0] * d[0], d[1] * d[1], d[2] * d[2]) <= r2max) {
-                        if (count < room) out[count] = (int32_t)j;
-                        count++;
-                    }
-                }
+                for (q = cell_start[q]; q < end && order[q] <= above; q++) {}
+                if (count + (end - q) > room)
+                    count = nbr_cell(job, xi, q, end, self, out, room, count, 1, 1);
+                else if (near)
+                    count = nbr_cell(job, xi, q, end, self, out, room, count, 0, 0);
+                else
+                    count = nbr_cell(job, xi, q, end, self, out, room, count, 0, 1);
             }
         }
     }
@@ -154,6 +193,9 @@ int64_t neighbor_build(
     int64_t *restrict cell,           /* (n,)  scratch: linear cell per atom   */
     int64_t *restrict cell_start,     /* (ncells+2,) scratch                   */
     int32_t *restrict order,          /* (n,)  scratch: atoms sorted by cell   */
+    double *restrict xs,              /* (3n+6*ncells,) scratch: x, y, z
+                                         columns in the order of `order`, then
+                                         each cell's least and greatest x, y, z */
     const int64_t cap,
     int64_t *restrict offsets,        /* (n+1,) out                            */
     int32_t *restrict neighbors,      /* (cap,) out                            */
@@ -185,6 +227,19 @@ int64_t neighbor_build(
     }
     for (i = 0; i < ncells; i++) cell_start[i + 2] += cell_start[i + 1];
     for (i = 0; i < n; i++) order[cell_start[cell[i] + 1]++] = (int32_t)i;
+    for (k = 0; k < n; k++)
+        for (c = 0; c < 3; c++) xs[c * n + k] = x[3 * (int64_t)order[k] + c];
+    for (i = 0; i < ncells; i++) {
+        double *lim = xs + 3 * n + 6 * i;
+        for (c = 0; c < 3; c++) {
+            lim[c] = INFINITY;
+            lim[3 + c] = -INFINITY;
+            for (k = cell_start[i]; k < cell_start[i + 1]; k++) {
+                lim[c] = xs[c * n + k] < lim[c] ? xs[c * n + k] : lim[c];
+                lim[3 + c] = xs[c * n + k] > lim[3 + c] ? xs[c * n + k] : lim[3 + c];
+            }
+        }
+    }
 
     job.n = n;
     job.x = x;
@@ -195,6 +250,8 @@ int64_t neighbor_build(
     job.cell = cell;
     job.cell_start = cell_start;
     job.order = order;
+    job.xs = xs;
+    job.bounds = xs + 3 * n;
     job.rows = threads > 1 ? NBR_ROWS_PER_CHUNK : (n > 0 ? n : 1);
     job.n_chunks = (n + job.rows - 1) / job.rows;
     job.per = job.n_chunks > 1 ? cap / job.n_chunks : cap;

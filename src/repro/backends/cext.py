@@ -198,11 +198,11 @@ def _entry_points(lib: ctypes.CDLL) -> dict[str, object]:
         # test hook: ters_vmath_*(kind, n, in, in2, out) -> code (_vmath.h)
         fns[f"vmath_{suffix}"] = bind(f"ters_vmath_{suffix}", [i64, i64, ptr, ptr, ptr], ctypes.c_int)
     # neighbor_build(n, x, geo, nbins, periodic, full, cell, cell_start,
-    # order, cap, offsets, neighbors, threads, info) -> entries, a larger cap
-    # or -code; shapes and dtypes are enforced by the caller (NeighborList.build)
+    # order, xs, cap, offsets, neighbors, threads, info) -> entries, a larger
+    # cap or -code; shapes and dtypes are enforced by the caller (NeighborList.build)
     fns["neighbor_build"] = bind(
         "neighbor_build",
-        [i64, ptr, ptr, ptr, ptr, i32, ptr, ptr, ptr, i64, ptr, ptr, i64, ptr], i64)
+        [i64, ptr, ptr, ptr, ptr, i32, ptr, ptr, ptr, ptr, i64, ptr, ptr, i64, ptr], i64)
     # _step.c: md_kick(c, n, v, f, type, mass, ntypes), md_initial(the same, dt, x, lo,
     # lengths, 3 x periodic) -> 0/1; md_max_disp2(n, x, x_ref, 3 x length, 3 x periodic)
     f64 = ctypes.c_double

@@ -250,6 +250,7 @@ def _compiled_csr(x: np.ndarray, box: Box, rlist: float, nbins: np.ndarray,
     cell = np.empty(n, dtype=np.int64)
     cell_start = np.empty(int(np.prod(nbins)) + 2, dtype=np.int64)
     order = np.empty(n, dtype=np.int32)
+    xs = np.empty(3 * n + 6 * (cell_start.shape[0] - 2), dtype=np.float64)
     offsets = np.empty(n + 1, dtype=np.int64)
     info = np.zeros(1, dtype=np.int64)
     # sized from the mean density with headroom (a diamond lattice at skin
@@ -260,7 +261,7 @@ def _compiled_csr(x: np.ndarray, box: Box, rlist: float, nbins: np.ndarray,
         neighbors = np.empty(cap, dtype=np.int32)
         total = fn(n, x.ctypes.data, geo.ctypes.data, nbins.ctypes.data, periodic.ctypes.data,
                    int(full), cell.ctypes.data, cell_start.ctypes.data, order.ctypes.data,
-                   cap, offsets.ctypes.data, neighbors.ctypes.data, threads, info.ctypes.data)
+                   xs.ctypes.data, cap, offsets.ctypes.data, neighbors.ctypes.data, threads, info.ctypes.data)
         if total < 0:
             raise _nonfinite_position(int(info[0]))
         if total <= cap:

@@ -54,8 +54,8 @@ class PoolStats:
 class SolverSession:
     """One warm solver: potential + neighbor list + request counters.
 
-    Not thread-safe on its own; :class:`SolverPool` serializes
-    evaluations per session.
+    Not thread-safe on its own: :class:`SolverPool` holds :attr:`lock`
+    around every evaluation, so different sessions evaluate at once.
     """
 
     def __init__(self, spec: SolverSpec, *, skin: float = 1.0):
@@ -68,6 +68,7 @@ class SolverSession:
         self._shape: tuple[int, int] | None = None
         self.requests = 0
         self.last_used = time.monotonic()
+        self.lock = threading.Lock()
 
     def _list_for(self, system: AtomSystem) -> NeighborList:
         # a session serves one system shape at a time; a different atom
@@ -178,12 +179,9 @@ class SolverPool:
                  tenant: str = "default") -> ForceResult:
         """One request through the warm pool (thread-safe)."""
         sess = self.session(spec, tenant=tenant)
-        # serialize evaluations under the pool lock's successor: a
-        # per-session lock would allow concurrent evaluations of
-        # *different* sessions, but numpy releases the GIL anyway and
-        # the dispatcher is single-threaded — keep the invariant simple
-        with self._lock:
+        with sess.lock:  # an evicted session finishes this call first
             result = sess.evaluate(system)
+        with self._lock:
             self.stats.requests += 1
             self._tenant_stats(tenant)["requests"] += 1
         return result

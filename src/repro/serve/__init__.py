@@ -14,7 +14,7 @@ Layers, bottom up:
   CRC-framed array buffers and JSON;
 - :mod:`repro.serve.validate`  — the L0-L3 request validation tiers;
 - :mod:`repro.serve.server`    — the HTTP server: bounded backpressure
-  queue, single batching dispatcher over a
+  queue, one session-claiming dispatcher per usable core over a
   :class:`~repro.runtime.SolverPool`;
 - :mod:`repro.serve.client`    — a thin stdlib client (TCP + unix).
 """

@@ -6,34 +6,34 @@ Architecture (one box, no third-party dependencies):
   connections.  A handler thread does what needs no solver: it refuses
   an oversized body unread, decodes it (frame or JSON), validates it
   once, on arrays (L0-L3), and later encodes the answer as it was asked;
-- accepted requests become jobs on a **bounded** queue — when the
-  queue is full the handler answers ``429`` with the typed
-  ``backpressure`` error *immediately* instead of stacking latency;
-- a single **dispatcher** thread drains the queue in batches (up to
-  :data:`BATCH_MAX` jobs per drain) and evaluates them on the warm
+- accepted requests become jobs on one **bounded** FIFO — when it is
+  full the handler answers ``429`` with the typed ``backpressure`` error
+  *immediately* instead of stacking latency;
+- one **dispatcher** thread per usable core evaluates them on the warm
   :class:`~repro.runtime.SolverPool`: validated arrays in, a detached
-  force array out, never a Python list.  Batch fusion here is *dispatch*
-  fusion: one dequeue wakes the dispatcher once for N requests, and
-  jobs sharing a ``(tenant, spec)`` session run back-to-back while the
-  session is hot.  Geometric fusion (concatenating systems into one
-  neighbor build) is deliberately excluded — it would change
-  summation order and break the bitwise serve-equivalence contract;
+  force array out, never a Python list.  A free dispatcher claims the
+  oldest job whose ``(tenant, spec)`` session is not busy, with every
+  queued job of that session (up to :data:`BATCH_MAX`), in arrival
+  order.  A busy session is never claimed twice, so each session sees
+  its requests in order, one at a time — the bitwise serve-equivalence
+  contract — while different sessions evaluate at once (the C layers
+  release the interpreter lock).  Fusion is *dispatch* fusion only:
+  concatenating systems into one neighbor build would change summation
+  order and break that contract;
 - handler threads block on their job's event and write the response;
   ``/v1/stats`` sums each job's queue wait, evaluation and response time.
   A handler that gives up (``504``) abandons its job: the dispatcher
   skips it and counts it failed.
 
-Shutdown is clean by construction: :meth:`EvalServer.close` stops the
-dispatcher with a sentinel, shuts the listener down, and unlinks the
-unix socket path; a ``weakref.finalize`` safety net does the same if
-the server is dropped without close (and on interpreter exit), so a
-killed client or an abandoned server object never leaks sockets.
+:meth:`EvalServer.close` (or leaving its ``with`` block) stops every
+dispatcher with one flag, shuts the listener down, and unlinks the unix
+socket path; a server still open at interpreter exit is cleaned up then.
+SIGKILL leaves the socket path behind; the next server on it rebinds.
 """
 
 from __future__ import annotations
 
 import os
-import queue
 import socket
 import socketserver
 import threading
@@ -42,6 +42,7 @@ import weakref
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from repro.host import usable_cores
 from repro.runtime.pool import SolverPool, copy_forces
 from repro.serve.protocol import (
     CONTENT_TYPES,
@@ -54,7 +55,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.validate import DEFAULT_MAX_ATOMS, RequestError, validate_request
 
-#: jobs fused per dispatcher drain
+#: jobs of one session a dispatcher claims at once
 BATCH_MAX = 16
 
 
@@ -80,13 +81,14 @@ class ServeConfig:
 class _Job:
     """One accepted request travelling handler → dispatcher → handler."""
 
-    __slots__ = ("spec", "system", "tenant", "event", "response", "error",
+    __slots__ = ("spec", "system", "tenant", "key", "event", "response", "error",
                  "abandoned", "enqueued", "evaluated")
 
     def __init__(self, spec, system, tenant):
         self.spec = spec
         self.system = system
         self.tenant = tenant
+        self.key = (tenant, spec.key())  # its session in the pool
         self.event = threading.Event()
         self.response = None
         self.error = None
@@ -139,19 +141,19 @@ class _UnixHTTPServer(ThreadingHTTPServer):
         return request, ("unix", 0)
 
 
-def _cleanup(httpd, unix_path, job_queue, dispatcher, started) -> None:
-    """Idempotent teardown shared by close() and the finalizer."""
-    try:
-        job_queue.put_nowait(None)  # dispatcher stop sentinel
-    except queue.Full:
-        pass  # dispatcher drains the queue; it will hit the timeout poll
+def _cleanup(httpd, unix_path, claim, stop, dispatchers, started) -> None:
+    """Idempotent teardown shared by close() and interpreter exit."""
+    with claim:  # a dispatcher drains what it can still claim, then returns
+        stop.set()
+        claim.notify_all()
     if started.is_set():
         # shutdown() handshakes with a serve_forever loop; on a server
         # that never served it would wait forever
         httpd.shutdown()
     httpd.server_close()
-    if dispatcher.is_alive():
-        dispatcher.join(timeout=5.0)
+    for dispatcher in dispatchers:
+        if dispatcher.is_alive():
+            dispatcher.join(timeout=5.0)
     if unix_path is not None:
         try:
             os.unlink(unix_path)
@@ -181,21 +183,22 @@ class EvalServer:
             skin=self.config.skin,
         )
         self.counters = _ServerCounters()
-        self._queue: "queue.Queue[_Job | None]" = queue.Queue(
-            maxsize=self.config.backlog
-        )
+        self._jobs: list[_Job] = []  # the FIFO, at most config.backlog long
+        self._busy: set[tuple] = set()  # sessions a dispatcher has claimed
+        self._claim = threading.Condition()  # guards both, and _stop
+        self._stop = threading.Event()
         self._httpd = self._make_httpd()
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="serve-dispatcher", daemon=True
-        )
+        self._dispatchers = [
+            threading.Thread(target=self._dispatch_loop, name="serve-dispatcher", daemon=True)
+            for _ in range(usable_cores())
+        ]
         self._accept_thread: threading.Thread | None = None
         self._closed = False
         self._started = threading.Event()
-        # safety net: a dropped/killed server never leaks the socket
-        # path or the listener fd
+        # runs once: from close(), or at interpreter exit if still open
         self._finalizer = weakref.finalize(
             self, _cleanup, self._httpd, self.config.unix_path,
-            self._queue, self._dispatcher, self._started,
+            self._claim, self._stop, self._dispatchers, self._started,
         )
 
     # ---- wiring -------------------------------------------------------------
@@ -215,22 +218,21 @@ class EvalServer:
         return f"{host}:{port}"
 
     def start(self) -> "EvalServer":
-        """Run accept loop + dispatcher in background threads."""
+        """Run accept loop + dispatchers in background threads."""
         self._started.set()
-        self._dispatcher.start()
+        for dispatcher in self._dispatchers:
+            dispatcher.start()
         self._accept_thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="serve-accept",
-            daemon=True,
-        )
+            target=self._httpd.serve_forever, kwargs={"poll_interval": 0.05},
+            name="serve-accept", daemon=True)
         self._accept_thread.start()
         return self
 
     def serve_forever(self) -> None:
         """Blocking foreground serve (the CLI path)."""
         self._started.set()
-        self._dispatcher.start()
+        for dispatcher in self._dispatchers:
+            dispatcher.start()
         try:
             self._httpd.serve_forever(poll_interval=0.2)
         finally:
@@ -255,35 +257,33 @@ class EvalServer:
     def submit(self, job: _Job) -> bool:
         """Enqueue a job; False means the backlog is full (429)."""
         job.enqueued = time.perf_counter()
-        try:
-            self._queue.put_nowait(job)
-        except queue.Full:
-            return False
+        with self._claim:
+            if len(self._jobs) >= self.config.backlog:
+                return False
+            self._jobs.append(job)
+            if job.key not in self._busy:
+                self._claim.notify()  # one dispatcher per claimable job
         return True
+
+    def _claimable(self):
+        """The session of the oldest job no dispatcher holds, or None."""
+        return next((job.key for job in self._jobs if job.key not in self._busy), None)
 
     def _dispatch_loop(self) -> None:
         while True:
-            try:
-                first = self._queue.get(timeout=0.5)
-            except queue.Empty:
-                if self._closed:
-                    return
-                continue
-            if first is None:
-                return
-            # batch fusion: one wake-up drains up to BATCH_MAX jobs;
-            # jobs sharing a (tenant, spec) run on the same hot session
-            batch = [first]
-            while len(batch) < BATCH_MAX:
-                try:
-                    nxt = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if nxt is None:
-                    self._run_batch(batch)
-                    return
-                batch.append(nxt)
+            with self._claim:
+                while (key := self._claimable()) is None:
+                    if self._stop.is_set():
+                        return
+                    self._claim.wait()
+                batch = [job for job in self._jobs if job.key == key][:BATCH_MAX]
+                self._jobs = [job for job in self._jobs if job not in batch]
+                self._busy.add(key)
+                if self._claimable() is not None:
+                    self._claim.notify()  # pass on what this one leaves
             self._run_batch(batch)
+            with self._claim:
+                self._busy.discard(key)
 
     def _run_batch(self, batch: list[_Job]) -> None:
         size = len(batch)
@@ -291,9 +291,6 @@ class EvalServer:
             self.counters.batches += 1
             self.counters.fused_requests += size
             self.counters.max_batch = max(self.counters.max_batch, size)
-        # stable-sort by session key so same-session jobs are adjacent
-        # (order within a key is arrival order — deterministic)
-        batch.sort(key=lambda j: (j.tenant, j.spec.key()))
         for i, job in enumerate(batch):
             picked_up = time.perf_counter()
             if not job.abandoned:
@@ -326,7 +323,7 @@ class EvalServer:
         return {
             "schema": SERVE_SCHEMA_VERSION,
             "server": self.counters.as_dict(),
-            "queue_depth": self._queue.qsize(),
+            "queue_depth": len(self._jobs),
             "backlog": self.config.backlog,
             "content_types": list(CONTENT_TYPES),
             "pool": self.pool.snapshot(),

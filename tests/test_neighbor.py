@@ -359,6 +359,61 @@ class TestCompiledBuild:
         nl = assert_same_as_numpy(x, box, cutoff=3.0, skin=1.0)
         assert nl.n_pairs > 1.5 * 300 * 300 * (4.0 / 3.0 * np.pi * 4.0**3) / box.volume + 64
 
+    @staticmethod
+    def _battery_build(monkeypatch, x, box, cutoff, full, threads, short=False):
+        """The C build at `threads` threads against the numpy build.  With
+        `short`, each call is first made into a buffer one entry short of
+        the list: it must ask for at least the list's length and write
+        nothing past the end of the buffer."""
+        fns, asked = cext.load(), []
+        offsets, neighbors = _numpy_csr(x, box, cutoff + 1.0, full, False)
+        total = neighbors.shape[0]
+
+        def one_short(*args):
+            guarded = np.full(total + 15, -7, dtype=np.int32)
+            # cap, offsets, neighbors: the buffer, one short, then a guard
+            asked.append(fns["neighbor_build"](*args[:10], total - 1, args[11],
+                                               guarded.ctypes.data, *args[13:]))
+            assert np.all(guarded[total - 1:] == -7)
+            return fns["neighbor_build"](*args)
+
+        monkeypatch.setattr(cext, "THREAD_GRAIN", 1)
+        if short:
+            monkeypatch.setattr(cext, "load", lambda: {**fns, "neighbor_build": one_short})
+        nl = NeighborList(NeighborSettings(cutoff=cutoff, skin=1.0, full=full))
+        nl.threads = threads
+        nl.build(x, box)
+        assert np.array_equal(nl.offsets, offsets)
+        assert np.array_equal(nl.neighbors, neighbors)
+        assert all(cap >= total for cap in asked)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("full", [True, False])
+    @pytest.mark.parametrize("cutoff", [3.0, 3.77])  # rlist 4.0 (Tersoff), 4.77 (SW)
+    @pytest.mark.parametrize("cells", [(4, 4, 4), (6, 6, 6)])
+    def test_serve_mixed_shapes(self, monkeypatch, cells, cutoff, full, threads):
+        s = perturbed(diamond_lattice(*cells), 0.3, seed=2016)
+        self._battery_build(monkeypatch, s.x, s.box, cutoff, full, threads)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("full", [True, False])
+    @pytest.mark.parametrize("periodic", [(True, True, True), (True, False, True)])
+    def test_three_bins_and_atoms_half_a_bin_outside(self, monkeypatch, periodic, full, threads):
+        """Exactly 3 bins per periodic axis (each neighbor cell met once,
+        the own cell the only place j can be i), atoms up to half a bin
+        outside [lo, hi) clamped into the edge bins."""
+        box = Box(lo=np.array([-1.0, 0.0, 2.0]), hi=np.array([11.5, 12.9, 14.0]), periodic=periodic)
+        assert np.array_equal(box.lengths // 4.0, [3, 3, 3])
+        half_bin = 0.5 * box.lengths / 3
+        x = np.random.default_rng(3).uniform(box.lo - half_bin, box.hi + half_bin, size=(400, 3))
+        self._battery_build(monkeypatch, x, box, 3.0, full, threads)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("full", [True, False])
+    def test_a_buffer_one_entry_short(self, monkeypatch, full, threads):
+        s = perturbed(diamond_lattice(6, 6, 6), 0.3, seed=7919)
+        self._battery_build(monkeypatch, s.x, s.box, 3.77, full, threads, short=True)
+
     def test_melt_run_identical_without_the_extension(self, monkeypatch):
         from repro.runtime import RunSpec, SolverSpec, build_simulation
 

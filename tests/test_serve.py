@@ -1,7 +1,8 @@
 """The evaluation service: bitwise serve-equivalence in both encodings,
 the validation taxonomy, the frame refusal battery, warm-pool behavior,
-batch fusion, backpressure, and clean death.  This file is the substance
-behind the CI ``serve-equivalence`` job."""
+batch fusion, the session-parallel dispatch contract, backpressure, and
+clean death.  This file is the substance behind the CI
+``serve-equivalence`` job."""
 
 import json
 import os
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 from conftest import needs_compiled
 
+from repro.host import usable_cores
 from repro.md.box import Box
 from repro.md.lattice import diamond_lattice, perturbed
 from repro.runtime import SolverPool, SolverSpec
@@ -692,8 +694,8 @@ class TestDispatch:
         an immediate typed 429 instead of queueing latency."""
         srv = EvalServer(ServeConfig(unix_path=str(tmp_path / "d.sock"),
                                      backlog=2, request_timeout=0.5))
-        # wedge: replace the dispatcher with a no-op thread before start
-        srv._dispatcher = threading.Thread(target=lambda: None, daemon=True)
+        # wedge: replace the dispatchers with one no-op thread before start
+        srv._dispatchers = [threading.Thread(target=lambda: None, daemon=True)]
         srv.start()
         try:
             req = _request()
@@ -727,7 +729,7 @@ class TestDispatch:
         reaches it later skips it and counts it failed, not completed."""
         srv = EvalServer(ServeConfig(unix_path=str(tmp_path / "t.sock"),
                                      request_timeout=0.3))
-        srv._dispatcher = threading.Thread(target=lambda: None, daemon=True)
+        srv._dispatchers = [threading.Thread(target=lambda: None, daemon=True)]
         srv.start()
         dispatcher = threading.Thread(target=srv._dispatch_loop, daemon=True)
         try:
@@ -747,6 +749,167 @@ class TestDispatch:
             dispatcher.join(timeout=10)
         assert not dispatcher.is_alive()
 
+    # ---- the session-parallel dispatch contract ----
+
+    @pytest.mark.skipif(usable_cores() < 2, reason="one dispatcher per usable core")
+    def test_two_sessions_evaluate_at_once(self, tmp_path, monkeypatch):
+        """Jobs of two sessions are inside ``evaluate`` together: each
+        waits at a barrier the other must reach (a timeout, not a hang,
+        when they do not overlap)."""
+        from repro.serve.server import _Job
+
+        barrier = threading.Barrier(2, timeout=20)
+        evaluate = SolverSession.evaluate
+
+        def meet(sess, system):
+            barrier.wait()
+            return evaluate(sess, system)
+
+        monkeypatch.setattr(SolverSession, "evaluate", meet)
+        srv = EvalServer(ServeConfig(unix_path=str(tmp_path / "p.sock")))
+        jobs = [_Job(SPEC, _system(), "a"), _Job(SPEC, _system(), "b")]
+        try:
+            for job in jobs:
+                assert srv.submit(job)
+            srv.start()
+            assert all(job.event.wait(timeout=60) for job in jobs)
+        finally:
+            srv.close()
+        assert [job.error for job in jobs] == [None, None]
+
+    def test_interleaved_sessions_match_a_direct_replay(self, tmp_path):
+        """Two client threads interleave jobs over three sessions; each
+        session's answers are bitwise a direct, sequential replay of its
+        jobs in arrival order.  Jitters below skin/2 keep a list built at
+        another snapshot, whose row order then shows in SW's bits."""
+        from repro.serve.server import _Job
+
+        sw = SolverSpec(potential="sw", mode="Opt-D")
+        keys = [("a", sw), ("b", sw), ("a", SPEC)]
+        base, rng = perturbed(diamond_lattice(3, 3, 3), 0.3, seed=1), np.random.default_rng(0)
+        systems = [base.copy() for _ in range(6)]
+        for snap in systems:
+            snap.x = snap.x + rng.uniform(-0.12, 0.12, size=snap.x.shape)
+        srv = EvalServer(ServeConfig(unix_path=str(tmp_path / "r.sock")))
+        srv.start()
+        arrived, lock = [], threading.Lock()
+
+        def client(c):
+            rng = np.random.default_rng(c)
+            for _ in range(12):
+                k, s = int(rng.integers(3)), int(rng.integers(6))
+                job = _Job(keys[k][1], systems[s], keys[k][0])
+                with lock:  # the FIFO's order is the arrival order
+                    if srv.submit(job):
+                        arrived.append((k, s, job))
+                time.sleep(0.0005)  # no waiting for answers: sessions queue up
+
+        try:
+            threads = [threading.Thread(target=client, args=(c,)) for c in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert all(job.event.wait(timeout=60) for *_, job in arrived)
+        finally:
+            srv.close()
+        assert len(arrived) == 24
+        assert all(job.error is None for *_, job in arrived)
+        direct = [SolverSession(spec, skin=1.0) for _, spec in keys]
+        for k, s, job in arrived:
+            ref = copy_forces(direct[k].evaluate(systems[s]))
+            assert np.array_equal(np.asarray(job.response["forces"]), ref)
+
+    def test_no_session_is_evaluated_twice_at_once(self, tmp_path, monkeypatch):
+        """Four dispatchers (more than the cores), a short switch interval
+        and jobs arriving while their session is busy: no session is ever
+        inside ``evaluate`` twice, and no count is lost."""
+        import repro.serve.server as server_module
+        from repro.serve.server import _Job
+
+        inside, overlaps, lock = set(), [], threading.Lock()
+        evaluate = SolverPool.evaluate
+
+        def watched(pool, spec, system, *, tenant="default"):
+            key = (tenant, spec.key())
+            with lock:
+                if key in inside:
+                    overlaps.append(key)
+                inside.add(key)
+            time.sleep(0.002)  # widen the window a second dispatcher would need
+            try:
+                return evaluate(pool, spec, system, tenant=tenant)
+            finally:
+                with lock:
+                    inside.discard(key)
+
+        monkeypatch.setattr(SolverPool, "evaluate", watched)
+        monkeypatch.setattr(server_module, "usable_cores", lambda: 4)
+        srv = EvalServer(ServeConfig(unix_path=str(tmp_path / "w.sock")))
+        srv.start()
+        jobs = [_Job(SPEC, _system(seed=k), "abc"[k % 5 % 3]) for k in range(30)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for job in jobs:  # arrivals while the session is busy
+                assert srv.submit(job)
+                time.sleep(0.001)
+            assert all(job.event.wait(timeout=60) and job.error is None for job in jobs)
+        finally:
+            sys.setswitchinterval(interval)
+            srv.close()
+        assert len(srv._dispatchers) == 4 and overlaps == []
+        assert srv.stats()["server"]["completed"] == srv.pool.stats.requests == 30
+
+    @pytest.mark.skipif(usable_cores() < 2, reason="one dispatcher per usable core")
+    def test_evicted_mid_evaluation_finishes_first(self, tmp_path, monkeypatch):
+        """``max_sessions=1``: a second session evicts one that is mid-
+        evaluation; that call still answers (bitwise), and the evicted
+        key's next session is built only after it returned."""
+        from repro.serve.server import _Job
+
+        spec_a, spec_b = SPEC, SolverSpec(potential="tersoff", mode="Opt-D")
+        log, entered, gate = [], threading.Event(), threading.Event()
+        init, evaluate = SolverSession.__init__, SolverSession.evaluate
+
+        def built(sess, spec, **kw):
+            init(sess, spec, **kw)
+            log.append(("built", spec.key()))
+
+        def held(sess, system):
+            if sess.spec == spec_a and not entered.is_set():
+                entered.set()
+                assert gate.wait(timeout=20)
+            out = evaluate(sess, system)
+            log.append(("returned", sess.spec.key()))
+            return out
+
+        monkeypatch.setattr(SolverSession, "__init__", built)
+        monkeypatch.setattr(SolverSession, "evaluate", held)
+        system = _system()
+        srv = EvalServer(ServeConfig(unix_path=str(tmp_path / "v.sock"), max_sessions=1))
+        srv.start()
+        try:
+            first = _Job(spec_a, system, "t")
+            assert srv.submit(first) and entered.wait(timeout=20)
+            other = _Job(spec_b, system, "t")
+            assert srv.submit(other) and other.event.wait(timeout=60)
+            again = _Job(spec_a, system, "t")
+            assert srv.submit(again)
+            time.sleep(0.05)  # room for a wrong dispatcher to rebuild spec_a early
+            gate.set()
+            assert first.event.wait(timeout=60) and again.event.wait(timeout=60)
+        finally:
+            gate.set()
+            srv.close()
+        assert first.error is None and again.error is None
+        assert srv.pool.stats.evictions == 2
+        a = spec_a.key()
+        assert log.index(("returned", a)) < len(log) - 1 - log[::-1].index(("built", a))
+        assert [e for e in log if e == ("built", a)] == [("built", a)] * 2
+        ref = copy_forces(SolverSession(spec_a, skin=1.0).evaluate(system))
+        assert np.array_equal(np.asarray(first.response["forces"]), ref)
+
 
 # ---- lifecycle ---------------------------------------------------------------
 
@@ -757,10 +920,25 @@ class TestLifecycle:
         srv = EvalServer(ServeConfig(unix_path=str(path)))
         srv.start()
         assert path.exists()
+        assert len(srv._dispatchers) == usable_cores()
         srv.close()
         assert not path.exists()
-        assert not srv._dispatcher.is_alive()
+        assert not any(t.is_alive() for t in srv._dispatchers)
         srv.close()  # idempotent
+
+    def test_an_open_server_is_cleaned_up_at_exit(self, tmp_path):
+        """A started server the process never closes still unlinks its
+        socket path when the interpreter exits."""
+        path = tmp_path / "exit.sock"
+        script = ("import os, sys\n"
+                  "from repro.serve import EvalServer, ServeConfig\n"
+                  "srv = EvalServer(ServeConfig(unix_path=sys.argv[1])).start()\n"
+                  "print(os.path.exists(sys.argv[1]))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        out = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert (out.returncode, out.stdout.strip(), out.stderr) == (0, "True", "")
+        assert not path.exists()
 
     def test_tcp_ephemeral_port(self):
         srv = EvalServer(ServeConfig(host="127.0.0.1", port=0))
