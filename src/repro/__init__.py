@@ -33,59 +33,40 @@ Packages
     Experiment drivers regenerating every table and figure.
 """
 
-from repro.core.schemes import MODES, make_solver, select_scheme
-from repro.core.tersoff import (
-    TersoffOptimized,
-    TersoffParams,
-    TersoffProduction,
-    TersoffReference,
-    TersoffVectorized,
-    tersoff_carbon,
-    tersoff_germanium,
-    tersoff_si,
-    tersoff_si_1988,
-    tersoff_sic,
-    tersoff_sige,
-)
-from repro.md import (
-    AtomSystem,
-    Box,
-    LennardJones,
-    NeighborList,
-    NeighborSettings,
-    Simulation,
-    diamond_lattice,
-)
-from repro.vector import ISA, Precision, VectorBackend, get_isa, list_isas
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AtomSystem",
-    "Box",
-    "ISA",
-    "LennardJones",
-    "MODES",
-    "NeighborList",
-    "NeighborSettings",
-    "Precision",
-    "Simulation",
-    "TersoffOptimized",
-    "TersoffParams",
-    "TersoffProduction",
-    "TersoffReference",
-    "TersoffVectorized",
-    "VectorBackend",
-    "__version__",
-    "diamond_lattice",
-    "get_isa",
-    "list_isas",
-    "make_solver",
-    "select_scheme",
-    "tersoff_carbon",
-    "tersoff_germanium",
-    "tersoff_si",
-    "tersoff_si_1988",
-    "tersoff_sic",
-    "tersoff_sige",
-]
+#: defining module -> the public names ``repro`` serves from it.
+_EXPORTS = {
+    "repro.core.schemes": ("make_solver", "select_scheme"),
+    "repro.core.tersoff.optimized": ("TersoffOptimized",),
+    "repro.core.tersoff.parameters": (
+        "TersoffParams", "tersoff_carbon", "tersoff_germanium", "tersoff_si",
+        "tersoff_si_1988", "tersoff_sic", "tersoff_sige",
+    ),
+    "repro.core.tersoff.production": ("TersoffProduction",),
+    "repro.core.tersoff.reference": ("TersoffReference",),
+    "repro.core.tersoff.vectorized": ("TersoffVectorized",),
+    "repro.md.atoms": ("AtomSystem",),
+    "repro.md.box": ("Box",),
+    "repro.md.lattice": ("diamond_lattice",),
+    "repro.md.neighbor": ("NeighborList", "NeighborSettings"),
+    "repro.md.pair_lj": ("LennardJones",),
+    "repro.md.simulation": ("Simulation",),
+    "repro.runtime.spec": ("MODES",),
+    "repro.vector.backend": ("VectorBackend",),
+    "repro.vector.isa": ("ISA", "get_isa", "list_isas"),
+    "repro.vector.precision": ("Precision",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    # PEP 562: `from repro import X` imports only the module defining X
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_HOME[name]), name)
+
+
+__all__ = sorted(["__version__", *_HOME])

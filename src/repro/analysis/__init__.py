@@ -55,29 +55,4 @@ def hot_path(fn: _F | None = None, *, reason: str | None = None) -> _F:
     return mark(fn) if fn is not None else mark
 
 
-def __getattr__(name: str):
-    # Lazy re-exports: keep `from repro.analysis import hot_path` free of
-    # ast/json machinery on the production import path.
-    if name in ("run_lint", "LintConfig", "Finding", "LintResult"):
-        from repro.analysis import engine
-
-        return getattr(engine, name)
-    if name in ("sanitize", "SanitizedPotential", "SanitizeError", "check_force_result"):
-        from repro.analysis import sanitize as _sanitize
-
-        return getattr(_sanitize, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "HOT_PATH_REGISTRY",
-    "hot_path",
-    "run_lint",
-    "LintConfig",
-    "Finding",
-    "LintResult",
-    "sanitize",
-    "SanitizedPotential",
-    "SanitizeError",
-    "check_force_result",
-]
+__all__ = ["HOT_PATH_REGISTRY", "hot_path"]

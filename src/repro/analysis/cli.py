@@ -14,10 +14,6 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analysis import engine
-from repro.analysis.crules import C_RULE_DESCRIPTIONS, C_RULE_IDS
-from repro.analysis.rules import ALL_RULES
-
 
 def add_lint_parser(sub) -> None:
     """Register the ``lint`` subcommand on the top-level CLI."""
@@ -32,7 +28,7 @@ def add_lint_parser(sub) -> None:
     p.set_defaults(func=cmd_lint)
 
 
-def _render_text(result: engine.LintResult) -> str:
+def _render_text(result) -> str:
     lines = [f.render() for f in result.findings]
     lines.append(
         f"repro lint: {result.files_checked} files, {len(result.findings)} finding(s), "
@@ -43,6 +39,12 @@ def _render_text(result: engine.LintResult) -> str:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
+    # loaded here, not with the parser: `repro --help` and every other
+    # command build this subparser without the rule tables
+    from repro.analysis import engine
+    from repro.analysis.crules import C_RULE_DESCRIPTIONS, C_RULE_IDS
+    from repro.analysis.rules import ALL_RULES
+
     if args.list_rules:
         for rule in ALL_RULES:
             print(f"{rule.id} ({rule.name}) [{rule.family}]")

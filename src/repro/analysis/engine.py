@@ -26,7 +26,6 @@ from pathlib import Path
 from repro.analysis.crules import C_RULE_IDS, check_c_source, is_c_source
 from repro.analysis.rules import ALL_RULES, RULE_FAMILIES, Finding, Rule, make_context
 
-# re-export for `from repro.analysis import Finding`
 __all__ = ["Finding", "LintConfig", "LintResult", "run_lint", "repo_root", "default_paths"]
 
 # suppressions may live in python comments (`# repro-lint: ...`) or in

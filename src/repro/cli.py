@@ -128,7 +128,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.parallel.executor import ExecutorError
     from repro.runtime.session import build_potential, build_simulation, restore_run
     from repro.runtime.spec import RunSpec, SpecError
-    from repro.state import CheckpointError, load_checkpoint
+    from repro.state.checkpoint import CheckpointError, load_checkpoint
 
     ck = None
     if args.restart_from:
@@ -141,6 +141,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"restart: cannot load checkpoint: {exc}", file=sys.stderr)
             return 2
     try:
+        if args.steps < 0:
+            raise ValueError("steps must be non-negative")
         run = RunSpec.from_args(args) if ck is None else _restart_run_spec(ck, args)
         pot = build_potential(run.solver)
     except (SpecError, ValueError) as exc:
@@ -160,9 +162,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"restarted from {args.restart_from} at step {sim.step_index} "
               f"({sim.system.n} atoms, {run.solver.potential} ({run.solver.mode}))")
     else:
-        system = diamond_lattice(*cells_for_atoms(args.atoms))
-        seeded_velocities(system, args.temperature, seed=args.seed)
         try:
+            system = diamond_lattice(*cells_for_atoms(args.atoms))
+            seeded_velocities(system, args.temperature, seed=args.seed)
+            # refused here, not by the first list build inside sim.run
+            system.box.check_cutoff(run.solver.cutoff() + run.skin)
             sim = build_simulation(run, system, potential=pot)
         except (SpecError, ValueError, ExecutorError) as exc:
             print(f"run: {exc}", file=sys.stderr)
@@ -219,12 +223,12 @@ def _run_sinks(
     and stamped onto the telemetry stream, so both round-trip the full
     configuration.
     """
-    from repro.state import BinaryTrajectory, Checkpointer, TelemetrySink
-
     resuming = bool(args.restart_from)
     callbacks: list = []
     sinks: list = []
     if args.traj:
+        from repro.state.trajectory import BinaryTrajectory
+
         # on resume, frames streamed past the checkpoint are rewound so
         # the appended run continues in strict step order
         traj = BinaryTrajectory(
@@ -234,6 +238,8 @@ def _run_sinks(
         callbacks.append(traj)
         sinks.append(traj)
     if args.telemetry:
+        from repro.state.telemetry import TelemetrySink
+
         telem = TelemetrySink(
             args.telemetry, every=args.telemetry_every, append=resuming,
             meta=run.to_dict(),
@@ -241,6 +247,8 @@ def _run_sinks(
         callbacks.append(telem)
         sinks.append(telem)
     if args.checkpoint_every or args.checkpoint:
+        from repro.state.checkpoint import Checkpointer
+
         every = args.checkpoint_every or max(args.steps, 1)
         ckpt = Checkpointer(
             args.checkpoint or "run.ckpt", every=every,

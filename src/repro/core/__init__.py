@@ -1,6 +1,1 @@
 """Core contribution: the portable, vectorized Tersoff potential."""
-
-from repro.core import schemes, tersoff
-from repro.core.schemes import MODES, make_solver, select_scheme
-
-__all__ = ["MODES", "make_solver", "schemes", "select_scheme", "tersoff"]

@@ -19,11 +19,9 @@ from repro.core.tersoff.optimized import TersoffOptimized
 from repro.core.tersoff.parameters import TersoffParams
 from repro.core.tersoff.vectorized import TersoffVectorized
 from repro.md.potential import Potential
+from repro.runtime.spec import MODES  # noqa: F401 - re-exported: validation reads this tuple
 from repro.vector.isa import ISA, get_isa
 from repro.vector.precision import Precision
-
-#: The paper's execution modes (Sec. V-E).
-MODES = ("Ref", "Opt-D", "Opt-S", "Opt-M")
 
 
 def effective_width(isa: ISA, precision: Precision) -> int:

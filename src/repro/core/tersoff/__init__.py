@@ -14,43 +14,3 @@ Implementations, in the order the paper develops them:
   with step-persistent staging from
   :class:`~repro.core.pipeline.InteractionCache`.
 """
-
-from repro.core.pipeline import CacheStats, InteractionCache, Workspace
-from repro.core.tersoff.optimized import TersoffOptimized
-from repro.core.tersoff.parameters import (
-    ELEMENT_SETS,
-    TersoffEntry,
-    TersoffParams,
-    format_lammps_tersoff,
-    parse_lammps_tersoff,
-    tersoff_carbon,
-    tersoff_germanium,
-    tersoff_si,
-    tersoff_si_1988,
-    tersoff_sic,
-    tersoff_sige,
-)
-from repro.core.tersoff.production import TersoffProduction
-from repro.core.tersoff.reference import TersoffReference
-from repro.core.tersoff.vectorized import TersoffVectorized
-
-__all__ = [
-    "CacheStats",
-    "ELEMENT_SETS",
-    "InteractionCache",
-    "TersoffEntry",
-    "TersoffOptimized",
-    "TersoffParams",
-    "TersoffProduction",
-    "TersoffReference",
-    "TersoffVectorized",
-    "Workspace",
-    "format_lammps_tersoff",
-    "parse_lammps_tersoff",
-    "tersoff_carbon",
-    "tersoff_germanium",
-    "tersoff_si",
-    "tersoff_si_1988",
-    "tersoff_sic",
-    "tersoff_sige",
-]

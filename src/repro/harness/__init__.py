@@ -5,35 +5,3 @@ Each ``fig*``/``table*`` function returns an
 or rows the paper reports plus the paper's reference values, and the
 ``benchmarks/`` suite renders and asserts them.
 """
-
-from repro.harness.experiments import (
-    fig1_scheme_mappings,
-    fig2_masking,
-    fig3_precision_validation,
-    fig4_singlethread,
-    fig5_singlenode,
-    fig6_gpu,
-    fig7_xeonphi,
-    fig8_phi_nodes,
-    fig9_strong_scaling,
-    kernel_profile,
-    table_rows,
-)
-from repro.harness.reporting import ExperimentResult, Series, format_table
-
-__all__ = [
-    "ExperimentResult",
-    "Series",
-    "fig1_scheme_mappings",
-    "fig2_masking",
-    "fig3_precision_validation",
-    "fig4_singlethread",
-    "fig5_singlenode",
-    "fig6_gpu",
-    "fig7_xeonphi",
-    "fig8_phi_nodes",
-    "fig9_strong_scaling",
-    "format_table",
-    "kernel_profile",
-    "table_rows",
-]

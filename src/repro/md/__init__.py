@@ -17,34 +17,3 @@ Public surface
 - :mod:`repro.md.pair_lj` — Lennard-Jones baseline pair potential (Alg. 1).
 - :mod:`repro.md.simulation` — the timestep driver with LAMMPS-style timers.
 """
-
-from repro.md.atoms import AtomSystem
-from repro.md.box import Box
-from repro.md.lattice import (
-    bcc_lattice,
-    diamond_lattice,
-    fcc_lattice,
-    sc_lattice,
-    seeded_velocities,
-)
-from repro.md.neighbor import NeighborList, NeighborSettings
-from repro.md.pair_lj import LennardJones
-from repro.md.simulation import Simulation, StageTimers
-from repro.md.thermo import kinetic_energy, temperature
-
-__all__ = [
-    "AtomSystem",
-    "Box",
-    "LennardJones",
-    "NeighborList",
-    "NeighborSettings",
-    "Simulation",
-    "StageTimers",
-    "bcc_lattice",
-    "diamond_lattice",
-    "fcc_lattice",
-    "sc_lattice",
-    "seeded_velocities",
-    "kinetic_energy",
-    "temperature",
-]

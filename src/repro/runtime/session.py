@@ -14,6 +14,9 @@ original (asserted in ``tests/test_runtime_spec.py``).
 
 from __future__ import annotations
 
+# the default solver, imported with this module: its kernel class exists
+# before any run (benchmarks/e2e/spans.py wraps the kernel classes that do)
+from repro.core.tersoff.production import TersoffProduction
 from repro.runtime.spec import RunSpec, SolverSpec
 
 
@@ -29,7 +32,8 @@ def build_potential(spec: SolverSpec, *, params=None):
     """
     params = spec.build_params() if params is None else params
     if spec.potential == "sw":
-        from repro.core.sw import StillingerWeberProduction, StillingerWeberReference
+        from repro.core.sw.production import StillingerWeberProduction
+        from repro.core.sw.reference import StillingerWeberReference
 
         if spec.mode == "Ref":
             return StillingerWeberReference(params)
@@ -40,8 +44,6 @@ def build_potential(spec: SolverSpec, *, params=None):
         from repro.core.tersoff.reference import TersoffReference
 
         return TersoffReference(params)
-    from repro.core.tersoff.production import TersoffProduction
-
     return TersoffProduction(
         params, precision=spec.precision, cache=spec.cache, backend=spec.backend
     )

@@ -38,30 +38,16 @@ from repro.state.format import (
     StateFormatError,
     TruncatedStateError,
 )
-from repro.state.telemetry import TelemetrySink, render_telemetry_summary, summarize_telemetry
-from repro.state.trajectory import (
-    BinaryTrajectory,
-    read_binary_trajectory,
-    recover_trajectory,
-    rewind_trajectory,
-)
 
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
-    "BinaryTrajectory",
     "Checkpoint",
     "CheckpointError",
     "Checkpointer",
     "CorruptStateError",
     "StateFormatError",
-    "TelemetrySink",
     "TruncatedStateError",
     "load_checkpoint",
-    "read_binary_trajectory",
-    "recover_trajectory",
-    "render_telemetry_summary",
     "restore_simulation",
-    "rewind_trajectory",
     "save_checkpoint",
-    "summarize_telemetry",
 ]

@@ -23,26 +23,3 @@ paper's instruction sets), :class:`~repro.vector.backend.VectorBackend`,
 :class:`~repro.vector.cost.CostCounter`, and
 :class:`~repro.vector.precision.Precision`.
 """
-
-from repro.vector.backend import VectorBackend
-from repro.vector.cost import CostCounter, KernelStats
-from repro.vector.isa import (
-    ISA,
-    ISA_REGISTRY,
-    OpCosts,
-    get_isa,
-    list_isas,
-)
-from repro.vector.precision import Precision
-
-__all__ = [
-    "ISA",
-    "ISA_REGISTRY",
-    "CostCounter",
-    "KernelStats",
-    "OpCosts",
-    "Precision",
-    "VectorBackend",
-    "get_isa",
-    "list_isas",
-]

@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import argparse
+import importlib
 import os
 import subprocess
 import sys
@@ -65,8 +66,8 @@ class TestTrackedQuantities:
         def lines(root):
             return sum(len(f.read_text().splitlines()) for f in root.rglob("*.py"))
 
-        assert lines(package) <= 18_311
-        assert lines(package / "analysis") <= 2_650
+        assert lines(package) <= 18_048
+        assert lines(package / "analysis") <= 2_572
 
     def test_lint_is_one_stateless_pass(self):
         lint = _subcommands(build_parser())["lint"]
@@ -133,6 +134,18 @@ class TestRun:
         assert main(["run", "--atoms", "64", "--steps", "2", "--mode", "Ref"]) == 0
         assert "Ref" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--atoms", "8"], "exceeds half the shortest periodic box edge"),
+        (["--steps", "-1"], "steps must be non-negative"),
+        (["--temperature", "-5"], "temperature must be non-negative"),
+        (["--skin", "-1"], "skin must be non-negative"),
+    ])
+    def test_refuses_bad_input_before_the_run(self, flags, message, capsys):
+        """A typed refusal, exit 2, not a traceback out of sim.run."""
+        assert main(["run", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run: ") and message in err
+
     def test_compiled_run_says_how_many_threads_ran(self, capsys):
         """64 atoms are below the grain: one thread, whatever the host."""
         from repro import backends
@@ -178,3 +191,77 @@ class TestProfile:
         assert main(["profile", "--isa", "avx512", "--precision", "mixed"]) == 0
         out = capsys.readouterr().out
         assert "cycle profile" in out and "avx512" in out
+
+
+#: What a serial run, the runtime/serve import and the parser never load:
+#: the parallel engine and its wire, the cost model and figure drivers,
+#: the lint machinery, the trajectory/telemetry writers and the paper's
+#: lane-simulated and scalar kernels.
+_NOT_LOADED = (
+    "repro.perf", "repro.harness",
+    *(f"repro.parallel.{m}" for m in ("engine", "transport", "cluster", "decomposition", "comm")),
+    *(f"repro.analysis.{m}" for m in ("engine", "rules", "crules", "dataflow", "callgraph", "sanitize")),
+    "repro.state.telemetry", "repro.state.trajectory", "repro.core.schemes",
+    *(f"repro.core.tersoff.{m}" for m in ("vectorized", "optimized", "reference")),
+)
+
+#: The public names ``repro`` serves: none may go.
+_PUBLIC = {
+    "AtomSystem", "Box", "ISA", "LennardJones", "MODES", "NeighborList",
+    "NeighborSettings", "Precision", "Simulation", "TersoffOptimized", "TersoffParams",
+    "TersoffProduction", "TersoffReference", "TersoffVectorized", "VectorBackend",
+    "__version__", "diamond_lattice", "get_isa", "list_isas", "make_solver",
+    "select_scheme", "tersoff_carbon", "tersoff_germanium", "tersoff_si",
+    "tersoff_si_1988", "tersoff_sic", "tersoff_sige",
+}
+
+
+def _loaded_after(code):
+    """The ``repro`` modules a fresh interpreter holds after `code`."""
+    code += "\nimport sys\nprint(*(m for m in sys.modules if m.startswith('repro')))\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def _forbidden(loaded):
+    return sorted(m for m in loaded
+                  if any(m == f or m.startswith(f + ".") for f in _NOT_LOADED))
+
+
+class TestImportLayering:
+    """A command imports what it runs: package ``__init__`` files
+    re-export nothing a command did not ask for."""
+
+    def test_serial_run(self):
+        loaded = _loaded_after("from repro.cli import main\n"
+                               "main(['run', '--atoms', '64', '--steps', '0'])")
+        assert _forbidden(loaded) == []
+
+    def test_runtime_and_serve_import(self):
+        """The default solver's kernel class comes with the runtime, so
+        benchmarks/e2e/spans.py, which wraps every kernel class that
+        exists when it installs, times the numpy Tersoff kernel too."""
+        loaded = _loaded_after("import repro.runtime, repro.serve")
+        assert "repro.core.tersoff.production" in loaded
+        assert _forbidden(loaded) == []
+
+    def test_parser(self):
+        loaded = _loaded_after("from repro.cli import build_parser\nbuild_parser()")
+        assert _forbidden(loaded) == []
+        assert "repro.runtime" not in loaded and "repro.md" not in loaded
+
+    def test_root_package_imports_nothing(self):
+        assert _loaded_after("import repro") == {"repro"}
+
+    def test_public_names_resolve_lazily(self):
+        import repro
+        from repro.runtime.spec import MODES
+
+        assert set(repro.__all__) == _PUBLIC
+        assert repro.MODES is MODES
+        for name in sorted(_PUBLIC - {"MODES", "__version__"}):
+            obj = getattr(repro, name)
+            assert getattr(importlib.import_module(obj.__module__), name) is obj
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.no_such_name

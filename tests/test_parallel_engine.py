@@ -216,15 +216,14 @@ class TestImportPath:
     def test_engine_import_loads_no_measurement_code(self):
         """Every decomposed run and every spawned worker imports the
         engine: it may pull in the cost model behind the comm fit
-        (``repro.perf.network`` and its package), not a bench harness
-        or the figure drivers."""
+        (``repro.perf.network``), not the machine tables, the step
+        model, a bench harness or the figure drivers."""
         code = ("import sys, repro.parallel.engine\n"
                 "print(sorted(m for m in sys.modules\n"
                 "             if m.startswith(('repro.perf.', 'repro.harness'))))\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, check=True)
-        assert proc.stdout.strip() == str(
-            [f"repro.perf.{m}" for m in ("machines", "model", "network", "offload")])
+        assert proc.stdout.strip() == str(["repro.perf.network"])
 
 
 class ExplodingPotential(Potential):

@@ -39,14 +39,9 @@ from repro.md.neighbor import NeighborSettings
 from repro.md.simulation import Simulation
 from repro.runtime import RunSpec, SolverSpec, SpecError
 from repro.runtime.session import restore_run
-from repro.state import (
-    CheckpointError,
-    load_checkpoint,
-    read_binary_trajectory,
-    restore_simulation,
-    save_checkpoint,
-    summarize_telemetry,
-)
+from repro.state import CheckpointError, load_checkpoint, restore_simulation, save_checkpoint
+from repro.state.telemetry import summarize_telemetry
+from repro.state.trajectory import read_binary_trajectory
 
 # drift regime with neighbor rebuilds on both sides of the step-5
 # checkpoint (verified by test_drift_sequence_rebuilds)

@@ -19,16 +19,14 @@ from repro.core.tersoff.production import TersoffProduction
 from repro.md.integrate import Langevin
 from repro.md.lattice import diamond_lattice, perturbed, seeded_velocities
 from repro.md.simulation import Simulation
-from repro.state import (
-    BinaryTrajectory,
+from repro.state.format import CorruptStateError
+from repro.state.telemetry import (
     TelemetrySink,
-    read_binary_trajectory,
-    recover_trajectory,
+    read_telemetry,
     render_telemetry_summary,
     summarize_telemetry,
 )
-from repro.state.format import CorruptStateError
-from repro.state.telemetry import read_telemetry
+from repro.state.trajectory import BinaryTrajectory, read_binary_trajectory, recover_trajectory
 
 
 def make_sim(si_params, *, cache=True):
@@ -125,7 +123,7 @@ class TestBinaryTrajectory:
         path = tmp_path / "run.rtrj"
         with BinaryTrajectory(path, every=1) as traj:
             sim.run(5, callback=[traj])
-        from repro.state import rewind_trajectory
+        from repro.state.trajectory import rewind_trajectory
 
         kept, dropped = rewind_trajectory(path, 3)
         assert (kept, dropped) == (3, 2)
