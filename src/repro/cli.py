@@ -8,14 +8,21 @@ Commands
     Run an MD simulation of Tersoff (or SW) silicon and print thermo.
 ``worker``
     Listen as a cluster worker (``repro run --hosts`` connects to it).
+``serve``
+    The batched evaluation service (HTTP over TCP or a unix socket).
 ``figure``
     Regenerate one of the paper's figures/tables (fig1..fig9, table1..3).
 ``sweep``
     The performance-portability sweep (modes x machines).
-``lint``
-    The kernel-contract static analyzer (rules KA001-KA005).
+``validate``
+    The correctness battery.
+``profile``
+    Cycle profile of the vectorized Tersoff kernel on a simulated ISA.
 ``telemetry``
     Aggregate the JSON-lines telemetry of ``run --telemetry``.
+``lint``
+    The contract static analyzer: kernel rules KA, determinism KB,
+    lifecycle KC, state KD and the C-kernel pass KE (``--list-rules``).
 """
 
 from __future__ import annotations
@@ -143,6 +150,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         if args.steps < 0:
             raise ValueError("steps must be non-negative")
+        for flag in ("traj_every", "telemetry_every", "checkpoint_every"):
+            every = getattr(args, flag)
+            if every is not None and every < 1:
+                raise ValueError(f"--{flag.replace('_', '-')} must be >= 1, got {every}")
         run = RunSpec.from_args(args) if ck is None else _restart_run_spec(ck, args)
         pot = build_potential(run.solver)
     except (SpecError, ValueError) as exc:
@@ -297,13 +308,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"serve: bad --bind {args.bind!r} (expected HOST:PORT)",
                   file=sys.stderr)
             return 2
-    config = ServeConfig(
-        **listen, max_sessions=args.max_sessions, per_tenant_cap=args.per_tenant_cap,
-        skin=args.skin, backlog=args.backlog, max_atoms=args.max_atoms,
-    )
     try:
+        config = ServeConfig(
+            **listen, max_sessions=args.max_sessions, per_tenant_cap=args.per_tenant_cap,
+            skin=args.skin, backlog=args.backlog, max_atoms=args.max_atoms,
+        )
         server = EvalServer(config)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"serve: {exc}", file=sys.stderr)
         return 2
     print(f"serving on {server.address} "

@@ -7,15 +7,19 @@ repository's rendition of that claim at the *potential* level.  The
 scalar filter (:mod:`repro.core.pipeline.topology`), the
 step-persistent :class:`InteractionCache`, the :class:`Workspace`
 arena, the fused segmented sums and the timing/cache stats contract
-all live here once; a potential contributes only a
-:class:`MultiBodyKernel` (Tersoff, Stillinger-Weber and the vectorized
-Lennard-Jones contrast case all run through it).
+all live here once, behind one class, :class:`PipelinePotential`: the
+Opt-* solver of a family.  A family contributes only a
+:class:`MultiBodyKernel` per compute backend (Tersoff and
+Stillinger-Weber, each a compiled list walker and a numpy oracle).
+The lane simulators (``TersoffVectorized``, ``StillingerWeberVectorized``,
+``LennardJonesVectorized``) are plain potentials that stage their
+own lanes each call; they do not run through it.
 """
 
 from repro.core.pipeline.accumulate import idx3_of, segsum3, segsum3_loop
 from repro.core.pipeline.cache import InteractionCache
 from repro.core.pipeline.kernel import MultiBodyKernel, Staging
-from repro.core.pipeline.pipeline import PipelinePotential, ProductionPotential, StagedPipeline
+from repro.core.pipeline.pipeline import PipelinePotential
 from repro.core.pipeline.topology import (
     DegenerateGeometryError,
     ListData,
@@ -36,8 +40,6 @@ __all__ = [
     "MultiBodyKernel",
     "PairData",
     "PipelinePotential",
-    "ProductionPotential",
-    "StagedPipeline",
     "Staging",
     "TripletData",
     "Workspace",

@@ -32,8 +32,8 @@ kernel), and only ``x``/``box`` are rewritten per call.
 
 Geometry (``d``, ``r``) is recomputed from the current positions on
 *every* call — forces always follow the atoms — and so are the cutoff
-masks and, for a filtering kernel, everything it stages from them (the
-filtered pairs, triplets, parameter gathers and segsum indices): the
+masks and everything the kernel stages from them (the filtered pairs,
+triplets, parameter gathers and segsum indices): the
 numpy kernels are the oracle and the no-toolchain fallback, and their
 staging stays the plain cold path.  A cache **hit** therefore reuses
 only L1/L2 arrays that the cold path would have recomputed to identical
@@ -174,21 +174,7 @@ class InteractionCache:
 
         i_idx, j_idx = self._i_full, self._j_full
         L = i_idx.shape[0]
-        d, r = pair_geometry(
-            system.x, system.box, i_idx, j_idx, workspace=ws, want_r=kernel.needs_r
-        )
-
-        if not kernel.uses_filter:
-            # unfiltered kernels (scheme 1a) mask in-register: validity
-            # is purely topological, every same-version call is a hit
-            self._count(topo_valid)
-            if not topo_valid:
-                # invalidation path only: steady-state hits never rebuild
-                self._staging = self._build_staging(kernel, L)  # repro-lint: disable=KA003
-            st = self._staging
-            st.pairs.d = d
-            st.pairs.r = r
-            return st
+        d, r = pair_geometry(system.x, system.box, i_idx, j_idx, workspace=ws)
 
         maskp = ws.buf("maskp", L, bool)
         if kernel.cutoff_inclusive:
@@ -205,17 +191,11 @@ class InteractionCache:
         # cold every call: the masks follow the positions
         return self._build_staging(kernel, L, maskp, maskm, d, r)  # repro-lint: disable=KA003
 
-    def _build_staging(self, kernel, n_list: int, maskp=None, maskm=None, d=None, r=None) -> Staging:
+    def _build_staging(self, kernel, n_list: int, maskp, maskm, d, r) -> Staging:
+        """The pairs within the cutoff (``maskp``) and the k-candidates
+        (``maskm``, the same mask unless ``separate_kcand``), handed to
+        the kernel's :meth:`~MultiBodyKernel.build_staging`."""
         i_idx, j_idx = self._i_full, self._j_full
-        if maskp is None:
-            # unfiltered: the full skin-extended list is the pair set
-            zt = np.zeros(n_list, dtype=np.int64)
-            pairs = PairData(
-                i_idx=i_idx, j_idx=j_idx, d=d, r=r,
-                ti=zt, tj=zt, pair_flat=zt,
-                n_atoms=self._n_atoms, n_list_entries=n_list,
-            )
-            return kernel.build_staging(pairs, pairs)
 
         def subset(mask) -> PairData:
             if self._ti_full is None:

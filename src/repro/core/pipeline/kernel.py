@@ -4,9 +4,8 @@ A :class:`MultiBodyKernel` is the *computational component* of the
 paper's filter/compute split: it declares, via class attributes, what
 the potential-agnostic filter/staging layer must produce (typed pair
 tables? inclusive or strict cutoff comparison? a separate max-cutoff
-k-candidate set? distances or only squared distances?), builds its own
-topology-derived staging once per cache (in)validation, and evaluates
-energies/forces from fresh per-call geometry.
+k-candidate set? or the raw list?), builds its own staging from the
+filtered pairs, and evaluates energies/forces from them.
 
 The pipeline (:mod:`repro.core.pipeline.pipeline`) and the cache
 (:mod:`repro.core.pipeline.cache`) are the only callers; a new
@@ -29,15 +28,14 @@ from repro.md.potential import ForceResult
 class Staging:
     """Everything a kernel consumes for one force call.
 
-    ``pairs``/``kcand`` carry fresh geometry every call (the cache
-    rewrites their ``d``/``r`` views before each ``evaluate``); all
-    other fields are topology or parameter pulls that the cache may
-    reuse across calls.  ``kcand`` may be the same object as ``pairs``
-    (kernels without a separate k-candidate cutoff).  ``idx3`` holds
-    the fused segmented-sum index arrays; ``gathers`` is the kernel's
-    own bag of topology-derived arrays (parameter gathers, lane
-    layouts, ...).  For a ``reads_list`` kernel ``pairs`` (and
-    ``kcand``) is a :class:`ListData` instead and ``tri`` stays ``None``.
+    For a filtering kernel the cache builds it anew every call from
+    that call's masked pairs.  ``kcand`` may be the same object as
+    ``pairs`` (kernels without a separate k-candidate cutoff).
+    ``idx3`` holds the fused segmented-sum index arrays; ``gathers`` is
+    the kernel's own bag of derived arrays (parameter gathers, ...).
+    For a ``reads_list`` kernel ``pairs`` (and ``kcand``) is a
+    :class:`ListData` the cache keeps across calls, rewriting only its
+    positions, and ``tri`` stays ``None``.
     """
 
     pairs: PairData | ListData
@@ -58,12 +56,6 @@ class MultiBodyKernel:
         and per-entry cutoffs via :meth:`pair_cutoffs`.  When False the
         type columns are zeros and :meth:`pair_cutoffs` must return a
         scalar cutoff.
-    ``uses_filter``
-        The staging layer filters list entries against the cutoff
-        before the kernel sees them.  When False the kernel receives
-        the *full* skin-extended list (scheme-(1a) potentials mask
-        in-register) and validity is purely topological (L1): every
-        call at an unchanged list version is a cache hit.
     ``cutoff_inclusive``
         ``r <= cut`` (Tersoff's convention) vs strict ``r < cut``
         (Stillinger-Weber, whose tail function diverges at exactly
@@ -72,10 +64,6 @@ class MultiBodyKernel:
         The triplet k-candidate set uses its own (max-over-type-pairs)
         cutoff, Sec. IV-D; :attr:`kcand_cutoff` must be set.  When
         False the k-candidates are the filtered pairs themselves.
-    ``needs_r``
-        The kernel needs distances; when False the staging layer skips
-        the square root (and the non-finite guard that needs it) and
-        stages *squared* distances in ``pairs.r`` instead.
     ``reads_list``
         The kernel walks the CSR neighbor list itself — filter,
         geometry and accumulation fused in one pass — so the cache
@@ -86,10 +74,8 @@ class MultiBodyKernel:
     """
 
     uses_types: bool = False
-    uses_filter: bool = True
     cutoff_inclusive: bool = True
     separate_kcand: bool = False
-    needs_r: bool = True
     reads_list: bool = False
 
     #: max-cutoff radius of the k-candidate set (``separate_kcand``).
@@ -104,11 +90,12 @@ class MultiBodyKernel:
         raise NotImplementedError
 
     def build_staging(self, pairs: PairData, kcand: PairData) -> Staging:
-        """Topology-derived staging (triplets, gathers, segsum indices).
+        """Staging of one call (triplets, gathers, segsum indices).
 
-        A filtering kernel gets it built on every call, from the pairs
-        of the fresh masks; an unfiltered one only when the list changes,
-        and reuses it until then, so it must not depend on geometry.
+        Built on every call from the pairs that pass this call's cutoff
+        masks: `pairs` are the pairs within the kernel's cutoff and
+        `kcand` the k-candidates (the same object unless
+        ``separate_kcand``).
         """
         raise NotImplementedError
 

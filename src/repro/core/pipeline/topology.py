@@ -124,7 +124,6 @@ def pair_geometry(
     j_idx: np.ndarray,
     *,
     workspace=None,
-    want_r: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-image displacements ``x_j - x_i`` and distances.
 
@@ -135,11 +134,9 @@ def pair_geometry(
     allocation); the arithmetic is identical either way, so cached and
     cold paths agree bit for bit.
 
-    With ``want_r=False`` the second return value is the *squared*
-    distance and the square root is skipped, for kernels that work in r²
-    (the vectorized LJ contrast case).  The non-finite and
-    coincident-atom (:class:`DegenerateGeometryError`) guards hold either
-    way: r² is 0 exactly when r is, and finite exactly when r is.
+    Non-finite distances raise :class:`ValueError` and coincident atoms
+    :class:`DegenerateGeometryError`, rather than being silently dropped
+    by a cutoff compare or divided by.
     """
     L = i_idx.shape[0]
     if workspace is None:
@@ -167,13 +164,11 @@ def pair_geometry(
                     tmp *= span
                     col -= tmp
     if workspace is None:
-        r2 = np.einsum("ij,ij->i", d, d)
+        r = np.sqrt(np.einsum("ij,ij->i", d, d))
     else:
-        r2 = workspace.buf("pair_r", L, np.float64)
-        np.einsum("ij,ij->i", d, d, out=r2)
-    r = r2
-    if want_r:
-        r = np.sqrt(r2) if workspace is None else np.sqrt(r2, out=r2)
+        r = workspace.buf("pair_r", L, np.float64)
+        np.einsum("ij,ij->i", d, d, out=r)
+        np.sqrt(r, out=r)
     if not np.isfinite(r).all():
         # NaN/inf distances compare False against every cutoff and would
         # be *silently dropped* by the filter — fail loudly instead

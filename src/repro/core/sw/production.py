@@ -26,7 +26,7 @@ from repro.analysis import hot_path
 from repro.core.pipeline import (
     MultiBodyKernel,
     PairData,
-    ProductionPotential,
+    PipelinePotential,
     Staging,
     TripletData,
     build_triplets,
@@ -43,10 +43,8 @@ class SWKernel(MultiBodyKernel):
     """The Stillinger-Weber computational component."""
 
     uses_types = False
-    uses_filter = True
     cutoff_inclusive = False  # the SW tail diverges at r == cut
     separate_kcand = False
-    needs_r = True
 
     def __init__(self, params: SWParams, precision: Precision):
         self.params = params
@@ -148,9 +146,9 @@ class SWKernel(MultiBodyKernel):
         return ForceResult(energy=energy, forces=forces, virial=virial, stats=stats)
 
 
-class StillingerWeberProduction(ProductionPotential):
+class StillingerWeberProduction(PipelinePotential):
     """Wide batched SW with double/single/mixed precision: the computational
     batches run in the compute dtype, accumulation in double.  See
-    :class:`~repro.core.pipeline.ProductionPotential` for the parameters."""
+    :class:`~repro.core.pipeline.PipelinePotential` for the parameters."""
 
     family = "sw"

@@ -28,7 +28,7 @@ from repro.core.pipeline import group_by_i
 from repro.md.atoms import AtomSystem
 from repro.md.neighbor import NeighborList
 from repro.md.potential import ForceResult, Potential
-from repro.vector.backend import VectorBackend
+from repro.vector.backend import VectorBackend, lane_stats
 from repro.vector.isa import ISA, get_isa
 from repro.vector.precision import Precision
 
@@ -87,7 +87,7 @@ class StillingerWeberVectorized(Potential):
         forces = np.zeros((n, 3), dtype=np.float64)
         if P == 0:
             return ForceResult(energy=0.0, forces=forces, virial=0.0,
-                               stats=self._stats(bk, 0, int(i_all.shape[0])))
+                               stats=lane_stats(bk, "1b", 0, int(i_all.shape[0])))
 
         starts, counts = group_by_i(i_idx, n)
         # lane-local slot of each pair within its atom's run
@@ -206,22 +206,4 @@ class StillingerWeberVectorized(Potential):
                     virial += w
 
         return ForceResult(energy=energy, forces=forces, virial=virial,
-                           stats=self._stats(bk, P, int(i_all.shape[0])))
-
-    def _stats(self, bk: VectorBackend, n_pairs: int, n_list: int) -> dict:
-        st = bk.stats()
-        return {
-            "isa": self.isa.name,
-            "precision": self.precision.value,
-            "scheme": "1b",
-            "width": bk.width,
-            "pairs_in_cutoff": n_pairs,
-            "list_entries": n_list,
-            "cycles": st.cycles,
-            "instructions": st.instructions,
-            "utilization": st.utilization,
-            "kernel_invocations": st.kernel_invocations,
-            "spin_iterations": st.spin_iterations,
-            "by_category": dict(st.by_category),
-            "kernel_stats": st,
-        }
+                           stats=lane_stats(bk, "1b", P, int(i_all.shape[0])))

@@ -35,7 +35,7 @@ from repro.analysis import hot_path
 from repro.core.pipeline import (
     MultiBodyKernel,
     PairData,
-    ProductionPotential,
+    PipelinePotential,
     Staging,
     build_triplets,
     idx3_of,
@@ -65,10 +65,8 @@ class TersoffKernel(MultiBodyKernel):
     """The Tersoff computational component on the staged pipeline."""
 
     uses_types = True
-    uses_filter = True
     cutoff_inclusive = True
     separate_kcand = True
-    needs_r = True
 
     def __init__(self, params: TersoffParams, precision: Precision):
         self.params = params
@@ -227,9 +225,9 @@ class TersoffKernel(MultiBodyKernel):
         return ForceResult(energy=energy, forces=forces, virial=virial, stats=stats)
 
 
-class TersoffProduction(ProductionPotential):
+class TersoffProduction(PipelinePotential):
     """The optimized Tersoff solver used for real simulations (``Opt``
-    modes); see :class:`~repro.core.pipeline.ProductionPotential` for the
+    modes); see :class:`~repro.core.pipeline.PipelinePotential` for the
     parameters."""
 
     family = "tersoff"

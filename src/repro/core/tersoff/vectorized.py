@@ -52,7 +52,7 @@ from repro.core.tersoff.parameters import TersoffParams
 from repro.md.atoms import AtomSystem
 from repro.md.neighbor import NeighborList
 from repro.md.potential import ForceResult, Potential
-from repro.vector.backend import VectorBackend, scatter_add_rows
+from repro.vector.backend import VectorBackend, lane_stats, scatter_add_rows
 from repro.vector.isa import ISA, get_isa
 from repro.vector.precision import Precision
 
@@ -463,7 +463,7 @@ class TersoffVectorized(Potential):
         forces = np.zeros((system.n, 3), dtype=np.float64)
         if pairs.n_pairs == 0:
             return ForceResult(energy=0.0, forces=forces, virial=0.0,
-                               stats=self._stats(bk, pairs))
+                               stats=lane_stats(bk, self.scheme, pairs.n_pairs, pairs.n_list_entries))
 
         if self.scheme == "1a":
             energy, virial = self._compute_1a(bk, system, pairs, kc, forces)
@@ -473,27 +473,7 @@ class TersoffVectorized(Potential):
             energy, virial = self._compute_1c(bk, system, pairs, kc, forces)
 
         return ForceResult(energy=energy, forces=forces, virial=virial,
-                           stats=self._stats(bk, pairs))
-
-    def _stats(self, bk: VectorBackend, pairs: PairData) -> dict:
-        st = bk.stats()
-        return {
-            "isa": self.isa.name,
-            "precision": self.precision.value,
-            "scheme": self.scheme,
-            "width": bk.width,
-            "pairs_in_cutoff": pairs.n_pairs,
-            "list_entries": pairs.n_list_entries,
-            "filter_efficiency": pairs.filter_efficiency,
-            "cycles": st.cycles,
-            "instructions": st.instructions,
-            "utilization": st.utilization,
-            "lane_occupancy": st.lane_occupancy,
-            "kernel_invocations": st.kernel_invocations,
-            "spin_iterations": st.spin_iterations,
-            "by_category": st.by_category,
-            "kernel_stats": st,
-        }
+                           stats=lane_stats(bk, self.scheme, pairs.n_pairs, pairs.n_list_entries))
 
     # -- scheme 1b: fused pairs across lanes -----------------------------------
 

@@ -131,6 +131,8 @@ def seeded_velocities(system: AtomSystem, temperature: float, seed: int = 12345)
     temperature equals the request exactly (LAMMPS ``velocity create``
     semantics).
     """
+    if not np.isfinite(temperature):
+        raise ValueError(f"temperature must be finite, got {temperature}")
     if temperature < 0.0:
         raise ValueError("temperature must be non-negative")
     rng = np.random.default_rng(seed)

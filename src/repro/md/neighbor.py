@@ -72,6 +72,9 @@ class NeighborSettings:
     full: bool = True
 
     def __post_init__(self) -> None:
+        # NaN passes every `<` test: a NaN radius would list no atoms at all
+        if not (np.isfinite(self.cutoff) and np.isfinite(self.skin)):
+            raise ValueError(f"cutoff and skin must be finite, got {self.cutoff} and {self.skin}")
         if self.cutoff <= 0.0:
             raise ValueError("cutoff must be positive")
         if self.skin < 0.0:

@@ -7,13 +7,12 @@ conflict writes beyond the j-scatter.  This module implements exactly
 that on the lane backend so the repository can *measure* the contrast
 the paper draws in Sec. I-III: compare its utilization/cycle statistics
 with :class:`~repro.core.tersoff.vectorized.TersoffVectorized` on the
-same workload (see ``benchmarks/bench_multibody_family.py``).
+same workload (``tests/test_pair_lj_vectorized.py::TestContrast``).
 
-The potential runs on the staged pipeline as an *unfiltered* kernel
-(``uses_filter=False``): pair potentials traditionally do not
-pre-filter — the cutoff mask is cheap and lists are long — so the
-skin mask runs in-register and only the lane *layout* (a pure function
-of the list topology) is cached across steps.
+Like its Tersoff and SW siblings it is a plain lane simulator: pair
+potentials traditionally do not pre-filter — the cutoff mask is cheap
+and lists are long — so every call lays the full skin-extended list
+out in lanes and the cutoff mask runs in-register.
 """
 
 from __future__ import annotations
@@ -21,16 +20,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis import hot_path
-from repro.core.pipeline import (
-    MultiBodyKernel,
-    PairData,
-    PipelinePotential,
-    Staging,
-    group_by_i,
-)
+from repro.core.pipeline import group_by_i, pair_geometry
 from repro.core.tersoff.kernels import charge
-from repro.md.potential import ForceResult
-from repro.vector.backend import VectorBackend, scatter_add_rows
+from repro.md.atoms import AtomSystem
+from repro.md.neighbor import NeighborList
+from repro.md.potential import ForceResult, Potential
+from repro.vector.backend import VectorBackend, lane_stats, scatter_add_rows
 from repro.vector.isa import ISA, get_isa
 from repro.vector.precision import Precision
 
@@ -38,19 +33,13 @@ from repro.vector.precision import Precision
 RECIPE_LJ = {"arith": 11, "divide": 1, "blend": 1}
 
 
-class LJLaneKernel(MultiBodyKernel):
+class LennardJonesVectorized(Potential):
     """Cut/shifted 12-6 LJ via scheme (1a) on a simulated vector ISA.
 
     Single-type only (the contrast experiment does not need mixing).
-    The staging layer hands over the full skin-extended list with
-    *squared* distances (``needs_r=False``: no square root anywhere in
-    a 12-6 kernel); :meth:`build_staging` folds it into the
-    rows-by-lanes layout once per list rebuild.
     """
 
-    uses_types = False
-    uses_filter = False
-    needs_r = False
+    needs_full_list = True
 
     def __init__(
         self,
@@ -62,6 +51,8 @@ class LJLaneKernel(MultiBodyKernel):
         isa: ISA | str = "avx2",
         precision: Precision | str = Precision.DOUBLE,
     ):
+        if cutoff <= 0:
+            raise ValueError("cutoff must be positive")
         self.epsilon = float(epsilon)
         self.sigma = float(sigma)
         self.cutoff = float(cutoff)
@@ -72,55 +63,40 @@ class LJLaneKernel(MultiBodyKernel):
         sr6 = (self.sigma / self.cutoff) ** 6
         self._e_cut = 4.0 * self.epsilon * (sr6 * sr6 - sr6) if shift else 0.0
 
-    def pair_cutoffs(self, pair_flat: np.ndarray | None) -> float:
-        return self.cutoff
-
-    def build_staging(self, pairs: PairData, kcand: PairData) -> Staging:
-        # scheme (1a): rows = atoms (blocks), lanes = their list entries.
-        # Purely topological, so the cache reuses it for every call at
-        # an unchanged list version.
-        n = pairs.n_atoms
-        W = self.backend.width
-        starts, counts = group_by_i(pairs.i_idx, n)
-        nblocks = (counts + W - 1) // W
-        row_atom = np.repeat(np.arange(n, dtype=np.int64), nblocks)
-        C = row_atom.shape[0]
-        if C == 0:
-            valid = np.zeros((0, W), dtype=bool)
-            idx = np.zeros((0, W), dtype=np.int64)
-        else:
-            row_first = np.concatenate(([0], np.cumsum(nblocks)[:-1]))
-            block_in_atom = np.arange(C, dtype=np.int64) - np.repeat(row_first, nblocks)
-            lane = np.arange(W, dtype=np.int64)[None, :]
-            slot = starts[row_atom][:, None] + block_in_atom[:, None] * W + lane
-            valid = slot < (starts[row_atom] + counts[row_atom])[:, None]
-            idx = np.where(valid, slot, 0)
-        return Staging(
-            pairs=pairs,
-            kcand=kcand,
-            gathers={"row_atom": row_atom, "valid": valid, "idx": idx},
-        )
-
-    @hot_path(reason="computational part of every vectorized-LJ force call")
-    def evaluate(self, st: Staging, n: int) -> ForceResult:
+    @hot_path(reason="every vectorized-LJ force call")
+    def compute(self, system: AtomSystem, neigh: NeighborList) -> ForceResult:
+        self.check_list(neigh)
         bk = self.backend
         bk.reset_counter()
         cd = bk.compute_dtype
-        row_atom = st.gathers["row_atom"]
+        W = bk.width
+        n = system.n
+
+        i_idx, j_idx = neigh.pairs()
+        L = i_idx.shape[0]
+        # the guards against non-finite and coincident atoms; the kernel
+        # itself works in r², which no square root produced
+        d, _ = pair_geometry(system.x, system.box, i_idx, j_idx)
+        r2_all = np.einsum("ij,ij->i", d, d)
+
+        # scheme (1a): rows = atoms (blocks), lanes = their list entries
+        starts, counts = group_by_i(i_idx, n)
+        nblocks = (counts + W - 1) // W
+        row_atom = np.repeat(np.arange(n, dtype=np.int64), nblocks)
         C = row_atom.shape[0]
-        # force accumulator must start zeroed; Workspace.buf hands back
-        # uninitialized capacity, so a fresh allocation is the honest cost
+        # the force accumulator must start zeroed: a fresh allocation per call
         forces = np.zeros((n, 3), dtype=np.float64)  # repro-lint: disable=KA003
         if C == 0:
-            stats = self._stats(bk, 0)
-            stats["list_entries"] = st.pairs.n_list_entries
+            stats = lane_stats(bk, "1a", 0, L)
             stats["virial_tensor"] = np.zeros((3, 3), dtype=np.float64)  # repro-lint: disable=KA003
             stats["per_atom_energy"] = np.zeros(n, dtype=np.float64)  # repro-lint: disable=KA003
             return ForceResult(energy=0.0, forces=forces, virial=0.0, stats=stats)
-        valid = st.gathers["valid"]
-        idx = st.gathers["idx"]
-        d = st.pairs.d
-        r2_all = st.pairs.r  # squared distances (needs_r=False)
+        row_first = np.concatenate(([0], np.cumsum(nblocks)[:-1]))
+        block_in_atom = np.arange(C, dtype=np.int64) - np.repeat(row_first, nblocks)
+        lane = np.arange(W, dtype=np.int64)[None, :]
+        slot = starts[row_atom][:, None] + block_in_atom[:, None] * W + lane
+        valid = slot < (starts[row_atom] + counts[row_atom])[:, None]
+        idx = np.where(valid, slot, 0)
 
         r2 = np.where(valid, r2_all[idx], 1.0e30).astype(cd)
         within = bk.cmp_le(r2, self.cutoff * self.cutoff)
@@ -154,8 +130,7 @@ class LJLaneKernel(MultiBodyKernel):
         bk.counter.record("store", C, bk.isa.costs.store)
 
         virial = 0.5 * float(np.sum(f_over_r * np.einsum("...i,...i->...", dvec, dvec)))
-        stats = self._stats(bk, int(np.count_nonzero(mask)))
-        stats["list_entries"] = st.pairs.n_list_entries
+        stats = lane_stats(bk, "1a", int(np.count_nonzero(mask)), L)
         # full virial tensor: each ordered pair contributes d ⊗ f, halved
         # for the double count; symmetrize to kill summation-order skew
         stress = 0.5 * np.einsum("cwa,cwb->ab", dvec, fvec)
@@ -164,57 +139,3 @@ class LJLaneKernel(MultiBodyKernel):
             row_atom, weights=e_rows.astype(np.float64), minlength=n
         )
         return ForceResult(energy=energy, forces=forces, virial=virial, stats=stats)
-
-    def _stats(self, bk: VectorBackend, n_pairs: int) -> dict:
-        st = bk.stats()
-        return {
-            "isa": self.isa.name,
-            "scheme": "1a",
-            "width": bk.width,
-            "pairs_in_cutoff": n_pairs,
-            "cycles": st.cycles,
-            "instructions": st.instructions,
-            "utilization": st.utilization,
-            "kernel_invocations": st.kernel_invocations,
-            "spin_iterations": st.spin_iterations,
-            "by_category": dict(st.by_category),
-            "kernel_stats": st,
-        }
-
-
-class LennardJonesVectorized(PipelinePotential):
-    """Cut/shifted 12-6 LJ via scheme (1a) on a simulated vector ISA.
-
-    Single-type only (the contrast experiment does not need mixing).
-    Runs on the staged pipeline, so it shares the step-persistent
-    interaction cache and workspace reuse with the multi-body
-    potentials; being unfiltered, every force call at an unchanged list
-    version is a cache hit.
-    """
-
-    needs_full_list = True
-
-    def __init__(
-        self,
-        epsilon: float,
-        sigma: float,
-        cutoff: float,
-        *,
-        shift: bool = True,
-        isa: ISA | str = "avx2",
-        precision: Precision | str = Precision.DOUBLE,
-        cache: bool = True,
-    ):
-        if cutoff <= 0:
-            raise ValueError("cutoff must be positive")
-        kernel = LJLaneKernel(
-            epsilon, sigma, cutoff, shift=shift, isa=isa, precision=precision
-        )
-        self.epsilon = kernel.epsilon
-        self.sigma = kernel.sigma
-        self.cutoff = kernel.cutoff
-        self.shift = kernel.shift
-        self.isa = kernel.isa
-        self.precision = kernel.precision
-        self.backend = kernel.backend
-        super().__init__(kernel, cache=cache)

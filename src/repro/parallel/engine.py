@@ -55,7 +55,7 @@ import numpy as np
 
 from repro import backends
 from repro.analysis import hot_path
-from repro.core.pipeline import ProductionPotential, Workspace
+from repro.core.pipeline import PipelinePotential, Workspace
 from repro.host import usable_cores
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
@@ -239,7 +239,7 @@ class WorkerHost:
         this worker's share of the host; a backend the host resolved that cannot load
         here (no toolchain) falls back to numpy with resolve()'s warning."""
         t = self.potential
-        if isinstance(t, ProductionPotential) and not backends.is_available(t.backend_name):
+        if isinstance(t, PipelinePotential) and not backends.is_available(t.backend_name):
             potential = type(t)(t.params, precision=t.precision, cache=t.cache_enabled,
                                 backend=t.backend_name)
         else:

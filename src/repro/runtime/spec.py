@@ -18,6 +18,7 @@ without a bump).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -234,6 +235,8 @@ class RunSpec:
             raise SpecError("workers must be >= 1")
         if self.ranks is not None and self.ranks < 1:
             raise SpecError("ranks must be >= 1")
+        if not math.isfinite(self.skin):
+            raise SpecError(f"skin must be finite, got {self.skin}")
         if self.skin < 0.0:
             raise SpecError("skin must be non-negative")
         if self.executor is not None:

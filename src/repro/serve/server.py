@@ -33,6 +33,7 @@ SIGKILL leaves the socket path behind; the next server on it rebinds.
 
 from __future__ import annotations
 
+import math
 import os
 import socket
 import socketserver
@@ -76,6 +77,11 @@ class ServeConfig:
     backlog: int = 64  # bounded queue depth; overflow answers 429
     max_atoms: int = DEFAULT_MAX_ATOMS
     request_timeout: float = 120.0  # handler wait for its job
+
+    def __post_init__(self) -> None:
+        # refused here, not by every request's neighbor build
+        if not (math.isfinite(self.skin) and self.skin >= 0.0):
+            raise ValueError(f"skin must be finite and non-negative, got {self.skin}")
 
 
 class _Job:

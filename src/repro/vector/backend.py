@@ -370,3 +370,30 @@ class VectorBackend:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"VectorBackend(isa={self.isa.name!r}, precision={self.precision.value!r}, width={self.width})"
+
+
+def lane_stats(bk: VectorBackend, scheme: str, n_pairs: int, n_list: int) -> dict:
+    """The ``ForceResult.stats`` of one lane-simulator call on `bk`.
+
+    `n_pairs` interactions passed the cutoff out of `n_list` list
+    entries; the modeled counters are those `bk` recorded since its
+    last :meth:`~VectorBackend.reset_counter`.
+    """
+    st = bk.stats()
+    return {
+        "isa": bk.isa.name,
+        "precision": bk.precision.value,
+        "scheme": scheme,
+        "width": bk.width,
+        "pairs_in_cutoff": n_pairs,
+        "list_entries": n_list,
+        "filter_efficiency": n_pairs / n_list if n_list else 1.0,
+        "cycles": st.cycles,
+        "instructions": st.instructions,
+        "utilization": st.utilization,
+        "lane_occupancy": st.lane_occupancy,
+        "kernel_invocations": st.kernel_invocations,
+        "spin_iterations": st.spin_iterations,
+        "by_category": dict(st.by_category),
+        "kernel_stats": st,
+    }

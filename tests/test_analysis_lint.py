@@ -381,10 +381,9 @@ class TestHotPathMarker:
 
         names = set(HOT_PATH_REGISTRY)
         assert any(n.endswith("PipelinePotential.compute") for n in names)
-        assert any(n.endswith("StagedPipeline.run") for n in names)
         assert any(n.endswith("TersoffKernel.evaluate") for n in names)
         assert any(n.endswith("SWKernel.evaluate") for n in names)
-        assert any(n.endswith("LJLaneKernel.evaluate") for n in names)
+        assert any(n.endswith("LennardJonesVectorized.compute") for n in names)
         assert any(n.endswith("InteractionCache.prepare") for n in names)
         assert any(n.endswith("segsum3") for n in names)
 

@@ -41,7 +41,6 @@ from repro.core.tersoff.production import TersoffKernel, TersoffProduction
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
 from repro.md.lattice import diamond_lattice, perturbed, zincblende_sic
-from repro.vector.precision import Precision
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -560,15 +559,13 @@ class TestStressAccumulation:
 @needs_compiled
 class TestNumpyOracle:
     def test_fused_kernel_matches_numpy_kernel_on_the_pipeline(self):
-        """Both kernels plug into the same seam: `StagedPipeline` needs
-        nothing but the kernel's staging contract."""
-        from repro.backends.compiled import CompiledTersoffKernel
-        from repro.core.pipeline.pipeline import StagedPipeline
-
+        """Both kernels plug into the same seam: `PipelinePotential`
+        needs nothing but the kernel's staging contract."""
         params, system, neigh = sic_workload()
-        precision = Precision.parse("double")
-        rc = StagedPipeline(CompiledTersoffKernel(params, precision), cache=True).run(system, neigh)
-        rn = StagedPipeline(TersoffKernel(params, precision), cache=True).run(system, neigh)
+        compiled = TersoffProduction(params, backend="compiled")
+        assert compiled.backend_name == "compiled"
+        rc = compiled.compute(system, neigh)
+        rn = TersoffProduction(params, backend="numpy").compute(system, neigh)
         assert_tracks(rc, rn)
 
 

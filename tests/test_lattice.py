@@ -96,6 +96,12 @@ class TestVelocities:
         with pytest.raises(ValueError):
             seeded_velocities(s, -1.0)
 
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf")])
+    def test_non_finite_temperature_rejected(self, temperature):
+        s = diamond_lattice(1, 1, 1)
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            seeded_velocities(s, temperature)
+
     def test_deterministic_by_seed(self):
         s1, s2 = diamond_lattice(2, 2, 2), diamond_lattice(2, 2, 2)
         seeded_velocities(s1, 500.0, seed=9)

@@ -40,6 +40,15 @@ class TestSettings:
     def test_list_cutoff(self):
         assert NeighborSettings(cutoff=3.0, skin=1.0).list_cutoff == 4.0
 
+    @pytest.mark.parametrize("cutoff, skin", [
+        (3.0, float("nan")), (3.0, float("inf")), (float("nan"), 1.0), (float("inf"), 1.0),
+    ])
+    def test_rejects_non_finite_radii(self, cutoff, skin):
+        """NaN passes every `< 0` test and would list no atoms at all:
+        an empty list, zero energy and no error."""
+        with pytest.raises(ValueError, match="must be finite"):
+            NeighborSettings(cutoff=cutoff, skin=skin)
+
 
 class TestExpandRanges:
     def test_basic(self):

@@ -121,10 +121,10 @@ class TestBitwiseEquivalence:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_lj_bitwise(self, workers):
-        """Scheme-(1a) unfiltered kernels (vectorized LJ) also
-        decompose bitwise."""
+        """A lane simulator (the scheme-(1a) vectorized LJ) also
+        decomposes bitwise."""
         system = si_system()
-        pot = LennardJonesVectorized(0.07, 2.0951, 4.2, cache=True)
+        pot = LennardJonesVectorized(0.07, 2.0951, 4.2)
         xs = drift_sequence(system)
         ref = sequential_reference(system, pot, xs, ranks=4)
         with ParallelEngine(system, pot, workers=workers, ranks=4) as eng:

@@ -1,15 +1,16 @@
 """Staged-pipeline equivalence against the frozen pre-refactor code.
 
-The multi-layer refactor moved Tersoff, SW and the vectorized LJ onto
-:mod:`repro.core.pipeline`.  The contract is *bitwise* preservation:
+Tersoff and SW run on :mod:`repro.core.pipeline`; the vectorized LJ is
+a plain lane simulator again.  The contract is *bitwise* preservation:
 for every precision, cold or cached, across neighbor-list rebuilds and
-cutoff-mask drift, the pipeline potentials must reproduce the frozen
-seed implementations (:mod:`legacy_frozen`) exactly — energy, forces,
-virial, virial tensor and per-atom energy.
+cutoff-mask drift, they must reproduce the frozen seed implementations
+(:mod:`legacy_frozen`) exactly — energy, forces, virial, virial tensor
+and per-atom energy.
 """
 
 import copy
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -154,18 +155,20 @@ class TestSWFrozen:
 
 
 class TestLJFrozen:
-    """Vectorized LJ through the pipeline vs the frozen seed code."""
+    """The vectorized LJ lane simulator vs the frozen seed code."""
 
     @pytest.mark.parametrize("precision", PRECISIONS)
     @pytest.mark.parametrize("isa", ["avx2", "imci"])
-    @pytest.mark.parametrize("cache", [True, False])
-    def test_bitwise(self, precision, isa, cache):
-        new = _run_sequence(
-            LennardJonesVectorized(
-                0.07, 2.0951, 4.2, isa=isa, precision=precision, cache=cache
-            ),
-            _lj_workload,
-        )
+    @pytest.mark.parametrize("reuse", [True, False])
+    def test_bitwise(self, precision, isa, reuse):
+        """`reuse`: one instance over the whole sequence, or a fresh one
+        per step — a lane simulator carries nothing between calls."""
+
+        def make():
+            return LennardJonesVectorized(0.07, 2.0951, 4.2, isa=isa, precision=precision)
+
+        pot = make() if reuse else SimpleNamespace(compute=lambda s, n: make().compute(s, n))
+        new = _run_sequence(pot, _lj_workload)
         old = _run_sequence(
             LegacyLennardJonesVectorized(0.07, 2.0951, 4.2, isa=isa, precision=precision),
             _lj_workload,
@@ -176,16 +179,6 @@ class TestLJFrozen:
             # experiment; the refactor must not perturb them either
             assert res_new.stats["cycles"] == res_old.stats["cycles"]
             assert res_new.stats["pairs_in_cutoff"] == res_old.stats["pairs_in_cutoff"]
-
-    def test_unfiltered_kernel_hits_every_step(self):
-        """uses_filter=False: validity is purely topological, so every
-        same-version call is a hit regardless of mask drift."""
-        pot = LennardJonesVectorized(0.07, 2.0951, 4.2, cache=True)
-        _run_sequence(pot, _lj_workload)
-        stats = pot.cache_stats
-        assert stats.invalidations == 4  # initial + 3 rebuilds
-        assert stats.misses == 0
-        assert stats.hits == 8
 
 
 class TestWorkspaceTravelsEmpty:

@@ -186,6 +186,11 @@ class TestSpecValidation:
         with pytest.raises(SpecError, match="schema version"):
             RunSpec.from_dict(data)
 
+    @pytest.mark.parametrize("skin", [float("nan"), float("inf")])
+    def test_run_spec_non_finite_skin_rejected(self, skin):
+        with pytest.raises(SpecError, match="skin must be finite"):
+            RunSpec(skin=skin)
+
     def test_run_spec_conflicting_selectors(self):
         with pytest.raises(SpecError, match="hosts"):
             RunSpec(executor="thread", hosts=("h1", "h2"))

@@ -915,6 +915,22 @@ class TestDispatch:
 
 
 class TestLifecycle:
+    @pytest.mark.parametrize("skin", [float("nan"), float("inf"), -1.0])
+    def test_bad_skin_refused_at_construction(self, skin):
+        """Not a server that answers 0.0 (NaN) or a 500 on every request (-1)."""
+        with pytest.raises(ValueError, match="skin must be finite and non-negative"):
+            ServeConfig(skin=skin)
+
+    def test_cli_refuses_bad_skin(self, tmp_path, capsys, monkeypatch):
+        from repro.cli import main
+
+        # a server that got as far as serving returns at once instead
+        monkeypatch.setattr(EvalServer, "serve_forever", lambda self: None)
+        path = tmp_path / "never.sock"
+        assert main(["serve", "--unix", str(path), "--skin", "nan"]) == 2
+        assert capsys.readouterr().err.startswith("serve: skin must be finite")
+        assert not path.exists()
+
     def test_close_unlinks_socket_and_stops_threads(self, tmp_path):
         path = tmp_path / "e.sock"
         srv = EvalServer(ServeConfig(unix_path=str(path)))
