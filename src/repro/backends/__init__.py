@@ -5,10 +5,8 @@ specialized per instruction set through an abstraction layer.  This
 package is that abstraction layer for the reproduction: a registry of
 :class:`ComputeBackend` entries, each able to supply a
 ``MultiBodyKernel`` for every potential family of the staged pipeline
-(Tersoff and SW).  A backend supplies the kernel and, through the
-kernel's declarative staging contract, says how much of the shared
-staging machinery (`InteractionCache`, `Workspace`, filter, triplet
-expansion, parameter gathers) it wants done for it.
+(Tersoff and SW).  Every kernel gets the same cached neighbor list from
+the shared `InteractionCache` and runs its family's filter itself.
 
 Registered backends:
 

@@ -1,8 +1,8 @@
 """The ``compiled`` backend: a potential in one pass of C over the neighbor list.
 
-:class:`CompiledListKernel` declares ``reads_list``: the staged pipeline
-hands it the CSR list as stored, the type column and the current
-positions (cache layers L1/L2 only), and one ctypes call does everything
+The staged pipeline hands :class:`CompiledListKernel`, like every
+kernel, the CSR list as stored, the type column and the current
+positions (cache layers L1/L2), and one ctypes call does everything
 else per atom.  The list walker (``_walker.c``) is shared: minimum-image
 geometry, the non-finite/coincident guards, the Sec. IV-D short list,
 the atoms in chunks of rows over the threads of a small pool inside that
@@ -72,7 +72,6 @@ class CompiledListKernel(MultiBodyKernel):
     (:meth:`table`).
     """
 
-    reads_list = True
     #: the extension's ``<entry>_fused_f64/_f32`` and ``<entry>_scratch_doubles``
     entry = ""
 

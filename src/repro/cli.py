@@ -201,7 +201,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     last_stats = sim.last_result.stats if sim.last_result else {}
     cache_info = last_stats.get("cache", {})
     if cache_info.get("enabled"):
-        print(f"interaction cache: {cache_info['hits']} hits, {cache_info['misses']} misses, "
+        print(f"interaction cache: {cache_info['hits']} hits, "
               f"{cache_info['invalidations']} invalidations (list v{cache_info['list_version']})")
     kernel_info = last_stats.get("backend", {})
     if "threads" in kernel_info:

@@ -1,19 +1,21 @@
-"""The potential-agnostic staged pipeline (filter → cache → kernel →
+"""The potential-agnostic staged pipeline (list → cache → kernel →
 accumulate).
 
 The paper's thesis is that one algorithm plus swappable building
 blocks yields performance portability (Sec. V); this package is the
 repository's rendition of that claim at the *potential* level.  The
+step-persistent :class:`InteractionCache` of the neighbor list, the
 scalar filter (:mod:`repro.core.pipeline.topology`), the
-step-persistent :class:`InteractionCache`, the :class:`Workspace`
-arena, the fused segmented sums and the timing/cache stats contract
-all live here once, behind one class, :class:`PipelinePotential`: the
-Opt-* solver of a family.  A family contributes only a
-:class:`MultiBodyKernel` per compute backend (Tersoff and
-Stillinger-Weber, each a compiled list walker and a numpy oracle).
-The lane simulators (``TersoffVectorized``, ``StillingerWeberVectorized``,
-``LennardJonesVectorized``) are plain potentials that stage their
-own lanes each call; they do not run through it.
+:class:`Workspace` arena, the fused segmented sums and the
+timing/cache stats contract all live here once, behind one class,
+:class:`PipelinePotential`: the Opt-* solver of a family.  A family
+contributes only a :class:`MultiBodyKernel` per compute backend
+(Tersoff and Stillinger-Weber, each a compiled list walker and a numpy
+oracle); every kernel gets the same :class:`ListData` and runs its
+family's filter itself.  The lane simulators (``TersoffVectorized``,
+``StillingerWeberVectorized``, ``LennardJonesVectorized``) are plain
+potentials that stage their own lanes each call; they do not run
+through it.
 """
 
 from repro.core.pipeline.accumulate import idx3_of, segsum3, segsum3_loop
@@ -27,6 +29,7 @@ from repro.core.pipeline.topology import (
     TripletData,
     build_pairs,
     build_triplets,
+    filter_list,
     group_by_i,
     pair_geometry,
 )
@@ -45,6 +48,7 @@ __all__ = [
     "Workspace",
     "build_pairs",
     "build_triplets",
+    "filter_list",
     "group_by_i",
     "idx3_of",
     "pair_geometry",

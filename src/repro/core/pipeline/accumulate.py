@@ -17,8 +17,8 @@ _AXES3 = np.arange(3, dtype=np.int64)
 def idx3_of(idx: np.ndarray) -> np.ndarray:
     """The ``idx * 3 + axis`` flat index of the fused segmented sum.
 
-    Topology-only, so the interaction cache precomputes it once per
-    filtered topology instead of once per force call.
+    Topology-only: a caller that sums over the same rows more than once
+    can form it once and pass it as ``segsum3(..., idx3=)``.
     """
     return (idx[:, None] * 3 + _AXES3).ravel()
 

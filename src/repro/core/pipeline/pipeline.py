@@ -1,4 +1,4 @@
-"""The Opt-* solver of a potential family: filter → cache → kernel → accumulate.
+"""The Opt-* solver of a potential family: list cache → kernel (filter, compute, accumulate).
 
 :class:`PipelinePotential` owns, once for every family: the kernel a
 compute backend (:mod:`repro.backends`) supplies for the family, the

@@ -10,22 +10,24 @@ computational component."
 These helpers build exactly that filtered work list from the
 skin-extended neighbor list:
 
-- :func:`build_pairs` — all (i,j) list entries with distances, plus the
-  in-cutoff mask (per-type-pair cutoff and the Sec. IV-D maximum
-  cutoff);
-- :func:`build_triplets` — the (pair, k) expansion used by the wide
-  production path and by the vector schemes' dense-k layout.
+- :func:`filter_list` — the one filter body: distances of every list
+  entry, then one filtered pair set per cutoff (a per-type-pair table,
+  a scalar such as the Sec. IV-D maximum cutoff, or none), inclusive or
+  strict;
+- :func:`build_pairs` — the same from a system and its list, by mode name;
+- :func:`build_triplets` — the (pair, k) expansion used by the numpy
+  kernels and by the vector schemes' dense-k layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
-from repro.md.neighbor import NeighborList
+from repro.md.neighbor import NeighborList, incoming_index
 
 
 class DegenerateGeometryError(ValueError):
@@ -73,24 +75,30 @@ class PairData:
 
 @dataclass
 class ListData:
-    """What a kernel that walks the list itself (``reads_list``) gets.
+    """What every pipeline kernel gets: the neighbor list, unfiltered.
 
-    The CSR list exactly as :class:`NeighborList` stores it, its
-    transposed index and the type column (topology, cached per list
-    version), and the positions and box, rewritten by the cache before
-    every ``evaluate``.  Nothing is filtered here, so the staged-pair
-    counters read the full list.
+    The CSR list exactly as :class:`NeighborList` stores it and the type
+    column (topology, cached per list version), and the positions and
+    box, rewritten by the cache before every ``evaluate``.  What a kernel
+    derives from the list alone is built on first read, once per list
+    version.  Nothing is filtered here, so the staged-pair counters read
+    the full list.
     """
 
     offsets: np.ndarray  # (n+1,) int64 row offsets
     neighbors: np.ndarray  # (L,) int32 columns
-    max_row: int  # longest row: sizes the kernel's per-atom short list
-    #: ``(offsets, entries)`` of :func:`repro.md.neighbor.incoming_index`:
-    #: per atom the list entries that name it, in list order
-    incoming: tuple[np.ndarray, np.ndarray]
     types: np.ndarray | None = None  # (n,) int32
     x: np.ndarray | None = None  # (n, 3) float64
     box: Box | None = None
+    max_row: int = field(init=False)  # longest row: sizes the compiled kernel's short list
+    # built on first read; not functools.cached_property, whose lock
+    # (Python < 3.12) is shared by every instance and would serialize
+    # concurrent sessions on their first read
+    _ij: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
+    _incoming: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        self.max_row = int(np.diff(self.offsets).max(initial=0))
 
     @property
     def n_list_entries(self) -> int:
@@ -98,6 +106,23 @@ class ListData:
 
     n_pairs = n_list_entries
     filter_efficiency = 1.0
+
+    @property
+    def ij(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every entry as parallel int64 ``(i, j)`` arrays, sorted by i
+        (:meth:`NeighborList.pairs`)."""
+        if self._ij is None:
+            counts = np.diff(self.offsets)
+            self._ij = np.repeat(np.arange(counts.shape[0], dtype=np.int64), counts), self.neighbors.astype(np.int64)
+        return self._ij
+
+    @property
+    def incoming(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(offsets, entries)`` of :func:`repro.md.neighbor.incoming_index`:
+        per atom the list entries that name it, in list order."""
+        if self._incoming is None:
+            self._incoming = incoming_index(self.neighbors, self.offsets.shape[0] - 1)
+        return self._incoming
 
 
 @dataclass
@@ -127,12 +152,11 @@ def pair_geometry(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-image displacements ``x_j - x_i`` and distances.
 
-    The one genuinely position-dependent piece of pair staging; the
-    interaction cache (:mod:`repro.core.pipeline.cache`) recomputes
-    this every force call while reusing everything topological.  With a
+    The one genuinely position-dependent piece of pair staging, which
+    :func:`filter_list` recomputes every force call.  With a
     `workspace` the result lives in reused scratch buffers (no per-call
-    allocation); the arithmetic is identical either way, so cached and
-    cold paths agree bit for bit.
+    allocation); the arithmetic is identical either way, so the numpy
+    kernels and :func:`build_pairs` agree bit for bit.
 
     Non-finite distances raise :class:`ValueError` and coincident atoms
     :class:`DegenerateGeometryError`, rather than being silently dropped
@@ -180,6 +204,39 @@ def pair_geometry(
     return d, r
 
 
+def filter_list(lst: ListData, *cuts, ntypes: int = 1, strict: bool = False,
+                workspace=None) -> list[PairData]:
+    """The scalar filter: one :class:`PairData` per cutoff in `cuts`.
+
+    One :func:`pair_geometry` pass over every entry of `lst`, then per
+    cutoff the entries with ``r <= cut`` (``r < cut`` when `strict`).  A
+    cutoff is an array indexed by the flat ``(ti, tj, tj)`` parameter
+    index (a per-type-pair cutoff), a scalar (one for every entry), or
+    ``None`` (keep every entry, skin atoms included).  With a
+    `workspace` the geometry is scratch; the returned pairs are always
+    fresh arrays.
+    """
+    i_idx, j_idx = lst.ij
+    n_list = i_idx.shape[0]
+    d, r = pair_geometry(lst.x, lst.box, i_idx, j_idx, workspace=workspace)
+    ti = lst.types[i_idx].astype(np.int64)
+    tj = lst.types[j_idx].astype(np.int64)
+    pair_flat = (ti * ntypes + tj) * ntypes + tj
+    compare = np.less if strict else np.less_equal
+    out = []
+    for cut in cuts:
+        if cut is None:
+            keep = np.ones(n_list, dtype=bool)
+        else:
+            keep = compare(r, cut if np.ndim(cut) == 0 else cut[pair_flat])
+        out.append(PairData(
+            i_idx=i_idx[keep], j_idx=j_idx[keep], d=d[keep], r=r[keep],
+            ti=ti[keep], tj=tj[keep], pair_flat=pair_flat[keep],
+            n_atoms=lst.offsets.shape[0] - 1, n_list_entries=n_list,
+        ))
+    return out
+
+
 def build_pairs(
     system: AtomSystem,
     neigh: NeighborList,
@@ -187,7 +244,7 @@ def build_pairs(
     *,
     cutoff: str = "pair",
 ) -> PairData:
-    """Extract and filter all (i,j) list entries.
+    """Extract and filter all (i,j) list entries (:func:`filter_list`).
 
     Parameters
     ----------
@@ -199,33 +256,12 @@ def build_pairs(
         list itself, Sec. IV-D);
         ``"none"``  — keep everything, skin atoms included.
     """
-    i_idx, j_idx = neigh.pairs()
-    n_list = i_idx.shape[0]
-    d, r = pair_geometry(system.x, system.box, i_idx, j_idx)
-    ti = system.type[i_idx].astype(np.int64)
-    tj = system.type[j_idx].astype(np.int64)
-    pair_flat = (ti * flat.ntypes + tj) * flat.ntypes + tj
-
-    if cutoff == "pair":
-        keep = r <= flat.cut[pair_flat]
-    elif cutoff == "max":
-        keep = r <= float(np.max(flat.cut))
-    elif cutoff == "none":
-        keep = np.ones(n_list, dtype=bool)
-    else:
+    cuts = {"pair": flat.cut, "max": float(np.max(flat.cut)), "none": None}
+    if cutoff not in cuts:
         raise ValueError(f"unknown cutoff mode {cutoff!r}")
-
-    return PairData(
-        i_idx=i_idx[keep],
-        j_idx=j_idx[keep],
-        d=d[keep],
-        r=r[keep],
-        ti=ti[keep],
-        tj=tj[keep],
-        pair_flat=pair_flat[keep],
-        n_atoms=system.n,
-        n_list_entries=n_list,
-    )
+    lst = ListData(neigh.offsets, neigh.neighbors, types=system.type, x=system.x, box=system.box)
+    (pairs,) = filter_list(lst, cuts[cutoff], ntypes=flat.ntypes)
+    return pairs
 
 
 def _expand(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

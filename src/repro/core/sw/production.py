@@ -1,16 +1,16 @@
 """Batched Stillinger-Weber on the potential-agnostic staged pipeline.
 
 The point of this module is the paper's generality claim: the *same*
-scalar filter, triplet expansion, step-persistent interaction cache
-and segmented-sum accumulation feed a completely different multi-body
-functional form.  Only the inner arithmetic is SW-specific; the
-packing, caching and accumulation strategy come from
-:mod:`repro.core.pipeline`.
+scalar filter, triplet expansion, step-persistent list cache and
+segmented-sum accumulation feed a completely different multi-body
+functional form.  Only the inner arithmetic and the cutoff convention
+are SW-specific; the packing, caching and accumulation strategy come
+from :mod:`repro.core.pipeline`.
 
-SW declares a *strict* cutoff comparison (``r < cut``): its tail
-function ``exp(sigma/(r - cut))`` diverges at exactly ``r == cut``, so
-an inclusive filter would poison the batch.  The k-candidate set is
-the filtered pair set itself (single species, single cutoff).
+SW's filter is *strict* (``r < cut``): its tail function
+``exp(sigma/(r - cut))`` diverges at exactly ``r == cut``, so an
+inclusive filter would poison the batch.  The k-candidate set is the
+filtered pair set itself (single species, single cutoff).
 
 :class:`SWKernel` is the ``numpy`` backend's SW kernel: the oracle, and
 the fallback without a C toolchain.  Where the extension loads,
@@ -28,9 +28,9 @@ from repro.core.pipeline import (
     PairData,
     PipelinePotential,
     Staging,
-    TripletData,
+    Workspace,
     build_triplets,
-    idx3_of,
+    filter_list,
     segsum3,
 )
 from repro.core.sw.functional import phi2, phi3
@@ -39,54 +39,30 @@ from repro.md.potential import ForceResult
 from repro.vector.precision import Precision
 
 
-class SWKernel(MultiBodyKernel):
-    """The Stillinger-Weber computational component."""
+def _unordered_triplets(pairs: PairData) -> tuple[np.ndarray, np.ndarray]:
+    """Each unordered (j, k) of a center once: the ordered expansion,
+    rows with k after j."""
+    tri = build_triplets(pairs, pairs)
+    keep = tri.tri_k > tri.tri_pair
+    return tri.tri_pair[keep], tri.tri_k[keep]
 
-    uses_types = False
-    cutoff_inclusive = False  # the SW tail diverges at r == cut
-    separate_kcand = False
+
+class SWKernel(MultiBodyKernel):
+    """The Stillinger-Weber filter and computational component."""
 
     def __init__(self, params: SWParams, precision: Precision):
         self.params = params
         self.precision = precision
+        self._ws = Workspace()
 
-    def pair_cutoffs(self, pair_flat: np.ndarray | None) -> float:
-        return float(self.params.cut)
-
-    def build_staging(self, pairs: PairData, kcand: PairData) -> Staging:
-        # unordered (j, k) via ordered expansion + row filter: each
-        # unordered triplet once — topology-only, so it is cached
-        tri = build_triplets(pairs, kcand)
-        keep = tri.tri_k > tri.tri_pair
-        tp = tri.tri_pair[keep]
-        tk = tri.tri_k[keep]
-        return Staging(
-            pairs=pairs,
-            kcand=kcand,
-            tri=TripletData(tri_pair=tp, tri_k=tk, n_pairs=pairs.n_pairs),
-            idx3={
-                "pair_i": idx3_of(pairs.i_idx),
-                "pair_j": idx3_of(pairs.j_idx),
-                "tri_i": idx3_of(pairs.i_idx[tp]),
-                "tri_j": idx3_of(pairs.j_idx[tp]),
-                "tri_k": idx3_of(pairs.j_idx[tk]),
-            },
-        )
-
-    @hot_path(reason="computational part of every SW force call")
+    @hot_path(reason="filter and computational part of every SW force call")
     def evaluate(self, st: Staging, n: int) -> ForceResult:
         p = self.params
         cd = self.precision.compute_dtype
-        pairs = st.pairs
-        idx3 = st.idx3
+        # the filter: strict, the SW tail diverges at r == cut
+        (pairs,) = filter_list(st.pairs, float(p.cut), strict=True, workspace=self._ws)
         P = pairs.n_pairs
-        if P == 0:
-            return ForceResult(energy=0.0, forces=np.zeros((n, 3), dtype=np.float64),  # repro-lint: disable=KA003
-                               virial=0.0,
-                               stats={"pairs_in_cutoff": 0, "triples": 0,
-                                      "filter_efficiency": pairs.filter_efficiency,
-                                      "virial_tensor": np.zeros((3, 3), dtype=np.float64),  # repro-lint: disable=KA003
-                                      "per_atom_energy": np.zeros(n, dtype=np.float64)})  # repro-lint: disable=KA003
+        tp, tk = _unordered_triplets(pairs)
 
         d_ij = pairs.d.astype(cd)
         r_ij = pairs.r.astype(cd)
@@ -100,15 +76,13 @@ class SWKernel(MultiBodyKernel):
         # force accumulator must start zeroed; Workspace.buf hands back
         # uninitialized capacity, so a fresh allocation is the honest cost
         forces = np.zeros((n, 3), dtype=np.float64)  # repro-lint: disable=KA003
-        forces -= segsum3(pairs.i_idx, fvec, n, np.float64, idx3=idx3.get("pair_i"))
-        forces += segsum3(pairs.j_idx, fvec, n, np.float64, idx3=idx3.get("pair_j"))
+        forces -= segsum3(pairs.i_idx, fvec, n, np.float64)
+        forces += segsum3(pairs.j_idx, fvec, n, np.float64)
         virial = float(np.sum(fpair * pairs.r * pairs.r))
         # full virial tensor W_ab = sum d_a F_b (pair part: F on j is fvec)
         stress = np.einsum("ia,ib->ab", pairs.d, fvec)
 
-        # ---- three-body: the staged triplets hold each unordered pair once --
-        tp = st.tri.tri_pair
-        tk = st.tri.tri_k
+        # ---- three-body: the triplets hold each unordered pair once --------
         T = tp.shape[0]
         if T:
             rij_t = r_ij[tp]
@@ -124,9 +98,9 @@ class SWKernel(MultiBodyKernel):
             dcos_dk = hat_ij / rik_t[:, None] - (cos_t / rik_t)[:, None] * hat_ik
             fj = -(de_drij[:, None] * hat_ij + de_dcos[:, None] * dcos_dj).astype(np.float64)
             fk = -(de_drik[:, None] * hat_ik + de_dcos[:, None] * dcos_dk).astype(np.float64)
-            forces += segsum3(pairs.j_idx[tp], fj, n, np.float64, idx3=idx3.get("tri_j"))
-            forces += segsum3(pairs.j_idx[tk], fk, n, np.float64, idx3=idx3.get("tri_k"))
-            forces -= segsum3(pairs.i_idx[tp], fj + fk, n, np.float64, idx3=idx3.get("tri_i"))
+            forces += segsum3(pairs.j_idx[tp], fj, n, np.float64)
+            forces += segsum3(pairs.j_idx[tk], fk, n, np.float64)
+            forces -= segsum3(pairs.i_idx[tp], fj + fk, n, np.float64)
             virial += float(np.sum(np.einsum("ij,ij->i", pairs.d[tp], fj)
                                    + np.einsum("ij,ij->i", pairs.d[tk], fk)))
             # triplet virial tensor: F on j is +fj, on k is +fk

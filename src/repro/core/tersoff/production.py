@@ -16,15 +16,14 @@ Supports double / single / mixed precision (Sec. V-E Opt-D/S/M): the
 computational batches genuinely run in the compute dtype; accumulation
 (segmented sums, energy) runs in the accumulate dtype.
 
-The staging/caching machinery is the potential-agnostic
-:mod:`repro.core.pipeline`: :class:`TersoffKernel` declares the typed
-pair table, the inclusive per-type-pair cutoff and the Sec. IV-D
-max-cutoff k-candidate set, and the shared
-:class:`~repro.core.pipeline.cache.InteractionCache` keeps the
-filtered topology, triplet expansion and parameter gathers
-step-persistent between neighbor rebuilds (bit-for-bit identical to
-cold staging; ``cache=False`` runs the same code through an ephemeral
-cache).
+The list staging and its cache are the potential-agnostic
+:mod:`repro.core.pipeline`; :class:`TersoffKernel` gets the unfiltered
+list like every kernel and runs Tersoff's filter itself, every call:
+the inclusive per-type-pair cutoff for the pairs and the Sec. IV-D
+max cutoff for the k-candidates
+(:func:`~repro.core.pipeline.topology.filter_list`), then the triplet
+expansion and parameter gathers.  It is the ``numpy`` backend's
+Tersoff kernel: the oracle, and the fallback without a C toolchain.
 """
 
 from __future__ import annotations
@@ -34,11 +33,11 @@ import numpy as np
 from repro.analysis import hot_path
 from repro.core.pipeline import (
     MultiBodyKernel,
-    PairData,
     PipelinePotential,
     Staging,
+    Workspace,
     build_triplets,
-    idx3_of,
+    filter_list,
     segsum3,
 )
 from repro.core.tersoff.functional import (
@@ -62,11 +61,9 @@ from repro.vector.precision import Precision
 
 
 class TersoffKernel(MultiBodyKernel):
-    """The Tersoff computational component on the staged pipeline."""
+    """The Tersoff filter and computational component on the staged pipeline."""
 
     uses_types = True
-    cutoff_inclusive = True
-    separate_kcand = True
 
     def __init__(self, params: TersoffParams, precision: Precision):
         self.params = params
@@ -80,53 +77,25 @@ class TersoffKernel(MultiBodyKernel):
         }
         self._p_m = self._flat.m  # integer-ish selector, keep double
         self._nt = self._flat.ntypes
-        self.kcand_cutoff = float(np.max(self._flat.cut))
+        self._kcut = float(np.max(self._flat.cut))
+        self._ws = Workspace()
 
-    def pair_type_index(self, ti: np.ndarray, tj: np.ndarray) -> np.ndarray:
-        return (ti * self._nt + tj) * self._nt + tj
-
-    def pair_cutoffs(self, pair_flat: np.ndarray | None) -> np.ndarray:
-        return self._flat.cut[pair_flat]
-
-    def build_staging(self, pairs: PairData, kcand: PairData) -> Staging:
-        tri = build_triplets(pairs, kcand)
-        tp, tk = tri.tri_pair, tri.tri_k
-        tflat = (pairs.ti[tp] * self._nt + pairs.tj[tp]) * self._nt + kcand.tj[tk]
-        return Staging(
-            pairs=pairs,
-            kcand=kcand,
-            tri=tri,
-            idx3={
-                "pair_i": idx3_of(pairs.i_idx),
-                "pair_j": idx3_of(pairs.j_idx),
-                "tri_i": idx3_of(pairs.i_idx[tp]),
-                "tri_j": idx3_of(pairs.j_idx[tp]),
-                "tri_k": idx3_of(kcand.j_idx[tk]),
-            },
-            gathers={
-                "pair_p": gather_flat(self._p, pairs.pair_flat, PROD_PAIR_FIELDS),
-                "tri_p": gather_flat(self._p, tflat, PROD_TRIPLET_FIELDS),
-                "m_t": self._p_m[tflat],
-            },
-        )
-
-    @hot_path(reason="computational part of every force call (paper Alg. 3)")
+    @hot_path(reason="filter and computational part of every force call (paper Alg. 3)")
     def evaluate(self, st: Staging, n: int) -> ForceResult:
         cd = self.precision.compute_dtype
         ad = self.precision.accum_dtype
-        pairs, kcand, tri = st.pairs, st.kcand, st.tri
-        pp, tpars = st.gathers["pair_p"], st.gathers["tri_p"]
-        idx3 = st.idx3
+        # the filter: pairs within R + D of their type pair, k-candidates
+        # within the largest cutoff of any type pair (Sec. IV-D)
+        pairs, kcand = filter_list(st.pairs, self._flat.cut, self._kcut, ntypes=self._nt,
+                                   workspace=self._ws)
+        tri = build_triplets(pairs, kcand)
+        tp, tk = tri.tri_pair, tri.tri_k
+        tflat = (pairs.ti[tp] * self._nt + pairs.tj[tp]) * self._nt + kcand.tj[tk]
+        pp = gather_flat(self._p, pairs.pair_flat, PROD_PAIR_FIELDS)
+        tpars = gather_flat(self._p, tflat, PROD_TRIPLET_FIELDS)
+        m_t = self._p_m[tflat]
 
         P = pairs.n_pairs
-        if P == 0:
-            # cold early-return for empty systems; never hit during stepping
-            return ForceResult(energy=0.0, forces=np.zeros((n, 3), dtype=np.float64),  # repro-lint: disable=KA003
-                               virial=0.0,
-                               stats={"pairs_in_cutoff": 0, "triples": 0,
-                                      "filter_efficiency": pairs.filter_efficiency,
-                                      "virial_tensor": np.zeros((3, 3), dtype=np.float64),  # repro-lint: disable=KA003
-                                      "per_atom_energy": np.zeros(n, dtype=np.float64)})  # repro-lint: disable=KA003
         T = tri.n_triplets
 
         # compute-dtype views of the geometry
@@ -134,8 +103,6 @@ class TersoffKernel(MultiBodyKernel):
         r_ij = pairs.r.astype(cd, copy=False)
 
         # ---- zeta accumulation over triplets ----------------------------------
-        tp = tri.tri_pair
-        tk = tri.tri_k
         if T:
             d_ik = kcand.d[tk].astype(cd, copy=False)
             r_ik = kcand.r[tk].astype(cd, copy=False)
@@ -148,8 +115,8 @@ class TersoffKernel(MultiBodyKernel):
             fc_d_ik = f_c_d(r_ik, R_t, D_t)
             g_t = g_angle(cos_t, tpars["gamma"], tpars["c"], tpars["d"], tpars["h"])
             g_d_t = g_angle_d(cos_t, tpars["gamma"], tpars["c"], tpars["d"], tpars["h"])
-            ex_t = zeta_exp(rij_t, r_ik, tpars["lam3"], st.gathers["m_t"])
-            ex_ld_t = zeta_exp_d_over(rij_t, r_ik, tpars["lam3"], st.gathers["m_t"])
+            ex_t = zeta_exp(rij_t, r_ik, tpars["lam3"], m_t)
+            ex_ld_t = zeta_exp_d_over(rij_t, r_ik, tpars["lam3"], m_t)
             zeta_contrib = fc_ik * g_t * ex_t
             zeta = np.bincount(tp, weights=zeta_contrib.astype(np.float64, copy=False),
                                minlength=P).astype(cd)
@@ -177,8 +144,8 @@ class TersoffKernel(MultiBodyKernel):
         # force accumulator must start zeroed; Workspace.buf hands back
         # uninitialized capacity, so a fresh allocation is the honest cost
         forces64 = np.zeros((n, 3), dtype=np.float64)  # repro-lint: disable=KA003
-        forces64 -= segsum3(pairs.i_idx, fvec, n, np.float64, idx3=idx3.get("pair_i"))
-        forces64 += segsum3(pairs.j_idx, fvec, n, np.float64, idx3=idx3.get("pair_j"))
+        forces64 -= segsum3(pairs.i_idx, fvec, n, np.float64)
+        forces64 += segsum3(pairs.j_idx, fvec, n, np.float64)
         # full virial tensor W_ab = sum d_a F_b (pair part: F on j is fvec)
         stress = np.einsum("ia,ib->ab", pairs.d, fvec)
         virial = float(np.trace(stress))
@@ -200,9 +167,9 @@ class TersoffKernel(MultiBodyKernel):
             fi = (pre_t[:, None] * dzeta_di).astype(np.float64, copy=False)
             fj = (pre_t[:, None] * dzeta_dj).astype(np.float64, copy=False)
             fk = (pre_t[:, None] * dzeta_dk).astype(np.float64, copy=False)
-            forces64 -= segsum3(pairs.i_idx[tp], fi, n, np.float64, idx3=idx3.get("tri_i"))
-            forces64 -= segsum3(pairs.j_idx[tp], fj, n, np.float64, idx3=idx3.get("tri_j"))
-            forces64 -= segsum3(kcand.j_idx[tk], fk, n, np.float64, idx3=idx3.get("tri_k"))
+            forces64 -= segsum3(pairs.i_idx[tp], fi, n, np.float64)
+            forces64 -= segsum3(pairs.j_idx[tp], fj, n, np.float64)
+            forces64 -= segsum3(kcand.j_idx[tk], fk, n, np.float64)
             # triplet virial: F on j is -fj, on k is -fk (relative to i)
             stress -= np.einsum("ia,ib->ab", pairs.d[tp], fj)
             stress -= np.einsum("ia,ib->ab", kcand.d[tk], fk)

@@ -68,8 +68,8 @@ class Potential:
     ``per_atom_energy``
         ``(n,)`` float64 decomposition summing to ``energy``.
     ``timing``
-        ``{"staging_s": ..., "kernel_s": ...}`` — the filter/compute
-        split of the call's wall time.
+        ``{"staging_s": ..., "kernel_s": ...}`` — the call's wall time
+        split into list staging and the kernel (its filter included).
     ``cache``
         ``{"enabled": False}`` or the interaction-cache counters plus
         ``list_version`` (see

@@ -228,7 +228,7 @@ def render_telemetry_summary(summary: dict) -> str:
     if "cache" in summary:
         c = summary["cache"]
         lines.append(
-            f"interaction cache: {c['hits']} hits, {c['misses']} misses, "
+            f"interaction cache: {c['hits']} hits, "
             f"{c['invalidations']} invalidations (list v{c['list_version']})"
         )
     if "neighbor_builds_last" in summary:

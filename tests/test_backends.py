@@ -462,33 +462,46 @@ class TestHistoryIndependence:
         assert np.array_equal(first.stats["per_atom_energy"], per_atom)
 
 
-@needs_compiled
 class TestListStaging:
-    """The ``reads_list`` staging contract: L1/L2 only."""
+    """One staging contract for every kernel: the list (L1) and the type
+    column (L2); the filter is the kernel's own."""
 
     def test_prepare_stages_the_list_and_nothing_else(self, monkeypatch):
-        from repro.core.pipeline import InteractionCache, ListData
-        from repro.core.pipeline import cache as cache_module
+        from repro.core.pipeline import InteractionCache, ListData, topology
 
         def no_geometry(*args, **kwargs):
-            raise AssertionError("pair_geometry must not run for a reads_list kernel")
+            raise AssertionError("prepare must not compute pair geometry")
 
-        monkeypatch.setattr(cache_module, "pair_geometry", no_geometry)
         params, system, neigh = sic_workload()
-        kernel = TersoffProduction(params, backend="compiled").kernel
-        assert kernel.reads_list
-        cache = InteractionCache()
-        st = cache.prepare(system, neigh, kernel)
-        assert isinstance(st.pairs, ListData) and st.kcand is st.pairs and st.tri is None
-        assert st.pairs.offsets is neigh.offsets and st.pairs.neighbors is neigh.neighbors
-        assert st.pairs.max_row == int(neigh.counts().max())
-        assert st.pairs.n_pairs == st.pairs.n_list_entries == neigh.n_pairs
-        assert cache.stats.last_event == "invalidated"
-        assert cache.workspace.nbytes == 0  # no L-sized scratch
+        for backend in ("numpy", "compiled") if backends.is_available("compiled") else ("numpy",):
+            kernel = TersoffProduction(params, backend=backend).kernel
+            cache = InteractionCache()
+            with monkeypatch.context() as patch:
+                patch.setattr(topology, "pair_geometry", no_geometry)
+                st = cache.prepare(system, neigh, kernel)
+                assert cache.stats.last_event == "invalidated"
+                assert cache.prepare(system, neigh, kernel) is st
+                assert cache.stats.last_event == "hit"
+            assert isinstance(st.pairs, ListData) and st.tri is None
+            assert st.pairs.offsets is neigh.offsets and st.pairs.neighbors is neigh.neighbors
+            assert st.pairs.max_row == int(neigh.counts().max())
+            assert st.pairs.n_pairs == st.pairs.n_list_entries == neigh.n_pairs
 
-        assert cache.prepare(system, neigh, kernel) is st
-        assert cache.stats.last_event == "hit"
+    @pytest.mark.parametrize("backend", ["numpy", pytest.param("compiled", marks=needs_compiled)])
+    @pytest.mark.parametrize("potential", ["tersoff", "sw"])
+    def test_only_the_compiled_kernel_builds_the_transposed_index(self, backend, potential):
+        """The list's ``incoming`` index is made by the extension: the
+        numpy oracle must run without ever reading it."""
+        if potential == "sw":
+            params, system, neigh = sw_workload(cells=2)
+            pot = StillingerWeberProduction(params, backend=backend)
+        else:
+            params, system, neigh = sic_workload()
+            pot = TersoffProduction(params, backend=backend)
+        pot.compute(system, neigh)
+        assert (pot._cache._staging.pairs._incoming is not None) == (backend == "compiled")
 
+    @needs_compiled
     def test_type_change_invalidates_by_value(self):
         params, system, neigh = sic_workload()
         pn = TersoffProduction(params, backend="numpy")
@@ -500,6 +513,7 @@ class TestListStaging:
         pc.compute(system, neigh)
         assert pc.cache_stats.hits == 1
 
+    @needs_compiled
     def test_inconsistent_input_is_rejected_not_dereferenced(self):
         """C indexes the list unchecked by numpy: every index it reads
         is validated, by the cache (shapes) or the kernel (values)."""
@@ -527,6 +541,7 @@ class TestListStaging:
             with pytest.raises(ValueError, match="do not match the system"):
                 pot.compute(smaller, neigh)
 
+    @needs_compiled
     def test_empty_and_isolated_systems(self):
         """No neighbors at all: zero energy and forces, counters intact."""
         params = tersoff_si()
@@ -536,6 +551,37 @@ class TestListStaging:
         res = TersoffProduction(params, backend="compiled").compute(system, neigh)
         assert res.energy == 0.0 and not res.forces.any()
         assert res.stats["pairs_in_cutoff"] == 0 and res.stats["filter_efficiency"] == 1.0
+
+
+class TestCutoffConvention:
+    """Each family's filter boundary, the same on both backends: a dimer
+    at exactly ``r == cut`` (``d = cut - 0`` and ``sqrt(cut**2) == cut``
+    are exact)."""
+
+    @staticmethod
+    def dimer(cut):
+        x = np.array([[0.0, 0.0, 0.0], [cut, 0.0, 0.0]])
+        system = AtomSystem(box=Box.cubic(30.0, periodic=False), x=x)
+        return system, build_list(system, cut, brute=True)
+
+    @pytest.mark.parametrize("backend", ["numpy", pytest.param("compiled", marks=needs_compiled)])
+    def test_sw_is_strict(self, backend):
+        """The SW tail diverges at ``r == cut``: the pair is filtered out."""
+        params = sw_silicon()
+        system, neigh = self.dimer(params.cut)
+        res = StillingerWeberProduction(params, backend=backend).compute(system, neigh)
+        assert neigh.n_pairs == 2 and res.stats["list_entries"] == 2
+        assert res.stats["pairs_in_cutoff"] == 0
+        assert res.energy == 0.0 and not res.forces.any()
+
+    @pytest.mark.parametrize("backend", ["numpy", pytest.param("compiled", marks=needs_compiled)])
+    def test_tersoff_is_inclusive(self, backend):
+        """Tersoff keeps ``r == R + D``, where its cutoff function reaches 0."""
+        params = tersoff_si()
+        system, neigh = self.dimer(params.max_cutoff)
+        res = TersoffProduction(params, backend=backend).compute(system, neigh)
+        assert neigh.n_pairs == 2 and res.stats["pairs_in_cutoff"] == 2
+        assert np.isfinite(res.forces).all()
 
 
 @needs_compiled

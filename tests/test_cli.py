@@ -3,6 +3,7 @@
 import argparse
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -66,7 +67,7 @@ class TestTrackedQuantities:
         def lines(root):
             return sum(len(f.read_text().splitlines()) for f in root.rglob("*.py"))
 
-        assert lines(package) <= 17_900
+        assert lines(package) <= 17_729
         assert lines(package / "analysis") <= 2_572
 
     def test_lint_is_one_stateless_pass(self):
@@ -129,6 +130,17 @@ class TestRun:
     def test_sw_run(self, capsys):
         assert main(["run", "--atoms", "64", "--steps", "5", "--potential", "sw"]) == 0
         assert "sw" in capsys.readouterr().out
+
+    def test_cache_line_counts_what_is_counted(self, capsys, tmp_path):
+        """Hits and invalidations, in the run's report and the telemetry
+        summary alike; no layer counts a miss, so no line prints one."""
+        path = tmp_path / "telemetry.jsonl"
+        assert main(["run", "--atoms", "64", "--steps", "4", "--telemetry", str(path)]) == 0
+        run_out = capsys.readouterr().out
+        assert main(["telemetry", "summarize", str(path)]) == 0
+        for out in (run_out, capsys.readouterr().out):
+            (line,) = [ln for ln in out.splitlines() if ln.startswith("interaction cache:")]
+            assert re.fullmatch(r"interaction cache: \d+ hits, \d+ invalidations \(list v\d+\)", line)
 
     def test_ref_mode_run(self, capsys):
         assert main(["run", "--atoms", "64", "--steps", "2", "--mode", "Ref"]) == 0

@@ -6,11 +6,11 @@ The central property (and the reason the cache is safe to ship on by
 default): for any trajectory — including ones that cross ≥3 neighbor
 rebuild boundaries and drift pairs across cutoff masks — the cached
 path must produce *identical bits* to staging from scratch, in every
-precision mode.  The staging and invalidation tests name the numpy
-backend, whose filtered staging is rebuilt from fresh masks on top of
-the cached L1/L2 topology; a ``reads_list`` kernel (compiled, the
-default where it loads) takes L1/L2 as they are and is held to the
-same property by :class:`TestListKernelStaging`.
+precision mode.  Every kernel is handed the cached L1/L2 list and
+filters it itself; the staging and invalidation tests name the numpy
+backend, whose filter runs from fresh masks in numpy, and the compiled
+kernel (the default where it loads) is held to the same property by
+:class:`TestListKernelStaging`.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from repro.core.pipeline import (
     segsum3,
     segsum3_loop,
 )
+from repro.core.sw import StillingerWeberProduction, sw_silicon
 from repro.core.tersoff.parameters import tersoff_si, tersoff_sic
 from repro.core.tersoff.production import TersoffProduction
 from repro.md.lattice import diamond_lattice, perturbed, zincblende_sic
@@ -115,15 +116,23 @@ class TestBitForBitEquivalence:
         assert rc.stats["pairs_in_cutoff"] == rf.stats["pairs_in_cutoff"]
         assert cached.cache_stats.last_event == "hit"
 
-    def test_empty_pair_set_cached(self, si_params):
+    def test_empty_pair_set_cached(self):
+        """No pair in range runs the general path: exact zeros, the full
+        stats contract and no RuntimeWarning (an error under pytest)."""
         s = make_cluster(2, seed=31, spread=8.0, min_sep=6.0)
-        nl = build_list(s, si_params.max_cutoff, brute=True)
-        pot = TersoffProduction(si_params, cache=True, backend="numpy")
-        for _ in range(2):
-            res = pot.compute(s, nl)
-            assert res.energy == 0.0
-            assert np.all(res.forces == 0.0)
-        assert pot.cache_stats.hits == 1
+        for potential, params in ((TersoffProduction, tersoff_si()),
+                                  (StillingerWeberProduction, sw_silicon())):
+            nl = build_list(s, params.max_cutoff, brute=True)
+            pot = potential(params, cache=True, backend="numpy")
+            for _ in range(2):
+                res = pot.compute(s, nl)
+                assert res.energy == 0.0 and res.virial == 0.0
+                assert np.all(res.forces == 0.0)
+                assert not res.stats["virial_tensor"].any()
+                assert not res.stats["per_atom_energy"].any()
+                assert res.stats["pairs_in_cutoff"] == res.stats["triples"] == 0
+                assert res.stats["list_entries"] == nl.n_pairs
+            assert pot.cache_stats.hits == 1
 
 
 class TestInvalidation:
@@ -283,10 +292,11 @@ class TestWorkspace:
         nl = build_list(si_lattice_222, si_params.max_cutoff)
         pot = TersoffProduction(si_params, cache=True, backend="numpy")
         pot.compute(si_lattice_222, nl)
-        grown = pot._cache.workspace.grow_events
+        grown = pot.kernel._ws.grow_events
+        assert grown  # the filter's geometry lives in the kernel's arena
         for _ in range(3):
             pot.compute(si_lattice_222, nl)
-        assert pot._cache.workspace.grow_events == grown
+        assert pot.kernel._ws.grow_events == grown
 
 
 class TestObservability:
