@@ -1,6 +1,8 @@
 /* The serial part of an MD step, behind the methods that own it:
- * VelocityVerlet.initial_integrate / final_integrate (repro.md.integrate)
- * and NeighborList.needs_rebuild (repro.md.neighbor).
+ * VelocityVerlet.initial_integrate / final_integrate (repro.md.integrate),
+ * the skin test of NeighborList.needs_rebuild and ParallelEngine's
+ * redecomposition (repro.md.neighbor.past_half_skin) and the decomposed step's
+ * rank-order force reduction (DomainDecomposition.reduce_forces).
  *
  * Compiled into the same shared object as _tersoff.c.  Each entry computes
  * what the numpy body it stands in for computes, operator for operator,
@@ -12,6 +14,8 @@
  *          m >= L -> 0, then m + lo
  *   skin   d = x - x_ref, on a periodic axis d -= L rint(d / L); the
  *          largest DOT3_EINSUM(d^2), NaN when any is NaN (np.max)
+ *   reduce out = 0, then out[idx[k]] += rows[k] rank after rank, rows in
+ *          input order: np.add.at's order (scatter_add_rows)
  *
  * One thread: at a few thousand atoms a pass takes tens of microseconds,
  * less than waking a helper of _pool.c is worth.
@@ -125,4 +129,32 @@ F64 md_max_disp2(const int64_t n, const double *restrict x, const double *restri
         }
     }
     return worst;
+}
+
+/* The rank-order reverse halo exchange: zero the (n, 3) `out`, then add
+ * rank r's block row k onto out[idx[r][k]] for r = 0, 1, ... and k in
+ * input order, so every element sees np.add.at's sums in its order (+0.0
+ * start, -0.0 rows included).  Returns 0, or 1 at the first index outside
+ * [0, n), with `out` part written: the caller then runs the numpy body,
+ * which starts from zero again and wraps a negative index or raises the
+ * IndexError. */
+int64_t md_reduce_rows(const int64_t n, double *out, const int64_t ranks,
+                       const int64_t *const *idx, const int64_t *rows,
+                       const double *const *block)
+{
+    int64_t r, k;
+    for (k = 0; k < 3 * n; k++) out[k] = 0;
+    for (r = 0; r < ranks; r++) {
+        const int64_t *ri = idx[r], m = rows[r];
+        const double *b = block[r];
+        for (k = 0; k < m; k++) {
+            double *o;
+            if (ri[k] < 0 || ri[k] >= n) return 1;
+            o = out + 3 * ri[k];
+            o[0] += b[3 * k];
+            o[1] += b[3 * k + 1];
+            o[2] += b[3 * k + 2];
+        }
+    }
+    return 0;
 }

@@ -4,8 +4,8 @@ The package ships C source — the compiled backend's list walker
 ``_walker.c`` with its two potentials, ``_tersoff.c`` and ``_sw.c`` and
 their REAL-templated bodies ``_tersoff_impl.h`` / ``_sw_impl.h`` over the
 lane abstraction ``_vec.h`` / ``_vmath.h``, the thread pool ``_pool.c``,
-the cell-list neighbor build ``_neighbor.c`` and an MD step's integrator
-and skin test ``_step.c`` — and compiles it into one shared object on first use with
+the cell-list neighbor build ``_neighbor.c`` and an MD step's integrator,
+skin test and rank-order force reduction ``_step.c`` — and compiles it into one shared object on first use with
 the host toolchain: no build-time step, no binary wheels, and ``pip
 install repro`` stays pure-Python.  The shared object is keyed by a
 content hash of the sources, the compile flags, the compiler identity
@@ -204,12 +204,14 @@ def _entry_points(lib: ctypes.CDLL) -> dict[str, object]:
         "neighbor_build",
         [i64, ptr, ptr, ptr, ptr, i32, ptr, ptr, ptr, ptr, i64, ptr, ptr, i64, ptr], i64)
     # _step.c: md_kick(c, n, v, f, type, mass, ntypes), md_initial(the same, dt, x, lo,
-    # lengths, 3 x periodic) -> 0/1; md_max_disp2(n, x, x_ref, 3 x length, 3 x periodic)
+    # lengths, 3 x periodic) -> 0/1; md_max_disp2(n, x, x_ref, 3 x length, 3 x periodic);
+    # md_reduce_rows(n, out, ranks, idx pointers, rows, block pointers) -> 0/1
     f64 = ctypes.c_double
     kick = [f64, i64, ptr, ptr, ptr, ptr, i64]
     fns["md_kick"] = bind("md_kick", kick, i64)
     fns["md_initial"] = bind("md_initial", kick + [f64, ptr, ptr, ptr, i32, i32, i32], i64)
     fns["md_max_disp2"] = bind("md_max_disp2", [i64, ptr, ptr, f64, f64, f64, i32, i32, i32], f64)
+    fns["md_reduce_rows"] = bind("md_reduce_rows", [i64, ptr, i64, ptr, ptr, ptr], i64)
     # neighbor_transpose(n, n_entries, neighbors, in_offsets, in_entries)
     # -> entries placed or -1 (repro.md.neighbor.incoming_index)
     fns["neighbor_transpose"] = bind("neighbor_transpose", [i64, i64, ptr, ptr, ptr], i64)

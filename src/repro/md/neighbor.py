@@ -144,6 +144,34 @@ def _nonfinite_position(atom: int) -> ValueError:
     )
 
 
+def require_finite(x: np.ndarray) -> None:
+    """Raise the ``ValueError`` naming the first atom whose position is NaN or inf."""
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise _nonfinite_position(int(np.argmin(finite)))
+
+
+def past_half_skin(x: np.ndarray, x_ref: np.ndarray | None, box: Box, skin: float) -> bool:
+    """The LAMMPS rebuild criterion: True unless every atom of `x` lies within
+    half the `skin` of `x_ref` under the minimum image — so True with no
+    `x_ref`, another shape, skin 0, or a NaN or inf position.
+
+    The largest squared displacement is ``md_max_disp2`` of ``_step.c``
+    where the extension loads and both arrays are contiguous f64, else the
+    numpy body it reproduces bit for bit.
+    """
+    if x_ref is None or x.shape != x_ref.shape or skin == 0.0:
+        return True
+    fn = cext.entry("md_max_disp2")
+    if fn is not None and all(a.dtype == np.float64 and a.flags.c_contiguous for a in (x, x_ref)):
+        worst = fn(x.shape[0], x.ctypes.data, x_ref.ctypes.data, *box.lengths, *box.periodic)
+    else:
+        with np.errstate(invalid="ignore", over="ignore"):  # inf moved: NaN, a rebuild
+            d = box.minimum_image(x - x_ref)
+            worst = float(np.max(np.einsum("ij,ij->i", d, d))) if x.shape[0] else 0.0
+    return not worst <= (0.5 * skin) ** 2
+
+
 def _binned_pairs(x: np.ndarray, box: Box, rlist: float) -> tuple[np.ndarray, np.ndarray]:
     """Cell-binned ordered pair search; requires >= 3 bins per periodic axis."""
     n = x.shape[0]
@@ -210,9 +238,7 @@ def _binned_pairs(x: np.ndarray, box: Box, rlist: float) -> tuple[np.ndarray, np
 def _numpy_csr(x: np.ndarray, box: Box, rlist: float, full: bool,
                brute_force: bool) -> tuple[np.ndarray, np.ndarray]:
     """``(offsets, neighbors)`` from the numpy pair search."""
-    finite = np.isfinite(x).all(axis=1)
-    if not finite.all():
-        raise _nonfinite_position(int(np.argmin(finite)))
+    require_finite(x)
     i_idx, j_idx = (_brute_force_pairs if brute_force else _binned_pairs)(x, box, rlist)
     if not full:
         keep = i_idx < j_idx
@@ -370,18 +396,7 @@ class NeighborList:
 
     def needs_rebuild(self, x: np.ndarray) -> bool:
         """LAMMPS criterion: an atom moved more than half the skin, or to NaN/inf."""
-        if (self._x_ref is None or self._box is None or x.shape != self._x_ref.shape
-                or self.settings.skin == 0.0):
-            return True
-        box, fn = self._box, cext.entry("md_max_disp2")
-        if fn is not None and x.dtype == np.float64 and x.flags.c_contiguous:
-            max_disp2 = fn(x.shape[0], x.ctypes.data, self._x_ref.ctypes.data,
-                           *box.lengths, *box.periodic)
-        else:
-            with np.errstate(invalid="ignore", over="ignore"):  # inf moved: NaN, a rebuild
-                d = box.minimum_image(x - self._x_ref)
-                max_disp2 = float(np.max(np.einsum("ij,ij->i", d, d))) if x.shape[0] else 0.0
-        return not max_disp2 <= (0.5 * self.settings.skin) ** 2
+        return self._box is None or past_half_skin(x, self._x_ref, self._box, self.settings.skin)
 
     def ensure(self, x: np.ndarray, box: Box) -> bool:
         """Rebuild if atoms moved or `box` is not the last build's; True if it did."""

@@ -238,8 +238,7 @@ class Simulation:
         synchronization/imbalance wait — to *comm*.
         """
         t0 = time.perf_counter()
-        step = self.engine.compute(self.system.x)
-        self.system.f[:] = step.forces
+        step = self.engine.compute(self.system.x, out=self.system.f)
         elapsed = time.perf_counter() - t0
         tm = step.timers
         neighbor = tm["decompose_s"] + tm["neighbor_s"]

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.backends import cext
 from repro.core.pipeline import Workspace
 from repro.md.atoms import AtomSystem
 from repro.md.neighbor import NeighborList, NeighborSettings
@@ -58,6 +59,25 @@ def _grid_for(n_ranks: int) -> tuple[int, int, int]:
                 best_surface = surface
                 best = (px, py, pz)
     return best
+
+
+def _c_reduce_args(out: np.ndarray, n: int, pairs: list) -> tuple | None:
+    """``md_reduce_rows``'s arguments after `n`, with the pointer tables
+    they point into, or ``None`` unless `out` is a contiguous f64 ``(n, 3)``
+    array, every block contiguous f64 rows enough for its rank's indices
+    and every index array contiguous int64 (C checks the index values)."""
+    def rows3(a, m: int) -> bool:
+        return (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous
+                and a.ndim == 2 and a.shape[1] == 3 and a.shape[0] >= m)
+
+    if not (rows3(out, n) and len(out) == n and all(
+            rows3(b, len(dom.local_idx)) and dom.local_idx.dtype == np.int64
+            and dom.local_idx.flags.c_contiguous for dom, b in pairs)):
+        return None
+    tables = (np.array([dom.local_idx.ctypes.data for dom, _ in pairs], dtype=np.uintp),
+              np.array([dom.local_idx.shape[0] for dom, _ in pairs], dtype=np.int64),
+              np.array([block.ctypes.data for _, block in pairs], dtype=np.uintp))
+    return (out.ctypes.data, len(pairs), *(t.ctypes.data for t in tables)), tables
 
 
 def blank_ghost_rows(neigh: NeighborList, n_owned: int) -> None:
@@ -144,6 +164,7 @@ class DomainDecomposition:
         self._lists: dict[int, NeighborList] = {}
         self._list_key: tuple[float, float] | None = None
         self._ws = Workspace()
+        self._c: tuple = ((), None)  # the last C reduction's arrays and arguments
 
     # -- construction -----------------------------------------------------------
 
@@ -296,14 +317,28 @@ class DomainDecomposition:
         The reduction order — rank 0, rank 1, ... with input-order
         accumulation inside each scatter — is the determinism contract:
         the engine reproduces exactly this association for any worker
-        count.  The returned array is a workspace view, valid until the
-        next reduction on this decomposition (pass ``out=`` to own it).
+        count.  ``md_reduce_rows`` (``_step.c``) adds in that order where
+        the extension loads and the arrays are contiguous f64 rows;
+        ``scatter_add_rows`` is the same sums otherwise, bit for bit.
+        The returned array is a workspace view, valid until the next
+        reduction on this decomposition (pass ``out=`` to own it).
         """
         n = self.system.n
         if out is None:
             out = self._ws.buf("forces", (n, 3), np.float64)
+        pairs = list(zip(self.domains, rank_forces))
+        fn = cext.entry("md_reduce_rows")
+        if fn is not None:
+            # checked and looked up once per set of arrays: after a wait on
+            # the workers that Python costs ~50 us a step, a third of the C pass
+            key = (out, *(block for _, block in pairs))
+            if len(key) != len(self._c[0]) or any(a is not b for a, b in zip(key, self._c[0])):
+                self._c = key, _c_reduce_args(out, n, pairs)
+            args = self._c[1]
+            if args is not None and fn(n, *args[0]) == 0:
+                return out
         out.fill(0.0)
-        for dom, block in zip(self.domains, rank_forces):
+        for dom, block in pairs:
             scatter_add_rows(out, dom.local_idx, block[: dom.local_idx.shape[0]])
         return out
 

@@ -26,15 +26,20 @@ Architecture
   reply, so a multi-host step moves only halo-sized messages.
 - **Deterministic reduction.**  The host merges per-rank force blocks
   with :meth:`DomainDecomposition.reduce_forces` (fixed rank order,
-  input-order scatters) and sums rank energies in rank order, so for a
-  fixed decomposition the result is **bitwise identical** for any
-  worker count — including ``workers=1`` versus the sequential
-  ``DomainDecomposition.compute_forces`` path (tested).
+  input-order row adds, in C by ``md_reduce_rows`` of ``_step.c``, by
+  ``scatter_add_rows`` where the extension does not load: the same
+  bits) straight into the caller's force array, and sums rank energies
+  in rank order, so for a fixed decomposition the result is **bitwise
+  identical** for any worker count — including ``workers=1`` versus the
+  sequential ``DomainDecomposition.compute_forces`` path (tested).
 - **Decomposition lifecycle.**  The decomposition (and with it every
   rank's owned/ghost sets) is rebuilt when any atom has moved more than
-  half the skin since it was built — the same criterion that triggers
-  neighbor-list rebuilds — and each worker is sent its ranks' new atom
-  types and owned counts; between rebuilds only positions flow.
+  half the skin since it was built — the neighbor list's own skin test,
+  :func:`~repro.md.neighbor.past_half_skin` — and each worker is sent its
+  ranks' new atom types and owned counts; between rebuilds only
+  positions flow.  A NaN or inf position is refused on the host with the
+  serial path's ``ValueError`` before anything is dispatched, so the
+  pool survives it.
 
 Failure containment: a worker exception is caught in the worker,
 reported with its traceback, and surfaced on the host as
@@ -55,11 +60,11 @@ import numpy as np
 
 from repro import backends
 from repro.analysis import hot_path
-from repro.core.pipeline import PipelinePotential, Workspace
+from repro.core.pipeline import PipelinePotential
 from repro.host import usable_cores
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
-from repro.md.neighbor import NeighborList, NeighborSettings
+from repro.md.neighbor import NeighborList, NeighborSettings, past_half_skin, require_finite
 from repro.md.potential import Potential
 from repro.parallel.comm import CommRecord
 from repro.parallel.decomposition import DomainDecomposition, blank_ghost_rows
@@ -265,8 +270,10 @@ class WorkerHost:
 class EngineStep:
     """Result of one parallel force evaluation.
 
-    ``forces`` is a workspace view owned by the engine, valid until the
-    next :meth:`ParallelEngine.compute` call — copy it to keep it.
+    ``forces`` is the ``out`` array given to :meth:`ParallelEngine.compute`,
+    else a workspace view valid until the next call — copy it to keep it.
+    ``md_reduce_rows`` or, without the extension, ``scatter_add_rows``
+    summed it, to the same bits.
     ``timers`` holds measured seconds: ``comm_s`` (position staging,
     dispatch and synchronization wait), ``reduce_s`` (host rank-order
     reduction), ``decompose_s`` (decomposition rebuild, when one
@@ -362,7 +369,6 @@ class ParallelEngine:
         if not neighbor.full:
             neighbor = NeighborSettings(cutoff=neighbor.cutoff, skin=neighbor.skin, full=True)
         self.settings = neighbor
-        self._ws = Workspace()
         self._dd: DomainDecomposition | None = None
         self._x_ref: np.ndarray | None = None
         self.generation = 0
@@ -405,6 +411,8 @@ class ParallelEngine:
         self._F = views.get("f")  # repro-lint: disable=KD001
         if self._F is None:
             self._F = np.zeros((ranks, n, 3), dtype=np.float64)
+        # the same block objects every step: the reduction checks them once
+        self._blocks = list(self._F)  # repro-lint: disable=KD001
         self._local_rows = 0
         self._wire_prev = (0, 0)  # repro-lint: disable=KD001
 
@@ -414,18 +422,18 @@ class ParallelEngine:
         return rank % self.workers
 
     def _needs_decompose(self, x: np.ndarray) -> bool:
-        if self._dd is None or self._x_ref is None:
-            return True
-        if x.shape != self._x_ref.shape:
-            return True
-        if self.settings.skin == 0.0:
-            return True
-        d = self.system.box.minimum_image(x - self._x_ref)
-        max_disp2 = float(np.max(np.einsum("ij,ij->i", d, d))) if x.shape[0] else 0.0
-        return max_disp2 > (0.5 * self.settings.skin) ** 2
+        """The neighbor list's skin test on the decomposition's reference
+        positions: True past half the skin, or at a NaN or inf position."""
+        return self._dd is None or past_half_skin(x, self._x_ref, self.system.box,
+                                                  self.settings.skin)
 
     def _decompose(self, x: np.ndarray) -> None:
-        """Rebuild the decomposition at `x` and tell the workers their ranks."""
+        """Rebuild the decomposition at `x` and tell the workers their ranks.
+
+        A NaN or inf position is refused here, before any state changes or
+        reaches a worker: the skin test sends every such step here.
+        """
+        require_finite(x)
         snapshot = AtomSystem(
             box=self.system.box,
             x=np.array(x, dtype=np.float64, copy=True),
@@ -468,8 +476,13 @@ class ParallelEngine:
     # -- the hot loop -------------------------------------------------------------
 
     @hot_path(reason="per-step parallel force evaluation; host side of the data plane")
-    def compute(self, x: np.ndarray) -> EngineStep:
-        """One parallel force evaluation at global positions `x`."""
+    def compute(self, x: np.ndarray, *, out: np.ndarray | None = None) -> EngineStep:
+        """One parallel force evaluation at global positions `x`.
+
+        The forces are reduced into `out` when given (an ``(n, 3)`` array
+        the caller owns).  A NaN or inf position raises ``ValueError``
+        naming the first such atom, with the pool untouched.
+        """
         if self._closed:
             raise EngineError("engine is closed")
         t0 = time.perf_counter()
@@ -511,10 +524,7 @@ class ParallelEngine:
         for info in per_rank:
             energy += info["energy"]
             virial += info["virial"]
-        forces = self._dd.reduce_forces(
-            [self._F[rank] for rank in range(self.ranks)],
-            out=self._ws.buf("forces", (self.system.n, 3), np.float64),
-        )
+        forces = self._dd.reduce_forces(self._blocks, out=out)
         t4 = time.perf_counter()
 
         worker_totals = [sum(r["total_s"] for r in ranks) for ranks in per_worker]

@@ -162,6 +162,38 @@ class TestDecompositionGuards:
             DomainDecomposition(diamond_lattice(2, 2, 2), 0, halo=4.0)
 
 
+class TestEngineNonFinite:
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_refused_on_the_host_and_the_pool_survives(self, executor):
+        """A NaN or inf position never reaches a worker (whose list build
+        would raise there and take the pool down as a WorkerCrash): the
+        host refuses it with the serial path's ValueError and the global
+        index, on the first step and on a later one, and the next finite
+        step is a fresh engine's, bit for bit."""
+        from repro.parallel.engine import ParallelEngine
+
+        s = perturbed(diamond_lattice(4, 4, 4), 0.05, seed=74)
+        pot = TersoffProduction(tersoff_si())
+        nan, inf = s.x.copy(), s.x.copy()
+        nan[37, 2] = np.nan
+        inf[300, 0] = -np.inf
+        with ParallelEngine(s, pot, workers=2, ranks=2, executor=executor) as eng:
+            with pytest.raises(ValueError, match="non-finite position of atom 37"):
+                eng.compute(nan)
+            eng.compute(s.x)
+            for bad, atom in ((inf, 300), (nan, 37)):
+                with pytest.raises(ValueError, match=f"non-finite position of atom {atom}"):
+                    eng.compute(bad)
+            assert not eng.closed
+            step = eng.compute(s.x)
+            got = (step.energy, step.virial, step.forces.copy(), step.generation)
+        with ParallelEngine(s, pot, workers=2, ranks=2, executor=executor) as fresh:
+            ref = fresh.compute(s.x)
+        assert got[:2] == (ref.energy, ref.virial)
+        assert got[2].tobytes() == ref.forces.tobytes()
+        assert got[3] == 1
+
+
 class TestSimulationGuards:
     def test_box_too_small_for_cutoff(self):
         from repro.md.simulation import Simulation

@@ -1,4 +1,4 @@
-"""FIRE minimizer and spatial sorting."""
+"""FIRE minimizer."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.core.tersoff.parameters import tersoff_si
 from repro.core.tersoff.production import TersoffProduction
 from repro.md.lattice import diamond_lattice, perturbed
 from repro.md.minimize import fire_minimize
-from repro.md.sorting import locality_score, morton_keys, spatial_sort
 
 
 class TestFire:
@@ -73,39 +72,3 @@ class TestFire:
         assert 0.0 < ef_relaxed <= ef_unrelaxed
         assert 2.0 < ef_relaxed < 6.0
 
-
-class TestSpatialSort:
-    def test_physics_invariant(self):
-        params = tersoff_si()
-        pot = TersoffProduction(params)
-        system = perturbed(diamond_lattice(3, 3, 3), 0.1, seed=34)
-        nl = build_list(system, pot.cutoff)
-        before = pot.compute(system, nl)
-        order = spatial_sort(system)
-        nl2 = build_list(system, pot.cutoff)
-        after = pot.compute(system, nl2)
-        assert after.energy == pytest.approx(before.energy, rel=1e-12)
-        assert np.allclose(after.forces, before.forces[order], atol=1e-10)
-
-    def test_improves_locality(self):
-        """On a randomly shuffled system, Morton ordering must reduce
-        the mean storage distance between interacting atoms."""
-        system = perturbed(diamond_lattice(4, 4, 4), 0.05, seed=35)
-        rng = np.random.default_rng(0)
-        shuffle = rng.permutation(system.n)
-        system.x[:] = system.x[shuffle]
-        before = locality_score(system, 3.0)
-        spatial_sort(system)
-        after = locality_score(system, 3.0)
-        assert after < 0.5 * before
-
-    def test_keys_deterministic(self):
-        s = diamond_lattice(2, 2, 2)
-        assert np.array_equal(morton_keys(s), morton_keys(s))
-
-    def test_permutation_is_valid(self):
-        s = perturbed(diamond_lattice(2, 2, 2), 0.1, seed=36)
-        tags_before = set(s.tag.tolist())
-        order = spatial_sort(s)
-        assert sorted(order.tolist()) == list(range(s.n))
-        assert set(s.tag.tolist()) == tags_before
