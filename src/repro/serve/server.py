@@ -6,11 +6,15 @@ Architecture (one box, no third-party dependencies):
   connections.  A handler thread does what needs no solver: it refuses
   an oversized body unread, decodes it (frame or JSON), validates it
   once, on arrays (L0-L3), and later encodes the answer as it was asked;
-- accepted requests become jobs on one **bounded** FIFO — when it is
+- a request that finds the FIFO empty, its ``(tenant, spec)`` session
+  idle and fewer sessions busy than there are dispatchers is evaluated
+  *inline*, on its handler thread, which claims and releases the session
+  as a dispatcher does: no thread hand-off at all;
+- every other request becomes a job on one **bounded** FIFO — when it is
   full the handler answers ``429`` with the typed ``backpressure`` error
   *immediately* instead of stacking latency;
-- one **dispatcher** thread per usable core evaluates them on the warm
-  :class:`~repro.runtime.SolverPool`: validated arrays in, a detached
+- one **dispatcher** thread per usable core evaluates queued jobs on the
+  warm :class:`~repro.runtime.SolverPool`: validated arrays in, a detached
   force array out, never a Python list.  A free dispatcher claims the
   oldest job whose ``(tenant, spec)`` session is not busy, with every
   queued job of that session (up to :data:`BATCH_MAX`), in arrival
@@ -20,8 +24,9 @@ Architecture (one box, no third-party dependencies):
   release the interpreter lock).  Fusion is *dispatch* fusion only:
   concatenating systems into one neighbor build would change summation
   order and break that contract;
-- handler threads block on their job's event and write the response;
-  ``/v1/stats`` sums each job's queue wait, evaluation and response time.
+- handler threads block on a queued job's event and write the response,
+  head and body in one write; ``/v1/stats`` counts the inline requests
+  and sums each job's queue wait, evaluation and response time.
   A handler that gives up (``504``) abandons its job: the dispatcher
   skips it and counts it failed.
 
@@ -33,6 +38,8 @@ SIGKILL leaves the socket path behind; the next server on it rebinds.
 
 from __future__ import annotations
 
+import email.utils
+import functools
 import math
 import os
 import socket
@@ -76,7 +83,7 @@ class ServeConfig:
     skin: float = 1.0
     backlog: int = 64  # bounded queue depth; overflow answers 429
     max_atoms: int = DEFAULT_MAX_ATOMS
-    request_timeout: float = 120.0  # handler wait for its job
+    request_timeout: float = 120.0  # handler wait for a queued job; inline ones never wait
 
     def __post_init__(self) -> None:
         # refused here, not by every request's neighbor build
@@ -107,6 +114,7 @@ class _ServerCounters:
     """Dispatcher/queue counters (merged into ``/v1/stats``)."""
 
     received: int = 0
+    inline: int = 0  # evaluated on their handler thread, never queued
     completed: int = 0
     failed: int = 0
     rejected_backpressure: int = 0
@@ -271,6 +279,25 @@ class EvalServer:
                 self._claim.notify()  # one dispatcher per claimable job
         return True
 
+    def evaluate_inline(self, job: _Job) -> bool:
+        """Evaluate ``job`` on the calling thread when nothing is queued, its
+        session is idle and a dispatcher's core is free; False: queue it."""
+        with self._claim:
+            if self._jobs or job.key in self._busy or len(self._busy) >= len(self._dispatchers):
+                return False
+            self._busy.add(job.key)
+        with self.counters.lock:
+            self.counters.inline += 1
+        job.enqueued = time.perf_counter()
+        try:
+            self._run_batch([job])
+        finally:
+            with self._claim:
+                self._busy.discard(job.key)
+                if self._claimable() is not None:
+                    self._claim.notify()  # a job of this session queued meanwhile
+        return True
+
     def _claimable(self):
         """The session of the oldest job no dispatcher holds, or None."""
         return next((job.key for job in self._jobs if job.key not in self._busy), None)
@@ -336,6 +363,13 @@ class EvalServer:
         }
 
 
+@functools.lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    """The ``Date`` header RFC 9110 asks of a server with a clock, formatted
+    once per second."""
+    return email.utils.formatdate(second, usegmt=True)
+
+
 def _make_handler(server: EvalServer):
     """The request handler class, closed over its EvalServer."""
     # JSON spends under 80 bytes on an atom's three doubles and type, a frame 28
@@ -349,14 +383,15 @@ def _make_handler(server: EvalServer):
 
         def _send(self, status: int, obj: dict, ctype: str = JSON_CONTENT_TYPE,
                   close: bool = False) -> None:
+            """Status line, headers and body in one write."""
             body = encode_payload(obj, ctype)
-            self.send_response(status)
-            self.send_header("Content-Type", ctype)
-            self.send_header("Content-Length", str(len(body)))
+            head = (f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
+                    f"Date: {_http_date(int(time.time()))}\r\nContent-Type: {ctype}\r\n"
+                    f"Content-Length: {len(body)}\r\n")
             if close:
-                self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(body)
+                self.close_connection = True
+                head += "Connection: close\r\n"
+            self.wfile.write(f"{head}\r\n".encode("latin-1") + body)
 
         def _fail(self, status: int, code: str, message: str, tier: str | None = None,
                   close: bool = False) -> None:
@@ -410,13 +445,15 @@ def _make_handler(server: EvalServer):
                 self._fail(400, exc.code, str(exc), exc.tier)
                 return
             job = _Job(spec, system, tenant)
-            if not server.submit(job):
+            if server.evaluate_inline(job):
+                pass  # answered below: it never queued, so it never waits
+            elif not server.submit(job):
                 with server.counters.lock:
                     server.counters.rejected_backpressure += 1
                 self._fail(429, "backpressure", f"queue full ({server.config.backlog} "
                                                 "pending); retry with backoff")
                 return
-            if not job.event.wait(timeout=server.config.request_timeout):
+            elif not job.event.wait(timeout=server.config.request_timeout):
                 with server.counters.lock:
                     job.abandoned = not job.event.is_set()
                 if job.abandoned:

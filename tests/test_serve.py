@@ -694,8 +694,11 @@ class TestDispatch:
         an immediate typed 429 instead of queueing latency."""
         srv = EvalServer(ServeConfig(unix_path=str(tmp_path / "d.sock"),
                                      backlog=2, request_timeout=0.5))
-        # wedge: replace the dispatchers with one no-op thread before start
+        # wedge: replace the dispatchers with one no-op thread before start,
+        # and leave the session busy, as a long evaluation does, so no
+        # request is evaluated inline
         srv._dispatchers = [threading.Thread(target=lambda: None, daemon=True)]
+        srv._busy.add(("default", SPEC.key()))
         srv.start()
         try:
             req = _request()
@@ -729,7 +732,10 @@ class TestDispatch:
         reaches it later skips it and counts it failed, not completed."""
         srv = EvalServer(ServeConfig(unix_path=str(tmp_path / "t.sock"),
                                      request_timeout=0.3))
+        # wedge as in test_backpressure_typed_429: the request queues
         srv._dispatchers = [threading.Thread(target=lambda: None, daemon=True)]
+        busy = ("default", SPEC.key())
+        srv._busy.add(busy)
         srv.start()
         dispatcher = threading.Thread(target=srv._dispatch_loop, daemon=True)
         try:
@@ -737,6 +743,7 @@ class TestDispatch:
                 with pytest.raises(ServeError) as info:
                     c.evaluate(SPEC.to_dict(), _system())
             assert (info.value.status, info.value.code) == (504, "timeout")
+            srv._busy.discard(busy)  # the long evaluation is over
             dispatcher.start()  # now the queued job is picked up
             deadline = time.monotonic() + 30
             while srv.stats()["server"]["failed"] == 0 and time.monotonic() < deadline:
@@ -909,6 +916,148 @@ class TestDispatch:
         assert [e for e in log if e == ("built", a)] == [("built", a)] * 2
         ref = copy_forces(SolverSession(spec_a, skin=1.0).evaluate(system))
         assert np.array_equal(np.asarray(first.response["forces"]), ref)
+
+
+# ---- inline evaluation -------------------------------------------------------
+
+
+def _watch_evaluate(monkeypatch, hold=lambda tenant: None):
+    """Record ``(event, tenant, thread name)`` around every pool
+    evaluation; ``hold(tenant)`` runs inside, before the evaluation."""
+    log, evaluate = [], SolverPool.evaluate
+
+    def watched(pool, spec, system, *, tenant="default"):
+        name = threading.current_thread().name
+        log.append(("in", tenant, name))
+        hold(tenant)
+        try:
+            return evaluate(pool, spec, system, tenant=tenant)
+        finally:
+            log.append(("out", tenant, name))
+
+    monkeypatch.setattr(SolverPool, "evaluate", watched)
+    return log
+
+
+def _fire(address, system, tenant, answers):
+    with ServeClient(address, timeout=60) as c:
+        answers.append(c.evaluate(SPEC.to_dict(), system, tenant=tenant))
+
+
+def _until(predicate, timeout=20.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+class TestInline:
+    def test_an_idle_server_answers_on_the_handler_thread(self, server, client, monkeypatch):
+        log = _watch_evaluate(monkeypatch)
+        system = _system()
+        out = client.evaluate(SPEC.to_dict(), system)
+        ref = SolverSession(SPEC, skin=1.0).evaluate(system)
+        assert np.array_equal(out["forces"], copy_forces(ref))
+        assert (out["energy"], out["virial"]) == (ref.energy, ref.virial)
+        (_, _, entered), (_, _, left) = log
+        assert entered == left != "serve-dispatcher"  # one handler thread, in and out
+        stats = server.stats()["server"]
+        assert (stats["inline"], stats["completed"], stats["batches"]) == (1, 1, 1)
+
+    def test_a_request_for_a_busy_session_queues(self, server, monkeypatch):
+        """The first evaluation is held; a second request for its session
+        queues, and a dispatcher answers it after the first returned, as a
+        direct replay in arrival order."""
+        entered, gate = threading.Event(), threading.Event()
+
+        def hold(tenant):
+            if not entered.is_set():
+                entered.set()
+                assert gate.wait(timeout=20)
+
+        log = _watch_evaluate(monkeypatch, hold)
+        systems, first, second = [_system(seed=1), _system(seed=2)], [], []
+        threads = [threading.Thread(target=_fire, args=(server.address, systems[0], "default", first)),
+                   threading.Thread(target=_fire, args=(server.address, systems[1], "default", second))]
+        try:
+            threads[0].start()
+            assert entered.wait(timeout=20)
+            threads[1].start()
+            _until(lambda: server.stats()["queue_depth"] == 1)
+            assert len(log) == 1  # no dispatcher claimed the busy session
+        finally:
+            gate.set()
+            for t in threads:
+                t.join(timeout=60)
+        assert [(event, name == "serve-dispatcher") for event, _, name in log] == [
+            ("in", False), ("out", False), ("in", True), ("out", True)]
+        assert server.stats()["server"]["inline"] == 1
+        direct = SolverSession(SPEC, skin=1.0)
+        for system, (out,) in zip(systems, (first, second)):
+            assert np.array_equal(out["forces"], copy_forces(direct.evaluate(system)))
+
+    def test_inline_work_never_outnumbers_the_dispatchers(self, tmp_path, monkeypatch):
+        """With as many sessions busy as there are dispatchers, a request
+        for a third session queues and a dispatcher answers it."""
+        import repro.serve.server as server_module
+
+        monkeypatch.setattr(server_module, "usable_cores", lambda: 2)
+        gate = threading.Event()
+        log = _watch_evaluate(monkeypatch, lambda t: t in ("a", "b") and gate.wait(timeout=20))
+        srv = EvalServer(ServeConfig(unix_path=str(tmp_path / "i.sock")))
+        srv.start()
+        system, answers = _system(), []
+        held = [threading.Thread(target=_fire, args=(srv.address, system, t, answers))
+                for t in "ab"]
+        try:
+            for t in held:
+                t.start()
+            _until(lambda: len(srv._busy) == 2)
+            _fire(srv.address, system, "c", answers)  # answers while a and b are held
+            assert not gate.is_set() and len(answers) == 1
+        finally:
+            gate.set()
+            for t in held:
+                t.join(timeout=60)
+            srv.close()
+        names = {tenant: name for event, tenant, name in log if event == "in"}
+        assert names["c"] == "serve-dispatcher"
+        assert "serve-dispatcher" not in (names["a"], names["b"])
+        assert srv.stats()["server"]["inline"] == 2
+
+
+class TestResponseWrite:
+    def test_head_and_body_go_out_in_one_write(self, server, monkeypatch):
+        """A frame answer, a JSON answer and a JSON error: one write each,
+        the exact Content-Length, a parseable Date and the bitwise body."""
+        import socketserver
+        from email.utils import parsedate_to_datetime
+
+        writes, write = [], socketserver._SocketWriter.write
+        monkeypatch.setattr(socketserver._SocketWriter, "write",
+                            lambda w, data: writes.append(len(data)) or write(w, data))
+        system = _system()
+        ref = SolverSession(SPEC, skin=1.0).evaluate(system)
+        answer = {"schema": SERVE_SCHEMA_VERSION, "energy": float(ref.energy),
+                  "virial": float(ref.virial), "forces": copy_forces(ref),
+                  "n": system.n, "batch": {"index": 0, "size": 1}}
+        error = {"schema": SERVE_SCHEMA_VERSION,
+                 "error": {"tier": None, "code": "not_found", "message": "no route /nope"}}
+        cases = [("POST", "/v1/evaluate", FRAME_CONTENT_TYPE, 200, answer),
+                 ("POST", "/v1/evaluate", JSON_CONTENT_TYPE, 200, answer),
+                 ("GET", "/nope", JSON_CONTENT_TYPE, 404, error)]
+        for method, path, ctype, status, expected in cases:
+            with ServeClient(server.address, timeout=30) as c:
+                conn = c._connection()
+                body = encode_payload(_request(system=system), ctype) if method == "POST" else None
+                conn.request(method, path, body, {"Content-Type": ctype})
+                resp = conn.getresponse()
+                raw = resp.read()
+            assert (resp.status, resp.headers["Content-Type"]) == (status, ctype)
+            assert int(resp.headers["Content-Length"]) == len(raw)
+            assert abs(parsedate_to_datetime(resp.headers["Date"]).timestamp() - time.time()) < 60
+            assert raw == encode_payload(expected, ctype)
+        assert len(writes) == len(cases)
 
 
 # ---- lifecycle ---------------------------------------------------------------
