@@ -67,10 +67,11 @@ def test_production_precisions_wallclock(benchmark, big_workload, precision):
 @pytest.mark.benchmark(group="wallclock-4096atoms")
 @pytest.mark.parametrize("precision", ["double", "single", "mixed"])
 def test_compiled_precisions_wallclock(benchmark, big_workload, precision):
-    """Opt-D / Opt-S / Opt-M on the compiled scheme-1a kernel, one thread
-    (EXPERIMENTS.md "Wall-clock on this machine"): both REAL
-    instantiations run four lanes, so float buys cheaper divisions and
-    pays for the conversions to the f64 accumulators — nothing else."""
+    """Opt-D / Opt-S / Opt-M on the compiled scheme-1b kernel, one thread
+    (EXPERIMENTS.md "Wall-clock on this machine"): each REAL fills the
+    build's widest register (8 f64 / 16 f32 lanes with AVX-512), so float
+    packs twice the pairs per vector and pays for the conversions to the
+    f64 accumulators."""
     from repro import backends
 
     if not backends.is_available("compiled"):

@@ -1,7 +1,8 @@
 /* The thread pool of the compiled kernel: atoms I -> threads (paper Sec.
- * IV-B, the other half of scheme 1a).  _pool.c holds the mechanism; what
- * is split, in which chunks and how the pieces are reduced belongs to
- * the caller, so that no result can depend on anything in here.
+ * IV-B, the other half of schemes 1a and 1b).  _pool.c holds the
+ * mechanism; what is split, in which chunks and how the pieces are
+ * reduced belongs to the caller, so that no result can depend on
+ * anything in here.
  */
 
 #ifndef REPRO_POOL_H

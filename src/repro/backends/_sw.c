@@ -15,6 +15,8 @@
 
 #include "_walker.h"
 
+#define VLANES 4
+
 /* The one parameter row, in the compute dtype and in this order from
  * CompiledSWKernel.table: the parameter-only subexpressions of
  * repro/core/sw/functional.py, each formed in double the way numpy

@@ -50,7 +50,7 @@ static void TFN(sw_row_)(const walk_job *job, walk_row *row, walk_acc *restrict 
     REAL *const rh[3] = {rr + 4 * mr, rr + 5 * mr, rr + 6 * mr};
     REAL *restrict g3 = rr + 7 * mr, *restrict gl3 = rr + 8 * mr;
     double *restrict dd = (double *)scratch + 9 * mr;
-    const VMASK lane_id = {0, 1, 2, 3};
+    const VMASK lane_id = vm_iota();
     const VREAL zero = v_set1((REAL)0.0);
     vacc f_i[3] = {vacc_set1(0), vacc_set1(0), vacc_set1(0)};
     ACC e_pair = 0, e_tri = 0;
@@ -157,7 +157,15 @@ static void TFN(sw_row_)(const walk_job *job, walk_row *row, walk_acc *restrict 
     row->e_i = e_pair + e_tri;
 }
 
-static const walk_kind TFN(sw_kind_) = {TFN(sw_row_), sw_scratch, 1};
+/* the body of a chunk: its rows one after the other */
+static void TFN(sw_chunk_)(const walk_job *job, walk_row *rows, const int64_t n_rows,
+                           walk_acc *restrict acc, void *scratch)
+{
+    int64_t r;
+    for (r = 0; r < n_rows; r++) TFN(sw_row_)(job, rows + r, acc, scratch);
+}
+
+static const walk_kind TFN(sw_kind_) = {TFN(sw_chunk_), sw_scratch, 1, VLANES, "1a"};
 
 WALK_ENTRY(TFN(sw_fused_), TFN(sw_kind_))
 

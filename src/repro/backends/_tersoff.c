@@ -7,12 +7,16 @@
  * the scalar *filter* (minimum image, the guards, the Sec. IV-D
  * max-cutoff short list, inclusive), the chunks of rows on the threads
  * of _pool.c, the two force sweeps and the reductions — and hands every
- * row to the REAL-templated *computational part* in _tersoff_impl.h
- * (Alg. 3 as scheme 1a: the pairs of an atom in VLANES vector lanes,
- * written against _vec.h and _vmath.h), instantiated for double (Opt-D)
- * and float (Opt-S/M compute side).  Neither the -march flag nor the
- * thread count decides a result bit: the first only chooses what the
- * lanes are lowered to, the second only who computes which chunk.
+ * chunk of rows to the REAL-templated *computational part* in
+ * _tersoff_impl.h (Alg. 3 as scheme 1b: the chunk's (i, j) pairs across
+ * VLANES vector lanes, each lane on its own K list, written against
+ * _vec.h and _vmath.h), instantiated for double (Opt-D) and float
+ * (Opt-S/M compute side) at the lanes of TERS_LANES_* (_walker.h).  The
+ * sums across lanes are replayed in the order of the scheme-1a kernel
+ * (ters_block), so neither the lane count, nor the -march flag, nor the
+ * thread count decides a result bit: the first two only choose how many
+ * pairs share a register and what it is lowered to, the last only who
+ * computes which chunk.
  */
 
 #include <math.h>
@@ -31,36 +35,170 @@
 enum { P_R, P_D, P_A, P_LAM1, P_B, P_LAM2, P_BETA, P_N, P_C1, P_C2, P_C3, P_C4,
        P_GAMMA, P_C, P_DD, P_H, P_LAM3, P_M, N_PARAM };
 
-/* One memo entry of the computational part: the parameter vectors of a
- * block of VLANES pairs, keyed on (ti, the tj of its lanes), each row
- * VLANES REALs.  The cutoff-window rows lead both halves; the PV_* rows
- * read table entry (ti,tj,tj) per lane, the TV_* rows repeat per k type
- * and read (ti,tj,tk).  Rows that are not table columns are
- * parameter-only subexpressions of the functional forms. */
+/* Parameter-only subexpressions of the functional forms, formed once
+ * per chunk from the table in the compute REAL (ters_params_): one row of
+ * N_PV per (ti, tj), read from table entry (ti,tj,tj), and one of N_TV
+ * per (ti, tj, tk).  The cutoff-window rows lead both. */
 enum { CV_RMD, CV_RPD, CV_R, CV_D, CV_NQPID, N_CV };
 enum { PV_A = N_CV, PV_NLAM1, PV_NB, PV_NLAM2, PV_BETA, PV_N, PV_NN, PV_TWON, PV_H2N,
        PV_NM1, PV_NINV2N, PV_C1, PV_C2, PV_C3, PV_C4, N_PV };
 enum { TV_GAMMA = N_CV, TV_C2, TV_D2, TV_GONE, TV_M2C2, TV_H, TV_LAM3, TV_3LAM3,
        TV_CUBIC, N_TV };
 
-#define MEMO_REALS(nt) (VLANES * (N_PV + (nt) * N_TV))
+/* K-loop-1 vectors kept per step for K loop 2: cos(theta), the three
+ * scalar factors of dzeta/dr_j and dzeta/dr_k, and the lanes' r_ik and
+ * d_ik / r_ik */
+enum { K_COS, K_FCGDEX, K_AJ, K_AK, K_RIK, K_HIK, N_KTERM = K_HIK + 3 };
 
-/* K-loop-1 vectors cached per fired k body for K loop 2: cos(theta) and
- * the three scalar factors of dzeta/dr_j and dzeta/dr_k */
-enum { K_COS, K_FCGDEX, K_AJ, K_AK, N_KTERM };
+/* What each pair leaves for the replay of its block: F_i's lane term,
+ * F_j, the pair force and the j-term force (the virial sums'), and e */
+enum { O_VI = 0, O_FJ = 3, O_FV = 6, O_JT = 9, O_E = 12, N_OUT };
 
-/* Scratch doubles per entry of the longest row (padded to whole
- * vectors): the pair list (r and d, 4 doubles), the REAL copies of the k
- * geometry (7), the cached K-loop vectors, the pair j column and three
- * int32 columns; then one memo entry and its key per type of atom i.
- * REAL columns are counted as doubles, so one size serves both
- * instantiations. */
-#define ROW_DOUBLES (4 + 7 + N_KTERM * VLANES + 1 + 2)
+/* The replay reads each pair's columns from rings of TERS_RING pairs —
+ * a vector's lanes and the at most three pairs of an unfinished block
+ * before them; a multiple of every lane count, so a vector's lanes are
+ * never split */
+#define TERS_RING 64
+
+/* Where the body's columns lie in its per-thread scratch, in doubles
+ * from its start (REAL and int32 columns are counted as doubles, so one
+ * layout serves both instantiations), for a chunk of ROWS_PER_CHUNK
+ * rows of max_row entries:
+ *   pair  the chunk's pairs, padded to whole vectors: r and d, then j's
+ *         row and slot, its row's first entry and length, and (ti, tj)
+ *   rows  each row's first pair and pair count (int32)
+ *   kidx  per K step and lane, the entry of the lane's k (mask-width int)
+ *   kterm N_KTERM vectors per K step
+ *   step  ring: per slot, the K step of the slot's k, or max_row (int32),
+ *         where a row may name an atom twice
+ *   u     ring: per K step, dzeta/dr_k times dV/dzeta (3 ACC columns);
+ *         step max_row is zeros
+ *   out   ring: N_OUT ACC columns
+ *   pv/tv the parameter vectors of the lanes, then the per-type rows */
+typedef struct {
+    int64_t pair_cap, pair, rows, kidx, kterm, step, u, out, pv, tv, dpv, dtv, total;
+} ters_layout;
+
+/* doubles per pair: r and d, then five int32 columns */
+#define PAIR_DOUBLES (4 + 3)
+
+static int64_t ters_line(const int64_t doubles)
+{
+    return (doubles + LINE_DOUBLES - 1) / LINE_DOUBLES * LINE_DOUBLES;
+}
+
+static void ters_layout_of(const int64_t max_row, const int64_t ntypes, ters_layout *lay)
+{
+    const int64_t w = TERS_LANES_MAX, steps = max_row + 1;
+    lay->pair_cap = ters_line(ROWS_PER_CHUNK * max_row + w); /* at most one per entry */
+    lay->pair = 0;
+    lay->rows = lay->pair + PAIR_DOUBLES * lay->pair_cap;
+    lay->kidx = lay->rows + ters_line(ROWS_PER_CHUNK);
+    lay->kterm = lay->kidx + ters_line(steps * w);
+    lay->step = lay->kterm + ters_line(steps * w * N_KTERM);
+    lay->u = lay->step + ters_line(steps * TERS_RING);
+    lay->out = lay->u + ters_line(steps * 3 * TERS_RING);
+    lay->pv = lay->out + ters_line(N_OUT * TERS_RING);
+    lay->tv = lay->pv + ters_line(w * N_PV);
+    lay->dpv = lay->tv + ters_line(w * N_TV);
+    lay->dtv = lay->dpv + ters_line(ntypes * ntypes * N_PV);
+    lay->total = lay->dtv + ters_line(ntypes * ntypes * ntypes * N_TV);
+}
 
 static int64_t ters_scratch(const int64_t max_row, const int64_t ntypes)
 {
-    const int64_t mr = (max_row + VLANES - 1) / VLANES * VLANES;
-    return mr * ROW_DOUBLES + ntypes * (MEMO_REALS(ntypes) + 1);
+    ters_layout lay;
+    ters_layout_of(max_row, ntypes, &lay);
+    return lay.total;
+}
+
+typedef int64_t vmask4 __attribute__((vector_size(SUM_LANES * sizeof(int64_t))));
+
+/* four ring columns from position x on, +0 past the first nb */
+static inline vacc ters_ring4(const ACC *restrict col, const int64_t x, const vmask4 keep)
+{
+    vacc v;
+    memcpy(&v, col + x, sizeof v);
+    return (vacc)((vmask4)v & keep);
+}
+
+/* The replay of one block of the parent order: the nb <= 4 pairs of
+ * `row` that scheme 1a held in one vector (its pairs 4b .. 4b + 3, lane
+ * l = pair 4b + l), with j in short-list slot slot[l], displacement
+ * d[a][l] and their columns in the rings from position x on.  Every sum
+ * is taken as 1a took it, in the chunk accumulator's four lanes with +0
+ * for an empty lane: per slot k in list order F_k = (l0 + l2) + (l1 +
+ * l3), with +0 for a lane whose j is k (a slot no lane fired adds +0,
+ * which changes no bit), then F_i the same way, F_j and e lane by lane,
+ * and the virial sums lane by lane.  If a pair's one non-k is its j
+ * (`distinct`), its k at slot m is K step m, or m - 1 past j, and where
+ * the block's columns lie side by side in the rings they load as
+ * vectors; otherwise lane by lane, the K step from the step ring (a
+ * step of zeros, zstep, for a slot that is no k). */
+static void ters_block(walk_row *row, const int nb, const int32_t *slot, const double *const *d,
+                       const int64_t x, const int distinct, const ACC *obuf, const ACC *ubuf,
+                       const int32_t *stepbuf, const int64_t zstep, walk_acc *restrict acc)
+{
+    ACC *restrict fs = row->f;
+    const vmask4 keep = (vmask4){0, 1, 2, 3} < (vmask4){nb, nb, nb, nb};
+    const int side = x + SUM_LANES <= TERS_RING; /* no lane wraps */
+    const vacc zero = vacc_set1(0);
+    vacc da[3];
+    vmask4 mj = {0, 0, 0, 0};
+    int64_t mk;
+    int a, c, l;
+
+    for (l = 0; l < nb; l++) mj[l] = slot[l];
+    for (mk = 0; mk < row->ns; mk++) {
+        const vmask4 mv = {mk, mk, mk, mk};
+        vacc uk[3] = {zero, zero, zero};
+        if (distinct && side) {
+            for (c = 0; c < 3; c++) {
+                const vacc at_m = ters_ring4(ubuf + TERS_RING * (3 * mk + c), x, keep);
+                const vacc past = mk ? ters_ring4(ubuf + TERS_RING * (3 * (mk - 1) + c), x, keep)
+                                     : zero;
+                uk[c] = (vacc)(((mv < mj) & (vmask4)at_m) | ((mv > mj) & (vmask4)past));
+            }
+        } else {
+            for (l = 0; l < nb; l++) {
+                const int64_t xl = (x + l) % TERS_RING;
+                const int64_t s = !distinct      ? stepbuf[TERS_RING * mk + xl]
+                                  : mk == mj[l] ? zstep
+                                                : mk - (mk > mj[l]);
+                for (c = 0; c < 3; c++) uk[c][l] = ubuf[TERS_RING * (3 * s + c) + xl];
+            }
+        }
+        for (c = 0; c < 3; c++) {
+            const ACC fk = vacc_hsum(uk[c]);
+            fs[3 * mk + c] -= fk;
+            for (a = 0; a < 3; a++) acc->k[3 * a + c] += row->d[a][mk] * fk;
+        }
+    }
+    for (a = 0; a < 3; a++) da[a] = (vacc)((vmask4)vacc_load(d[a]) & keep);
+    for (c = 0; c < 3; c++) {
+        vacc vi = zero, fv = zero, jt = zero;
+        if (side) {
+            vi = ters_ring4(obuf + TERS_RING * (O_VI + c), x, keep);
+            fv = ters_ring4(obuf + TERS_RING * (O_FV + c), x, keep);
+            jt = ters_ring4(obuf + TERS_RING * (O_JT + c), x, keep);
+        } else {
+            for (l = 0; l < nb; l++) {
+                const int64_t xl = (x + l) % TERS_RING;
+                vi[l] = obuf[TERS_RING * (O_VI + c) + xl];
+                fv[l] = obuf[TERS_RING * (O_FV + c) + xl];
+                jt[l] = obuf[TERS_RING * (O_JT + c) + xl];
+            }
+        }
+        for (l = 0; l < nb; l++)
+            fs[3 * slot[l] + c] += obuf[TERS_RING * (O_FJ + c) + (x + l) % TERS_RING];
+        row->f_i[c] -= vacc_hsum(vi);
+        /* virial W_ab += d_a F_b, summed per lane */
+        for (a = 0; a < 3; a++) {
+            acc->lane[3 * a + c] += da[a] * fv;
+            acc->lane[9 + 3 * a + c] += da[a] * jt;
+        }
+    }
+    for (l = 0; l < nb; l++) row->e_i += obuf[TERS_RING * O_E + (x + l) % TERS_RING];
 }
 
 /* this unit also carries the _vmath.h test hook (tests/test_backends.py) */
@@ -71,6 +209,7 @@ static int64_t ters_scratch(const int64_t max_row, const int64_t ntypes)
 #define REAL_BITS 64
 #define TSUF f64
 #define R_SQRT sqrt
+#define VLANES TERS_LANES_F64
 #include "_vec.h"
 #include "_vmath.h"
 #include "_tersoff_impl.h"
@@ -80,6 +219,7 @@ static int64_t ters_scratch(const int64_t max_row, const int64_t ntypes)
 #undef REAL_BITS
 #undef TSUF
 #undef R_SQRT
+#undef VLANES
 
 #define REAL float
 #define IREAL int32_t
@@ -87,6 +227,7 @@ static int64_t ters_scratch(const int64_t max_row, const int64_t ntypes)
 #define REAL_BITS 32
 #define TSUF f32
 #define R_SQRT sqrtf
+#define VLANES TERS_LANES_F32
 #include "_vec.h"
 #include "_vmath.h"
 #include "_tersoff_impl.h"
@@ -96,6 +237,7 @@ static int64_t ters_scratch(const int64_t max_row, const int64_t ntypes)
 #undef REAL_BITS
 #undef TSUF
 #undef R_SQRT
+#undef VLANES
 
 int64_t tersoff_scratch_doubles(const int64_t max_row, const int64_t ntypes,
                                 const int64_t n_atoms, const int64_t threads)
@@ -103,13 +245,12 @@ int64_t tersoff_scratch_doubles(const int64_t max_row, const int64_t ntypes,
     return walk_scratch_doubles(&ters_kind_f64, max_row, ntypes, n_atoms, threads);
 }
 
-/* what was built, for `repro info`: the lane count of the algorithm and
- * the widest vector ISA the compiler was allowed to lower it to */
-int64_t ters_lanes(void) { return VLANES; }
-
+/* what was built, for `repro info`: the widest vector ISA the compiler
+ * was allowed to lower the lanes to (each entry point names its own
+ * scheme and lanes, WALK_ENTRY) */
 const char *ters_isa(void)
 {
-#if defined(__AVX512F__) && defined(__AVX512VL__)
+#if defined(__AVX512F__)
     return "avx512";
 #elif defined(__AVX2__)
     return "avx2";

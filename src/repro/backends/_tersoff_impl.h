@@ -1,34 +1,39 @@
-/* Tersoff fused computational part (paper Alg. 3) as scheme 1a (Sec.
- * IV-B, Fig. 1a) — atoms I on threads, neighbors J in vector lanes —
- * REAL-templated over _vec.h / _vmath.h.
+/* Tersoff fused computational part (paper Alg. 3) as scheme 1b (Sec.
+ * IV-B/C, Figs. 1b and 2) — atoms I on threads, fused (i, j) pairs in
+ * vector lanes — REAL-templated over _vec.h / _vmath.h.
  *
  * Included twice from _tersoff.c (REAL=double/TSUF=f64, then
- * REAL=float/TSUF=f32) as the body of the list walker (_walker.c).  Per
- * atom i the walker's filter leaves the max-cutoff short list; every
- * entry inside its own inclusive per-type-pair R+D cutoff is a pair
- * (i,j), and every *other* short-list entry is one of its k.  The pairs
- * of the atom sit VLANES to a vector (J -> lanes); the K loop walks the
- * one short list for all lanes at once, so everything about k is a
- * broadcast and the `k is not j` test is the lane mask.  K loop 1
- * accumulates zeta per lane and caches the derivative terms of each k
- * body that fired, the pair terms follow, K loop 2 turns the cached
- * terms into forces (after the pair terms, not before: its divisions
- * fill the latency of the zeta -> pow -> pow -> prefactor chain).  F_j
- * (lane by lane) and F_k (an in-register reduction per k) go to the
- * walker's per-slot partials, F_i and the energy to the row.
+ * REAL=float/TSUF=f32), each with the VLANES of its REAL in this build
+ * (TERS_LANES_*, _walker.h), as the body of the list walker
+ * (_walker.c), which hands it the filtered short lists of one chunk of
+ * rows.  Every short-list entry of row i inside its own inclusive
+ * per-type-pair R+D cutoff is a pair (i, j), and every *other* entry —
+ * one whose atom is not j — is one of its k.  The pairs of the chunk, in
+ * row and list order, fill the lanes across row boundaries.  Each lane
+ * walks a staged list of its own k's (the fast-forward of Sec. IV-C done
+ * by the staging: no lane waits behind another's k == j), so step s of
+ * the K loop is the s-th k of every lane and a lane idles only once its
+ * list is done.  K loop 1 accumulates zeta per lane and keeps the
+ * derivative terms of each step, the pair terms follow, K loop 2 turns
+ * the kept terms into forces (after the pair terms, not before: its
+ * divisions fill the latency of the zeta -> pow -> pow -> prefactor
+ * chain).
  *
  * Every lane executes the scalar expression sequence of the numpy
  * oracle (repro/core/tersoff/production.py::TersoffKernel.evaluate and
  * repro/core/tersoff/functional.py) operator for operator, with the
- * same left-to-right association; parameter-only subexpressions are
- * formed once per parameter row (ters_memo_fill) instead of once per
- * use, which changes no bit.  zeta, the pair energy and the per-atom
- * energy therefore accumulate in exactly the oracle's order (i
- * ascending, j and k in list order); what differs from it is the
- * transcendental kernels (_vmath.h instead of numpy's SIMD loops) and
- * the order of the force and virial sums (DESIGN.md §12).  Nothing here
- * depends on what the four lanes are lowered to: compile with
- * -fno-fast-math -ffp-contract=off, any -march.
+ * same left-to-right association, on the parameters of its own (ti, tj,
+ * tk); parameter-only subexpressions are formed once per chunk
+ * (ters_params_) instead of once per use, which changes no bit.  zeta,
+ * the pair energy and the per-atom energy accumulate in the oracle's
+ * order (j and k in list order).  Nothing a lane computes depends on
+ * the lanes beside it, and every sum across lanes is replayed in the
+ * order of the scheme-1a kernel these results were first defined by —
+ * a row's pairs in blocks of four, each block summed (0+2)+(1+3), k in
+ * list order (ters_block, _tersoff.c) — so forces, per-atom energies
+ * and the virial sums are the same bits at every VLANES, whatever the
+ * lanes are lowered to: compile with -fno-fast-math -ffp-contract=off,
+ * any -march.
  *
  * Elementwise math runs in REAL; geometry arrives in double from the
  * filter and every accumulation runs in ACC (double), matching the
@@ -37,54 +42,126 @@
 
 #define MV(base, row) v_load((base) + VLANES * (row))
 
-static void TFN(ters_memo_fill_)(REAL *restrict memo, const REAL *restrict ptab,
-                                 const int64_t ntypes, const int64_t ti,
-                                 const int32_t *restrict tj)
+/* the cutoff-window rows of table entry p */
+static void TFN(ters_cv_fill_)(REAL *restrict v, const REAL *restrict p)
 {
-    int l;
-    int64_t tk;
-    for (l = 0; l < VLANES; l++) {
-        const int64_t row = (ti * ntypes + tj[l]) * ntypes;
-        for (tk = -1; tk < ntypes; tk++) { /* -1: the pair rows */
-            const REAL *restrict p = ptab + N_PARAM * (row + (tk < 0 ? tj[l] : tk));
-            REAL *restrict v = memo + (tk < 0 ? 0 : VLANES * (N_PV + tk * N_TV)) + l;
-            v[VLANES * CV_RMD] = p[P_R] - p[P_D];
-            v[VLANES * CV_RPD] = p[P_R] + p[P_D];
-            v[VLANES * CV_R] = p[P_R];
-            v[VLANES * CV_D] = p[P_D];
-            v[VLANES * CV_NQPID] = -((REAL)QUARTER_PI_D / p[P_D]);
-            if (tk < 0) {
-                v[VLANES * PV_A] = p[P_A];
-                v[VLANES * PV_NLAM1] = -p[P_LAM1];
-                v[VLANES * PV_NB] = -p[P_B];
-                v[VLANES * PV_NLAM2] = -p[P_LAM2];
-                v[VLANES * PV_BETA] = p[P_BETA];
-                v[VLANES * PV_N] = p[P_N];
-                v[VLANES * PV_NN] = -p[P_N];
-                v[VLANES * PV_TWON] = (REAL)2.0 * p[P_N];
-                v[VLANES * PV_H2N] = (REAL)1.0 + (REAL)0.5 / p[P_N];
-                v[VLANES * PV_NM1] = p[P_N] - (REAL)1.0;
-                v[VLANES * PV_NINV2N] = (REAL)-1.0 / ((REAL)2.0 * p[P_N]);
-                v[VLANES * PV_C1] = p[P_C1];
-                v[VLANES * PV_C2] = p[P_C2];
-                v[VLANES * PV_C3] = p[P_C3];
-                v[VLANES * PV_C4] = p[P_C4];
-            } else {
-                const REAL c2 = p[P_C] * p[P_C], d2 = p[P_DD] * p[P_DD];
-                /* the cubic flag is stored as a lane mask (all bits / none) */
-                const IREAL cubic = p[P_M] == (REAL)3.0 ? -1 : 0;
-                v[VLANES * TV_GAMMA] = p[P_GAMMA];
-                v[VLANES * TV_C2] = c2;
-                v[VLANES * TV_D2] = d2;
-                v[VLANES * TV_GONE] = (REAL)1.0 + c2 / d2;
-                v[VLANES * TV_M2C2] = -(REAL)2.0 * c2;
-                v[VLANES * TV_H] = p[P_H];
-                v[VLANES * TV_LAM3] = p[P_LAM3];
-                v[VLANES * TV_3LAM3] = (REAL)3.0 * p[P_LAM3];
-                memcpy(v + VLANES * TV_CUBIC, &cubic, sizeof cubic);
-            }
+    v[CV_RMD] = p[P_R] - p[P_D];
+    v[CV_RPD] = p[P_R] + p[P_D];
+    v[CV_R] = p[P_R];
+    v[CV_D] = p[P_D];
+    v[CV_NQPID] = -((REAL)QUARTER_PI_D / p[P_D]);
+}
+
+/* the N_PV row of every (ti, tj) and the N_TV row of every (ti, tj, tk) */
+static void TFN(ters_params_)(REAL *restrict dpv, REAL *restrict dtv, const REAL *restrict ptab,
+                              const int64_t ntypes)
+{
+    int64_t pair, tk;
+    for (pair = 0; pair < ntypes * ntypes; pair++) {
+        const REAL *restrict p = ptab + N_PARAM * (pair * ntypes + pair % ntypes);
+        REAL *restrict v = dpv + N_PV * pair;
+        TFN(ters_cv_fill_)(v, p);
+        v[PV_A] = p[P_A];
+        v[PV_NLAM1] = -p[P_LAM1];
+        v[PV_NB] = -p[P_B];
+        v[PV_NLAM2] = -p[P_LAM2];
+        v[PV_BETA] = p[P_BETA];
+        v[PV_N] = p[P_N];
+        v[PV_NN] = -p[P_N];
+        v[PV_TWON] = (REAL)2.0 * p[P_N];
+        v[PV_H2N] = (REAL)1.0 + (REAL)0.5 / p[P_N];
+        v[PV_NM1] = p[P_N] - (REAL)1.0;
+        v[PV_NINV2N] = (REAL)-1.0 / ((REAL)2.0 * p[P_N]);
+        v[PV_C1] = p[P_C1];
+        v[PV_C2] = p[P_C2];
+        v[PV_C3] = p[P_C3];
+        v[PV_C4] = p[P_C4];
+        for (tk = 0; tk < ntypes; tk++) {
+            p = ptab + N_PARAM * (pair * ntypes + tk);
+            v = dtv + N_TV * (pair * ntypes + tk);
+            const REAL c2 = p[P_C] * p[P_C], d2 = p[P_DD] * p[P_DD];
+            /* the cubic flag is stored as a lane mask (all bits / none) */
+            const IREAL cubic = p[P_M] == (REAL)3.0 ? -1 : 0;
+            TFN(ters_cv_fill_)(v, p);
+            v[TV_GAMMA] = p[P_GAMMA];
+            v[TV_C2] = c2;
+            v[TV_D2] = d2;
+            v[TV_GONE] = (REAL)1.0 + c2 / d2;
+            v[TV_M2C2] = -(REAL)2.0 * c2;
+            v[TV_H] = p[P_H];
+            v[TV_LAM3] = p[P_LAM3];
+            v[TV_3LAM3] = (REAL)3.0 * p[P_LAM3];
+            memcpy(v + TV_CUBIC, &cubic, sizeof cubic);
         }
     }
+}
+
+/* n rows of parameter vectors: lane l of row f is src[n * row[l] + f] */
+static void TFN(ters_lanes_fill_)(REAL *restrict dst, const REAL *restrict src, const int n,
+                                  const int32_t *restrict row)
+{
+    int f, l;
+    for (f = 0; f < n; f++)
+        for (l = 0; l < VLANES; l++) dst[VLANES * f + l] = src[(int64_t)n * row[l] + f];
+}
+
+/* lane l of the result is col[idx[l]], rounded to REAL */
+static inline VREAL TFN(ters_gather_)(const double *restrict col, const IREAL *restrict idx)
+{
+    VACC v;
+    int l;
+    for (l = 0; l < VLANES; l++) v[l] = col[idx[l]];
+    return v_from_acc(v);
+}
+
+/* The staging of a vector's K lists where a row may name an atom twice:
+ * per lane the entries of its row whose atom is not its j, in list
+ * order, into kidx (then the lane's j, to the longest list's end), and
+ * the K step of every slot into the step ring (zstep: not a k).  Returns
+ * the list lengths. */
+static VMASK TFN(ters_stage_)(IREAL *restrict kidx, int32_t *restrict vstep,
+                              const int32_t *restrict sj, const VMASK ej, const VMASK at,
+                              const VMASK ns, const int nv, const int32_t zstep, int64_t *steps)
+{
+    VMASK nk;
+    int64_t e, s;
+    int l;
+    *steps = 0;
+    for (l = 0; l < VLANES; l++) {
+        IREAL n = 0;
+        for (e = at[l]; e < at[l] + ns[l]; e++) {
+            const int live = l < nv && sj[e] != sj[ej[l]];
+            if (live) kidx[VLANES * n + l] = (IREAL)e;
+            vstep[TERS_RING * (e - at[l]) + l] = live ? (int32_t)n : zstep;
+            n += live;
+        }
+        nk[l] = n;
+        if (n > *steps) *steps = n;
+    }
+    for (l = 0; l < VLANES; l++)
+        for (s = nk[l]; s < *steps; s++) kidx[VLANES * s + l] = ej[l];
+    return nk;
+}
+
+/* Sec. IV-C's fast-forward as the vector-wide loop would spin it over
+ * the staged lists: per K step every lane moves its cursor over its
+ * row's list to its next k (or off the list), and the vector waits for
+ * the lane that moved furthest. */
+static int64_t TFN(ters_spins_)(const IREAL *restrict kidx, const VMASK nk, const VMASK at,
+                                const VMASK ns, const int nv, const int64_t steps)
+{
+    int64_t s, spins = 0;
+    int l;
+    for (s = 0; s <= steps; s++) {
+        int64_t most = 0;
+        for (l = 0; l < nv; l++) {
+            const int64_t from = s == 0 ? -1 : kidx[VLANES * (s - 1) + l] - at[l];
+            const int64_t to = s < nk[l] ? kidx[VLANES * s + l] - at[l] : ns[l] - 1;
+            if (s <= nk[l] && to - from > most) most = to - from;
+        }
+        spins += most;
+    }
+    return spins;
 }
 
 /* fC and fC' of the lanes `live`.  numpy: where(r < R-D, 1, where(r >
@@ -162,105 +239,165 @@ static inline void TFN(ters_bij_both_)(const VREAL z, const REAL *restrict pv, c
     *bijd = bd;
 }
 
-/* The computational part for one row (a walk_kind body): the short list
- * of atom i in, F_i, e_i, the force on every slot and the row's share of
- * the chunk's virial sums and counters out. */
-static void TFN(ters_row_)(const walk_job *job, walk_row *row, walk_acc *restrict acc,
-                           void *scratch)
+/* The computational part for one chunk (a walk_kind body): the short
+ * lists of its rows in, each row's F_i and e_i, the force on every slot
+ * and the chunk's share of the virial sums and counters out. */
+static void TFN(ters_chunk_)(const walk_job *job, walk_row *rows, const int64_t n_rows,
+                             walk_acc *restrict acc, void *scratch)
 {
-    const int64_t ntypes = job->ntypes, ti = row->ti, ns = row->ns;
+    const int64_t ntypes = job->ntypes, max_row = job->max_row;
+    const int uniform = ntypes == 1; /* one parameter row for every lane */
     const double *restrict cut = job->cut;
-    const REAL *restrict ptab = job->ptab;
-    const double *restrict sr = row->r;
-    const double *const *sd = row->d;
-    const int32_t *restrict sj = row->j, *restrict st = row->t;
-    ACC *restrict fs = row->f;
+    /* the chunk's short lists, back to back (walk_row.at) */
+    const double *restrict sr = rows[0].r;
+    const double *const sd[3] = {rows[0].d[0], rows[0].d[1], rows[0].d[2]};
+    const int32_t *restrict sj = rows[0].j, *restrict st = rows[0].t;
 
-    /* ---- this thread's scratch: SoA, every row padded to whole vectors ---- */
-    const int64_t mr = (job->max_row + VLANES - 1) / VLANES * VLANES;
-    double *restrict pr = scratch;                 /* pair list: r, d  */
-    double *const pd[3] = {pr + mr, pr + 2 * mr, pr + 3 * mr};
-    REAL *restrict kr = (REAL *)(pr + 4 * mr);     /* k geometry in REAL: r, d, d / r */
-    REAL *const kd[3] = {kr + mr, kr + 2 * mr, kr + 3 * mr};
-    REAL *const kh[3] = {kr + 4 * mr, kr + 5 * mr, kr + 6 * mr};
-    REAL *restrict kterm = kr + 7 * mr;            /* N_KTERM vectors per fired k */
-    IREAL *restrict pj = (IREAL *)(kterm + N_KTERM * VLANES * mr); /* pair j, lane-mask width */
-    int32_t *restrict ptj = (int32_t *)(pj + mr);
-    int32_t *restrict pslot = ptj + mr;            /* short-list slot of each pair */
-    int32_t *restrict kslot = pslot + mr;          /* short-list slot of each fired k */
-    REAL *restrict memo = (REAL *)((double *)scratch + mr * ROW_DOUBLES);
-    /* 0: no entry yet (the scratch starts every call zeroed) */
-    int64_t *restrict memo_key = (int64_t *)(memo + ntypes * MEMO_REALS(ntypes));
+    /* ---- this thread's scratch (ters_layout) ---- */
+    ters_layout lay;
+    ters_layout_of(max_row, ntypes, &lay);
+    double *const base = scratch;
+    const int64_t mp = lay.pair_cap;
+    const int32_t zstep = (int32_t)max_row; /* the K step of zeros */
+    double *restrict pr = base + lay.pair; /* the pairs' columns (PAIR_DOUBLES) */
+    double *const pd[3] = {pr + mp, pr + 2 * mp, pr + 3 * mp};
+    int32_t *restrict prow = (int32_t *)(pr + 4 * mp), *restrict pslot = prow + mp;
+    int32_t *restrict pa = pslot + mp, *restrict pn = pa + mp, *restrict ppv = pn + mp;
+    int32_t *restrict pfirst = (int32_t *)(base + lay.rows); /* row -> first pair, pairs */
+    int32_t *restrict npair = pfirst + ROWS_PER_CHUNK;
+    IREAL *restrict kidx = (IREAL *)(base + lay.kidx);
+    REAL *restrict kterm = (REAL *)(base + lay.kterm);
+    int32_t *restrict kstep = (int32_t *)(base + lay.step);
+    ACC *restrict ubuf = base + lay.u;
+    ACC *restrict obuf = base + lay.out;
+    REAL *restrict pv = (REAL *)(base + lay.pv), *restrict tv = (REAL *)(base + lay.tv);
+    REAL *restrict dpv = (REAL *)(base + lay.dpv), *restrict dtv = (REAL *)(base + lay.dtv);
 
     const VREAL zero = v_set1((REAL)0.0), one = v_set1((REAL)1.0), half = v_set1((REAL)0.5);
-    const VMASK lane_id = {0, 1, 2, 3};
-    ACC f_i[3] = {0, 0, 0}, e_i = 0;
-    int64_t q, q0, mk, s;
+    const VMASK lane_id = vm_iota();
+    int64_t r, e, e2, s, q0, n_pairs = 0, next = 0;
+    int distinct = 1; /* no row names an atom twice: a pair's one non-k is its j */
     int a, c, l;
 
-    /* REAL copies of the k geometry; the entries inside their own
-     * inclusive R+D are the pairs, packed densely in list order */
-    int64_t np = 0;
-    for (mk = 0; mk < ns; mk++) {
-        const int64_t tj = st[mk];
-        kr[mk] = (REAL)sr[mk];
-        for (c = 0; c < 3; c++) {
-            kd[c][mk] = (REAL)sd[c][mk];
-            kh[c][mk] = (REAL)sd[c][mk] / (REAL)sr[mk];
+    /* ---- the entries of each row inside their own inclusive R+D are
+     * its pairs, in list order ---- */
+    for (r = 0; r < n_rows; r++) {
+        walk_row *row = rows + r;
+        const int64_t ti = row->ti, end = row->at + row->ns;
+        for (c = 0; c < 3; c++) row->f_i[c] = 0;
+        row->e_i = 0;
+        pfirst[r] = (int32_t)n_pairs;
+        for (e = row->at; e < end; e++) {
+            const int64_t tj = st[e];
+            for (e2 = e + 1; e2 < end; e2++) distinct &= sj[e2] != sj[e];
+            if (!(sr[e] <= cut[((ti * ntypes + tj) * ntypes + tj)])) continue;
+            pr[n_pairs] = sr[e];
+            for (c = 0; c < 3; c++) pd[c][n_pairs] = sd[c][e];
+            prow[n_pairs] = (int32_t)r;
+            pslot[n_pairs] = (int32_t)(e - row->at);
+            pa[n_pairs] = (int32_t)row->at;
+            pn[n_pairs] = (int32_t)row->ns;
+            ppv[n_pairs] = (int32_t)(ti * ntypes + tj);
+            n_pairs++;
         }
-        if (!(sr[mk] <= cut[((ti * ntypes + tj) * ntypes + tj)])) continue;
-        pr[np] = sr[mk];
-        for (c = 0; c < 3; c++) pd[c][np] = sd[c][mk];
-        pj[np] = sj[mk];
-        ptj[np] = (int32_t)tj;
-        pslot[np] = (int32_t)mk;
-        np++;
+        npair[r] = (int32_t)n_pairs - pfirst[r];
     }
-    /* pad the last block: unit distance, no atom, the type of its lane 0 */
-    for (q = np; q % VLANES; q++) {
-        pr[q] = 1;
-        for (c = 0; c < 3; c++) pd[c][q] = 0;
-        pj[q] = -1;
-        ptj[q] = ptj[np - np % VLANES];
+    /* pad the last vector: unit distance, no displacement, the last
+     * pair's row and types, a list of its j alone (no k) */
+    for (e = n_pairs; n_pairs && e % VLANES; e++) {
+        pr[e] = 1;
+        for (c = 0; c < 3; c++) pd[c][e] = 0;
+        pslot[e] = 0;
+        pa[e] = pa[e - 1];
+        pn[e] = 1;
+        ppv[e] = ppv[e - 1];
+    }
+    memset(ubuf + TERS_RING * 3 * zstep, 0, TERS_RING * 3 * sizeof(ACC));
+    TFN(ters_params_)(dpv, dtv, job->ptab, ntypes);
+    if (uniform) {
+        for (a = 0; a < N_PV; a++) v_store(pv + VLANES * a, v_set1(dpv[a]));
+        for (a = 0; a < N_TV; a++) v_store(tv + VLANES * a, v_set1(dtv[a]));
     }
 
-    for (q0 = 0; q0 < np; q0 += VLANES) {
-        const int nv = np - q0 < VLANES ? (int)(np - q0) : VLANES;
+    for (q0 = 0; next < n_pairs; q0 += VLANES) {
+        /* ---- replay every block of four pairs of a row that the vectors
+         * before this one finished (their columns are out of the store
+         * buffer by now) ---- */
+        while (next < n_pairs) {
+            const int64_t end = pfirst[prow[next]] + npair[prow[next]];
+            const int nb = (int)(end - next < SUM_LANES ? end - next : SUM_LANES);
+            const double *const d[3] = {pd[0] + next, pd[1] + next, pd[2] + next};
+            if (next + nb > q0) break;
+            ters_block(rows + prow[next], nb, pslot + next, d, next % TERS_RING, distinct, obuf,
+                       ubuf, kstep, zstep, acc);
+            next += nb;
+        }
+        if (q0 >= n_pairs) continue;
+        const int nv = n_pairs - q0 < VLANES ? (int)(n_pairs - q0) : VLANES;
+        const int64_t x = q0 % TERS_RING; /* the vector's lanes in the rings */
         const VMASK valid = lane_id < vm_set1(nv);
-        const VMASK jv = vm_load(pj + q0);
-        const vacc dij_acc[3] = {vacc_load(pd[0] + q0), vacc_load(pd[1] + q0),
-                                 vacc_load(pd[2] + q0)};
-        const VREAL rij = v_from_acc(vacc_load(pr + q0));
+        const VMASK at = vm_load_i32(pa + q0), mj = vm_load_i32(pslot + q0);
+        const VMASK ej = at + mj, ns = vm_load_i32(pn + q0);
+        VMASK nk;
+        VACC rij_acc, dij_acc[3];
+        int64_t steps = 0;
+
+        /* ---- stage each lane's own k's — the entries of its row whose
+         * atom is not its j — and the K step of every slot ---- */
+        if (distinct) {
+            /* a lane's k number s is entry s, or s + 1 from its j on.  The
+             * fast-forward count of ters_spins_ is then one cursor step
+             * per K step, one more in each K step a lane passes its j in,
+             * and one more after the last if a lane with the most k's has
+             * its j last */
+            int64_t jumps = 0, j_last = -1;
+            for (l = 0; l < VLANES; l++) {
+                const int64_t nl = pn[q0 + l] - 1, m = pslot[q0 + l], jl = m < nl ? -1 : nl;
+                steps = nl > steps ? nl : steps;
+                jumps |= (int64_t)(m < nl) << (m & 63);
+                j_last = jl > j_last ? jl : j_last;
+                acc->count[1] += nl;
+            }
+            nk = valid & (ns - vm_set1(1));
+            for (s = 0; s < steps; s++) {
+                const VMASK sv = vm_set1((IREAL)s);
+                const VMASK k = vm_sel(sv < nk, at + sv - (sv >= mj), ej);
+                memcpy(kidx + VLANES * s, &k, sizeof k);
+            }
+            acc->count[3] += steps < 64 ? steps + __builtin_popcountll((unsigned long long)jumps) +
+                                              (j_last == steps)
+                                        : TFN(ters_spins_)(kidx, nk, at, ns, nv, steps);
+        } else {
+            nk = TFN(ters_stage_)(kidx, kstep + x, sj, ej, at, ns, nv, zstep, &steps);
+            for (l = 0; l < nv; l++) acc->count[1] += nk[l];
+            acc->count[3] += TFN(ters_spins_)(kidx, nk, at, ns, nv, steps);
+        }
+        memcpy(&rij_acc, pr + q0, sizeof rij_acc);
+        for (c = 0; c < 3; c++) memcpy(&dij_acc[c], pd[c] + q0, sizeof rij_acc);
+
+        const VREAL rij = v_from_acc(rij_acc);
         VREAL dij[3], hij[3];
         for (c = 0; c < 3; c++) {
             dij[c] = v_from_acc(dij_acc[c]);
             hij[c] = dij[c] / rij;
         }
+        if (!uniform) TFN(ters_lanes_fill_)(pv, dpv, N_PV, ppv + q0);
 
-        /* parameter vectors of this block, rebuilt only when (ti, tj
-         * lanes) changes: once per call and thread on a single-species
-         * system */
-        int64_t key = 1;
-        for (l = VLANES - 1; l >= 0; l--) key = key * ntypes + ptj[q0 + l];
-        REAL *restrict pv = memo + ti * MEMO_REALS(ntypes);
-        if (memo_key[ti] != key) {
-            TFN(ters_memo_fill_)(pv, ptab, ntypes, ti, ptj + q0);
-            memo_key[ti] = key;
-        }
-
-        /* ---- K loop 1: zeta and its cached derivative terms ---- */
-        vacc zeta = vacc_set1(0);
-        int64_t nk = 0;
-        for (mk = 0; mk < ns; mk++) {
-            const VMASK live = valid & (jv != vm_set1(sj[mk]));
-            const int n_live = vm_count(live);
-            if (!n_live) continue;
-            acc->count[1] += n_live;
-            const REAL *restrict tv = pv + VLANES * (N_PV + st[mk] * N_TV);
-            const VREAL rik = v_set1(kr[mk]);
-            const VREAL cos_t = DOT3_EINSUM(dij[0] * v_set1(kd[0][mk]),
-                                            dij[1] * v_set1(kd[1][mk]),
-                                            dij[2] * v_set1(kd[2][mk])) / (rij * rik);
+        /* ---- K loop 1: zeta and the derivative terms of each step ---- */
+        VACC zeta = v_to_acc(zero);
+        for (s = 0; s < steps; s++) {
+            const IREAL *restrict ki = kidx + VLANES * s;
+            const VMASK live = valid & (vm_set1((IREAL)s) < nk);
+            if (!uniform) {
+                int32_t ltv[VLANES];
+                for (l = 0; l < VLANES; l++) ltv[l] = ppv[q0 + l] * (int32_t)ntypes + st[ki[l]];
+                TFN(ters_lanes_fill_)(tv, dtv, N_TV, ltv);
+            }
+            const VREAL rik = TFN(ters_gather_)(sr, ki);
+            VREAL dik[3];
+            for (c = 0; c < 3; c++) dik[c] = TFN(ters_gather_)(sd[c], ki);
+            const VREAL cos_t =
+                DOT3_EINSUM(dij[0] * dik[0], dij[1] * dik[1], dij[2] * dik[2]) / (rij * rik);
             VREAL fcik, fcdik;
             TFN(ters_fc_both_)(rik, tv, live, &fcik, &fcdik);
 
@@ -284,12 +421,14 @@ static void TFN(ters_row_)(const walk_job *job, walk_row *row, walk_acc *restric
             const VREAL contrib = fcik * g * ex;
             zeta += v_to_acc(v_sel(live, contrib, zero));
 
-            REAL *restrict ks = kterm + VLANES * N_KTERM * nk;
+            REAL *restrict ks = kterm + VLANES * N_KTERM * s;
             v_store(ks + VLANES * K_COS, cos_t);
             v_store(ks + VLANES * K_FCGDEX, fcik * gd * ex);
             v_store(ks + VLANES * K_AJ, contrib * exld);
             v_store(ks + VLANES * K_AK, fcdik * g * ex - contrib * exld);
-            kslot[nk++] = (int32_t)mk;
+            v_store(ks + VLANES * K_RIK, rik);
+            /* d / r as the scalar filter's copy formed it: one division */
+            for (c = 0; c < 3; c++) v_store(ks + VLANES * (K_HIK + c), dik[c] / rik);
         }
 
         /* ---- pair terms ---- */
@@ -301,26 +440,25 @@ static void TFN(ters_row_)(const walk_job *job, walk_row *row, walk_acc *restric
         const VREAL fad = MV(pv, PV_NLAM2) * fa;
         TFN(ters_bij_both_)(v_from_acc(zeta), pv, valid, &bij, &bijd);
 
-        const VREAL e = half * fcij * (fr + bij * fa);
+        const VREAL e_pair = half * fcij * (fr + bij * fa);
         const VREAL dE = half * (fcdij * (fr + bij * fa) + fcij * (frd + bij * fad));
         const VREAL fp = v_sel(valid, -dE / rij, zero);
         const VREAL pre = v_sel(valid, half * fcij * fa * bijd, zero); /* dV/dzeta */
 
-        /* ---- K loop 2: zeta-derivative force terms; a lane whose j is
-         * this k holds finite garbage and is scaled by exactly zero ---- */
-        vacc f_it[3], f_jt[3];
-        for (c = 0; c < 3; c++) f_it[c] = f_jt[c] = vacc_set1(0);
-        for (s = 0; s < nk; s++) {
+        /* ---- K loop 2: zeta-derivative force terms, F_k by K step ---- */
+        VACC f_it[3], f_jt[3];
+        for (c = 0; c < 3; c++) f_it[c] = f_jt[c] = v_to_acc(zero);
+        for (s = 0; s < steps; s++) {
             const REAL *restrict ks = kterm + VLANES * N_KTERM * s;
-            mk = kslot[s];
-            const VREAL pre_k = v_sel(jv != vm_set1(sj[mk]), pre, zero);
-            const VREAL rik = v_set1(kr[mk]);
+            const VMASK live = valid & (vm_set1((IREAL)s) < nk);
+            const VREAL pre_k = v_sel(live, pre, zero);
+            const VREAL rik = MV(ks, K_RIK);
             const VREAL cos_t = MV(ks, K_COS), fcgdex = MV(ks, K_FCGDEX);
             const VREAL aj = MV(ks, K_AJ), ak = MV(ks, K_AK);
             const VREAL crij = cos_t / rij;
             const VREAL crik = cos_t / rik;
             for (c = 0; c < 3; c++) {
-                const VREAL hik = v_set1(kh[c][mk]);
+                const VREAL hik = MV(ks, K_HIK + c);
                 const VREAL dcj = hik / rij - crij * hij[c];
                 const VREAL dck = hij[c] / rik - crik * hik;
                 const VREAL dzj = aj * hij[c] + fcgdex * dcj;
@@ -328,34 +466,29 @@ static void TFN(ters_row_)(const walk_job *job, walk_row *row, walk_acc *restric
                 const VREAL dzi = -(dzj + dzk);
                 f_it[c] += v_to_acc(pre_k * dzi);
                 f_jt[c] += v_to_acc(pre_k * dzj);
-                const ACC fk = vacc_hsum(v_to_acc(pre_k * dzk));
-                fs[3 * mk + c] -= fk;
-                for (a = 0; a < 3; a++) acc->k[3 * a + c] += sd[a][mk] * fk;
+                const VACC uk = v_to_acc(pre_k * dzk);
+                memcpy(ubuf + TERS_RING * (3 * s + c) + x, &uk, sizeof uk);
             }
         }
 
-        /* ---- out: F_i by reduction, F_j and e lane by lane ---- */
-        const vacc e_acc = v_to_acc(e);
+        /* ---- out: what the replay of the lanes' blocks reads ---- */
+        const VACC e_acc = v_to_acc(e_pair);
         for (c = 0; c < 3; c++) {
-            const vacc fv = v_to_acc(fp * dij[c]);
-            f_i[c] -= vacc_hsum(fv + f_it[c]);
-            for (l = 0; l < nv; l++) fs[3 * pslot[q0 + l] + c] += fv[l] - f_jt[c][l];
-            /* virial W_ab += d_a F_b, summed per lane */
-            for (a = 0; a < 3; a++) {
-                acc->lane[3 * a + c] += dij_acc[a] * fv;
-                acc->lane[9 + 3 * a + c] += dij_acc[a] * f_jt[c];
-            }
+            const VACC fv = v_to_acc(fp * dij[c]);
+            const VACC vi = fv + f_it[c], fj = fv - f_jt[c];
+            memcpy(obuf + TERS_RING * (O_VI + c) + x, &vi, sizeof vi);
+            memcpy(obuf + TERS_RING * (O_FJ + c) + x, &fj, sizeof fj);
+            memcpy(obuf + TERS_RING * (O_FV + c) + x, &fv, sizeof fv);
+            memcpy(obuf + TERS_RING * (O_JT + c) + x, &f_jt[c], sizeof fv);
         }
-        for (l = 0; l < nv; l++) e_i += e_acc[l];
+        memcpy(obuf + TERS_RING * O_E + x, &e_acc, sizeof e_acc);
         acc->count[0] += nv;
-        acc->count[2] += nk + 1;
-    }
+        acc->count[2] += steps + 1;
 
-    for (c = 0; c < 3; c++) row->f_i[c] = f_i[c];
-    row->e_i = e_i;
+    }
 }
 
-static const walk_kind TFN(ters_kind_) = {TFN(ters_row_), ters_scratch, 0};
+static const walk_kind TFN(ters_kind_) = {TFN(ters_chunk_), ters_scratch, 0, VLANES, "1b"};
 
 WALK_ENTRY(TFN(tersoff_fused_), TFN(ters_kind_))
 

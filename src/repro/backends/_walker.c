@@ -1,7 +1,7 @@
 /* The list walker of the compiled backend (see _walker.h): chunks of rows
  * on the threads of _pool.c, the scalar filter per row, the body of the
- * potential that runs, then the gather of sweep 2 and the reduction of
- * the chunk records in chunk order.
+ * potential that runs once per chunk, then the gather of sweep 2 and the
+ * reduction of the chunk records in chunk order.
  *
  * Forces leave in two sweeps (Fan et al., arXiv 1610.03343), so that no
  * two rows ever write one address and the I loop can be split over
@@ -24,12 +24,8 @@
 
 #include "_walker.h"
 
-/* The I loop runs in chunks of this many rows, claimed from an atomic
- * counter by whichever thread is free, and the force gather in chunks of
- * GATHER_ATOMS atoms.  ROWS_PER_CHUNK is part of the result — the virial
- * sums and the counters are kept per chunk and reduced in chunk order —
- * which is why it is a constant and not a function of the thread count. */
-#define ROWS_PER_CHUNK 64
+/* The I loop runs in chunks of ROWS_PER_CHUNK rows (_walker.h), the
+ * force gather in chunks of GATHER_ATOMS atoms. */
 #define GATHER_ATOMS 256
 
 /* The gather reads one `where` and one `partial` line per entry, from
@@ -42,18 +38,23 @@
  * nothing at 4096 atoms, where both still sit in L2. */
 #define GATHER_AHEAD 512
 
-/* Scratch doubles per entry of the longest row (padded to whole
- * vectors) the walker keeps: the short list's r and d, and its j, type
- * and row-position int32 columns. */
+/* Scratch doubles per short-list entry the walker keeps, for a chunk of
+ * rows of the longest row each: the short lists' r and d, and their j,
+ * type and row-position int32 columns. */
 #define SHORT_DOUBLES (4 + 2)
 
-static int64_t walk_padded(const int64_t max_row) { return (max_row + VLANES - 1) / VLANES * VLANES; }
+static int64_t walk_lines(const int64_t doubles)
+{
+    return (doubles + LINE_DOUBLES - 1) / LINE_DOUBLES * LINE_DOUBLES;
+}
+
+/* the chunk's short lists: entries of ROWS_PER_CHUNK rows of max_row each */
+static int64_t walk_entries(const int64_t max_row) { return walk_lines(ROWS_PER_CHUNK * max_row); }
 
 static int64_t walk_thread_doubles(const walk_kind *kind, const int64_t max_row,
                                    const int64_t ntypes)
 {
-    const int64_t need = walk_padded(max_row) * SHORT_DOUBLES + kind->scratch(max_row, ntypes);
-    return (need + LINE_DOUBLES - 1) / LINE_DOUBLES * LINE_DOUBLES;
+    return walk_lines(walk_entries(max_row) * SHORT_DOUBLES + kind->scratch(max_row, ntypes));
 }
 
 static int64_t walk_chunks(const int64_t n_atoms, const int64_t per)
@@ -82,9 +83,13 @@ static int64_t walk_fail(int64_t *restrict fail, int64_t i, int64_t j, int code)
  * writes minimum-image d = x_j - x_i (one column per component), r, j,
  * type(j) and the position in the row of the entries inside the
  * short-list cutoff densely into the short list, returns its length (or
- * -code, with `fail` filled in).  Same arithmetic as pair_geometry():
- * the image shift is skipped where |d| <= L/2, where round(d/L) is
- * exactly 0. */
+ * -code, with `fail` filled in for the first bad entry in row order).
+ * Same arithmetic as pair_geometry(): the image shift is skipped where
+ * |d| <= L/2, where round(d/L) is exactly 0.  Two passes: the sqrt-free
+ * prefilter on r^2, compacting without branches (every entry is written
+ * at the next free slot, which advances only when it is kept: a quarter
+ * of a diamond row at skin 1.0, no pattern to predict), then the exact
+ * test on r over the few it let through. */
 static int64_t walk_filter_row(const double *restrict x, const int32_t *restrict types,
                                const int64_t n_atoms, const int64_t i,
                                const int32_t *restrict row, const int64_t len,
@@ -94,31 +99,41 @@ static int64_t walk_filter_row(const double *restrict x, const int32_t *restrict
                                int32_t *restrict sq, int64_t *restrict fail)
 {
     const double *xi = x + 3 * i;
-    int64_t m = 0, q;
+    int64_t m = 0, k, q;
     int c;
     for (q = 0; q < len; q++) {
         const int64_t j = row[q];
         if (j < 0 || j >= n_atoms) return walk_fail(fail, i, j, WALK_BAD_INPUT);
+        ACC d[3]; /* geometry: f64 in every mode, like the accumulators */
         for (c = 0; c < 3; c++) {
-            double *d = sd[c] + m;
-            *d = x[3 * j + c] - xi[c];
-            if (fabs(*d) > geo[GEO_HALF + c]) *d -= geo[c] * rint(*d / geo[c]);
+            d[c] = x[3 * j + c] - xi[c];
+            if (fabs(d[c]) > geo[GEO_HALF + c]) d[c] -= geo[c] * rint(d[c] / geo[c]);
+            sd[c][m] = d[c];
         }
-        sr[m] = DOT3_EINSUM(sd[0][m] * sd[0][m], sd[1][m] * sd[1][m], sd[2][m] * sd[2][m]);
-        if (!(sr[m] <= geo[GEO_CUTMAX2])) {
-            if (!isfinite(sr[m])) return walk_fail(fail, i, j, WALK_NONFINITE);
-            continue;
-        }
-        sr[m] = sqrt(sr[m]);
-        if (sr[m] == 0) return walk_fail(fail, i, j, WALK_COINCIDENT);
-        if (strict ? sr[m] < geo[GEO_CUTMAX] : sr[m] <= geo[GEO_CUTMAX]) {
-            sj[m] = (int32_t)j;
-            st[m] = types[j];
-            sq[m] = (int32_t)q;
-            m++;
-        }
+        const ACC r2 = DOT3_EINSUM(d[0] * d[0], d[1] * d[1], d[2] * d[2]);
+        const int near = r2 <= geo[GEO_CUTMAX2];
+        /* a non-finite distance would be filtered silently, r == 0 makes
+         * 1/r undefined: both fail the call, in row order */
+        if ((!near & !isfinite(r2)) | (r2 == 0))
+            return walk_fail(fail, i, j, r2 == 0 ? WALK_COINCIDENT : WALK_NONFINITE);
+        sr[m] = r2;
+        sj[m] = (int32_t)j;
+        sq[m] = (int32_t)q;
+        m += near;
     }
-    return m;
+    /* the prefilter's margin lets through almost nothing the exact test
+     * drops: a branch, taken, keeps each slot off the last one's sqrt */
+    for (k = 0, q = 0; k < m; k++) {
+        const ACC r = sqrt(sr[k]);
+        if (strict ? !(r < geo[GEO_CUTMAX]) : !(r <= geo[GEO_CUTMAX])) continue;
+        sr[q] = r;
+        for (c = 0; c < 3; c++) sd[c][q] = sd[c][k];
+        sj[q] = sj[k];
+        st[q] = types[sj[k]];
+        sq[q] = sq[k];
+        q++;
+    }
+    return q;
 }
 
 static void walk_chunk_done(walk_job *job, walk_chunk *restrict out, const walk_acc *acc)
@@ -127,7 +142,7 @@ static void walk_chunk_done(walk_job *job, walk_chunk *restrict out, const walk_
     if (out->fail[0] != WALK_OK) atomic_store_explicit(&job->failed, 1, memory_order_relaxed);
     for (a = 0; a < 18; a++) out->w[a] = vacc_hsum(acc->lane[a]);
     for (a = 0; a < 9; a++) out->w[18 + a] = acc->k[a];
-    for (a = 0; a < 3; a++) out->count[a] = acc->count[a];
+    for (a = 0; a < WALK_COUNTS; a++) out->count[a] = acc->count[a];
     atomic_fetch_add_explicit(&job->rows_done, 1, memory_order_release);
 }
 
@@ -148,61 +163,70 @@ static void walk_work(void *ctx, const int tid)
     int32_t *restrict where = job->where;
     const int32_t nowhere = (int32_t)offsets[n_atoms]; /* the slot that stays zero */
 
-    /* ---- this thread's scratch: the short list, then the body's ---- */
-    const int64_t mr = walk_padded(max_row);
+    /* ---- this thread's scratch: the chunk's short lists, back to back,
+     * then the body's ---- */
+    const int64_t me = walk_entries(max_row);
     double *restrict sr = job->row_scratch + tid * job->thread_doubles;
-    double *const sd[3] = {sr + mr, sr + 2 * mr, sr + 3 * mr};
-    int32_t *restrict sj = (int32_t *)(sr + 4 * mr);
-    int32_t *restrict st = sj + mr;
-    int32_t *restrict sq = st + mr; /* row position of each short-list slot */
-    double *body = sr + SHORT_DOUBLES * mr;
+    double *const sd[3] = {sr + me, sr + 2 * me, sr + 3 * me};
+    int32_t *restrict sj = (int32_t *)(sr + 4 * me);
+    int32_t *restrict st = sj + me;
+    int32_t *restrict sq = st + me; /* row position of each short-list slot */
+    double *body = sr + SHORT_DOUBLES * me;
     walk_acc acc;
-    walk_row row;
-    int64_t chunk, i, q, m;
+    walk_row rows[ROWS_PER_CHUNK];
+    int64_t chunk, i, q, m, r;
     int c;
-
-    memset(body, 0, (size_t)(job->thread_doubles - SHORT_DOUBLES * mr) * sizeof(double));
-    row.r = sr;
-    for (c = 0; c < 3; c++) row.d[c] = sd[c];
-    row.j = sj;
-    row.t = st;
 
     while ((chunk = atomic_fetch_add_explicit(&job->next_rows, 1, memory_order_relaxed)) <
            job->n_chunks) {
         walk_chunk *restrict out = job->chunk + chunk;
-        const int64_t i_end =
-            (chunk + 1) * ROWS_PER_CHUNK < n_atoms ? (chunk + 1) * ROWS_PER_CHUNK : n_atoms;
+        const int64_t i0 = chunk * ROWS_PER_CHUNK;
+        const int64_t n_rows = i0 + ROWS_PER_CHUNK < n_atoms ? ROWS_PER_CHUNK : n_atoms - i0;
+        int64_t at = 0;
         memset(&acc, 0, sizeof acc);
         out->fail[0] = WALK_OK;
 
-        for (i = chunk * ROWS_PER_CHUNK; i < i_end; i++) {
+        for (r = 0; r < n_rows; r++) {
+            walk_row *row = rows + r;
+            i = i0 + r;
             const int64_t len = offsets[i + 1] - offsets[i];
             if (len < 0 || len > max_row) {
                 walk_fail(out->fail, i, i, WALK_BAD_INPUT);
                 break;
             }
+            double *const sd_at[3] = {sd[0] + at, sd[1] + at, sd[2] + at};
             const int64_t ns = walk_filter_row(job->x, types, n_atoms, i, neighbors + offsets[i],
-                                               len, job->geo, kind->strict, sd, sr, sj, st, sq,
-                                               out->fail);
+                                               len, job->geo, kind->strict, sd_at, sr + at,
+                                               sj + at, st + at, sq + at, out->fail);
             if (ns < 0) break;
             /* the force on short-list slot m accumulates in partial slot m
              * of the row's own entries; `where` tells sweep 2 which slot
              * an entry's force is in, or that there is none */
             int32_t *restrict w_row = where + offsets[i];
-            row.f = partial + 3 * offsets[i];
-            memset(row.f, 0, (size_t)(3 * ns) * sizeof(double));
+            row->f = partial + 3 * offsets[i];
+            memset(row->f, 0, (size_t)(3 * ns) * sizeof(double));
             for (q = 0; q < len; q++) w_row[q] = nowhere;
-            for (m = 0; m < ns; m++) w_row[sq[m]] = (int32_t)(offsets[i] + m);
+            for (m = 0; m < ns; m++) w_row[sq[at + m]] = (int32_t)(offsets[i] + m);
 
-            row.i = i;
-            row.ti = types[i];
-            row.ns = ns;
-            kind->row(job, &row, &acc, body);
+            row->i = i;
+            row->ti = types[i];
+            row->ns = ns;
+            row->at = at;
+            row->r = sr + at;
+            for (c = 0; c < 3; c++) row->d[c] = sd_at[c];
+            row->j = sj + at;
+            row->t = st + at;
+            at += ns;
+        }
+        if (out->fail[0] == WALK_OK) {
+            kind->body(job, rows, n_rows, &acc, body);
 
-            /* ---- the row leaves: F_i and e_i to their atom; the force on
-             * its neighbors is where sweep 2 will look for it ---- */
-            for (c = 0; c < 3; c++) forces[3 * i + c] = row.f_i[c];
-            job->peratom[i] = row.e_i;
+            /* ---- the rows leave: F_i and e_i to their atom; the force on
+             * their neighbors is where sweep 2 will look for it ---- */
+            for (r = 0; r < n_rows; r++) {
+                for (c = 0; c < 3; c++) forces[3 * (i0 + r) + c] = rows[r].f_i[c];
+                job->peratom[i0 + r] = rows[r].e_i;
+            }
         }
         walk_chunk_done(job, out, &acc);
     }
@@ -262,13 +286,14 @@ int walk_run(const walk_kind *kind,
              double *restrict forces,         /* (N,3)  out                          */
              double *restrict peratom,        /* (N,)   out                          */
              double *restrict stress,         /* (3,3,3) out: pair, j and k virial sums */
-             int64_t *restrict info)          /* (5,) out: pairs, triplets in cutoff,
+             int64_t *restrict info)          /* (6,) out: pairs, triplets in cutoff,
                                                  kernel bodies issued, active lanes in
-                                                 them, threads the job was opened for;
-                                                 on error the offending atom pair */
+                                                 them, threads the job was opened for,
+                                                 fast-forward spins; on error the
+                                                 offending atom pair */
 {
     walk_job job;
-    int64_t i, n_pairs = 0, n_triplets = 0, n_bodies = 0;
+    int64_t i, n_pairs = 0, n_triplets = 0, n_bodies = 0, n_spins = 0;
     int a;
 
     for (i = 0; i < n_atoms; i++)
@@ -322,10 +347,12 @@ int walk_run(const walk_kind *kind,
         n_pairs += rec->count[0];
         n_triplets += rec->count[1];
         n_bodies += rec->count[2];
+        n_spins += rec->count[3];
     }
     info[0] = n_pairs;
     info[1] = n_triplets;
     info[2] = n_bodies;
     info[3] = n_pairs + n_triplets; /* every active lane is a pair or a triplet */
+    info[5] = n_spins;
     return WALK_OK;
 }

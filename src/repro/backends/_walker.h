@@ -10,9 +10,9 @@
  * 1610.03343), the gather of sweep 2 and the chunk-ordered reduction of
  * the virial sums and counters.  A potential contributes one REAL-
  * templated *body* (the computational part: _tersoff_impl.h, _sw_impl.h)
- * that turns one row's short list into F_i, the row's energy, the force
- * on each slot and its share of the chunk's sums — and a walk_kind that
- * names it.
+ * that turns the short lists of one chunk of rows into each row's F_i
+ * and energy, the force on each slot and the chunk's sums — and a
+ * walk_kind that names it.
  */
 
 #ifndef REPRO_WALKER_H
@@ -28,10 +28,29 @@
 #define CAT_(a, b) a##b
 #define CAT(a, b) CAT_(a, b)
 
-/* lanes of the computational parts: the pairs of an atom, four to a
- * vector — a property of the algorithm (a diamond row has four), the
- * same for both precisions and every ISA */
-#define VLANES 4
+/* The I loop runs in chunks of this many rows, claimed from an atomic
+ * counter by whichever thread is free; a body is handed one chunk at a
+ * time.  ROWS_PER_CHUNK is part of the result — the virial sums and the
+ * counters are kept per chunk and reduced in chunk order, and scheme 1b
+ * packs the pairs of one chunk — which is why it is a constant and not a
+ * function of the thread count. */
+#define ROWS_PER_CHUNK 64
+
+/* Lanes of the Tersoff body per REAL: one register of the widest vector
+ * ISA the build targets — 512-bit with AVX-512, 256-bit with AVX2,
+ * 128-bit otherwise (SSE2, NEON, generic).  Part of the build, never of
+ * a call: every width returns the same bits (_tersoff_impl.h). */
+#if defined(__AVX512F__)
+#define TERS_LANES_F64 8
+#define TERS_LANES_F32 16
+#elif defined(__AVX2__)
+#define TERS_LANES_F64 4
+#define TERS_LANES_F32 8
+#else
+#define TERS_LANES_F64 2
+#define TERS_LANES_F32 4
+#endif
+#define TERS_LANES_MAX TERS_LANES_F32
 
 /* accumulator type: f64 in every precision mode (per-atom energy, force
  * and virial sums), the accumulate discipline of the numpy kernels */
@@ -53,8 +72,12 @@
 
 #define LINE_DOUBLES (POOL_CACHE_LINE / (int64_t)sizeof(double))
 
-/* the accumulator lanes: the chunk sums below are kept in them */
-typedef ACC vacc __attribute__((vector_size(VLANES * sizeof(ACC))));
+/* The chunk sums are kept in four accumulator lanes and summed
+ * (0+2)+(1+3): the order of the scheme-1a kernel the results were first
+ * defined by (four pairs of a row to a vector).  Every body replays it,
+ * whatever its own width, so no result bit depends on the lanes. */
+#define SUM_LANES 4
+typedef ACC vacc __attribute__((vector_size(SUM_LANES * sizeof(ACC))));
 
 static inline vacc vacc_set1(const ACC s) { return (vacc){s, s, s, s}; }
 
@@ -71,18 +94,21 @@ static inline ACC vacc_hsum(const vacc v) { return (v[0] + v[2]) + (v[1] + v[3])
 /* What the rows of one chunk add up, zeroed when the chunk starts: two
  * virial tensors summed lane by lane and one summed as scalars (W_ab =
  * sum d_a F_b of the pair, j and k terms; the caller forms pair - j - k),
- * and pairs, triplets in cutoff and vector bodies issued. */
+ * and pairs, triplets in cutoff, vector bodies issued and fast-forward
+ * spins (the cursor steps of Sec. IV-C's K loop, 0 for scheme 1a). */
+#define WALK_COUNTS 4
 typedef struct {
     vacc lane[18];
     ACC k[9];
-    int64_t count[3];
+    int64_t count[WALK_COUNTS];
 } walk_acc;
 
 /* One row as the filter leaves it: the short list of atom i — its
- * entries inside the short-list cutoff, in list order — and the forces
- * the body leaves. */
+ * entries inside the short-list cutoff, in list order, entries
+ * at .. at + ns - 1 of the chunk's short lists, which lie back to back —
+ * and the forces the body leaves. */
 typedef struct {
-    int64_t i, ti, ns;
+    int64_t i, ti, ns, at;
     const double *r, *d[3]; /* distance, minimum-image x_j - x_i per component */
     const int32_t *j, *t;   /* the neighbor and its type                      */
     double *f;              /* (ns, 3), zeroed: the force on each slot's atom  */
@@ -91,19 +117,24 @@ typedef struct {
 
 typedef struct walk_job walk_job;
 
-/* A potential on the walker: its body, the doubles of scratch the body
- * needs per thread (zeroed when a thread starts a call) and whether its
- * short list is r < cutoff (strict) or r <= cutoff. */
+/* A potential on the walker: its body, called once per chunk with the
+ * chunk's rows, the doubles of scratch the body needs per thread (not
+ * zeroed), whether its short list is r < cutoff (strict) or r <= cutoff,
+ * and what `repro info` says of it: the mapping scheme and the lanes of
+ * its vectors. */
 typedef struct {
-    void (*row)(const walk_job *job, walk_row *row, walk_acc *acc, void *scratch);
+    void (*body)(const walk_job *job, walk_row *rows, int64_t n_rows, walk_acc *acc,
+                 void *scratch);
     int64_t (*scratch)(int64_t max_row, int64_t ntypes);
     int strict;
+    int64_t lanes;
+    const char *scheme;
 } walk_kind;
 
 /* What one chunk of rows leaves behind, on cache lines of its own. */
 typedef struct {
     ACC w[27];        /* pair, j and k virial sums over the chunk's rows  */
-    int64_t count[3]; /* pairs, triplets in cutoff, vector bodies issued  */
+    int64_t count[WALK_COUNTS]; /* pairs, triplets, bodies, spins      */
     int64_t fail[3];  /* code, i, j of the first error in the chunk       */
 } __attribute__((aligned(POOL_CACHE_LINE))) walk_chunk;
 
@@ -151,8 +182,11 @@ int walk_run(const walk_kind *kind, int64_t n_atoms, const int64_t *offsets,
              double *scratch, double *partial, int32_t *where, double *forces,
              double *peratom, double *stress, int64_t *info);
 
-/* the entry point of one potential and precision: forwards to walk_run */
+/* the entry point of one potential and precision, forwarding to
+ * walk_run, and what it runs: <name>_lanes(), <name>_scheme() */
 #define WALK_ENTRY(name, kind)                                                             \
+    int64_t CAT(name, _lanes)(void) { return (kind).lanes; }                               \
+    const char *CAT(name, _scheme)(void) { return (kind).scheme; }                         \
     int name(const int64_t n_atoms, const int64_t *offsets, const int32_t *neighbors,      \
              const int64_t *in_off, const int32_t *in_ent, const int32_t *types,           \
              const double *x, const double *geo, const int64_t ntypes, const double *cut,  \

@@ -19,8 +19,9 @@ choice: ``-fno-fast-math -ffp-contract=off`` keeps every expression at
 one rounding per operator, which is what makes the documented ULP
 bounds against the numpy backend (DESIGN.md §12) hold.  The host-ISA
 flag (``-march=native`` where the compiler takes it) is the opposite: it
-only chooses the instructions the kernel's four lanes are lowered to and
-changes no result bit (``tests/test_backends.py::TestIsaIndependence``),
+chooses the instructions the kernel's lanes are lowered to, and with them
+how many lanes the Tersoff body packs (its widest register), and changes
+no result bit (``tests/test_backends.py::TestIsaIndependence``),
 but an object built with it must not be loaded on a lesser host — hence
 the ISA tag in the key, for cache directories shared between machines.
 
@@ -192,7 +193,10 @@ def _entry_points(lib: ctypes.CDLL) -> dict[str, object]:
              ptr, ptr, ptr, ptr, ptr, ptr, ptr]
     for potential in ("tersoff", "sw"):
         for suffix in ("f64", "f32"):
-            fns[f"{potential}_{suffix}"] = bind(f"{potential}_fused_{suffix}", fused, ctypes.c_int)
+            name = f"{potential}_fused_{suffix}"  # and what it runs: <name>_lanes, _scheme
+            fns[f"{potential}_{suffix}"] = bind(name, fused, ctypes.c_int)
+            for what, res in (("lanes", i64), ("scheme", ctypes.c_char_p)):
+                fns[f"{potential}_{suffix}_{what}"] = bind(f"{name}_{what}", [], res)
         fns[f"{potential}_scratch"] = bind(f"{potential}_scratch_doubles", [i64] * 4, i64)
     for suffix in ("f64", "f32"):
         # test hook: ters_vmath_*(kind, n, in, in2, out) -> code (_vmath.h)
@@ -215,7 +219,6 @@ def _entry_points(lib: ctypes.CDLL) -> dict[str, object]:
     # neighbor_transpose(n, n_entries, neighbors, in_offsets, in_entries)
     # -> entries placed or -1 (repro.md.neighbor.incoming_index)
     fns["neighbor_transpose"] = bind("neighbor_transpose", [i64, i64, ptr, ptr, ptr], i64)
-    fns["lanes"] = bind("ters_lanes", [], i64)
     fns["isa"] = bind("ters_isa", [], ctypes.c_char_p)
     return fns
 
@@ -266,7 +269,13 @@ def threads_for(rows: int, share: int | None) -> int:
 
 
 def build_info() -> dict[str, object]:
-    """What the loaded kernel is (loads it if need be): the mapping
-    scheme, its lane count and the ISA the compiler lowered the lanes to."""
+    """What the loaded kernel is (loads it if need be): per potential its scheme
+    and lanes per precision, that in words, and the ISA the lanes became."""
     fns = load()
-    return {"scheme": "1a", "lanes": int(fns["lanes"]()), "isa": fns["isa"]().decode()}
+    kernels, words = {}, []
+    for pot in ("tersoff", "sw"):
+        f64, f32 = (int(fns[f"{pot}_{suffix}_lanes"]()) for suffix in ("f64", "f32"))
+        scheme = fns[f"{pot}_f64_scheme"]().decode()
+        kernels[pot] = {"scheme": scheme, "lanes": {"f64": f64, "f32": f32}}
+        words.append(f"{pot} {scheme}: " + (f"{f64} f64 / {f32} f32 lanes" if f64 != f32 else str(f64)))
+    return {"kernels": kernels, "summary": "; ".join(words), "isa": fns["isa"]().decode()}

@@ -8,9 +8,10 @@ geometry, the non-finite/coincident guards, the Sec. IV-D short list,
 the atoms in chunks of rows over the threads of a small pool inside that
 one call, the two force sweeps and the reductions.  Each potential is a
 subclass that supplies a parameter table and the entry point of its C
-body, the paper's scheme 1a (the pairs of an atom in four vector lanes):
-:class:`CompiledTersoffKernel` (Alg. 3) and :class:`CompiledSWKernel`
-(φ2 and the unordered (j, k) φ3 terms).  No pair or triplet table is
+body: :class:`CompiledTersoffKernel` (Alg. 3 as scheme 1b, a chunk's
+pairs across the build's widest register) and :class:`CompiledSWKernel`
+(φ2 and the unordered (j, k) φ3 terms as scheme 1a, the entries of a row
+four to a vector).  No pair or triplet table is
 ever staged, so a cache hit, a mask drift and a rebuilt list all cost
 the same kernel call.
 
@@ -101,7 +102,7 @@ class CompiledListKernel(MultiBodyKernel):
 
         t0 = time.perf_counter()
         fns = cext.load()
-        fn = fns[f"{self.entry}_{'f64' if self._ptab.dtype == np.float64 else 'f32'}"]
+        fn = fns[kind := f"{self.entry}_{'f64' if self._ptab.dtype == np.float64 else 'f32'}"]
         warmup_s = None
         if not self._warmed:
             # first call of this instance: the load (or build) is warmup
@@ -124,7 +125,7 @@ class CompiledListKernel(MultiBodyKernel):
         partial = ws.buf("partial", (L + 1, 3), np.float64)
         where = ws.buf("where", L, np.int32)
         stress3 = ws.buf("stress", (3, 3, 3), np.float64)
-        info = ws.buf("info", 5, np.int64)
+        info = ws.buf("info", 6, np.int64)
         # results are handed to the caller: fresh arrays, written once by C
         forces = np.empty((n, 3), dtype=np.float64)  # repro-lint: disable=KA003
         per_atom = np.empty(n, dtype=np.float64)  # repro-lint: disable=KA003
@@ -156,13 +157,14 @@ class CompiledListKernel(MultiBodyKernel):
             "filter_efficiency": P / L if L else 1.0,
             "virial_tensor": 0.5 * (stress + stress.T),
             "per_atom_energy": per_atom,
-            # vector bodies issued (K-loop + pair) and the share of their
-            # lanes doing a pair or a triplet: what the repro.vector
-            # scheme-1a simulation predicts (tests/test_model_pins.py);
-            # threads: what the call's rows were offered to
+            # vector bodies issued (K-loop + pair), the share of their lanes
+            # doing a pair or a triplet, fast-forward spins: what the lane
+            # simulator predicts (tests/test_model_pins.py); threads: what
+            # the call's rows were offered to
             "backend": {"name": "compiled", "strategy": "cext",
                         "kernel_invocations": bodies,
-                        "lane_occupancy": active / (fns["lanes"]() * bodies) if bodies else 1.0,
+                        "lane_occupancy": active / (fns[f"{kind}_lanes"]() * bodies) if bodies else 1.0,
+                        "spin_iterations": int(info[5]),
                         "threads": int(info[4])},
         }
         if warmup_s is not None:

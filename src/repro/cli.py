@@ -48,8 +48,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
             # what the probe loaded: a cache shared between hosts holds one
             # object per ISA tag
             built = cext.build_info()
-            status += (f" — cext, scheme {built['scheme']}, {built['lanes']} lanes × "
-                       f"{usable_cores()} threads, built for {built['isa']}")
+            status += (f" — cext × {usable_cores()} threads, built for {built['isa']}; "
+                       f"{built['summary']}")
         default = " (default)" if name == get_default() else ""
         print(f"  {name:8s} {status}{default}")
         print(f"           {get(name).description}")

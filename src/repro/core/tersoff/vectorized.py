@@ -18,7 +18,8 @@ They differ exactly as in Fig. 1:
     loads are broadcasts and F_i / F_k accumulate with in-register
     reductions.  The natural scheme for short vectors.
 ``1b``
-    Fused (i,j) pairs across lanes: unlimited data parallelism, but
+    Fused (i,j) pairs across lanes, packed per chunk of 64 rows as the
+    compiled kernel packs them: unlimited data parallelism, but
     lanes traverse *different* neighbor lists, so the K loop needs
     per-lane cursors (with Sec. IV-C fast-forwarding) and every force
     write is a potential conflict that must be serialized (or handled
@@ -57,6 +58,10 @@ from repro.vector.isa import ISA, get_isa
 from repro.vector.precision import Precision
 
 SCHEMES = ("1a", "1b", "1c")
+#: Scheme 1b packs the pairs of one chunk of this many rows, the chunk the
+#: compiled walker hands its body (``ROWS_PER_CHUNK`` in ``_walker.h``):
+#: a chunk's last vector may be short.
+_ROWS_PER_CHUNK = 64
 
 
 def _cast_block(flat, cd) -> dict[str, np.ndarray]:
@@ -407,38 +412,34 @@ class TersoffVectorized(Potential):
 
         # overflow fallback: recompute the zeta derivatives (Alg. 3's
         # "original scheme" second loop) for lanes that exceeded kmax
-        n_over = sweep.over_c.shape[0]
+        n_over, v_over = sweep.over_c.shape[0], 0.0
         if n_over:
             oc, ow, okr = sweep.over_c, sweep.over_w, sweep.over_krow
             W = bk.width
             pad = (-n_over) % W
             def _padded(a, fill=0):
-                return np.concatenate([a, np.full(pad, fill, a.dtype)]) if pad else a
-            sel_rij = _padded(st.rij[oc, ow]).reshape(-1, W)
-            sel_dij = (np.concatenate([st.dij[oc, ow], np.zeros((pad, 3), st.dij.dtype)])
-                       if pad else st.dij[oc, ow]).reshape(-1, W, 3)
-            sel_rik = _padded(kc.r[okr].astype(bk.compute_dtype)).reshape(-1, W)
-            sel_dik = (np.concatenate([kc.d[okr], np.zeros((pad, 3), dtype=kc.d.dtype)]) if pad
-                       else kc.d[okr]).astype(bk.compute_dtype).reshape(-1, W, 3)
-            sel_mask = _padded(np.ones(n_over, dtype=bool), False).reshape(-1, W)
+                pads = np.full((pad,) + a.shape[1:], fill, a.dtype)
+                return np.concatenate([a, pads]).reshape(-1, W, *a.shape[1:])
+            sel_rij, sel_dij = _padded(st.rij[oc, ow]), _padded(st.dij[oc, ow])
+            sel_rik = _padded(kc.r[okr].astype(bk.compute_dtype))
+            sel_dik = _padded(kc.d[okr].astype(bk.compute_dtype))
+            sel_mask = _padded(np.ones(n_over, dtype=bool), False)
             if self._nt == 1:
                 pf_o = self._params_for(bk, 0, _TRIPLET_FIELDS)
             else:
                 tflat = ((st.ti[oc, ow] * self._nt + st.tj[oc, ow]) * self._nt + kc.tj[okr])
-                pf_o = self._params_for(bk, _padded(tflat).reshape(-1, W), _TRIPLET_FIELDS, mask=sel_mask)
+                pf_o = self._params_for(bk, _padded(tflat), _TRIPLET_FIELDS, mask=sel_mask)
             _, di_o, dj_o, dk_o = triplet_kernel(bk, pf_o, sel_rij, sel_dij, sel_rik, sel_dik, sel_mask)
-            pre_o = _padded(prefactor[oc, ow].astype(np.float64)).reshape(-1, W)
+            pre_o = _padded(prefactor[oc, ow].astype(np.float64))
             for axis in range(3):
-                bk.scatter_add_conflict(forces[:, axis], _padded(st.i_atom[oc, ow]).reshape(-1, W),
+                bk.scatter_add_conflict(forces[:, axis], _padded(st.i_atom[oc, ow]),
                                         -(pre_o * di_o[..., axis]), sel_mask)
-                bk.scatter_add_conflict(forces[:, axis], _padded(st.j_atom[oc, ow]).reshape(-1, W),
+                bk.scatter_add_conflict(forces[:, axis], _padded(st.j_atom[oc, ow]),
                                         -(pre_o * dj_o[..., axis]), sel_mask)
-                bk.scatter_add_conflict(forces[:, axis], _padded(kc.j[okr]).reshape(-1, W),
+                bk.scatter_add_conflict(forces[:, axis], _padded(kc.j[okr]),
                                         -(pre_o * dk_o[..., axis]), sel_mask)
             # overflow virial
             v_over = -np.sum(pre_o[..., None] * (sel_dij * dj_o + sel_dik * dk_o), where=sel_mask[..., None])
-        else:
-            v_over = 0.0
 
         vir_pair = np.sum((fpair * st.rij * st.rij).astype(np.float64), where=st.valid)
         vir_j = -np.sum((prefactor[..., None] * sweep.dzj * st.dij).astype(np.float64), where=st.valid[..., None])
@@ -492,12 +493,12 @@ class TersoffVectorized(Potential):
         )
 
     def _compute_1b(self, bk, system, pairs, kc, forces) -> tuple[float, float]:
-        W = bk.width
-        P = pairs.n_pairs
-        C = (P + W - 1) // W
-        sel = np.full(C * W, -1, dtype=np.int64)
-        sel[:P] = np.arange(P, dtype=np.int64)
-        st = self._lane_state_from_pairs(bk, pairs, sel.reshape(C, W))
+        W, chunk = bk.width, pairs.i_idx // _ROWS_PER_CHUNK
+        counts = np.bincount(chunk)
+        regs, rank = -(-counts // W), np.arange(pairs.n_pairs, dtype=np.int64)
+        sel = np.full(int(regs.sum()) * W, -1, dtype=np.int64)
+        sel[((np.cumsum(regs) - regs) * W - np.cumsum(counts) + counts)[chunk] + rank] = rank
+        st = self._lane_state_from_pairs(bk, pairs, sel.reshape(-1, W))
         sweep = self._k_sweep(bk, st, kc)
         return self._apply_pair_and_zeta_forces(
             bk, st, sweep, kc, forces, conflict_writes=True
@@ -544,27 +545,14 @@ class TersoffVectorized(Potential):
         nblocks = (counts + W - 1) // W
         row_atom = np.repeat(np.arange(n, dtype=np.int64), nblocks)
         C = row_atom.shape[0]
-        if C:
-            row_first = np.concatenate(([0], np.cumsum(nblocks)[:-1]))
-            block_in_atom = np.arange(C, dtype=np.int64) - np.repeat(row_first, nblocks)
-        else:
-            block_in_atom = np.empty(0, dtype=np.int64)
         if C == 0:
             return 0.0, 0.0
+        row_first = np.concatenate(([0], np.cumsum(nblocks)[:-1]))
+        block_in_atom = np.arange(C, dtype=np.int64) - np.repeat(row_first, nblocks)
         lane = np.arange(W, dtype=np.int64)[None, :]
         pair_row = starts[row_atom][:, None] + block_in_atom[:, None] * W + lane
         valid = pair_row < (starts[row_atom] + counts[row_atom])[:, None]
-        idx = np.where(valid, pair_row, 0)
-
-        st = _LaneState(
-            i_atom=np.where(valid, pairs.i_idx[idx], 0),
-            j_atom=np.where(valid, pairs.j_idx[idx], -1),
-            ti=np.where(valid, pairs.ti[idx], 0),
-            tj=np.where(valid, pairs.tj[idx], 0),
-            rij=np.where(valid, pairs.r[idx], 1.0).astype(cd),
-            dij=np.where(valid[..., None], pairs.d[idx], 0.0).astype(cd),
-            valid=valid,
-        )
+        st = self._lane_state_from_pairs(bk, pairs, np.where(valid, pair_row, -1))
 
         # ---- shared-list K loop: k is uniform across lanes ------------------
         kstart = kc.start[row_atom]

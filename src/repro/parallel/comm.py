@@ -42,19 +42,3 @@ class CommRecord:
         entry[0] += 1
         entry[1] += int(nbytes)
         entry[2] += float(seconds)
-
-    def merged_with(self, other: "CommRecord") -> "CommRecord":
-        out = CommRecord(
-            messages=self.messages + other.messages,
-            bytes=self.bytes + other.bytes,
-            time_s=self.time_s + other.time_s,
-        )
-        for src in (self.by_stage, other.by_stage):
-            # sorted: merged stage order (and float accumulation order)
-            # must not depend on each record's insertion history
-            for k, v in sorted(src.items()):
-                e = out.by_stage.setdefault(k, [0, 0, 0.0])
-                e[0] += v[0]
-                e[1] += v[1]
-                e[2] += v[2]
-        return out

@@ -66,12 +66,6 @@ def si_lattice_222():
 
 
 @pytest.fixture(scope="session")
-def si_lattice_333():
-    """216-atom perturbed Si diamond lattice (periodic)."""
-    return perturbed(diamond_lattice(3, 3, 3), 0.10, seed=7)
-
-
-@pytest.fixture(scope="session")
 def sic_lattice():
     """64-atom perturbed zincblende SiC (two species)."""
     return perturbed(zincblende_sic(2, 2, 2), 0.10, seed=9)

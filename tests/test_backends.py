@@ -4,7 +4,8 @@ The contract under test (DESIGN.md §12): the ``compiled`` Tersoff
 kernel (and SW's, on the same list walker) is one fused C pass over
 positions and the CSR neighbor list —
 it owns the minimum image, both cutoff filters and every accumulation,
-runs the pairs of an atom in four vector lanes (scheme 1a) and its own
+runs Tersoff's pairs across the build's widest register (scheme 1b;
+SW's entries of an atom four to a vector, scheme 1a) and its own
 exp/log/sin/cos — and must agree with the numpy kernel, its oracle, to
 documented per-field bounds: energy to a couple of ULPs, per-atom
 energies and the scalar virial to small ULP counts, forces and the
@@ -614,6 +615,23 @@ class TestNumpyOracle:
         rn = TersoffProduction(params, backend="numpy").compute(system, neigh)
         assert_tracks(rc, rn)
 
+    def test_a_row_that_names_an_atom_twice(self):
+        """No k of a pair is its j's atom, wherever else the row names it:
+        the staging for such rows (not the one-non-k fast path) agrees
+        with the oracle, which excludes k by atom too."""
+        from repro.md.neighbor import NeighborList
+
+        params, system, neigh = sic_workload()
+        state = neigh.get_state()
+        rows = np.split(state["neighbors"], state["offsets"][1:-1])
+        state["neighbors"] = np.concatenate([np.append(r, r[:1]) for r in rows])
+        state["offsets"] = state["offsets"] + np.arange(len(state["offsets"]))
+        twice = NeighborList(neigh.settings)
+        twice.set_state(state, system.box)
+        rc = TersoffProduction(params, backend="compiled").compute(system, twice)
+        rn = TersoffProduction(params, backend="numpy").compute(system, twice)
+        assert_tracks(rc, rn)
+
 
 # ------------------------------------------- the build: key, flags, lowering
 
@@ -690,27 +708,53 @@ class TestCextBuild:
         from repro.backends import cext
 
         info = cext.build_info()
-        assert info["scheme"] == "1a" and info["lanes"] == 4
         assert info["isa"] and info["isa"].isascii()
+        # Tersoff fills the widest register of the build, SW keeps four lanes
+        f64, f32 = {"avx512": (8, 16), "avx2": (4, 8)}.get(info["isa"], (2, 4))
+        assert info["kernels"] == {"tersoff": {"scheme": "1b", "lanes": {"f64": f64, "f32": f32}},
+                                   "sw": {"scheme": "1a", "lanes": {"f64": 4, "f32": 4}}}
+        assert info["summary"] == f"tersoff 1b: {f64} f64 / {f32} f32 lanes; sw 1a: 4"
+
+
+#: the backend stats that count lanes: they follow the width a lowering
+#: packs (tests/test_model_pins.py holds them to the lane simulator)
+LANE_COUNTERS = ("kernel_invocations", "lane_occupancy", "spin_iterations")
+
+
+def assert_same_but_lanes(results):
+    """Bits, counters and everything but the lane counts of one call
+    equal across every lowering of `results` ((result, sums) pairs)."""
+    (ref, ref_sums), *rest = results
+    for res, sums in rest:
+        assert_bitwise(res, ref)
+        assert np.array_equal(sums, ref_sums)  # pair, j and k virial sums
+        assert_same_counts(res, ref)
+        for key in set(res.stats["backend"]) | set(ref.stats["backend"]):
+            if key not in LANE_COUNTERS:
+                assert res.stats["backend"][key] == ref.stats["backend"][key], key
 
 
 @needs_compiled
 class TestIsaIndependence:
-    """Lanes are the algorithm, the ISA is only speed: the baseline
-    lowering of the four lanes and the host's return the same bits.
-    What lets bitwise restarts and `serve`'s answers-vs-direct check
-    survive a move to another host."""
+    """Lanes are a property of the build, the bits are not: the baseline
+    (128-bit), AVX2 (256-bit) and host lowerings pack different numbers
+    of lanes and return the same bits.  What lets bitwise restarts and
+    `serve`'s answers-vs-direct check survive a move to another host."""
 
     @pytest.fixture(scope="class")
     def lowerings(self, tmp_path_factory):
         from repro.backends import cext
 
         tmp = tmp_path_factory.mktemp("lowerings")
-        try:
-            host = _variant(tmp, "host", cext._HOST_ISA_FLAGS)
-        except AssertionError:
-            pytest.skip("compiler rejects the host-ISA flag: one lowering only")
-        return _variant(tmp, "baseline", ()), host
+        variants = [_variant(tmp, "baseline", ())]
+        for name, flags in (("avx2", ("-mavx2",)), ("host", cext._HOST_ISA_FLAGS)):
+            try:
+                variants.append(_variant(tmp, name, flags))
+            except AssertionError:
+                pass  # a compiler or target without it: the others still meet
+        if len(variants) == 1:
+            pytest.skip("compiler takes no ISA flag: one lowering only")
+        return variants
 
     @pytest.mark.parametrize("periodic", ["ppp", "fff"])
     @pytest.mark.parametrize("precision", ["double", "mixed"])
@@ -726,13 +770,8 @@ class TestIsaIndependence:
         for fns in lowerings:
             monkeypatch.setattr(cext, "load", lambda fns=fns: fns)
             pot = TersoffProduction(params, precision=precision, backend="compiled")
-            res = pot.compute(system, neigh)
-            results.append((res, kernel_sums(pot)))
-        (base, base_sums), (host, host_sums) = results
-        assert_bitwise(host, base)
-        assert np.array_equal(host_sums, base_sums)  # pair, j and k virial sums
-        assert_same_counts(host, base)
-        assert host.stats["backend"] == base.stats["backend"]
+            results.append((pot.compute(system, neigh), kernel_sums(pot)))
+        assert_same_but_lanes(results)
 
     @pytest.mark.parametrize("periodic", ["ppp", "fff"])
     @pytest.mark.parametrize("precision", ["double", "mixed"])
@@ -748,10 +787,7 @@ class TestIsaIndependence:
             monkeypatch.setattr(cext, "load", lambda fns=fns: fns)
             pot = StillingerWeberProduction(params, precision=precision, backend="compiled")
             results.append((pot.compute(system, neigh), kernel_sums(pot)))
-        (base, base_sums), (host, host_sums) = results
-        assert_bitwise(host, base)
-        assert np.array_equal(host_sums, base_sums)
-        assert host.stats["backend"] == base.stats["backend"]
+        assert_same_but_lanes(results)
 
 
 # ------------------------------------------ atoms I on threads: no bit moves
@@ -762,7 +798,7 @@ def assert_same_call(res, sums, ref, ref_sums):
     assert_bitwise(res, ref)
     assert np.array_equal(sums, ref_sums)
     assert_same_counts(res, ref)
-    for key in ("kernel_invocations", "lane_occupancy"):
+    for key in LANE_COUNTERS:
         assert res.stats["backend"][key] == ref.stats["backend"][key], key
 
 

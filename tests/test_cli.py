@@ -68,9 +68,9 @@ class TestTrackedQuantities:
         def lines(root):
             return sum(len(f.read_text().splitlines()) for f in root.rglob("*.py"))
 
-        assert lines(package) <= 17_447
+        assert lines(package) <= 17_431
         assert lines(package / "analysis") <= 2_572
-        assert lines(Path(__file__).parent) <= 14_932
+        assert lines(Path(__file__).parent) <= 14_965
 
     def test_lint_is_one_stateless_pass(self):
         lint = _subcommands(build_parser())["lint"]
@@ -102,8 +102,8 @@ class TestInfo:
 
         assert main(["info"]) == 0
         built = cext.build_info()
-        assert (f"compiled available — cext, scheme 1a, 4 lanes × {usable_cores()} threads, "
-                f"built for {built['isa']}" in capsys.readouterr().out)
+        assert (f"compiled available — cext × {usable_cores()} threads, built for "
+                f"{built['isa']}; {built['summary']}" in capsys.readouterr().out)
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity API")
     def test_reports_usable_not_installed_cores(self):
@@ -120,7 +120,7 @@ class TestInfo:
                               text=True, check=True)
         assert "(1 usable cores)" in proc.stdout
         if backends.is_available("compiled"):
-            assert "4 lanes × 1 threads" in proc.stdout
+            assert "cext × 1 threads" in proc.stdout
 
 
 class TestRun:

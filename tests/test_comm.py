@@ -45,12 +45,3 @@ class TestCommRecord:
         assert r.time_s == INTRA_NODE.message_time(1000) + 0.25
         assert r.by_stage["reverse"] == [1, 2000, 0.25]
         assert set(r.by_stage) == {"forward", "reverse"}
-
-    def test_merge(self):
-        a, b = CommRecord(), CommRecord()
-        a.add(100, 1.0, stage="forward")
-        b.add(200, 0.5, stage="forward")
-        m = a.merged_with(b)
-        assert m.bytes == 300
-        assert m.time_s == 1.5
-        assert m.by_stage["forward"][0] == 2

@@ -9,6 +9,7 @@ pinned exactly (integer-valued stats) or to float noise (ratios).
 import pytest
 
 from conftest import build_list, needs_compiled
+from repro.core.tersoff.parameters import tersoff_si
 from repro.core.tersoff.production import TersoffProduction
 from repro.core.tersoff.vectorized import TersoffVectorized
 from repro.harness.experiments import PAPER_ATOMS, kernel_profile
@@ -39,42 +40,53 @@ def test_fig1_scheme_stats(workload, scheme, isa, cycles, invocations, utilizati
     assert stats["utilization"] == pytest.approx(utilization, rel=RTOL)
 
 
+def _meet_the_simulator(workload, threads=1):
+    """The C kernel's bodies, lane occupancy and spins against the lane
+    simulator of scheme 1b at the width that ran, in double and mixed, on
+    `workload` and on the committed a-Si fixture of test_invariants.py."""
+    from repro.backends import cext
+    from test_invariants import cell
+
+    lanes = cext.build_info()["kernels"]["tersoff"]["lanes"]
+    isa = {2: "sse4.2", 4: "avx2", 8: "avx512"}[lanes["f64"]]
+    si, a_si = tersoff_si(), cell("Si")
+    for params, system, neigh in (workload, (si, a_si, build_list(a_si, si.max_cutoff))):
+        for precision, suffix in (("double", "f64"), ("mixed", "f32")):
+            sim = TersoffVectorized(params, isa=isa, precision=precision, scheme="1b",
+                                    fast_forward=True, filter_neighbors=True)
+            sim = sim.compute(system, neigh).stats
+            pot = TersoffProduction(params, precision=precision, backend="compiled")
+            pot.kernel.threads = threads
+            res = pot.compute(system, neigh)
+            measured = res.stats["backend"]
+            assert measured["threads"] == threads and sim["width"] == lanes[suffix]
+            assert res.stats["pairs_in_cutoff"] == sim["pairs_in_cutoff"]
+            for key in ("kernel_invocations", "spin_iterations"):
+                assert measured[key] == sim[key], key
+            assert measured["lane_occupancy"] == pytest.approx(sim["lane_occupancy"], rel=RTOL)
+
+
 @needs_compiled
-def test_scheme_1a_simulation_meets_the_compiled_kernel(workload):
-    """The model meets a measurement (ROADMAP 1(d)): the C kernel *is*
-    scheme 1a on four double lanes, so the vector bodies it counts
-    (K-loop + pair) equal what the lane simulator fires, exactly, and so
-    does the share of their lanes doing a pair or a triplet.  Like is
-    compared with like: the simulator's pinned `utilization` (0.8132)
-    weights each lane by the instructions issued on it — the pair body
-    issues more than a K body — while a real kernel can only count
-    lanes, so the simulator reports the unweighted figure next to it."""
-    params, system, neigh = workload
-    sim = TersoffVectorized(params, isa="avx", scheme="1a").compute(system, neigh).stats
-    res = TersoffProduction(params, backend="compiled").compute(system, neigh)
-    measured = res.stats["backend"]
-    pairs, triplets = res.stats["pairs_in_cutoff"], res.stats["triples"]
-    assert sim["width"] == 4
-    assert measured["kernel_invocations"] == sim["kernel_invocations"] == 1080
-    assert measured["lane_occupancy"] == (pairs + triplets) / (4 * 1080) == 0.8
-    assert sim["lane_occupancy"] == pytest.approx(measured["lane_occupancy"], rel=RTOL)
-    assert sim["lane_occupancy"] < sim["utilization"]  # 0.800 unweighted, 0.813 weighted
+def test_scheme_1b_simulation_meets_the_compiled_kernel(workload):
+    """The model meets a measurement (ROADMAP 1(b)): the C kernel *is*
+    scheme 1b at the width of its build — a chunk's pairs across the
+    lanes, each lane on its own K list — so the vector bodies it counts
+    (K step + pair), the share of their lanes doing a pair or a triplet
+    and the fast-forward spins its staging stands for equal what the lane
+    simulator fires, exactly, on the 216-atom crystal and on the a-Si
+    fixture, whose rows carry 3-6 pairs and so pack across rows."""
+    _meet_the_simulator(workload)
 
 
 @needs_compiled
 @pytest.mark.parametrize("threads", [2, 3, 4])
 def test_the_compiled_counters_hold_on_any_number_of_threads(workload, monkeypatch, threads):
-    """Bodies and active lanes are counted per chunk of rows and added
-    up: 216 atoms are four chunks for `threads` threads to claim."""
+    """Bodies, active lanes and spins are counted per chunk of rows and
+    added up: 216 atoms are four chunks for `threads` threads to claim."""
     from repro.backends import cext
 
     monkeypatch.setattr(cext, "THREAD_GRAIN", 1)
-    params, system, neigh = workload
-    pot = TersoffProduction(params, backend="compiled")
-    pot.kernel.threads = threads
-    measured = pot.compute(system, neigh).stats["backend"]
-    assert measured["threads"] == threads
-    assert (measured["kernel_invocations"], measured["lane_occupancy"]) == (1080, 0.8)
+    _meet_the_simulator(workload, threads)
 
 
 @pytest.mark.parametrize("fast_forward,filter_neighbors,cycles,spins,utilization", [
