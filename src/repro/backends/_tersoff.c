@@ -61,16 +61,14 @@ enum { O_VI = 0, O_FJ = 3, O_FV = 6, O_JT = 9, O_E = 12, N_OUT };
 #define TERS_RING 64
 
 /* Where the body's columns lie in its per-thread scratch, in doubles
- * from its start (REAL and int32 columns are counted as doubles, so one
- * layout serves both instantiations), for a chunk of ROWS_PER_CHUNK
- * rows of max_row entries:
+ * from its start, for a chunk of ROWS_PER_CHUNK rows of max_row entries
+ * and the vectors of one instantiation: `lanes` lanes of `real` bytes:
  *   pair  the chunk's pairs, padded to whole vectors: r and d, then j's
  *         row and slot, its row's first entry and length, and (ti, tj)
  *   rows  each row's first pair and pair count (int32)
- *   kidx  per K step and lane, the entry of the lane's k (mask-width int)
+ *   kidx  per K step and lane, the entry of the lane's k (REAL-width int)
  *   kterm N_KTERM vectors per K step
- *   step  ring: per slot, the K step of the slot's k, or max_row (int32),
- *         where a row may name an atom twice
+ *   step  ring: per slot, the K step of the slot's k, or max_row (int32)
  *   u     ring: per K step, dzeta/dr_k times dV/dzeta (3 ACC columns);
  *         step max_row is zeros
  *   out   ring: N_OUT ACC columns
@@ -82,44 +80,37 @@ typedef struct {
 /* doubles per pair: r and d, then five int32 columns */
 #define PAIR_DOUBLES (4 + 3)
 
-static int64_t ters_line(const int64_t doubles)
+/* whole cache lines of doubles holding n items of `bytes` each */
+static int64_t ters_line(const int64_t n, const int64_t bytes)
 {
-    return (doubles + LINE_DOUBLES - 1) / LINE_DOUBLES * LINE_DOUBLES;
+    const int64_t line = POOL_CACHE_LINE;
+    return (n * bytes + line - 1) / line * LINE_DOUBLES;
 }
 
-static void ters_layout_of(const int64_t max_row, const int64_t ntypes, ters_layout *lay)
+static void ters_layout_of(const int64_t max_row, const int64_t ntypes, const int64_t lanes,
+                           const int64_t real, ters_layout *lay)
 {
-    const int64_t w = TERS_LANES_MAX, steps = max_row + 1;
-    lay->pair_cap = ters_line(ROWS_PER_CHUNK * max_row + w); /* at most one per entry */
+    const int64_t steps = max_row + 1, vec = lanes * real, d = sizeof(double);
+    lay->pair_cap = ters_line(ROWS_PER_CHUNK * max_row + lanes, d); /* at most one per entry */
     lay->pair = 0;
     lay->rows = lay->pair + PAIR_DOUBLES * lay->pair_cap;
-    lay->kidx = lay->rows + ters_line(ROWS_PER_CHUNK);
-    lay->kterm = lay->kidx + ters_line(steps * w);
-    lay->step = lay->kterm + ters_line(steps * w * N_KTERM);
-    lay->u = lay->step + ters_line(steps * TERS_RING);
-    lay->out = lay->u + ters_line(steps * 3 * TERS_RING);
-    lay->pv = lay->out + ters_line(N_OUT * TERS_RING);
-    lay->tv = lay->pv + ters_line(w * N_PV);
-    lay->dpv = lay->tv + ters_line(w * N_TV);
-    lay->dtv = lay->dpv + ters_line(ntypes * ntypes * N_PV);
-    lay->total = lay->dtv + ters_line(ntypes * ntypes * ntypes * N_TV);
+    lay->kidx = lay->rows + ters_line(2 * ROWS_PER_CHUNK, sizeof(int32_t));
+    lay->kterm = lay->kidx + ters_line(steps, vec);
+    lay->step = lay->kterm + ters_line(steps * N_KTERM, vec);
+    lay->u = lay->step + ters_line(steps * TERS_RING, sizeof(int32_t));
+    lay->out = lay->u + ters_line(steps * 3 * TERS_RING, d);
+    lay->pv = lay->out + ters_line(N_OUT * TERS_RING, d);
+    lay->tv = lay->pv + ters_line(N_PV, vec);
+    lay->dpv = lay->tv + ters_line(N_TV, vec);
+    lay->dtv = lay->dpv + ters_line(ntypes * ntypes * N_PV, real);
+    lay->total = lay->dtv + ters_line(ntypes * ntypes * ntypes * N_TV, real);
 }
 
-static int64_t ters_scratch(const int64_t max_row, const int64_t ntypes)
+/* lanes col[at[0..3]] of a block, +0 past its first nb */
+static inline vacc ters_lanes4(const ACC *restrict col, const int64_t *at, const int nb)
 {
-    ters_layout lay;
-    ters_layout_of(max_row, ntypes, &lay);
-    return lay.total;
-}
-
-typedef int64_t vmask4 __attribute__((vector_size(SUM_LANES * sizeof(int64_t))));
-
-/* four ring columns from position x on, +0 past the first nb */
-static inline vacc ters_ring4(const ACC *restrict col, const int64_t x, const vmask4 keep)
-{
-    vacc v;
-    memcpy(&v, col + x, sizeof v);
-    return (vacc)((vmask4)v & keep);
+    return (vacc){col[at[0]], nb > 1 ? col[at[1]] : 0, nb > 2 ? col[at[2]] : 0,
+                  nb > 3 ? col[at[3]] : 0};
 }
 
 /* The replay of one block of the parent order: the nb <= 4 pairs of
@@ -130,67 +121,42 @@ static inline vacc ters_ring4(const ACC *restrict col, const int64_t x, const vm
  * for an empty lane: per slot k in list order F_k = (l0 + l2) + (l1 +
  * l3), with +0 for a lane whose j is k (a slot no lane fired adds +0,
  * which changes no bit), then F_i the same way, F_j and e lane by lane,
- * and the virial sums lane by lane.  If a pair's one non-k is its j
- * (`distinct`), its k at slot m is K step m, or m - 1 past j, and where
- * the block's columns lie side by side in the rings they load as
- * vectors; otherwise lane by lane, the K step from the step ring (a
- * step of zeros, zstep, for a slot that is no k). */
+ * and the virial sums lane by lane.  A lane's F_k term is read from the
+ * u ring's row of the K step the step ring gives the slot (the row of
+ * zeros, zstep, where the slot is no k).  The block is read lane by lane
+ * into scalars and brace-built vectors, never as a masked four-double
+ * load: that cost a one-thread 4096-atom call ×1.2-1.27 on SSE2 and
+ * ×1.02-1.06 on AVX-512 (EXPERIMENTS.md). */
 static void ters_block(walk_row *row, const int nb, const int32_t *slot, const double *const *d,
-                       const int64_t x, const int distinct, const ACC *obuf, const ACC *ubuf,
-                       const int32_t *stepbuf, const int64_t zstep, walk_acc *restrict acc)
+                       const int64_t x, const ACC *obuf, const ACC *ubuf, const int32_t *stepbuf,
+                       const int64_t zstep, walk_acc *restrict acc)
 {
     ACC *restrict fs = row->f;
-    const vmask4 keep = (vmask4){0, 1, 2, 3} < (vmask4){nb, nb, nb, nb};
-    const int side = x + SUM_LANES <= TERS_RING; /* no lane wraps */
-    const vacc zero = vacc_set1(0);
+    static const int64_t lane[SUM_LANES] = {0, 1, 2, 3};
     vacc da[3];
-    vmask4 mj = {0, 0, 0, 0};
-    int64_t mk;
+    int64_t mk, xl[SUM_LANES], u[SUM_LANES];
     int a, c, l;
 
-    for (l = 0; l < nb; l++) mj[l] = slot[l];
+    for (l = 0; l < SUM_LANES; l++) xl[l] = (x + l) % TERS_RING;
     for (mk = 0; mk < row->ns; mk++) {
-        const vmask4 mv = {mk, mk, mk, mk};
-        vacc uk[3] = {zero, zero, zero};
-        if (distinct && side) {
-            for (c = 0; c < 3; c++) {
-                const vacc at_m = ters_ring4(ubuf + TERS_RING * (3 * mk + c), x, keep);
-                const vacc past = mk ? ters_ring4(ubuf + TERS_RING * (3 * (mk - 1) + c), x, keep)
-                                     : zero;
-                uk[c] = (vacc)(((mv < mj) & (vmask4)at_m) | ((mv > mj) & (vmask4)past));
-            }
-        } else {
-            for (l = 0; l < nb; l++) {
-                const int64_t xl = (x + l) % TERS_RING;
-                const int64_t s = !distinct      ? stepbuf[TERS_RING * mk + xl]
-                                  : mk == mj[l] ? zstep
-                                                : mk - (mk > mj[l]);
-                for (c = 0; c < 3; c++) uk[c][l] = ubuf[TERS_RING * (3 * s + c) + xl];
-            }
-        }
+        /* where each lane's F_k term for slot mk lies in the u ring: its
+         * K step's row, or the row of zeros for an empty lane or a slot
+         * that is no k of the lane */
+        for (l = 0; l < SUM_LANES; l++)
+            u[l] = TERS_RING * 3 * (l < nb ? stepbuf[TERS_RING * mk + xl[l]] : zstep) + xl[l];
         for (c = 0; c < 3; c++) {
-            const ACC fk = vacc_hsum(uk[c]);
+            const ACC *restrict col = ubuf + TERS_RING * c;
+            const ACC fk = (col[u[0]] + col[u[2]]) + (col[u[1]] + col[u[3]]);
             fs[3 * mk + c] -= fk;
             for (a = 0; a < 3; a++) acc->k[3 * a + c] += row->d[a][mk] * fk;
         }
     }
-    for (a = 0; a < 3; a++) da[a] = (vacc)((vmask4)vacc_load(d[a]) & keep);
+    for (a = 0; a < 3; a++) da[a] = ters_lanes4(d[a], lane, nb);
     for (c = 0; c < 3; c++) {
-        vacc vi = zero, fv = zero, jt = zero;
-        if (side) {
-            vi = ters_ring4(obuf + TERS_RING * (O_VI + c), x, keep);
-            fv = ters_ring4(obuf + TERS_RING * (O_FV + c), x, keep);
-            jt = ters_ring4(obuf + TERS_RING * (O_JT + c), x, keep);
-        } else {
-            for (l = 0; l < nb; l++) {
-                const int64_t xl = (x + l) % TERS_RING;
-                vi[l] = obuf[TERS_RING * (O_VI + c) + xl];
-                fv[l] = obuf[TERS_RING * (O_FV + c) + xl];
-                jt[l] = obuf[TERS_RING * (O_JT + c) + xl];
-            }
-        }
-        for (l = 0; l < nb; l++)
-            fs[3 * slot[l] + c] += obuf[TERS_RING * (O_FJ + c) + (x + l) % TERS_RING];
+        const vacc vi = ters_lanes4(obuf + TERS_RING * (O_VI + c), xl, nb);
+        const vacc fv = ters_lanes4(obuf + TERS_RING * (O_FV + c), xl, nb);
+        const vacc jt = ters_lanes4(obuf + TERS_RING * (O_JT + c), xl, nb);
+        for (l = 0; l < nb; l++) fs[3 * slot[l] + c] += obuf[TERS_RING * (O_FJ + c) + xl[l]];
         row->f_i[c] -= vacc_hsum(vi);
         /* virial W_ab += d_a F_b, summed per lane */
         for (a = 0; a < 3; a++) {
@@ -198,7 +164,7 @@ static void ters_block(walk_row *row, const int nb, const int32_t *slot, const d
             acc->lane[9 + 3 * a + c] += da[a] * jt;
         }
     }
-    for (l = 0; l < nb; l++) row->e_i += obuf[TERS_RING * O_E + (x + l) % TERS_RING];
+    for (l = 0; l < nb; l++) row->e_i += obuf[TERS_RING * O_E + xl[l]];
 }
 
 /* this unit also carries the _vmath.h test hook (tests/test_backends.py) */
@@ -239,10 +205,13 @@ static void ters_block(walk_row *row, const int nb, const int32_t *slot, const d
 #undef R_SQRT
 #undef VLANES
 
+/* one scratch buffer serves either precision's call */
 int64_t tersoff_scratch_doubles(const int64_t max_row, const int64_t ntypes,
                                 const int64_t n_atoms, const int64_t threads)
 {
-    return walk_scratch_doubles(&ters_kind_f64, max_row, ntypes, n_atoms, threads);
+    const int64_t f64 = walk_scratch_doubles(&ters_kind_f64, max_row, ntypes, n_atoms, threads);
+    const int64_t f32 = walk_scratch_doubles(&ters_kind_f32, max_row, ntypes, n_atoms, threads);
+    return f64 > f32 ? f64 : f32;
 }
 
 /* what was built, for `repro info`: the widest vector ISA the compiler

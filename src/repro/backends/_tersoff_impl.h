@@ -114,11 +114,10 @@ static inline VREAL TFN(ters_gather_)(const double *restrict col, const IREAL *r
     return v_from_acc(v);
 }
 
-/* The staging of a vector's K lists where a row may name an atom twice:
- * per lane the entries of its row whose atom is not its j, in list
- * order, into kidx (then the lane's j, to the longest list's end), and
- * the K step of every slot into the step ring (zstep: not a k).  Returns
- * the list lengths. */
+/* The staging of a vector's K lists: per lane the entries of its row
+ * whose atom is not its j, in list order, into kidx (then the lane's j,
+ * to the longest list's end), and the K step of every slot into the step
+ * ring (zstep: not a k).  Returns the list lengths. */
 static VMASK TFN(ters_stage_)(IREAL *restrict kidx, int32_t *restrict vstep,
                               const int32_t *restrict sj, const VMASK ej, const VMASK at,
                               const VMASK ns, const int nv, const int32_t zstep, int64_t *steps)
@@ -148,18 +147,24 @@ static VMASK TFN(ters_stage_)(IREAL *restrict kidx, int32_t *restrict vstep,
  * row's list to its next k (or off the list), and the vector waits for
  * the lane that moved furthest. */
 static int64_t TFN(ters_spins_)(const IREAL *restrict kidx, const VMASK nk, const VMASK at,
-                                const VMASK ns, const int nv, const int64_t steps)
+                                const VMASK ns, const VMASK valid, const int64_t steps)
 {
+    const VMASK off = ns - vm_set1(1); /* past the last k: the list's end */
+    VMASK from = vm_set1(-1), to, k;
     int64_t s, spins = 0;
     int l;
     for (s = 0; s <= steps; s++) {
-        int64_t most = 0;
-        for (l = 0; l < nv; l++) {
-            const int64_t from = s == 0 ? -1 : kidx[VLANES * (s - 1) + l] - at[l];
-            const int64_t to = s < nk[l] ? kidx[VLANES * s + l] - at[l] : ns[l] - 1;
-            if (s <= nk[l] && to - from > most) most = to - from;
+        const VMASK sv = vm_set1((IREAL)s);
+        IREAL most = 0;
+        to = off;
+        if (s < steps) {
+            memcpy(&k, kidx + VLANES * s, sizeof k);
+            to = vm_sel(sv < nk, k - at, off);
         }
+        const VMASK moved = vm_sel(valid & (sv <= nk), to - from, vm_set1(0));
+        for (l = 0; l < VLANES; l++) most = moved[l] > most ? moved[l] : most;
         spins += most;
+        from = to;
     }
     return spins;
 }
@@ -255,7 +260,7 @@ static void TFN(ters_chunk_)(const walk_job *job, walk_row *rows, const int64_t 
 
     /* ---- this thread's scratch (ters_layout) ---- */
     ters_layout lay;
-    ters_layout_of(max_row, ntypes, &lay);
+    ters_layout_of(max_row, ntypes, VLANES, sizeof(REAL), &lay);
     double *const base = scratch;
     const int64_t mp = lay.pair_cap;
     const int32_t zstep = (int32_t)max_row; /* the K step of zeros */
@@ -275,8 +280,7 @@ static void TFN(ters_chunk_)(const walk_job *job, walk_row *rows, const int64_t 
 
     const VREAL zero = v_set1((REAL)0.0), one = v_set1((REAL)1.0), half = v_set1((REAL)0.5);
     const VMASK lane_id = vm_iota();
-    int64_t r, e, e2, s, q0, n_pairs = 0, next = 0;
-    int distinct = 1; /* no row names an atom twice: a pair's one non-k is its j */
+    int64_t r, e, s, q0, n_pairs = 0, next = 0;
     int a, c, l;
 
     /* ---- the entries of each row inside their own inclusive R+D are
@@ -289,7 +293,6 @@ static void TFN(ters_chunk_)(const walk_job *job, walk_row *rows, const int64_t 
         pfirst[r] = (int32_t)n_pairs;
         for (e = row->at; e < end; e++) {
             const int64_t tj = st[e];
-            for (e2 = e + 1; e2 < end; e2++) distinct &= sj[e2] != sj[e];
             if (!(sr[e] <= cut[((ti * ntypes + tj) * ntypes + tj)])) continue;
             pr[n_pairs] = sr[e];
             for (c = 0; c < 3; c++) pd[c][n_pairs] = sd[c][e];
@@ -328,50 +331,25 @@ static void TFN(ters_chunk_)(const walk_job *job, walk_row *rows, const int64_t 
             const int nb = (int)(end - next < SUM_LANES ? end - next : SUM_LANES);
             const double *const d[3] = {pd[0] + next, pd[1] + next, pd[2] + next};
             if (next + nb > q0) break;
-            ters_block(rows + prow[next], nb, pslot + next, d, next % TERS_RING, distinct, obuf,
-                       ubuf, kstep, zstep, acc);
+            ters_block(rows + prow[next], nb, pslot + next, d, next % TERS_RING, obuf, ubuf, kstep,
+                       zstep, acc);
             next += nb;
         }
         if (q0 >= n_pairs) continue;
         const int nv = n_pairs - q0 < VLANES ? (int)(n_pairs - q0) : VLANES;
         const int64_t x = q0 % TERS_RING; /* the vector's lanes in the rings */
         const VMASK valid = lane_id < vm_set1(nv);
-        const VMASK at = vm_load_i32(pa + q0), mj = vm_load_i32(pslot + q0);
-        const VMASK ej = at + mj, ns = vm_load_i32(pn + q0);
+        const VMASK at = vm_load_i32(pa + q0), ns = vm_load_i32(pn + q0);
+        const VMASK ej = at + vm_load_i32(pslot + q0);
         VMASK nk;
         VACC rij_acc, dij_acc[3];
         int64_t steps = 0;
 
         /* ---- stage each lane's own k's — the entries of its row whose
          * atom is not its j — and the K step of every slot ---- */
-        if (distinct) {
-            /* a lane's k number s is entry s, or s + 1 from its j on.  The
-             * fast-forward count of ters_spins_ is then one cursor step
-             * per K step, one more in each K step a lane passes its j in,
-             * and one more after the last if a lane with the most k's has
-             * its j last */
-            int64_t jumps = 0, j_last = -1;
-            for (l = 0; l < VLANES; l++) {
-                const int64_t nl = pn[q0 + l] - 1, m = pslot[q0 + l], jl = m < nl ? -1 : nl;
-                steps = nl > steps ? nl : steps;
-                jumps |= (int64_t)(m < nl) << (m & 63);
-                j_last = jl > j_last ? jl : j_last;
-                acc->count[1] += nl;
-            }
-            nk = valid & (ns - vm_set1(1));
-            for (s = 0; s < steps; s++) {
-                const VMASK sv = vm_set1((IREAL)s);
-                const VMASK k = vm_sel(sv < nk, at + sv - (sv >= mj), ej);
-                memcpy(kidx + VLANES * s, &k, sizeof k);
-            }
-            acc->count[3] += steps < 64 ? steps + __builtin_popcountll((unsigned long long)jumps) +
-                                              (j_last == steps)
-                                        : TFN(ters_spins_)(kidx, nk, at, ns, nv, steps);
-        } else {
-            nk = TFN(ters_stage_)(kidx, kstep + x, sj, ej, at, ns, nv, zstep, &steps);
-            for (l = 0; l < nv; l++) acc->count[1] += nk[l];
-            acc->count[3] += TFN(ters_spins_)(kidx, nk, at, ns, nv, steps);
-        }
+        nk = TFN(ters_stage_)(kidx, kstep + x, sj, ej, at, ns, nv, zstep, &steps);
+        for (l = 0; l < nv; l++) acc->count[1] += nk[l];
+        acc->count[3] += TFN(ters_spins_)(kidx, nk, at, ns, valid, steps);
         memcpy(&rij_acc, pr + q0, sizeof rij_acc);
         for (c = 0; c < 3; c++) memcpy(&dij_acc[c], pd[c] + q0, sizeof rij_acc);
 
@@ -488,7 +466,14 @@ static void TFN(ters_chunk_)(const walk_job *job, walk_row *rows, const int64_t 
     }
 }
 
-static const walk_kind TFN(ters_kind_) = {TFN(ters_chunk_), ters_scratch, 0, VLANES, "1b"};
+static int64_t TFN(ters_scratch_)(const int64_t max_row, const int64_t ntypes)
+{
+    ters_layout lay;
+    ters_layout_of(max_row, ntypes, VLANES, sizeof(REAL), &lay);
+    return lay.total;
+}
+
+static const walk_kind TFN(ters_kind_) = {TFN(ters_chunk_), TFN(ters_scratch_), 0, VLANES, "1b"};
 
 WALK_ENTRY(TFN(tersoff_fused_), TFN(ters_kind_))
 

@@ -50,7 +50,6 @@
 #define TERS_LANES_F64 2
 #define TERS_LANES_F32 4
 #endif
-#define TERS_LANES_MAX TERS_LANES_F32
 
 /* accumulator type: f64 in every precision mode (per-atom energy, force
  * and virial sums), the accumulate discipline of the numpy kernels */
