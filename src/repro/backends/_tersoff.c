@@ -56,9 +56,9 @@ enum { O_VI = 0, O_FJ = 3, O_FV = 6, O_JT = 9, O_E = 12, N_OUT };
 
 /* The replay reads each pair's columns from rings of TERS_RING pairs —
  * a vector's lanes and the at most three pairs of an unfinished block
- * before them; a multiple of every lane count, so a vector's lanes are
- * never split */
-#define TERS_RING 64
+ * before them (16 + 3 at most); a multiple of every lane count, so a
+ * vector's lanes are never split */
+#define TERS_RING 32
 
 /* Where the body's columns lie in its per-thread scratch, in doubles
  * from its start, for a chunk of ROWS_PER_CHUNK rows of max_row entries
