@@ -21,6 +21,8 @@
  */
 
 #include <math.h>
+#include <pthread.h>
+#include <stdlib.h>
 
 #include "_walker.h"
 
@@ -62,13 +64,57 @@ static int64_t walk_chunks(const int64_t n_atoms, const int64_t per)
     return (n_atoms + per - 1) / per;
 }
 
-/* slack to align the base, the chunk records, the per-thread row scratch */
+/* slack to align the base, and the chunk records */
 int64_t walk_scratch_doubles(const walk_kind *kind, const int64_t max_row, const int64_t ntypes,
                              const int64_t n_atoms, const int64_t threads)
 {
+    (void)kind, (void)max_row, (void)ntypes, (void)threads;
     return LINE_DOUBLES +
-           walk_chunks(n_atoms, ROWS_PER_CHUNK) * (int64_t)(sizeof(walk_chunk) / sizeof(double)) +
-           threads * walk_thread_doubles(kind, max_row, ntypes);
+           walk_chunks(n_atoms, ROWS_PER_CHUNK) * (int64_t)(sizeof(walk_chunk) / sizeof(double));
+}
+
+/* The row scratch of the calling thread: the chunk's short lists and the
+ * body's columns, written afresh by every chunk.  One buffer per thread,
+ * kept at the largest size asked of it and freed when the thread exits,
+ * so kernel instances called from one thread share it (a buffer per
+ * instance cost `serve-mixed` 1.4 MB of peak RSS over its 18 sessions).
+ * NULL when there is no memory. */
+typedef struct {
+    double *p;
+    int64_t doubles;
+} walk_own;
+
+static pthread_key_t walk_own_key;
+static int walk_own_ok;
+static pthread_once_t walk_own_once = PTHREAD_ONCE_INIT;
+
+static void walk_own_free(void *own)
+{
+    free(((walk_own *)own)->p);
+    free(own);
+}
+
+static void walk_own_init(void) { walk_own_ok = !pthread_key_create(&walk_own_key, walk_own_free); }
+
+static double *walk_own_scratch(const int64_t doubles)
+{
+    walk_own *own;
+    pthread_once(&walk_own_once, walk_own_init);
+    if (!walk_own_ok) return NULL;
+    own = pthread_getspecific(walk_own_key);
+    if (!own) {
+        if (!(own = calloc(1, sizeof *own))) return NULL;
+        if (pthread_setspecific(walk_own_key, own)) {
+            free(own);
+            return NULL;
+        }
+    }
+    if (own->doubles < doubles) {
+        free(own->p);
+        own->p = aligned_alloc(POOL_CACHE_LINE, (size_t)doubles * sizeof(double));
+        own->doubles = own->p ? doubles : 0;
+    }
+    return own->p;
 }
 
 static int64_t walk_fail(int64_t *restrict fail, int64_t i, int64_t j, int code)
@@ -154,6 +200,7 @@ static void walk_chunk_done(walk_job *job, walk_chunk *restrict out, const walk_
  * atoms it claimed. */
 static void walk_work(void *ctx, const int tid)
 {
+    (void)tid; /* who computes which chunk decides nothing */
     walk_job *job = ctx;
     const walk_kind *kind = job->kind;
     const int64_t n_atoms = job->n_atoms, max_row = job->max_row;
@@ -164,9 +211,11 @@ static void walk_work(void *ctx, const int tid)
     const int32_t nowhere = (int32_t)offsets[n_atoms]; /* the slot that stays zero */
 
     /* ---- this thread's scratch: the chunk's short lists, back to back,
-     * then the body's ---- */
+     * then the body's; a helper without it leaves the rows to the others
+     * (the caller has its own before the job starts) ---- */
     const int64_t me = walk_entries(max_row);
-    double *restrict sr = job->row_scratch + tid * job->thread_doubles;
+    double *restrict sr = walk_own_scratch(job->thread_doubles);
+    if (!sr) return;
     double *const sd[3] = {sr + me, sr + 2 * me, sr + 3 * me};
     int32_t *restrict sj = (int32_t *)(sr + 4 * me);
     int32_t *restrict st = sj + me;
@@ -318,8 +367,11 @@ int walk_run(const walk_kind *kind,
     job.n_chunks = walk_chunks(n_atoms, ROWS_PER_CHUNK);
     job.chunk = (walk_chunk *)(((uintptr_t)scratch + POOL_CACHE_LINE - 1) &
                                ~(uintptr_t)(POOL_CACHE_LINE - 1));
-    job.row_scratch = (double *)(job.chunk + job.n_chunks);
     job.thread_doubles = walk_thread_doubles(kind, max_row, ntypes);
+    if (!walk_own_scratch(job.thread_doubles)) {
+        info[0] = info[1] = 0;
+        return WALK_NOMEM;
+    }
     job.partial = partial;
     job.where = where;
     memset(partial + 3 * offsets[n_atoms], 0, 3 * sizeof(double));

@@ -60,6 +60,7 @@
 #define WALK_NONFINITE 1  /* non-finite distance: would be silently filtered */
 #define WALK_COINCIDENT 2 /* r == 0 inside the list: 1/r terms undefined     */
 #define WALK_BAD_INPUT 3  /* neighbor/type index out of range, row > max_row */
+#define WALK_NOMEM 4      /* no memory for the calling thread's row scratch   */
 
 /* geometry block `geo` (8 doubles, packed by CompiledListKernel):
  * [0..2] box lengths, [3..5] half lengths (+inf on non-periodic axes),
@@ -153,8 +154,7 @@ struct walk_job {
     int64_t max_row;
     const int64_t *in_off;  /* transposed index: the CSR entries that name */
     const int32_t *in_ent;  /* atom a are in_ent[in_off[a] .. in_off[a+1]) */
-    double *row_scratch;    /* thread_doubles of it per thread             */
-    int64_t thread_doubles;
+    int64_t thread_doubles; /* each thread's row scratch (walk_own_scratch) */
     walk_chunk *chunk;
     int64_t n_chunks;
     double *partial;        /* (L+1,3) the force of row i on its short-list
@@ -168,7 +168,9 @@ struct walk_job {
     _Atomic int64_t next_gather;                         /* sweep 2 claims */
 } __attribute__((aligned(POOL_CACHE_LINE)));
 
-/* doubles of scratch one call of `kind` on `threads` threads needs */
+/* doubles of scratch one call of `kind` on `threads` threads needs from
+ * its caller: the chunk records (a thread's row scratch is its own,
+ * _walker.c) */
 int64_t walk_scratch_doubles(const walk_kind *kind, int64_t max_row, int64_t ntypes,
                              int64_t n_atoms, int64_t threads);
 

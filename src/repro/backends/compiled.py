@@ -51,7 +51,7 @@ PARAM_FIELDS = ("R", "D", "A", "lam1", "B", "lam2", "beta", "n", "c1", "c2", "c3
 #: through are decided by the exact test on the distance.
 _PREFILTER_MARGIN = 1.0 + 1.0e-9
 #: Error returns of ``<potential>_fused_*`` (``WALK_*`` in ``_walker.h``).
-_NONFINITE, _COINCIDENT = 1, 2
+_NONFINITE, _COINCIDENT, _NOMEM = 1, 2, 4
 
 
 def pick_strategy() -> str:
@@ -144,7 +144,8 @@ class CompiledListKernel(MultiBodyKernel):
                 raise DegenerateGeometryError(i, j)
             if code == _NONFINITE:
                 raise ValueError(f"non-finite interatomic distance involving atom {i}")
-            raise ValueError(f"neighbor list or type column out of range at atom {i}")
+            raise MemoryError("no memory for the kernel's row scratch") if code == _NOMEM else \
+                ValueError(f"neighbor list or type column out of range at atom {i}")
 
         P, T = int(info[0]), int(info[1])
         bodies, active = int(info[2]), int(info[3])

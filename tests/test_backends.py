@@ -1350,7 +1350,7 @@ class TestEngineWithCompiledBackend:
 
     def test_thread_executor_matches_serial(self):
         """ctypes drops the GIL, so two ranks really run the C kernel at
-        once: scratch must be per kernel instance, never per module."""
+        once: scratch must be per kernel instance or thread, never per module."""
         from repro.parallel.engine import ParallelEngine
 
         params, system, _ = si_workload(cells=4)
