@@ -77,7 +77,7 @@ int64_t walk_scratch_doubles(const walk_kind *kind, const int64_t max_row, const
  * body's columns, written afresh by every chunk.  One buffer per thread,
  * kept at the largest size asked of it and freed when the thread exits,
  * so kernel instances called from one thread share it (a buffer per
- * instance cost `serve-mixed` 1.4 MB of peak RSS over its 18 sessions).
+ * instance cost `serve-mixed` 1.4 MB of peak RSS over its sessions).
  * NULL when there is no memory. */
 typedef struct {
     double *p;
