@@ -76,12 +76,14 @@ FD_STEP = 2e-5
 FD_FORCE_TOL = 1e-6
 FD_VIRIAL_TOL = 1e-5
 
-# proper rotations of the cube that are plain axis permutations/signs
+# maps of the cube onto itself that are plain axis permutations/signs: four
+# proper rotations and the inversion x -> -x
 ROTATIONS = [
     np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]], dtype=float),  # 90 deg about z
     np.array([[1, 0, 0], [0, 0, -1], [0, 1, 0]], dtype=float),  # 90 deg about x
     np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=float),  # 120 deg about [111]
     np.array([[-1, 0, 0], [0, -1, 0], [0, 0, 1]], dtype=float),  # 180 deg about z
+    -np.eye(3),  # inversion
 ]
 
 
@@ -231,7 +233,7 @@ class TestInvariants:
 
     def test_cubic_rotation_invariance(self, row):
         """The cubic cell maps onto itself: the energy is unchanged and
-        the forces rotate with the atoms."""
+        the forces rotate (or, under the inversion, flip) with the atoms."""
         pot = potential(row)
         system = cell(row.species)
         ref = evaluate(pot, system)
