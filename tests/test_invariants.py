@@ -304,18 +304,29 @@ def test_compiled_tracks_the_numpy_oracle(row, monkeypatch):
 #: Tersoff kernel; the same on the generic and the host lowering
 TERSOFF_DIGESTS = {"double": "582363afbb182367", "single": "5509a24dffa79a2b",
                    "mixed": "e71c0217a36fedcc"}
+#: the same for compiled SW (f64 and f32 kernels) on the a-Si cell, taken with
+#: its scheme-1a body on four lanes
+SW_DIGESTS = {"double": "0f10ca48ec0719b9", "single": "dde3b5d8592bfdc7"}
+
+
+def _digest(row: Row) -> str:
+    res = evaluate(potential(row), cell("Si"))
+    digest = hashlib.sha256()
+    for a in (res.forces, res.stats["per_atom_energy"], res.stats["virial_tensor"], [res.virial]):
+        digest.update(np.asarray(a, dtype=np.float64).tobytes())
+    return digest.hexdigest()[:16]
 
 
 @needs_compiled
 @pytest.mark.parametrize("precision", list(TERSOFF_DIGESTS))
 def test_compiled_tersoff_did_not_move(precision):
-    row = Row("compiled", precision, "Si")
-    pot, system = potential(row), cell("Si")
-    res = evaluate(pot, system)
-    digest = hashlib.sha256()
-    for a in (res.forces, res.stats["per_atom_energy"], res.stats["virial_tensor"], [res.virial]):
-        digest.update(np.asarray(a, dtype=np.float64).tobytes())
-    assert digest.hexdigest()[:16] == TERSOFF_DIGESTS[precision]
+    assert _digest(Row("compiled", precision, "Si")) == TERSOFF_DIGESTS[precision]
+
+
+@needs_compiled
+@pytest.mark.parametrize("precision", list(SW_DIGESTS))
+def test_compiled_sw_did_not_move(precision):
+    assert _digest(Row("compiled", precision, "Si", potential="sw")) == SW_DIGESTS[precision]
 
 
 NVE_STEPS = {"compiled": 10_000, "numpy": 1_000}
