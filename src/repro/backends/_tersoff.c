@@ -68,7 +68,8 @@ enum { O_VI = 0, O_FJ = 3, O_FV = 6, O_JT = 9, O_E = 12, N_OUT };
  *   rows  each row's first pair and pair count (int32)
  *   kidx  per K step and lane, the entry of the lane's k (REAL-width int)
  *   kterm N_KTERM vectors per K step
- *   step  ring: per slot, the K step of the slot's k, or max_row (int32)
+ *   step  ring: per slot, the K step of the slot's k, or max_row (int32);
+ *         then per K step the farthest cursor move of the vector's lanes
  *   u     ring: per K step, dzeta/dr_k times dV/dzeta (3 ACC columns);
  *         step max_row is zeros
  *   out   ring: N_OUT ACC columns
@@ -97,7 +98,7 @@ static void ters_layout_of(const int64_t max_row, const int64_t ntypes, const in
     lay->kidx = lay->rows + ters_line(2 * ROWS_PER_CHUNK, sizeof(int32_t));
     lay->kterm = lay->kidx + ters_line(steps, vec);
     lay->step = lay->kterm + ters_line(steps * N_KTERM, vec);
-    lay->u = lay->step + ters_line(steps * TERS_RING, sizeof(int32_t));
+    lay->u = lay->step + ters_line(steps * (TERS_RING + 1), sizeof(int32_t));
     lay->out = lay->u + ters_line(steps * 3 * TERS_RING, d);
     lay->pv = lay->out + ters_line(N_OUT * TERS_RING, d);
     lay->tv = lay->pv + ters_line(N_PV, vec);

@@ -117,56 +117,40 @@ static inline VREAL TFN(ters_gather_)(const double *restrict col, const IREAL *r
 /* The staging of a vector's K lists: per lane the entries of its row
  * whose atom is not its j, in list order, into kidx (then the lane's j,
  * to the longest list's end), and the K step of every slot into the step
- * ring (zstep: not a k).  Returns the list lengths. */
+ * ring (zstep: not a k).  Returns the list lengths, and in *spins Sec.
+ * IV-C's fast-forward as the vector-wide loop would spin it: per K step
+ * every valid lane moves its cursor over its row to its next k (or, past
+ * its last, to the row's end), and the vector waits for the lane that
+ * moves furthest (most[step]). */
 static VMASK TFN(ters_stage_)(IREAL *restrict kidx, int32_t *restrict vstep,
-                              const int32_t *restrict sj, const VMASK ej, const VMASK at,
-                              const VMASK ns, const int nv, const int32_t zstep, int64_t *steps)
+                              int32_t *restrict most, const int32_t *restrict sj,
+                              const VMASK ej, const VMASK at, const VMASK ns, const int nv,
+                              const int32_t zstep, int64_t *steps, int64_t *spins)
 {
     VMASK nk;
     int64_t e, s;
     int l;
-    *steps = 0;
+    memset(most, 0, (size_t)(zstep + 1) * sizeof *most);
+    *steps = *spins = 0;
     for (l = 0; l < VLANES; l++) {
-        IREAL n = 0;
+        IREAL n = 0, from = -1;
         for (e = at[l]; e < at[l] + ns[l]; e++) {
             const int live = l < nv && sj[e] != sj[ej[l]];
-            if (live) kidx[VLANES * n + l] = (IREAL)e;
             vstep[TERS_RING * (e - at[l]) + l] = live ? (int32_t)n : zstep;
-            n += live;
+            if (!live) continue;
+            kidx[VLANES * n + l] = (IREAL)e;
+            if (e - at[l] - from > most[n]) most[n] = (int32_t)(e - at[l] - from);
+            from = (IREAL)(e - at[l]);
+            n++;
         }
+        if (l < nv && ns[l] - 1 - from > most[n]) most[n] = (int32_t)(ns[l] - 1 - from);
         nk[l] = n;
         if (n > *steps) *steps = n;
     }
     for (l = 0; l < VLANES; l++)
         for (s = nk[l]; s < *steps; s++) kidx[VLANES * s + l] = ej[l];
+    for (s = 0; s <= *steps; s++) *spins += most[s];
     return nk;
-}
-
-/* Sec. IV-C's fast-forward as the vector-wide loop would spin it over
- * the staged lists: per K step every lane moves its cursor over its
- * row's list to its next k (or off the list), and the vector waits for
- * the lane that moved furthest. */
-static int64_t TFN(ters_spins_)(const IREAL *restrict kidx, const VMASK nk, const VMASK at,
-                                const VMASK ns, const VMASK valid, const int64_t steps)
-{
-    const VMASK off = ns - vm_set1(1); /* past the last k: the list's end */
-    VMASK from = vm_set1(-1), to, k;
-    int64_t s, spins = 0;
-    int l;
-    for (s = 0; s <= steps; s++) {
-        const VMASK sv = vm_set1((IREAL)s);
-        IREAL most = 0;
-        to = off;
-        if (s < steps) {
-            memcpy(&k, kidx + VLANES * s, sizeof k);
-            to = vm_sel(sv < nk, k - at, off);
-        }
-        const VMASK moved = vm_sel(valid & (sv <= nk), to - from, vm_set1(0));
-        for (l = 0; l < VLANES; l++) most = moved[l] > most ? moved[l] : most;
-        spins += most;
-        from = to;
-    }
-    return spins;
 }
 
 /* fC and fC' of the lanes `live`.  numpy: where(r < R-D, 1, where(r >
@@ -272,7 +256,7 @@ static void TFN(ters_chunk_)(const walk_job *job, walk_row *rows, const int64_t 
     int32_t *restrict npair = pfirst + ROWS_PER_CHUNK;
     IREAL *restrict kidx = (IREAL *)(base + lay.kidx);
     REAL *restrict kterm = (REAL *)(base + lay.kterm);
-    int32_t *restrict kstep = (int32_t *)(base + lay.step);
+    int32_t *restrict kstep = (int32_t *)(base + lay.step), *restrict most = kstep + TERS_RING * (zstep + 1);
     ACC *restrict ubuf = base + lay.u;
     ACC *restrict obuf = base + lay.out;
     REAL *restrict pv = (REAL *)(base + lay.pv), *restrict tv = (REAL *)(base + lay.tv);
@@ -343,13 +327,13 @@ static void TFN(ters_chunk_)(const walk_job *job, walk_row *rows, const int64_t 
         const VMASK ej = at + vm_load_i32(pslot + q0);
         VMASK nk;
         VACC rij_acc, dij_acc[3];
-        int64_t steps = 0;
+        int64_t steps, spins;
 
         /* ---- stage each lane's own k's — the entries of its row whose
          * atom is not its j — and the K step of every slot ---- */
-        nk = TFN(ters_stage_)(kidx, kstep + x, sj, ej, at, ns, nv, zstep, &steps);
+        nk = TFN(ters_stage_)(kidx, kstep + x, most, sj, ej, at, ns, nv, zstep, &steps, &spins);
         for (l = 0; l < nv; l++) acc->count[1] += nk[l];
-        acc->count[3] += TFN(ters_spins_)(kidx, nk, at, ns, valid, steps);
+        acc->count[3] += spins;
         memcpy(&rij_acc, pr + q0, sizeof rij_acc);
         for (c = 0; c < 3; c++) memcpy(&dij_acc[c], pd[c] + q0, sizeof rij_acc);
 
