@@ -39,8 +39,8 @@ static inline void TFN(sw_tail_)(const VREAL r, const REAL *restrict p, const in
 static void TFN(sw_row_)(const walk_job *job, walk_row *row, walk_acc *restrict acc,
                          void *scratch)
 {
-    const REAL *restrict p = job->ptab;
-    const int64_t ns = row->ns, mr = job->max_row + VLANES; /* room for a block past ns */
+    const REAL *restrict p = job->a.ptab;
+    const int64_t ns = row->ns, mr = job->a.max_row + VLANES; /* room for a block past ns */
     const double *restrict sr = row->r;
     const double *const *sd = row->d;
     const int32_t *restrict sj = row->j;

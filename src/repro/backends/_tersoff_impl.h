@@ -234,9 +234,9 @@ static inline void TFN(ters_bij_both_)(const VREAL z, const REAL *restrict pv, c
 static void TFN(ters_chunk_)(const walk_job *job, walk_row *rows, const int64_t n_rows,
                              walk_acc *restrict acc, void *scratch)
 {
-    const int64_t ntypes = job->ntypes, max_row = job->max_row;
+    const int64_t ntypes = job->a.ntypes, max_row = job->a.max_row;
     const int uniform = ntypes == 1; /* one parameter row for every lane */
-    const double *restrict cut = job->cut;
+    const double *restrict cut = job->a.cut;
     /* the chunk's short lists, back to back (walk_row.at) */
     const double *restrict sr = rows[0].r;
     const double *const sd[3] = {rows[0].d[0], rows[0].d[1], rows[0].d[2]};
@@ -300,7 +300,7 @@ static void TFN(ters_chunk_)(const walk_job *job, walk_row *rows, const int64_t 
         ppv[e] = ppv[e - 1];
     }
     memset(ubuf + TERS_RING * 3 * zstep, 0, TERS_RING * 3 * sizeof(ACC));
-    TFN(ters_params_)(dpv, dtv, job->ptab, ntypes);
+    TFN(ters_params_)(dpv, dtv, job->a.ptab, ntypes);
     if (uniform) {
         for (a = 0; a < N_PV; a++) v_store(pv + VLANES * a, v_set1(dpv[a]));
         for (a = 0; a < N_TV; a++) v_store(tv + VLANES * a, v_set1(dtv[a]));

@@ -203,11 +203,11 @@ static void walk_work(void *ctx, const int tid)
     (void)tid; /* who computes which chunk decides nothing */
     walk_job *job = ctx;
     const walk_kind *kind = job->kind;
-    const int64_t n_atoms = job->n_atoms, max_row = job->max_row;
-    const int64_t *restrict offsets = job->offsets;
-    const int32_t *restrict neighbors = job->neighbors, *restrict types = job->types;
-    double *restrict partial = job->partial, *restrict forces = job->forces;
-    int32_t *restrict where = job->where;
+    const int64_t n_atoms = job->a.n_atoms, max_row = job->a.max_row;
+    const int64_t *restrict offsets = job->a.offsets;
+    const int32_t *restrict neighbors = job->a.neighbors, *restrict types = job->a.types;
+    double *restrict partial = job->a.partial, *restrict forces = job->a.forces;
+    int32_t *restrict where = job->a.where;
     const int32_t nowhere = (int32_t)offsets[n_atoms]; /* the slot that stays zero */
 
     /* ---- this thread's scratch: the chunk's short lists, back to back,
@@ -244,8 +244,8 @@ static void walk_work(void *ctx, const int tid)
                 break;
             }
             double *const sd_at[3] = {sd[0] + at, sd[1] + at, sd[2] + at};
-            const int64_t ns = walk_filter_row(job->x, types, n_atoms, i, neighbors + offsets[i],
-                                               len, job->geo, kind->strict, sd_at, sr + at,
+            const int64_t ns = walk_filter_row(job->a.x, types, n_atoms, i, neighbors + offsets[i],
+                                               len, job->a.geo, kind->strict, sd_at, sr + at,
                                                sj + at, st + at, sq + at, out->fail);
             if (ns < 0) break;
             /* the force on short-list slot m accumulates in partial slot m
@@ -274,7 +274,7 @@ static void walk_work(void *ctx, const int tid)
              * their neighbors is where sweep 2 will look for it ---- */
             for (r = 0; r < n_rows; r++) {
                 for (c = 0; c < 3; c++) forces[3 * (i0 + r) + c] = rows[r].f_i[c];
-                job->peratom[i0 + r] = rows[r].e_i;
+                job->a.peratom[i0 + r] = rows[r].e_i;
             }
         }
         walk_chunk_done(job, out, &acc);
@@ -287,8 +287,8 @@ static void walk_work(void *ctx, const int tid)
 
     /* ---- sweep 2: F_a += the partials of the entries that name a, in
      * ascending entry order — the list's order, whoever wrote them ---- */
-    const int64_t *restrict in_off = job->in_off;
-    const int32_t *restrict in_ent = job->in_ent;
+    const int64_t *restrict in_off = job->a.in_off;
+    const int32_t *restrict in_ent = job->a.in_ent;
     const int64_t n_gathers = walk_chunks(n_atoms, GATHER_ATOMS);
     const int64_t n_in = in_off[n_atoms];
     while ((chunk = atomic_fetch_add_explicit(&job->next_gather, 1, memory_order_relaxed)) <
@@ -315,79 +315,41 @@ static void walk_work(void *ctx, const int tid)
     }
 }
 
-int walk_run(const walk_kind *kind,
-             const int64_t n_atoms,
-             const int64_t *restrict offsets, /* (N+1,) CSR row offsets, as stored   */
-             const int32_t *restrict neighbors, /* (L,)  CSR columns, as stored      */
-             const int64_t *restrict in_off,  /* (N+1,) transposed index: offsets    */
-             const int32_t *restrict in_ent,  /* (L,)   ... and CSR entries          */
-             const int32_t *restrict types,   /* (N,)                                */
-             const double *restrict x,        /* (N,3) positions                     */
-             const double *restrict geo,      /* (8,)  box + short-list cutoff       */
-             const int64_t ntypes,
-             const double *restrict cut,      /* (nt^3,) the body's cutoffs, double  */
-             const void *restrict ptab,       /* the body's parameter table, REAL    */
-             const int64_t max_row,           /* longest CSR row (sizes the scratch) */
-             const int64_t threads,           /* most threads to split the rows over */
-             double *restrict scratch,        /* walk_scratch_doubles() doubles      */
-             double *restrict partial,        /* (L+1,3) scratch: per-slot forces    */
-             int32_t *restrict where,         /* (L,)   scratch: slot of each entry  */
-             double *restrict forces,         /* (N,3)  out                          */
-             double *restrict peratom,        /* (N,)   out                          */
-             double *restrict stress,         /* (3,3,3) out: pair, j and k virial sums */
-             int64_t *restrict info)          /* (6,) out: pairs, triplets in cutoff,
-                                                 kernel bodies issued, active lanes in
-                                                 them, threads the job was opened for,
-                                                 fast-forward spins; on error the
-                                                 offending atom pair */
+int walk_run(const walk_kind *kind, const walk_args *a)
 {
     walk_job job;
-    int64_t i, n_pairs = 0, n_triplets = 0, n_bodies = 0, n_spins = 0;
-    int a;
+    const int64_t n_atoms = a->n_atoms, *offsets = a->offsets;
+    int64_t *info = a->info, i, n_pairs = 0, n_triplets = 0, n_bodies = 0, n_spins = 0;
+    int c;
 
     for (i = 0; i < n_atoms; i++)
-        if (types[i] < 0 || types[i] >= ntypes) {
+        if (a->types[i] < 0 || a->types[i] >= a->ntypes) {
             info[0] = info[1] = i;
             return WALK_BAD_INPUT;
         }
 
     job.kind = kind;
-    job.n_atoms = n_atoms;
-    job.offsets = offsets;
-    job.neighbors = neighbors;
-    job.types = types;
-    job.x = x;
-    job.geo = geo;
-    job.ntypes = ntypes;
-    job.cut = cut;
-    job.ptab = ptab;
-    job.max_row = max_row;
-    job.in_off = in_off;
-    job.in_ent = in_ent;
+    job.a = *a;
     job.n_chunks = walk_chunks(n_atoms, ROWS_PER_CHUNK);
-    job.chunk = (walk_chunk *)(((uintptr_t)scratch + POOL_CACHE_LINE - 1) &
+    job.chunk = (walk_chunk *)(((uintptr_t)a->scratch + POOL_CACHE_LINE - 1) &
                                ~(uintptr_t)(POOL_CACHE_LINE - 1));
-    job.thread_doubles = walk_thread_doubles(kind, max_row, ntypes);
+    job.thread_doubles = walk_thread_doubles(kind, a->max_row, a->ntypes);
     if (!walk_own_scratch(job.thread_doubles)) {
         info[0] = info[1] = 0;
         return WALK_NOMEM;
     }
-    job.partial = partial;
-    job.where = where;
-    memset(partial + 3 * offsets[n_atoms], 0, 3 * sizeof(double));
-    job.forces = forces;
-    job.peratom = peratom;
+    memset(a->partial + 3 * offsets[n_atoms], 0, 3 * sizeof(double));
     atomic_init(&job.next_rows, 0);
     atomic_init(&job.rows_done, 0);
     atomic_init(&job.failed, 0);
     atomic_init(&job.next_gather, 0);
 
     /* a thread per chunk at most; the caller alone runs the same two sweeps */
-    info[4] = pool_run((int)(threads < job.n_chunks ? threads : job.n_chunks), walk_work, &job);
+    info[4] = pool_run((int)(a->threads < job.n_chunks ? a->threads : job.n_chunks), walk_work, &job);
 
     /* ---- reduce the chunk records in chunk order; the first error of the
      * lowest chunk is the first error of the I loop ---- */
-    memset(stress, 0, 27 * sizeof(double));
+    memset(a->stress, 0, 27 * sizeof(double));
     for (i = 0; i < job.n_chunks; i++) {
         const walk_chunk *restrict rec = job.chunk + i;
         if (rec->fail[0] != WALK_OK) {
@@ -395,7 +357,7 @@ int walk_run(const walk_kind *kind,
             info[1] = rec->fail[2];
             return (int)rec->fail[0];
         }
-        for (a = 0; a < 27; a++) stress[a] += rec->w[a];
+        for (c = 0; c < 27; c++) a->stress[c] += rec->w[c];
         n_pairs += rec->count[0];
         n_triplets += rec->count[1];
         n_bodies += rec->count[2];

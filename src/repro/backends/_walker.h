@@ -115,6 +115,34 @@ typedef struct {
     ACC f_i[3], e_i;        /* out: the force on i and the row's energy        */
 } walk_row;
 
+/* The arguments of one force call, packed by CompiledListKernel into one
+ * block of 8-byte fields in this order (compiled._ARGS). */
+typedef struct {
+    int64_t n_atoms;
+    const int64_t *offsets;   /* (N+1,) CSR row offsets, as stored          */
+    const int32_t *neighbors; /* (L,)  CSR columns, as stored               */
+    const int64_t *in_off;    /* (N+1,) transposed index: offsets           */
+    const int32_t *in_ent;    /* (L,)   ... and CSR entries                 */
+    const int32_t *types;     /* (N,)                                       */
+    const double *x;          /* (N,3) positions                            */
+    const double *geo;        /* (8,)  box + short-list cutoff              */
+    int64_t ntypes;
+    const double *cut;        /* (nt^3,) the body's cutoffs, double         */
+    const void *ptab;         /* the body's parameter table, REAL           */
+    int64_t max_row;          /* longest CSR row (sizes the scratch)        */
+    int64_t threads;          /* most threads to split the rows over        */
+    double *scratch;          /* walk_scratch_doubles() doubles             */
+    double *partial;          /* (L+1,3) scratch: per-slot forces           */
+    int32_t *where;           /* (L,)   scratch: slot of each entry         */
+    double *forces;           /* (N,3)  out                                 */
+    double *peratom;          /* (N,)   out                                 */
+    double *stress;           /* (3,3,3) out: pair, j and k virial sums     */
+    int64_t *info;            /* (6,) out: pairs, triplets in cutoff, kernel
+                                 bodies issued, active lanes in them, threads
+                                 the job was opened for, fast-forward spins;
+                                 on error the offending atom pair          */
+} walk_args;
+
 typedef struct walk_job walk_job;
 
 /* A potential on the walker: its body, called once per chunk with the
@@ -138,30 +166,15 @@ typedef struct {
     int64_t fail[3];  /* code, i, j of the first error in the chunk       */
 } __attribute__((aligned(POOL_CACHE_LINE))) walk_chunk;
 
-/* One call, as its threads see it.  The claim counters sit on a cache
- * line the read-only part does not share. */
+/* One call, as its threads see it: its arguments and what the walker
+ * derives from them.  The claim counters sit on a cache line the
+ * read-only part does not share. */
 struct walk_job {
     const walk_kind *kind;
-    int64_t n_atoms;
-    const int64_t *offsets;
-    const int32_t *neighbors;
-    const int32_t *types;
-    const double *x;
-    const double *geo;
-    int64_t ntypes;
-    const double *cut;      /* the potential's per-type-triple cutoffs      */
-    const void *ptab;       /* its parameter table, REAL of the body's kind */
-    int64_t max_row;
-    const int64_t *in_off;  /* transposed index: the CSR entries that name */
-    const int32_t *in_ent;  /* atom a are in_ent[in_off[a] .. in_off[a+1]) */
+    walk_args a;
     int64_t thread_doubles; /* each thread's row scratch (walk_own_scratch) */
     walk_chunk *chunk;
     int64_t n_chunks;
-    double *partial;        /* (L+1,3) the force of row i on its short-list
-                               slot m in slot offsets[i] + m; slot L zero  */
-    int32_t *where;         /* (L,) the slot of entry e's force, or L      */
-    double *forces;
-    double *peratom;
     _Alignas(POOL_CACHE_LINE) _Atomic int64_t next_rows; /* sweep 1 claims */
     _Atomic int64_t rows_done;                           /* ... completed  */
     _Atomic int64_t failed;
@@ -174,30 +187,14 @@ struct walk_job {
 int64_t walk_scratch_doubles(const walk_kind *kind, int64_t max_row, int64_t ntypes,
                              int64_t n_atoms, int64_t threads);
 
-/* One force call of `kind`: the arguments of every <potential>_fused_*
- * entry point, see _walker.c. */
-int walk_run(const walk_kind *kind, int64_t n_atoms, const int64_t *offsets,
-             const int32_t *neighbors, const int64_t *in_off, const int32_t *in_ent,
-             const int32_t *types, const double *x, const double *geo, int64_t ntypes,
-             const double *cut, const void *ptab, int64_t max_row, int64_t threads,
-             double *scratch, double *partial, int32_t *where, double *forces,
-             double *peratom, double *stress, int64_t *info);
+/* One force call of `kind`, see _walker.c. */
+int walk_run(const walk_kind *kind, const walk_args *args);
 
 /* the entry point of one potential and precision, forwarding to
  * walk_run, and what it runs: <name>_lanes(), <name>_scheme() */
 #define WALK_ENTRY(name, kind)                                                             \
     int64_t CAT(name, _lanes)(void) { return (kind).lanes; }                               \
     const char *CAT(name, _scheme)(void) { return (kind).scheme; }                         \
-    int name(const int64_t n_atoms, const int64_t *offsets, const int32_t *neighbors,      \
-             const int64_t *in_off, const int32_t *in_ent, const int32_t *types,           \
-             const double *x, const double *geo, const int64_t ntypes, const double *cut,  \
-             const void *ptab, const int64_t max_row, const int64_t threads,               \
-             double *scratch, double *partial, int32_t *where, double *forces,             \
-             double *peratom, double *stress, int64_t *info)                               \
-    {                                                                                      \
-        return walk_run(&(kind), n_atoms, offsets, neighbors, in_off, in_ent, types, x,    \
-                        geo, ntypes, cut, ptab, max_row, threads, scratch, partial, where, \
-                        forces, peratom, stress, info);                                    \
-    }
+    int name(const walk_args *args) { return walk_run(&(kind), args); }
 
 #endif

@@ -184,13 +184,10 @@ def _entry_points(lib: ctypes.CDLL) -> dict[str, object]:
         return fn
 
     fns: dict[str, object] = {}
-    # <potential>_fused_*(n_atoms, offsets, neighbors, in_offsets, in_entries,
-    # types, x, geo, ntypes, cut, ptab, max_row, threads, scratch, partial,
-    # where, forces, peratom, stress, info) -> code, and the doubles of scratch
-    # one call needs for (max_row, ntypes, n_atoms, threads); shapes and dtypes
-    # are enforced by the caller (CompiledListKernel)
-    fused = [i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, ptr, i64, i64,
-             ptr, ptr, ptr, ptr, ptr, ptr, ptr]
+    # <potential>_fused_*(walk_args *) -> code, and the doubles of scratch one
+    # call needs for (max_row, ntypes, n_atoms, threads); the argument block,
+    # shapes and dtypes are the caller's (CompiledListKernel)
+    fused = [ptr]
     for potential in ("tersoff", "sw"):
         for suffix in ("f64", "f32"):
             name = f"{potential}_fused_{suffix}"  # and what it runs: <name>_lanes, _scheme

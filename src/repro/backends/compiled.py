@@ -52,6 +52,11 @@ PARAM_FIELDS = ("R", "D", "A", "lam1", "B", "lam2", "beta", "n", "c1", "c2", "c3
 _PREFILTER_MARGIN = 1.0 + 1.0e-9
 #: Error returns of ``<potential>_fused_*`` (``WALK_*`` in ``_walker.h``).
 _NONFINITE, _COINCIDENT, _NOMEM = 1, 2, 4
+#: The fields of ``walk_args`` (``_walker.h``), one 8-byte slot each, in order.
+_ARGS = ("n_atoms", "offsets", "neighbors", "in_off", "in_ent", "types", "x", "geo", "ntypes",
+         "cut", "ptab", "max_row", "threads", "scratch", "partial", "where", "forces", "peratom",
+         "stress", "info")
+_FORCES = _ARGS.index("forces")
 
 
 def pick_strategy() -> str:
@@ -88,16 +93,47 @@ class CompiledListKernel(MultiBodyKernel):
         self.threads: int | None = None
         self._ws = Workspace()
         self._warmed = False
+        self._args = None
+
+    def __getstate__(self):
+        # the argument block holds addresses of this instance's buffers
+        return {**self.__dict__, "_args": None}
 
     def table(self, params) -> tuple[int, np.ndarray, np.ndarray]:
         """``(types, cutoff per type triple, parameter rows)``; the largest
         cutoff is the short list's."""
         raise NotImplementedError
 
+    def _pack(self, lst, n: int, threads: int, fns) -> tuple:
+        """The argument block of every call on this list, type column,
+        position buffer and box, at this size, thread count and workspace:
+        ``(objects, sizes, block, its address, stress, info)``."""
+        ws, box = self._ws, lst.box
+        in_offsets, in_entries = lst.incoming
+        L = lst.n_list_entries
+        if in_offsets.shape[0] != n + 1 or in_entries.shape[0] != L or lst.offsets[n] != L:
+            raise ValueError("neighbor list and its transposed index do not match")
+        geo = ws.buf("geo", 8, np.float64)
+        geo[0:3] = box.lengths
+        geo[3:6] = [0.5 * span if per else np.inf for span, per in zip(box.lengths, box.periodic)]
+        geo[6] = self.kcand_cutoff
+        geo[7] = self.kcand_cutoff * self.kcand_cutoff * _PREFILTER_MARGIN
+        out = [ws.buf("row", fns[f"{self.entry}_scratch"](lst.max_row, self._ntypes, n, threads),
+                      np.float64), ws.buf("partial", (L + 1, 3), np.float64),
+               ws.buf("where", L, np.int32), ws.buf("stress", (3, 3, 3), np.float64),
+               ws.buf("info", 6, np.int64)]
+        block = ws.buf("args", len(_ARGS), np.int64)
+        block[:] = [n, *(a.ctypes.data for a in (lst.offsets, lst.neighbors, in_offsets, in_entries,
+                                                  lst.types, lst.x, geo)),
+                    self._ntypes, self._cut.ctypes.data, self._ptab.ctypes.data, lst.max_row,
+                    threads, *(a.ctypes.data for a in out[:3]), 0, 0,
+                    *(a.ctypes.data for a in out[3:])]
+        return ((lst, lst.types, lst.x, box), (n, threads, ws.grow_events), block,
+                block.ctypes.data, *out[3:])
+
     @hot_path(reason="computational part of every force call (compiled backend)")
     def evaluate(self, st: Staging, n: int) -> ForceResult:
         lst = st.pairs
-        ws = self._ws
         ad = self.accum_dtype
 
         t0 = time.perf_counter()
@@ -109,35 +145,18 @@ class CompiledListKernel(MultiBodyKernel):
             warmup_s = time.perf_counter() - t0
             self._warmed = True
 
-        box = lst.box
-        geo = ws.buf("geo", 8, np.float64)
-        geo[0:3] = box.lengths
-        geo[3:6] = [0.5 * span if per else np.inf for span, per in zip(box.lengths, box.periodic)]
-        geo[6] = self.kcand_cutoff
-        geo[7] = self.kcand_cutoff * self.kcand_cutoff * _PREFILTER_MARGIN
-        threads = cext.threads_for(n, self.threads)
-        in_offsets, in_entries = lst.incoming
+        # one block per list, types, positions, box, thread count and workspace
+        threads, args = cext.threads_for(n, self.threads), self._args
+        if (args is None or args[1] != (n, threads, self._ws.grow_events)
+                or any(a is not b for a, b in zip(args[0], (lst, lst.types, lst.x, lst.box)))):
+            args = self._args = self._pack(lst, n, threads, fns)
+        block, address, stress3, info = args[2:]
         L = lst.n_list_entries
-        if in_offsets.shape[0] != n + 1 or in_entries.shape[0] != L or lst.offsets[n] != L:
-            raise ValueError("neighbor list and its transposed index do not match")
-        scratch = ws.buf("row", fns[f"{self.entry}_scratch"](lst.max_row, self._ntypes, n, threads),
-                         np.float64)
-        partial = ws.buf("partial", (L + 1, 3), np.float64)
-        where = ws.buf("where", L, np.int32)
-        stress3 = ws.buf("stress", (3, 3, 3), np.float64)
-        info = ws.buf("info", 6, np.int64)
         # results are handed to the caller: fresh arrays, written once by C
         forces = np.empty((n, 3), dtype=np.float64)  # repro-lint: disable=KA003
         per_atom = np.empty(n, dtype=np.float64)  # repro-lint: disable=KA003
-
-        code = fn(
-            n, lst.offsets.ctypes.data, lst.neighbors.ctypes.data,
-            in_offsets.ctypes.data, in_entries.ctypes.data, lst.types.ctypes.data,
-            lst.x.ctypes.data, geo.ctypes.data,
-            self._ntypes, self._cut.ctypes.data, self._ptab.ctypes.data,
-            lst.max_row, threads, scratch.ctypes.data, partial.ctypes.data, where.ctypes.data,
-            forces.ctypes.data, per_atom.ctypes.data, stress3.ctypes.data, info.ctypes.data,
-        )
+        block[_FORCES:_FORCES + 2] = forces.ctypes.data, per_atom.ctypes.data
+        code = fn(address)
         if code:
             i, j = int(info[0]), int(info[1])
             if code == _COINCIDENT:
