@@ -45,6 +45,14 @@
  * type and row-position int32 columns. */
 #define SHORT_DOUBLES (4 + 2)
 
+/* The pruning bound's relative slack over the rounding of r^2, delta and
+ * (cutmax + 2 delta)^2: parts in 1e16, where this leaves 1e-9 */
+#define PRUNE_MARGIN (1.0 + 1.0e-9)
+
+/* the skin test's largest squared minimum-image displacement (_step.c) */
+ACC md_max_disp2(int64_t n, const double *x, const double *x_ref, ACC l0, ACC l1, ACC l2,
+                 int32_t p0, int32_t p1, int32_t p2);
+
 static int64_t walk_lines(const int64_t doubles)
 {
     return (doubles + LINE_DOUBLES - 1) / LINE_DOUBLES * LINE_DOUBLES;
@@ -131,25 +139,33 @@ static int64_t walk_fail(int64_t *restrict fail, int64_t i, int64_t j, int code)
  * short-list cutoff densely into the short list, returns its length (or
  * -code, with `fail` filled in for the first bad entry in row order).
  * Same arithmetic as pair_geometry(): the image shift is skipped where
- * |d| <= L/2, where round(d/L) is exactly 0.  Two passes: the sqrt-free
- * prefilter on r^2, compacting without branches (every entry is written
- * at the next free slot, which advances only when it is kept: a quarter
- * of a diamond row at skin 1.0, no pattern to predict), then the exact
- * test on r over the few it let through. */
+ * |d| <= L/2, where round(d/L) is exactly 0.  Three passes: the
+ * candidates — every entry, or, pruning, those whose reference r^2
+ * (`ref`) is not above `bound` — up to the first neighbor index out of
+ * range; the sqrt-free prefilter on r^2 over them (recorded into `rec`
+ * when asked), compacting without branches (every entry is written at
+ * the next free slot, which advances only when it is kept: a quarter of
+ * a diamond row at skin 1.0, no pattern to predict); then the exact test
+ * on r over the few it let through.  An index out of range fails the row
+ * after the entries before it, as a one-pass walk would. */
 static int64_t walk_filter_row(const double *restrict x, const int32_t *restrict types,
                                const int64_t n_atoms, const int64_t i,
                                const int32_t *restrict row, const int64_t len,
                                const double *restrict geo, const int strict,
-                               double *const *restrict sd, double *restrict sr,
-                               int32_t *restrict sj, int32_t *restrict st,
+                               const double *restrict ref, const ACC bound,
+                               double *restrict rec, double *const *restrict sd,
+                               double *restrict sr, int32_t *restrict sj, int32_t *restrict st,
                                int32_t *restrict sq, int64_t *restrict fail)
 {
     const double *xi = x + 3 * i;
-    int64_t m = 0, k, q;
+    int64_t m = 0, n = 0, end, k, q;
     int c;
-    for (q = 0; q < len; q++) {
-        const int64_t j = row[q];
-        if (j < 0 || j >= n_atoms) return walk_fail(fail, i, j, WALK_BAD_INPUT);
+    for (end = 0; end < len && row[end] >= 0 && row[end] < n_atoms; end++) {
+        sq[n] = (int32_t)end;
+        n += !ref || !(ref[end] > bound);
+    }
+    for (k = 0; k < n; k++) {
+        const int64_t j = row[q = sq[k]];
         ACC d[3]; /* geometry: f64 in every mode, like the accumulators */
         for (c = 0; c < 3; c++) {
             d[c] = x[3 * j + c] - xi[c];
@@ -158,6 +174,7 @@ static int64_t walk_filter_row(const double *restrict x, const int32_t *restrict
         }
         const ACC r2 = DOT3_EINSUM(d[0] * d[0], d[1] * d[1], d[2] * d[2]);
         const int near = r2 <= geo[GEO_CUTMAX2];
+        if (rec) rec[q] = r2;
         /* a non-finite distance would be filtered silently, r == 0 makes
          * 1/r undefined: both fail the call, in row order */
         if ((!near & !isfinite(r2)) | (r2 == 0))
@@ -167,6 +184,7 @@ static int64_t walk_filter_row(const double *restrict x, const int32_t *restrict
         sq[m] = (int32_t)q;
         m += near;
     }
+    if (end < len) return walk_fail(fail, i, row[end], WALK_BAD_INPUT);
     /* the prefilter's margin lets through almost nothing the exact test
      * drops: a branch, taken, keeps each slot off the last one's sqrt */
     for (k = 0, q = 0; k < m; k++) {
@@ -244,9 +262,11 @@ static void walk_work(void *ctx, const int tid)
                 break;
             }
             double *const sd_at[3] = {sd[0] + at, sd[1] + at, sd[2] + at};
-            const int64_t ns = walk_filter_row(job->a.x, types, n_atoms, i, neighbors + offsets[i],
-                                               len, job->a.geo, kind->strict, sd_at, sr + at,
-                                               sj + at, st + at, sq + at, out->fail);
+            const int64_t ns = walk_filter_row(
+                job->a.x, types, n_atoms, i, neighbors + offsets[i], len, job->a.geo, kind->strict,
+                job->use ? job->use + offsets[i] : NULL, job->bound,
+                job->rec ? job->rec + offsets[i] : NULL, sd_at, sr + at, sj + at, st + at, sq + at,
+                out->fail);
             if (ns < 0) break;
             /* the force on short-list slot m accumulates in partial slot m
              * of the row's own entries; `where` tells sweep 2 which slot
@@ -339,6 +359,23 @@ int walk_run(const walk_kind *kind, const walk_args *a)
         return WALK_NOMEM;
     }
     memset(a->partial + 3 * offsets[n_atoms], 0, 3 * sizeof(double));
+    job.use = job.rec = NULL;
+    job.bound = 0;
+    if (a->prune == WALK_PRUNE_RECORD) {
+        job.rec = a->ref;
+        memcpy(a->ref_x, a->x, (size_t)(3 * n_atoms) * sizeof(double));
+    } else if (a->prune == WALK_PRUNE_USE) {
+        /* every image of a pair is within 2 delta of where it was, so an
+         * entry past cutmax + 2 delta then is past cutmax now; NaN or inf
+         * positions make delta NaN, and the call is walked in full */
+        const double *g = a->geo;
+        const ACC reach =
+            g[GEO_CUTMAX] + 2 * sqrt(md_max_disp2(n_atoms, a->x, a->ref_x, g[0], g[1], g[2],
+                                                  isfinite(g[GEO_HALF]), isfinite(g[GEO_HALF + 1]),
+                                                  isfinite(g[GEO_HALF + 2])));
+        job.use = isfinite(reach) ? a->ref : NULL;
+        job.bound = reach * reach * PRUNE_MARGIN;
+    }
     atomic_init(&job.next_rows, 0);
     atomic_init(&job.rows_done, 0);
     atomic_init(&job.failed, 0);

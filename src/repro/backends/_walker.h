@@ -62,6 +62,12 @@
 #define WALK_BAD_INPUT 3  /* neighbor/type index out of range, row > max_row */
 #define WALK_NOMEM 4      /* no memory for the calling thread's row scratch   */
 
+/* The filter's reference (_walker.c): none, record it, or skip the
+ * entries it places out of reach */
+#define WALK_PRUNE_OFF 0
+#define WALK_PRUNE_RECORD 1
+#define WALK_PRUNE_USE 2
+
 /* geometry block `geo` (8 doubles, packed by CompiledListKernel):
  * [0..2] box lengths, [3..5] half lengths (+inf on non-periodic axes),
  * [6] the short-list cutoff, [7] its square with a relative margin (the
@@ -141,6 +147,9 @@ typedef struct {
                                  bodies issued, active lanes in them, threads
                                  the job was opened for, fast-forward spins;
                                  on error the offending atom pair          */
+    double *ref;              /* (L,) each entry's r^2 at the reference     */
+    double *ref_x;            /* (N,3) the positions at the reference       */
+    int64_t prune;            /* WALK_PRUNE_*: what this call does with it  */
 } walk_args;
 
 typedef struct walk_job walk_job;
@@ -172,6 +181,9 @@ typedef struct {
 struct walk_job {
     const walk_kind *kind;
     walk_args a;
+    const double *use;      /* the reference's r^2 when pruning, else NULL  */
+    double *rec;            /* where to record them, else NULL              */
+    ACC bound;              /* skip an entry whose reference r^2 is above it */
     int64_t thread_doubles; /* each thread's row scratch (walk_own_scratch) */
     walk_chunk *chunk;
     int64_t n_chunks;

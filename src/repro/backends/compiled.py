@@ -55,8 +55,8 @@ _NONFINITE, _COINCIDENT, _NOMEM = 1, 2, 4
 #: The fields of ``walk_args`` (``_walker.h``), one 8-byte slot each, in order.
 _ARGS = ("n_atoms", "offsets", "neighbors", "in_off", "in_ent", "types", "x", "geo", "ntypes",
          "cut", "ptab", "max_row", "threads", "scratch", "partial", "where", "forces", "peratom",
-         "stress", "info")
-_FORCES = _ARGS.index("forces")
+         "stress", "info", "ref", "ref_x", "prune")
+_FORCES, _PRUNE = _ARGS.index("forces"), _ARGS.index("prune")
 
 
 def pick_strategy() -> str:
@@ -121,15 +121,17 @@ class CompiledListKernel(MultiBodyKernel):
         out = [ws.buf("row", fns[f"{self.entry}_scratch"](lst.max_row, self._ntypes, n, threads),
                       np.float64), ws.buf("partial", (L + 1, 3), np.float64),
                ws.buf("where", L, np.int32), ws.buf("stress", (3, 3, 3), np.float64),
-               ws.buf("info", 6, np.int64)]
+               ws.buf("info", 6, np.int64), ws.buf("ref", L, np.float64),
+               ws.buf("ref_x", (n, 3), np.float64)]
         block = ws.buf("args", len(_ARGS), np.int64)
         block[:] = [n, *(a.ctypes.data for a in (lst.offsets, lst.neighbors, in_offsets, in_entries,
                                                   lst.types, lst.x, geo)),
                     self._ntypes, self._cut.ctypes.data, self._ptab.ctypes.data, lst.max_row,
                     threads, *(a.ctypes.data for a in out[:3]), 0, 0,
-                    *(a.ctypes.data for a in out[3:])]
+                    *(a.ctypes.data for a in out[3:]), 0]
+        self._good = 0  # successful calls on this block (the filter's reference)
         return ((lst, lst.types, lst.x, box), (n, threads, ws.grow_events), block,
-                block.ctypes.data, *out[3:])
+                block.ctypes.data, *out[3:5])
 
     @hot_path(reason="computational part of every force call (compiled backend)")
     def evaluate(self, st: Staging, n: int) -> ForceResult:
@@ -156,7 +158,11 @@ class CompiledListKernel(MultiBodyKernel):
         forces = np.empty((n, 3), dtype=np.float64)  # repro-lint: disable=KA003
         per_atom = np.empty(n, dtype=np.float64)  # repro-lint: disable=KA003
         block[_FORCES:_FORCES + 2] = forces.ctypes.data, per_atom.ctypes.data
+        # the walker's reference: none on the first call, recorded on the
+        # second, used from then on; a failed call drops it
+        block[_PRUNE] = min(self._good, 2)
         code = fn(address)
+        self._good = 0 if code else self._good + 1
         if code:
             i, j = int(info[0]), int(info[1])
             if code == _COINCIDENT:

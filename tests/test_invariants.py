@@ -298,6 +298,54 @@ def test_compiled_tracks_the_numpy_oracle(row, monkeypatch):
     assert abs(res.virial - ref.virial) <= TENSOR_MAXREL * np.max(np.abs(tensor))
     assert maxrel(res.forces, ref.forces) <= FORCES_MAXREL
 
+@pytest.mark.parametrize("row", [p for p in ROWS if p.values[0].backend == "compiled"
+                                 and p.values[0].precision == "mixed" and p.values[0].species == "Si"])
+def test_a_pruning_instance_returns_a_fresh_instances_bits(row, monkeypatch):
+    """From its third call on a list a kernel instance skips the entries
+    its reference places out of reach (_walker.c).  Whatever the atoms do
+    next, it returns what a fresh instance returns, bit for bit: forces,
+    per-atom energies, virial sums, counters and typed errors."""
+    from repro.backends import cext
+    from repro.core.pipeline import InteractionCache
+    from test_backends import assert_same_call, kernel_sums
+
+    monkeypatch.setattr(cext, "THREAD_GRAIN", 1)
+    system, warm = cell(row.species), potential(row)
+    staged = InteractionCache().prepare(system, listed(warm, system), warm.kernel)
+    x, nb, cut = staged.pairs.x, staged.pairs.neighbors, warm.kernel.kcand_cutoff
+    x0, nb0, (i, j) = x.copy(), nb.copy(), staged.pairs.ij
+    d = x0[j] - x0[i]
+    d -= system.box.lengths * np.round(d / system.box.lengths)
+    r = np.linalg.norm(d, axis=1)
+    enters, leaves = np.argmin(np.where(r > cut + 0.5, r, np.inf)), np.argmax(np.where(r < cut, r, 0))
+
+    def call(pot):
+        pot.kernel.threads = row.threads
+        try:
+            return pot.kernel.evaluate(staged, system.n), kernel_sums(pot)
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    def cross():  # the two atoms of each entry move apart (or together) by half the gap
+        for e, gap in ((enters, cut - 0.05 - r[enters]), (leaves, cut + 0.05 - r[leaves])):
+            x[i[e]] -= 0.5 * gap * d[e] / r[e]
+            x[j[e]] += 0.5 * gap * d[e] / r[e]
+
+    for scenario in (cross, lambda: x.__setitem__(7, x[7] + 4.0),  # 7 moves past the reach
+                     lambda: x.__setitem__((3, 1), np.nan), lambda: x.__setitem__(j[0], x[i[0]]),
+                     lambda: nb.__setitem__(2, system.n + 5)):
+        x[:], nb[:] = x0, nb0
+        for _ in range(3):
+            call(warm)
+        assert warm.kernel._good >= 3  # recorded on its second call, used since
+        scenario()
+        got, want = call(warm), call(potential(row))
+        if isinstance(want[0], type):
+            assert got == want
+        else:
+            assert_same_call(*got, *want)
+
+
 #: sha256 (16 hex digits) of the compiled Tersoff kernel's forces, per-atom
 #: energies (the energy is their sum), virial tensor and scalar virial on the
 #: jittered a-Si cell, taken before the list walker was split out of the
