@@ -12,12 +12,13 @@
  * every entry of the row which slot holds its force, if any.  Sweep 2,
  * per atom a, after all of sweep 1: F_a += the slots of the entries that
  * name a, in ascending entry order, found through the list's transposed
- * index (_neighbor.c).  Rows are claimed in chunks of ROWS_PER_CHUNK,
- * atoms in chunks of GATHER_ATOMS; virial sums, counters and the first
- * error are kept per chunk of rows and reduced in chunk order.  Chunk
- * size is a constant and the gather order is the list's, so every output
- * is bitwise the same for any number of threads and any assignment of
- * chunks to them; one thread runs the same two sweeps alone.
+ * index (_neighbor.c).  Rows and atoms are claimed in chunks of
+ * ROWS_PER_CHUNK, each thread from its own range first (walk_next);
+ * virial sums, counters and the first error are kept per chunk of rows
+ * and reduced in chunk order.  Chunk size is a constant and the gather
+ * order is the list's, so every output is bitwise the same for any
+ * number of threads and any assignment of chunks to them; one thread
+ * runs the same two sweeps alone.
  */
 
 #include <math.h>
@@ -25,10 +26,6 @@
 #include <stdlib.h>
 
 #include "_walker.h"
-
-/* The I loop runs in chunks of ROWS_PER_CHUNK rows (_walker.h), the
- * force gather in chunks of GATHER_ATOMS atoms. */
-#define GATHER_ATOMS 256
 
 /* The gather reads one `where` and one `partial` line per entry, from
  * wherever the entry's row is: past a few thousand atoms sweep 1 has
@@ -200,6 +197,24 @@ static int64_t walk_filter_row(const double *restrict x, const int32_t *restrict
     return q;
 }
 
+/* The next chunk of rows (sweep 0) or atoms (sweep 1) for thread `tid`,
+ * or -1 when every one is claimed.  Thread t owns the t-th of `teams`
+ * contiguous ranges of chunks, the same in both sweeps and from call to
+ * call, so the partial and where lines its rows write stay in its cache;
+ * once its own range is claimed it takes from the next range, and the
+ * next (`*from` counts the ranges it has left). */
+static int64_t walk_next(walk_job *job, const int tid, const int sweep, int64_t *from)
+{
+    for (; *from < job->teams; ++*from) {
+        const int64_t t = (tid + *from) % job->teams, end = (t + 1) * job->n_chunks / job->teams;
+        _Atomic int64_t *n = sweep ? &job->claim[t].atoms : &job->claim[t].rows;
+        const int64_t chunk =
+            t * job->n_chunks / job->teams + atomic_fetch_add_explicit(n, 1, memory_order_relaxed);
+        if (chunk < end) return chunk;
+    }
+    return -1;
+}
+
 static void walk_chunk_done(walk_job *job, walk_chunk *restrict out, const walk_acc *acc)
 {
     int a;
@@ -218,8 +233,7 @@ static void walk_chunk_done(walk_job *job, walk_chunk *restrict out, const walk_
  * atoms it claimed. */
 static void walk_work(void *ctx, const int tid)
 {
-    (void)tid; /* who computes which chunk decides nothing */
-    walk_job *job = ctx;
+    walk_job *job = ctx; /* who computes which chunk decides nothing */
     const walk_kind *kind = job->kind;
     const int64_t n_atoms = job->a.n_atoms, max_row = job->a.max_row;
     const int64_t *restrict offsets = job->a.offsets;
@@ -241,11 +255,10 @@ static void walk_work(void *ctx, const int tid)
     double *body = sr + SHORT_DOUBLES * me;
     walk_acc acc;
     walk_row rows[ROWS_PER_CHUNK];
-    int64_t chunk, i, q, m, r;
+    int64_t chunk, i, q, m, r, from = 0;
     int c;
 
-    while ((chunk = atomic_fetch_add_explicit(&job->next_rows, 1, memory_order_relaxed)) <
-           job->n_chunks) {
+    while ((chunk = walk_next(job, tid, 0, &from)) >= 0) {
         walk_chunk *restrict out = job->chunk + chunk;
         const int64_t i0 = chunk * ROWS_PER_CHUNK;
         const int64_t n_rows = i0 + ROWS_PER_CHUNK < n_atoms ? ROWS_PER_CHUNK : n_atoms - i0;
@@ -309,13 +322,11 @@ static void walk_work(void *ctx, const int tid)
      * ascending entry order — the list's order, whoever wrote them ---- */
     const int64_t *restrict in_off = job->a.in_off;
     const int32_t *restrict in_ent = job->a.in_ent;
-    const int64_t n_gathers = walk_chunks(n_atoms, GATHER_ATOMS);
     const int64_t n_in = in_off[n_atoms];
-    while ((chunk = atomic_fetch_add_explicit(&job->next_gather, 1, memory_order_relaxed)) <
-           n_gathers) {
+    for (from = 0; (chunk = walk_next(job, tid, 1, &from)) >= 0;) {
         const int64_t a_end =
-            (chunk + 1) * GATHER_ATOMS < n_atoms ? (chunk + 1) * GATHER_ATOMS : n_atoms;
-        for (i = chunk * GATHER_ATOMS; i < a_end; i++) {
+            (chunk + 1) * ROWS_PER_CHUNK < n_atoms ? (chunk + 1) * ROWS_PER_CHUNK : n_atoms;
+        for (i = chunk * ROWS_PER_CHUNK; i < a_end; i++) {
             ACC *restrict f_a = forces + 3 * i;
             ACC f0 = f_a[0], f1 = f_a[1], f2 = f_a[2];
             for (q = in_off[i]; q < in_off[i + 1]; q++) {
@@ -376,13 +387,16 @@ int walk_run(const walk_kind *kind, const walk_args *a)
         job.use = isfinite(reach) ? a->ref : NULL;
         job.bound = reach * reach * PRUNE_MARGIN;
     }
-    atomic_init(&job.next_rows, 0);
     atomic_init(&job.rows_done, 0);
     atomic_init(&job.failed, 0);
-    atomic_init(&job.next_gather, 0);
-
     /* a thread per chunk at most; the caller alone runs the same two sweeps */
-    info[4] = pool_run((int)(a->threads < job.n_chunks ? a->threads : job.n_chunks), walk_work, &job);
+    job.teams = a->threads < job.n_chunks ? a->threads : job.n_chunks;
+    job.teams = job.teams < 1 ? 1 : job.teams < POOL_MAX_THREADS ? job.teams : POOL_MAX_THREADS;
+    for (c = 0; c < job.teams; c++) {
+        atomic_init(&job.claim[c].rows, 0);
+        atomic_init(&job.claim[c].atoms, 0);
+    }
+    info[4] = pool_run((int)job.teams, walk_work, &job);
 
     /* ---- reduce the chunk records in chunk order; the first error of the
      * lowest chunk is the first error of the I loop ---- */

@@ -175,9 +175,14 @@ typedef struct {
     int64_t fail[3];  /* code, i, j of the first error in the chunk       */
 } __attribute__((aligned(POOL_CACHE_LINE))) walk_chunk;
 
+/* One thread's range of chunks: how many of its rows and of its atoms
+ * have been claimed, on a cache line of their own. */
+typedef struct {
+    _Atomic int64_t rows, atoms;
+} __attribute__((aligned(POOL_CACHE_LINE))) walk_claim;
+
 /* One call, as its threads see it: its arguments and what the walker
- * derives from them.  The claim counters sit on a cache line the
- * read-only part does not share. */
+ * derives from them, then each thread's claim counters. */
 struct walk_job {
     const walk_kind *kind;
     walk_args a;
@@ -186,11 +191,10 @@ struct walk_job {
     ACC bound;              /* skip an entry whose reference r^2 is above it */
     int64_t thread_doubles; /* each thread's row scratch (walk_own_scratch) */
     walk_chunk *chunk;
-    int64_t n_chunks;
-    _Alignas(POOL_CACHE_LINE) _Atomic int64_t next_rows; /* sweep 1 claims */
-    _Atomic int64_t rows_done;                           /* ... completed  */
+    int64_t n_chunks, teams; /* chunks, and the ranges they are split into  */
+    _Alignas(POOL_CACHE_LINE) _Atomic int64_t rows_done; /* chunks of rows done */
     _Atomic int64_t failed;
-    _Atomic int64_t next_gather;                         /* sweep 2 claims */
+    walk_claim claim[POOL_MAX_THREADS];
 } __attribute__((aligned(POOL_CACHE_LINE)));
 
 /* doubles of scratch one call of `kind` on `threads` threads needs from
