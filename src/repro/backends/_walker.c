@@ -348,7 +348,6 @@ static void walk_work(void *ctx, const int tid)
 
 int walk_run(const walk_kind *kind, const walk_args *a)
 {
-    walk_job job;
     const int64_t n_atoms = a->n_atoms, *offsets = a->offsets;
     int64_t *info = a->info, i, n_pairs = 0, n_triplets = 0, n_bodies = 0, n_spins = 0;
     int c;
@@ -359,19 +358,16 @@ int walk_run(const walk_kind *kind, const walk_args *a)
             return WALK_BAD_INPUT;
         }
 
-    job.kind = kind;
-    job.a = *a;
-    job.n_chunks = walk_chunks(n_atoms, ROWS_PER_CHUNK);
+    /* every field not named here starts at zero, the claim counters too */
+    walk_job job = {.kind = kind, .a = *a, .n_chunks = walk_chunks(n_atoms, ROWS_PER_CHUNK),
+                    .thread_doubles = walk_thread_doubles(kind, a->max_row, a->ntypes)};
     job.chunk = (walk_chunk *)(((uintptr_t)a->scratch + POOL_CACHE_LINE - 1) &
                                ~(uintptr_t)(POOL_CACHE_LINE - 1));
-    job.thread_doubles = walk_thread_doubles(kind, a->max_row, a->ntypes);
     if (!walk_own_scratch(job.thread_doubles)) {
         info[0] = info[1] = 0;
         return WALK_NOMEM;
     }
     memset(a->partial + 3 * offsets[n_atoms], 0, 3 * sizeof(double));
-    job.use = job.rec = NULL;
-    job.bound = 0;
     if (a->prune == WALK_PRUNE_RECORD) {
         job.rec = a->ref;
         memcpy(a->ref_x, a->x, (size_t)(3 * n_atoms) * sizeof(double));
@@ -387,15 +383,9 @@ int walk_run(const walk_kind *kind, const walk_args *a)
         job.use = isfinite(reach) ? a->ref : NULL;
         job.bound = reach * reach * PRUNE_MARGIN;
     }
-    atomic_init(&job.rows_done, 0);
-    atomic_init(&job.failed, 0);
     /* a thread per chunk at most; the caller alone runs the same two sweeps */
     job.teams = a->threads < job.n_chunks ? a->threads : job.n_chunks;
     job.teams = job.teams < 1 ? 1 : job.teams < POOL_MAX_THREADS ? job.teams : POOL_MAX_THREADS;
-    for (c = 0; c < job.teams; c++) {
-        atomic_init(&job.claim[c].rows, 0);
-        atomic_init(&job.claim[c].atoms, 0);
-    }
     info[4] = pool_run((int)job.teams, walk_work, &job);
 
     /* ---- reduce the chunk records in chunk order; the first error of the

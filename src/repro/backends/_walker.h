@@ -64,9 +64,7 @@
 
 /* The filter's reference (_walker.c): none, record it, or skip the
  * entries it places out of reach */
-#define WALK_PRUNE_OFF 0
-#define WALK_PRUNE_RECORD 1
-#define WALK_PRUNE_USE 2
+enum { WALK_PRUNE_OFF, WALK_PRUNE_RECORD, WALK_PRUNE_USE };
 
 /* geometry block `geo` (8 doubles, packed by CompiledListKernel):
  * [0..2] box lengths, [3..5] half lengths (+inf on non-periodic axes),
@@ -122,7 +120,7 @@ typedef struct {
 } walk_row;
 
 /* The arguments of one force call, packed by CompiledListKernel into one
- * block of 8-byte fields in this order (compiled._ARGS). */
+ * block of 8-byte fields in this order (compiled._N_ARGS). */
 typedef struct {
     int64_t n_atoms;
     const int64_t *offsets;   /* (N+1,) CSR row offsets, as stored          */

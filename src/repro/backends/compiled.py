@@ -11,9 +11,9 @@ subclass that supplies a parameter table and the entry point of its C
 body: :class:`CompiledTersoffKernel` (Alg. 3 as scheme 1b, a chunk's
 pairs across the build's widest register) and :class:`CompiledSWKernel`
 (φ2 and the unordered (j, k) φ3 terms as scheme 1a, the entries of a row
-four to a vector).  No pair or triplet table is
-ever staged, so a cache hit, a mask drift and a rebuilt list all cost
-the same kernel call.
+four to a vector).  No pair or triplet table is ever staged: the kernel
+packs one argument block per list, type column, positions and box, and
+from its third call on one the walker skips entries out of reach.
 
 How many threads a call uses is decided by :func:`cext.threads_for`,
 from nothing a user sets: ``min(share, rows // THREAD_GRAIN)``, the
@@ -52,11 +52,9 @@ PARAM_FIELDS = ("R", "D", "A", "lam1", "B", "lam2", "beta", "n", "c1", "c2", "c3
 _PREFILTER_MARGIN = 1.0 + 1.0e-9
 #: Error returns of ``<potential>_fused_*`` (``WALK_*`` in ``_walker.h``).
 _NONFINITE, _COINCIDENT, _NOMEM = 1, 2, 4
-#: The fields of ``walk_args`` (``_walker.h``), one 8-byte slot each, in order.
-_ARGS = ("n_atoms", "offsets", "neighbors", "in_off", "in_ent", "types", "x", "geo", "ntypes",
-         "cut", "ptab", "max_row", "threads", "scratch", "partial", "where", "forces", "peratom",
-         "stress", "info", "ref", "ref_x", "prune")
-_FORCES, _PRUNE = _ARGS.index("forces"), _ARGS.index("prune")
+#: ``walk_args`` (``_walker.h``) in 8-byte slots: how many, where the two
+#: output addresses start and where the reference's mode is.
+_N_ARGS, _FORCES, _PRUNE = 23, 16, 22
 
 
 def pick_strategy() -> str:
@@ -70,12 +68,12 @@ def pick_strategy() -> str:
 class CompiledListKernel(MultiBodyKernel):
     """A potential's fused C body on the list walker, on the staged pipeline.
 
-    Holds no ctypes state — the library handle lives in
-    :mod:`repro.backends.cext` — so instances deepcopy/pickle cleanly
-    into parallel-engine workers; each worker process loads its own
-    copy of the extension (a disk-cache hit after the first build).
-    A subclass names its ``entry`` point and packs its parameters
-    (:meth:`table`).
+    Past its parameters it holds only scratch — a :class:`Workspace` and
+    the argument block of its calls, raw addresses into it, both dropped
+    on deepcopy/pickle — so instances travel light into parallel-engine
+    workers; each worker process loads its own copy of the extension (a
+    disk-cache hit after the first build).  A subclass names its
+    ``entry`` point and packs its parameters (:meth:`table`).
     """
 
     #: the extension's ``<entry>_fused_f64/_f32`` and ``<entry>_scratch_doubles``
@@ -91,9 +89,7 @@ class CompiledListKernel(MultiBodyKernel):
         self.kcand_cutoff = float(np.max(self._cut))
         #: most threads a call may use; ``None`` = every usable core
         self.threads: int | None = None
-        self._ws = Workspace()
-        self._warmed = False
-        self._args = None
+        self._ws, self._args = Workspace(), None
 
     def __getstate__(self):
         # the argument block holds addresses of this instance's buffers
@@ -105,25 +101,22 @@ class CompiledListKernel(MultiBodyKernel):
         raise NotImplementedError
 
     def _pack(self, lst, n: int, threads: int, fns) -> tuple:
-        """The argument block of every call on this list, type column,
-        position buffer and box, at this size, thread count and workspace:
-        ``(objects, sizes, block, its address, stress, info)``."""
+        """The argument block of the calls on this list, types, positions and box at this
+        size, thread count and workspace: ``(objects, sizes, block, address, stress, info)``."""
         ws, box = self._ws, lst.box
-        in_offsets, in_entries = lst.incoming
-        L = lst.n_list_entries
+        (in_offsets, in_entries), L = lst.incoming, lst.n_list_entries
         if in_offsets.shape[0] != n + 1 or in_entries.shape[0] != L or lst.offsets[n] != L:
             raise ValueError("neighbor list and its transposed index do not match")
-        geo = ws.buf("geo", 8, np.float64)
-        geo[0:3] = box.lengths
-        geo[3:6] = [0.5 * span if per else np.inf for span, per in zip(box.lengths, box.periodic)]
-        geo[6] = self.kcand_cutoff
-        geo[7] = self.kcand_cutoff * self.kcand_cutoff * _PREFILTER_MARGIN
+        geo, cut = ws.buf("geo", 8, np.float64), self.kcand_cutoff
+        geo[:] = [*box.lengths, *(0.5 * span if per else np.inf
+                                  for span, per in zip(box.lengths, box.periodic)),
+                  cut, cut * cut * _PREFILTER_MARGIN]
         out = [ws.buf("row", fns[f"{self.entry}_scratch"](lst.max_row, self._ntypes, n, threads),
                       np.float64), ws.buf("partial", (L + 1, 3), np.float64),
                ws.buf("where", L, np.int32), ws.buf("stress", (3, 3, 3), np.float64),
                ws.buf("info", 6, np.int64), ws.buf("ref", L, np.float64),
                ws.buf("ref_x", (n, 3), np.float64)]
-        block = ws.buf("args", len(_ARGS), np.int64)
+        block = ws.buf("args", _N_ARGS, np.int64)
         block[:] = [n, *(a.ctypes.data for a in (lst.offsets, lst.neighbors, in_offsets, in_entries,
                                                   lst.types, lst.x, geo)),
                     self._ntypes, self._cut.ctypes.data, self._ptab.ctypes.data, lst.max_row,
@@ -135,20 +128,15 @@ class CompiledListKernel(MultiBodyKernel):
 
     @hot_path(reason="computational part of every force call (compiled backend)")
     def evaluate(self, st: Staging, n: int) -> ForceResult:
-        lst = st.pairs
-        ad = self.accum_dtype
-
+        lst, ad, args = st.pairs, self.accum_dtype, self._args
         t0 = time.perf_counter()
         fns = cext.load()
         fn = fns[kind := f"{self.entry}_{'f64' if self._ptab.dtype == np.float64 else 'f32'}"]
-        warmup_s = None
-        if not self._warmed:
-            # first call of this instance: the load (or build) is warmup
-            warmup_s = time.perf_counter() - t0
-            self._warmed = True
+        # the first call of this instance (or copy): the load (or build) is warmup
+        warmup_s = time.perf_counter() - t0 if args is None else None
 
         # one block per list, types, positions, box, thread count and workspace
-        threads, args = cext.threads_for(n, self.threads), self._args
+        threads = cext.threads_for(n, self.threads)
         if (args is None or args[1] != (n, threads, self._ws.grow_events)
                 or any(a is not b for a, b in zip(args[0], (lst, lst.types, lst.x, lst.box)))):
             args = self._args = self._pack(lst, n, threads, fns)
@@ -158,8 +146,7 @@ class CompiledListKernel(MultiBodyKernel):
         forces = np.empty((n, 3), dtype=np.float64)  # repro-lint: disable=KA003
         per_atom = np.empty(n, dtype=np.float64)  # repro-lint: disable=KA003
         block[_FORCES:_FORCES + 2] = forces.ctypes.data, per_atom.ctypes.data
-        # the walker's reference: none on the first call, recorded on the
-        # second, used from then on; a failed call drops it
+        # the walker's reference: off, then recorded, then used; a failure drops it
         block[_PRUNE] = min(self._good, 2)
         code = fn(address)
         self._good = 0 if code else self._good + 1
@@ -172,27 +159,18 @@ class CompiledListKernel(MultiBodyKernel):
             raise MemoryError("no memory for the kernel's row scratch") if code == _NOMEM else \
                 ValueError(f"neighbor list or type column out of range at atom {i}")
 
-        P, T = int(info[0]), int(info[1])
-        bodies, active = int(info[2]), int(info[3])
+        P, T, bodies, active, opened, spins = info.tolist()
         energy = float(np.sum(per_atom.astype(ad, copy=False)))
         stress = stress3[0] - stress3[1] - stress3[2]
-        stats = {
-            "pairs_in_cutoff": P,
-            "triples": T,
-            "list_entries": L,
-            "filter_efficiency": P / L if L else 1.0,
-            "virial_tensor": 0.5 * (stress + stress.T),
-            "per_atom_energy": per_atom,
-            # vector bodies issued (K-loop + pair), the share of their lanes
-            # doing a pair or a triplet, fast-forward spins: what the lane
-            # simulator predicts (tests/test_model_pins.py); threads: what
-            # the call's rows were offered to
-            "backend": {"name": "compiled", "strategy": "cext",
-                        "kernel_invocations": bodies,
-                        "lane_occupancy": active / (fns[f"{kind}_lanes"]() * bodies) if bodies else 1.0,
-                        "spin_iterations": int(info[5]),
-                        "threads": int(info[4])},
-        }
+        # vector bodies issued (K-loop + pair), the share of their lanes doing a
+        # pair or a triplet, fast-forward spins: what the lane simulator predicts
+        # (tests/test_model_pins.py); threads: what the call's rows were offered to
+        backend = {"name": "compiled", "strategy": "cext", "kernel_invocations": bodies,
+                   "lane_occupancy": active / (fns[f"{kind}_lanes"]() * bodies) if bodies else 1.0,
+                   "spin_iterations": spins, "threads": opened}
+        stats = {"pairs_in_cutoff": P, "triples": T, "list_entries": L,
+                 "filter_efficiency": P / L if L else 1.0, "virial_tensor": 0.5 * (stress + stress.T),
+                 "per_atom_energy": per_atom, "backend": backend}
         if warmup_s is not None:
             stats["timing"] = {"warmup_s": warmup_s}
         if ad != np.float64:
