@@ -140,6 +140,7 @@ typedef struct {
     int32_t *where;           /* (L,)   scratch: slot of each entry         */
     double *forces;           /* (N,3)  out                                 */
     double *peratom;          /* (N,)   out                                 */
+    int64_t prune;            /* WALK_PRUNE_*: the filter's reference, below */
     double *stress;           /* (3,3,3) out: pair, j and k virial sums     */
     int64_t *info;            /* (6,) out: pairs, triplets in cutoff, kernel
                                  bodies issued, active lanes in them, threads
@@ -147,7 +148,6 @@ typedef struct {
                                  on error the offending atom pair          */
     double *ref;              /* (L,) each entry's r^2 at the reference     */
     double *ref_x;            /* (N,3) the positions at the reference       */
-    int64_t prune;            /* WALK_PRUNE_*: what this call does with it  */
 } walk_args;
 
 typedef struct walk_job walk_job;

@@ -35,6 +35,7 @@ attribute it to the ``warmup`` stage instead of ``pair``.
 from __future__ import annotations
 
 import time
+import weakref
 
 import numpy as np
 
@@ -52,9 +53,9 @@ PARAM_FIELDS = ("R", "D", "A", "lam1", "B", "lam2", "beta", "n", "c1", "c2", "c3
 _PREFILTER_MARGIN = 1.0 + 1.0e-9
 #: Error returns of ``<potential>_fused_*`` (``WALK_*`` in ``_walker.h``).
 _NONFINITE, _COINCIDENT, _NOMEM = 1, 2, 4
-#: ``walk_args`` (``_walker.h``) in 8-byte slots: how many, where the two
-#: output addresses start and where the reference's mode is.
-_N_ARGS, _FORCES, _PRUNE = 23, 16, 22
+#: ``walk_args`` (``_walker.h``) in 8-byte slots: how many, and where the
+#: two output addresses and the filter reference's mode (what changes per call) lie.
+_N_ARGS, _FORCES = 23, 16
 
 
 def pick_strategy() -> str:
@@ -101,8 +102,8 @@ class CompiledListKernel(MultiBodyKernel):
         raise NotImplementedError
 
     def _pack(self, lst, n: int, threads: int, fns) -> tuple:
-        """The argument block of the calls on this list, types, positions and box at this
-        size, thread count and workspace: ``(objects, sizes, block, address, stress, info)``."""
+        """The argument block of the calls on this list, types, positions and box (held weakly: a
+        block must not keep them alive) at this size, thread count and workspace."""
         ws, box = self._ws, lst.box
         (in_offsets, in_entries), L = lst.incoming, lst.n_list_entries
         if in_offsets.shape[0] != n + 1 or in_entries.shape[0] != L or lst.offsets[n] != L:
@@ -120,11 +121,11 @@ class CompiledListKernel(MultiBodyKernel):
         block[:] = [n, *(a.ctypes.data for a in (lst.offsets, lst.neighbors, in_offsets, in_entries,
                                                   lst.types, lst.x, geo)),
                     self._ntypes, self._cut.ctypes.data, self._ptab.ctypes.data, lst.max_row,
-                    threads, *(a.ctypes.data for a in out[:3]), 0, 0,
-                    *(a.ctypes.data for a in out[3:]), 0]
+                    threads, *(a.ctypes.data for a in out[:3]), 0, 0, 0,
+                    *(a.ctypes.data for a in out[3:])]
         self._good = 0  # successful calls on this block (the filter's reference)
-        return ((lst, lst.types, lst.x, box), (n, threads, ws.grow_events), block,
-                block.ctypes.data, *out[3:5])
+        return (tuple(map(weakref.ref, (lst, lst.types, lst.x, box))),
+                (n, threads, ws.grow_events), block, block.ctypes.data, *out[3:5])
 
     @hot_path(reason="computational part of every force call (compiled backend)")
     def evaluate(self, st: Staging, n: int) -> ForceResult:
@@ -138,16 +139,15 @@ class CompiledListKernel(MultiBodyKernel):
         # one block per list, types, positions, box, thread count and workspace
         threads = cext.threads_for(n, self.threads)
         if (args is None or args[1] != (n, threads, self._ws.grow_events)
-                or any(a is not b for a, b in zip(args[0], (lst, lst.types, lst.x, lst.box)))):
+                or any(a() is not b for a, b in zip(args[0], (lst, lst.types, lst.x, lst.box)))):
             args = self._args = self._pack(lst, n, threads, fns)
         block, address, stress3, info = args[2:]
         L = lst.n_list_entries
         # results are handed to the caller: fresh arrays, written once by C
         forces = np.empty((n, 3), dtype=np.float64)  # repro-lint: disable=KA003
         per_atom = np.empty(n, dtype=np.float64)  # repro-lint: disable=KA003
-        block[_FORCES:_FORCES + 2] = forces.ctypes.data, per_atom.ctypes.data
         # the walker's reference: off, then recorded, then used; a failure drops it
-        block[_PRUNE] = min(self._good, 2)
+        block[_FORCES:_FORCES + 3] = forces.ctypes.data, per_atom.ctypes.data, min(self._good, 2)
         code = fn(address)
         self._good = 0 if code else self._good + 1
         if code:
