@@ -103,7 +103,7 @@ class CompiledListKernel(MultiBodyKernel):
 
     def _pack(self, lst, n: int, threads: int, fns) -> tuple:
         """The argument block of the calls on this list, types, positions and box (held weakly: a
-        block must not keep them alive) at this size, thread count and workspace."""
+        block must not keep them alive) at this size and thread count."""
         ws, box = self._ws, lst.box
         (in_offsets, in_entries), L = lst.incoming, lst.n_list_entries
         if in_offsets.shape[0] != n + 1 or in_entries.shape[0] != L or lst.offsets[n] != L:
@@ -115,17 +115,16 @@ class CompiledListKernel(MultiBodyKernel):
         out = [ws.buf("row", fns[f"{self.entry}_scratch"](lst.max_row, self._ntypes, n, threads),
                       np.float64), ws.buf("partial", (L + 1, 3), np.float64),
                ws.buf("where", L, np.int32), ws.buf("stress", (3, 3, 3), np.float64),
-               ws.buf("info", 6, np.int64), ws.buf("ref", L, np.float64),
-               ws.buf("ref_x", (n, 3), np.float64)]
+               ws.buf("info", 6, np.int64)]
         block = ws.buf("args", _N_ARGS, np.int64)
         block[:] = [n, *(a.ctypes.data for a in (lst.offsets, lst.neighbors, in_offsets, in_entries,
                                                   lst.types, lst.x, geo)),
                     self._ntypes, self._cut.ctypes.data, self._ptab.ctypes.data, lst.max_row,
                     threads, *(a.ctypes.data for a in out[:3]), 0, 0, 0,
-                    *(a.ctypes.data for a in out[3:])]
+                    *(a.ctypes.data for a in out[3:]), 0, 0]
         self._good = 0  # successful calls on this block (the filter's reference)
-        return (tuple(map(weakref.ref, (lst, lst.types, lst.x, box))),
-                (n, threads, ws.grow_events), block, block.ctypes.data, *out[3:5])
+        return (tuple(map(weakref.ref, (lst, lst.types, lst.x, box))), (n, threads), block,
+                block.ctypes.data, *out[3:])
 
     @hot_path(reason="computational part of every force call (compiled backend)")
     def evaluate(self, st: Staging, n: int) -> ForceResult:
@@ -135,10 +134,8 @@ class CompiledListKernel(MultiBodyKernel):
         fn = fns[kind := f"{self.entry}_{'f64' if self._ptab.dtype == np.float64 else 'f32'}"]
         # the first call of this instance (or copy): the load (or build) is warmup
         warmup_s = time.perf_counter() - t0 if args is None else None
-
-        # one block per list, types, positions, box, thread count and workspace
         threads = cext.threads_for(n, self.threads)
-        if (args is None or args[1] != (n, threads, self._ws.grow_events)
+        if (args is None or args[1] != (n, threads)
                 or any(a() is not b for a, b in zip(args[0], (lst, lst.types, lst.x, lst.box)))):
             args = self._args = self._pack(lst, n, threads, fns)
         block, address, stress3, info = args[2:]
@@ -148,6 +145,9 @@ class CompiledListKernel(MultiBodyKernel):
         per_atom = np.empty(n, dtype=np.float64)  # repro-lint: disable=KA003
         # the walker's reference: off, then recorded, then used; a failure drops it
         block[_FORCES:_FORCES + 3] = forces.ctypes.data, per_atom.ctypes.data, min(self._good, 2)
+        if self._good == 1:  # the call that records it: the buffers, first asked for here
+            block[_FORCES + 5:] = [self._ws.buf("ref", L, np.float64).ctypes.data,
+                                   self._ws.buf("ref_x", (n, 3), np.float64).ctypes.data]
         code = fn(address)
         self._good = 0 if code else self._good + 1
         if code:
