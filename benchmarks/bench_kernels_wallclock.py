@@ -105,6 +105,30 @@ def test_compiled_threads_wallclock(benchmark, big_workload, threads):
     assert res.stats["backend"]["threads"] == threads
 
 
+@pytest.mark.benchmark(group="wallclock-4096atoms")
+@pytest.mark.parametrize("precision", ["double", "single"])
+def test_compiled_sw_wallclock(benchmark, big_workload, precision):
+    """Stillinger-Weber's f64 and f32 kernels on one thread: the same list
+    walker as Tersoff (filter, sweeps, reductions) under a scheme-1a body
+    on four lanes, so a walker change shows here in one command.  The
+    repeated call on one list and positions is the walker's best case: its
+    reference skips every entry past the cutoff."""
+    from repro import backends
+    from repro.core.sw import StillingerWeberProduction, sw_silicon
+
+    if not backends.is_available("compiled"):
+        pytest.skip("compiled backend unavailable (no C toolchain)")
+    _, system, _ = big_workload
+    params = sw_silicon()
+    neigh = NeighborList(NeighborSettings(cutoff=params.cut, skin=1.0))
+    neigh.build(system.x, system.box)
+    pot = StillingerWeberProduction(params, precision=precision, backend="compiled")
+    pot.kernel.threads = 1
+    pot.compute(system, neigh)  # build/load is warmup, not the measurement
+    res = benchmark(pot.compute, system, neigh)
+    assert np.isfinite(res.energy)
+
+
 @pytest.mark.benchmark(group="wallclock-substrate")
 def test_neighbor_build_wallclock(benchmark, big_workload):
     params, system, _ = big_workload
