@@ -256,7 +256,8 @@ static void TFN(ters_chunk_)(const walk_job *job, walk_row *rows, const int64_t 
     int32_t *restrict npair = pfirst + ROWS_PER_CHUNK;
     IREAL *restrict kidx = (IREAL *)(base + lay.kidx);
     REAL *restrict kterm = (REAL *)(base + lay.kterm);
-    int32_t *restrict kstep = (int32_t *)(base + lay.step), *restrict most = kstep + TERS_RING * (zstep + 1);
+    int32_t *restrict kstep = (int32_t *)(base + lay.step);
+    int32_t *restrict most = kstep + TERS_RING * (zstep + 1); /* after the step ring */
     ACC *restrict ubuf = base + lay.u;
     ACC *restrict obuf = base + lay.out;
     REAL *restrict pv = (REAL *)(base + lay.pv), *restrict tv = (REAL *)(base + lay.tv);
