@@ -298,6 +298,7 @@ def test_compiled_tracks_the_numpy_oracle(row, monkeypatch):
     assert abs(res.virial - ref.virial) <= TENSOR_MAXREL * np.max(np.abs(tensor))
     assert maxrel(res.forces, ref.forces) <= FORCES_MAXREL
 
+
 @pytest.mark.parametrize("row", [p for p in ROWS if p.values[0].backend == "compiled"
                                  and p.values[0].precision == "mixed" and p.values[0].species == "Si"])
 def test_a_pruning_instance_returns_a_fresh_instances_bits(row, monkeypatch):
