@@ -64,10 +64,7 @@ static int64_t walk_thread_doubles(const walk_kind *kind, const int64_t max_row,
     return walk_lines(walk_entries(max_row) * SHORT_DOUBLES + kind->scratch(max_row, ntypes));
 }
 
-static int64_t walk_chunks(const int64_t n_atoms, const int64_t per)
-{
-    return (n_atoms + per - 1) / per;
-}
+static int64_t walk_chunks(const int64_t n) { return (n + ROWS_PER_CHUNK - 1) / ROWS_PER_CHUNK; }
 
 /* slack to align the base, and the chunk records */
 int64_t walk_scratch_doubles(const walk_kind *kind, const int64_t max_row, const int64_t ntypes,
@@ -75,7 +72,7 @@ int64_t walk_scratch_doubles(const walk_kind *kind, const int64_t max_row, const
 {
     (void)kind, (void)max_row, (void)ntypes, (void)threads;
     return LINE_DOUBLES +
-           walk_chunks(n_atoms, ROWS_PER_CHUNK) * (int64_t)(sizeof(walk_chunk) / sizeof(double));
+           walk_chunks(n_atoms) * (int64_t)(sizeof(walk_chunk) / sizeof(double));
 }
 
 /* The row scratch of the calling thread: the chunk's short lists and the
@@ -136,15 +133,14 @@ static int64_t walk_fail(int64_t *restrict fail, int64_t i, int64_t j, int code)
  * short-list cutoff densely into the short list, returns its length (or
  * -code, with `fail` filled in for the first bad entry in row order).
  * Same arithmetic as pair_geometry(): the image shift is skipped where
- * |d| <= L/2, where round(d/L) is exactly 0.  Three passes: the
- * candidates — every entry, or, pruning, those whose reference r^2
- * (`ref`) is not above `bound` — up to the first neighbor index out of
- * range; the sqrt-free prefilter on r^2 over them (recorded into `rec`
- * when asked), compacting without branches (every entry is written at
- * the next free slot, which advances only when it is kept: a quarter of
- * a diamond row at skin 1.0, no pattern to predict); then the exact test
- * on r over the few it let through.  An index out of range fails the row
- * after the entries before it, as a one-pass walk would. */
+ * |d| <= L/2, where round(d/L) is exactly 0.  Pruning, a first pass
+ * keeps the candidates: the entries whose reference r^2 (`ref`) is not
+ * above `bound`.  Then the sqrt-free prefilter on r^2 over every entry
+ * or candidate (recorded into `rec` when asked), compacting without
+ * branches (every entry is written at the next free slot, which advances
+ * only when it is kept: a quarter of a diamond row at skin 1.0, no
+ * pattern to predict); then the exact test on r over the few it let
+ * through. */
 static int64_t walk_filter_row(const double *restrict x, const int32_t *restrict types,
                                const int64_t n_atoms, const int64_t i,
                                const int32_t *restrict row, const int64_t len,
@@ -155,14 +151,19 @@ static int64_t walk_filter_row(const double *restrict x, const int32_t *restrict
                                int32_t *restrict sq, int64_t *restrict fail)
 {
     const double *xi = x + 3 * i;
-    int64_t m = 0, n = 0, end, k, q;
-    int c;
-    for (end = 0; end < len && row[end] >= 0 && row[end] < n_atoms; end++) {
-        sq[n] = (int32_t)end;
-        n += !ref || !(ref[end] > bound);
+    int64_t m = 0, n = len, k, q;
+    int c, bad = 0;
+    if (ref) { /* a row naming an atom out of range is walked in full, for its first error */
+        for (q = n = 0; q < len; q++) {
+            sq[n] = (int32_t)q;
+            n += !(ref[q] > bound);
+            bad |= (row[q] < 0) | (row[q] >= n_atoms);
+        }
+        if (bad) ref = NULL, n = len;
     }
     for (k = 0; k < n; k++) {
-        const int64_t j = row[q = sq[k]];
+        const int64_t j = row[q = ref ? sq[k] : k];
+        if (j < 0 || j >= n_atoms) return walk_fail(fail, i, j, WALK_BAD_INPUT);
         ACC d[3]; /* geometry: f64 in every mode, like the accumulators */
         for (c = 0; c < 3; c++) {
             d[c] = x[3 * j + c] - xi[c];
@@ -181,7 +182,6 @@ static int64_t walk_filter_row(const double *restrict x, const int32_t *restrict
         sq[m] = (int32_t)q;
         m += near;
     }
-    if (end < len) return walk_fail(fail, i, row[end], WALK_BAD_INPUT);
     /* the prefilter's margin lets through almost nothing the exact test
      * drops: a branch, taken, keeps each slot off the last one's sqrt */
     for (k = 0, q = 0; k < m; k++) {
@@ -359,7 +359,7 @@ int walk_run(const walk_kind *kind, const walk_args *a)
         }
 
     /* every field not named here starts at zero, the claim counters too */
-    walk_job job = {.kind = kind, .a = *a, .n_chunks = walk_chunks(n_atoms, ROWS_PER_CHUNK),
+    walk_job job = {.kind = kind, .a = *a, .n_chunks = walk_chunks(n_atoms),
                     .thread_doubles = walk_thread_doubles(kind, a->max_row, a->ntypes)};
     job.chunk = (walk_chunk *)(((uintptr_t)a->scratch + POOL_CACHE_LINE - 1) &
                                ~(uintptr_t)(POOL_CACHE_LINE - 1));
