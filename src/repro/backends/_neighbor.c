@@ -9,6 +9,8 @@
  * arithmetic that decides membership is the oracle's too: cell =
  * (x - lo) / binsize truncated and clamped to [0, nbins-1], d -= L *
  * rint(d / L) on periodic axes, r^2 by DOT3_EINSUM, inclusive <= rlist^2.
+ * Each entry's r^2 is kept in a column beside it: the reference the
+ * kernels' filter (_walker.c) prunes against while the list lives.
  *
  * The binning is one serial pass, which also copies the positions into
  * cell order as three columns; the row fill runs over the threads of
@@ -69,19 +71,21 @@ typedef struct {
     int64_t cap;
     int64_t *offsets; /* the fill leaves row i's length in offsets[i + 1] */
     int32_t *neighbors;
+    double *r2;       /* each entry's r^2, in the slots of `neighbors` */
     _Alignas(POOL_CACHE_LINE) _Atomic int64_t next; /* chunk claims */
 } nbr_job;
 
 /* The candidates q .. end-1 of one cell against atom i at xi: every one
- * is stored at slot `count` and the count advances by the test, so the
- * ~1 in 8 accepts leave no branch to mispredict.  `room` is only checked
- * when the cell could run past it (slots past `room` are counted, not
- * written).  j == i is tested through `self`, which is i in the atom's
- * own cell and -1 elsewhere.  Without `wrap` the cell is known to lie
- * within L/2 of xi on every axis, where the minimum image moves nothing. */
+ * (and its r^2) is stored at slot `count` and the count advances by the
+ * test, so the ~1 in 8 accepts leave no branch to mispredict.  `room` is
+ * only checked when the cell could run past it (slots past `room` are
+ * counted, not written).  j == i is tested through `self`, which is i in
+ * the atom's own cell and -1 elsewhere.  Without `wrap` the cell is known
+ * to lie within L/2 of xi on every axis, where the minimum image moves
+ * nothing. */
 static inline __attribute__((always_inline)) int64_t nbr_cell(
     const nbr_job *job, const F64 *restrict xi, int64_t q, const int64_t end,
-    const int32_t self, int32_t *restrict out,
+    const int32_t self, int32_t *restrict out, double *restrict r2out,
     const int64_t room, int64_t count, const int guarded, const int wrap)
 {
     const double *restrict geo = job->geo;
@@ -89,6 +93,7 @@ static inline __attribute__((always_inline)) int64_t nbr_cell(
     const int32_t *restrict order = job->order;
     const F64 r2max = geo[GEO_R2];
     int32_t spill;
+    F64 spill_r2;
     for (; q < end; q++) {
         const int32_t j = order[q];
         F64 d[3] = {cx[q] - xi[0], cy[q] - xi[1], cz[q] - xi[2]};
@@ -97,8 +102,10 @@ static inline __attribute__((always_inline)) int64_t nbr_cell(
             /* where |d| <= L/2, rint(d/L) is exactly 0 */
             if (fabs(d[c]) > geo[GEO_HALF + c])
                 d[c] -= geo[GEO_LEN + c] * rint(d[c] / geo[GEO_LEN + c]);
+        const F64 r2 = DOT3_EINSUM(d[0] * d[0], d[1] * d[1], d[2] * d[2]);
         *(guarded && count >= room ? &spill : out + count) = j;
-        count += (DOT3_EINSUM(d[0] * d[0], d[1] * d[1], d[2] * d[2]) <= r2max) & (j != self);
+        *(guarded && count >= room ? &spill_r2 : r2out + count) = r2;
+        count += (r2 <= r2max) & (j != self);
     }
     return count;
 }
@@ -107,7 +114,7 @@ static inline __attribute__((always_inline)) int64_t nbr_cell(
  * Candidates come from the cell-ordered position columns, so a cell is
  * one contiguous run of each. */
 static int64_t nbr_row(const nbr_job *job, const int64_t i, int32_t *restrict out,
-                       const int64_t room, int64_t count)
+                       double *restrict r2out, const int64_t room, int64_t count)
 {
     const F64 xi[3] = {job->x[3 * i], job->x[3 * i + 1], job->x[3 * i + 2]};
     const int64_t *restrict cell_start = job->cell_start;
@@ -144,11 +151,11 @@ static int64_t nbr_row(const nbr_job *job, const int64_t i, int32_t *restrict ou
                 end = cell_start[q + 1];
                 for (q = cell_start[q]; q < end && order[q] <= above; q++) {}
                 if (count + (end - q) > room)
-                    count = nbr_cell(job, xi, q, end, self, out, room, count, 1, 1);
+                    count = nbr_cell(job, xi, q, end, self, out, r2out, room, count, 1, 1);
                 else if (near)
-                    count = nbr_cell(job, xi, q, end, self, out, room, count, 0, 0);
+                    count = nbr_cell(job, xi, q, end, self, out, r2out, room, count, 0, 0);
                 else
-                    count = nbr_cell(job, xi, q, end, self, out, room, count, 0, 1);
+                    count = nbr_cell(job, xi, q, end, self, out, r2out, room, count, 0, 1);
             }
         }
     }
@@ -170,7 +177,7 @@ static void nbr_fill(void *ctx, const int tid)
         int64_t i, count = 0;
         for (i = first; i < end; i++) {
             const int64_t before = count;
-            count = nbr_row(job, i, out, room, count);
+            count = nbr_row(job, i, out, job->r2 + chunk * job->per, room, count);
             job->offsets[i + 1] = count - before;
         }
     }
@@ -199,6 +206,7 @@ int64_t neighbor_build(
     const int64_t cap,
     int64_t *restrict offsets,        /* (n+1,) out                            */
     int32_t *restrict neighbors,      /* (cap,) out                            */
+    double *restrict r2,              /* (cap,) out: each entry's r^2          */
     const int64_t threads,            /* most threads the fill may use         */
     int64_t *restrict info)
 {
@@ -258,6 +266,7 @@ int64_t neighbor_build(
     job.cap = cap;
     job.offsets = offsets;
     job.neighbors = neighbors;
+    job.r2 = r2;
     atomic_init(&job.next, 0);
     info[0] = pool_run((int)(threads < job.n_chunks ? threads : job.n_chunks), nbr_fill, &job);
 
@@ -275,8 +284,9 @@ int64_t neighbor_build(
      * where the next slice starts, so nothing is overwritten unread */
     for (k = 1; k < job.n_chunks; k++) {
         const int64_t first = k * job.rows, end = first + job.rows < n ? first + job.rows : n;
-        memmove(neighbors + offsets[first], neighbors + k * job.per,
-                (size_t)(offsets[end] - offsets[first]) * sizeof(int32_t));
+        const size_t len = (size_t)(offsets[end] - offsets[first]);
+        memmove(neighbors + offsets[first], neighbors + k * job.per, len * sizeof(int32_t));
+        memmove(r2 + offsets[first], r2 + k * job.per, len * sizeof(double));
     }
     return offsets[n];
 }

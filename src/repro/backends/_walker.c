@@ -134,19 +134,18 @@ static int64_t walk_fail(int64_t *restrict fail, int64_t i, int64_t j, int code)
  * -code, with `fail` filled in for the first bad entry in row order).
  * Same arithmetic as pair_geometry(): the image shift is skipped where
  * |d| <= L/2, where round(d/L) is exactly 0.  Pruning, a first pass
- * keeps the candidates: the entries whose reference r^2 (`ref`) is not
- * above `bound`.  Then the sqrt-free prefilter on r^2 over every entry
- * or candidate (recorded into `rec` when asked), compacting without
- * branches (every entry is written at the next free slot, which advances
- * only when it is kept: a quarter of a diamond row at skin 1.0, no
- * pattern to predict); then the exact test on r over the few it let
- * through. */
+ * keeps the candidates: the entries whose build r^2 (`ref`) is not above
+ * `bound`.  Then the sqrt-free prefilter on r^2 over every entry or
+ * candidate, compacting without branches (every entry is written at the
+ * next free slot, which advances only when it is kept: a quarter of a
+ * diamond row at skin 1.0, no pattern to predict); then the exact test
+ * on r over the few it let through. */
 static int64_t walk_filter_row(const double *restrict x, const int32_t *restrict types,
                                const int64_t n_atoms, const int64_t i,
                                const int32_t *restrict row, const int64_t len,
                                const double *restrict geo, const int strict,
                                const double *restrict ref, const ACC bound,
-                               double *restrict rec, double *const *restrict sd,
+                               double *const *restrict sd,
                                double *restrict sr, int32_t *restrict sj, int32_t *restrict st,
                                int32_t *restrict sq, int64_t *restrict fail)
 {
@@ -172,7 +171,6 @@ static int64_t walk_filter_row(const double *restrict x, const int32_t *restrict
         }
         const ACC r2 = DOT3_EINSUM(d[0] * d[0], d[1] * d[1], d[2] * d[2]);
         const int near = r2 <= geo[GEO_CUTMAX2];
-        if (rec) rec[q] = r2;
         /* a non-finite distance would be filtered silently, r == 0 makes
          * 1/r undefined: both fail the call, in row order */
         if ((!near & !isfinite(r2)) | (r2 == 0))
@@ -277,9 +275,8 @@ static void walk_work(void *ctx, const int tid)
             double *const sd_at[3] = {sd[0] + at, sd[1] + at, sd[2] + at};
             const int64_t ns = walk_filter_row(
                 job->a.x, types, n_atoms, i, neighbors + offsets[i], len, job->a.geo, kind->strict,
-                job->use ? job->use + offsets[i] : NULL, job->bound,
-                job->rec ? job->rec + offsets[i] : NULL, sd_at, sr + at, sj + at, st + at, sq + at,
-                out->fail);
+                job->use ? job->use + offsets[i] : NULL, job->bound, sd_at, sr + at, sj + at,
+                st + at, sq + at, out->fail);
             if (ns < 0) break;
             /* the force on short-list slot m accumulates in partial slot m
              * of the row's own entries; `where` tells sweep 2 which slot
@@ -368,13 +365,10 @@ int walk_run(const walk_kind *kind, const walk_args *a)
         return WALK_NOMEM;
     }
     memset(a->partial + 3 * offsets[n_atoms], 0, 3 * sizeof(double));
-    if (a->prune == WALK_PRUNE_RECORD) {
-        job.rec = a->ref;
-        memcpy(a->ref_x, a->x, (size_t)(3 * n_atoms) * sizeof(double));
-    } else if (a->prune == WALK_PRUNE_USE) {
-        /* every image of a pair is within 2 delta of where it was, so an
-         * entry past cutmax + 2 delta then is past cutmax now; NaN or inf
-         * positions make delta NaN, and the call is walked in full */
+    if (a->ref) {
+        /* every image of a pair is within 2 delta of where it was at the
+         * build, so an entry past cutmax + 2 delta then is past cutmax now;
+         * NaN or inf positions make delta NaN, and the call is walked in full */
         const double *g = a->geo;
         const ACC reach =
             g[GEO_CUTMAX] + 2 * sqrt(md_max_disp2(n_atoms, a->x, a->ref_x, g[0], g[1], g[2],

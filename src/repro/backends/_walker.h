@@ -62,10 +62,6 @@
 #define WALK_BAD_INPUT 3  /* neighbor/type index out of range, row > max_row */
 #define WALK_NOMEM 4      /* no memory for the calling thread's row scratch   */
 
-/* The filter's reference (_walker.c): none, record it, or skip the
- * entries it places out of reach */
-enum { WALK_PRUNE_OFF, WALK_PRUNE_RECORD, WALK_PRUNE_USE };
-
 /* geometry block `geo` (8 doubles, packed by CompiledListKernel):
  * [0..2] box lengths, [3..5] half lengths (+inf on non-periodic axes),
  * [6] the short-list cutoff, [7] its square with a relative margin (the
@@ -120,7 +116,8 @@ typedef struct {
 } walk_row;
 
 /* The arguments of one force call, packed by CompiledListKernel into one
- * block of 8-byte fields in this order (compiled._N_ARGS). */
+ * block of 8-byte fields in this order (compiled._N_ARGS); the last three
+ * are written per call. */
 typedef struct {
     int64_t n_atoms;
     const int64_t *offsets;   /* (N+1,) CSR row offsets, as stored          */
@@ -128,7 +125,6 @@ typedef struct {
     const int64_t *in_off;    /* (N+1,) transposed index: offsets           */
     const int32_t *in_ent;    /* (L,)   ... and CSR entries                 */
     const int32_t *types;     /* (N,)                                       */
-    const double *x;          /* (N,3) positions                            */
     const double *geo;        /* (8,)  box + short-list cutoff              */
     int64_t ntypes;
     const double *cut;        /* (nt^3,) the body's cutoffs, double         */
@@ -138,16 +134,17 @@ typedef struct {
     double *scratch;          /* walk_scratch_doubles() doubles             */
     double *partial;          /* (L+1,3) scratch: per-slot forces           */
     int32_t *where;           /* (L,)   scratch: slot of each entry         */
-    double *forces;           /* (N,3)  out                                 */
-    double *peratom;          /* (N,)   out                                 */
-    int64_t prune;            /* WALK_PRUNE_*: the filter's reference, below */
     double *stress;           /* (3,3,3) out: pair, j and k virial sums     */
     int64_t *info;            /* (6,) out: pairs, triplets in cutoff, kernel
                                  bodies issued, active lanes in them, threads
                                  the job was opened for, fast-forward spins;
                                  on error the offending atom pair          */
-    double *ref;              /* (L,) each entry's r^2 at the reference     */
-    double *ref_x;            /* (N,3) the positions at the reference       */
+    const double *ref;        /* (L,) each entry's r^2 where the list was
+                                 built, or NULL: every call walks in full  */
+    const double *ref_x;      /* (N,3) the positions it was built at        */
+    const double *x;          /* (N,3) positions                            */
+    double *forces;           /* (N,3)  out                                 */
+    double *peratom;          /* (N,)   out                                 */
 } walk_args;
 
 typedef struct walk_job walk_job;
@@ -184,9 +181,8 @@ typedef struct {
 struct walk_job {
     const walk_kind *kind;
     walk_args a;
-    const double *use;      /* the reference's r^2 when pruning, else NULL  */
-    double *rec;            /* where to record them, else NULL              */
-    ACC bound;              /* skip an entry whose reference r^2 is above it */
+    const double *use;      /* the list's build r^2 when pruning, else NULL */
+    ACC bound;              /* skip an entry whose build r^2 is above it    */
     int64_t thread_doubles; /* each thread's row scratch (walk_own_scratch) */
     walk_chunk *chunk;
     int64_t n_chunks, teams; /* chunks, and the ranges they are split into  */

@@ -12,8 +12,9 @@ body: :class:`CompiledTersoffKernel` (Alg. 3 as scheme 1b, a chunk's
 pairs across the build's widest register) and :class:`CompiledSWKernel`
 (φ2 and the unordered (j, k) φ3 terms as scheme 1a, the entries of a row
 four to a vector).  No pair or triplet table is ever staged: the kernel
-packs one argument block per list, type column, positions and box, and
-from its third call on one the walker skips entries out of reach.
+packs one argument block per list and type column, and from the first
+call on a C-built list the walker skips the entries its build r² places
+out of reach.
 
 How many threads a call uses is decided by :func:`cext.threads_for`,
 from nothing a user sets: ``min(share, rows // THREAD_GRAIN)``, the
@@ -54,8 +55,8 @@ _PREFILTER_MARGIN = 1.0 + 1.0e-9
 #: Error returns of ``<potential>_fused_*`` (``WALK_*`` in ``_walker.h``).
 _NONFINITE, _COINCIDENT, _NOMEM = 1, 2, 4
 #: ``walk_args`` (``_walker.h``) in 8-byte slots: how many, and where the
-#: two output addresses and the filter reference's mode (what changes per call) lie.
-_N_ARGS, _FORCES = 23, 16
+#: three written per call (positions and the two outputs) begin.
+_N_ARGS, _X = 22, 19
 
 
 def pick_strategy() -> str:
@@ -101,10 +102,10 @@ class CompiledListKernel(MultiBodyKernel):
         cutoff is the short list's."""
         raise NotImplementedError
 
-    def _pack(self, lst, n: int, threads: int, fns) -> tuple:
-        """The argument block of the calls on this list, types, positions and box (held weakly: a
-        block must not keep them alive) at this size and thread count."""
-        ws, box = self._ws, lst.box
+    def _pack(self, lst, key: tuple, fns, kind: str) -> tuple:
+        """The argument block of the calls on this list and type column (held weakly) at `key`'s
+        size, threads and box geometry, naming the list's reference if it was built in that box."""
+        ws, box, (n, threads), rb = self._ws, lst.box, key[:2], lst.ref_box
         (in_offsets, in_entries), L = lst.incoming, lst.n_list_entries
         if in_offsets.shape[0] != n + 1 or in_entries.shape[0] != L or lst.offsets[n] != L:
             raise ValueError("neighbor list and its transposed index do not match")
@@ -116,15 +117,15 @@ class CompiledListKernel(MultiBodyKernel):
                       np.float64), ws.buf("partial", (L + 1, 3), np.float64),
                ws.buf("where", L, np.int32), ws.buf("stress", (3, 3, 3), np.float64),
                ws.buf("info", 6, np.int64)]
+        ref = [lst.r2.ctypes.data, lst.x_ref.ctypes.data] if lst.r2 is not None and key == (
+            n, threads, rb.periodic, *rb.lengths.tolist()) else [0, 0]
         block = ws.buf("args", _N_ARGS, np.int64)
         block[:] = [n, *(a.ctypes.data for a in (lst.offsets, lst.neighbors, in_offsets, in_entries,
-                                                  lst.types, lst.x, geo)),
+                                                  lst.types, geo)),
                     self._ntypes, self._cut.ctypes.data, self._ptab.ctypes.data, lst.max_row,
-                    threads, *(a.ctypes.data for a in out[:3]), 0, 0, 0,
-                    *(a.ctypes.data for a in out[3:]), 0, 0]
-        self._good = 0  # successful calls on this block (the filter's reference)
-        return (tuple(map(weakref.ref, (lst, lst.types, lst.x, box))), (n, threads), block,
-                block.ctypes.data, *out[3:])
+                    threads, *(a.ctypes.data for a in out), *ref, 0, 0, 0]
+        return (weakref.ref(lst), weakref.ref(lst.types)), key, block, block.ctypes.data, \
+            fns[f"{kind}_lanes"](), *out[3:]
 
     @hot_path(reason="computational part of every force call (compiled backend)")
     def evaluate(self, st: Staging, n: int) -> ForceResult:
@@ -134,22 +135,17 @@ class CompiledListKernel(MultiBodyKernel):
         fn = fns[kind := f"{self.entry}_{'f64' if self._ptab.dtype == np.float64 else 'f32'}"]
         # the first call of this instance (or copy): the load (or build) is warmup
         warmup_s = time.perf_counter() - t0 if args is None else None
-        threads = cext.threads_for(n, self.threads)
-        if (args is None or args[1] != (n, threads)
-                or any(a() is not b for a, b in zip(args[0], (lst, lst.types, lst.x, lst.box)))):
-            args = self._args = self._pack(lst, n, threads, fns)
-        block, address, stress3, info = args[2:]
+        key = (n, cext.threads_for(n, self.threads), lst.box.periodic, *lst.box.lengths.tolist())
+        if (args is None or args[1] != key
+                or any(a() is not b for a, b in zip(args[0], (lst, lst.types)))):
+            args = self._args = self._pack(lst, key, fns, kind)
+        block, address, lanes, stress3, info = args[2:]
         L = lst.n_list_entries
         # results are handed to the caller: fresh arrays, written once by C
         forces = np.empty((n, 3), dtype=np.float64)  # repro-lint: disable=KA003
         per_atom = np.empty(n, dtype=np.float64)  # repro-lint: disable=KA003
-        # the walker's reference: off, then recorded, then used; a failure drops it
-        block[_FORCES:_FORCES + 3] = forces.ctypes.data, per_atom.ctypes.data, min(self._good, 2)
-        if self._good == 1:  # the call that records it: the buffers, first asked for here
-            block[_FORCES + 5:] = [self._ws.buf("ref", L, np.float64).ctypes.data,
-                                   self._ws.buf("ref_x", (n, 3), np.float64).ctypes.data]
+        block[_X:] = lst.x.ctypes.data, forces.ctypes.data, per_atom.ctypes.data
         code = fn(address)
-        self._good = 0 if code else self._good + 1
         if code:
             i, j = int(info[0]), int(info[1])
             if code == _COINCIDENT:
@@ -166,7 +162,7 @@ class CompiledListKernel(MultiBodyKernel):
         # pair or a triplet, fast-forward spins: what the lane simulator predicts
         # (tests/test_model_pins.py); threads: what the call's rows were offered to
         backend = {"name": "compiled", "strategy": "cext", "kernel_invocations": bodies,
-                   "lane_occupancy": active / (fns[f"{kind}_lanes"]() * bodies) if bodies else 1.0,
+                   "lane_occupancy": active / (lanes * bodies) if bodies else 1.0,
                    "spin_iterations": spins, "threads": opened}
         stats = {"pairs_in_cutoff": P, "triples": T, "list_entries": L,
                  "filter_efficiency": P / L if L else 1.0, "virial_tensor": 0.5 * (stress + stress.T),

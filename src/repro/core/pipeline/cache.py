@@ -26,8 +26,8 @@ geometry and everything derived from them follow the positions on
 have rebuilt to identical values, which is what makes hits bit-for-bit
 exact rather than approximately right.  What a kernel derives from the
 list alone (the numpy kernels' ``(i, j)`` expansion, the compiled
-kernel's transposed index) lives on the ``ListData``, built on first
-read once per list version.
+kernel's transposed index, a C-built list's build r²) lives on the
+``ListData``, built on first read once per list version.
 
 Counters: an L1/L2 change is an *invalidation* (the list was rebuilt or
 repointed), everything else is a *hit*.
@@ -96,7 +96,10 @@ class InteractionCache:
                     f"{neigh.neighbors.shape[0]} entries) do not match the system ({system.n} atoms)"
                 )
             neighbors = np.ascontiguousarray(neigh.neighbors, dtype=np.int32)
-            self._staging = Staging(pairs=ListData(offsets, neighbors))
+            lst, r2 = ListData(offsets, neighbors), neigh.r2
+            if r2 is not None and (r2.size, len(neigh._x_ref)) == (neighbors.size, system.n):
+                lst.r2, lst.x_ref, lst.ref_box = r2, neigh._x_ref, neigh._box
+            self._staging = Staging(pairs=lst)
         lst = self._staging.pairs
         if self._types is None or (
             kernel.uses_types and not np.array_equal(system.type, self._types)

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
-from repro.md.neighbor import NeighborList, incoming_index
+from repro.md.neighbor import NeighborList, _expand_ranges, incoming_index
 
 
 class DegenerateGeometryError(ValueError):
@@ -79,10 +79,10 @@ class ListData:
 
     The CSR list exactly as :class:`NeighborList` stores it and the type
     column (topology, cached per list version), and the positions and
-    box, rewritten by the cache before every ``evaluate``.  What a kernel
-    derives from the list alone is built on first read, once per list
-    version.  Nothing is filtered here, so the staged-pair counters read
-    the full list.
+    box, rewritten by the cache before every ``evaluate``; a C-built list's
+    ``r2`` column, build positions and box.  What a kernel derives from the
+    list alone is built on first read, once per list version.  Nothing is
+    filtered here, so the staged-pair counters read the full list.
     """
 
     offsets: np.ndarray  # (n+1,) int64 row offsets
@@ -90,6 +90,9 @@ class ListData:
     types: np.ndarray | None = None  # (n,) int32
     x: np.ndarray | None = None  # (n, 3) float64
     box: Box | None = None
+    r2: np.ndarray | None = None  # (L,) float64, or None: no reference
+    x_ref: np.ndarray | None = None  # (n, 3) float64
+    ref_box: Box | None = None
     max_row: int = field(init=False)  # longest row: sizes the compiled kernel's short list
     # built on first read; not functools.cached_property, whose lock
     # (Python < 3.12) is shared by every instance and would serialize
@@ -264,17 +267,6 @@ def build_pairs(
     return pairs
 
 
-def _expand(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat (row, start+offset) expansion of per-row ranges."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    rows = np.repeat(np.arange(starts.shape[0], dtype=np.int64), counts)
-    row_first = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    within = np.arange(total, dtype=np.int64) - np.repeat(row_first, counts)
-    return rows, np.repeat(starts, counts) + within
-
-
 def group_by_i(idx_i: np.ndarray, n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
     """(starts, counts) of each atom's contiguous run in an i-sorted array."""
     counts = np.bincount(idx_i, minlength=n_atoms).astype(np.int64)
@@ -296,7 +288,7 @@ def build_triplets(pairs: PairData, kcand: PairData) -> TripletData:
     # per pair row: the k-candidate range of its center atom
     p_start = k_starts[pairs.i_idx]
     p_count = k_counts[pairs.i_idx]
-    tri_pair, tri_k = _expand(p_start, p_count)
+    tri_pair, tri_k = _expand_ranges(p_start, p_start + p_count)
     # exclude k == j
     keep = kcand.j_idx[tri_k] != pairs.j_idx[tri_pair]
     return TripletData(tri_pair=tri_pair[keep], tri_k=tri_k[keep], n_pairs=pairs.n_pairs)

@@ -251,16 +251,17 @@ def _numpy_csr(x: np.ndarray, box: Box, rlist: float, full: bool,
     return offsets, j_idx.astype(np.int32)
 
 
-def _compiled_csr(x: np.ndarray, box: Box, rlist: float, nbins: np.ndarray,
-                  full: bool, threads: int) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """``(offsets, neighbors, load_s)`` from the C cell-list build.
+def _compiled_csr(x: np.ndarray, box: Box, rlist: float, nbins: np.ndarray, full: bool,
+                  threads: int) -> tuple[np.ndarray, np.ndarray, float, np.ndarray] | None:
+    """``(offsets, neighbors, load_s, r2)`` from the C cell-list build.
 
     The arrays are what :func:`_numpy_csr` returns for a box that bins,
     bit for bit, for any `threads` (``_neighbor.c`` states the order and
-    the arithmetic).  ``load_s`` is what the call spent loading (or, on a
-    cold cache, building) the extension when it was the first in this
-    process to need it.  ``None`` when the build fails: :func:`cext.probe`
-    reports the failure from then on and the numpy builder takes over.
+    the arithmetic); ``r2`` is each entry's r², ``pair_geometry``'s bits.
+    ``load_s`` is what the call spent loading (or building) the extension,
+    if it was the first in this process to need it.  ``None`` when the
+    build fails: :func:`cext.probe` reports the failure from then on and
+    the numpy builder takes over.
     """
     first = not cext.loaded()
     t0 = time.perf_counter()
@@ -287,14 +288,16 @@ def _compiled_csr(x: np.ndarray, box: Box, rlist: float, nbins: np.ndarray,
     sphere = 4.0 / 3.0 * np.pi * rlist**3
     cap = min(int(1.5 * n * n * sphere / box.volume) + 64, n * n)
     while True:
-        neighbors = np.empty(cap, dtype=np.int32)
+        neighbors, r2 = np.empty(cap, dtype=np.int32), np.empty(cap, dtype=np.float64)
         total = fn(n, x.ctypes.data, geo.ctypes.data, nbins.ctypes.data, periodic.ctypes.data,
                    int(full), cell.ctypes.data, cell_start.ctypes.data, order.ctypes.data,
-                   xs.ctypes.data, cap, offsets.ctypes.data, neighbors.ctypes.data, threads, info.ctypes.data)
+                   xs.ctypes.data, cap, offsets.ctypes.data, neighbors.ctypes.data, r2.ctypes.data,
+                   threads, info.ctypes.data)
         if total < 0:
             raise _nonfinite_position(int(info[0]))
-        if total <= cap:
-            return offsets, neighbors[:total].copy(), load_s
+        if total <= cap:  # the column shrinks in place, no second copy of it
+            r2.resize(total, refcheck=False)
+            return offsets, neighbors[:total].copy(), load_s, r2
         cap = total
 
 
@@ -329,6 +332,9 @@ class NeighborList:
     offsets:
         Row offsets, shape ``(n+1,)``; the neighbors of atom ``i`` are
         ``neighbors[offsets[i]:offsets[i+1]]``.
+    r2:
+        Each entry's r² at the last C build, or ``None``: what the compiled
+        kernels' filter prunes against (DESIGN.md §12).
     n_builds:
         How many times the list has been (re)built.
     warmup_s:
@@ -348,6 +354,7 @@ class NeighborList:
         self.settings = settings
         self.neighbors = np.empty(0, dtype=np.int32)
         self.offsets = np.zeros(1, dtype=np.int64)
+        self.r2: np.ndarray | None = None
         self.n_builds = 0
         self.version = 0
         # a timing report of the last call, not run state: a restored
@@ -387,8 +394,8 @@ class NeighborList:
             csr = _compiled_csr(x, box, rlist, nbins, self.settings.full,
                                 cext.threads_for(x.shape[0], self.threads))
         if csr is None:
-            csr = (*_numpy_csr(x, box, rlist, self.settings.full, brute_force), 0.0)
-        self.offsets, self.neighbors, self.warmup_s = csr
+            csr = (*_numpy_csr(x, box, rlist, self.settings.full, brute_force), 0.0, None)
+        self.offsets, self.neighbors, self.warmup_s, self.r2 = csr
         self.n_builds += 1
         self.version += 1
         self._x_ref = x.copy()
@@ -428,6 +435,7 @@ class NeighborList:
         """Restore a :meth:`get_state` snapshot (inverse operation)."""
         self.neighbors = np.ascontiguousarray(state["neighbors"], dtype=np.int32)
         self.offsets = np.ascontiguousarray(state["offsets"], dtype=np.int64)
+        self.r2 = None
         self.n_builds = int(state["n_builds"])
         self.version = int(state["version"])
         x_ref = state.get("x_ref")

@@ -905,10 +905,11 @@ class TestThreadInvariance:
         """The C list build fills its rows in chunks of 64, each chunk into
         its own slice of the output, and moves the slices together in row
         order: one, two, three and four threads write the numpy build's
-        arrays.  A crowded corner leaves every slice short and is built
-        again with room, threads and all."""
+        arrays, and the r² column beside them.  A crowded corner leaves every
+        slice short and is built again with room, threads and all."""
         from repro.backends import cext
         from repro.md.neighbor import NeighborList, NeighborSettings, _numpy_csr
+        from test_neighbor import assert_build_r2
 
         fns, opened = cext.load(), []
 
@@ -938,6 +939,7 @@ class TestThreadInvariance:
                 nl.build(x, box)
                 assert np.array_equal(nl.offsets, offsets)
                 assert np.array_equal(nl.neighbors, neighbors)
+                assert_build_r2(nl, x, box)
                 assert set(opened) == {min(threads, -(-x.shape[0] // 64))}
                 assert len(opened) == (2 if case == "crowded" else 1)
 

@@ -26,7 +26,7 @@ rows run on one and on two threads, the grain lowered as in
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -302,45 +302,64 @@ def test_compiled_tracks_the_numpy_oracle(row, monkeypatch):
 @pytest.mark.parametrize("row", [p for p in ROWS if p.values[0].backend == "compiled"
                                  and p.values[0].precision == "mixed" and p.values[0].species == "Si"])
 def test_a_pruning_instance_returns_a_fresh_instances_bits(row, monkeypatch):
-    """From its third call on a list a kernel instance skips the entries
-    its reference places out of reach (_walker.c).  Whatever the atoms do
-    next, it returns what a fresh instance returns, bit for bit: forces,
-    per-atom energies, virial sums, counters and typed errors."""
+    """From its first call on a C-built list a kernel instance skips the
+    entries the list's build r² places out of reach (_walker.c).  Whatever
+    the atoms, their buffer, the box or the list do next, it returns what a
+    fresh instance returns on the list without that column, walking it in
+    full, bit for bit: forces, per-atom energies, virial sums, counters and
+    typed errors."""
     from repro.backends import cext
-    from repro.core.pipeline import InteractionCache
+    from repro.core.pipeline import InteractionCache, Staging
+    from repro.parallel.decomposition import DomainDecomposition
     from test_backends import assert_same_call, kernel_sums
 
     monkeypatch.setattr(cext, "THREAD_GRAIN", 1)
     system, warm = cell(row.species), potential(row)
-    staged = InteractionCache().prepare(system, listed(warm, system), warm.kernel)
+    nl = listed(warm, system)
+    staged = InteractionCache().prepare(system, nl, warm.kernel)
     x, nb, cut = staged.pairs.x, staged.pairs.neighbors, warm.kernel.kcand_cutoff
     x0, nb0, (i, j) = x.copy(), nb.copy(), staged.pairs.ij
-    d = x0[j] - x0[i]
-    d -= system.box.lengths * np.round(d / system.box.lengths)
-    r = np.linalg.norm(d, axis=1)
-    enters, leaves = np.argmin(np.where(r > cut + 0.5, r, np.inf)), np.argmax(np.where(r < cut, r, 0))
 
-    def call(pot):
+    def call(pot, st, n):
         pot.kernel.threads = row.threads
         try:
-            return pot.kernel.evaluate(staged, system.n), kernel_sums(pot)
+            return pot.kernel.evaluate(st, n), kernel_sums(pot)
         except ValueError as exc:
             return type(exc), str(exc)
 
-    def cross():  # the two atoms of each entry move apart (or together) by half the gap
-        for e, gap in ((enters, cut - 0.05 - r[enters]), (leaves, cut + 0.05 - r[leaves])):
-            x[i[e]] -= 0.5 * gap * d[e] / r[e]
-            x[j[e]] += 0.5 * gap * d[e] / r[e]
+    def cross(st):  # the two atoms of an entry move together (or apart) by half the gap
+        (a, b), xs = st.pairs.ij, st.pairs.x
+        d = system.box.minimum_image(xs[b] - xs[a])
+        r = np.linalg.norm(d, axis=1)
+        for e in (np.argmin(np.where(r > cut + 0.5, r, np.inf)), np.argmax(np.where(r < cut, r, 0))):
+            gap = (cut - 0.05 if r[e] > cut else cut + 0.05) - r[e]
+            xs[a[e]] -= 0.5 * gap * d[e] / r[e]
+            xs[b[e]] += 0.5 * gap * d[e] / r[e]
 
-    for scenario in (cross, lambda: x.__setitem__(7, x[7] + 4.0),  # 7 moves past the reach
-                     lambda: x.__setitem__((3, 1), np.nan), lambda: x.__setitem__(j[0], x[i[0]]),
-                     lambda: nb.__setitem__(2, system.n + 5)):
+    again = NeighborList(nl.settings)  # restored from its state: no r² column
+    again.set_state(nl.get_state(), system.box)
+    dd = DomainDecomposition(system, 2, nl.settings.list_cutoff)  # rank 0: ghost rows blanked
+    restored, rank = (InteractionCache().prepare(atoms, lst, warm.kernel) for atoms, lst in (
+        (system, again), (dd.domains[0].local_system, dd.ensure_local_list(0, nl.settings)[0])))
+
+    jitter = np.random.default_rng(1).uniform(-0.2, 0.2, x.shape)
+    equal, other = (Box(system.box.lo.copy(), system.box.hi - s) for s in (0.0, 0.3))
+    for st, scenario in ((staged, cross), (staged, lambda st: x.__setitem__(7, x[7] + 4.0)),
+                         (staged, lambda st: x.__setitem__((3, 1), np.nan)),
+                         (staged, lambda st: x.__setitem__(j[0], x[i[0]])),
+                         (staged, lambda st: nb.__setitem__(2, system.n + 5)),
+                         (staged, lambda st: setattr(st.pairs, "x", x + jitter)),  # a new buffer
+                         (staged, lambda st: (cross(st), setattr(st.pairs, "box", equal))),
+                         (staged, lambda st: setattr(st.pairs, "box", other)),  # walked in full
+                         (restored, cross), (rank, cross)):
         x[:], nb[:] = x0, nb0
-        for _ in range(3):
-            call(warm)
-        assert warm.kernel._good >= 3  # recorded on its second call, used since
-        scenario()
-        got, want = call(warm), call(potential(row))
+        staged.pairs.x, staged.pairs.box, n = x, system.box, len(st.pairs.offsets) - 1
+        assert (st.pairs.r2 is None) == (st is restored)
+        own = st.pairs.x  # a new buffer on every call, then the first one again
+        for st.pairs.x in (own.copy(), own.copy(), own):
+            call(warm, st, n)
+        scenario(st)
+        got, want = call(warm, st, n), call(potential(row), Staging(replace(st.pairs, r2=None)), n)
         if isinstance(want[0], type):
             assert got == want
         else:

@@ -272,7 +272,15 @@ def assert_same_as_numpy(x, box, *, cutoff=3.0, skin=0.5, full=True):
     assert nl.neighbors.dtype == neighbors.dtype == np.int32
     assert np.array_equal(nl.offsets, offsets)
     assert np.array_equal(nl.neighbors, neighbors)
+    assert_build_r2(nl, x, box)
     return nl
+
+
+def assert_build_r2(nl, x, box):
+    """The C build's r² column is ``pair_geometry``'s r² of every entry, bitwise; numpy's: none."""
+    i, j = nl.pairs()
+    d = box.minimum_image(x[j] - x[i])
+    assert (nl.r2 is None) if cext.probe() else np.array_equal(nl.r2, np.einsum("ij,ij->i", d, d))
 
 
 @pytest.fixture
@@ -394,6 +402,7 @@ class TestCompiledBuild:
         nl.build(x, box)
         assert np.array_equal(nl.offsets, offsets)
         assert np.array_equal(nl.neighbors, neighbors)
+        assert_build_r2(nl, x, box)
         assert all(cap >= total for cap in asked)
 
     @pytest.mark.parametrize("threads", [1, 2])
