@@ -295,9 +295,8 @@ def _compiled_csr(x: np.ndarray, box: Box, rlist: float, nbins: np.ndarray, full
                    threads, info.ctypes.data)
         if total < 0:
             raise _nonfinite_position(int(info[0]))
-        if total <= cap:  # the column shrinks in place, no second copy of it
-            r2.resize(total, refcheck=False)
-            return offsets, neighbors[:total].copy(), load_s, r2
+        if total <= cap:
+            return offsets, neighbors[:total].copy(), load_s, r2[:total].copy()
         cap = total
 
 
