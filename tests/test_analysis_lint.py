@@ -22,12 +22,7 @@ import pytest
 
 from repro.analysis import HOT_PATH_REGISTRY, hot_path
 from repro.analysis.engine import LintConfig, run_lint
-from repro.analysis.sanitize import (
-    SanitizedPotential,
-    SanitizeError,
-    check_force_result,
-    sanitize,
-)
+from repro.analysis.sanitize import SanitizedPotential, SanitizeError, check_force_result, sanitize
 from repro.md.potential import ForceResult
 from repro.vector.backend import scatter_add, scatter_add_rows
 from repro.vector.precision import Precision

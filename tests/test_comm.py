@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.parallel.comm import (
-    CommRecord,
-    INFINIBAND_FDR,
-    INTRA_NODE,
-    NetworkModel,
-    PCIE_GEN2,
-)
+from repro.parallel.comm import CommRecord, INFINIBAND_FDR, INTRA_NODE, NetworkModel, PCIE_GEN2
 
 
 class TestNetworkModel:

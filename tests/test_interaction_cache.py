@@ -19,13 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import build_list, make_cluster, needs_compiled
-from repro.core.pipeline import (
-    CacheStats,
-    Workspace,
-    idx3_of,
-    segsum3,
-    segsum3_loop,
-)
+from repro.core.pipeline import CacheStats, Workspace, idx3_of, segsum3, segsum3_loop
 from repro.core.sw import StillingerWeberProduction, sw_silicon
 from repro.core.tersoff.parameters import tersoff_si, tersoff_sic
 from repro.core.tersoff.production import TersoffProduction

@@ -15,13 +15,7 @@ from repro import backends
 from repro.core.schemes import make_solver
 from repro.md.lattice import diamond_lattice, perturbed
 from repro.md.neighbor import NeighborList, NeighborSettings
-from repro.runtime import (
-    RUNTIME_SCHEMA_VERSION,
-    RunSpec,
-    SolverSpec,
-    SpecError,
-    build_potential,
-)
+from repro.runtime import RUNTIME_SCHEMA_VERSION, RunSpec, SolverSpec, SpecError, build_potential
 from repro.state import load_checkpoint, save_checkpoint
 
 
