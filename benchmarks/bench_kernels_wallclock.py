@@ -34,17 +34,18 @@ def big_workload():
 
 def drifting(pot, system, neigh, frames=40):
     """``pot.compute`` as an MD list lives: call k gets a fresh copy of
-    `system`, every atom moved by a seeded uniform displacement of up to
-    0.28 A per axis times (k + 1) / `frames` (under half the 1.0 A skin,
+    `system`, every atom moved along one seeded uniform displacement of up
+    to 0.28 A per axis times (k + 1) / `frames` (under half the 1.0 A skin,
     so `neigh` stays valid), cycling.  Each call is then an MD step's, the
-    filter's reach growing with the list's age, on a new position buffer,
-    as every serve request brings one.  Calls on one unmoved frame would
-    time the filter's best case instead: nothing moved, every entry past
-    the cutoff skipped."""
-    rng = np.random.default_rng(7)
+    atoms drifting away from where the list (and the kernel's inner list)
+    last saw them, on a new position buffer, as every serve request brings
+    one.  Calls on one unmoved frame would time the filter's best case
+    instead; independent displacements per frame would make every late
+    call re-derive the inner list."""
+    drift = np.random.default_rng(7).uniform(-1.0, 1.0, system.x.shape) * 0.28
     moved = [system.copy() for _ in range(frames)]
     for k, frame in enumerate(moved):
-        frame.x += rng.uniform(-1.0, 1.0, frame.x.shape) * 0.28 * (k + 1) / frames
+        frame.x += drift * (k + 1) / frames
     cycle = itertools.cycle(moved)
     return lambda: pot.compute(next(cycle), neigh)
 

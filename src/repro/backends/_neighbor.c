@@ -9,8 +9,6 @@
  * arithmetic that decides membership is the oracle's too: cell =
  * (x - lo) / binsize truncated and clamped to [0, nbins-1], d -= L *
  * rint(d / L) on periodic axes, r^2 by DOT3_EINSUM, inclusive <= rlist^2.
- * Each entry's r^2 is kept in a column beside it: the reference the
- * kernels' filter (_walker.c) prunes against while the list lives.
  *
  * The binning is one serial pass, which also copies the positions into
  * cell order as three columns; the row fill runs over the threads of
@@ -71,13 +69,12 @@ typedef struct {
     int64_t cap;
     int64_t *offsets; /* the fill leaves row i's length in offsets[i + 1] */
     int32_t *neighbors;
-    double *r2;       /* each entry's r^2, in the slots of `neighbors` */
     _Alignas(POOL_CACHE_LINE) _Atomic int64_t next; /* chunk claims */
 } nbr_job;
 
 /* The candidates q .. end-1 of one cell against atom i at xi: every one
- * (and its r^2) is stored at slot `count` and the count advances by the
- * test, so the ~1 in 8 accepts leave no branch to mispredict.  `room` is
+ * is stored at slot `count` and the count advances by the test, so the
+ * ~1 in 8 accepts leave no branch to mispredict.  `room` is
  * only checked when the cell could run past it (slots past `room` are
  * counted, not written).  j == i is tested through `self`, which is i in
  * the atom's own cell and -1 elsewhere.  Without `wrap` the cell is known
@@ -85,15 +82,14 @@ typedef struct {
  * nothing. */
 static inline __attribute__((always_inline)) int64_t nbr_cell(
     const nbr_job *job, const F64 *restrict xi, int64_t q, const int64_t end,
-    const int32_t self, int32_t *restrict out, double *restrict r2out,
-    const int64_t room, int64_t count, const int guarded, const int wrap)
+    const int32_t self, int32_t *restrict out, const int64_t room, int64_t count,
+    const int guarded, const int wrap)
 {
     const double *restrict geo = job->geo;
     const double *restrict cx = job->xs, *restrict cy = cx + job->n, *restrict cz = cy + job->n;
     const int32_t *restrict order = job->order;
     const F64 r2max = geo[GEO_R2];
     int32_t spill;
-    F64 spill_r2;
     for (; q < end; q++) {
         const int32_t j = order[q];
         F64 d[3] = {cx[q] - xi[0], cy[q] - xi[1], cz[q] - xi[2]};
@@ -104,7 +100,6 @@ static inline __attribute__((always_inline)) int64_t nbr_cell(
                 d[c] -= geo[GEO_LEN + c] * rint(d[c] / geo[GEO_LEN + c]);
         const F64 r2 = DOT3_EINSUM(d[0] * d[0], d[1] * d[1], d[2] * d[2]);
         *(guarded && count >= room ? &spill : out + count) = j;
-        *(guarded && count >= room ? &spill_r2 : r2out + count) = r2;
         count += (r2 <= r2max) & (j != self);
     }
     return count;
@@ -114,7 +109,7 @@ static inline __attribute__((always_inline)) int64_t nbr_cell(
  * Candidates come from the cell-ordered position columns, so a cell is
  * one contiguous run of each. */
 static int64_t nbr_row(const nbr_job *job, const int64_t i, int32_t *restrict out,
-                       double *restrict r2out, const int64_t room, int64_t count)
+                       const int64_t room, int64_t count)
 {
     const F64 xi[3] = {job->x[3 * i], job->x[3 * i + 1], job->x[3 * i + 2]};
     const int64_t *restrict cell_start = job->cell_start;
@@ -151,11 +146,11 @@ static int64_t nbr_row(const nbr_job *job, const int64_t i, int32_t *restrict ou
                 end = cell_start[q + 1];
                 for (q = cell_start[q]; q < end && order[q] <= above; q++) {}
                 if (count + (end - q) > room)
-                    count = nbr_cell(job, xi, q, end, self, out, r2out, room, count, 1, 1);
+                    count = nbr_cell(job, xi, q, end, self, out, room, count, 1, 1);
                 else if (near)
-                    count = nbr_cell(job, xi, q, end, self, out, r2out, room, count, 0, 0);
+                    count = nbr_cell(job, xi, q, end, self, out, room, count, 0, 0);
                 else
-                    count = nbr_cell(job, xi, q, end, self, out, r2out, room, count, 0, 1);
+                    count = nbr_cell(job, xi, q, end, self, out, room, count, 0, 1);
             }
         }
     }
@@ -177,7 +172,7 @@ static void nbr_fill(void *ctx, const int tid)
         int64_t i, count = 0;
         for (i = first; i < end; i++) {
             const int64_t before = count;
-            count = nbr_row(job, i, out, job->r2 + chunk * job->per, room, count);
+            count = nbr_row(job, i, out, room, count);
             job->offsets[i + 1] = count - before;
         }
     }
@@ -206,7 +201,6 @@ int64_t neighbor_build(
     const int64_t cap,
     int64_t *restrict offsets,        /* (n+1,) out                            */
     int32_t *restrict neighbors,      /* (cap,) out                            */
-    double *restrict r2,              /* (cap,) out: each entry's r^2          */
     const int64_t threads,            /* most threads the fill may use         */
     int64_t *restrict info)
 {
@@ -266,7 +260,6 @@ int64_t neighbor_build(
     job.cap = cap;
     job.offsets = offsets;
     job.neighbors = neighbors;
-    job.r2 = r2;
     atomic_init(&job.next, 0);
     info[0] = pool_run((int)(threads < job.n_chunks ? threads : job.n_chunks), nbr_fill, &job);
 
@@ -286,42 +279,64 @@ int64_t neighbor_build(
         const int64_t first = k * job.rows, end = first + job.rows < n ? first + job.rows : n;
         const size_t len = (size_t)(offsets[end] - offsets[first]);
         memmove(neighbors + offsets[first], neighbors + k * job.per, len * sizeof(int32_t));
-        memmove(r2 + offsets[first], r2 + k * job.per, len * sizeof(double));
     }
     return offsets[n];
 }
 
-/* The transposed index of a CSR list: for every atom a the entries e
- * with neighbors[e] == a, in ascending e — a stable counting sort of the
- * entries by column, O(L).  It is what lets the Tersoff kernel *gather*
- * the force on an atom from per-entry partials instead of scattering
- * into it (Fan et al., arXiv 1610.03343), in an order fixed by the list.
- * Built from the list as the kernel will see it, so a half-blanked
- * (asymmetric) list is as good as a symmetric one.  A column outside
- * [0, n) is left out here; the kernel's filter reports it.  Returns the
- * entries placed, or -1 for a list too long for int32 entry numbers. */
-int64_t neighbor_transpose(
+/* The inner list of a CSR list (DESIGN.md §12): the entries whose r^2 at
+ * x (the walker's, bit for bit) is not above reach^2, in list order, with
+ * row offsets and a transposed index — per atom a the inner entries that
+ * name it, ascending: what the kernels *gather* forces through (Fan et
+ * al., arXiv 1610.03343), a stable counting sort by column.  One pass, no
+ * binning; a blanked (asymmetric) list works like any other.  A
+ * non-finite r^2 and a column outside [0, n) are kept for the walker to
+ * report, the latter out of the transposed index.  Returns the inner
+ * entries, info[0] the longest inner row; -1 for offsets not from 0 or
+ * past int32 entry numbers, -2 (info[0] = i) for a row i that ends
+ * before it starts. */
+int64_t neighbor_inner(
     const int64_t n,
-    const int64_t n_entries,
-    const int32_t *restrict neighbors, /* (n_entries,)                      */
-    int64_t *restrict in_offsets,      /* (n+1,) out                        */
-    int32_t *restrict in_entries)      /* (n_entries,) out                  */
+    const int64_t *restrict offsets,   /* (n+1,) the list                    */
+    const int32_t *restrict neighbors, /* (L,)                               */
+    const double *restrict x,          /* (n,3) positions                    */
+    const double *restrict geo,        /* (7,) lengths, halves, reach^2      */
+    int64_t *restrict inner_off,       /* (n+1,) out: the inner list         */
+    int32_t *restrict inner,           /* (L,) out                           */
+    int64_t *restrict in_off,          /* (n+1,) out: its transposed index   */
+    int32_t *restrict in_ent,          /* (L,) out                           */
+    int64_t *restrict info)
 {
-    int64_t a, e;
-    if (n_entries > INT32_MAX) return -1;
-    memset(in_offsets, 0, (size_t)(n + 1) * sizeof(int64_t));
-    for (e = 0; e < n_entries; e++) {
-        const int64_t j = neighbors[e];
-        if (j >= 0 && j < n) in_offsets[j + 1]++;
+    int64_t a, e, i, kept = 0, most = 0;
+    int c;
+    if (offsets[0] != 0 || offsets[n] > INT32_MAX) return -1;
+    inner_off[0] = 0;
+    for (i = 0; i < n; i++) {
+        const double *xi = x + 3 * i;
+        if (offsets[i + 1] < offsets[i]) return info[0] = i, -2;
+        for (e = offsets[i]; e < offsets[i + 1]; e++) {
+            const int64_t j = neighbors[e];
+            const double *xj = x + 3 * (j >= 0 && j < n ? j : i);
+            F64 d[3];
+            for (c = 0; c < 3; c++) {
+                d[c] = xj[c] - xi[c];
+                if (fabs(d[c]) > geo[3 + c]) d[c] -= geo[c] * rint(d[c] / geo[c]);
+            }
+            const F64 r2 = DOT3_EINSUM(d[0] * d[0], d[1] * d[1], d[2] * d[2]);
+            inner[kept] = (int32_t)j;
+            kept += !(r2 > geo[6] && isfinite(r2));
+        }
+        inner_off[i + 1] = kept;
+        most = kept - inner_off[i] > most ? kept - inner_off[i] : most;
     }
-    for (a = 1; a <= n; a++) in_offsets[a] += in_offsets[a - 1];
-    /* the fill walks slot a from the start of atom a to its end, which is
-     * the start of atom a + 1: shift back by one afterwards */
-    for (e = 0; e < n_entries; e++) {
-        const int64_t j = neighbors[e];
-        if (j >= 0 && j < n) in_entries[in_offsets[j]++] = (int32_t)e;
-    }
-    for (a = n; a > 0; a--) in_offsets[a] = in_offsets[a - 1];
-    in_offsets[0] = 0;
-    return in_offsets[n];
+    info[0] = most;
+    memset(in_off, 0, (size_t)(n + 1) * sizeof(int64_t));
+    for (e = 0; e < kept; e++)
+        if (inner[e] >= 0 && inner[e] < n) in_off[inner[e] + 1]++;
+    for (a = 1; a <= n; a++) in_off[a] += in_off[a - 1];
+    /* the fill moves slot a to the start of atom a + 1: shift back after */
+    for (e = 0; e < kept; e++)
+        if (inner[e] >= 0 && inner[e] < n) in_ent[in_off[inner[e]]++] = (int32_t)e;
+    for (a = n; a > 0; a--) in_off[a] = in_off[a - 1];
+    in_off[0] = 0;
+    return kept;
 }

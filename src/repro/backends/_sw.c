@@ -67,9 +67,3 @@ static int64_t sw_scratch(const int64_t max_row, const int64_t ntypes)
 #undef REAL_BITS
 #undef TSUF
 #undef R_SQRT
-
-int64_t sw_scratch_doubles(const int64_t max_row, const int64_t ntypes, const int64_t n_atoms,
-                           const int64_t threads)
-{
-    return walk_scratch_doubles(&sw_kind_f64, max_row, ntypes, n_atoms, threads);
-}

@@ -206,15 +206,6 @@ static void ters_block(walk_row *row, const int nb, const int32_t *slot, const d
 #undef R_SQRT
 #undef VLANES
 
-/* one scratch buffer serves either precision's call */
-int64_t tersoff_scratch_doubles(const int64_t max_row, const int64_t ntypes,
-                                const int64_t n_atoms, const int64_t threads)
-{
-    const int64_t f64 = walk_scratch_doubles(&ters_kind_f64, max_row, ntypes, n_atoms, threads);
-    const int64_t f32 = walk_scratch_doubles(&ters_kind_f32, max_row, ntypes, n_atoms, threads);
-    return f64 > f32 ? f64 : f32;
-}
-
 /* what was built, for `repro info`: the widest vector ISA the compiler
  * was allowed to lower the lanes to (each entry point names its own
  * scheme and lanes, WALK_ENTRY) */

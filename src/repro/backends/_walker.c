@@ -11,8 +11,8 @@
  * `partial` entries of the row's own CSR range, and `where` says for
  * every entry of the row which slot holds its force, if any.  Sweep 2,
  * per atom a, after all of sweep 1: F_a += the slots of the entries that
- * name a, in ascending entry order, found through the list's transposed
- * index (_neighbor.c).  Rows and atoms are claimed in chunks of
+ * name a, in ascending entry order, found through the inner list's
+ * transposed index (_neighbor.c).  Rows and atoms are claimed in chunks of
  * ROWS_PER_CHUNK, each thread from its own range first (walk_next);
  * virial sums, counters and the first error are kept per chunk of rows
  * and reduced in chunk order.  Chunk size is a constant and the gather
@@ -42,14 +42,6 @@
  * type and row-position int32 columns. */
 #define SHORT_DOUBLES (4 + 2)
 
-/* The pruning bound's relative slack over the rounding of r^2, delta and
- * (cutmax + 2 delta)^2: parts in 1e16, where this leaves 1e-9 */
-#define PRUNE_MARGIN (1.0 + 1.0e-9)
-
-/* the skin test's largest squared minimum-image displacement (_step.c) */
-ACC md_max_disp2(int64_t n, const double *x, const double *x_ref, ACC l0, ACC l1, ACC l2,
-                 int32_t p0, int32_t p1, int32_t p2);
-
 static int64_t walk_lines(const int64_t doubles)
 {
     return (doubles + LINE_DOUBLES - 1) / LINE_DOUBLES * LINE_DOUBLES;
@@ -67,12 +59,9 @@ static int64_t walk_thread_doubles(const walk_kind *kind, const int64_t max_row,
 static int64_t walk_chunks(const int64_t n) { return (n + ROWS_PER_CHUNK - 1) / ROWS_PER_CHUNK; }
 
 /* slack to align the base, and the chunk records */
-int64_t walk_scratch_doubles(const walk_kind *kind, const int64_t max_row, const int64_t ntypes,
-                             const int64_t n_atoms, const int64_t threads)
+int64_t walk_scratch_doubles(const int64_t n_atoms)
 {
-    (void)kind, (void)max_row, (void)ntypes, (void)threads;
-    return LINE_DOUBLES +
-           walk_chunks(n_atoms) * (int64_t)(sizeof(walk_chunk) / sizeof(double));
+    return LINE_DOUBLES + walk_chunks(n_atoms) * (int64_t)(sizeof(walk_chunk) / sizeof(double));
 }
 
 /* The row scratch of the calling thread: the chunk's short lists and the
@@ -133,35 +122,23 @@ static int64_t walk_fail(int64_t *restrict fail, int64_t i, int64_t j, int code)
  * short-list cutoff densely into the short list, returns its length (or
  * -code, with `fail` filled in for the first bad entry in row order).
  * Same arithmetic as pair_geometry(): the image shift is skipped where
- * |d| <= L/2, where round(d/L) is exactly 0.  Pruning, a first pass
- * keeps the candidates: the entries whose build r^2 (`ref`) is not above
- * `bound`.  Then the sqrt-free prefilter on r^2 over every entry or
- * candidate, compacting without branches (every entry is written at the
- * next free slot, which advances only when it is kept: a quarter of a
- * diamond row at skin 1.0, no pattern to predict); then the exact test
- * on r over the few it let through. */
+ * |d| <= L/2, where round(d/L) is exactly 0.  The sqrt-free prefilter on
+ * r^2 compacts without branches (every entry is written at the next free
+ * slot, which advances only when it is kept: no pattern to predict);
+ * then the exact test on r over the few it let through. */
 static int64_t walk_filter_row(const double *restrict x, const int32_t *restrict types,
                                const int64_t n_atoms, const int64_t i,
                                const int32_t *restrict row, const int64_t len,
                                const double *restrict geo, const int strict,
-                               const double *restrict ref, const ACC bound,
                                double *const *restrict sd,
                                double *restrict sr, int32_t *restrict sj, int32_t *restrict st,
                                int32_t *restrict sq, int64_t *restrict fail)
 {
     const double *xi = x + 3 * i;
-    int64_t m = 0, n = len, k, q;
-    int c, bad = 0;
-    if (ref) { /* a row naming an atom out of range is walked in full, for its first error */
-        for (q = n = 0; q < len; q++) {
-            sq[n] = (int32_t)q;
-            n += !(ref[q] > bound);
-            bad |= (row[q] < 0) | (row[q] >= n_atoms);
-        }
-        if (bad) ref = NULL, n = len;
-    }
-    for (k = 0; k < n; k++) {
-        const int64_t j = row[q = ref ? sq[k] : k];
+    int64_t m = 0, k, q;
+    int c;
+    for (k = 0; k < len; k++) {
+        const int64_t j = row[k];
         if (j < 0 || j >= n_atoms) return walk_fail(fail, i, j, WALK_BAD_INPUT);
         ACC d[3]; /* geometry: f64 in every mode, like the accumulators */
         for (c = 0; c < 3; c++) {
@@ -177,7 +154,7 @@ static int64_t walk_filter_row(const double *restrict x, const int32_t *restrict
             return walk_fail(fail, i, j, r2 == 0 ? WALK_COINCIDENT : WALK_NONFINITE);
         sr[m] = r2;
         sj[m] = (int32_t)j;
-        sq[m] = (int32_t)q;
+        sq[m] = (int32_t)k;
         m += near;
     }
     /* the prefilter's margin lets through almost nothing the exact test
@@ -273,10 +250,10 @@ static void walk_work(void *ctx, const int tid)
                 break;
             }
             double *const sd_at[3] = {sd[0] + at, sd[1] + at, sd[2] + at};
-            const int64_t ns = walk_filter_row(
-                job->a.x, types, n_atoms, i, neighbors + offsets[i], len, job->a.geo, kind->strict,
-                job->use ? job->use + offsets[i] : NULL, job->bound, sd_at, sr + at, sj + at,
-                st + at, sq + at, out->fail);
+            const int64_t ns =
+                walk_filter_row(job->a.x, types, n_atoms, i, neighbors + offsets[i], len,
+                                job->a.geo, kind->strict, sd_at, sr + at, sj + at, st + at,
+                                sq + at, out->fail);
             if (ns < 0) break;
             /* the force on short-list slot m accumulates in partial slot m
              * of the row's own entries; `where` tells sweep 2 which slot
@@ -343,17 +320,44 @@ static void walk_work(void *ctx, const int tid)
     }
 }
 
+/* What a call reports whose stored column names an atom out of range:
+ * the first error of a walk of the stored list in full (the inner list,
+ * derived before the column changed, may not hold the entry), rows in
+ * order and no body run, so the lowest failed chunk's. */
+static int walk_stored_error(const walk_kind *kind, const walk_args *a)
+{
+    const int64_t n = a->n_atoms, *off = a->list_off;
+    int64_t i, most = 0, fail[3] = {WALK_BAD_INPUT, 0, 0};
+    for (i = 0; i < n; i++) most = off[i + 1] - off[i] > most ? off[i + 1] - off[i] : most;
+    const int64_t me = walk_lines(most);
+    double *sr = walk_own_scratch(walk_thread_doubles(kind, most, a->ntypes));
+    if (!sr) return WALK_NOMEM;
+    double *const sd[3] = {sr + me, sr + 2 * me, sr + 3 * me};
+    int32_t *sj = (int32_t *)(sr + 4 * me);
+    for (i = 0; i < n; i++)
+        if (walk_filter_row(a->x, a->types, n, i, a->list_nb + off[i], off[i + 1] - off[i], a->geo,
+                            kind->strict, sd, sr, sj, sj + me, sj + 2 * me, fail) < 0)
+            break;
+    a->info[0] = fail[1];
+    a->info[1] = fail[2];
+    return (int)fail[0];
+}
+
 int walk_run(const walk_kind *kind, const walk_args *a)
 {
     const int64_t n_atoms = a->n_atoms, *offsets = a->offsets;
     int64_t *info = a->info, i, n_pairs = 0, n_triplets = 0, n_bodies = 0, n_spins = 0;
-    int c;
+    int c, bad = 0;
 
     for (i = 0; i < n_atoms; i++)
         if (a->types[i] < 0 || a->types[i] >= a->ntypes) {
             info[0] = info[1] = i;
             return WALK_BAD_INPUT;
         }
+    /* the stored column, range-checked without a branch on every call */
+    for (i = 0; i < a->list_off[n_atoms]; i++)
+        bad |= (a->list_nb[i] < 0) | (a->list_nb[i] >= n_atoms);
+    if (bad) return walk_stored_error(kind, a);
 
     /* every field not named here starts at zero, the claim counters too */
     walk_job job = {.kind = kind, .a = *a, .n_chunks = walk_chunks(n_atoms),
@@ -365,18 +369,6 @@ int walk_run(const walk_kind *kind, const walk_args *a)
         return WALK_NOMEM;
     }
     memset(a->partial + 3 * offsets[n_atoms], 0, 3 * sizeof(double));
-    if (a->ref) {
-        /* every image of a pair is within 2 delta of where it was at the
-         * build, so an entry past cutmax + 2 delta then is past cutmax now;
-         * NaN or inf positions make delta NaN, and the call is walked in full */
-        const double *g = a->geo;
-        const ACC reach =
-            g[GEO_CUTMAX] + 2 * sqrt(md_max_disp2(n_atoms, a->x, a->ref_x, g[0], g[1], g[2],
-                                                  isfinite(g[GEO_HALF]), isfinite(g[GEO_HALF + 1]),
-                                                  isfinite(g[GEO_HALF + 2])));
-        job.use = isfinite(reach) ? a->ref : NULL;
-        job.bound = reach * reach * PRUNE_MARGIN;
-    }
     /* a thread per chunk at most; the caller alone runs the same two sweeps */
     job.teams = a->threads < job.n_chunks ? a->threads : job.n_chunks;
     job.teams = job.teams < 1 ? 1 : job.teams < POOL_MAX_THREADS ? job.teams : POOL_MAX_THREADS;

@@ -117,31 +117,30 @@ typedef struct {
 
 /* The arguments of one force call, packed by CompiledListKernel into one
  * block of 8-byte fields in this order (compiled._N_ARGS); the last three
- * are written per call. */
+ * are written per call.  The list walked is the inner list (DESIGN.md §12). */
 typedef struct {
     int64_t n_atoms;
-    const int64_t *offsets;   /* (N+1,) CSR row offsets, as stored          */
-    const int32_t *neighbors; /* (L,)  CSR columns, as stored               */
-    const int64_t *in_off;    /* (N+1,) transposed index: offsets           */
-    const int32_t *in_ent;    /* (L,)   ... and CSR entries                 */
+    const int64_t *offsets;   /* (N+1,) inner list: CSR row offsets         */
+    const int32_t *neighbors; /* (l,)  ... CSR columns                      */
+    const int64_t *in_off;    /* (N+1,) its transposed index: offsets       */
+    const int32_t *in_ent;    /* (l,)   ... and entries                     */
     const int32_t *types;     /* (N,)                                       */
     const double *geo;        /* (8,)  box + short-list cutoff              */
     int64_t ntypes;
     const double *cut;        /* (nt^3,) the body's cutoffs, double         */
     const void *ptab;         /* the body's parameter table, REAL           */
-    int64_t max_row;          /* longest CSR row (sizes the scratch)        */
+    int64_t max_row;          /* longest inner row (sizes the scratch)      */
     int64_t threads;          /* most threads to split the rows over        */
     double *scratch;          /* walk_scratch_doubles() doubles             */
-    double *partial;          /* (L+1,3) scratch: per-slot forces           */
-    int32_t *where;           /* (L,)   scratch: slot of each entry         */
+    double *partial;          /* (l+1,3) scratch: per-slot forces           */
+    int32_t *where;           /* (l,)   scratch: slot of each entry         */
     double *stress;           /* (3,3,3) out: pair, j and k virial sums     */
     int64_t *info;            /* (6,) out: pairs, triplets in cutoff, kernel
                                  bodies issued, active lanes in them, threads
                                  the job was opened for, fast-forward spins;
                                  on error the offending atom pair          */
-    const double *ref;        /* (L,) each entry's r^2 where the list was
-                                 built, or NULL: every call walks in full  */
-    const double *ref_x;      /* (N,3) the positions it was built at        */
+    const int64_t *list_off;  /* (N+1,) the list as stored: offsets         */
+    const int32_t *list_nb;   /* (L,)   ... columns, checked on every call  */
     const double *x;          /* (N,3) positions                            */
     double *forces;           /* (N,3)  out                                 */
     double *peratom;          /* (N,)   out                                 */
@@ -181,8 +180,6 @@ typedef struct {
 struct walk_job {
     const walk_kind *kind;
     walk_args a;
-    const double *use;      /* the list's build r^2 when pruning, else NULL */
-    ACC bound;              /* skip an entry whose build r^2 is above it    */
     int64_t thread_doubles; /* each thread's row scratch (walk_own_scratch) */
     walk_chunk *chunk;
     int64_t n_chunks, teams; /* chunks, and the ranges they are split into  */
@@ -191,11 +188,10 @@ struct walk_job {
     walk_claim claim[POOL_MAX_THREADS];
 } __attribute__((aligned(POOL_CACHE_LINE)));
 
-/* doubles of scratch one call of `kind` on `threads` threads needs from
- * its caller: the chunk records (a thread's row scratch is its own,
- * _walker.c) */
-int64_t walk_scratch_doubles(const walk_kind *kind, int64_t max_row, int64_t ntypes,
-                             int64_t n_atoms, int64_t threads);
+/* doubles of scratch one call on `n_atoms` rows needs from its caller, of
+ * any kind and threads: the chunk records (a thread's row scratch is its
+ * own, _walker.c) */
+int64_t walk_scratch_doubles(int64_t n_atoms);
 
 /* One force call of `kind`, see _walker.c. */
 int walk_run(const walk_kind *kind, const walk_args *args);

@@ -184,9 +184,9 @@ def _entry_points(lib: ctypes.CDLL) -> dict[str, object]:
         return fn
 
     fns: dict[str, object] = {}
-    # <potential>_fused_*(walk_args *) -> code, and the doubles of scratch one
-    # call needs for (max_row, ntypes, n_atoms, threads); the argument block,
-    # shapes and dtypes are the caller's (CompiledListKernel)
+    # <potential>_fused_*(walk_args *) -> code, and the doubles of scratch any
+    # call on n_atoms rows needs; the argument block, shapes and dtypes are
+    # the caller's (CompiledListKernel)
     fused = [ptr]
     for potential in ("tersoff", "sw"):
         for suffix in ("f64", "f32"):
@@ -194,16 +194,16 @@ def _entry_points(lib: ctypes.CDLL) -> dict[str, object]:
             fns[f"{potential}_{suffix}"] = bind(name, fused, ctypes.c_int)
             for what, res in (("lanes", i64), ("scheme", ctypes.c_char_p)):
                 fns[f"{potential}_{suffix}_{what}"] = bind(f"{name}_{what}", [], res)
-        fns[f"{potential}_scratch"] = bind(f"{potential}_scratch_doubles", [i64] * 4, i64)
+    fns["walk_scratch"] = bind("walk_scratch_doubles", [i64], i64)
     for suffix in ("f64", "f32"):
         # test hook: ters_vmath_*(kind, n, in, in2, out) -> code (_vmath.h)
         fns[f"vmath_{suffix}"] = bind(f"ters_vmath_{suffix}", [i64, i64, ptr, ptr, ptr], ctypes.c_int)
     # neighbor_build(n, x, geo, nbins, periodic, full, cell, cell_start,
-    # order, xs, cap, offsets, neighbors, r2, threads, info) -> entries, a larger
+    # order, xs, cap, offsets, neighbors, threads, info) -> entries, a larger
     # cap or -code; shapes and dtypes are enforced by the caller (NeighborList.build)
     fns["neighbor_build"] = bind(
-        "neighbor_build",
-        [i64, ptr, ptr, ptr, ptr, i32, ptr, ptr, ptr, ptr, i64, ptr, ptr, ptr, i64, ptr], i64)
+        "neighbor_build", [i64, ptr, ptr, ptr, ptr, i32, ptr, ptr, ptr, ptr, i64, ptr, ptr, i64, ptr],
+        i64)
     # _step.c: md_kick(c, n, v, f, type, mass, ntypes), md_initial(the same, dt, x, lo,
     # lengths, 3 x periodic) -> 0/1; md_max_disp2(n, x, x_ref, 3 x length, 3 x periodic);
     # md_reduce_rows(n, out, ranks, idx pointers, rows, block pointers) -> 0/1
@@ -213,9 +213,9 @@ def _entry_points(lib: ctypes.CDLL) -> dict[str, object]:
     fns["md_initial"] = bind("md_initial", kick + [f64, ptr, ptr, ptr, i32, i32, i32], i64)
     fns["md_max_disp2"] = bind("md_max_disp2", [i64, ptr, ptr, f64, f64, f64, i32, i32, i32], f64)
     fns["md_reduce_rows"] = bind("md_reduce_rows", [i64, ptr, i64, ptr, ptr, ptr], i64)
-    # neighbor_transpose(n, n_entries, neighbors, in_offsets, in_entries)
-    # -> entries placed or -1 (repro.md.neighbor.incoming_index)
-    fns["neighbor_transpose"] = bind("neighbor_transpose", [i64, i64, ptr, ptr, ptr], i64)
+    # neighbor_inner(n, offsets, neighbors, x, geo, inner offsets, inner, in_offsets,
+    # in_entries, info) -> inner entries or -code (repro.md.neighbor.inner_list)
+    fns["neighbor_inner"] = bind("neighbor_inner", [i64] + [ptr] * 9, i64)
     fns["isa"] = bind("ters_isa", [], ctypes.c_char_p)
     return fns
 

@@ -12,9 +12,10 @@ body: :class:`CompiledTersoffKernel` (Alg. 3 as scheme 1b, a chunk's
 pairs across the build's widest register) and :class:`CompiledSWKernel`
 (φ2 and the unordered (j, k) φ3 terms as scheme 1a, the entries of a row
 four to a vector).  No pair or triplet table is ever staged: the kernel
-packs one argument block per list and type column, and from the first
-call on a C-built list the walker skips the entries its build r² places
-out of reach.
+packs one argument block per list and type column and walks the list's
+*inner list* — its entries within cutoff + skin/2 of a reference frame,
+in list order, derived again once an atom has moved more than skin/4
+from it, for another list version or another box (DESIGN.md §12).
 
 How many threads a call uses is decided by :func:`cext.threads_for`,
 from nothing a user sets: ``min(share, rows // THREAD_GRAIN)``, the
@@ -44,6 +45,7 @@ from repro.analysis import hot_path
 from repro.backends import cext
 from repro.backends.base import BackendUnavailableError
 from repro.core.pipeline import DegenerateGeometryError, MultiBodyKernel, Staging, Workspace
+from repro.md.neighbor import inner_list, past_half_skin
 from repro.md.potential import ForceResult
 
 #: Column order of the Tersoff parameter table (``enum P_*`` in ``_tersoff.c``).
@@ -78,7 +80,7 @@ class CompiledListKernel(MultiBodyKernel):
     ``entry`` point and packs its parameters (:meth:`table`).
     """
 
-    #: the extension's ``<entry>_fused_f64/_f32`` and ``<entry>_scratch_doubles``
+    #: the extension's ``<entry>_fused_f64/_f32``
     entry = ""
 
     def __init__(self, params, precision):
@@ -91,11 +93,11 @@ class CompiledListKernel(MultiBodyKernel):
         self.kcand_cutoff = float(np.max(self._cut))
         #: most threads a call may use; ``None`` = every usable core
         self.threads: int | None = None
-        self._ws, self._args = Workspace(), None
+        self._ws, self._args, self._inner = Workspace(), None, None
 
     def __getstate__(self):
         # the argument block holds addresses of this instance's buffers
-        return {**self.__dict__, "_args": None}
+        return {**self.__dict__, "_args": None, "_inner": None}
 
     def table(self, params) -> tuple[int, np.ndarray, np.ndarray]:
         """``(types, cutoff per type triple, parameter rows)``; the largest
@@ -104,28 +106,37 @@ class CompiledListKernel(MultiBodyKernel):
 
     def _pack(self, lst, key: tuple, fns, kind: str) -> tuple:
         """The argument block of the calls on this list and type column (held weakly) at `key`'s
-        size, threads and box geometry, naming the list's reference if it was built in that box."""
-        ws, box, (n, threads), rb = self._ws, lst.box, key[:2], lst.ref_box
-        (in_offsets, in_entries), L = lst.incoming, lst.n_list_entries
-        if in_offsets.shape[0] != n + 1 or in_entries.shape[0] != L or lst.offsets[n] != L:
-            raise ValueError("neighbor list and its transposed index do not match")
+        size, threads and box geometry, with the inner list derived at the current positions."""
+        ws, box, (n, threads) = self._ws, lst.box, key[:2]
+        if lst.offsets.shape[0] != n + 1 or lst.offsets[n] != lst.n_list_entries:
+            raise ValueError("neighbor list rows do not match the atoms")
         geo, cut = ws.buf("geo", 8, np.float64), self.kcand_cutoff
         geo[:] = [*box.lengths, *(0.5 * span if per else np.inf
                                   for span, per in zip(box.lengths, box.periodic)),
                   cut, cut * cut * _PREFILTER_MARGIN]
-        out = [ws.buf("row", fns[f"{self.entry}_scratch"](lst.max_row, self._ntypes, n, threads),
-                      np.float64), ws.buf("partial", (L + 1, 3), np.float64),
-               ws.buf("where", L, np.int32), ws.buf("stress", (3, 3, 3), np.float64),
-               ws.buf("info", 6, np.int64)]
-        ref = [lst.r2.ctypes.data, lst.x_ref.ctypes.data] if lst.r2 is not None and key == (
-            n, threads, rb.periodic, *rb.lengths.tolist()) else [0, 0]
+        out = [ws.buf("row", fns["walk_scratch"](n), np.float64),
+               ws.buf("stress", (3, 3, 3), np.float64), ws.buf("info", 6, np.int64)]
         block = ws.buf("args", _N_ARGS, np.int64)
-        block[:] = [n, *(a.ctypes.data for a in (lst.offsets, lst.neighbors, in_offsets, in_entries,
-                                                  lst.types, geo)),
-                    self._ntypes, self._cut.ctypes.data, self._ptab.ctypes.data, lst.max_row,
-                    threads, *(a.ctypes.data for a in out), *ref, 0, 0, 0]
+        block[:] = [n, 0, 0, 0, 0, lst.types.ctypes.data, geo.ctypes.data, self._ntypes,
+                    self._cut.ctypes.data, self._ptab.ctypes.data, 0, threads, out[0].ctypes.data,
+                    0, 0, *(a.ctypes.data for a in (*out[1:], lst.offsets, lst.neighbors)), 0, 0, 0]
+        self._derive(lst, block)
         return (weakref.ref(lst), weakref.ref(lst.types)), key, block, block.ctypes.data, \
-            fns[f"{kind}_lanes"](), *out[3:]
+            fns[f"{kind}_lanes"](), *out[1:]
+
+    def _derive(self, lst, block: np.ndarray) -> None:
+        """The inner list of `lst` at its current positions into `block`: the entries within
+        cutoff + skin/2, valid while no atom moves more than skin/4 (DESIGN.md §12); at skin 0
+        the list itself."""
+        reach2 = (self.kcand_cutoff + 0.5 * lst.skin) ** 2 * _PREFILTER_MARGIN if lst.skin else np.inf
+        *inner, max_row = inner_list(lst.offsets, lst.neighbors, lst.x, lst.box, reach2)
+        l = inner[1].shape[0]
+        # the partials and slots of the entries walked, exactly as many (a capacity-doubling
+        # buffer would hold up to twice the list), and the frame they are valid around
+        kept = *inner, np.empty((l + 1, 3), dtype=np.float64), np.empty(l, dtype=np.int32), lst.x.copy()
+        block[1:5], block[10], block[13:15] = [a.ctypes.data for a in inner], max_row, \
+            [a.ctypes.data for a in kept[4:6]]
+        self._inner = kept
 
     @hot_path(reason="computational part of every force call (compiled backend)")
     def evaluate(self, st: Staging, n: int) -> ForceResult:
@@ -139,6 +150,8 @@ class CompiledListKernel(MultiBodyKernel):
         if (args is None or args[1] != key
                 or any(a() is not b for a, b in zip(args[0], (lst, lst.types)))):
             args = self._args = self._pack(lst, key, fns, kind)
+        elif lst.skin and past_half_skin(lst.x, self._inner[-1], lst.box, 0.5 * lst.skin):
+            self._derive(lst, args[2])  # repro-lint: disable=KA003
         block, address, lanes, stress3, info = args[2:]
         L = lst.n_list_entries
         # results are handed to the caller: fresh arrays, written once by C

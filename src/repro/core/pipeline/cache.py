@@ -25,9 +25,9 @@ geometry and everything derived from them follow the positions on
 *every* call, so a cache **hit** reuses only arrays the cold path would
 have rebuilt to identical values, which is what makes hits bit-for-bit
 exact rather than approximately right.  What a kernel derives from the
-list alone (the numpy kernels' ``(i, j)`` expansion, the compiled
-kernel's transposed index, a C-built list's build r²) lives on the
-``ListData``, built on first read once per list version.
+list alone (the numpy kernels' ``(i, j)`` expansion) lives on the
+``ListData``, built on first read once per list version; the compiled
+kernels' inner list, which also follows the positions, on the kernel.
 
 Counters: an L1/L2 change is an *invalidation* (the list was rebuilt or
 repointed), everything else is a *hit*.
@@ -96,10 +96,7 @@ class InteractionCache:
                     f"{neigh.neighbors.shape[0]} entries) do not match the system ({system.n} atoms)"
                 )
             neighbors = np.ascontiguousarray(neigh.neighbors, dtype=np.int32)
-            lst, r2 = ListData(offsets, neighbors), neigh.r2
-            if r2 is not None and (r2.size, len(neigh._x_ref)) == (neighbors.size, system.n):
-                lst.r2, lst.x_ref, lst.ref_box = r2, neigh._x_ref, neigh._box
-            self._staging = Staging(pairs=lst)
+            self._staging = Staging(pairs=ListData(offsets, neighbors, skin=neigh.settings.skin))
         lst = self._staging.pairs
         if self._types is None or (
             kernel.uses_types and not np.array_equal(system.type, self._types)

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
-from repro.md.neighbor import NeighborList, _expand_ranges, incoming_index
+from repro.md.neighbor import NeighborList, _expand_ranges
 
 
 class DegenerateGeometryError(ValueError):
@@ -77,12 +77,13 @@ class PairData:
 class ListData:
     """What every pipeline kernel gets: the neighbor list, unfiltered.
 
-    The CSR list exactly as :class:`NeighborList` stores it and the type
-    column (topology, cached per list version), and the positions and
-    box, rewritten by the cache before every ``evaluate``; a C-built list's
-    ``r2`` column, build positions and box.  What a kernel derives from the
-    list alone is built on first read, once per list version.  Nothing is
-    filtered here, so the staged-pair counters read the full list.
+    The CSR list exactly as :class:`NeighborList` stores it, its skin and
+    the type column (topology, cached per list version), and the positions
+    and box, rewritten by the cache before every ``evaluate``.  What a
+    kernel derives from the list alone is built on first read, once per
+    list version; the compiled kernels keep their inner list themselves
+    (DESIGN.md §12).  Nothing is filtered here, so the staged-pair counters
+    read the full list.
     """
 
     offsets: np.ndarray  # (n+1,) int64 row offsets
@@ -90,18 +91,11 @@ class ListData:
     types: np.ndarray | None = None  # (n,) int32
     x: np.ndarray | None = None  # (n, 3) float64
     box: Box | None = None
-    r2: np.ndarray | None = None  # (L,) float64, or None: no reference
-    x_ref: np.ndarray | None = None  # (n, 3) float64
-    ref_box: Box | None = None
-    max_row: int = field(init=False)  # longest row: sizes the compiled kernel's short list
+    skin: float = 0.0  # the list's; 0: a compiled kernel walks it whole
     # built on first read; not functools.cached_property, whose lock
     # (Python < 3.12) is shared by every instance and would serialize
     # concurrent sessions on their first read
     _ij: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
-    _incoming: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        self.max_row = int(np.diff(self.offsets).max(initial=0))
 
     @property
     def n_list_entries(self) -> int:
@@ -118,14 +112,6 @@ class ListData:
             counts = np.diff(self.offsets)
             self._ij = np.repeat(np.arange(counts.shape[0], dtype=np.int64), counts), self.neighbors.astype(np.int64)
         return self._ij
-
-    @property
-    def incoming(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(offsets, entries)`` of :func:`repro.md.neighbor.incoming_index`:
-        per atom the list entries that name it, in list order."""
-        if self._incoming is None:
-            self._incoming = incoming_index(self.neighbors, self.offsets.shape[0] - 1)
-        return self._incoming
 
 
 @dataclass

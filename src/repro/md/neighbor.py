@@ -252,16 +252,15 @@ def _numpy_csr(x: np.ndarray, box: Box, rlist: float, full: bool,
 
 
 def _compiled_csr(x: np.ndarray, box: Box, rlist: float, nbins: np.ndarray, full: bool,
-                  threads: int) -> tuple[np.ndarray, np.ndarray, float, np.ndarray] | None:
-    """``(offsets, neighbors, load_s, r2)`` from the C cell-list build.
+                  threads: int) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """``(offsets, neighbors, load_s)`` from the C cell-list build.
 
     The arrays are what :func:`_numpy_csr` returns for a box that bins,
     bit for bit, for any `threads` (``_neighbor.c`` states the order and
-    the arithmetic); ``r2`` is each entry's r², ``pair_geometry``'s bits.
-    ``load_s`` is what the call spent loading (or building) the extension,
-    if it was the first in this process to need it.  ``None`` when the
-    build fails: :func:`cext.probe` reports the failure from then on and
-    the numpy builder takes over.
+    the arithmetic).  ``load_s`` is what the call spent loading (or
+    building) the extension, if it was the first in this process to need
+    it.  ``None`` when the build fails: :func:`cext.probe` reports the
+    failure from then on and the numpy builder takes over.
     """
     first = not cext.loaded()
     t0 = time.perf_counter()
@@ -288,37 +287,46 @@ def _compiled_csr(x: np.ndarray, box: Box, rlist: float, nbins: np.ndarray, full
     sphere = 4.0 / 3.0 * np.pi * rlist**3
     cap = min(int(1.5 * n * n * sphere / box.volume) + 64, n * n)
     while True:
-        neighbors, r2 = np.empty(cap, dtype=np.int32), np.empty(cap, dtype=np.float64)
+        neighbors = np.empty(cap, dtype=np.int32)
         total = fn(n, x.ctypes.data, geo.ctypes.data, nbins.ctypes.data, periodic.ctypes.data,
                    int(full), cell.ctypes.data, cell_start.ctypes.data, order.ctypes.data,
-                   xs.ctypes.data, cap, offsets.ctypes.data, neighbors.ctypes.data, r2.ctypes.data,
-                   threads, info.ctypes.data)
+                   xs.ctypes.data, cap, offsets.ctypes.data, neighbors.ctypes.data, threads,
+                   info.ctypes.data)
         if total < 0:
             raise _nonfinite_position(int(info[0]))
         if total <= cap:
-            return offsets, neighbors[:total].copy(), load_s, r2[:total].copy()
+            return offsets, neighbors[:total].copy(), load_s
         cap = total
 
 
-def incoming_index(neighbors: np.ndarray, n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
-    """The transposed index ``(offsets, entries)`` of a CSR list.
+def inner_list(offsets: np.ndarray, neighbors: np.ndarray, x: np.ndarray, box: Box,
+               reach2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """The inner list of a CSR list and its transposed index (DESIGN.md §12).
 
-    ``entries[offsets[a]:offsets[a + 1]]`` are the positions ``e`` in
-    `neighbors` (int32, contiguous) with ``neighbors[e] == a``,
-    ascending: what a kernel that *gathers* the force on an atom from
-    per-entry partials walks (the compiled Tersoff kernel's second
-    sweep, DESIGN.md §12).  One O(L) counting sort in ``_neighbor.c`` —
-    the extension is what its only reader is made of.  Columns outside
-    ``[0, n_atoms)`` are left out: the kernel's own filter reports them.
+    Returns ``(offsets, neighbors, in_offsets, in_entries, max_row)``: the
+    entries whose ``pair_geometry`` r² at `x` is not above `reach2`, in list
+    order, with their row offsets; per atom ``a`` the inner entries that
+    name it, ascending (``in_entries[in_offsets[a]:in_offsets[a + 1]]``,
+    what the compiled kernels gather forces through); and the longest inner
+    row.  A non-finite r² and a column outside ``[0, n)`` are kept for the
+    kernel to report; the latter is left out of the transposed index.  One
+    O(L) pass of ``_neighbor.c`` (`neighbors` int32, `x` f64, contiguous);
+    a list that keeps every entry is returned as itself.
     """
-    total = neighbors.shape[0]
-    offsets = np.empty(n_atoms + 1, dtype=np.int64)
-    entries = np.empty(total, dtype=np.int32)
-    placed = cext.load()["neighbor_transpose"](n_atoms, total, neighbors.ctypes.data,
-                                               offsets.ctypes.data, entries.ctypes.data)
-    if placed < 0:
-        raise ValueError(f"neighbor list of {total} entries is too long for int32 entry numbers")
-    return offsets, entries
+    n, total = offsets.shape[0] - 1, neighbors.shape[0]
+    geo = np.array([*box.lengths, *(0.5 * span if per else np.inf
+                                    for span, per in zip(box.lengths, box.periodic)), reach2])
+    inner_off, in_off = np.empty(n + 1, dtype=np.int64), np.empty(n + 1, dtype=np.int64)
+    inner, in_ent = np.empty(total, dtype=np.int32), np.empty(total, dtype=np.int32)
+    info = np.zeros(1, dtype=np.int64)
+    kept = cext.load()["neighbor_inner"](n, *(a.ctypes.data for a in (
+        offsets, neighbors, x, geo, inner_off, inner, in_off, in_ent, info)))
+    if kept < 0:
+        raise ValueError(f"neighbor list out of range at atom {int(info[0])}" if kept == -2 else
+                         f"neighbor list of {total} entries: offsets not from 0 or too long")
+    if kept == total:
+        return offsets, neighbors, in_off, in_ent, int(info[0])
+    return inner_off, inner[:kept].copy(), in_off, in_ent[:kept].copy(), int(info[0])
 
 
 class NeighborList:
@@ -331,9 +339,6 @@ class NeighborList:
     offsets:
         Row offsets, shape ``(n+1,)``; the neighbors of atom ``i`` are
         ``neighbors[offsets[i]:offsets[i+1]]``.
-    r2:
-        Each entry's r² at the last C build, or ``None``: what the compiled
-        kernels' filter prunes against (DESIGN.md §12).
     n_builds:
         How many times the list has been (re)built.
     warmup_s:
@@ -353,7 +358,6 @@ class NeighborList:
         self.settings = settings
         self.neighbors = np.empty(0, dtype=np.int32)
         self.offsets = np.zeros(1, dtype=np.int64)
-        self.r2: np.ndarray | None = None
         self.n_builds = 0
         self.version = 0
         # a timing report of the last call, not run state: a restored
@@ -393,8 +397,8 @@ class NeighborList:
             csr = _compiled_csr(x, box, rlist, nbins, self.settings.full,
                                 cext.threads_for(x.shape[0], self.threads))
         if csr is None:
-            csr = (*_numpy_csr(x, box, rlist, self.settings.full, brute_force), 0.0, None)
-        self.offsets, self.neighbors, self.warmup_s, self.r2 = csr
+            csr = (*_numpy_csr(x, box, rlist, self.settings.full, brute_force), 0.0)
+        self.offsets, self.neighbors, self.warmup_s = csr
         self.n_builds += 1
         self.version += 1
         self._x_ref = x.copy()
@@ -434,7 +438,6 @@ class NeighborList:
         """Restore a :meth:`get_state` snapshot (inverse operation)."""
         self.neighbors = np.ascontiguousarray(state["neighbors"], dtype=np.int32)
         self.offsets = np.ascontiguousarray(state["offsets"], dtype=np.int64)
-        self.r2 = None
         self.n_builds = int(state["n_builds"])
         self.version = int(state["version"])
         x_ref = state.get("x_ref")

@@ -93,7 +93,6 @@ def blank_ghost_rows(neigh: NeighborList, n_owned: int) -> None:
     counts[n_owned:] = 0
     keep_len = int(neigh.offsets[n_owned])
     neigh.neighbors = neigh.neighbors[:keep_len]
-    neigh.r2 = None if neigh.r2 is None else neigh.r2[:keep_len]
     neigh.offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
 
 

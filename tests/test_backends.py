@@ -485,14 +485,18 @@ class TestListStaging:
                 assert cache.stats.last_event == "hit"
             assert isinstance(st.pairs, ListData) and st.tri is None
             assert st.pairs.offsets is neigh.offsets and st.pairs.neighbors is neigh.neighbors
-            assert st.pairs.max_row == int(neigh.counts().max())
+            assert st.pairs.skin == neigh.settings.skin
             assert st.pairs.n_pairs == st.pairs.n_list_entries == neigh.n_pairs
 
     @pytest.mark.parametrize("backend", ["numpy", pytest.param("compiled", marks=needs_compiled)])
     @pytest.mark.parametrize("potential", ["tersoff", "sw"])
-    def test_only_the_compiled_kernel_builds_the_transposed_index(self, backend, potential):
-        """The list's ``incoming`` index is made by the extension: the
-        numpy oracle must run without ever reading it."""
+    def test_only_the_compiled_kernel_builds_the_transposed_index(self, backend, potential, monkeypatch):
+        """The inner list and its transposed index are made by the
+        extension: the numpy oracle must run without ever deriving them."""
+        from repro.backends import compiled
+
+        derived, real = [], compiled.inner_list
+        monkeypatch.setattr(compiled, "inner_list", lambda *a: derived.append(a) or real(*a))
         if potential == "sw":
             params, system, neigh = sw_workload(cells=2)
             pot = StillingerWeberProduction(params, backend=backend)
@@ -500,7 +504,7 @@ class TestListStaging:
             params, system, neigh = sic_workload()
             pot = TersoffProduction(params, backend=backend)
         pot.compute(system, neigh)
-        assert (pot._cache._staging.pairs._incoming is not None) == (backend == "compiled")
+        assert len(derived) == (backend == "compiled")
 
     @needs_compiled
     def test_type_change_invalidates_by_value(self):
@@ -530,13 +534,11 @@ class TestListStaging:
         with pytest.raises(ValueError, match="out of range at atom 5"):
             pot.compute(system, neigh)
         system.type[5] = 0
+        pot.compute(system, neigh)
         # a longest-row figure smaller than a row would overrun the scratch
-        from repro.core.pipeline import InteractionCache
-
-        st = InteractionCache().prepare(system, neigh, pot.kernel)
-        st.pairs.max_row = 3
+        pot.kernel._args[2][10] = 3  # the inner list's, in the argument block
         with pytest.raises(ValueError, match="out of range at atom 0"):
-            pot.kernel.evaluate(st, system.n)
+            pot.compute(system, neigh)
         smaller = system.select(np.arange(system.n) < system.n - 1)
         for _ in range(2):  # a retry is validated again, not served from the key
             with pytest.raises(ValueError, match="do not match the system"):
@@ -905,11 +907,12 @@ class TestThreadInvariance:
         """The C list build fills its rows in chunks of 64, each chunk into
         its own slice of the output, and moves the slices together in row
         order: one, two, three and four threads write the numpy build's
-        arrays, and the r² column beside them.  A crowded corner leaves every
-        slice short and is built again with room, threads and all."""
+        arrays, and the inner list derived from them is numpy's.  A crowded
+        corner leaves every slice short and is built again with room,
+        threads and all."""
         from repro.backends import cext
         from repro.md.neighbor import NeighborList, NeighborSettings, _numpy_csr
-        from test_neighbor import assert_build_r2
+        from test_neighbor import assert_inner
 
         fns, opened = cext.load(), []
 
@@ -939,7 +942,7 @@ class TestThreadInvariance:
                 nl.build(x, box)
                 assert np.array_equal(nl.offsets, offsets)
                 assert np.array_equal(nl.neighbors, neighbors)
-                assert_build_r2(nl, x, box)
+                assert_inner(nl, x, box)
                 assert set(opened) == {min(threads, -(-x.shape[0] // 64))}
                 assert len(opened) == (2 if case == "crowded" else 1)
 

@@ -34,16 +34,8 @@ import numpy as np
 import pytest
 
 from conftest import needs_compiled
-from test_backends import (
-    ENERGY_ULP,
-    FORCES_MAXREL,
-    PERATOM_ULP,
-    TENSOR_MAXREL,
-    assert_same_counts,
-    assert_tracks,
-    maxrel,
-    ulp_diff,
-)
+from test_backends import (ENERGY_ULP, FORCES_MAXREL, PERATOM_ULP, TENSOR_MAXREL, assert_same_counts,
+                           assert_tracks, maxrel, ulp_diff)
 from repro.core.sw import StillingerWeberProduction, sw_silicon
 from repro.core.tersoff.parameters import tersoff_si, tersoff_sige
 from repro.core.tersoff.production import TersoffProduction
@@ -302,12 +294,13 @@ def test_compiled_tracks_the_numpy_oracle(row, monkeypatch):
 @pytest.mark.parametrize("row", [p for p in ROWS if p.values[0].backend == "compiled"
                                  and p.values[0].precision == "mixed" and p.values[0].species == "Si"])
 def test_a_pruning_instance_returns_a_fresh_instances_bits(row, monkeypatch):
-    """From its first call on a C-built list a kernel instance skips the
-    entries the list's build r² places out of reach (_walker.c).  Whatever
-    the atoms, their buffer, the box or the list do next, it returns what a
-    fresh instance returns on the list without that column, walking it in
-    full, bit for bit: forces, per-atom energies, virial sums, counters and
-    typed errors."""
+    """From its first call a kernel instance walks the list's inner list:
+    the entries within cutoff + skin/2 of a frame, derived again once an
+    atom has moved more than skin/4, for another list or another box
+    (DESIGN.md §12).  Whatever the atoms, their buffer, the box or the list
+    do next, it returns what a fresh instance returns walking the list in
+    full (skin 0), bit for bit: forces, per-atom energies, virial sums,
+    counters and typed errors."""
     from repro.backends import cext
     from repro.core.pipeline import InteractionCache, Staging
     from repro.parallel.decomposition import DomainDecomposition
@@ -327,43 +320,51 @@ def test_a_pruning_instance_returns_a_fresh_instances_bits(row, monkeypatch):
         except ValueError as exc:
             return type(exc), str(exc)
 
-    def cross(st):  # the two atoms of an entry move together (or apart) by half the gap
+    def cross(st, steps=1):  # the two atoms of an entry move together (or apart) by half the gap
         (a, b), xs = st.pairs.ij, st.pairs.x
         d = system.box.minimum_image(xs[b] - xs[a])
         r = np.linalg.norm(d, axis=1)
-        for e in (np.argmin(np.where(r > cut + 0.5, r, np.inf)), np.argmax(np.where(r < cut, r, 0))):
-            gap = (cut - 0.05 if r[e] > cut else cut + 0.05) - r[e]
-            xs[a[e]] -= 0.5 * gap * d[e] / r[e]
-            xs[b[e]] += 0.5 * gap * d[e] / r[e]
+        for step in range(steps):  # in steps of under skin/4, the warm instance called between
+            if step:
+                call(warm, st, len(xs))
+            for e in (np.argmin(np.where(r > cut + 0.5, r, np.inf)), np.argmax(np.where(r < cut, r, 0))):
+                gap = (cut - 0.05 if r[e] > cut else cut + 0.05) - r[e]
+                xs[a[e]] -= 0.5 * gap * d[e] / r[e] / steps
+                xs[b[e]] += 0.5 * gap * d[e] / r[e] / steps
 
-    again = NeighborList(nl.settings)  # restored from its state: no r² column
+    again = NeighborList(nl.settings)  # restored from its state
     again.set_state(nl.get_state(), system.box)
     dd = DomainDecomposition(system, 2, nl.settings.list_cutoff)  # rank 0: ghost rows blanked
-    restored, rank = (InteractionCache().prepare(atoms, lst, warm.kernel) for atoms, lst in (
-        (system, again), (dd.domains[0].local_system, dd.ensure_local_list(0, nl.settings)[0])))
+    zero = NeighborList(replace(nl.settings, skin=0.0))  # its inner list is itself
+    zero.build(system.x, system.box)
+    restored, rank, bare = (InteractionCache().prepare(atoms, lst, warm.kernel) for atoms, lst in (
+        (system, again), (dd.domains[0].local_system, dd.ensure_local_list(0, nl.settings)[0]),
+        (system, zero)))
 
     jitter = np.random.default_rng(1).uniform(-0.2, 0.2, x.shape)
-    equal, other = (Box(system.box.lo.copy(), system.box.hi - s) for s in (0.0, 0.3))
+    equal, other, shrunk = (Box(system.box.lo.copy(), system.box.hi - s) for s in (0.0, 0.3, 0.6))
     for st, scenario in ((staged, cross), (staged, lambda st: x.__setitem__(7, x[7] + 4.0)),
                          (staged, lambda st: x.__setitem__((3, 1), np.nan)),
                          (staged, lambda st: x.__setitem__(j[0], x[i[0]])),
                          (staged, lambda st: nb.__setitem__(2, system.n + 5)),
                          (staged, lambda st: setattr(st.pairs, "x", x + jitter)),  # a new buffer
                          (staged, lambda st: (cross(st), setattr(st.pairs, "box", equal))),
-                         (staged, lambda st: setattr(st.pairs, "box", other)),  # walked in full
-                         (restored, cross), (rank, cross)):
+                         (staged, lambda st: setattr(st.pairs, "box", other)),
+                         (staged, lambda st: setattr(st.pairs, "box", shrunk)),  # 20 entries come in
+                         (staged, lambda st: cross(st, 4)),  # stale on the second or third step
+                         (restored, cross), (rank, cross), (bare, cross)):
         x[:], nb[:] = x0, nb0
         staged.pairs.x, staged.pairs.box, n = x, system.box, len(st.pairs.offsets) - 1
-        assert (st.pairs.r2 is None) == (st is restored)
         own = st.pairs.x  # a new buffer on every call, then the first one again
         for st.pairs.x in (own.copy(), own.copy(), own):
             call(warm, st, n)
         scenario(st)
-        got, want = call(warm, st, n), call(potential(row), Staging(replace(st.pairs, r2=None)), n)
+        got, want = call(warm, st, n), call(potential(row), Staging(replace(st.pairs, skin=0.0)), n)
         if isinstance(want[0], type):
             assert got == want
         else:
             assert_same_call(*got, *want)
+        assert (warm.kernel._inner[1] is st.pairs.neighbors) == (st is bare)
 
 
 #: sha256 (16 hex digits) of the compiled Tersoff kernel's forces, per-atom

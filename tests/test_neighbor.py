@@ -13,14 +13,8 @@ from repro.backends import cext
 from repro.md import neighbor as neighbor_module
 from repro.md.box import Box
 from repro.md.lattice import diamond_lattice, perturbed, seeded_velocities
-from repro.md.neighbor import (
-    NeighborList,
-    NeighborSettings,
-    _brute_force_pairs,
-    _expand_ranges,
-    _numpy_csr,
-    incoming_index,
-)
+from repro.md.neighbor import (NeighborList, NeighborSettings, _brute_force_pairs, _expand_ranges,
+                               _numpy_csr, inner_list)
 
 
 def pairset(nl):
@@ -272,15 +266,22 @@ def assert_same_as_numpy(x, box, *, cutoff=3.0, skin=0.5, full=True):
     assert nl.neighbors.dtype == neighbors.dtype == np.int32
     assert np.array_equal(nl.offsets, offsets)
     assert np.array_equal(nl.neighbors, neighbors)
-    assert_build_r2(nl, x, box)
+    assert_inner(nl, x, box)
     return nl
 
 
-def assert_build_r2(nl, x, box):
-    """The C build's r² column is ``pair_geometry``'s r² of every entry, bitwise; numpy's: none."""
-    i, j = nl.pairs()
-    d = box.minimum_image(x[j] - x[i])
-    assert (nl.r2 is None) if cext.probe() else np.array_equal(nl.r2, np.einsum("ij,ij->i", d, d))
+def assert_inner(nl, x, box):
+    """The inner list at `x` is the entries with ``pair_geometry``'s r² ≤ (cutoff + skin/2)², in
+    list order, with their row offsets, longest row and transposed index (a stable sort by column)."""
+    if cext.probe() is None:
+        (i, j), x, reach2 = nl.pairs(), np.ascontiguousarray(x), (nl.settings.cutoff + 0.5 * nl.settings.skin) ** 2
+        offsets, inner, in_off, in_ent, most = inner_list(nl.offsets, nl.neighbors, x, box, reach2)
+        d = box.minimum_image(x[j] - x[i])
+        keep = np.einsum("ij,ij->i", d, d) <= reach2
+        assert np.array_equal(offsets, np.cumsum([0, *np.bincount(i[keep], minlength=len(x))]))
+        assert np.array_equal(inner, nl.neighbors[keep]) and most == np.diff(offsets).max(initial=0)
+        assert np.array_equal(in_off, np.cumsum([0, *np.bincount(inner, minlength=len(x))]))
+        assert np.array_equal(in_ent, np.argsort(inner, kind="stable"))
 
 
 @pytest.fixture
@@ -402,7 +403,7 @@ class TestCompiledBuild:
         nl.build(x, box)
         assert np.array_equal(nl.offsets, offsets)
         assert np.array_equal(nl.neighbors, neighbors)
-        assert_build_r2(nl, x, box)
+        assert_inner(nl, x, box)
         assert all(cap >= total for cap in asked)
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -514,17 +515,16 @@ class TestCompiledBuild:
 @needs_compiled
 class TestIncomingIndex:
     """The transposed index the compiled kernel gathers forces through:
-    per atom the list entries that name it, in list order."""
+    per atom the list entries that name it, in list order.  It comes with
+    the inner list; at an infinite reach that is the list itself."""
 
     @staticmethod
     def check(neighbors, n):
-        offsets, entries = incoming_index(neighbors, n)
-        assert (offsets.dtype, entries.dtype) == (np.int64, np.int32)
-        assert offsets.shape == (n + 1,) and offsets[0] == 0
-        assert offsets[n] == np.count_nonzero((neighbors >= 0) & (neighbors < n))
-        for a in range(n):
-            assert np.array_equal(entries[offsets[a]:offsets[a + 1]],
-                                  np.nonzero(neighbors == a)[0]), a
+        rows, valid = np.array([0] + [len(neighbors)] * n), np.nonzero((neighbors >= 0) & (neighbors < n))[0]
+        inner, offsets, entries = inner_list(rows, neighbors, np.zeros((n, 3)), Box.cubic(9.0), np.inf)[1:4]
+        assert inner is neighbors and (offsets.dtype, entries.dtype) == (np.int64, np.int32)
+        assert np.array_equal(offsets, np.cumsum([0, *np.bincount(neighbors[valid], minlength=n)]))
+        assert np.array_equal(entries[:len(valid)], valid[np.argsort(neighbors[valid], kind="stable")])
 
     @pytest.mark.parametrize("full", [True, False])
     def test_built_lists(self, full):
@@ -541,8 +541,7 @@ class TestIncomingIndex:
         nl.build(s.x, s.box)
         blank_ghost_rows(nl, 150)
         self.check(nl.neighbors, s.n)
-        offsets, _ = incoming_index(nl.neighbors, s.n)
-        assert np.diff(offsets)[150:].any()  # atoms without a row are still named
+        assert np.bincount(nl.neighbors, minlength=s.n)[150:].any()  # atoms without a row are still named
 
     def test_columns_out_of_range_are_left_for_the_kernel_to_report(self):
         neighbors = np.array([2, 9, 0, -1, 2, 1, 0], dtype=np.int32)
