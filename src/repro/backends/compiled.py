@@ -130,13 +130,13 @@ class CompiledListKernel(MultiBodyKernel):
         the list itself."""
         reach2 = (self.kcand_cutoff + 0.5 * lst.skin) ** 2 * _PREFILTER_MARGIN if lst.skin else np.inf
         *inner, max_row = inner_list(lst.offsets, lst.neighbors, lst.x, lst.box, reach2)
-        l = inner[1].shape[0]
+        l = len(inner[1])
         # the partials and slots of the entries walked, exactly as many (a capacity-doubling
         # buffer would hold up to twice the list), and the frame they are valid around
-        kept = *inner, np.empty((l + 1, 3), dtype=np.float64), np.empty(l, dtype=np.int32), lst.x.copy()
+        self._inner = (*inner, np.empty((l + 1, 3), dtype=np.float64), np.empty(l, dtype=np.int32),
+                       lst.x.copy())
         block[1:5], block[10], block[13:15] = [a.ctypes.data for a in inner], max_row, \
-            [a.ctypes.data for a in kept[4:6]]
-        self._inner = kept
+            [a.ctypes.data for a in self._inner[4:6]]
 
     @hot_path(reason="computational part of every force call (compiled backend)")
     def evaluate(self, st: Staging, n: int) -> ForceResult:
