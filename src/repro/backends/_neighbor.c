@@ -323,7 +323,7 @@ int64_t neighbor_inner(
             }
             const F64 r2 = DOT3_EINSUM(d[0] * d[0], d[1] * d[1], d[2] * d[2]);
             inner[kept] = (int32_t)j;
-            kept += !(r2 > geo[6] && isfinite(r2));
+            kept += !(r2 > geo[6]) | !isfinite(r2); /* no branch: half the entries go */
         }
         inner_off[i + 1] = kept;
         most = kept - inner_off[i] > most ? kept - inner_off[i] : most;
