@@ -351,7 +351,7 @@ def test_a_pruning_instance_returns_a_fresh_instances_bits(row, monkeypatch):
                          (staged, lambda st: (cross(st), setattr(st.pairs, "box", equal))),
                          (staged, lambda st: setattr(st.pairs, "box", other)),
                          (staged, lambda st: setattr(st.pairs, "box", shrunk)),  # 20 entries come in
-                         (staged, lambda st: cross(st, 4)),  # stale on the second or third step
+                         (staged, lambda st: (cross(st, 2), call(warm, st, n), cross(st, 2))),  # stale twice
                          (restored, cross), (rank, cross), (bare, cross)):
         x[:], nb[:] = x0, nb0
         staged.pairs.x, staged.pairs.box, n = x, system.box, len(st.pairs.offsets) - 1
