@@ -89,25 +89,15 @@ def _restart_run_spec(ck, args: argparse.Namespace):
     """
     from repro.runtime.spec import RunSpec
 
-    pinned = ck.run_spec()
+    flags, pinned = RunSpec.from_args(args), ck.run_spec()
     if pinned is None:
-        # library-written checkpoint with no pinned config: fall back
-        # to the CLI flags wholesale, as before the runtime layer
-        return RunSpec.from_args(args)
-    overrides = {}
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.ranks is not None:
-        overrides["ranks"] = args.ranks
-    if args.executor is not None:
-        overrides["executor"] = args.executor
-        overrides.setdefault("hosts", None)
-    if args.hosts:
-        overrides["hosts"] = tuple(
-            h.strip() for h in args.hosts.split(",") if h.strip()
-        )
-        overrides.setdefault("executor", None)
-    return pinned.with_overrides(**overrides) if overrides else pinned
+        # library-written checkpoint with no pinned config: the CLI
+        # flags, wholesale
+        return flags
+    overrides = {k: getattr(flags, k) for k in ("workers", "ranks") if getattr(args, k) is not None}
+    if args.executor is not None or args.hosts:
+        overrides.update(executor=flags.executor, hosts=flags.hosts)
+    return pinned.with_overrides(**overrides)
 
 
 def _report_comm(sim) -> None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -143,11 +144,8 @@ class SolverSpec:
         if not isinstance(data, dict):
             raise SpecError(f"solver spec must be a mapping, got {type(data).__name__}")
         _require_version(data, "solver spec")
-        kwargs = {}
-        for key in ("potential", "mode", "cache", "backend", "params_set"):
-            if key in data:
-                kwargs[key] = data[key]
-        return cls(**kwargs)
+        keys = ("potential", "mode", "cache", "backend", "params_set")
+        return cls(**{key: data[key] for key in keys if key in data})
 
     def canonical_json(self) -> str:
         """Stable string form — equal strings iff equal specs — and so
@@ -228,15 +226,16 @@ class RunSpec:
         if not isinstance(self.solver, SolverSpec):
             raise SpecError("RunSpec.solver must be a SolverSpec")
         if self.hosts is not None:
-            object.__setattr__(self, "hosts", tuple(self.hosts))
-            if not self.hosts:
-                object.__setattr__(self, "hosts", None)
-        if self.workers is not None and self.workers < 1:
-            raise SpecError("workers must be >= 1")
-        if self.ranks is not None and self.ranks < 1:
-            raise SpecError("ranks must be >= 1")
-        if not math.isfinite(self.skin):
-            raise SpecError(f"skin must be finite, got {self.skin}")
+            if not (isinstance(self.hosts, (list, tuple))
+                    and all(isinstance(h, str) for h in self.hosts)):
+                raise SpecError(f"hosts must be a list of address strings, got {self.hosts!r}")
+            object.__setattr__(self, "hosts", tuple(self.hosts) or None)
+        for name in ("workers", "ranks"):
+            value = getattr(self, name)
+            if value is not None and not (isinstance(value, numbers.Integral) and value >= 1):
+                raise SpecError(f"{name} must be an integer >= 1, got {value!r}")
+        if not isinstance(self.skin, numbers.Real) or not math.isfinite(self.skin):
+            raise SpecError(f"skin must be finite, got {self.skin!r}")
         if self.skin < 0.0:
             raise SpecError("skin must be non-negative")
         if self.executor is not None:
@@ -274,19 +273,9 @@ class RunSpec:
         if data.get("sort"):
             raise SpecError("run spec asks for Morton-sorted domains (sort: true), "
                             "which this build no longer supports")
-        kwargs: dict = {"solver": SolverSpec.from_dict(data["solver"])}
-        for key in ("workers", "ranks", "executor", "hosts", "skin"):
-            if key in data:
-                kwargs[key] = data[key]
-        # specs pinned before the `transport` field was dropped: alone it
-        # named the spawned socket pool, which `executor` now spells
-        if data.get("transport") and not kwargs.get("executor") and not kwargs.get("hosts"):
-            kwargs["executor"] = data["transport"]
-        # ... and before a start method stopped being an executor name:
-        # each was the process pool, and executors never define physics
-        if kwargs.get("executor") in ("fork", "spawn", "forkserver"):
-            kwargs["executor"] = "process"
-        return cls(**kwargs)
+        keys = ("workers", "ranks", "executor", "hosts", "skin")
+        return cls(solver=SolverSpec.from_dict(data["solver"]),
+                   **{key: data[key] for key in keys if key in data})
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -34,15 +34,20 @@ Writes go to a temporary sibling and are published with ``os.replace``,
 so a checkpoint file is either the complete old state or the complete
 new state — never a torn mix, even under SIGKILL.
 
-Versioning: ``schema_version`` is bumped on incompatible layout
-changes and rejected on mismatch with a clear error; *unknown* JSON
-fields and array names are tolerated (forward-compatible additions
-within a schema version are allowed to land without a bump).
+Reading: :func:`load_checkpoint` checks the framing and the schema
+version (bumped on incompatible layout changes, refused on mismatch);
+``_decode`` then reads every field and array a restore uses and checks
+its presence, type and shape before anything is built.  A file either
+restores bitwise or is refused with one :class:`CheckpointError` that
+names the field.  *Unknown* JSON fields and array names are tolerated
+(forward-compatible additions land without a bump).
 """
 
 from __future__ import annotations
 
+import numbers
 import os
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -66,11 +71,8 @@ from repro.state.format import (
 CHECKPOINT_MAGIC = b"REPROCK1"
 CHECKPOINT_SCHEMA_VERSION = 1
 
-_THERMOSTAT_KINDS = {
-    "langevin": Langevin,
-    "nose_hoover": NoseHoover,
-    "velocity_rescale": VelocityRescale,
-}
+_THERMOSTAT_KINDS = {"langevin": Langevin, "nose_hoover": NoseHoover,
+                     "velocity_rescale": VelocityRescale}
 
 _REQUIRED_ARRAYS = ("x", "v", "f", "type", "mass", "tag", "box_lo", "box_hi",
                     "neigh_neighbors", "neigh_offsets")
@@ -80,25 +82,39 @@ class CheckpointError(StateFormatError):
     """The file is not a loadable/restorable repro.state checkpoint."""
 
 
-def _thermostat_state(thermostat) -> dict | None:
-    if thermostat is None:
-        return None
-    state = getattr(thermostat, "state_dict", None)
-    if state is None:
-        raise CheckpointError(
-            f"thermostat {type(thermostat).__name__} has no state_dict(); cannot checkpoint"
-        )
-    return state()
+@contextmanager
+def _reading(what: str):
+    """A malformed value read inside is a :class:`CheckpointError` naming `what`."""
+    try:
+        yield
+    except CheckpointError:
+        raise
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        detail = f"missing {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise CheckpointError(f"checkpoint {what} is malformed: {detail}") from exc
 
 
-def _thermostat_from_state(state: dict | None):
-    if state is None:
-        return None
-    kind = state.get("kind")
-    cls = _THERMOSTAT_KINDS.get(kind)
-    if cls is None:
-        raise CheckpointError(f"unknown thermostat kind {kind!r} in checkpoint")
-    return cls.from_state(state)
+def _typed(obj, key, kind=numbers.Real):
+    """``obj[key]``, refused unless it is a `kind` (a bool counts as no number)."""
+    value = obj[key]
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise TypeError(f"{key!r} is {value!r}, not {kind.__name__}")
+    return value
+
+
+def _ints(obj, *keys) -> dict:
+    return {key: _typed(obj, key, numbers.Integral) for key in keys}
+
+
+def _array(arrays, name, dtype, *shape):
+    """A copy of ``arrays[name]``, refused unless it has `dtype` and
+    `shape` (``None``: any length on that axis)."""
+    arr = arrays[name]
+    if (not np.can_cast(arr.dtype, dtype, "equiv") or arr.ndim != len(shape)
+            or any(want not in (None, got) for want, got in zip(shape, arr.shape))):
+        raise ValueError(f"array {name!r} is {arr.dtype.str}{list(arr.shape)}, "
+                         f"not {np.dtype(dtype).str}{list(shape)}")
+    return arr.copy()
 
 
 class Checkpoint:
@@ -111,11 +127,15 @@ class Checkpoint:
 
     @property
     def step_index(self) -> int:
-        return int(self.meta["step_index"])
+        with _reading("step_index"):
+            return _typed(self.meta, "step_index", numbers.Integral)
 
     @property
     def user_meta(self) -> dict:
-        return self.meta.get("user_meta") or {}
+        user_meta = self.meta.get("user_meta") or {}
+        if not isinstance(user_meta, dict):
+            raise CheckpointError(f"checkpoint user_meta is {user_meta!r}, not a mapping")
+        return user_meta
 
     @property
     def parallel(self) -> bool:
@@ -124,46 +144,35 @@ class Checkpoint:
     def run_spec(self):
         """The pinned :class:`~repro.runtime.spec.RunSpec`, or ``None``.
 
-        New checkpoints carry the full spec under
-        ``user_meta["run_spec"]`` — potential, mode, cache, backend,
-        executor, hosts, workers/ranks and skin all round-trip,
-        so ``--restart-from`` reproduces the original configuration
-        instead of silently falling back to CLI defaults.  Legacy
-        checkpoints (pre-runtime ``user_meta["run_config"]``) are
-        upgraded on read: the solver fields come from ``run_config``,
-        the topology from the engine metadata and the skin from the
-        neighbor settings.  Returns ``None`` when no configuration was
-        pinned at all (checkpoints written through the library API with
-        no user_meta).  The backend is the one that ran (``meta["backend"]``);
-        without that pin, ``backend: null`` meant numpy when written.
+        A checkpoint carries the full spec under ``user_meta["run_spec"]``
+        — potential, mode, cache, backend, executor, hosts, workers/ranks
+        and skin all round-trip, so ``--restart-from`` reproduces the
+        original configuration instead of falling back to CLI defaults.
+        Returns ``None`` when no configuration was pinned at all
+        (checkpoints written through the library API with no user_meta).
+        The backend is the one that ran (``meta["backend"]``); without
+        that pin, ``backend: null`` meant numpy when written.
 
-        Raises :class:`CheckpointError` when a pinned spec is present
-        but unreadable (unknown schema version, malformed fields, or
-        Morton-sorted domains, which this build no longer runs).
+        Raises :class:`CheckpointError` when the pinned spec is
+        unreadable (unknown schema version, a missing or mistyped field,
+        Morton-sorted domains, which this build no longer runs) or is a
+        pre-runtime ``run_config``.
         """
-        from repro.runtime.spec import RunSpec, SolverSpec, SpecError
+        from repro.runtime.spec import RunSpec, SpecError
 
-        um = self.user_meta
-        engine = self.meta.get("engine") or {}
-        legacy = um.get("run_config")
-        if "run_spec" not in um and legacy is None:
+        user_meta = self.user_meta
+        if "run_spec" not in user_meta:
+            if "run_config" in user_meta:
+                raise CheckpointError("checkpoint pins a pre-runtime `run_config`; "
+                                      "re-create it with this build")
             return None
         try:
-            if "run_spec" in um:
-                run = RunSpec.from_dict(um["run_spec"])
-            else:
-                _refuse_sorted(engine)
-                solver = SolverSpec(potential=legacy.get("potential", "tersoff"),
-                                    mode=legacy.get("mode", "Opt-M"),
-                                    cache=bool(legacy.get("cache", True)),
-                                    backend=legacy.get("backend"))
-                run = RunSpec(solver=solver, workers=engine.get("workers"),
-                              ranks=engine.get("ranks"), skin=float(self.meta["neighbor"]["skin"]))
+            run = RunSpec.from_dict(user_meta["run_spec"])
+            if run.solver.mode != "Ref":
+                ran = self.meta.get("backend") or run.solver.backend or "numpy"
+                run = run.with_overrides(solver=replace(run.solver, backend=ran))
         except SpecError as exc:
             raise CheckpointError(f"checkpoint pins an unreadable run spec: {exc}") from exc
-        if run.solver.mode != "Ref":
-            ran = self.meta.get("backend") or run.solver.backend or "numpy"
-            run = run.with_overrides(solver=replace(run.solver, backend=ran))
         return run
 
     def system(self) -> AtomSystem:
@@ -172,26 +181,91 @@ class Checkpoint:
         Arrays are copied: a restored simulation mutates its system in
         place, and one loaded :class:`Checkpoint` must support several
         independent restores (e.g. the restart-equivalence battery).
+        A missing, mistyped or misshapen array or field is a
+        :class:`CheckpointError`.
         """
-        a = self.arrays
-        box = Box(a["box_lo"], a["box_hi"], tuple(self.meta["box_periodic"]))
-        return AtomSystem(
-            box=box,
-            x=a["x"].copy(), v=a["v"].copy(), f=a["f"].copy(),
-            type=a["type"].copy(), mass=a["mass"].copy(),
-            species=tuple(self.meta["species"]),
-            tag=a["tag"].copy(),
-        )
+        a, meta = self.arrays, self.meta
+        with _reading("atoms"):
+            n = len(x := _array(a, "x", np.float64, None, 3))
+            periodic = [_typed(meta["box_periodic"], axis, bool) for axis in range(3)]
+            species = meta["species"]
+            if not isinstance(species, list) or not all(isinstance(s, str) for s in species):
+                raise TypeError(f"species {species!r} is not a list of symbols")
+            box = Box(_array(a, "box_lo", np.float64, 3), _array(a, "box_hi", np.float64, 3),
+                      tuple(periodic))
+            return AtomSystem(
+                box=box, x=x,
+                v=_array(a, "v", np.float64, n, 3), f=_array(a, "f", np.float64, n, 3),
+                type=_array(a, "type", np.int32, n),
+                mass=_array(a, "mass", np.float64, len(species)), species=tuple(species),
+                tag=_array(a, "tag", np.int64, n),
+            )
 
 
-def _refuse_sorted(engine_meta: dict) -> None:
-    # checkpoints of older builds record ``sort``; a sorted run summed in
-    # Morton order, so resuming it unsorted would not be bitwise
-    if engine_meta.get("sort"):
-        raise CheckpointError(
-            "checkpoint was taken with Morton-sorted domains (sort: true), "
-            "which this build no longer supports"
-        )
+def _decode(ck: Checkpoint) -> dict:
+    """Every value a restore uses, read and checked before anything is
+    built: a refused checkpoint never starts an engine pool."""
+    meta, a = ck.meta, ck.arrays
+    system = ck.system()
+    n = system.n
+    with _reading("neighbor"):
+        nmeta = meta["neighbor"]
+        settings = NeighborSettings(cutoff=_typed(nmeta, "cutoff"), skin=_typed(nmeta, "skin"),
+                                    full=_typed(nmeta, "full", bool))
+        offsets = _array(a, "neigh_offsets", np.int64, None)
+        neighbors = _array(a, "neigh_neighbors", np.int32, None)
+        # an unbuilt list (the parallel path's) is one zero offset
+        if (len(offsets) not in (1, n + 1) or offsets[0] != 0 or offsets[-1] != len(neighbors)
+                or np.any(np.diff(offsets) < 0) or np.any((neighbors < 0) | (neighbors >= n))):
+            raise ValueError("list offsets or indices out of range")
+        neigh = {"neighbors": neighbors, "offsets": offsets, **_ints(nmeta, "n_builds", "version"),
+                 "x_ref": _array(a, "neigh_x_ref", np.float64, n, 3) if "neigh_x_ref" in a else None}
+    with _reading("thermostat"):
+        state, thermostat = meta.get("thermostat"), None
+        if state is not None:
+            if state.get("kind") not in _THERMOSTAT_KINDS:
+                raise ValueError(f"unknown kind {state.get('kind')!r}")
+            for key in sorted(set(state) - {"kind", "rng"}):
+                _typed(state, key)
+            thermostat = _THERMOSTAT_KINDS[state["kind"]].from_state(state)
+    with _reading("engine"):
+        engine = meta.get("engine")
+        if engine is not None:
+            # a sorted run summed in Morton order: resumed unsorted, its
+            # bits would change
+            if engine.get("sort"):
+                raise CheckpointError(
+                    "checkpoint was taken with Morton-sorted domains (sort: true), "
+                    "which this build no longer supports"
+                )
+            counts = _ints(engine, "ranks", "workers")
+            if min(counts.values()) < 1:
+                raise ValueError(f"{counts} is not a pool")
+            ranks, warm = counts["ranks"], None
+            if _typed(engine, "warm", bool):
+                refs = engine["warm_ranks"]
+                if not isinstance(refs, list) or not set(refs) <= set(range(ranks)):
+                    raise ValueError(f"warm_ranks {refs!r} outside ranks={ranks}")
+                warm = {"ranks": ranks, "x_ref": _array(a, "engine_x_ref", np.float64, n, 3),
+                        "rank_refs": {r: _array(a, f"engine_rank_{r}_x_ref", np.float64, None, 3)
+                                      for r in refs},
+                        **_ints(engine, "generation", "steps", "rebuild_steps")}
+            engine = {**counts, "warm": warm}
+    with _reading("run state"):
+        dt = _typed(meta, "dt")
+        if not dt > 0.0:
+            raise ValueError(f"dt {dt} is not positive")
+        energy, stats = meta.get("last_energy"), meta.get("cache_stats")
+        return {
+            "system": system, "settings": settings, "neigh": neigh, "thermostat": thermostat,
+            "engine": engine, "dt": float(dt),
+            "step_index": ck.step_index,
+            "last_energy": None if energy is None else float(_typed(meta, "last_energy")),
+            "timers": {k: float(_typed(meta["timers"], k)) for k in meta.get("timers", {})},
+            "cache_stats": None if stats is None else {
+                **_ints(stats, "hits", "misses", "invalidations"),
+                "last_event": _typed(stats, "last_event", str)},
+        }
 
 
 def save_checkpoint(sim, path, *, user_meta: dict | None = None) -> Path:
@@ -202,39 +276,27 @@ def save_checkpoint(sim, path, *, user_meta: dict | None = None) -> Path:
     is an arbitrary JSON-able dict stored verbatim (the CLI stashes the
     potential configuration there so ``--restart-from`` can rebuild it).
     """
-    system = sim.system
+    system, neigh_state = sim.system, sim.neigh.get_state()
     arrays: dict[str, np.ndarray] = {
         "x": system.x, "v": system.v, "f": system.f,
         "type": system.type, "mass": system.mass, "tag": system.tag,
         "box_lo": system.box.lo, "box_hi": system.box.hi,
+        "neigh_neighbors": neigh_state["neighbors"], "neigh_offsets": neigh_state["offsets"],
     }
-    neigh_state = sim.neigh.get_state()
-    arrays["neigh_neighbors"] = neigh_state["neighbors"]
-    arrays["neigh_offsets"] = neigh_state["offsets"]
     if neigh_state["x_ref"] is not None:
         arrays["neigh_x_ref"] = neigh_state["x_ref"]
 
     engine_meta = None
     if sim.engine is not None:
         estate = sim.engine.get_state()
-        engine_meta = {
-            "ranks": sim.engine.ranks,
-            "workers": sim.engine.workers,
-            "warm": estate is not None,
-        }
+        engine_meta = {"ranks": sim.engine.ranks, "workers": sim.engine.workers,
+                       "warm": estate is not None}
         if estate is not None:
-            engine_meta.update({
-                "generation": estate["generation"],
-                "steps": estate["steps"],
-                "rebuild_steps": estate["rebuild_steps"],
-                "warm_ranks": sorted(
-                    int(r) for r, xr in estate["rank_refs"].items() if xr is not None
-                ),
-            })
+            refs = {int(r): xr for r, xr in estate["rank_refs"].items() if xr is not None}
+            engine_meta.update(warm_ranks=sorted(refs), **{
+                k: estate[k] for k in ("generation", "steps", "rebuild_steps")})
             arrays["engine_x_ref"] = estate["x_ref"]
-            for rank, x_ref in estate["rank_refs"].items():
-                if x_ref is not None:
-                    arrays[f"engine_rank_{int(rank)}_x_ref"] = x_ref
+            arrays.update((f"engine_rank_{r}_x_ref", xr) for r, xr in refs.items())
 
     cache_stats = getattr(sim.potential, "cache_stats", None)
     meta = {
@@ -257,7 +319,7 @@ def save_checkpoint(sim, path, *, user_meta: dict | None = None) -> Path:
             "n_builds": neigh_state["n_builds"],
             "version": neigh_state["version"],
         },
-        "thermostat": _thermostat_state(sim.thermostat),
+        "thermostat": None if sim.thermostat is None else sim.thermostat.state_dict(),
         "timers": {k: v for k, v in sim.timers.as_dict().items() if k != "total"},
         "cache_stats": None if cache_stats is None else cache_stats.as_dict(),
         "engine": engine_meta,
@@ -277,17 +339,17 @@ def save_checkpoint(sim, path, *, user_meta: dict | None = None) -> Path:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read and validate a checkpoint; raises :class:`CheckpointError`
-    (a :class:`ValueError`) with a specific message on any defect."""
+    """Read a checkpoint and check its framing, schema version and
+    arrays' presence; raises :class:`CheckpointError` (a
+    :class:`ValueError`) with a specific message on any defect.  The
+    values a restore uses are checked by its decode step."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if len(magic) < len(CHECKPOINT_MAGIC):
             raise CheckpointError(f"{path}: file too short for a checkpoint header")
         if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(
-                f"{path}: bad magic {magic!r} (expected {CHECKPOINT_MAGIC!r})"
-            )
+            raise CheckpointError(f"{path}: bad magic {magic!r} (expected {CHECKPOINT_MAGIC!r})")
         try:
             meta_payload = read_frame(fh)
             array_payload = read_frame(fh)
@@ -310,9 +372,6 @@ def load_checkpoint(path) -> Checkpoint:
     missing = [name for name in _REQUIRED_ARRAYS if name not in arrays]
     if missing:
         raise CheckpointError(f"{path}: checkpoint is missing arrays {missing}")
-    for key in ("step_index", "dt", "species", "box_periodic", "neighbor"):
-        if key not in meta:
-            raise CheckpointError(f"{path}: checkpoint metadata is missing {key!r}")
     return Checkpoint(meta, arrays, path)
 
 
@@ -332,80 +391,45 @@ def restore_simulation(
     — but a serial checkpoint cannot be resumed parallel (or vice
     versa): rank-local neighbor lists order their pairs differently
     from the global list, which would break the bitwise contract.
+    Every value is decoded first, so a :class:`CheckpointError` is
+    raised before anything is built.
     """
+    from repro.md.potential import ForceResult
     from repro.md.simulation import Simulation
 
-    meta = ck.meta
-    system = ck.system()
-    nmeta = meta["neighbor"]
-    settings = NeighborSettings(
-        cutoff=float(nmeta["cutoff"]), skin=float(nmeta["skin"]), full=bool(nmeta["full"])
-    )
-    thermostat = _thermostat_from_state(meta.get("thermostat"))
-    engine_meta = meta.get("engine")
-    if engine_meta is None:
-        if workers is not None:
-            raise CheckpointError(
-                "checkpoint was taken from a serial run; resuming with workers= "
-                "would change neighbor-list pair ordering and break bitwise resume"
-            )
-        sim = Simulation(
-            system, potential, neighbor=settings, dt=float(meta["dt"]), thermostat=thermostat
+    d = _decode(ck)
+    engine, settings = d["engine"], d["settings"]
+    if engine is None and workers is not None:
+        raise CheckpointError(
+            "checkpoint was taken from a serial run; resuming with workers= "
+            "would change neighbor-list pair ordering and break bitwise resume"
         )
-    else:
-        _refuse_sorted(engine_meta)
-        sim = Simulation(
-            system, potential, neighbor=settings, dt=float(meta["dt"]), thermostat=thermostat,
-            workers=int(engine_meta["workers"]) if workers is None else int(workers),
-            ranks=int(engine_meta["ranks"]),
-            executor=executor,
-        )
-        if engine_meta.get("warm"):
-            rank_refs: dict[int, np.ndarray | None] = {
-                rank: ck.arrays[f"engine_rank_{rank}_x_ref"].copy()
-                for rank in engine_meta["warm_ranks"]
-            }
-            sim.engine.restore_state({
-                "ranks": engine_meta["ranks"],
-                "generation": engine_meta["generation"],
-                "steps": engine_meta["steps"],
-                "rebuild_steps": engine_meta["rebuild_steps"],
-                "x_ref": ck.arrays["engine_x_ref"].copy(),
-                "rank_refs": rank_refs,
-            })
-
-    neigh_x_ref = ck.arrays.get("neigh_x_ref")
-    sim.neigh.set_state(
-        {
-            "neighbors": ck.arrays["neigh_neighbors"].copy(),
-            "offsets": ck.arrays["neigh_offsets"].copy(),
-            "n_builds": nmeta["n_builds"],
-            "version": nmeta["version"],
-            "x_ref": None if neigh_x_ref is None else neigh_x_ref.copy(),
-        },
-        system.box,
+    if settings.cutoff < potential.cutoff:
+        raise CheckpointError(f"checkpoint neighbor cutoff {settings.cutoff} is below "
+                              f"the potential's {potential.cutoff}")
+    sim = Simulation(
+        d["system"], potential, neighbor=settings, dt=d["dt"], thermostat=d["thermostat"],
+        workers=None if engine is None else int(workers or engine["workers"]),
+        ranks=None if engine is None else engine["ranks"], executor=executor,
     )
-    sim.step_index = ck.step_index
-    last_energy = meta.get("last_energy")
-    if last_energy is not None:
+    if engine is not None and engine["warm"] is not None:
+        sim.engine.restore_state(engine["warm"])
+    sim.neigh.set_state(d["neigh"], sim.system.box)
+    sim.step_index = d["step_index"]
+    if d["last_energy"] is not None:
         # resume with the checkpointed forces (which include any
         # post-force thermostat modification) instead of recomputing:
         # bitwise-identical to the uninterrupted run's loop state
-        from repro.md.potential import ForceResult
-
         sim.last_result = ForceResult(
-            energy=float(last_energy), forces=sim.system.f, stats={"restored": True}
+            energy=d["last_energy"], forces=sim.system.f, stats={"restored": True}
         )
-    for stage, seconds in meta.get("timers", {}).items():
+    for stage, seconds in d["timers"].items():
         if hasattr(sim.timers, stage):
-            setattr(sim.timers, stage, float(seconds))
-    stats_meta = meta.get("cache_stats")
+            setattr(sim.timers, stage, seconds)
     cache_stats = getattr(potential, "cache_stats", None)
-    if stats_meta is not None and cache_stats is not None:
-        cache_stats.hits = int(stats_meta["hits"])
-        cache_stats.misses = int(stats_meta["misses"])
-        cache_stats.invalidations = int(stats_meta["invalidations"])
-        cache_stats.last_event = str(stats_meta["last_event"])
+    if d["cache_stats"] is not None and cache_stats is not None:
+        for key, value in d["cache_stats"].items():
+            setattr(cache_stats, key, value)
     return sim
 
 

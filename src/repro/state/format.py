@@ -108,9 +108,10 @@ def scan_frames(fh: BinaryIO) -> tuple[list[bytes], bool]:
     """Read every complete frame, tolerating a truncated tail.
 
     Returns ``(payloads, truncated)`` where ``truncated`` reports
-    whether a partial frame was dropped from the end.  CRC mismatches
-    on the *last* frame are treated as a torn tail write; a mismatch
-    with complete frames after it is real corruption and raises.
+    whether a partial frame was dropped from the end, and leaves `fh`
+    at the end of the last complete frame.  CRC mismatches on the
+    *last* frame are treated as a torn tail write; a mismatch with
+    complete frames after it is real corruption and raises.
     """
     payloads: list[bytes] = []
     truncated = False
@@ -132,6 +133,8 @@ def scan_frames(fh: BinaryIO) -> tuple[list[bytes], bool]:
         if payload is None:
             break
         payloads.append(payload)
+    if truncated:
+        fh.seek(pos)
     return payloads, truncated
 
 

@@ -134,7 +134,8 @@ def read_telemetry(path) -> tuple[list[dict], int]:
     """Parse a telemetry JSONL file.
 
     Returns ``(records, bad_lines)``; undecodable lines (the torn tail
-    of a killed run) are counted, not fatal.
+    of a killed run) and step or run-end records without their step
+    are counted, not fatal.
     """
     records: list[dict] = []
     bad = 0
@@ -148,7 +149,7 @@ def read_telemetry(path) -> tuple[list[dict], int]:
             except json.JSONDecodeError:
                 bad += 1
                 continue
-            if isinstance(obj, dict):
+            if isinstance(obj, dict) and ("step" in obj or obj.get("kind") not in ("step", "run_end")):
                 records.append(obj)
             else:
                 bad += 1

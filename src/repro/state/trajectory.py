@@ -22,6 +22,8 @@ arrays are ``x``, ``box_lo``, ``box_hi``, ``type`` and optionally ``v``.
 
 from __future__ import annotations
 
+import operator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -149,29 +151,34 @@ class TrajectoryScan:
 
 
 def _decode_frame(payload: bytes) -> TrajectoryFrame:
+    """One frame's record; a CRC-valid but malformed one is a
+    :class:`CorruptStateError`."""
     head, arrays = unpack_record(payload)
-    box = Box(arrays["box_lo"], arrays["box_hi"], tuple(head["box_periodic"]))
-    system = AtomSystem(
-        box=box,
-        x=arrays["x"],
-        v=arrays.get("v"),
-        type=arrays["type"],
-        mass=np.asarray(head["mass"], dtype=np.float64),
-        species=tuple(head["species"]),
-    )
-    return TrajectoryFrame(step=int(head["step"]), system=system)
+    try:
+        box = Box(arrays["box_lo"], arrays["box_hi"], tuple(head["box_periodic"]))
+        system = AtomSystem(box=box, x=arrays["x"], v=arrays.get("v"), type=arrays["type"],
+                            mass=np.asarray(head["mass"], dtype=np.float64),
+                            species=tuple(head["species"]))
+        return TrajectoryFrame(step=operator.index(head["step"]), system=system)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptStateError(f"malformed trajectory frame: {exc!r}") from exc
+
+
+@contextmanager
+def _open(path: Path):
+    """The file positioned after its checked magic."""
+    with open(path, "rb") as fh:
+        magic = fh.read(len(TRAJECTORY_MAGIC))
+        if magic != TRAJECTORY_MAGIC:
+            raise CorruptStateError(f"{path}: bad trajectory magic {magic!r} "
+                                    f"(expected {TRAJECTORY_MAGIC!r})")
+        yield fh
 
 
 def read_binary_trajectory(path) -> TrajectoryScan:
     """Read every complete frame; a torn tail (killed writer) is
     reported via ``truncated`` instead of raising."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(len(TRAJECTORY_MAGIC))
-        if magic != TRAJECTORY_MAGIC:
-            raise CorruptStateError(
-                f"{path}: bad trajectory magic {magic!r} (expected {TRAJECTORY_MAGIC!r})"
-            )
+    with _open(Path(path)) as fh:
         payloads, truncated = scan_frames(fh)
     return TrajectoryScan(frames=[_decode_frame(p) for p in payloads], truncated=truncated)
 
@@ -188,16 +195,8 @@ def rewind_trajectory(path, step: int) -> tuple[int, int]:
     path = Path(path)
     kept = dropped = 0
     keep_until = len(TRAJECTORY_MAGIC)
-    with open(path, "rb") as fh:
-        magic = fh.read(len(TRAJECTORY_MAGIC))
-        if magic != TRAJECTORY_MAGIC:
-            raise CorruptStateError(
-                f"{path}: bad trajectory magic {magic!r} (expected {TRAJECTORY_MAGIC!r})"
-            )
-        while True:
-            payload = read_frame(fh)
-            if payload is None:
-                break
+    with _open(path) as fh:
+        for payload in iter(lambda: read_frame(fh), None):
             if dropped == 0 and _decode_frame(payload).step <= step:
                 kept += 1
                 keep_until = fh.tell()
@@ -218,23 +217,11 @@ def recover_trajectory(path) -> tuple[int, int]:
     dropped) on an intact file.
     """
     path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(len(TRAJECTORY_MAGIC))
-        if magic != TRAJECTORY_MAGIC:
-            raise CorruptStateError(
-                f"{path}: bad trajectory magic {magic!r} (expected {TRAJECTORY_MAGIC!r})"
-            )
-        payloads, truncated = scan_frames(fh)
-    if not truncated:
-        return len(payloads), 0
-    keep = len(TRAJECTORY_MAGIC)
-    with open(path, "rb") as fh:
-        fh.seek(keep)
-        for _ in payloads:
-            # re-walk the complete frames to find the clean length
-            read_frame(fh)
+    with _open(path) as fh:
+        payloads, _ = scan_frames(fh)
         keep = fh.tell()
-    size = path.stat().st_size
-    with open(path, "r+b") as fh:
-        fh.truncate(keep)
-    return len(payloads), size - keep
+    dropped = path.stat().st_size - keep
+    if dropped:
+        with open(path, "r+b") as fh:
+            fh.truncate(keep)
+    return len(payloads), dropped

@@ -215,55 +215,34 @@ class TestRunSpec:
         assert again == run
 
     @pytest.mark.parametrize("transport", ["tcp", "unix"])
-    def test_legacy_pinned_transport_maps_onto_executor(self, transport):
-        """A spec pinned by ``repro run --transport unix`` (a field since
-        dropped) restarts on the same socket pool, not the default."""
-        legacy = RunSpec(workers=2).to_dict()
-        legacy.update(executor=None, transport=transport, hosts=None)
-        run = RunSpec.from_dict(legacy)
-        assert run.executor == transport
-        assert run.build_executor() == (transport, 2)
-        assert "transport" not in run.to_dict()
-        # with hosts the field was only a label: the addresses decide
-        legacy.update(hosts=["a:1", "b:2"])
-        run = RunSpec.from_dict(legacy)
-        assert run.executor is None and run.hosts == ("a:1", "b:2")
-
-    @pytest.mark.parametrize("retired", ["fork", "spawn", "forkserver"])
-    def test_legacy_pinned_start_method_restarts_on_process(self, retired, tmp_path):
-        """A checkpoint pinned when a start method was still an executor
-        name restarts on the process pool and continues bitwise
-        (executors never define physics)."""
+    def test_a_pinned_transport_is_ignored(self, transport, tmp_path):
+        """``transport`` (a field since dropped) is an unknown field like
+        any other: the restart runs on the default pool and continues
+        bitwise (executors never define physics)."""
         from repro.md.lattice import seeded_velocities
         from repro.runtime.session import restore_run
-        from repro.state import load_checkpoint, save_checkpoint
 
         system = perturbed(diamond_lattice(2, 2, 2), 0.05, seed=7)
         seeded_velocities(system, 300.0, seed=7)
-        run = RunSpec(workers=2, ranks=2, executor="serial")
-        sim = run.build_simulation(system)
-        try:
+        run = RunSpec(workers=2, ranks=2)
+        with run.build_simulation(system) as sim:
             sim.run(2)
-            pinned = run.to_dict()
-            pinned["executor"] = retired
+            pinned = {**run.to_dict(), "transport": transport}
             save_checkpoint(sim, tmp_path / "a.ckpt", user_meta={"run_spec": pinned})
             sim.run(2)
             x, v = sim.system.x.copy(), sim.system.v.copy()
-        finally:
-            sim.close()
-
         ck = load_checkpoint(tmp_path / "a.ckpt")
-        resumed_spec = ck.run_spec()
-        assert resumed_spec.executor == "process"
-        assert resumed_spec.build_executor() == ("process", 2)
-        assert resumed_spec.to_dict()["executor"] == "process"
-        resumed = restore_run(resumed_spec, ck)
-        try:
+        assert ck.run_spec().build_executor() == (None, 2)
+        with restore_run(ck.run_spec(), ck) as resumed:
             resumed.run(2)
             assert np.array_equal(resumed.system.x, x)
             assert np.array_equal(resumed.system.v, v)
-        finally:
-            resumed.close()
+
+    @pytest.mark.parametrize("retired", ["fork", "spawn", "forkserver"])
+    def test_a_pinned_start_method_is_refused(self, retired):
+        """A start method is no executor name: such a pin is refused."""
+        with pytest.raises(SpecError, match="unknown executor"):
+            RunSpec.from_dict({**RunSpec(workers=2).to_dict(), "executor": retired})
 
     def test_a_restart_keeps_its_kernel(self, tmp_path):
         """A checkpoint names the backend that ran, so a default run

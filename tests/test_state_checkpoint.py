@@ -9,6 +9,12 @@ unknown fields, write atomicity and restore independence.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +22,8 @@ from repro.core.tersoff.production import TersoffProduction
 from repro.md.integrate import Langevin, NoseHoover, VelocityRescale
 from repro.md.lattice import diamond_lattice, perturbed, seeded_velocities
 from repro.md.simulation import Simulation
+from repro.runtime import RunSpec, SolverSpec
+from repro.runtime.session import restore_run
 from repro.state import (
     CHECKPOINT_SCHEMA_VERSION,
     Checkpoint,
@@ -26,7 +34,7 @@ from repro.state import (
     save_checkpoint,
 )
 from repro.state.checkpoint import CHECKPOINT_MAGIC
-from repro.state.format import pack_arrays, pack_json, read_frame, write_frame
+from repro.state.format import pack_arrays, pack_json, write_frame
 
 
 def small_sim(si_params, *, steps=3, thermostat=True, cache=True):
@@ -135,6 +143,34 @@ class TestThermostatState:
         assert th2.temperature == th.temperature and th2.every == th.every
 
 
+def rewrite(path, edit):
+    """Re-frame the checkpoint at `path`, with valid CRCs, after
+    ``edit(meta, arrays)``."""
+    ck = load_checkpoint(path)
+    edit(ck.meta, ck.arrays)
+    with open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        write_frame(fh, pack_json(ck.meta))
+        write_frame(fh, pack_arrays(ck.arrays))
+
+
+# CRC-valid edits of a checkpoint this build wrote: (workers, edit, also via the CLI)
+MALFORMED = {
+    "neighbor": (None, lambda m, a: m.update(neighbor={}), True),
+    "positions": (None, lambda m, a: a.update(x=a["x"][:5]), True),
+    "thermostat": (None, lambda m, a: m["thermostat"].pop("temperature"), False),
+    "species": (None, lambda m, a: m.update(species=5), False),
+    "dt": (None, lambda m, a: m.update(dt=None), False),
+    "neigh_x_ref": (None, lambda m, a: a.update(neigh_x_ref=a["neigh_x_ref"][:4]), False),
+    "workers": (None, lambda m, a: m["user_meta"]["run_spec"].update(workers="2"), False),
+    "skin": (None, lambda m, a: m["user_meta"]["run_spec"].update(skin="x"), False),
+    "hosts": (None, lambda m, a: m["user_meta"]["run_spec"].update(hosts=5), False),
+    "run_config": (None, lambda m, a: m.update(user_meta={"run_config": {"mode": "Opt-M"}}),
+                   False),
+    "engine_rank_0_x_ref": (2, lambda m, a: a.pop("engine_rank_0_x_ref"), False),
+}
+
+
 class TestValidation:
     def corrupt(self, path, offset, xor=0xFF):
         data = bytearray(path.read_bytes())
@@ -147,39 +183,39 @@ class TestValidation:
 
     def test_schema_version_bump_rejected(self, si_params, tmp_path):
         path = self.saved(si_params, tmp_path)
-        with open(path, "rb") as fh:
-            magic = fh.read(len(CHECKPOINT_MAGIC))
-            meta = read_frame(fh)
-            arrays = fh.read()
-        import json
-
-        obj = json.loads(meta)
-        obj["schema_version"] = CHECKPOINT_SCHEMA_VERSION + 1
-        with open(path, "wb") as fh:
-            fh.write(magic)
-            write_frame(fh, pack_json(obj))
-            fh.write(arrays)
+        rewrite(path, lambda m, a: m.update(schema_version=CHECKPOINT_SCHEMA_VERSION + 1))
         with pytest.raises(CheckpointError, match="schema version"):
             load_checkpoint(path)
 
     def test_unknown_fields_tolerated(self, si_params, tmp_path):
         # forward-compat: same schema version, extra metadata keys
         path = self.saved(si_params, tmp_path)
-        with open(path, "rb") as fh:
-            magic = fh.read(len(CHECKPOINT_MAGIC))
-            meta = read_frame(fh)
-            arrays = fh.read()
-        import json
-
-        obj = json.loads(meta)
-        obj["future_feature"] = {"nested": [1, 2, 3]}
-        with open(path, "wb") as fh:
-            fh.write(magic)
-            write_frame(fh, pack_json(obj))
-            fh.write(arrays)
+        rewrite(path, lambda m, a: m.update(future_feature={"nested": [1, 2, 3]}))
         ck = load_checkpoint(path)
         sim = restore_simulation(ck, TersoffProduction(si_params))
         assert sim.step_index == 1
+
+    @pytest.mark.parametrize("workers, edit, cli", MALFORMED.values(), ids=MALFORMED)
+    def test_malformed_content_refused(self, tmp_path, workers, edit, cli):
+        """Each is one CheckpointError before anything is built (no
+        worker outlives it), and on the CLI one line and exit 2."""
+        system = perturbed(diamond_lattice(2, 2, 2), 0.05, seed=3)
+        run = RunSpec(solver=SolverSpec(mode="Opt-D"), workers=workers, ranks=workers)
+        with run.build_simulation(system, thermostat=Langevin(600.0, 0.1, 0.001)) as sim:
+            sim.run(2)
+            save_checkpoint(sim, tmp_path / "a.ckpt", user_meta={"run_spec": run.to_dict()})
+        rewrite(tmp_path / "a.ckpt", edit)
+        with pytest.raises(CheckpointError):
+            ck = load_checkpoint(tmp_path / "a.ckpt")
+            restore_run(ck.run_spec(), ck)
+        assert not multiprocessing.active_children()
+        if cli:
+            out = subprocess.run(
+                [sys.executable, "-m", "repro", "run", "--restart-from", "a.ckpt", "--steps", "1"],
+                cwd=tmp_path, capture_output=True, text=True, timeout=600,
+                env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")})
+            assert out.returncode == 2 and out.stdout == ""
+            assert out.stderr.startswith(("restart: ", "run: ")) and out.stderr.count("\n") == 1
 
     def test_bad_magic(self, si_params, tmp_path):
         path = self.saved(si_params, tmp_path)
@@ -220,15 +256,7 @@ class TestValidation:
 
     def test_missing_required_array(self, si_params, tmp_path):
         path = self.saved(si_params, tmp_path)
-        ck = load_checkpoint(path)
-        del ck.arrays["v"]
-        with open(path, "rb") as fh:
-            magic = fh.read(len(CHECKPOINT_MAGIC))
-            meta = read_frame(fh)
-        with open(path, "wb") as fh:
-            fh.write(magic)
-            write_frame(fh, meta)
-            write_frame(fh, pack_arrays(ck.arrays))
+        rewrite(path, lambda m, a: a.pop("v"))
         with pytest.raises(CheckpointError, match="missing arrays"):
             load_checkpoint(path)
 

@@ -307,38 +307,6 @@ def test_restart_run_config_round_trip(tmp_path):
     assert pinned.with_overrides(solver=replace(pinned.solver, backend=ck.meta["backend"])) == run_spec
 
 
-def test_legacy_run_config_upgrades_to_run_spec(tmp_path):
-    """Checkpoints written before the runtime layer carried only a
-    ``run_config`` potential tuple; ``Checkpoint.run_spec`` upgrades it
-    (filling execution knobs from engine/neighbor meta)."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-    run = subprocess.run(
-        [
-            sys.executable, "-m", "repro", "run",
-            "--atoms", "64", "--steps", "2", "--seed", "3",
-            "--checkpoint", "a.ckpt", "--checkpoint-every", "2",
-        ],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
-    )
-    assert run.returncode == 0, run.stderr
-    ck = load_checkpoint(tmp_path / "a.ckpt")
-    # rewrite the pin into the legacy layout
-    legacy = dict(ck.user_meta)
-    spec_dict = legacy.pop("run_spec")
-    legacy["run_config"] = {
-        "potential": spec_dict["solver"]["potential"],
-        "mode": spec_dict["solver"]["mode"],
-        "cache": spec_dict["solver"]["cache"],
-        "backend": spec_dict["solver"]["backend"],
-    }
-    ck.meta["user_meta"] = legacy
-    upgraded = ck.run_spec()
-    assert upgraded is not None
-    assert upgraded.solver.mode == spec_dict["solver"]["mode"]
-    assert upgraded.skin == 1.0
-
-
 class TestSortedDomainsRefused:
     """Morton-sorted domains are gone.  A checkpoint an older build wrote
     with ``sort: false`` resumes bitwise as before; one with ``sort:

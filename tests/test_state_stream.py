@@ -150,6 +150,25 @@ class TestBinaryTrajectory:
         with pytest.raises(CorruptStateError, match="magic"):
             read_binary_trajectory(p)
 
+    @pytest.mark.parametrize("bad", [{"box_lo": None}, {"x": np.zeros((64, 2))}])
+    def test_malformed_frame_refused(self, tmp_path, bad):
+        """A CRC-valid frame missing a key or with a misshapen array."""
+        from repro.state.format import pack_record, write_frame
+        from repro.state.trajectory import rewind_trajectory
+
+        system = diamond_lattice(2, 2, 2)
+        path = tmp_path / "x.rtrj"
+        with BinaryTrajectory(path) as traj:
+            traj.write_frame(system, step=1)
+            head = {"step": 2, "species": ["Si"], "mass": [28.0855], "box_periodic": [True] * 3}
+            arrays = {"x": system.x, "box_lo": system.box.lo, "box_hi": system.box.hi,
+                      "type": system.type, **bad}
+            write_frame(traj._fh, pack_record(head, {k: v for k, v in arrays.items()
+                                                     if v is not None}))
+        for read in (read_binary_trajectory, lambda p: rewind_trajectory(p, 1)):
+            with pytest.raises(CorruptStateError, match="malformed"):
+                read(path)
+
     def test_rejects_bad_interval(self, tmp_path):
         with pytest.raises(ValueError):
             BinaryTrajectory(tmp_path / "x.rtrj", every=0)
@@ -189,11 +208,11 @@ class TestTelemetry:
     def test_torn_tail_tolerated(self, si_params, tmp_path):
         sim, path = self.run_with_telemetry(si_params, tmp_path)
         text = path.read_text()
-        path.write_text(text[:-40])  # tear the final line
+        path.write_text('{"kind": "step"}\n' + text[:-40])  # a stepless record, a torn tail
         records, bad = read_telemetry(path)
-        assert bad == 1
+        assert bad == 2
         summary = summarize_telemetry(path)
-        assert summary["bad_lines"] == 1
+        assert summary["bad_lines"] == 2
         assert not summary["complete"]
 
     def test_stride(self, si_params, tmp_path):
