@@ -173,20 +173,16 @@ def test_md_step_wallclock(benchmark, big_workload):
 
 
 @pytest.mark.benchmark(group="wallclock-segsum3")
-@pytest.mark.parametrize("variant", ["fused", "loop"])
-def test_segsum3_wallclock(benchmark, variant):
-    """The fused segmented sum (one bincount over ``idx*3+axis``) against
-    the per-axis loop that is its bitwise reference, triplet-sized input."""
-    from repro.core.pipeline import idx3_of, segsum3, segsum3_loop
+def test_segsum3_wallclock(benchmark):
+    """The fused segmented sum (one bincount over ``idx*3+axis``) on a
+    triplet-sized input."""
+    from repro.core.pipeline import idx3_of, segsum3
 
     rng = np.random.default_rng(7)
     t, n = 200_000, 4096
     idx = np.sort(rng.integers(0, n, size=t)).astype(np.int64)
     vec = rng.standard_normal((t, 3))
-    if variant == "fused":
-        out = benchmark(segsum3, idx, vec, n, idx3=idx3_of(idx))
-    else:
-        out = benchmark(segsum3_loop, idx, vec, n)
+    out = benchmark(segsum3, idx, vec, n, idx3=idx3_of(idx))
     assert out.shape == (n, 3)
 
 

@@ -40,7 +40,6 @@ MASK_PARAM_NAMES = {"valid", "mask", "masks", "within"}
 ACCUMULATION_SINKS = {
     "bincount",
     "segsum3",
-    "segsum3_loop",
     "sum",
     "einsum",
     "trace",

@@ -18,7 +18,7 @@ potentials that stage their own lanes each call; they do not run
 through it.
 """
 
-from repro.core.pipeline.accumulate import idx3_of, segsum3, segsum3_loop
+from repro.core.pipeline.accumulate import idx3_of, segsum3
 from repro.core.pipeline.cache import InteractionCache
 from repro.core.pipeline.kernel import MultiBodyKernel, Staging
 from repro.core.pipeline.pipeline import PipelinePotential
@@ -53,5 +53,4 @@ __all__ = [
     "idx3_of",
     "pair_geometry",
     "segsum3",
-    "segsum3_loop",
 ]

@@ -44,12 +44,3 @@ def segsum3(
     w = np.ascontiguousarray(vec, dtype=np.float64).reshape(-1)
     out = np.bincount(idx3, weights=w, minlength=3 * n).reshape(-1, 3)[:n]
     return out.astype(out_dtype, copy=False)
-
-
-def segsum3_loop(idx: np.ndarray, vec: np.ndarray, n: int, out_dtype=np.float64) -> np.ndarray:
-    """The pre-fusion three-pass variant, kept as the micro-benchmark
-    and equivalence baseline for :func:`segsum3`."""
-    out = np.empty((n, 3), dtype=np.float64)
-    for axis in range(3):
-        out[:, axis] = np.bincount(idx, weights=vec[:, axis], minlength=n)
-    return out.astype(out_dtype, copy=False)

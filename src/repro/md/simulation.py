@@ -260,7 +260,6 @@ class Simulation:
                 "ranks": self.engine.ranks,
                 "generation": step.generation,
                 "redecomposed": step.redecomposed,
-                "any_rebuilt": step.any_rebuilt,
                 "timers": dict(tm),
                 "bytes_forward": step.bytes_forward,
                 "bytes_reverse": step.bytes_reverse,

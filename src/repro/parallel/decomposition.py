@@ -149,16 +149,11 @@ class DomainDecomposition:
         box = system.box
         lengths = box.lengths
         sub = lengths / np.array(self.grid, dtype=np.float64)
-        if np.any(sub < halo) and n_ranks > 1:
-            # a halo wider than the subdomain still works (ghosts may come
-            # from non-face-adjacent ranks) but flags inefficiency
-            pass
         self.sub_lengths = sub
         self.domains = self._build_domains()
-        # persistent per-rank neighbor lists, keyed by (cutoff, skin):
-        # compute_forces reuses them across calls via ensure() so the
-        # skin logic (and any interaction cache keyed on the list
-        # version) survives between rebuilds.
+        # per-rank neighbor lists, keyed by (cutoff, skin): each is built
+        # once for this decomposition and reused by every compute_forces,
+        # so an interaction cache keyed on the list version survives.
         self._lists: dict[int, NeighborList] = {}
         self._list_key: tuple[float, float] | None = None
         self._ws = Workspace()
@@ -253,32 +248,25 @@ class DomainDecomposition:
 
     # -- distributed force computation ----------------------------------------------
 
-    def _rank_list(self, rank: int, settings: NeighborSettings) -> NeighborList:
-        """The persistent neighbor list of `rank` for `settings`."""
+    def ensure_local_list(self, rank: int, settings: NeighborSettings) -> NeighborList:
+        """Rank `rank`'s local list for `settings`, ghost rows blanked.
+
+        Built once per decomposition and settings, at the rank's local
+        positions of the first call, and never skin-tested: like the
+        engine, the caller decomposes again once an atom has moved past
+        half the skin (the validity condition of :meth:`refresh_positions`).
+        """
         key = (settings.cutoff, settings.skin)
         if self._list_key != key:
             self._lists.clear()
             self._list_key = key
         nl = self._lists.get(rank)
         if nl is None:
-            nl = NeighborList(settings)
-            self._lists[rank] = nl
-        return nl
-
-    def ensure_local_list(self, rank: int, settings: NeighborSettings) -> tuple[NeighborList, bool]:
-        """Rebuild rank `rank`'s local list if its atoms moved too far.
-
-        Rebuilds run on the rank's *current* local positions (call
-        :meth:`refresh_positions` first) and are immediately followed by
-        ghost-row blanking, so the returned list is always the blanked
-        topology.  Returns ``(list, rebuilt)``.
-        """
-        dom = self.domains[rank]
-        nl = self._rank_list(rank, settings)
-        rebuilt = nl.ensure(dom.local_system.x, dom.local_system.box)
-        if rebuilt:
+            dom = self.domains[rank]
+            nl = self._lists[rank] = NeighborList(settings)
+            nl.build(dom.local_system.x, dom.local_system.box)
             blank_ghost_rows(nl, dom.n_owned)
-        return nl, rebuilt
+        return nl
 
     def reduce_forces(self, rank_forces: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
         """Fixed rank-order reverse halo exchange: merge per-rank force
@@ -320,9 +308,9 @@ class DomainDecomposition:
     ) -> tuple[float, np.ndarray, list[ForceResult]]:
         """Evaluate `potential` rank-by-rank and assemble global results.
 
-        Per rank: reuse (or rebuild) the persistent local neighbor
-        list, blank the ghost rows (the i-loop runs over owned atoms
-        only), evaluate, then reverse-add ghost force contributions to
+        Per rank: build the local neighbor list on the first call (its
+        ghost rows blanked: the i-loop runs over owned atoms only) or
+        reuse it, evaluate, then reverse-add ghost force contributions to
         their owners in fixed rank order.
 
         Returns ``(total_energy, global_forces, per_rank_results)``;
@@ -332,7 +320,7 @@ class DomainDecomposition:
         energy = 0.0
         results: list[ForceResult] = []
         for dom in self.domains:
-            neigh, _ = self.ensure_local_list(dom.rank, settings)
+            neigh = self.ensure_local_list(dom.rank, settings)
             res = potential.compute(dom.local_system, neigh)
             energy += res.energy
             results.append(res)

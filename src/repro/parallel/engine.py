@@ -35,11 +35,14 @@ Architecture
 - **Decomposition lifecycle.**  The decomposition (and with it every
   rank's owned/ghost sets) is rebuilt when any atom has moved more than
   half the skin since it was built — the neighbor list's own skin test,
-  :func:`~repro.md.neighbor.past_half_skin` — and each worker is sent its
-  ranks' new atom types and owned counts; between rebuilds only
-  positions flow.  A NaN or inf position is refused on the host with the
-  serial path's ``ValueError`` before anything is dispatched, so the
-  pool survives it.
+  :func:`~repro.md.neighbor.past_half_skin`, the only one a decomposed
+  step runs — and each worker is sent its ranks' new atom types and
+  owned counts; between rebuilds only positions flow.  A rank builds its
+  list once per decomposition, at the decomposition's positions, and
+  never skin-tests it: its rows are the host's, unshifted, so no rank
+  atom moves further than the host's test allows.  A NaN or inf position
+  is refused on the host with the serial path's ``ValueError`` before
+  anything is dispatched, so the pool survives it.
 
 Failure containment: a worker exception is caught in the worker,
 reported with its traceback, and surfaced on the host as
@@ -101,7 +104,7 @@ class _RankState:
     system: AtomSystem
     neigh: NeighborList
     potential: Potential
-    force_rebuild: bool = True
+    built: bool = False
 
 
 @dataclass
@@ -136,16 +139,6 @@ class WorkerHost:
             return self._set_ranks(payload)
         if cmd == "step":
             return self._step(None if payload is None else payload.get("x"))
-        if cmd == "listrefs":
-            # checkpoint support: each rank's last list-build positions,
-            # so a restart can rebuild the *same* list
-            refs = {}
-            for rank, st in self.states.items():
-                xr = st.neigh._x_ref
-                refs[rank] = None if xr is None else xr.copy()
-            return refs
-        if cmd == "warm":
-            return self._warm(payload)
         raise ValueError(f"unknown command {cmd!r}")
 
     @hot_path(reason="per-worker per-step evaluation; reuses persistent lists/caches")
@@ -159,11 +152,11 @@ class WorkerHost:
         position array, so both feed the kernel bit-identical
         coordinates.
 
-        Reuses the persistent neighbor list via the skin criterion
-        (rebuild + ghost-row blanking only when needed, or when a new
-        decomposition forced it), runs the potential, and writes the
-        local force block into the rank's ``"f"`` slab — or, in wire
-        mode, attaches it to the stats dict for the reply message.
+        Builds the rank's list (and blanks its ghost rows) on the first
+        step of a decomposition and reuses it unchecked until the next,
+        runs the potential, and writes the local force block into the
+        rank's ``"f"`` slab — or, in wire mode, attaches it to the stats
+        dict for the reply message.
         """
         XL, F = self.arrays.get("xl"), self.arrays.get("f")
         out = []
@@ -174,17 +167,9 @@ class WorkerHost:
                 st.system.x[...] = xblocks[rank]
             else:
                 st.system.x[...] = XL[rank, :st.system.n]
-            if st.force_rebuild:
-                st.neigh.build(st.system.x, self.box)
-                rebuilt = True
-                st.force_rebuild = False
-            else:
-                rebuilt = st.neigh.ensure(st.system.x, self.box)
-            if rebuilt:
-                blank_ghost_rows(st.neigh, st.n_owned)
-            t1 = time.perf_counter()
             # the process's first C list build loads the extension
-            load = st.neigh.warmup_s
+            load = 0.0 if st.built else self._build(st, st.system.x)
+            t1 = time.perf_counter()
             res = st.potential.compute(st.system, st.neigh)
             t2 = time.perf_counter()
             m = res.forces.shape[0]
@@ -198,7 +183,6 @@ class WorkerHost:
                 "energy": res.energy,
                 "virial": res.virial,
                 "n_local": m,
-                "rebuilt": rebuilt,
                 "neighbor_s": t1 - t0 - load,
                 "staging_s": staging,
                 "warmup_s": warmup + load,
@@ -215,10 +199,20 @@ class WorkerHost:
             out.append(info)
         return out
 
+    def _build(self, st: _RankState, x: np.ndarray) -> float:
+        """Build `st`'s list at `x` and blank its ghost rows; returns the
+        seconds the build spent loading the C extension."""
+        st.neigh.build(x, self.box)
+        blank_ghost_rows(st.neigh, st.n_owned)
+        st.built = True
+        return st.neigh.warmup_s
+
     def _set_ranks(self, payloads: list[dict]) -> None:
         # new decomposition generation: refresh topology but keep each
         # rank's potential (and its interaction cache / workspace)
-        # alive across generations.
+        # alive across generations.  A payload's ``"x"`` (restart) is
+        # the rank's rows of the decomposition's positions: its list is
+        # built there now, not at the first step's positions.
         for payload in payloads:
             rank = payload["rank"]
             prev = self.states.get(rank)
@@ -236,6 +230,8 @@ class WorkerHost:
                 neigh=neigh,
                 potential=prev.potential if prev is not None else self._rank_potential(),
             )
+            if "x" in payload:
+                self._build(self.states[rank], payload["x"])
         for rank in [r for r in self.states if r not in {p["rank"] for p in payloads}]:
             del self.states[rank]
 
@@ -253,17 +249,6 @@ class WorkerHost:
         if hasattr(kernel, "threads"):
             kernel.threads = max(1, usable_cores() // self.workers)
         return potential
-
-    def _warm(self, payloads: list[dict]) -> None:
-        # restart support: rebuild each rank's list at its checkpointed
-        # reference positions (not the current ones) so topology, pair
-        # order and future rebuild decisions match the uninterrupted
-        # run bitwise.
-        for payload in payloads:
-            st = self.states[payload["rank"]]
-            st.neigh.build(payload["x_ref"], self.box)
-            blank_ghost_rows(st.neigh, st.n_owned)
-            st.force_rebuild = False
 
 
 @dataclass
@@ -296,7 +281,6 @@ class EngineStep:
     per_rank: list[dict] = field(default_factory=list)
     generation: int = 0
     redecomposed: bool = False
-    any_rebuilt: bool = False
     virial: float = 0.0
     bytes_forward: int = 0
     bytes_reverse: int = 0
@@ -370,7 +354,6 @@ class ParallelEngine:
             neighbor = NeighborSettings(cutoff=neighbor.cutoff, skin=neighbor.skin, full=True)
         self.settings = neighbor
         self._dd: DomainDecomposition | None = None
-        self._x_ref: np.ndarray | None = None
         self.generation = 0
         self.steps = 0
         self.rebuild_steps = 0
@@ -424,11 +407,13 @@ class ParallelEngine:
     def _needs_decompose(self, x: np.ndarray) -> bool:
         """The neighbor list's skin test on the decomposition's reference
         positions: True past half the skin, or at a NaN or inf position."""
-        return self._dd is None or past_half_skin(x, self._x_ref, self.system.box,
+        return self._dd is None or past_half_skin(x, self._dd.system.x, self.system.box,
                                                   self.settings.skin)
 
-    def _decompose(self, x: np.ndarray) -> None:
-        """Rebuild the decomposition at `x` and tell the workers their ranks.
+    def _decompose(self, x: np.ndarray, *, build: bool = False) -> None:
+        """Rebuild the decomposition at `x` and tell the workers their ranks;
+        with `build`, each rank's rows of `x` go along and its list is built
+        there (a restart, whose next step's positions are not `x`).
 
         A NaN or inf position is refused here, before any state changes or
         reaches a worker: the skin test sends every such step here.
@@ -444,7 +429,6 @@ class ParallelEngine:
         self._dd = DomainDecomposition(
             snapshot, self.ranks, halo=self.settings.list_cutoff, grid=self.grid,
         )
-        self._x_ref = snapshot.x
         self.generation += 1
         # total owned+ghost rows across ranks: the per-step ghost-only
         # traffic is this many position (forward) and force (reverse) rows
@@ -455,6 +439,7 @@ class ParallelEngine:
                 "rank": dom.rank,
                 "n_owned": dom.n_owned,
                 "types": dom.local_system.type,
+                **({"x": dom.local_system.x} if build else {}),
             })
         self._dispatch("ranks", payloads)
 
@@ -548,9 +533,8 @@ class ParallelEngine:
             "wait_s": wait_s,
             "busy_s": busy_total,
         }
-        any_rebuilt = any(r["rebuilt"] for r in per_rank)
         self.steps += 1
-        if any_rebuilt:
+        if redecomposed:
             self.rebuild_steps += 1
 
         # -- measured traffic accounting: one float64 (x, y, z) row per
@@ -579,7 +563,6 @@ class ParallelEngine:
             per_rank=per_rank,
             generation=self.generation,
             redecomposed=redecomposed,
-            any_rebuilt=any_rebuilt,
             virial=virial,
             bytes_forward=bytes_forward,
             bytes_reverse=bytes_reverse,
@@ -592,38 +575,34 @@ class ParallelEngine:
     # -- checkpoint/restart -------------------------------------------------------
 
     def get_state(self) -> dict | None:
-        """Checkpointable decomposition + per-rank neighbor-list state.
+        """Checkpointable decomposition state.
 
         ``None`` before the first :meth:`compute` (nothing to restore).
-        The state pins the positions the decomposition and every rank's
-        neighbor list were built at — both are deterministic functions
-        of those positions, so :meth:`restore_state` reconstructs them
-        bitwise instead of shipping the arrays themselves.
+        The state pins the positions the decomposition was built at.
+        Every rank's list was built at its rows of them, so
+        :meth:`restore_state` reconstructs both bitwise from this one
+        array; nothing is asked of the workers.
         """
         if self._closed:
             raise EngineError("engine is closed")
         if self._dd is None:
             return None
-        rank_refs: dict[int, np.ndarray | None] = {}
-        for refs in self._dispatch("listrefs"):
-            rank_refs.update(refs)
         return {
             "ranks": self.ranks,
             "generation": self.generation,
             "steps": self.steps,
             "rebuild_steps": self.rebuild_steps,
-            "x_ref": self._x_ref.copy(),
-            "rank_refs": rank_refs,
+            "x_ref": self._dd.system.x.copy(),
         }
 
     def restore_state(self, state: dict) -> None:
         """Warm-start from a :meth:`get_state` snapshot.
 
         Rebuilds the decomposition at the checkpointed reference
-        positions and has each worker rebuild its rank lists at their
-        checkpointed build positions, so the next :meth:`compute` sees
+        positions and has each worker build its rank lists at their rows
+        of them (``x_ref[local_idx]``), so the next :meth:`compute` sees
         exactly the state the uninterrupted run had — same domains,
-        same list topology, same pending rebuild criteria.
+        same list topology, same pending redecomposition test.
         """
         if self._closed:
             raise EngineError("engine is closed")
@@ -631,15 +610,7 @@ class ParallelEngine:
             raise EngineError(
                 f"checkpoint was taken with ranks={state['ranks']}, engine has ranks={self.ranks}"
             )
-        self._decompose(np.ascontiguousarray(state["x_ref"], dtype=np.float64))
-        payloads: list[list[dict]] = [[] for _ in range(self.workers)]
-        for rank, x_ref in state["rank_refs"].items():
-            if x_ref is None:
-                continue
-            payloads[self._worker_of(int(rank))].append(
-                {"rank": int(rank), "x_ref": np.ascontiguousarray(x_ref, dtype=np.float64)}
-            )
-        self._dispatch("warm", payloads)
+        self._decompose(np.ascontiguousarray(state["x_ref"], dtype=np.float64), build=True)
         self.generation = int(state["generation"])
         self.steps = int(state["steps"])
         self.rebuild_steps = int(state["rebuild_steps"])

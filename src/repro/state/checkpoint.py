@@ -15,9 +15,10 @@ A checkpoint captures *everything* that determines the future of a
   :class:`~repro.core.pipeline.workspace.CacheStats` accumulators, so
   telemetry is continuous across a restart;
 - on the parallel path, the :class:`~repro.parallel.engine.
-  ParallelEngine` rank configuration plus the decomposition's and
-  every rank list's build positions (see
-  :meth:`~repro.parallel.engine.ParallelEngine.get_state`).
+  ParallelEngine` rank configuration plus the decomposition's build
+  positions, from which restore derives every rank's list (see
+  :meth:`~repro.parallel.engine.ParallelEngine.get_state`); per-rank
+  arrays that older files carry are ignored.
 
 The interaction cache is deliberately *not* serialized: a cold cache
 is exact by construction (hits only ever reuse arrays the cold path
@@ -241,14 +242,10 @@ def _decode(ck: Checkpoint) -> dict:
             counts = _ints(engine, "ranks", "workers")
             if min(counts.values()) < 1:
                 raise ValueError(f"{counts} is not a pool")
-            ranks, warm = counts["ranks"], None
+            warm = None
             if _typed(engine, "warm", bool):
-                refs = engine["warm_ranks"]
-                if not isinstance(refs, list) or not set(refs) <= set(range(ranks)):
-                    raise ValueError(f"warm_ranks {refs!r} outside ranks={ranks}")
-                warm = {"ranks": ranks, "x_ref": _array(a, "engine_x_ref", np.float64, n, 3),
-                        "rank_refs": {r: _array(a, f"engine_rank_{r}_x_ref", np.float64, None, 3)
-                                      for r in refs},
+                warm = {"ranks": counts["ranks"],
+                        "x_ref": _array(a, "engine_x_ref", np.float64, n, 3),
                         **_ints(engine, "generation", "steps", "rebuild_steps")}
             engine = {**counts, "warm": warm}
     with _reading("run state"):
@@ -292,11 +289,8 @@ def save_checkpoint(sim, path, *, user_meta: dict | None = None) -> Path:
         engine_meta = {"ranks": sim.engine.ranks, "workers": sim.engine.workers,
                        "warm": estate is not None}
         if estate is not None:
-            refs = {int(r): xr for r, xr in estate["rank_refs"].items() if xr is not None}
-            engine_meta.update(warm_ranks=sorted(refs), **{
-                k: estate[k] for k in ("generation", "steps", "rebuild_steps")})
+            engine_meta.update({k: estate[k] for k in ("generation", "steps", "rebuild_steps")})
             arrays["engine_x_ref"] = estate["x_ref"]
-            arrays.update((f"engine_rank_{r}_x_ref", xr) for r, xr in refs.items())
 
     cache_stats = getattr(sim.potential, "cache_stats", None)
     meta = {

@@ -413,7 +413,7 @@ class TestBoundsMatrix:
         pn = TersoffProduction(params, precision=precision, backend="numpy")
         pc = TersoffProduction(params, precision=precision, backend="compiled")
         for dom in dd.domains:
-            neigh, _ = dd.ensure_local_list(dom.rank, settings)
+            neigh = dd.ensure_local_list(dom.rank, settings)
             assert dom.n_ghost > 0
             assert np.all(neigh.counts()[dom.n_owned:] == 0)
             assert_tracks(pc.compute(dom.local_system, neigh),
@@ -877,7 +877,7 @@ class TestThreadInvariance:
         dd = DomainDecomposition(system, 2, halo=params.max_cutoff + 1.0)
         settings = NeighborSettings(cutoff=params.max_cutoff, skin=1.0, full=True)
         for dom in dd.domains:
-            neigh, _ = dd.ensure_local_list(dom.rank, settings)
+            neigh = dd.ensure_local_list(dom.rank, settings)
             assert dom.n_ghost > 0 and np.all(neigh.counts()[dom.n_owned:] == 0)
             ref, ref_sums = self.run(params, dom.local_system, neigh, 1, precision)
             assert ref.forces[dom.n_owned:].any()  # gathered onto atoms without a row

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import build_list, make_cluster, needs_compiled
-from repro.core.pipeline import CacheStats, Workspace, idx3_of, segsum3, segsum3_loop
+from repro.core.pipeline import CacheStats, Workspace, idx3_of, segsum3
 from repro.core.sw import StillingerWeberProduction, sw_silicon
 from repro.core.tersoff.parameters import tersoff_si, tersoff_sic
 from repro.core.tersoff.production import TersoffProduction
@@ -220,7 +220,7 @@ class TestSegsum3:
         idx = rng.integers(0, 97, size=4000)
         vec = rng.normal(size=(4000, 3)) * 10.0 ** rng.integers(-3, 4, size=(4000, 1))
         fused = segsum3(idx, vec, 97)
-        loop = segsum3_loop(idx, vec, 97)
+        loop = np.stack([np.bincount(idx, weights=vec[:, a], minlength=97) for a in range(3)], 1)
         assert np.array_equal(fused, loop)
 
     def test_empty(self):

@@ -338,7 +338,7 @@ def test_a_pruning_instance_returns_a_fresh_instances_bits(row, monkeypatch):
     zero = NeighborList(replace(nl.settings, skin=0.0))  # its inner list is itself
     zero.build(system.x, system.box)
     restored, rank, bare = (InteractionCache().prepare(atoms, lst, warm.kernel) for atoms, lst in (
-        (system, again), (dd.domains[0].local_system, dd.ensure_local_list(0, nl.settings)[0]),
+        (system, again), (dd.domains[0].local_system, dd.ensure_local_list(0, nl.settings)),
         (system, zero)))
 
     jitter = np.random.default_rng(1).uniform(-0.2, 0.2, x.shape)

@@ -167,7 +167,6 @@ MALFORMED = {
     "hosts": (None, lambda m, a: m["user_meta"]["run_spec"].update(hosts=5), False),
     "run_config": (None, lambda m, a: m.update(user_meta={"run_config": {"mode": "Opt-M"}}),
                    False),
-    "engine_rank_0_x_ref": (2, lambda m, a: a.pop("engine_rank_0_x_ref"), False),
 }
 
 

@@ -42,6 +42,10 @@ from repro.runtime.session import restore_run
 from repro.state import CheckpointError, load_checkpoint, restore_simulation, save_checkpoint
 from repro.state.telemetry import summarize_telemetry
 from repro.state.trajectory import read_binary_trajectory
+from test_state_checkpoint import rewrite
+
+# the environment of every CLI child: this checkout's package first
+CLI_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 
 # drift regime with neighbor rebuilds on both sides of the step-5
 # checkpoint (verified by test_drift_sequence_rebuilds)
@@ -118,15 +122,26 @@ class TestSerialRestartEquivalence:
         assert_bitwise_equal(observed, plain)
 
 
+def stored_rank_lists(meta, arrays):
+    """What builds that stored rank lists added to a ranks=2 checkpoint:
+    ``warm_ranks`` and one list reference per rank, rank 0's three rows short."""
+    meta["engine"]["warm_ranks"] = [0, 1]
+    arrays.update(engine_rank_0_x_ref=arrays["engine_x_ref"][:-3],
+                  engine_rank_1_x_ref=arrays["engine_x_ref"])
+
+
 class TestParallelRestartEquivalence:
-    @pytest.mark.parametrize("resume_workers", [1, 2])
-    def test_bitwise(self, si_params, tmp_path, resume_workers):
+    @pytest.mark.parametrize("resume_workers, edit", [(1, None), (2, None), (2, stored_rank_lists)],
+                             ids=["1", "2", "stored-rank-lists"])
+    def test_bitwise(self, si_params, tmp_path, resume_workers, edit):
         with build_sim(si_params, workers=2, ranks=2) as truth:
             truth.run(N_STEPS)
 
             with build_sim(si_params, workers=2, ranks=2) as sim:
                 sim.run(K_STEPS)
                 save_checkpoint(sim, tmp_path / "k.ckpt")
+            if edit is not None:
+                rewrite(tmp_path / "k.ckpt", edit)
 
             ck = load_checkpoint(tmp_path / "k.ckpt")
             with restore_simulation(
@@ -159,8 +174,6 @@ class TestSigkillDurability:
     """Kill a real run with SIGKILL; everything on disk must remain usable."""
 
     def launch(self, tmp_path, *, steps=200000):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
         return subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "run",
@@ -170,7 +183,7 @@ class TestSigkillDurability:
                 "--telemetry", "run.jsonl",
             ],
             cwd=tmp_path,
-            env=env,
+            env=CLI_ENV,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
@@ -228,8 +241,6 @@ class TestSigkillDurability:
                 proc.send_signal(signal.SIGKILL)
             proc.wait(timeout=60)
 
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
         out = subprocess.run(
             [
                 sys.executable, "-m", "repro", "run",
@@ -238,7 +249,7 @@ class TestSigkillDurability:
                 "--telemetry", "run.jsonl",
             ],
             cwd=tmp_path,
-            env=env,
+            env=CLI_ENV,
             capture_output=True,
             text=True,
             timeout=600,
@@ -255,13 +266,11 @@ class TestSigkillDurability:
     def test_cli_restart_refuses_corrupt_checkpoint(self, tmp_path):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"REPROCK1" + b"\x00" * 32)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
         out = subprocess.run(
             [sys.executable, "-m", "repro", "run", "--restart-from", str(bad), "--steps", "1"],
             capture_output=True,
             text=True,
-            env=env,
+            env=CLI_ENV,
             timeout=600,
         )
         assert out.returncode == 2
@@ -271,8 +280,6 @@ class TestSigkillDurability:
 def test_restart_run_config_round_trip(tmp_path):
     """The CLI pins the full run spec; restart rebuilds it from the
     checkpoint rather than trusting the new command line."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     run = subprocess.run(
         [
             sys.executable, "-m", "repro", "run",
@@ -280,7 +287,7 @@ def test_restart_run_config_round_trip(tmp_path):
             "--workers", "2", "--executor", "thread",
             "--checkpoint", "a.ckpt", "--checkpoint-every", "4",
         ],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
+        cwd=tmp_path, env=CLI_ENV, capture_output=True, text=True, timeout=600,
     )
     assert run.returncode == 0, run.stderr
     ck = load_checkpoint(tmp_path / "a.ckpt")
@@ -316,21 +323,15 @@ class TestSortedDomainsRefused:
     def checkpoint(self, si_params, tmp_path, sort):
         """A ranks=2 checkpoint in the older layout: ``sort`` in the
         pinned run spec and in the engine metadata."""
-        from repro.state.checkpoint import CHECKPOINT_MAGIC
-        from repro.state.format import pack_arrays, pack_json, write_frame
-
         run = RunSpec(solver=SolverSpec(mode="Opt-D"), workers=2, ranks=2, skin=SKIN)
         with build_sim(si_params, workers=2, ranks=2) as sim:
             sim.run(K_STEPS)
             save_checkpoint(sim, tmp_path / "k.ckpt", user_meta={"run_spec": run.to_dict()})
-        ck = load_checkpoint(tmp_path / "k.ckpt")
-        for where, value in sort.items():
-            meta = ck.meta["engine"] if where == "engine" else ck.meta["user_meta"]["run_spec"]
-            meta["sort"] = value
-        with open(tmp_path / "k.ckpt", "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            write_frame(fh, pack_json(ck.meta))
-            write_frame(fh, pack_arrays(ck.arrays))
+
+        def edit(meta, arrays):
+            for where, value in sort.items():
+                (meta["engine"] if where == "engine" else meta["user_meta"]["run_spec"])["sort"] = value
+        rewrite(tmp_path / "k.ckpt", edit)
         return load_checkpoint(tmp_path / "k.ckpt")
 
     def test_sort_false_resumes_bitwise(self, si_params, tmp_path):
@@ -352,11 +353,9 @@ class TestSortedDomainsRefused:
         else:
             with pytest.raises(CheckpointError, match="Morton-sorted"):
                 restore_run(ck.run_spec(), ck)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
         out = subprocess.run(
             [sys.executable, "-m", "repro", "run", "--restart-from", "k.ckpt", "--steps", "1"],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
+            cwd=tmp_path, env=CLI_ENV, capture_output=True, text=True, timeout=600,
         )
         assert out.returncode == 2
         assert "Morton-sorted" in out.stderr
