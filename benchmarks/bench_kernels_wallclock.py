@@ -148,10 +148,19 @@ def test_compiled_sw_wallclock(benchmark, big_workload, precision):
 
 
 @pytest.mark.benchmark(group="wallclock-substrate")
-def test_neighbor_build_wallclock(benchmark, big_workload):
+@pytest.mark.parametrize("cells, skin, threads", [((8, 8, 8), 1.0, None), ((8, 8, 4), 0.5, 1)],
+                         ids=["4096-skin1.0", "2048-skin0.5-1thread"])
+def test_neighbor_build_wallclock(benchmark, big_workload, cells, skin, threads):
+    """The list build: the 4096-atom cell on every usable core, and ROADMAP
+    21's acceptance case, a 2048-atom 8x8x4 cell at skin 0.5 on one thread."""
+    from repro.md.lattice import diamond_lattice, perturbed
+
     params, system, _ = big_workload
+    if cells != (8, 8, 8):
+        system = perturbed(diamond_lattice(*cells), 0.1, seed=2)
     def build():
-        nl = NeighborList(NeighborSettings(cutoff=params.max_cutoff, skin=1.0))
+        nl = NeighborList(NeighborSettings(cutoff=params.max_cutoff, skin=skin))
+        nl.threads = threads
         nl.build(system.x, system.box)
         return nl
     nl = benchmark(build)

@@ -1,24 +1,23 @@
 /* C cell-list build behind repro.md.neighbor.NeighborList.
  *
- * Compiled into the same shared object as _tersoff.c.  It writes the
- * CSR list the numpy builder writes (_binned_pairs followed by the
- * stable sort on i in NeighborList.build), entry for entry, because the
- * kernels' bitwise guarantees rest on the order of a row (DESIGN.md
- * §12): rows ascending i; within a row the 27 cell shifts in (dx,dy,dz)
- * lexicographic order; within a cell ascending atom index.  The
- * arithmetic that decides membership is the oracle's too: cell =
- * (x - lo) / binsize truncated and clamped to [0, nbins-1], d -= L *
- * rint(d / L) on periodic axes, r^2 by DOT3_EINSUM, inclusive <= rlist^2.
+ * It writes the CSR list the numpy builder writes (_binned_pairs followed by
+ * the stable sort on i in NeighborList.build), entry for entry, because the
+ * kernels' bitwise guarantees rest on the order of a row (DESIGN.md §12):
+ * rows ascending i; within a row the 27 cell shifts in (dx,dy,dz)
+ * lexicographic order; within a cell ascending atom index.  The arithmetic
+ * that decides membership is the oracle's too: cell = (x - lo) / binsize
+ * truncated and clamped to [0, nbins-1], d -= L * rint(d / L) on periodic
+ * axes, r^2 by DOT3_EINSUM, inclusive <= rlist^2.
  *
- * The binning is one serial pass, which also copies the positions into
- * cell order as three columns; the row fill runs over the threads of
- * _pool.c.  Neither the thread count nor who fills which rows moves an
- * entry: every chunk of rows writes into its own slice of the output and
- * records its row lengths, and a prefix sum and an in-order move of the
- * slices then leave the one-thread arrays.
- *
- * Nothing here is REAL-templated: positions, box and list radius are
- * f64 in every precision mode.
+ * A serial pass bins the atoms and copies their positions into cell order
+ * as three columns, where a cell's z-neighbours are adjacent: a stencil's
+ * 27 cells are 9 runs of candidates (18 where a periodic z axis wraps).  On
+ * the threads of _pool.c each cell's runs are listed once, then the rows
+ * filled: a run's candidates are tested across the build's f64 lanes
+ * (_vec.h) and compacted without a branch, in order (paper Sec. V's vector
+ * conditional and compress-store).  Each chunk of rows fills its own slice
+ * of the output and records its row lengths; a prefix sum and an in-order
+ * move of the slices leave the one-thread arrays.
  */
 
 #include <math.h>
@@ -29,28 +28,33 @@
 #include "_common.h"
 #include "_pool.h"
 
-#define F64 double
+#define REAL double /* positions, box and radius are f64 in every precision mode */
+#define IREAL int64_t
+#define UREAL uint64_t
+#define REAL_BITS 64
+#define TSUF f64
+#define R_SQRT sqrt
+#define ACC double
+#define VLANES VEC_LANES_F64
+#include "_vec.h"
 
 #define NBR_NONFINITE 1 /* info[0] names the first atom with a non-finite position */
 
 /* rows a chunk of a threaded fill holds; one thread fills every row as one */
 #define NBR_ROWS_PER_CHUNK 64
 
-/* geometry block `geo` (13 doubles, packed by NeighborList.build):
- * box lo, box lengths, bin size per axis, half lengths (+inf on
- * non-periodic axes), list radius squared */
+/* per cell, in `order` after the atoms: its run count, then (first, end, wrap) per run */
+#define NBR_CELL_INTS (1 + 3 * 18)
+
+/* a lane's keep flag as a byte; where lane l's lies in a word they fill */
+typedef uint8_t nbr_bytes __attribute__((vector_size(VLANES)));
+#define NBR_LANE_BIT(l) (__BYTE_ORDER__ == __ORDER_BIG_ENDIAN__ ? 56 - 8 * (l) : 8 * (l))
+
+/* geometry block `geo` (13 doubles, packed by NeighborList.build): box lo, lengths, bin
+ * size per axis, half lengths (+inf on non-periodic axes), list radius squared */
 enum { GEO_LO = 0, GEO_LEN = 3, GEO_BIN = 6, GEO_HALF = 9, GEO_R2 = 12 };
 
-/* Bin `t` of a neighboring cell along one axis of `nb` bins: wrapped
- * (Python modulo) on a periodic axis, -1 past the edge of an open one. */
-static inline int64_t shifted_bin(const int64_t t, const int64_t nb, const int32_t periodic)
-{
-    if (t >= 0 && t < nb) return t;
-    if (!periodic) return -1;
-    return t < 0 ? nb - 1 : 0;
-}
-
-/* One build, as the threads of its row fill see it. */
+/* One build, as the threads of its run listing and row fill see it. */
 typedef struct {
     int64_t n;
     const double *x;
@@ -60,108 +64,116 @@ typedef struct {
     int32_t full;
     const int64_t *cell;
     const int64_t *cell_start;
-    const int32_t *order;
-    const double *xs;     /* positions in cell order, three columns */
-    const double *bounds; /* per cell: least x, y, z, then greatest */
-    int64_t rows;     /* per chunk */
-    int64_t n_chunks;
-    int64_t per;      /* output slots per chunk; the last runs to the end */
+    int32_t *order;         /* then the runs */
+    const double *xs;       /* positions in cell order, three columns */
+    double *plane[3];       /* per axis and bin: least and greatest coordinate */
+    int64_t rows, n_chunks; /* rows per chunk, chunks */
+    int64_t per;            /* output slots per chunk; the last runs to the end */
     int64_t cap;
-    int64_t *offsets; /* the fill leaves row i's length in offsets[i + 1] */
+    int64_t *offsets;       /* the fill leaves row i's length in offsets[i + 1] */
     int32_t *neighbors;
     _Alignas(POOL_CACHE_LINE) _Atomic int64_t next; /* chunk claims */
 } nbr_job;
 
-/* The candidates q .. end-1 of one cell against atom i at xi: every one
- * is stored at slot `count` and the count advances by the test, so the
- * ~1 in 8 accepts leave no branch to mispredict.  `room` is
- * only checked when the cell could run past it (slots past `room` are
- * counted, not written).  j == i is tested through `self`, which is i in
- * the atom's own cell and -1 elsewhere.  Without `wrap` the cell is known
- * to lie within L/2 of xi on every axis, where the minimum image moves
- * nothing. */
-static inline __attribute__((always_inline)) int64_t nbr_cell(
-    const nbr_job *job, const F64 *restrict xi, int64_t q, const int64_t end,
-    const int32_t self, int32_t *restrict out, const int64_t room, int64_t count,
-    const int guarded, const int wrap)
+/* whether along axis c an atom of bin t may lie beyond L/2 of an atom of bin b */
+static inline int32_t nbr_far(const nbr_job *job, const int c, const int64_t b, const int64_t t)
 {
-    const double *restrict geo = job->geo;
-    const double *restrict cx = job->xs, *restrict cy = cx + job->n, *restrict cz = cy + job->n;
-    const int32_t *restrict order = job->order;
-    const F64 r2max = geo[GEO_R2];
-    int32_t spill;
-    for (; q < end; q++) {
-        const int32_t j = order[q];
-        F64 d[3] = {cx[q] - xi[0], cy[q] - xi[1], cz[q] - xi[2]};
-        int c;
-        for (c = 0; c < 3 && wrap; c++)
-            /* where |d| <= L/2, rint(d/L) is exactly 0 */
-            if (fabs(d[c]) > geo[GEO_HALF + c])
-                d[c] -= geo[GEO_LEN + c] * rint(d[c] / geo[GEO_LEN + c]);
-        const F64 r2 = DOT3_EINSUM(d[0] * d[0], d[1] * d[1], d[2] * d[2]);
-        *(guarded && count >= room ? &spill : out + count) = j;
-        count += (r2 <= r2max) & (j != self);
-    }
-    return count;
+    const double *own = job->plane[c] + 2 * b, *lim = job->plane[c] + 2 * t;
+    const REAL half = job->geo[GEO_HALF + c];
+    return !(lim[1] - own[0] <= half) | !(lim[0] - own[1] >= -half);
 }
 
-/* Row i into `out` from slot `count` on; returns the count after it.
- * Candidates come from the cell-ordered position columns, so a cell is
- * one contiguous run of each. */
-static int64_t nbr_row(const nbr_job *job, const int64_t i, int32_t *restrict out,
-                       const int64_t room, int64_t count)
+/* The runs of the cells of the (b0, b1) rows this thread claims.  Per
+ * shift (s0, s1) in order, the cells b2-1 .. b2+1 of row (t0, t1) are one
+ * run, cut at an open edge and split where a periodic z axis wraps; empty
+ * runs are left out.  A run's `wrap` sets bit c where along axis c it may
+ * be far from the cell (always z where a wrap split it): rounding is
+ * monotone, so each d lies between the d of the bins' bounds, and where
+ * |d| <= L/2, rint(d/L) is exactly 0 and the minimum image moves nothing. */
+static void nbr_runs(void *ctx, const int tid)
 {
-    const F64 xi[3] = {job->x[3 * i], job->x[3 * i + 1], job->x[3 * i + 2]};
-    const int64_t *restrict cell_start = job->cell_start;
-    const int32_t *restrict periodic = job->periodic;
+    nbr_job *job = ctx;
     const int64_t nb0 = job->nbins[0], nb1 = job->nbins[1], nb2 = job->nbins[2];
-    const int64_t ci = job->cell[i];
-    const int64_t b2 = ci % nb2, b1 = (ci / nb2) % nb1, b0 = ci / (nb1 * nb2);
+    const int32_t *periodic = job->periodic;
+    int64_t r, b2, s, w;
+    (void)tid;
+    while ((r = atomic_fetch_add_explicit(&job->next, 1, memory_order_relaxed)) < nb0 * nb1) {
+        const int64_t b0 = r / nb1, b1 = r % nb1;
+        int64_t rows[9], wrap[9]; /* per row (t0, t1): its first cell or -1; x, y image bits */
+        for (s = 0; s < 9; s++) {
+            int64_t t0 = b0 + s / 3 - 1, t1 = b1 + s % 3 - 1;
+            t0 = periodic[0] ? (t0 + nb0) % nb0 : t0;
+            t1 = periodic[1] ? (t1 + nb1) % nb1 : t1;
+            rows[s] = t0 < 0 || t0 >= nb0 || t1 < 0 || t1 >= nb1 ? -1 : (t0 * nb1 + t1) * nb2;
+            wrap[s] = rows[s] < 0 ? 0 : nbr_far(job, 0, b0, t0) | nbr_far(job, 1, b1, t1) << 1;
+        }
+        for (b2 = 0; b2 < nb2; b2++) {
+            /* z bins in shift order: the wrapped one before, b2-1 .. b2+1, the one after */
+            const int64_t lo = b2 > 0 ? b2 - 1 : 0, hi = b2 + 1 < nb2 ? b2 + 1 : nb2 - 1;
+            const int64_t z[3][2] = {{nb2 - 1, nb2 - 1}, {lo, hi}, {0, 0}};
+            const int32_t far_z = nbr_far(job, 2, b2, lo) | nbr_far(job, 2, b2, b2) |
+                                  nbr_far(job, 2, b2, hi);
+            int32_t *run = job->order + job->n + NBR_CELL_INTS * (r * nb2 + b2), k = 0;
+            for (s = 0; s < 9; s++)
+                for (w = b2 == 0 && periodic[2] ? 0 : 1;
+                     w < (b2 == nb2 - 1 && periodic[2] ? 3 : 2) && rows[s] >= 0; w++) {
+                    const int32_t first = (int32_t)job->cell_start[rows[s] + z[w][0]];
+                    const int32_t end = (int32_t)job->cell_start[rows[s] + z[w][1] + 1];
+                    run[1 + 3 * k] = first;
+                    run[2 + 3 * k] = end;
+                    run[3 + 3 * k] = (int32_t)wrap[s] | (w == 1 ? far_z : 1) << 2;
+                    k += end > first;
+                }
+            run[0] = k;
+        }
+    }
+}
+
+/* The candidates q .. end-1 of one run against atom i, VLANES at a
+ * time: a lane keeps its j where r^2 <= rlist^2, j != i and j > `above`
+ * (i in a half list, -1 in a full one).  Each lane stores its j at slot
+ * `count` and adds its test to the count, so the survivors land in order
+ * without a branch.  Lanes past `end` read on into the scratch and count
+ * nothing.  Slots from `room` on are counted, not written, when `guarded`.
+ * Only the axes set in `wrap` take the minimum image. */
+static inline __attribute__((always_inline)) int64_t nbr_run(
+    const nbr_job *job, const int64_t i, int64_t q, const int64_t end, int32_t *restrict out,
+    const int64_t room, int64_t count, const int guarded, const int64_t wrap)
+{
     const int32_t *restrict order = job->order;
-    const F64 *half = job->geo + GEO_HALF;
-    /* a half list keeps j > i: a suffix of each cell, which holds its
-     * atoms in ascending index */
-    const int32_t above = job->full ? -1 : (int32_t)i;
-    int64_t s0, s1, s2;
-    for (s0 = -1; s0 <= 1; s0++) {
-        const int64_t t0 = shifted_bin(b0 + s0, nb0, periodic[0]);
-        if (t0 < 0) continue;
-        for (s1 = -1; s1 <= 1; s1++) {
-            const int64_t t1 = shifted_bin(b1 + s1, nb1, periodic[1]);
-            if (t1 < 0) continue;
-            for (s2 = -1; s2 <= 1; s2++) {
-                const int64_t t2 = shifted_bin(b2 + s2, nb2, periodic[2]);
-                /* three bins or more per periodic axis: only the unshifted
-                 * cell is the atom's own, so only there can j be i */
-                const int32_t self = (s0 | s1 | s2) == 0 ? (int32_t)i : -1;
-                const double *lim;
-                int64_t q, end;
-                int c, near = 1;
-                if (t2 < 0) continue;
-                q = (t0 * nb1 + t1) * nb2 + t2;
-                /* rounding is monotone, so every d of the cell lies between
-                 * the d of its least and of its greatest coordinate */
-                for (lim = job->bounds + 6 * q, c = 0; c < 3; c++)
-                    near &= (lim[3 + c] - xi[c] <= half[c]) & (lim[c] - xi[c] >= -half[c]);
-                end = cell_start[q + 1];
-                for (q = cell_start[q]; q < end && order[q] <= above; q++) {}
-                if (count + (end - q) > room)
-                    count = nbr_cell(job, xi, q, end, self, out, room, count, 1, 1);
-                else if (near)
-                    count = nbr_cell(job, xi, q, end, self, out, room, count, 0, 0);
-                else
-                    count = nbr_cell(job, xi, q, end, self, out, room, count, 0, 1);
-            }
+    const VMASK self = vm_set1(i), above = vm_set1(job->full ? -1 : i);
+    int32_t spill;
+    for (; q < end; q += VLANES) {
+        const VMASK j = vm_load_i32(order + q);
+        VREAL d[3];
+        uint64_t word = 0;
+        int c, l;
+        for (c = 0; c < 3; c++) {
+            const VREAL len = v_set1(job->geo[GEO_LEN + c]), half = v_set1(job->geo[GEO_HALF + c]);
+            VREAL k = d[c] = v_load(job->xs + c * job->n + q) - v_set1(job->x[3 * i + c]);
+            if (wrap >> c & 1) k = d[c] / len; /* a division only where the image may move */
+            for (l = 0; l < VLANES && wrap >> c & 1; l++) k[l] = rint(k[l]);
+            if (wrap >> c & 1) d[c] = v_sel((d[c] > half) | (d[c] < -half), d[c] - len * k, d[c]);
+        }
+        const nbr_bytes keep = __builtin_convertvector(
+            (DOT3_EINSUM(d[0] * d[0], d[1] * d[1], d[2] * d[2]) <= v_set1(job->geo[GEO_R2])) &
+                (j > above) & (j != self) & (vm_iota() < vm_set1(end - q)), nbr_bytes);
+        memcpy(&word, &keep, sizeof keep); /* one move, where lane reads would be VLANES */
+        for (l = 0; l < VLANES; l++) {
+            *(guarded && count >= room ? &spill : out + count) = order[q + l];
+            count += (word >> NBR_LANE_BIT(l)) & 1;
         }
     }
     return count;
 }
 
-/* The chunks of rows this thread claims, each into its own slice. */
+/* The chunks of rows this thread claims, each into its own slice.  With
+ * three bins or more per periodic axis a stencil meets each cell once,
+ * so j == i only where the atom itself is the candidate. */
 static void nbr_fill(void *ctx, const int tid)
 {
     nbr_job *job = ctx;
-    int64_t chunk;
+    int64_t chunk, i, k, count;
     (void)tid;
     while ((chunk = atomic_fetch_add_explicit(&job->next, 1, memory_order_relaxed)) <
            job->n_chunks) {
@@ -169,10 +181,15 @@ static void nbr_fill(void *ctx, const int tid)
         const int64_t end = first + job->rows < job->n ? first + job->rows : job->n;
         const int64_t room = chunk + 1 < job->n_chunks ? job->per : job->cap - chunk * job->per;
         int32_t *out = job->neighbors + chunk * job->per;
-        int64_t i, count = 0;
-        for (i = first; i < end; i++) {
+        for (count = 0, i = first; i < end; i++) {
+            const int32_t *run = job->order + job->n + NBR_CELL_INTS * job->cell[i];
             const int64_t before = count;
-            count = nbr_row(job, i, out, room, count);
+            for (k = 0; k < run[0]; k++) {
+                const int64_t q = run[1 + 3 * k], e = run[2 + 3 * k], wrap = run[3 + 3 * k];
+                count = count + (e - q) >= room ? nbr_run(job, i, q, e, out, room, count, 1, wrap)
+                        : wrap                  ? nbr_run(job, i, q, e, out, room, count, 0, wrap)
+                                                : nbr_run(job, i, q, e, out, room, count, 0, 0);
+            }
             job->offsets[i + 1] = count - before;
         }
     }
@@ -194,35 +211,42 @@ int64_t neighbor_build(
     const int32_t full,               /* 0: keep i < j only                    */
     int64_t *restrict cell,           /* (n,)  scratch: linear cell per atom   */
     int64_t *restrict cell_start,     /* (ncells+2,) scratch                   */
-    int32_t *restrict order,          /* (n,)  scratch: atoms sorted by cell   */
-    double *restrict xs,              /* (3n+6*ncells,) scratch: x, y, z
-                                         columns in the order of `order`, then
-                                         each cell's least and greatest x, y, z */
+    int32_t *restrict order,          /* (n+NBR_CELL_INTS*ncells,) scratch:
+                                         atoms sorted by cell, then the runs  */
+    double *restrict xs,              /* (3n+2*sum(nbins)+8,) scratch: x, y, z
+                                         by `order`, then per axis and bin the
+                                         least and greatest coordinate, 8 spare */
     const int64_t cap,
     int64_t *restrict offsets,        /* (n+1,) out                            */
     int32_t *restrict neighbors,      /* (cap,) out                            */
     const int64_t threads,            /* most threads the fill may use         */
     int64_t *restrict info)
 {
-    const int64_t nb1 = nbins[1], nb2 = nbins[2];
-    const int64_t ncells = nbins[0] * nb1 * nb2;
-    nbr_job job;
-    int64_t i, k, most = 0, short_slice = 0;
-    int c;
+    const int64_t nb0 = nbins[0], nb1 = nbins[1], nb2 = nbins[2], ncells = nb0 * nb1 * nb2;
+    nbr_job job = {.n = n, .x = x, .geo = geo, .nbins = nbins, .periodic = periodic, .full = full,
+                   .cell = cell, .cell_start = cell_start, .order = order, .xs = xs, .cap = cap,
+                   .offsets = offsets, .neighbors = neighbors,
+                   .plane = {xs + 3 * n, xs + 3 * n + 2 * nb0, xs + 3 * n + 2 * (nb0 + nb1)}};
+    int64_t i, k, c, most = 0, short_slice = 0;
 
-    /* bin; stable counting sort by linear cell: counts land two slots up
-     * so that after the fill cell_start[q] .. cell_start[q+1] is cell q */
+    /* bin, and bound each bin's plane; stable counting sort by linear cell:
+     * counts land two slots up so that after the fill cell_start[q] ..
+     * cell_start[q+1] is cell q */
+    for (i = 0; i < 2 * (nb0 + nb1 + nb2); i++) xs[3 * n + i] = i % 2 ? -INFINITY : INFINITY;
     memset(cell_start, 0, (size_t)(ncells + 2) * sizeof(int64_t));
     for (i = 0; i < n; i++) {
         int64_t b[3];
         for (c = 0; c < 3; c++) {
-            const F64 f = (x[3 * i + c] - geo[GEO_LO + c]) / geo[GEO_BIN + c];
+            const REAL f = (x[3 * i + c] - geo[GEO_LO + c]) / geo[GEO_BIN + c];
             const int64_t last = nbins[c] - 1;
             if (!isfinite(x[3 * i + c])) {
                 info[0] = i;
                 return -NBR_NONFINITE;
             }
-            b[c] = f > 0 ? (f < (F64)last ? (int64_t)f : last) : 0;
+            b[c] = f > 0 ? (f < (REAL)last ? (int64_t)f : last) : 0;
+            double *lim = job.plane[c] + 2 * b[c];
+            lim[0] = x[3 * i + c] < lim[0] ? x[3 * i + c] : lim[0];
+            lim[1] = x[3 * i + c] > lim[1] ? x[3 * i + c] : lim[1];
         }
         cell[i] = (b[0] * nb1 + b[1]) * nb2 + b[2];
         cell_start[cell[i] + 2]++;
@@ -231,36 +255,12 @@ int64_t neighbor_build(
     for (i = 0; i < n; i++) order[cell_start[cell[i] + 1]++] = (int32_t)i;
     for (k = 0; k < n; k++)
         for (c = 0; c < 3; c++) xs[c * n + k] = x[3 * (int64_t)order[k] + c];
-    for (i = 0; i < ncells; i++) {
-        double *lim = xs + 3 * n + 6 * i;
-        for (c = 0; c < 3; c++) {
-            lim[c] = INFINITY;
-            lim[3 + c] = -INFINITY;
-            for (k = cell_start[i]; k < cell_start[i + 1]; k++) {
-                lim[c] = xs[c * n + k] < lim[c] ? xs[c * n + k] : lim[c];
-                lim[3 + c] = xs[c * n + k] > lim[3 + c] ? xs[c * n + k] : lim[3 + c];
-            }
-        }
-    }
 
-    job.n = n;
-    job.x = x;
-    job.geo = geo;
-    job.nbins = nbins;
-    job.periodic = periodic;
-    job.full = full;
-    job.cell = cell;
-    job.cell_start = cell_start;
-    job.order = order;
-    job.xs = xs;
-    job.bounds = xs + 3 * n;
     job.rows = threads > 1 ? NBR_ROWS_PER_CHUNK : (n > 0 ? n : 1);
     job.n_chunks = (n + job.rows - 1) / job.rows;
     job.per = job.n_chunks > 1 ? cap / job.n_chunks : cap;
-    job.cap = cap;
-    job.offsets = offsets;
-    job.neighbors = neighbors;
-    atomic_init(&job.next, 0);
+    pool_run((int)(threads < nb0 * nb1 ? threads : nb0 * nb1), nbr_runs, &job);
+    atomic_store(&job.next, 0);
     info[0] = pool_run((int)(threads < job.n_chunks ? threads : job.n_chunks), nbr_fill, &job);
 
     offsets[0] = 0;
@@ -316,12 +316,12 @@ int64_t neighbor_inner(
         for (e = offsets[i]; e < offsets[i + 1]; e++) {
             const int64_t j = neighbors[e];
             const double *xj = x + 3 * (j >= 0 && j < n ? j : i);
-            F64 d[3];
+            REAL d[3];
             for (c = 0; c < 3; c++) {
                 d[c] = xj[c] - xi[c];
                 if (fabs(d[c]) > geo[3 + c]) d[c] -= geo[c] * rint(d[c] / geo[c]);
             }
-            const F64 r2 = DOT3_EINSUM(d[0] * d[0], d[1] * d[1], d[2] * d[2]);
+            const REAL r2 = DOT3_EINSUM(d[0] * d[0], d[1] * d[1], d[2] * d[2]);
             inner[kept] = (int32_t)j;
             kept += !(r2 > geo[6]) | !isfinite(r2); /* no branch: half the entries go */
         }

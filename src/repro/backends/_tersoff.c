@@ -11,7 +11,7 @@
  * _tersoff_impl.h (Alg. 3 as scheme 1b: the chunk's (i, j) pairs across
  * VLANES vector lanes, each lane on its own K list, written against
  * _vec.h and _vmath.h), instantiated for double (Opt-D) and float
- * (Opt-S/M compute side) at the lanes of TERS_LANES_* (_walker.h).  The
+ * (Opt-S/M compute side) at the lanes of VEC_LANES_* (_common.h).  The
  * sums across lanes are replayed in the order of the scheme-1a kernel
  * (ters_block), so neither the lane count, nor the -march flag, nor the
  * thread count decides a result bit: the first two only choose how many
@@ -176,7 +176,7 @@ static void ters_block(walk_row *row, const int nb, const int32_t *slot, const d
 #define REAL_BITS 64
 #define TSUF f64
 #define R_SQRT sqrt
-#define VLANES TERS_LANES_F64
+#define VLANES VEC_LANES_F64
 #include "_vec.h"
 #include "_vmath.h"
 #include "_tersoff_impl.h"
@@ -194,7 +194,7 @@ static void ters_block(walk_row *row, const int nb, const int32_t *slot, const d
 #define REAL_BITS 32
 #define TSUF f32
 #define R_SQRT sqrtf
-#define VLANES TERS_LANES_F32
+#define VLANES VEC_LANES_F32
 #include "_vec.h"
 #include "_vmath.h"
 #include "_tersoff_impl.h"

@@ -4,7 +4,7 @@
  *
  * Included twice from _tersoff.c (REAL=double/TSUF=f64, then
  * REAL=float/TSUF=f32), each with the VLANES of its REAL in this build
- * (TERS_LANES_*, _walker.h), as the body of the list walker
+ * (VEC_LANES_*, _common.h), as the body of the list walker
  * (_walker.c), which hands it the filtered short lists of one chunk of
  * rows.  Every short-list entry of row i inside its own inclusive
  * per-type-pair R+D cutoff is a pair (i, j), and every *other* entry —

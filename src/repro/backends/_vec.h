@@ -6,16 +6,16 @@
  * every operation below is one IEEE operation per lane whatever it is
  * lowered to: the result cannot depend on the ISA.
  *
- * Included once per REAL instantiation from _tersoff.c and _sw.c, which
- * define REAL, IREAL/UREAL (the signed/unsigned integers of REAL's
- * width), R_SQRT, TSUF and VLANES, the lane count of the instantiation,
- * after _walker.h, which defines ACC.  How many lanes a body runs is its
- * scheme's choice: Tersoff's scheme 1b packs pairs across rows, so it
- * fills the widest register the build may use (the TERS_LANES_* table
- * in _walker.h, a constant per build and REAL); SW's scheme 1a holds the
- * pairs of one row, four to a vector.  The first inclusion also defines
- * what does not depend on REAL: the instantiation-neutral names (v_sel,
- * ...) the kernels are written in.
+ * Included once per REAL instantiation from _tersoff.c, _sw.c and
+ * _neighbor.c, which define REAL, IREAL/UREAL (the signed/unsigned
+ * integers of REAL's width), R_SQRT, TSUF, ACC and VLANES, the lane count
+ * of the instantiation.  How many lanes a body runs is its scheme's
+ * choice: Tersoff's scheme 1b (pairs across rows) and the list build's
+ * fill (the candidates of a run of adjacent cells) fill the widest
+ * register the build may use (the VEC_LANES_* table in _common.h, a
+ * constant per build and REAL); SW's scheme 1a holds the pairs of one
+ * row, four to a vector.  The first inclusion also defines what does not
+ * depend on REAL: the names (v_sel, ...) the kernels are written in.
  *
  * Only constructs both compilers take in C: operators and comparisons on
  * vector types, subscripts, same-size casts (bit reinterpretation),

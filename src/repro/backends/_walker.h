@@ -25,9 +25,6 @@
 #include "_common.h"
 #include "_pool.h"
 
-#define CAT_(a, b) a##b
-#define CAT(a, b) CAT_(a, b)
-
 /* The I loop runs in chunks of this many rows, claimed from an atomic
  * counter by whichever thread is free; a body is handed one chunk at a
  * time.  ROWS_PER_CHUNK is part of the result — the virial sums and the
@@ -35,21 +32,6 @@
  * packs the pairs of one chunk — which is why it is a constant and not a
  * function of the thread count. */
 #define ROWS_PER_CHUNK 64
-
-/* Lanes of the Tersoff body per REAL: one register of the widest vector
- * ISA the build targets — 512-bit with AVX-512, 256-bit with AVX2,
- * 128-bit otherwise (SSE2, NEON, generic).  Part of the build, never of
- * a call: every width returns the same bits (_tersoff_impl.h). */
-#if defined(__AVX512F__)
-#define TERS_LANES_F64 8
-#define TERS_LANES_F32 16
-#elif defined(__AVX2__)
-#define TERS_LANES_F64 4
-#define TERS_LANES_F32 8
-#else
-#define TERS_LANES_F64 2
-#define TERS_LANES_F32 4
-#endif
 
 /* accumulator type: f64 in every precision mode (per-atom energy, force
  * and virial sums), the accumulate discipline of the numpy kernels */

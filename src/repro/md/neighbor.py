@@ -13,11 +13,11 @@ skin atoms.
 
 Construction uses cell binning (linear in the number of atoms).  Where
 the runtime-built C extension is available (:mod:`repro.backends.cext`)
-the build (its rows filled on the kernel's thread pool) and the skin
-test are C passes; the numpy bodies give the same arrays and decisions
-bit for bit and stay as the no-toolchain fallback and the test oracle.  A
-brute-force reference path exists both as a fallback for boxes too
-small to bin and as the oracle for the property-based tests.
+the build (a cell's 27 neighbours as 9 runs of adjacent cells, tested
+across the f64 lanes on the kernel's thread pool) and the skin test are
+C passes; the numpy bodies (the same arrays and decisions, bit for bit)
+are the no-toolchain fallback and test oracle, and a brute-force path
+the fallback for boxes too small to bin and the property tests' oracle.
 """
 
 from __future__ import annotations
@@ -276,12 +276,12 @@ def _compiled_csr(x: np.ndarray, box: Box, rlist: float, nbins: np.ndarray, full
     periodic = np.array(box.periodic, dtype=np.int32)
     geo = np.concatenate((box.lo, lengths, lengths / nbins,
                           np.where(periodic, 0.5 * lengths, np.inf), [rlist * rlist]))
-    cell = np.empty(n, dtype=np.int64)
-    cell_start = np.empty(int(np.prod(nbins)) + 2, dtype=np.int64)
-    order = np.empty(n, dtype=np.int32)
-    xs = np.empty(3 * n + 6 * (cell_start.shape[0] - 2), dtype=np.float64)
-    offsets = np.empty(n + 1, dtype=np.int64)
-    info = np.zeros(1, dtype=np.int64)
+    ncells = int(np.prod(nbins))
+    cell, cell_start = np.empty(n, dtype=np.int64), np.empty(ncells + 2, dtype=np.int64)
+    # _neighbor.c's scratch: after the atoms each cell's runs (NBR_CELL_INTS), after the
+    # columns each bin's bounds and room for the lanes to read 7 past a column
+    order, xs = np.empty(n + 55 * ncells, dtype=np.int32), np.empty(3 * n + 2 * nbins.sum() + 8)
+    offsets, info = np.empty(n + 1, dtype=np.int64), np.zeros(1, dtype=np.int64)
     # sized from the mean density with headroom (a diamond lattice at skin
     # 1.0 holds 1.2x the mean); a short buffer (or slice of it) costs a call
     sphere = 4.0 / 3.0 * np.pi * rlist**3

@@ -34,6 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_list, needs_compiled
+from test_neighbor import assert_inner, assert_same_as_numpy
 from repro import backends
 from repro.backends.base import BackendUnavailableError, ComputeBackend, UnknownBackendError
 from repro.core.sw import StillingerWeberProduction, sw_silicon
@@ -767,10 +768,10 @@ class TestIsaIndependence:
 
         params, system, _ = workload()
         system = with_periodicity(system, PERIODICITIES[periodic])
-        neigh = build_list(system, params.max_cutoff)
         results = []
-        for fns in lowerings:
+        for fns in lowerings:  # the list is built at each lowering too, numpy's entry for entry
             monkeypatch.setattr(cext, "load", lambda fns=fns: fns)
+            neigh = assert_same_as_numpy(system.x, system.box, cutoff=params.max_cutoff, skin=1.0)
             pot = TersoffProduction(params, precision=precision, backend="compiled")
             results.append((pot.compute(system, neigh), kernel_sums(pot)))
         assert_same_but_lanes(results)
@@ -783,10 +784,10 @@ class TestIsaIndependence:
 
         params, system, _ = sw_workload()
         system = with_periodicity(system, PERIODICITIES[periodic])
-        neigh = build_list(system, params.cut)
         results = []
         for fns in lowerings:
             monkeypatch.setattr(cext, "load", lambda fns=fns: fns)
+            neigh = assert_same_as_numpy(system.x, system.box, cutoff=params.cut, skin=1.0)
             pot = StillingerWeberProduction(params, precision=precision, backend="compiled")
             results.append((pot.compute(system, neigh), kernel_sums(pot)))
         assert_same_but_lanes(results)
@@ -912,7 +913,6 @@ class TestThreadInvariance:
         threads and all."""
         from repro.backends import cext
         from repro.md.neighbor import NeighborList, NeighborSettings, _numpy_csr
-        from test_neighbor import assert_inner
 
         fns, opened = cext.load(), []
 

@@ -321,11 +321,12 @@ class TestCompiledBuild:
         assert_same_as_numpy(s.x, s.box, skin=skin, full=full)
 
     @pytest.mark.parametrize("full", [True, False])
-    @pytest.mark.parametrize("periodic", [(True, True, False), (False, False, False),
-                                          (True, False, True)])
+    @pytest.mark.parametrize("periodic", [  # a fourth entry: the height of an open z slab
+        (True, True, False), (False, False, False), (True, False, True),
+        (True, True, False, 5.0), (False, True, False, 10.0)])  # 1 and 2 bins: a z-run stops there
     def test_open_boxes_ghosts_and_bin_edges(self, periodic, full):
         rng = np.random.default_rng(5)
-        box = Box(lo=np.array([-2.0, 1.0, 0.0]), hi=np.array([19.0, 25.5, 16.0]), periodic=periodic)
+        box = Box(np.array([-2.0, 1.0, 0.0]), np.array([19, 25.5, (*periodic, 16)[3]]), periodic[:3])
         rlist = 4.0
         # ghosts up to 1.5 A outside [lo, hi) on every axis
         x = rng.uniform(box.lo - 1.5, box.hi + 1.5, size=(900, 3))
@@ -334,8 +335,7 @@ class TestCompiledBuild:
         x[60:80, 0] = box.hi[0]  # on the hi face
         x[80:100] = box.hi
         x[100:110] = x[:10]  # coincident atoms are listed like any other pair
-        nl = assert_same_as_numpy(x, box, cutoff=3.0, skin=1.0, full=full)
-        assert nl.n_pairs > 0
+        assert assert_same_as_numpy(x, box, cutoff=3.0, skin=1.0, full=full).n_pairs > 0
 
     def test_radius_on_a_pair_distance(self):
         """`r^2 <= rlist^2` is decided on the oracle's own r^2: a list
