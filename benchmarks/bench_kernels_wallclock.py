@@ -125,6 +125,28 @@ def test_compiled_threads_wallclock(benchmark, big_workload, threads):
     assert res.stats["backend"]["threads"] == threads
 
 
+@pytest.mark.benchmark(group="wallclock-16384atoms")
+def test_compiled_gather_wallclock(benchmark):
+    """Opt-D on one thread on 16 384 atoms (16x16x8 cells), where sweep 1
+    has pushed the partial forces out of L2 before sweep 2 gathers them:
+    the call ``GATHER_AHEAD`` in ``_walker.c`` is sized on."""
+    from repro import backends
+    from repro.core.tersoff.parameters import tersoff_si
+    from repro.md.lattice import diamond_lattice, perturbed
+
+    if not backends.is_available("compiled"):
+        pytest.skip("compiled backend unavailable (no C toolchain)")
+    params = tersoff_si()
+    system = perturbed(diamond_lattice(16, 16, 8), 0.1, seed=2)
+    neigh = NeighborList(NeighborSettings(cutoff=params.max_cutoff, skin=1.0))
+    neigh.build(system.x, system.box)
+    pot = TersoffProduction(params, backend="compiled")
+    pot.kernel.threads = 1
+    pot.compute(system, neigh)  # build/load is warmup, not the measurement
+    res = benchmark(drifting(pot, system, neigh))
+    assert res.stats["backend"]["threads"] == 1
+
+
 @pytest.mark.benchmark(group="wallclock-4096atoms")
 @pytest.mark.parametrize("precision", ["double", "single"])
 def test_compiled_sw_wallclock(benchmark, big_workload, precision):

@@ -94,7 +94,7 @@ static void TFN(sw_row_)(const walk_job *job, walk_row *row, walk_acc *restrict 
         for (c = 0; c < 3; c++) {
             const vacc fv = fpair * vacc_load(dd + c * mr + q0);
             f_i[c] -= fv;
-            for (l = 0; l < nv; l++) row->f[3 * (q0 + l) + c] += fv[l];
+            for (l = 0; l < nv; l++) row->f[3 * row->q[q0 + l] + c] += fv[l];
             /* virial W_ab += d_a F_b, summed per lane */
             for (a = 0; a < 3; a++) acc->lane[3 * a + c] += vacc_load(dd + a * mr + q0) * fv;
         }
@@ -141,7 +141,7 @@ static void TFN(sw_row_)(const walk_job *job, walk_row *row, walk_acc *restrict 
                     valid, de_drik * hik[c] + de_dcos * (hij[c] / rik - crik * hik[c]), zero));
                 gj_sum[c] += gj;
                 f_i[c] += gj + gk;
-                for (l = 0; l < nk; l++) row->f[3 * (k0 + l) + c] -= gk[l];
+                for (l = 0; l < nk; l++) row->f[3 * row->q[k0 + l] + c] -= gk[l];
                 for (a = 0; a < 3; a++)
                     acc->lane[9 + 3 * a + c] += dj[a] * gj + vacc_load(dd + a * mr + k0) * gk;
             }
@@ -151,7 +151,7 @@ static void TFN(sw_row_)(const walk_job *job, walk_row *row, walk_acc *restrict 
             acc->count[1] += vm_count(valid);
             acc->count[2] += 1;
         }
-        for (c = 0; c < 3; c++) row->f[3 * m + c] -= vacc_hsum(gj_sum[c]);
+        for (c = 0; c < 3; c++) row->f[3 * row->q[m] + c] -= vacc_hsum(gj_sum[c]);
     }
     for (c = 0; c < 3; c++) row->f_i[c] = vacc_hsum(f_i[c]);
     row->e_i = e_pair + e_tri;

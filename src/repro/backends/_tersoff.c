@@ -148,7 +148,7 @@ static void ters_block(walk_row *row, const int nb, const int32_t *slot, const d
         for (c = 0; c < 3; c++) {
             const ACC *restrict col = ubuf + TERS_RING * c;
             const ACC fk = (col[u[0]] + col[u[2]]) + (col[u[1]] + col[u[3]]);
-            fs[3 * mk + c] -= fk;
+            fs[3 * row->q[mk] + c] -= fk;
             for (a = 0; a < 3; a++) acc->k[3 * a + c] += row->d[a][mk] * fk;
         }
     }
@@ -157,7 +157,8 @@ static void ters_block(walk_row *row, const int nb, const int32_t *slot, const d
         const vacc vi = ters_lanes4(obuf + TERS_RING * (O_VI + c), xl, nb);
         const vacc fv = ters_lanes4(obuf + TERS_RING * (O_FV + c), xl, nb);
         const vacc jt = ters_lanes4(obuf + TERS_RING * (O_JT + c), xl, nb);
-        for (l = 0; l < nb; l++) fs[3 * slot[l] + c] += obuf[TERS_RING * (O_FJ + c) + xl[l]];
+        for (l = 0; l < nb; l++)
+            fs[3 * row->q[slot[l]] + c] += obuf[TERS_RING * (O_FJ + c) + xl[l]];
         row->f_i[c] -= vacc_hsum(vi);
         /* virial W_ab += d_a F_b, summed per lane */
         for (a = 0; a < 3; a++) {

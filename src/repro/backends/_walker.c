@@ -7,18 +7,18 @@
  * two rows ever write one address and the I loop can be split over
  * threads without atomics.  Sweep 1, per row: F_i and the per-atom
  * energy go to atom i, written by nobody else; every neighbor a body
- * puts a force on is a slot of the row's short list, the slots are
- * `partial` entries of the row's own CSR range, and `where` says for
- * every entry of the row which slot holds its force, if any.  Sweep 2,
- * per atom a, after all of sweep 1: F_a += the slots of the entries that
- * name a, in ascending entry order, found through the inner list's
- * transposed index (_neighbor.c).  Rows and atoms are claimed in chunks of
- * ROWS_PER_CHUNK, each thread from its own range first (walk_next);
- * virial sums, counters and the first error are kept per chunk of rows
- * and reduced in chunk order.  Chunk size is a constant and the gather
- * order is the list's, so every output is bitwise the same for any
- * number of threads and any assignment of chunks to them; one thread
- * runs the same two sweeps alone.
+ * puts a force on is a slot of the row's short list, and its force goes
+ * to `partial[e]` of the row entry e the slot came from, in the row's
+ * own CSR range; an entry outside the short list keeps its zero.
+ * Sweep 2, per atom a, after all of sweep 1: F_a += the partials of the
+ * entries that name a, in ascending entry order, found through the
+ * inner list's transposed index (_neighbor.c).  Rows and atoms are
+ * claimed in chunks of ROWS_PER_CHUNK, each thread from its own range
+ * first (walk_next); virial sums, counters and the first error are kept
+ * per chunk of rows and reduced in chunk order.  Chunk size is a
+ * constant and the gather order is the list's, so every output is
+ * bitwise the same for any number of threads and any assignment of
+ * chunks to them; one thread runs the same two sweeps alone.
  */
 
 #include <math.h>
@@ -27,14 +27,13 @@
 
 #include "_walker.h"
 
-/* The gather reads one `where` and one `partial` line per entry, from
- * wherever the entry's row is: past a few thousand atoms sweep 1 has
- * pushed them out of L2 and every read is a miss.  Asking for the
- * `where` line this many entries ahead, and for the `partial` line a
- * quarter of that ahead (its address needs the `where` value), took a
- * one-thread 16 384-atom call from 1.07x the time of a direct scatter
- * into forces to 1.04x (three interleaved runs: 1.02-1.05); it costs
- * nothing at 4096 atoms, where both still sit in L2. */
+/* The gather reads one `partial` line per entry, from wherever the
+ * entry's row is: past a few thousand atoms sweep 1 has pushed them out
+ * of L2 and every read is a miss, so the line this many entries ahead is
+ * asked for early.  On a one-thread 16 384-atom call 256, 512 and 1024
+ * read alike, and so did no prefetch, inside the noise (EXPERIMENTS.md
+ * "Partials by list entry"); it costs nothing at 4096 atoms, where the
+ * partials still sit in L2. */
 #define GATHER_AHEAD 512
 
 /* Scratch doubles per short-list entry the walker keeps, for a chunk of
@@ -175,7 +174,7 @@ static int64_t walk_filter_row(const double *restrict x, const int32_t *restrict
 /* The next chunk of rows (sweep 0) or atoms (sweep 1) for thread `tid`,
  * or -1 when every one is claimed.  Thread t owns the t-th of `teams`
  * contiguous ranges of chunks, the same in both sweeps and from call to
- * call, so the partial and where lines its rows write stay in its cache;
+ * call, so the partial lines its rows write stay in its cache;
  * once its own range is claimed it takes from the next range, and the
  * next (`*from` counts the ranges it has left). */
 static int64_t walk_next(walk_job *job, const int tid, const int sweep, int64_t *from)
@@ -214,8 +213,6 @@ static void walk_work(void *ctx, const int tid)
     const int64_t *restrict offsets = job->a.offsets;
     const int32_t *restrict neighbors = job->a.neighbors, *restrict types = job->a.types;
     double *restrict partial = job->a.partial, *restrict forces = job->a.forces;
-    int32_t *restrict where = job->a.where;
-    const int32_t nowhere = (int32_t)offsets[n_atoms]; /* the slot that stays zero */
 
     /* ---- this thread's scratch: the chunk's short lists, back to back,
      * then the body's; a helper without it leaves the rows to the others
@@ -230,7 +227,7 @@ static void walk_work(void *ctx, const int tid)
     double *body = sr + SHORT_DOUBLES * me;
     walk_acc acc;
     walk_row rows[ROWS_PER_CHUNK];
-    int64_t chunk, i, q, m, r, from = 0;
+    int64_t chunk, i, q, r, from = 0;
     int c;
 
     while ((chunk = walk_next(job, tid, 0, &from)) >= 0) {
@@ -255,14 +252,10 @@ static void walk_work(void *ctx, const int tid)
                                 job->a.geo, kind->strict, sd_at, sr + at, sj + at, st + at,
                                 sq + at, out->fail);
             if (ns < 0) break;
-            /* the force on short-list slot m accumulates in partial slot m
-             * of the row's own entries; `where` tells sweep 2 which slot
-             * an entry's force is in, or that there is none */
-            int32_t *restrict w_row = where + offsets[i];
+            /* the force on a slot's atom accumulates in the partial of the
+             * row entry it came from; the others stay zero for sweep 2 */
             row->f = partial + 3 * offsets[i];
-            memset(row->f, 0, (size_t)(3 * ns) * sizeof(double));
-            for (q = 0; q < len; q++) w_row[q] = nowhere;
-            for (m = 0; m < ns; m++) w_row[sq[at + m]] = (int32_t)(offsets[i] + m);
+            memset(row->f, 0, (size_t)(3 * len) * sizeof(double));
 
             row->i = i;
             row->ti = types[i];
@@ -272,6 +265,7 @@ static void walk_work(void *ctx, const int tid)
             for (c = 0; c < 3; c++) row->d[c] = sd_at[c];
             row->j = sj + at;
             row->t = st + at;
+            row->q = sq + at;
             at += ns;
         }
         if (out->fail[0] == WALK_OK) {
@@ -304,11 +298,9 @@ static void walk_work(void *ctx, const int tid)
             ACC *restrict f_a = forces + 3 * i;
             ACC f0 = f_a[0], f1 = f_a[1], f2 = f_a[2];
             for (q = in_off[i]; q < in_off[i + 1]; q++) {
-                if (q + GATHER_AHEAD < n_in) {
-                    __builtin_prefetch(where + in_ent[q + GATHER_AHEAD]);
-                    __builtin_prefetch(partial + 3 * (int64_t)where[in_ent[q + GATHER_AHEAD / 4]]);
-                }
-                const double *restrict p = partial + 3 * (int64_t)where[in_ent[q]];
+                if (q + GATHER_AHEAD < n_in)
+                    __builtin_prefetch(partial + 3 * (int64_t)in_ent[q + GATHER_AHEAD]);
+                const double *restrict p = partial + 3 * (int64_t)in_ent[q];
                 f0 += p[0];
                 f1 += p[1];
                 f2 += p[2];
@@ -345,7 +337,7 @@ static int walk_stored_error(const walk_kind *kind, const walk_args *a)
 
 int walk_run(const walk_kind *kind, const walk_args *a)
 {
-    const int64_t n_atoms = a->n_atoms, *offsets = a->offsets;
+    const int64_t n_atoms = a->n_atoms;
     int64_t *info = a->info, i, n_pairs = 0, n_triplets = 0, n_bodies = 0, n_spins = 0;
     int c, bad = 0;
 
@@ -368,7 +360,6 @@ int walk_run(const walk_kind *kind, const walk_args *a)
         info[0] = info[1] = 0;
         return WALK_NOMEM;
     }
-    memset(a->partial + 3 * offsets[n_atoms], 0, 3 * sizeof(double));
     /* a thread per chunk at most; the caller alone runs the same two sweeps */
     job.teams = a->threads < job.n_chunks ? a->threads : job.n_chunks;
     job.teams = job.teams < 1 ? 1 : job.teams < POOL_MAX_THREADS ? job.teams : POOL_MAX_THREADS;

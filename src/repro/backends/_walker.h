@@ -5,14 +5,14 @@
  * form: the chunks of rows claimed by the threads of _pool.c, per row
  * the scalar *filter* — minimum-image geometry, the non-finite and
  * coincident-atom guards and the Sec. IV-D max-cutoff short list, in
- * double in every precision mode — then the per-slot `partial`/`where`
- * bookkeeping of the two-sweep force layout (Fan et al., arXiv
- * 1610.03343), the gather of sweep 2 and the chunk-ordered reduction of
- * the virial sums and counters.  A potential contributes one REAL-
- * templated *body* (the computational part: _tersoff_impl.h, _sw_impl.h)
- * that turns the short lists of one chunk of rows into each row's F_i
- * and energy, the force on each slot and the chunk's sums — and a
- * walk_kind that names it.
+ * double in every precision mode — then the per-entry `partial` forces
+ * of the two-sweep force layout (Fan et al., arXiv 1610.03343), the
+ * gather of sweep 2 and the chunk-ordered reduction of the virial sums
+ * and counters.  A potential contributes one REAL-templated *body* (the
+ * computational part: _tersoff_impl.h, _sw_impl.h) that turns the short
+ * lists of one chunk of rows into each row's F_i and energy, the force
+ * on each slot's entry and the chunk's sums — and a walk_kind that
+ * names it.
  */
 
 #ifndef REPRO_WALKER_H
@@ -88,12 +88,14 @@ typedef struct {
 /* One row as the filter leaves it: the short list of atom i — its
  * entries inside the short-list cutoff, in list order, entries
  * at .. at + ns - 1 of the chunk's short lists, which lie back to back —
- * and the forces the body leaves. */
+ * and the forces the body leaves.  The force on slot m's atom goes to
+ * f[3 * q[m] + c]: the partial of the row entry the slot came from. */
 typedef struct {
     int64_t i, ti, ns, at;
     const double *r, *d[3]; /* distance, minimum-image x_j - x_i per component */
     const int32_t *j, *t;   /* the neighbor and its type                      */
-    double *f;              /* (ns, 3), zeroed: the force on each slot's atom  */
+    const int32_t *q;       /* each slot's position in the row                */
+    double *f;              /* (len, 3), zeroed: each entry's force        */
     ACC f_i[3], e_i;        /* out: the force on i and the row's energy        */
 } walk_row;
 
@@ -114,8 +116,7 @@ typedef struct {
     int64_t max_row;          /* longest inner row (sizes the scratch)      */
     int64_t threads;          /* most threads to split the rows over        */
     double *scratch;          /* walk_scratch_doubles() doubles             */
-    double *partial;          /* (l+1,3) scratch: per-slot forces           */
-    int32_t *where;           /* (l,)   scratch: slot of each entry         */
+    double *partial;          /* (l,3)  scratch: the force of each entry    */
     double *stress;           /* (3,3,3) out: pair, j and k virial sums     */
     int64_t *info;            /* (6,) out: pairs, triplets in cutoff, kernel
                                  bodies issued, active lanes in them, threads

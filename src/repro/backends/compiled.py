@@ -6,11 +6,12 @@ positions (cache layers L1/L2), and one ctypes call does everything
 else per atom.  The list walker (``_walker.c``) is shared: minimum-image
 geometry, the non-finite/coincident guards, the Sec. IV-D short list,
 the atoms in chunks of rows over the threads of a small pool inside that
-one call, the two force sweeps and the reductions.  Each potential is a
-subclass that supplies a parameter table and the entry point of its C
-body: :class:`CompiledTersoffKernel` (Alg. 3 as scheme 1b, a chunk's
-pairs across the build's widest register) and :class:`CompiledSWKernel`
-(φ2 and the unordered (j, k) φ3 terms as scheme 1a, the entries of a row
+one call, the two force sweeps (a partial force per list entry, gathered
+per atom) and the reductions.  Each potential is a subclass that
+supplies a parameter table and the entry point of its C body:
+:class:`CompiledTersoffKernel` (Alg. 3 as scheme 1b, a chunk's pairs
+across the build's widest register) and :class:`CompiledSWKernel` (φ2
+and the unordered (j, k) φ3 terms as scheme 1a, the entries of a row
 four to a vector).  No pair or triplet table is ever staged: the kernel
 packs one argument block per list and type column and walks the list's
 *inner list* — its entries within cutoff + skin/2 of a reference frame,
@@ -58,7 +59,7 @@ _PREFILTER_MARGIN = 1.0 + 1.0e-9
 _NONFINITE, _COINCIDENT, _NOMEM = 1, 2, 4
 #: ``walk_args`` (``_walker.h``) in 8-byte slots: how many, and where the
 #: three written per call (positions and the two outputs) begin.
-_N_ARGS, _X = 22, 19
+_N_ARGS, _X = 21, 18
 
 
 def pick_strategy() -> str:
@@ -119,7 +120,7 @@ class CompiledListKernel(MultiBodyKernel):
         block = ws.buf("args", _N_ARGS, np.int64)
         block[:] = [n, 0, 0, 0, 0, lst.types.ctypes.data, geo.ctypes.data, self._ntypes,
                     self._cut.ctypes.data, self._ptab.ctypes.data, 0, threads, out[0].ctypes.data,
-                    0, 0, *(a.ctypes.data for a in (*out[1:], lst.offsets, lst.neighbors)), 0, 0, 0]
+                    0, *(a.ctypes.data for a in (*out[1:], lst.offsets, lst.neighbors)), 0, 0, 0]
         self._derive(lst, block)
         return (weakref.ref(lst), weakref.ref(lst.types)), key, block, block.ctypes.data, \
             fns[f"{kind}_lanes"](), *out[1:]
@@ -130,13 +131,11 @@ class CompiledListKernel(MultiBodyKernel):
         the list itself."""
         reach2 = (self.kcand_cutoff + 0.5 * lst.skin) ** 2 * _PREFILTER_MARGIN if lst.skin else np.inf
         *inner, max_row = inner_list(lst.offsets, lst.neighbors, lst.x, lst.box, reach2)
-        l = len(inner[1])
-        # the partials and slots of the entries walked, exactly as many (a capacity-doubling
-        # buffer would hold up to twice the list), and the frame they are valid around
-        self._inner = (*inner, np.empty((l + 1, 3), dtype=np.float64), np.empty(l, dtype=np.int32),
-                       lst.x.copy())
-        block[1:5], block[10], block[13:15] = [a.ctypes.data for a in inner], max_row, \
-            [a.ctypes.data for a in self._inner[4:6]]
+        # a partial force per entry walked, exactly as many (a capacity-doubling buffer would
+        # hold up to twice the list), and the frame they are valid around
+        self._inner = (*inner, np.empty((len(inner[1]), 3), dtype=np.float64), lst.x.copy())
+        block[1:5], block[10], block[13] = [a.ctypes.data for a in inner], max_row, \
+            self._inner[4].ctypes.data
 
     @hot_path(reason="computational part of every force call (compiled backend)")
     def evaluate(self, st: Staging, n: int) -> ForceResult:

@@ -301,8 +301,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         config = ServeConfig(
             **listen, max_sessions=args.max_sessions, per_tenant_cap=args.per_tenant_cap,
-            skin=args.skin, backlog=args.backlog, max_atoms=args.max_atoms,
-        )
+            backlog=args.backlog, max_atoms=args.max_atoms,
+            **({} if args.skin is None else {"skin": args.skin}))
         server = EvalServer(config)
     except (OSError, ValueError) as exc:
         print(f"serve: {exc}", file=sys.stderr)
@@ -433,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compute backend for the Tersoff and SW Opt-* production paths "
                             "(default: compiled where the C extension loads, else numpy, "
                             "the oracle; an explicit 'compiled' falls back with a warning)")
-    p_run.add_argument("--skin", type=float, default=1.0)
+    p_run.add_argument("--skin", type=float, default=None)
     p_run.add_argument("--seed", type=int, default=2016)
     p_run.add_argument("--workers", type=int, default=None,
                        help="run forces on a persistent pool of N workers (see --executor)")
@@ -487,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="global warm-session cap (LRU eviction)")
     p_serve.add_argument("--per-tenant-cap", type=int, default=8,
                          help="warm-session cap per tenant")
-    p_serve.add_argument("--skin", type=float, default=1.0,
+    p_serve.add_argument("--skin", type=float, default=None,
                          help="neighbor skin for serve sessions")
     p_serve.add_argument("--backlog", type=int, default=64,
                          help="bounded queue depth; overflow answers 429")

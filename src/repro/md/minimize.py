@@ -14,7 +14,7 @@ import numpy as np
 from repro.md.atoms import AtomSystem
 from repro.md.neighbor import NeighborList, NeighborSettings
 from repro.md.potential import Potential
-from repro.md.units import FTM2V
+from repro.md.units import DEFAULT_SKIN, FTM2V
 
 
 @dataclass
@@ -36,7 +36,7 @@ def fire_minimize(
     max_iterations: int = 2000,
     dt_initial: float = 0.0005,
     dt_max: float = 0.005,
-    skin: float = 1.0,
+    skin: float = DEFAULT_SKIN,
     alpha0: float = 0.1,
     n_min: int = 5,
     f_inc: float = 1.1,

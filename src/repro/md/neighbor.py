@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.backends import cext
 from repro.md.box import Box
+from repro.md.units import DEFAULT_SKIN
 
 #: Above this atom count the binned builder refuses to fall back to the
 #: O(n^2) brute-force path silently — at 10^5+ atoms that fallback means
@@ -68,7 +69,7 @@ class NeighborSettings:
     """
 
     cutoff: float
-    skin: float = 1.0
+    skin: float = DEFAULT_SKIN
     full: bool = True
 
     def __post_init__(self) -> None:

@@ -27,7 +27,8 @@ class ForceResult:
         Total potential energy, eV.
     forces:
         Per-atom forces, shape ``(n, 3)``, eV/A, float64 regardless of
-        compute precision (mixed precision accumulates in double).
+        compute precision (mixed precision accumulates in double).  The
+        caller owns the array: a potential never writes it again.
     virial:
         Scalar virial ``sum r . f`` (eV) for pressure; optional.
     stats:

@@ -40,6 +40,9 @@ NKTV2P: float = 1.6021765e6
 # default is 1 fs; the paper's Si benchmark uses this value).
 DEFAULT_TIMESTEP_PS: float = 0.001
 
+# Default neighbor-list skin (A) of runs, serve sessions and bare lists.
+DEFAULT_SKIN: float = 1.0
+
 # Atomic masses (g/mol) for the elements with bundled Tersoff parameters.
 ATOMIC_MASS = {
     "Si": 28.0855,

@@ -33,6 +33,7 @@ from repro.core.pipeline import Workspace
 from repro.md.atoms import AtomSystem
 from repro.md.neighbor import NeighborList, NeighborSettings
 from repro.md.potential import ForceResult, Potential
+from repro.md.units import DEFAULT_SKIN
 from repro.vector.backend import scatter_add_rows
 
 #: bytes per atom in a forward (position+type+tag) halo message
@@ -304,7 +305,7 @@ class DomainDecomposition:
         self,
         potential: Potential,
         *,
-        skin: float = 1.0,
+        skin: float = DEFAULT_SKIN,
     ) -> tuple[float, np.ndarray, list[ForceResult]]:
         """Evaluate `potential` rank-by-rank and assemble global results.
 

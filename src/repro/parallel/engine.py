@@ -56,7 +56,7 @@ from __future__ import annotations
 import copy
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -310,7 +310,7 @@ class ParallelEngine:
         path exactly, so the engine result is bitwise identical to it.
     neighbor:
         Neighbor settings for the rank-local lists; defaults to the
-        potential cutoff with skin 1.0.  ``full`` is forced — the
+        potential cutoff with the default skin.  ``full`` is forced — the
         decomposed i-loop restriction requires full lists.
     grid:
         Explicit process grid (default: LAMMPS-style near-cubic).
@@ -348,11 +348,7 @@ class ParallelEngine:
         self.ranks = ranks
         self.workers = min(int(workers), ranks)
         self.grid = grid
-        if neighbor is None:
-            neighbor = NeighborSettings(cutoff=potential.cutoff, skin=1.0, full=True)
-        if not neighbor.full:
-            neighbor = NeighborSettings(cutoff=neighbor.cutoff, skin=neighbor.skin, full=True)
-        self.settings = neighbor
+        self.settings = replace(neighbor or NeighborSettings(cutoff=potential.cutoff), full=True)
         self._dd: DomainDecomposition | None = None
         self.generation = 0
         self.steps = 0

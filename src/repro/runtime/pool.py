@@ -27,11 +27,10 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.md.atoms import AtomSystem
 from repro.md.neighbor import NeighborList, NeighborSettings
 from repro.md.potential import ForceResult
+from repro.md.units import DEFAULT_SKIN
 from repro.runtime.spec import SolverSpec
 
 
@@ -58,7 +57,7 @@ class SolverSession:
     around every evaluation, so different sessions evaluate at once.
     """
 
-    def __init__(self, spec: SolverSpec, *, skin: float = 1.0):
+    def __init__(self, spec: SolverSpec, *, skin: float = DEFAULT_SKIN):
         self.spec = spec
         self.skin = float(skin)
         params = spec.build_params()
@@ -116,7 +115,7 @@ class SolverPool:
     """
 
     def __init__(self, *, max_sessions: int = 32, per_tenant_cap: int = 8,
-                 skin: float = 1.0):
+                 skin: float = DEFAULT_SKIN):
         if max_sessions < 1:
             raise ValueError("max_sessions must be >= 1")
         if per_tenant_cap < 1:
@@ -205,8 +204,3 @@ class SolverPool:
                 "per_tenant_cap": self.per_tenant_cap,
                 **self.stats.as_dict(),
             }
-
-
-def copy_forces(result: ForceResult) -> np.ndarray:
-    """A detached copy of the forces (sessions reuse workspace arrays)."""
-    return np.array(result.forces, dtype=np.float64, copy=True)

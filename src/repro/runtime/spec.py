@@ -23,6 +23,8 @@ import numbers
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
+from repro.md.units import DEFAULT_SKIN
+
 #: Bump on any incompatible change to the serialized spec layout.
 RUNTIME_SCHEMA_VERSION = 1
 
@@ -220,7 +222,7 @@ class RunSpec:
     ranks: int | None = None
     executor: str | None = None
     hosts: tuple[str, ...] | None = None
-    skin: float = 1.0
+    skin: float = DEFAULT_SKIN
 
     def __post_init__(self) -> None:
         if not isinstance(self.solver, SolverSpec):
@@ -307,7 +309,7 @@ class RunSpec:
             ranks=getattr(args, "ranks", None),
             executor=getattr(args, "executor", None),
             hosts=hosts,
-            skin=getattr(args, "skin", 1.0),
+            skin=DEFAULT_SKIN if getattr(args, "skin", None) is None else args.skin,
         )
 
     def with_overrides(self, **changes) -> "RunSpec":

@@ -51,7 +51,8 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.host import usable_cores
-from repro.runtime.pool import SolverPool, copy_forces
+from repro.md.units import DEFAULT_SKIN
+from repro.runtime.pool import SolverPool
 from repro.serve.protocol import (
     CONTENT_TYPES,
     JSON_CONTENT_TYPE,
@@ -80,7 +81,7 @@ class ServeConfig:
     unix_path: str | None = None
     max_sessions: int = 32
     per_tenant_cap: int = 8
-    skin: float = 1.0
+    skin: float = DEFAULT_SKIN
     backlog: int = 64  # bounded queue depth; overflow answers 429
     max_atoms: int = DEFAULT_MAX_ATOMS
     request_timeout: float = 120.0  # handler wait for a queued job; inline ones never wait
@@ -341,7 +342,7 @@ class EvalServer:
                         "schema": SERVE_SCHEMA_VERSION,
                         "energy": float(result.energy),
                         "virial": float(result.virial),
-                        "forces": copy_forces(result),
+                        "forces": result.forces,
                         "n": int(job.system.n),
                         "batch": {"index": i, "size": size},
                     }

@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
+from repro.md.units import DEFAULT_SKIN
 from repro.runtime.spec import SolverSpec, SpecError
 from repro.serve.protocol import SERVE_SCHEMA_VERSION
 
@@ -174,7 +175,7 @@ def _l3_feasibility(spec: SolverSpec, system, skin: float):
 
 
 def validate_request(payload, *, max_atoms: int = DEFAULT_MAX_ATOMS,
-                     skin: float = 1.0):
+                     skin: float = DEFAULT_SKIN):
     """Run a decoded request through all four tiers.
 
     Returns ``(spec, system, tenant)`` on success; raises

@@ -570,22 +570,27 @@ class TestCutoffConvention:
 
     @pytest.mark.parametrize("backend", ["numpy", pytest.param("compiled", marks=needs_compiled)])
     def test_sw_is_strict(self, backend):
-        """The SW tail diverges at ``r == cut``: the pair is filtered out."""
+        """The SW tail diverges at ``r == cut``: the pair is filtered out.  At
+        ``cut + 0.7`` it is listed but past cutoff + skin/2: no inner entry."""
         params = sw_silicon()
-        system, neigh = self.dimer(params.cut)
-        res = StillingerWeberProduction(params, backend=backend).compute(system, neigh)
-        assert neigh.n_pairs == 2 and res.stats["list_entries"] == 2
-        assert res.stats["pairs_in_cutoff"] == 0
-        assert res.energy == 0.0 and not res.forces.any()
+        for r in (params.cut, params.cut + 0.7):
+            system, neigh = self.dimer(r)
+            res = StillingerWeberProduction(params, backend=backend).compute(system, neigh)
+            assert neigh.n_pairs == 2 and res.stats["list_entries"] == 2
+            assert res.stats["pairs_in_cutoff"] == 0
+            assert res.energy == 0.0 and not res.forces.any()
 
     @pytest.mark.parametrize("backend", ["numpy", pytest.param("compiled", marks=needs_compiled)])
     def test_tersoff_is_inclusive(self, backend):
-        """Tersoff keeps ``r == R + D``, where its cutoff function reaches 0."""
+        """Tersoff keeps ``r == R + D``, where its cutoff function reaches 0;
+        at ``R + D + 0.7`` the pair is listed, with no inner entry."""
         params = tersoff_si()
-        system, neigh = self.dimer(params.max_cutoff)
-        res = TersoffProduction(params, backend=backend).compute(system, neigh)
-        assert neigh.n_pairs == 2 and res.stats["pairs_in_cutoff"] == 2
-        assert np.isfinite(res.forces).all()
+        for r, pairs in ((params.max_cutoff, 2), (params.max_cutoff + 0.7, 0)):
+            system, neigh = self.dimer(r)
+            res = TersoffProduction(params, backend=backend).compute(system, neigh)
+            assert neigh.n_pairs == 2 and res.stats["pairs_in_cutoff"] == pairs
+            assert np.isfinite(res.forces).all() and res.stats["list_entries"] == 2
+        assert res.energy == 0.0 and not res.forces.any()
 
 
 @needs_compiled

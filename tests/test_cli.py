@@ -50,9 +50,11 @@ class TestTrackedQuantities:
         field has to edit a tuple here."""
         from dataclasses import fields
 
+        from repro.md.neighbor import NeighborSettings
         from repro.runtime import RunSpec
         from repro.serve import ServeConfig
 
+        assert RunSpec().skin == ServeConfig().skin == NeighborSettings(cutoff=3.0).skin
         assert tuple(f.name for f in fields(RunSpec)) == (
             "solver", "workers", "ranks", "executor", "hosts", "skin")
         assert tuple(f.name for f in fields(ServeConfig)) == (
@@ -68,7 +70,7 @@ class TestTrackedQuantities:
         def lines(root):
             return sum(len(f.read_text().splitlines()) for f in root.rglob("*.py"))
 
-        assert lines(package) <= 17_363
+        assert lines(package) <= 17_362
         assert lines(package / "analysis") <= 2_571
         assert lines(Path(__file__).parent) <= 14_955
 

@@ -76,10 +76,8 @@ class TestStepTime:
 
     def test_strong_scaling_monotone(self):
         m = get_machine("IV+2KNC")
-        rates = []
-        for nodes in (1, 2, 4, 8):
-            run = DistributedRun(ClusterSpec(m, n_nodes=nodes))
-            rates.append(run.ns_per_day(profile(), 2_000_000))
+        rates = [DistributedRun(ClusterSpec(m, n_nodes=nodes)).ns_per_day(profile(), 2_000_000)
+                 for nodes in (1, 2, 4, 8)]
         assert all(b > a for a, b in zip(rates, rates[1:]))
 
     def test_scaling_efficiency_below_one(self):

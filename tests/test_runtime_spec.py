@@ -280,8 +280,8 @@ class TestRunSpec:
         assert run.skin == 2.0
 
     def test_from_args_defaults_on_sparse_namespace(self):
-        run = RunSpec.from_args(argparse.Namespace())
-        assert run == RunSpec()
+        assert RunSpec.from_args(argparse.Namespace()) == RunSpec()
+        assert RunSpec.from_args(argparse.Namespace(skin=None)) == RunSpec()  # no --skin
 
     def test_from_args_splits_host_strings(self):
         run = RunSpec.from_args(argparse.Namespace(hosts="a:1, b:2,"))

@@ -26,7 +26,7 @@ from repro.host import usable_cores
 from repro.md.box import Box
 from repro.md.lattice import diamond_lattice, perturbed
 from repro.runtime import SolverPool, SolverSpec
-from repro.runtime.pool import SolverSession, copy_forces
+from repro.runtime.pool import SolverSession
 from repro.serve import (
     EvalServer,
     RequestError,
@@ -307,28 +307,24 @@ class TestServeEquivalence:
         of the same spec — across precisions and cache on/off."""
         spec = SolverSpec(potential="tersoff", mode=mode, cache=cache)
         system = _system()
-        direct = SolverSession(spec, skin=1.0)
-        ref = direct.evaluate(system)
-        ref_forces = copy_forces(ref)
+        ref = SolverSession(spec, skin=1.0).evaluate(system)
         out = client.evaluate(spec.to_dict(), system)
         assert out["energy"] == ref.energy
         assert out["virial"] == ref.virial
-        assert np.array_equal(out["forces"], ref_forces)
+        assert np.array_equal(out["forces"], ref.forces)
 
     def test_bitwise_sw(self, client):
         spec = SolverSpec(potential="sw", mode="Opt-D")
         system = _system()
-        direct = SolverSession(spec, skin=1.0)
-        ref_forces = copy_forces(direct.evaluate(system))
+        ref = SolverSession(spec, skin=1.0).evaluate(system)
         out = client.evaluate(spec.to_dict(), system)
-        assert np.array_equal(out["forces"], ref_forces)
+        assert np.array_equal(out["forces"], ref.forces)
 
     def test_warm_repeat_is_bitwise_and_hits_pool(self, client):
         """Repeat requests reuse the warm session (pool hit + cache
         hits) and still answer bitwise identically."""
         system = _system()
-        direct = SolverSession(SPEC, skin=1.0)
-        ref = copy_forces(direct.evaluate(system))
+        ref = SolverSession(SPEC, skin=1.0).evaluate(system).forces
         outs = [client.evaluate(SPEC.to_dict(), system) for _ in range(3)]
         for out in outs:
             assert np.array_equal(out["forces"], ref)
@@ -350,7 +346,7 @@ class TestServeEquivalence:
         for step in range(4):
             drifted = base.copy()
             drifted.x = base.x + 0.02 * step * rng.standard_normal(base.x.shape)
-            ref = copy_forces(direct.evaluate(drifted))
+            ref = direct.evaluate(drifted).forces
             out = client.evaluate(SPEC.to_dict(), drifted)
             assert np.array_equal(out["forces"], ref), f"diverged at step {step}"
 
@@ -365,7 +361,7 @@ class TestServeEquivalence:
             ref = SolverSession(SPEC, skin=1.0).evaluate(system)
             out = client.evaluate(SPEC.to_dict(), system)
             assert out["energy"] == ref.energy
-            assert np.array_equal(out["forces"], copy_forces(ref))
+            assert np.array_equal(out["forces"], ref.forces)
 
     def test_cache_on_off_sessions_agree(self, client):
         """Cold and cached serve sessions answer identically (the
@@ -375,7 +371,6 @@ class TestServeEquivalence:
         off = client.evaluate(SolverSpec(mode="Opt-M", cache=False).to_dict(), system)
         assert on["energy"] == off["energy"]
         assert np.array_equal(on["forces"], off["forces"])
-
 
     def test_encodings_agree_bitwise(self, server):
         """One system, asked in JSON and in a frame (each on its own
@@ -389,7 +384,7 @@ class TestServeEquivalence:
                 out = c.evaluate(SPEC.to_dict(), system, tenant=tenant)
                 assert (out["energy"], out["virial"], out["n"]) \
                     == (ref.energy, ref.virial, system.n)
-                assert out["forces"].tobytes() == copy_forces(ref).tobytes()
+                assert out["forces"].tobytes() == ref.forces.tobytes()
 
 
 class TestServeEquivalenceJson(TestServeEquivalence):
@@ -416,12 +411,14 @@ def test_a_session_answers_for_the_box_it_is_given(backend):
     slab = bulk.copy()
     slab.box = Box(bulk.box.lo, bulk.box.hi, (True, True, False))
     session = SolverSession(spec, skin=1.0)
-    e_slab = session.evaluate(slab).energy
+    first = session.evaluate(slab)
+    kept = first.forces.copy()
     warm = session.evaluate(bulk)
-    warm_forces = copy_forces(warm)
+    assert not np.shares_memory(warm.forces, first.forces)
+    assert np.array_equal(first.forces, kept)
     fresh = SolverSession(spec, skin=1.0).evaluate(bulk)
-    assert warm.energy == fresh.energy != e_slab
-    assert np.array_equal(warm_forces, copy_forces(fresh))
+    assert warm.energy == fresh.energy != first.energy
+    assert np.array_equal(warm.forces, fresh.forces)
 
 
 # ---- frames from a hostile peer -----------------------------------------------
@@ -503,7 +500,7 @@ class TestFrameRefusals:
         resp, out = _post(server.address, _seal(_record(*_frame_parts())), FRAME_CONTENT_TYPE)
         assert resp.status == 200 and resp.headers["Content-Type"] == FRAME_CONTENT_TYPE
         ref = SolverSession(SPEC, skin=1.0).evaluate(_system())
-        assert out["forces"].tobytes() == copy_forces(ref).tobytes()
+        assert out["forces"].tobytes() == ref.forces.tobytes()
 
     @pytest.mark.parametrize("ctype", CONTENT_TYPES)
     def test_oversized_content_length_is_refused_unread(self, tmp_path, ctype):
@@ -588,7 +585,7 @@ class TestFrameRefusals:
                         decode_payload(body, FRAME_CONTENT_TYPE))
                     ref = mirror.evaluate(spec, system, tenant=tenant)
                     assert out["energy"] == ref.energy
-                    assert out["forces"].tobytes() == copy_forces(ref).tobytes()
+                    assert out["forces"].tobytes() == ref.forces.tobytes()
                 else:
                     assert 400 <= resp.status < 500, out
                     assert out["error"]["tier"] in ("L0", "L1", "L2", "L3")
@@ -672,10 +669,8 @@ class TestDispatch:
         from repro.serve.server import _Job
 
         systems = [_system(seed=s) for s in range(3)]
-        refs = []
         direct = SolverSession(SPEC, skin=1.0)
-        for s in systems:
-            refs.append(copy_forces(direct.evaluate(s)))
+        refs = [direct.evaluate(s).forces for s in systems]
         srv = EvalServer(ServeConfig(unix_path=str(tmp_path / "c.sock")))
         try:
             jobs = [_Job(SPEC, s, "default") for s in systems]
@@ -824,7 +819,7 @@ class TestDispatch:
         assert all(job.error is None for *_, job in arrived)
         direct = [SolverSession(spec, skin=1.0) for _, spec in keys]
         for k, s, job in arrived:
-            ref = copy_forces(direct[k].evaluate(systems[s]))
+            ref = direct[k].evaluate(systems[s]).forces
             assert np.array_equal(np.asarray(job.response["forces"]), ref)
 
     def test_no_session_is_evaluated_twice_at_once(self, tmp_path, monkeypatch):
@@ -914,7 +909,7 @@ class TestDispatch:
         a = spec_a.key()
         assert log.index(("returned", a)) < len(log) - 1 - log[::-1].index(("built", a))
         assert [e for e in log if e == ("built", a)] == [("built", a)] * 2
-        ref = copy_forces(SolverSession(spec_a, skin=1.0).evaluate(system))
+        ref = SolverSession(spec_a, skin=1.0).evaluate(system).forces
         assert np.array_equal(np.asarray(first.response["forces"]), ref)
 
 
@@ -957,7 +952,7 @@ class TestInline:
         system = _system()
         out = client.evaluate(SPEC.to_dict(), system)
         ref = SolverSession(SPEC, skin=1.0).evaluate(system)
-        assert np.array_equal(out["forces"], copy_forces(ref))
+        assert np.array_equal(out["forces"], ref.forces)
         assert (out["energy"], out["virial"]) == (ref.energy, ref.virial)
         (_, _, entered), (_, _, left) = log
         assert entered == left != "serve-dispatcher"  # one handler thread, in and out
@@ -994,7 +989,7 @@ class TestInline:
         assert server.stats()["server"]["inline"] == 1
         direct = SolverSession(SPEC, skin=1.0)
         for system, (out,) in zip(systems, (first, second)):
-            assert np.array_equal(out["forces"], copy_forces(direct.evaluate(system)))
+            assert np.array_equal(out["forces"], direct.evaluate(system).forces)
 
     def test_inline_work_never_outnumbers_the_dispatchers(self, tmp_path, monkeypatch):
         """With as many sessions busy as there are dispatchers, a request
@@ -1039,7 +1034,7 @@ class TestResponseWrite:
         system = _system()
         ref = SolverSession(SPEC, skin=1.0).evaluate(system)
         answer = {"schema": SERVE_SCHEMA_VERSION, "energy": float(ref.energy),
-                  "virial": float(ref.virial), "forces": copy_forces(ref),
+                  "virial": float(ref.virial), "forces": ref.forces,
                   "n": system.n, "batch": {"index": 0, "size": 1}}
         error = {"schema": SERVE_SCHEMA_VERSION,
                  "error": {"tier": None, "code": "not_found", "message": "no route /nope"}}
