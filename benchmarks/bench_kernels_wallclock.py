@@ -151,8 +151,9 @@ def test_compiled_gather_wallclock(benchmark):
 @pytest.mark.parametrize("precision", ["double", "single"])
 def test_compiled_sw_wallclock(benchmark, big_workload, precision):
     """Stillinger-Weber's f64 and f32 kernels on one thread: the same list
-    walker as Tersoff (filter, sweeps, reductions) under a scheme-1a body
-    on four lanes, so a walker change shows here in one command."""
+    walker (filter, sweeps, reductions) and scheme-1b chassis as Tersoff,
+    at the build's widest register, so a walker change shows here in one
+    command."""
     from repro import backends
     from repro.core.sw import StillingerWeberProduction, sw_silicon
 

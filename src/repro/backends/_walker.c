@@ -335,6 +335,8 @@ static int walk_stored_error(const walk_kind *kind, const walk_args *a)
     return (int)fail[0];
 }
 
+int64_t walk_lanes(const int64_t single) { return single ? VEC_LANES_F32 : VEC_LANES_F64; }
+
 int walk_run(const walk_kind *kind, const walk_args *a)
 {
     const int64_t n_atoms = a->n_atoms;
