@@ -128,8 +128,8 @@ def test_compiled_threads_wallclock(benchmark, big_workload, threads):
 @pytest.mark.benchmark(group="wallclock-16384atoms")
 def test_compiled_gather_wallclock(benchmark):
     """Opt-D on one thread on 16 384 atoms (16x16x8 cells), where sweep 1
-    has pushed the partial forces out of L2 before sweep 2 gathers them:
-    the call ``GATHER_AHEAD`` in ``_walker.c`` is sized on."""
+    has pushed the partial forces out of L2 before sweep 2 gathers them
+    (the call on which the gather's prefetch measured no gain)."""
     from repro import backends
     from repro.core.tersoff.parameters import tersoff_si
     from repro.md.lattice import diamond_lattice, perturbed
@@ -151,9 +151,8 @@ def test_compiled_gather_wallclock(benchmark):
 @pytest.mark.parametrize("precision", ["double", "single"])
 def test_compiled_sw_wallclock(benchmark, big_workload, precision):
     """Stillinger-Weber's f64 and f32 kernels on one thread: the same list
-    walker (filter, sweeps, reductions) and scheme-1b chassis as Tersoff,
-    at the build's widest register, so a walker change shows here in one
-    command."""
+    walker as Tersoff (filter, sweeps, reductions) under a scheme-1a body
+    on four lanes, so a walker change shows here in one command."""
     from repro import backends
     from repro.core.sw import StillingerWeberProduction, sw_silicon
 

@@ -12,9 +12,9 @@
 #define CAT(a, b) CAT_(a, b)
 
 /* Lanes per REAL of the widest vector register the build targets (512-bit
- * with AVX-512, 256-bit with AVX2, 128-bit otherwise): every body's
- * (_walker_impl.h) and the list build's.  Part of the build, never of a
- * call: every width returns the same bits (_walker_impl.h, _neighbor.c). */
+ * with AVX-512, 256-bit with AVX2, 128-bit otherwise): the Tersoff body's
+ * and the list build's.  Part of the build, never of a call: every width
+ * returns the same bits (_tersoff_impl.h, _neighbor.c). */
 #if defined(__AVX512F__)
 #define VEC_LANES_F64 8
 #define VEC_LANES_F32 16

@@ -1,8 +1,7 @@
 /* The Stillinger-Weber potential on the list walker of the compiled
  * backend: the same filter, threads, force sweeps and reductions as
- * Tersoff (_walker.c) and the same scheme-1b chassis (_walker_impl.h),
- * a different computational part (_sw_impl.h), instantiated for double
- * (Opt-D) and float (Opt-S/M compute side) at the lanes of VEC_LANES_*.
+ * Tersoff (_walker.c), a different computational part (_sw_impl.h),
+ * instantiated for double (Opt-D) and float (Opt-S/M compute side).
  *
  * SW's short list is strict (r < a*sigma): its tails exp(s/(r - a*sigma))
  * diverge at exactly r == a*sigma, so every short-list entry is a pair
@@ -16,6 +15,8 @@
 
 #include "_walker.h"
 
+#define VLANES 4
+
 /* The one parameter row, in the compute dtype and in this order from
  * CompiledSWKernel.table: the parameter-only subexpressions of
  * repro/core/sw/functional.py, each formed in double the way numpy
@@ -23,21 +24,17 @@
 enum { S_SIGMA, S_NSIGMA, S_GSIGMA, S_NGSIGMA, S_CUT, S_CUT_IN, S_B, S_NPB, S_P, S_Q,
        S_AE, S_LE, S_2LE, S_COS0, N_SW };
 
-/* SW's columns after the chassis's (lane_layout.body): per pair its
- * force over r and phi2 (ACC); per entry, each a pair, REAL copies of r,
- * d and d / r and its two phi3 tail factors (a K step reads them at
- * entries up to max_row + VLANES past the chunk's last, SW_RLEN); then
- * per row of the chunk its open sums (SW_ROW doubles: F_i's four lanes
- * per component, then the triplet energy) */
-enum { SW_FP, SW_E, SW_ACC };
-enum { R_R, R_D, R_H = R_D + 3, R_G = R_H + 3, R_GL, SW_REAL };
-#define SW_RLEN(cap, max_row, lanes, real) lane_line((cap) + (max_row) + (lanes), real)
-#define SW_ROW (4 * SUM_LANES)
-#define SW_ETRI (3 * SUM_LANES)
+/* Scratch doubles per entry of the longest row, plus one vector past it
+ * (a block of k may start at any entry): REAL copies of r, d and d / r,
+ * the two three-body tail factors, and a double copy of d for the
+ * accumulator lanes. */
+#define SW_ROW_DOUBLES (7 + 2 + 3)
 
-/* The u ring's columns per K step: -F_j and -F_k of the lane's triplet
- * (its j and k terms), and its energy */
-enum { U_GJ = 0, U_GK = 3, U_E3 = 6, N_U };
+static int64_t sw_scratch(const int64_t max_row, const int64_t ntypes)
+{
+    (void)ntypes;
+    return (max_row + VLANES) * SW_ROW_DOUBLES;
+}
 
 #define REAL double
 #define IREAL int64_t
@@ -45,10 +42,8 @@ enum { U_GJ = 0, U_GK = 3, U_E3 = 6, N_U };
 #define REAL_BITS 64
 #define TSUF f64
 #define R_SQRT sqrt
-#define VLANES VEC_LANES_F64
 #include "_vec.h"
 #include "_vmath.h"
-#include "_walker_impl.h"
 #include "_sw_impl.h"
 #undef REAL
 #undef IREAL
@@ -56,7 +51,6 @@ enum { U_GJ = 0, U_GK = 3, U_E3 = 6, N_U };
 #undef REAL_BITS
 #undef TSUF
 #undef R_SQRT
-#undef VLANES
 
 #define REAL float
 #define IREAL int32_t
@@ -64,10 +58,8 @@ enum { U_GJ = 0, U_GK = 3, U_E3 = 6, N_U };
 #define REAL_BITS 32
 #define TSUF f32
 #define R_SQRT sqrtf
-#define VLANES VEC_LANES_F32
 #include "_vec.h"
 #include "_vmath.h"
-#include "_walker_impl.h"
 #include "_sw_impl.h"
 #undef REAL
 #undef IREAL
@@ -75,4 +67,3 @@ enum { U_GJ = 0, U_GK = 3, U_E3 = 6, N_U };
 #undef REAL_BITS
 #undef TSUF
 #undef R_SQRT
-#undef VLANES

@@ -1,31 +1,23 @@
-/* Stillinger-Weber computational part as a list-walker body on the
- * scheme-1b chassis (_walker_impl.h), REAL-templated over _vec.h /
- * _vmath.h; included twice from _sw.c.
+/* Stillinger-Weber computational part as a list-walker body, REAL-
+ * templated over _vec.h / _vmath.h; included twice from _sw.c.
  *
- * Every short-list entry is a pair, so a chunk's pairs are its entries.
- * Pass 1 (sw_prep_) runs over the pair vectors: phi2 and its derivative,
- * and the two tail factors of phi3 per pair (they depend on one distance
- * each), all of them before any K loop, since a lane's k is another
- * pair's j, perhaps in a later vector.  It then replays each row's pairs
- * in the 1a order.  Pass 2 (sw_vector_), per vector: each lane walks the
- * k after its j in list order, skipping j's own atom — every unordered
- * (j, k) of the row once — and leaves -F_j, -F_k and phi3 per (lane, K
- * step) in the u ring for the replay of its pair (sw_replay_).
+ * Per row, the pairs: the short list in VLANES lanes, phi2 and its
+ * derivative, the force on each slot lane by lane, and the two tail
+ * factors of phi3 per slot (they depend on one distance each).  Then the
+ * triplets: every unordered (j, k) of the short list, j before k in list
+ * order and not the same atom — j broadcast, the k after it VLANES to a
+ * vector — phi3 and its partials, F_k to its slot lane by lane and F_j
+ * by a reduction per j.
  *
  * Every lane executes the scalar expression sequence of the numpy oracle
  * (repro/core/sw/production.py::SWKernel.evaluate and
  * repro/core/sw/functional.py) operator for operator, with the same
- * left-to-right association and the same _MIN_GAP clamp of the tails,
- * on r, d and d / r formed per entry in REAL; parameter-only
- * subexpressions come formed from the table.  Every sum is replayed in
- * the order of the scheme-1a kernel the results were first defined by,
- * a row's entries four to a vector: per row its pairs in blocks of four
- * slots (lane = slot mod 4), then for each j slot m its k in blocks
- * from m + 1 (lane = (k - m - 1) mod 4), with +0 in an empty lane or
- * one whose k is j's atom; the pair and triplet energies of atom i in
- * (j, k) order and in ACC, as the oracle's bincounts add them.  What
- * differs from the oracle is the transcendental kernels (_vmath.h) and
- * the order of the force and virial sums (DESIGN.md §12).
+ * left-to-right association and the same _MIN_GAP clamp of the tails;
+ * parameter-only subexpressions come formed from the table.  The pair
+ * and the triplet energies of atom i accumulate in the oracle's order (j
+ * and k in list order) and in ACC, as its bincounts do; what differs
+ * from it is the transcendental kernels (_vmath.h) and the order of the
+ * force and virial sums (DESIGN.md §12).
  */
 
 #define SV(p, name) v_set1((p)[name])
@@ -44,43 +36,52 @@ static inline void TFN(sw_tail_)(const VREAL r, const REAL *restrict p, const in
     *log_d = v_sel(inside, SV(p, which ? S_NGSIGMA : S_NSIGMA) / (gap * gap), zero);
 }
 
-/* SW's columns (_sw.c): the ACC column f of the pairs, the REAL column
- * f of the entries, the open sums of the chunk's rows */
-#define SW_RCOL(lc) SW_RLEN((lc)->cap, (lc)->job->a.max_row, VLANES, sizeof(REAL))
-#define SW_ACOL(lc, f) ((lc)->body + (f) * (lc)->cap)
-#define SW_COL(lc, f) ((REAL *)((lc)->body + SW_ACC * (lc)->cap + (f) * SW_RCOL(lc)))
-#define SW_OPEN(lc) ((lc)->body + SW_ACC * (lc)->cap + SW_REAL * SW_RCOL(lc))
-
-/* Pass 1, then each row's pairs in blocks of four slots: F_i's lanes,
- * the force on each slot, the pair virial sums and e_pair (in e_i). */
-static void TFN(sw_prep_)(TFN(lanes_) *lc)
+static void TFN(sw_row_)(const walk_job *job, walk_row *row, walk_acc *restrict acc,
+                         void *scratch)
 {
-    const REAL *restrict p = lc->job->a.ptab;
-    walk_acc *restrict acc = lc->acc;
-    REAL *col[SW_REAL];
+    const REAL *restrict p = job->a.ptab;
+    const int64_t ns = row->ns, mr = job->a.max_row + VLANES; /* room for a block past ns */
+    const double *restrict sr = row->r;
+    const double *const *sd = row->d;
+    const int32_t *restrict sj = row->j;
+    /* REAL r, d, d / r, the phi3 tails; the double d for the accumulator lanes */
+    REAL *restrict rr = scratch;
+    REAL *const rd[3] = {rr + mr, rr + 2 * mr, rr + 3 * mr};
+    REAL *const rh[3] = {rr + 4 * mr, rr + 5 * mr, rr + 6 * mr};
+    REAL *restrict g3 = rr + 7 * mr, *restrict gl3 = rr + 8 * mr;
+    double *restrict dd = (double *)scratch + 9 * mr;
     const VMASK lane_id = vm_iota();
     const VREAL zero = v_set1((REAL)0.0);
-    int64_t q0, r;
+    vacc f_i[3] = {vacc_set1(0), vacc_set1(0), vacc_set1(0)};
+    ACC e_pair = 0, e_tri = 0;
+    int64_t m, k0, q0;
     int a, c, l;
 
-    for (a = 0; a < SW_REAL; a++) col[a] = SW_COL(lc, a);
-    for (q0 = 0; q0 < lc->n_pairs; q0 += VLANES) {
-        const int nv = lc->n_pairs - q0 < VLANES ? (int)(lc->n_pairs - q0) : VLANES;
-        const VMASK valid = lane_id < vm_set1(nv);
-        VACC in;
-        memcpy(&in, lc->pr + q0, sizeof in);
-        const VREAL r = v_from_acc(in);
-        v_store(col[R_R] + q0, r);
+    for (m = 0; m < ns; m++) {
+        rr[m] = (REAL)sr[m];
         for (c = 0; c < 3; c++) {
-            memcpy(&in, lc->pd[c] + q0, sizeof in);
-            v_store(col[R_D + c] + q0, v_from_acc(in));
-            v_store(col[R_H + c] + q0, v_from_acc(in) / r);
+            rd[c][m] = (REAL)sd[c][m];
+            rh[c][m] = (REAL)sd[c][m] / (REAL)sr[m];
+            dd[c * mr + m] = sd[c][m];
         }
+    }
+    /* pad one block past the list: unit distance, no displacement, no tail */
+    for (m = ns; m < ns + VLANES; m++) {
+        rr[m] = 1;
+        g3[m] = gl3[m] = 0;
+        for (c = 0; c < 3; c++) rd[c][m] = rh[c][m] = dd[c * mr + m] = 0;
+    }
+
+    /* ---- pairs ---- */
+    for (q0 = 0; q0 < ns; q0 += VLANES) {
+        const int nv = ns - q0 < VLANES ? (int)(ns - q0) : VLANES;
+        const VMASK valid = lane_id < vm_set1(nv);
+        const VREAL r = v_load(rr + q0);
         VREAL tail, tail_ld, g, g_ld;
         TFN(sw_tail_)(r, p, 0, &tail, &tail_ld);
         TFN(sw_tail_)(r, p, 1, &g, &g_ld);
-        v_store(col[R_G] + q0, v_sel(valid, g, zero));
-        v_store(col[R_GL] + q0, v_sel(valid, g_ld, zero));
+        v_store(g3 + q0, v_sel(valid, g, zero));
+        v_store(gl3 + q0, v_sel(valid, g_ld, zero));
         /* (sigma/r)^p and ^q: vm_pow_ twice, its log formed once */
         const VREAL log_s = TFN(vm_log_)(SV(p, S_SIGMA) / r);
         const VREAL sp = TFN(vm_exp_)(SV(p, S_P) * log_s), sq = TFN(vm_exp_)(SV(p, S_Q) * log_s);
@@ -88,162 +89,84 @@ static void TFN(sw_prep_)(TFN(lanes_) *lc)
         const VREAL dpoly = (SV(p, S_NPB) * sp + SV(p, S_Q) * sq) / r;
         const VREAL e2 = SV(p, S_AE) * poly * tail;
         const VREAL de2 = SV(p, S_AE) * (dpoly * tail + poly * tail * tail_ld);
-        const VACC out[SW_ACC] = {v_to_acc(v_sel(valid, v_set1((REAL)-0.5) * de2 / r, zero)),
-                                  v_to_acc(e2)};
-        for (a = 0; a < SW_ACC; a++) memcpy(SW_ACOL(lc, a) + q0, &out[a], sizeof out[a]);
+        const vacc fpair = v_to_acc(v_sel(valid, v_set1((REAL)-0.5) * de2 / r, zero));
+        const vacc e_acc = v_to_acc(e2);
+        for (c = 0; c < 3; c++) {
+            const vacc fv = fpair * vacc_load(dd + c * mr + q0);
+            f_i[c] -= fv;
+            for (l = 0; l < nv; l++) row->f[3 * row->q[q0 + l] + c] += fv[l];
+            /* virial W_ab += d_a F_b, summed per lane */
+            for (a = 0; a < 3; a++) acc->lane[3 * a + c] += vacc_load(dd + a * mr + q0) * fv;
+        }
+        for (l = 0; l < nv; l++) e_pair += (ACC)0.5 * e_acc[l];
+        acc->count[0] += nv;
+        acc->count[2] += 1;
     }
-    /* what a lane past its list reads beyond the chunk's last entry */
-    for (a = 0; a < SW_REAL; a++)
-        memset(col[a] + q0, 0, (size_t)(lc->job->a.max_row + VLANES) * sizeof(REAL));
-    for (r = 0; r < lc->n_rows; r++) {
-        walk_row *row = lc->rows + r;
-        const ACC *restrict fp = SW_ACOL(lc, SW_FP) + lc->pfirst[r];
-        const ACC *restrict e = SW_ACOL(lc, SW_E) + lc->pfirst[r];
-        vacc f_i[3] = {vacc_set1(0), vacc_set1(0), vacc_set1(0)};
-        for (q0 = 0; q0 < row->ns; q0 += SUM_LANES) {
-            const int nv = row->ns - q0 < SUM_LANES ? (int)(row->ns - q0) : SUM_LANES;
-            const vacc fpair = vacc_lanes(fp + q0, vacc_iota, nv);
-            vacc d[3];
-            for (a = 0; a < 3; a++) d[a] = vacc_lanes(row->d[a] + q0, vacc_iota, nv);
+
+    /* ---- triplets: each j broadcast, the k after it in list order in
+     * VLANES lanes; a k that is j's atom is no triplet (lane mask) ---- */
+    for (m = 0; m + 1 < ns; m++) {
+        const VREAL rij = v_set1(rr[m]), gij = v_set1(g3[m]), glij = v_set1(gl3[m]);
+        VREAL dij[3], hij[3];
+        vacc dj[3], gj_sum[3];
+        for (c = 0; c < 3; c++) {
+            dij[c] = v_set1(rd[c][m]);
+            hij[c] = v_set1(rh[c][m]);
+            dj[c] = vacc_set1(sd[c][m]);
+            gj_sum[c] = vacc_set1(0);
+        }
+        for (k0 = m + 1; k0 < ns; k0 += VLANES) {
+            const int nk = ns - k0 < VLANES ? (int)(ns - k0) : VLANES;
+            VMASK valid = lane_id < vm_set1(nk);
+            for (l = 0; l < nk; l++)
+                if (sj[k0 + l] == sj[m]) valid[l] = 0;
+            const VREAL rik = v_load(rr + k0), gik = v_load(g3 + k0);
+            VREAL dik[3], hik[3];
             for (c = 0; c < 3; c++) {
-                const vacc fv = fpair * d[c];
-                f_i[c] -= fv;
-                for (l = 0; l < nv; l++) row->f[3 * row->q[q0 + l] + c] += fv[l];
-                /* virial W_ab += d_a F_b, summed per lane */
-                for (a = 0; a < 3; a++) acc->lane[3 * a + c] += d[a] * fv;
+                dik[c] = v_load(rd[c] + k0);
+                hik[c] = v_load(rh[c] + k0);
             }
-            for (l = 0; l < nv; l++) row->e_i += (ACC)0.5 * e[q0 + l];
+            const VREAL cos_t =
+                DOT3_EINSUM(dij[0] * dik[0], dij[1] * dik[1], dij[2] * dik[2]) / (rij * rik);
+            const VREAL delta = cos_t - SV(p, S_COS0);
+            const VREAL e3 = SV(p, S_LE) * delta * delta * gij * gik;
+            const VREAL de_drij = e3 * glij, de_drik = e3 * v_load(gl3 + k0);
+            const VREAL de_dcos = SV(p, S_2LE) * delta * gij * gik;
+            const VREAL crij = cos_t / rij, crik = cos_t / rik;
+            for (c = 0; c < 3; c++) {
+                /* -F_j and -F_k of the lanes */
+                const vacc gj = v_to_acc(v_sel(
+                    valid, de_drij * hij[c] + de_dcos * (hik[c] / rij - crij * hij[c]), zero));
+                const vacc gk = v_to_acc(v_sel(
+                    valid, de_drik * hik[c] + de_dcos * (hij[c] / rik - crik * hik[c]), zero));
+                gj_sum[c] += gj;
+                f_i[c] += gj + gk;
+                for (l = 0; l < nk; l++) row->f[3 * row->q[k0 + l] + c] -= gk[l];
+                for (a = 0; a < 3; a++)
+                    acc->lane[9 + 3 * a + c] += dj[a] * gj + vacc_load(dd + a * mr + k0) * gk;
+            }
+            const vacc e_acc = v_to_acc(e3);
+            for (l = 0; l < nk; l++)
+                if (valid[l]) e_tri += e_acc[l];
+            acc->count[1] += vm_count(valid);
+            acc->count[2] += 1;
         }
-        memcpy(SW_OPEN(lc) + SW_ROW * r, f_i, sizeof f_i);
-        SW_OPEN(lc)[SW_ROW * r + SW_ETRI] = 0;
-    }
-}
-
-/* Pass 2 for one vector: phi3 and its partials of each lane's K list,
- * into the u ring.  A lane's k is an entry, and every entry a pair: its
- * columns are the k's own. */
-static void TFN(sw_vector_)(TFN(lanes_) *lc)
-{
-    const REAL *restrict p = lc->job->a.ptab;
-    const IREAL *restrict kidx = lc->kidx;
-    ACC *restrict u = lc->ubuf + lc->x;
-    const int64_t q0 = lc->q0, run = TFN(lanes_run_)(lc);
-    const VREAL zero = v_set1((REAL)0.0);
-    const REAL *col[SW_REAL];
-    VREAL dij[3], hij[3], k[SW_REAL];
-    int64_t s;
-    int c, f;
-
-    for (f = 0; f < SW_REAL; f++) col[f] = SW_COL(lc, f);
-    const VREAL rij = v_load(col[R_R] + q0), gij = v_load(col[R_G] + q0);
-    const VREAL glij = v_load(col[R_GL] + q0);
-    for (c = 0; c < 3; c++) {
-        dij[c] = v_load(col[R_D + c] + q0);
-        hij[c] = v_load(col[R_H + c] + q0);
-    }
-    for (s = 0; s < lc->steps; s++) {
-        for (f = 0; f < SW_REAL; f++)
-            k[f] = run < 0 ? TFN(lanes_gather_real_)(col[f], kidx + VLANES * s)
-                           : v_load(col[f] + run + s);
-        /* a lane past its list reads the entries after it: no tail, so
-         * its products stay exact zeros (a float denormal costs a
-         * microcode assist per instruction) */
-        const VMASK live = lc->valid & (vm_set1((IREAL)s) < lc->nk);
-        k[R_G] = v_sel(live, k[R_G], zero);
-        k[R_GL] = v_sel(live, k[R_GL], zero);
-        const VREAL rik = k[R_R], gik = k[R_G];
-        const VREAL cos_t = DOT3_EINSUM(dij[0] * k[R_D], dij[1] * k[R_D + 1], dij[2] * k[R_D + 2]) /
-                            (rij * rik);
-        const VREAL delta = cos_t - SV(p, S_COS0);
-        const VREAL e3 = SV(p, S_LE) * delta * delta * gij * gik;
-        const VREAL de_drij = e3 * glij, de_drik = e3 * k[R_GL];
-        const VREAL de_dcos = SV(p, S_2LE) * delta * gij * gik;
-        const VREAL crij = cos_t / rij, crik = cos_t / rik;
-        ACC *restrict us = u + LANE_RING * N_U * s;
-        for (c = 0; c < 3; c++) {
-            const VREAL hik = k[R_H + c];
-            const VACC gj = v_to_acc(de_drij * hij[c] + de_dcos * (hik / rij - crij * hij[c]));
-            const VACC gk = v_to_acc(de_drik * hik + de_dcos * (hij[c] / rik - crik * hik));
-            memcpy(us + LANE_RING * (U_GJ + c), &gj, sizeof gj);
-            memcpy(us + LANE_RING * (U_GK + c), &gk, sizeof gk);
-        }
-        const VACC e_acc = v_to_acc(e3);
-        memcpy(us + LANE_RING * U_E3, &e_acc, sizeof e_acc);
-    }
-}
-
-/* The replay of pair `first`, j in slot m of its row: its k in blocks
- * of four from m + 1 — gj_sum, F_i's lanes, F_k, the triplet virial sums
- * and e_tri — then F_j; after the row's last pair, F_i and e_i. */
-static void TFN(sw_replay_)(TFN(lanes_) *lc, const int64_t first, const int nb)
-{
-    const int64_t r = lc->prow[first], m = lc->pslot[first], xp = first % LANE_RING;
-    walk_row *row = lc->rows + r;
-    walk_acc *restrict acc = lc->acc;
-    double *restrict open = SW_OPEN(lc) + SW_ROW * r;
-    const ACC *restrict u = lc->ubuf + xp;
-    const int32_t *restrict kstep = lc->kstep + xp;
-    const int64_t ns = row->ns;
-    vacc f_i[3], gj_sum[3], dj[3], dk[3];
-    int64_t k0, at[SUM_LANES];
-    int a, c, l;
-    (void)nb;
-
-    memcpy(f_i, open, sizeof f_i);
-    for (c = 0; c < 3; c++) {
-        gj_sum[c] = vacc_set1(0);
-        dj[c] = vacc_set1(row->d[c][m]);
-    }
-    for (k0 = m + 1; k0 < ns; k0 += SUM_LANES) {
-        const int nk = ns - k0 < SUM_LANES ? (int)(ns - k0) : SUM_LANES;
-        /* each lane's u row: its k's K step, or the row of zeros */
-        for (l = 0; l < SUM_LANES; l++)
-            at[l] = LANE_RING * N_U * (l < nk ? kstep[LANE_RING * (k0 + l)] : lc->zstep);
-        for (a = 0; a < 3; a++) dk[a] = vacc_lanes(row->d[a] + k0, vacc_iota, nk);
-        for (c = 0; c < 3; c++) {
-            const vacc gj = vacc_at(u + LANE_RING * (U_GJ + c), at);
-            const vacc gk = vacc_at(u + LANE_RING * (U_GK + c), at);
-            gj_sum[c] += gj;
-            f_i[c] += gj + gk;
-            for (l = 0; l < nk; l++) row->f[3 * row->q[k0 + l] + c] -= gk[l];
-            for (a = 0; a < 3; a++) acc->lane[9 + 3 * a + c] += dj[a] * gj + dk[a] * gk;
-        }
-        for (l = 0; l < nk; l++) open[SW_ETRI] += u[LANE_RING * U_E3 + at[l]];
-    }
-    if (m + 1 < ns)
         for (c = 0; c < 3; c++) row->f[3 * row->q[m] + c] -= vacc_hsum(gj_sum[c]);
-    memcpy(open, f_i, sizeof f_i);
-    if (m + 1 == ns) {
-        for (c = 0; c < 3; c++) row->f_i[c] = vacc_hsum(f_i[c]);
-        row->e_i = row->e_i + open[SW_ETRI];
     }
+    for (c = 0; c < 3; c++) row->f_i[c] = vacc_hsum(f_i[c]);
+    row->e_i = e_pair + e_tri;
 }
 
-static int64_t TFN(sw_scratch_)(const int64_t max_row, const int64_t ntypes)
-{
-    const lane_layout lay = lane_layout_of(max_row, VLANES, sizeof(REAL), N_U);
-    (void)ntypes;
-    return lay.body + SW_ACC * lay.pair_cap +
-           SW_REAL * SW_RLEN(lay.pair_cap, max_row, VLANES, sizeof(REAL)) + ROWS_PER_CHUNK * SW_ROW;
-}
-
-/* a pair's 1a block is itself (its row's pairs went in pass 1); its K
- * list, the entries past its slot */
-static const TFN(lane_body_) TFN(sw_lanes_) = {TFN(sw_prep_), TFN(sw_vector_), TFN(sw_replay_),
-                                               N_U, 1, 1};
-
+/* the body of a chunk: its rows one after the other */
 static void TFN(sw_chunk_)(const walk_job *job, walk_row *rows, const int64_t n_rows,
                            walk_acc *restrict acc, void *scratch)
 {
-    TFN(lanes_chunk_)(job, rows, n_rows, acc, scratch, &TFN(sw_lanes_));
+    int64_t r;
+    for (r = 0; r < n_rows; r++) TFN(sw_row_)(job, rows + r, acc, scratch);
 }
 
-static const walk_kind TFN(sw_kind_) = {TFN(sw_chunk_), TFN(sw_scratch_), 1};
+static const walk_kind TFN(sw_kind_) = {TFN(sw_chunk_), sw_scratch, 1, VLANES, "1a"};
 
 WALK_ENTRY(TFN(sw_fused_), TFN(sw_kind_))
 
 #undef SV
-#undef SW_RCOL
-#undef SW_ACOL
-#undef SW_COL
-#undef SW_OPEN

@@ -8,9 +8,9 @@
  * max-cutoff short list, inclusive), the chunks of rows on the threads
  * of _pool.c, the two force sweeps and the reductions — and hands every
  * chunk of rows to the REAL-templated *computational part* in
- * _tersoff_impl.h (Alg. 3 on the scheme-1b chassis of _walker_impl.h:
- * the chunk's (i, j) pairs across VLANES vector lanes, each lane on its
- * own K list, written against _vec.h and _vmath.h), instantiated for double (Opt-D) and float
+ * _tersoff_impl.h (Alg. 3 as scheme 1b: the chunk's (i, j) pairs across
+ * VLANES vector lanes, each lane on its own K list, written against
+ * _vec.h and _vmath.h), instantiated for double (Opt-D) and float
  * (Opt-S/M compute side) at the lanes of VEC_LANES_* (_common.h).  The
  * sums across lanes are replayed in the order of the scheme-1a kernel
  * (ters_block), so neither the lane count, nor the -march flag, nor the
@@ -54,27 +54,64 @@ enum { K_COS, K_FCGDEX, K_AJ, K_AK, K_RIK, K_HIK, N_KTERM = K_HIK + 3 };
  * F_j, the pair force and the j-term force (the virial sums'), and e */
 enum { O_VI = 0, O_FJ = 3, O_FV = 6, O_JT = 9, O_E = 12, N_OUT };
 
-/* Tersoff's columns after the chassis's (lane_layout.body), in doubles
- * from there and for vectors of `lanes` lanes of `real` bytes: the
- * parameter vectors of the lanes (pv at 0, then tv), the out ring
- * (N_OUT ACC columns), N_KTERM vectors per K step (kterm), and the
- * parameter rows of every type pair and triple (dpv, dtv) */
+/* The replay reads each pair's columns from rings of TERS_RING pairs —
+ * a vector's lanes and the at most three pairs of an unfinished block
+ * before them (16 + 3 at most); a multiple of every lane count, so a
+ * vector's lanes are never split */
+#define TERS_RING 32
+
+/* Where the body's columns lie in its per-thread scratch, in doubles
+ * from its start, for a chunk of ROWS_PER_CHUNK rows of max_row entries
+ * and the vectors of one instantiation: `lanes` lanes of `real` bytes:
+ *   pair  the chunk's pairs, padded to whole vectors: r and d, then j's
+ *         row and slot, its row's first entry and length, and (ti, tj)
+ *   rows  each row's first pair and pair count (int32)
+ *   kidx  per K step and lane, the entry of the lane's k (REAL-width int)
+ *   kterm N_KTERM vectors per K step
+ *   step  ring: per slot, the K step of the slot's k, or max_row (int32);
+ *         then per K step the farthest cursor move of the vector's lanes
+ *   u     ring: per K step, dzeta/dr_k times dV/dzeta (3 ACC columns);
+ *         step max_row is zeros
+ *   out   ring: N_OUT ACC columns
+ *   pv/tv the parameter vectors of the lanes, then the per-type rows */
 typedef struct {
-    int64_t tv, out, kterm, dpv, dtv, total;
+    int64_t pair_cap, pair, rows, kidx, kterm, step, u, out, pv, tv, dpv, dtv, total;
 } ters_layout;
 
-static ters_layout ters_layout_of(const int64_t max_row, const int64_t ntypes,
-                                  const int64_t lanes, const int64_t real)
+/* doubles per pair: r and d, then five int32 columns */
+#define PAIR_DOUBLES (4 + 3)
+
+/* whole cache lines of doubles holding n items of `bytes` each */
+static int64_t ters_line(const int64_t n, const int64_t bytes)
 {
-    const int64_t vec = lanes * real;
-    ters_layout t;
-    t.tv = lane_line(N_PV, vec);
-    t.out = t.tv + lane_line(N_TV, vec);
-    t.kterm = t.out + lane_line(N_OUT * LANE_RING, sizeof(double));
-    t.dpv = t.kterm + lane_line((max_row + 1) * N_KTERM, vec);
-    t.dtv = t.dpv + lane_line(ntypes * ntypes * N_PV, real);
-    t.total = t.dtv + lane_line(ntypes * ntypes * ntypes * N_TV, real);
-    return t;
+    const int64_t line = POOL_CACHE_LINE;
+    return (n * bytes + line - 1) / line * LINE_DOUBLES;
+}
+
+static void ters_layout_of(const int64_t max_row, const int64_t ntypes, const int64_t lanes,
+                           const int64_t real, ters_layout *lay)
+{
+    const int64_t steps = max_row + 1, vec = lanes * real, d = sizeof(double);
+    lay->pair_cap = ters_line(ROWS_PER_CHUNK * max_row + lanes, d); /* at most one per entry */
+    lay->pair = 0;
+    lay->rows = lay->pair + PAIR_DOUBLES * lay->pair_cap;
+    lay->kidx = lay->rows + ters_line(2 * ROWS_PER_CHUNK, sizeof(int32_t));
+    lay->kterm = lay->kidx + ters_line(steps, vec);
+    lay->step = lay->kterm + ters_line(steps * N_KTERM, vec);
+    lay->u = lay->step + ters_line(steps * (TERS_RING + 1), sizeof(int32_t));
+    lay->out = lay->u + ters_line(steps * 3 * TERS_RING, d);
+    lay->pv = lay->out + ters_line(N_OUT * TERS_RING, d);
+    lay->tv = lay->pv + ters_line(N_PV, vec);
+    lay->dpv = lay->tv + ters_line(N_TV, vec);
+    lay->dtv = lay->dpv + ters_line(ntypes * ntypes * N_PV, real);
+    lay->total = lay->dtv + ters_line(ntypes * ntypes * ntypes * N_TV, real);
+}
+
+/* lanes col[at[0..3]] of a block, +0 past its first nb */
+static inline vacc ters_lanes4(const ACC *restrict col, const int64_t *at, const int nb)
+{
+    return (vacc){col[at[0]], nb > 1 ? col[at[1]] : 0, nb > 2 ? col[at[2]] : 0,
+                  nb > 3 ? col[at[3]] : 0};
 }
 
 /* The replay of one block of the parent order: the nb <= 4 pairs of
@@ -96,31 +133,32 @@ static void ters_block(walk_row *row, const int nb, const int32_t *slot, const d
                        const int64_t zstep, walk_acc *restrict acc)
 {
     ACC *restrict fs = row->f;
+    static const int64_t lane[SUM_LANES] = {0, 1, 2, 3};
     vacc da[3];
     int64_t mk, xl[SUM_LANES], u[SUM_LANES];
     int a, c, l;
 
-    for (l = 0; l < SUM_LANES; l++) xl[l] = (x + l) % LANE_RING;
+    for (l = 0; l < SUM_LANES; l++) xl[l] = (x + l) % TERS_RING;
     for (mk = 0; mk < row->ns; mk++) {
         /* where each lane's F_k term for slot mk lies in the u ring: its
          * K step's row, or the row of zeros for an empty lane or a slot
          * that is no k of the lane */
         for (l = 0; l < SUM_LANES; l++)
-            u[l] = LANE_RING * 3 * (l < nb ? stepbuf[LANE_RING * mk + xl[l]] : zstep) + xl[l];
+            u[l] = TERS_RING * 3 * (l < nb ? stepbuf[TERS_RING * mk + xl[l]] : zstep) + xl[l];
         for (c = 0; c < 3; c++) {
-            const ACC *restrict col = ubuf + LANE_RING * c;
+            const ACC *restrict col = ubuf + TERS_RING * c;
             const ACC fk = (col[u[0]] + col[u[2]]) + (col[u[1]] + col[u[3]]);
             fs[3 * row->q[mk] + c] -= fk;
             for (a = 0; a < 3; a++) acc->k[3 * a + c] += row->d[a][mk] * fk;
         }
     }
-    for (a = 0; a < 3; a++) da[a] = vacc_lanes(d[a], vacc_iota, nb);
+    for (a = 0; a < 3; a++) da[a] = ters_lanes4(d[a], lane, nb);
     for (c = 0; c < 3; c++) {
-        const vacc vi = vacc_lanes(obuf + LANE_RING * (O_VI + c), xl, nb);
-        const vacc fv = vacc_lanes(obuf + LANE_RING * (O_FV + c), xl, nb);
-        const vacc jt = vacc_lanes(obuf + LANE_RING * (O_JT + c), xl, nb);
+        const vacc vi = ters_lanes4(obuf + TERS_RING * (O_VI + c), xl, nb);
+        const vacc fv = ters_lanes4(obuf + TERS_RING * (O_FV + c), xl, nb);
+        const vacc jt = ters_lanes4(obuf + TERS_RING * (O_JT + c), xl, nb);
         for (l = 0; l < nb; l++)
-            fs[3 * row->q[slot[l]] + c] += obuf[LANE_RING * (O_FJ + c) + xl[l]];
+            fs[3 * row->q[slot[l]] + c] += obuf[TERS_RING * (O_FJ + c) + xl[l]];
         row->f_i[c] -= vacc_hsum(vi);
         /* virial W_ab += d_a F_b, summed per lane */
         for (a = 0; a < 3; a++) {
@@ -128,7 +166,7 @@ static void ters_block(walk_row *row, const int nb, const int32_t *slot, const d
             acc->lane[9 + 3 * a + c] += da[a] * jt;
         }
     }
-    for (l = 0; l < nb; l++) row->e_i += obuf[LANE_RING * O_E + xl[l]];
+    for (l = 0; l < nb; l++) row->e_i += obuf[TERS_RING * O_E + xl[l]];
 }
 
 /* this unit also carries the _vmath.h test hook (tests/test_backends.py) */
@@ -142,7 +180,6 @@ static void ters_block(walk_row *row, const int nb, const int32_t *slot, const d
 #define VLANES VEC_LANES_F64
 #include "_vec.h"
 #include "_vmath.h"
-#include "_walker_impl.h"
 #include "_tersoff_impl.h"
 #undef REAL
 #undef IREAL
@@ -161,7 +198,6 @@ static void ters_block(walk_row *row, const int nb, const int32_t *slot, const d
 #define VLANES VEC_LANES_F32
 #include "_vec.h"
 #include "_vmath.h"
-#include "_walker_impl.h"
 #include "_tersoff_impl.h"
 #undef REAL
 #undef IREAL
@@ -172,7 +208,8 @@ static void ters_block(walk_row *row, const int nb, const int32_t *slot, const d
 #undef VLANES
 
 /* what was built, for `repro info`: the widest vector ISA the compiler
- * was allowed to lower the lanes to (walk_lanes: how many) */
+ * was allowed to lower the lanes to (each entry point names its own
+ * scheme and lanes, WALK_ENTRY) */
 const char *ters_isa(void)
 {
 #if defined(__AVX512F__)

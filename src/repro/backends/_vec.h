@@ -9,10 +9,12 @@
  * Included once per REAL instantiation from _tersoff.c, _sw.c and
  * _neighbor.c, which define REAL, IREAL/UREAL (the signed/unsigned
  * integers of REAL's width), R_SQRT, TSUF, ACC and VLANES, the lane count
- * of the instantiation: the bodies' scheme 1b (pairs across rows,
- * _walker_impl.h) and the list build's fill (the candidates of a run of
- * adjacent cells) fill the widest register the build may use (the
- * VEC_LANES_* table in _common.h, a constant per build and REAL).  The first inclusion also defines what does not
+ * of the instantiation.  How many lanes a body runs is its scheme's
+ * choice: Tersoff's scheme 1b (pairs across rows) and the list build's
+ * fill (the candidates of a run of adjacent cells) fill the widest
+ * register the build may use (the VEC_LANES_* table in _common.h, a
+ * constant per build and REAL); SW's scheme 1a holds the pairs of one
+ * row, four to a vector.  The first inclusion also defines what does not
  * depend on REAL: the names (v_sel, ...) the kernels are written in.
  *
  * Only constructs both compilers take in C: operators and comparisons on

@@ -27,15 +27,6 @@
 
 #include "_walker.h"
 
-/* The gather reads one `partial` line per entry, from wherever the
- * entry's row is: past a few thousand atoms sweep 1 has pushed them out
- * of L2 and every read is a miss, so the line this many entries ahead is
- * asked for early.  On a one-thread 16 384-atom call 256, 512 and 1024
- * read alike, and so did no prefetch, inside the noise (EXPERIMENTS.md
- * "Partials by list entry"); it costs nothing at 4096 atoms, where the
- * partials still sit in L2. */
-#define GATHER_AHEAD 512
-
 /* Scratch doubles per short-list entry the walker keeps, for a chunk of
  * rows of the longest row each: the short lists' r and d, and their j,
  * type and row-position int32 columns. */
@@ -290,7 +281,6 @@ static void walk_work(void *ctx, const int tid)
      * ascending entry order — the list's order, whoever wrote them ---- */
     const int64_t *restrict in_off = job->a.in_off;
     const int32_t *restrict in_ent = job->a.in_ent;
-    const int64_t n_in = in_off[n_atoms];
     for (from = 0; (chunk = walk_next(job, tid, 1, &from)) >= 0;) {
         const int64_t a_end =
             (chunk + 1) * ROWS_PER_CHUNK < n_atoms ? (chunk + 1) * ROWS_PER_CHUNK : n_atoms;
@@ -298,8 +288,6 @@ static void walk_work(void *ctx, const int tid)
             ACC *restrict f_a = forces + 3 * i;
             ACC f0 = f_a[0], f1 = f_a[1], f2 = f_a[2];
             for (q = in_off[i]; q < in_off[i + 1]; q++) {
-                if (q + GATHER_AHEAD < n_in)
-                    __builtin_prefetch(partial + 3 * (int64_t)in_ent[q + GATHER_AHEAD]);
                 const double *restrict p = partial + 3 * (int64_t)in_ent[q];
                 f0 += p[0];
                 f1 += p[1];
@@ -334,8 +322,6 @@ static int walk_stored_error(const walk_kind *kind, const walk_args *a)
     a->info[1] = fail[2];
     return (int)fail[0];
 }
-
-int64_t walk_lanes(const int64_t single) { return single ? VEC_LANES_F32 : VEC_LANES_F64; }
 
 int walk_run(const walk_kind *kind, const walk_args *a)
 {

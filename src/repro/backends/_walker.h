@@ -8,13 +8,13 @@
  * double in every precision mode — then the per-entry `partial` forces
  * of the two-sweep force layout (Fan et al., arXiv 1610.03343), the
  * gather of sweep 2 and the chunk-ordered reduction of the virial sums
- * and counters.  _walker_impl.h owns what of scheme 1b is not a
- * potential's math: the chunk's pairs in the lanes, each lane's K list,
- * the rings and the replay of the sums in their fixed order.  A
- * potential contributes one REAL-templated *body* on it (_tersoff_impl.h,
- * _sw_impl.h): its per-pair and per-K-step math and its block replay —
- * and a walk_kind that names it.
+ * and counters.  A potential contributes one REAL-templated *body* (the
+ * computational part: _tersoff_impl.h, _sw_impl.h) that turns the short
+ * lists of one chunk of rows into each row's F_i and energy, the force
+ * on each slot's entry and the chunk's sums — and a walk_kind that
+ * names it.
  */
+
 #ifndef REPRO_WALKER_H
 #define REPRO_WALKER_H
 
@@ -73,26 +73,11 @@ static inline vacc vacc_load(const double *p)
 /* the one horizontal sum: fixed order, the cheap one on a 2x2 register */
 static inline ACC vacc_hsum(const vacc v) { return (v[0] + v[2]) + (v[1] + v[3]); }
 
-/* lanes col[at[0..3]] of a block of the 1a order, +0 past its first nb */
-static inline vacc vacc_lanes(const ACC *restrict col, const int64_t *at, const int nb)
-{
-    return (vacc){col[at[0]], nb > 1 ? col[at[1]] : 0, nb > 2 ? col[at[2]] : 0,
-                  nb > 3 ? col[at[3]] : 0};
-}
-
-static const int64_t vacc_iota[SUM_LANES] = {0, 1, 2, 3};
-
-/* lanes col[at[0..3]], every one readable */
-static inline vacc vacc_at(const ACC *restrict col, const int64_t *at)
-{
-    return (vacc){col[at[0]], col[at[1]], col[at[2]], col[at[3]]};
-}
-
 /* What the rows of one chunk add up, zeroed when the chunk starts: two
  * virial tensors summed lane by lane and one summed as scalars (W_ab =
  * sum d_a F_b of the pair, j and k terms; the caller forms pair - j - k),
  * and pairs, triplets in cutoff, vector bodies issued and fast-forward
- * spins (the cursor steps of Sec. IV-C's K loop). */
+ * spins (the cursor steps of Sec. IV-C's K loop, 0 for scheme 1a). */
 #define WALK_COUNTS 4
 typedef struct {
     vacc lane[18];
@@ -148,13 +133,16 @@ typedef struct walk_job walk_job;
 
 /* A potential on the walker: its body, called once per chunk with the
  * chunk's rows, the doubles of scratch the body needs per thread (not
- * zeroed), and whether its short list is r < cutoff (strict) or r <=
- * cutoff. */
+ * zeroed), whether its short list is r < cutoff (strict) or r <= cutoff,
+ * and what `repro info` says of it: the mapping scheme and the lanes of
+ * its vectors. */
 typedef struct {
     void (*body)(const walk_job *job, walk_row *rows, int64_t n_rows, walk_acc *acc,
                  void *scratch);
     int64_t (*scratch)(int64_t max_row, int64_t ntypes);
     int strict;
+    int64_t lanes;
+    const char *scheme;
 } walk_kind;
 
 /* What one chunk of rows leaves behind, on cache lines of its own. */
@@ -191,60 +179,11 @@ int64_t walk_scratch_doubles(int64_t n_atoms);
 /* One force call of `kind`, see _walker.c. */
 int walk_run(const walk_kind *kind, const walk_args *args);
 
-/* the lanes of every body's vectors for REAL = float (single) or double:
- * the build's widest register, VEC_LANES_* */
-int64_t walk_lanes(int64_t single);
-
-/* ---- the layout of the scheme-1b chassis (_walker_impl.h) ---- */
-
-/* The replay reads a pair's columns from rings of LANE_RING pairs — a
- * vector's lanes and the at most three pairs of an unfinished block
- * before them (16 + 3 at most); a multiple of every lane count, so a
- * vector's lanes are never split */
-#define LANE_RING 32
-
-/* doubles per pair: r and d, then five int32 columns */
-#define PAIR_DOUBLES (4 + 3)
-
-/* Where the chassis's columns lie in a body's per-thread scratch, in
- * doubles from its start, for a chunk of ROWS_PER_CHUNK rows of max_row
- * entries and vectors of `lanes` lanes of `real` bytes:
- *   pair  the chunk's pairs, padded to whole vectors: r and d, then j's
- *         row and slot, its row's first entry and length, and (ti, tj)
- *   rows  each row's first pair and pair count (int32)
- *   kidx  per K step and lane, the entry of the lane's k (REAL-width int)
- *   step  ring: per slot, the K step of the slot's k, or max_row (int32);
- *         then per K step the farthest cursor move of the vector's lanes
- *   u     ring: the body's n_u ACC columns per K step; step max_row is
- *         zeros
- *   body  where the body's own columns begin */
-typedef struct {
-    int64_t pair_cap, rows, kidx, step, u, body;
-} lane_layout;
-
-/* whole cache lines of doubles holding n items of `bytes` each */
-static inline int64_t lane_line(const int64_t n, const int64_t bytes)
-{
-    const int64_t line = POOL_CACHE_LINE;
-    return (n * bytes + line - 1) / line * LINE_DOUBLES;
-}
-
-static inline lane_layout lane_layout_of(const int64_t max_row, const int64_t lanes,
-                                         const int64_t real, const int64_t n_u)
-{
-    const int64_t steps = max_row + 1, d = sizeof(double);
-    lane_layout lay;
-    lay.pair_cap = lane_line(ROWS_PER_CHUNK * max_row + lanes, d); /* at most one per entry */
-    lay.rows = PAIR_DOUBLES * lay.pair_cap;
-    lay.kidx = lay.rows + lane_line(2 * ROWS_PER_CHUNK, sizeof(int32_t));
-    lay.step = lay.kidx + lane_line(steps, lanes * real);
-    lay.u = lay.step + lane_line(steps * (LANE_RING + 1), sizeof(int32_t));
-    lay.body = lay.u + lane_line(steps * n_u * LANE_RING, d);
-    return lay;
-}
-
-/* the entry point of one potential and precision, forwarding to walk_run */
-#define WALK_ENTRY(name, kind) \
+/* the entry point of one potential and precision, forwarding to
+ * walk_run, and what it runs: <name>_lanes(), <name>_scheme() */
+#define WALK_ENTRY(name, kind)                                                             \
+    int64_t CAT(name, _lanes)(void) { return (kind).lanes; }                               \
+    const char *CAT(name, _scheme)(void) { return (kind).scheme; }                         \
     int name(const walk_args *args) { return walk_run(&(kind), args); }
 
 #endif

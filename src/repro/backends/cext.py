@@ -2,9 +2,8 @@
 
 The package ships C source — the compiled backend's list walker
 ``_walker.c`` with its two potentials, ``_tersoff.c`` and ``_sw.c`` and
-their REAL-templated bodies ``_tersoff_impl.h`` / ``_sw_impl.h`` on the
-scheme-1b chassis ``_walker_impl.h`` over the lane abstraction ``_vec.h`` /
-``_vmath.h``, the thread pool ``_pool.c``,
+their REAL-templated bodies ``_tersoff_impl.h`` / ``_sw_impl.h`` over the
+lane abstraction ``_vec.h`` / ``_vmath.h``, the thread pool ``_pool.c``,
 the cell-list neighbor build ``_neighbor.c`` and an MD step's integrator,
 skin test and rank-order force reduction ``_step.c`` — and compiles it into one shared object on first use with
 the host toolchain: no build-time step, no binary wheels, and ``pip
@@ -21,7 +20,7 @@ one rounding per operator, which is what makes the documented ULP
 bounds against the numpy backend (DESIGN.md §12) hold.  The host-ISA
 flag (``-march=native`` where the compiler takes it) is the opposite: it
 chooses the instructions the kernel's lanes are lowered to, and with them
-how many lanes the bodies pack (its widest register), and changes
+how many lanes the Tersoff body packs (its widest register), and changes
 no result bit (``tests/test_backends.py::TestIsaIndependence``),
 but an object built with it must not be loaded on a lesser host — hence
 the ISA tag in the key, for cache directories shared between machines.
@@ -46,8 +45,8 @@ from repro.host import usable_cores
 
 _SRC_DIR = Path(__file__).resolve().parent
 _UNITS = ("_walker.c", "_tersoff.c", "_sw.c", "_neighbor.c", "_pool.c", "_step.c")
-_SOURCES = _UNITS + ("_walker.h", "_walker_impl.h", "_tersoff_impl.h", "_sw_impl.h", "_vec.h",
-                     "_vmath.h", "_common.h", "_pool.h")
+_SOURCES = _UNITS + ("_walker.h", "_tersoff_impl.h", "_sw_impl.h", "_vec.h", "_vmath.h",
+                     "_common.h", "_pool.h")
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-pthread", "-fno-fast-math", "-ffp-contract=off",
            "-fno-math-errno", "-Wno-psabi")
 #: tried first, dropped when the compiler rejects it (generic lowering of
@@ -191,10 +190,11 @@ def _entry_points(lib: ctypes.CDLL) -> dict[str, object]:
     fused = [ptr]
     for potential in ("tersoff", "sw"):
         for suffix in ("f64", "f32"):
-            fns[f"{potential}_{suffix}"] = bind(f"{potential}_fused_{suffix}", fused, ctypes.c_int)
+            name = f"{potential}_fused_{suffix}"  # and what it runs: <name>_lanes, _scheme
+            fns[f"{potential}_{suffix}"] = bind(name, fused, ctypes.c_int)
+            for what, res in (("lanes", i64), ("scheme", ctypes.c_char_p)):
+                fns[f"{potential}_{suffix}_{what}"] = bind(f"{name}_{what}", [], res)
     fns["walk_scratch"] = bind("walk_scratch_doubles", [i64], i64)
-    # walk_lanes(single): every body's lanes per REAL, the build's widest register
-    fns["lanes"] = bind("walk_lanes", [i64], i64)
     for suffix in ("f64", "f32"):
         # test hook: ters_vmath_*(kind, n, in, in2, out) -> code (_vmath.h)
         fns[f"vmath_{suffix}"] = bind(f"ters_vmath_{suffix}", [i64, i64, ptr, ptr, ptr], ctypes.c_int)
@@ -267,10 +267,12 @@ def threads_for(rows: int, share: int | None) -> int:
 
 def build_info() -> dict[str, object]:
     """What the loaded kernel is (loads it if need be): per potential its scheme
-    and lanes per precision — scheme 1b at the build's widest register, for
-    every body alike —, that in words, and the ISA the lanes became."""
+    and lanes per precision, that in words, and the ISA the lanes became."""
     fns = load()
-    lanes = {"f64": int(fns["lanes"](0)), "f32": int(fns["lanes"](1))}
-    return {"kernels": {pot: {"scheme": "1b", "lanes": lanes} for pot in ("tersoff", "sw")},
-            "summary": f"tersoff, sw 1b: {lanes['f64']} f64 / {lanes['f32']} f32 lanes",
-            "isa": fns["isa"]().decode()}
+    kernels, words = {}, []
+    for pot in ("tersoff", "sw"):
+        f64, f32 = (int(fns[f"{pot}_{suffix}_lanes"]()) for suffix in ("f64", "f32"))
+        scheme = fns[f"{pot}_f64_scheme"]().decode()
+        kernels[pot] = {"scheme": scheme, "lanes": {"f64": f64, "f32": f32}}
+        words.append(f"{pot} {scheme}: " + (f"{f64} f64 / {f32} f32 lanes" if f64 != f32 else str(f64)))
+    return {"kernels": kernels, "summary": "; ".join(words), "isa": fns["isa"]().decode()}

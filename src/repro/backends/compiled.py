@@ -11,8 +11,8 @@ per atom) and the reductions.  Each potential is a subclass that
 supplies a parameter table and the entry point of its C body:
 :class:`CompiledTersoffKernel` (Alg. 3 as scheme 1b, a chunk's pairs
 across the build's widest register) and :class:`CompiledSWKernel` (φ2
-and the unordered (j, k) φ3 terms on the same scheme-1b chassis, each
-lane's K list the entries after its j).  No pair or triplet table is ever staged: the kernel
+and the unordered (j, k) φ3 terms as scheme 1a, the entries of a row
+four to a vector).  No pair or triplet table is ever staged: the kernel
 packs one argument block per list and type column and walks the list's
 *inner list* — its entries within cutoff + skin/2 of a reference frame,
 in list order, derived again once an atom has moved more than skin/4
@@ -123,7 +123,7 @@ class CompiledListKernel(MultiBodyKernel):
                     0, *(a.ctypes.data for a in (*out[1:], lst.offsets, lst.neighbors)), 0, 0, 0]
         self._derive(lst, block)
         return (weakref.ref(lst), weakref.ref(lst.types)), key, block, block.ctypes.data, \
-            fns["lanes"](kind.endswith("f32")), *out[1:]
+            fns[f"{kind}_lanes"](), *out[1:]
 
     def _derive(self, lst, block: np.ndarray) -> None:
         """The inner list of `lst` at its current positions into `block`: the entries within
@@ -201,9 +201,8 @@ class CompiledTersoffKernel(CompiledListKernel):
 
 
 class CompiledSWKernel(CompiledListKernel):
-    """Stillinger-Weber on the list walker: ``_sw_impl.h``, scheme 1b at the
-    build's widest register.  Type-blind and accumulated in double in every
-    mode, as :class:`SWKernel` is."""
+    """Stillinger-Weber on the list walker: ``_sw_impl.h``.  Type-blind
+    and accumulated in double in every mode, as :class:`SWKernel` is."""
 
     entry = "sw"
 

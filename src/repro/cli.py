@@ -82,13 +82,15 @@ def _restart_run_spec(ck, args: argparse.Namespace):
 
     The checkpoint pins the full configuration — solver (potential,
     mode, cache, backend) *and* execution (executor, hosts, workers,
-    ranks, skin).  Explicitly-given CLI flags override
-    the execution knobs (resuming on different hardware is legitimate);
-    the solver always comes from the checkpoint, so the physics cannot
-    drift across a restart.
+    ranks, skin).  Explicit ``--executor/--hosts/--workers/--ranks``
+    override theirs (resuming on different hardware is legitimate); an
+    explicit ``--skin`` other than the stored list's is refused; the
+    solver always comes from the checkpoint, so the physics cannot drift.
     """
     from repro.runtime.spec import RunSpec
 
+    if args.skin not in (None, stored := ck.meta.get("neighbor", {}).get("skin")):
+        raise ValueError(f"--skin {args.skin:g} differs from the checkpoint's skin {stored}")
     flags, pinned = RunSpec.from_args(args), ck.run_spec()
     if pinned is None:
         # library-written checkpoint with no pinned config: the CLI
@@ -129,9 +131,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     ck = None
     if args.restart_from:
-        # the checkpoint pins the full run spec — solver *and*
-        # executor/workers/cache; explicit CLI flags override only the
-        # execution knobs (see _restart_run_spec)
+        # the checkpoint pins the full run spec (see _restart_run_spec)
         try:
             ck = load_checkpoint(args.restart_from)
         except (OSError, ValueError) as exc:
@@ -180,7 +180,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # the kernel that ran; the checkpoint's meta["backend"] is its one record
     be = f", backend {pot.backend_name}" if hasattr(pot, "backend_name") else ""
     print(f"{sim.system.n} Si atoms, {run.solver.potential} ({run.solver.mode}), "
-          f"{args.steps} steps at {args.temperature:.0f} K{par}{be}")
+          f"{args.steps} steps{'' if ck else f' at {args.temperature:.0f} K'}{par}{be}")
     print(ThermoSample.format_header())
     result = sim.run(args.steps, thermo_every=max(args.steps // 10, 1), callback=callbacks)
     for t in result.thermo:

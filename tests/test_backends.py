@@ -717,11 +717,11 @@ class TestCextBuild:
 
         info = cext.build_info()
         assert info["isa"] and info["isa"].isascii()
-        # both bodies are scheme 1b on the widest register of the build
+        # Tersoff fills the widest register of the build, SW keeps four lanes
         f64, f32 = {"avx512": (8, 16), "avx2": (4, 8)}.get(info["isa"], (2, 4))
-        one = {"scheme": "1b", "lanes": {"f64": f64, "f32": f32}}
-        assert info["kernels"] == {"tersoff": one, "sw": one}
-        assert info["summary"] == f"tersoff, sw 1b: {f64} f64 / {f32} f32 lanes"
+        assert info["kernels"] == {"tersoff": {"scheme": "1b", "lanes": {"f64": f64, "f32": f32}},
+                                   "sw": {"scheme": "1a", "lanes": {"f64": 4, "f32": 4}}}
+        assert info["summary"] == f"tersoff 1b: {f64} f64 / {f32} f32 lanes; sw 1a: 4"
 
 
 #: the backend stats that count lanes: they follow the width a lowering

@@ -242,17 +242,9 @@ class TestSigkillDurability:
             proc.wait(timeout=60)
 
         out = subprocess.run(
-            [
-                sys.executable, "-m", "repro", "run",
-                "--restart-from", "run.ckpt", "--steps", "3",
-                "--traj", "run.rtrj", "--traj-every", "1",
-                "--telemetry", "run.jsonl",
-            ],
-            cwd=tmp_path,
-            env=CLI_ENV,
-            capture_output=True,
-            text=True,
-            timeout=600,
+            [sys.executable, "-m", "repro", "run", "--restart-from", "run.ckpt", "--steps", "3",
+             "--traj", "run.rtrj", "--traj-every", "1", "--telemetry", "run.jsonl"],
+            cwd=tmp_path, env=CLI_ENV, capture_output=True, text=True, timeout=600,
         )
         assert out.returncode == 0, out.stderr
         # appended trajectory is clean and strictly ordered
@@ -268,10 +260,7 @@ class TestSigkillDurability:
         bad.write_bytes(b"REPROCK1" + b"\x00" * 32)
         out = subprocess.run(
             [sys.executable, "-m", "repro", "run", "--restart-from", str(bad), "--steps", "1"],
-            capture_output=True,
-            text=True,
-            env=CLI_ENV,
-            timeout=600,
+            capture_output=True, text=True, env=CLI_ENV, timeout=600,
         )
         assert out.returncode == 2
         assert "checkpoint" in out.stderr.lower()
@@ -312,6 +301,12 @@ def test_restart_run_config_round_trip(tmp_path):
     assert pinned.solver.backend is None
     assert ck.meta["backend"] == run_spec.solver.backend == get_default()
     assert pinned.with_overrides(solver=replace(pinned.solver, backend=ck.meta["backend"])) == run_spec
+    for skin, code in (("0.5", 2), ("1.0", 0)):  # the stored list keeps its skin, or refuses
+        out = subprocess.run([sys.executable, "-m", "repro", "run", "--restart-from", "a.ckpt", "--steps",
+                              "1", "--skin", skin], cwd=tmp_path, env=CLI_ENV, capture_output=True,
+                             text=True, timeout=600)
+        assert (out.returncode, "run: --skin 0.5 differs" in out.stderr,
+                "steps at" in out.stdout) == (code, code == 2, False), out.stderr
 
 
 class TestSortedDomainsRefused:
