@@ -97,8 +97,8 @@ class SanitizedPotential(Potential):
         self.needs_full_list = inner.needs_full_list
 
     def __getattr__(self, name: str):
-        # forward solver-specific attributes (cache_stats, params, ...)
-        return getattr(self.inner, name)
+        # forward solver attributes (params, ...); none to a copy being built
+        return getattr(self.__dict__.get("inner"), name)
 
     def compute(self, system: AtomSystem, neigh: NeighborList) -> ForceResult:
         try:

@@ -77,31 +77,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _restart_run_spec(ck, args: argparse.Namespace):
-    """The effective :class:`RunSpec` for ``--restart-from``.
-
-    The checkpoint pins the full configuration — solver (potential,
-    mode, cache, backend) *and* execution (executor, hosts, workers,
-    ranks, skin).  Explicit ``--executor/--hosts/--workers/--ranks``
-    override theirs (resuming on different hardware is legitimate); an
-    explicit ``--skin`` other than the stored list's is refused; the
-    solver always comes from the checkpoint, so the physics cannot drift.
-    """
-    from repro.runtime.spec import RunSpec
-
-    if args.skin not in (None, stored := ck.meta.get("neighbor", {}).get("skin")):
-        raise ValueError(f"--skin {args.skin:g} differs from the checkpoint's skin {stored}")
-    flags, pinned = RunSpec.from_args(args), ck.run_spec()
-    if pinned is None:
-        # library-written checkpoint with no pinned config: the CLI
-        # flags, wholesale
-        return flags
-    overrides = {k: getattr(flags, k) for k in ("workers", "ranks") if getattr(args, k) is not None}
-    if args.executor is not None or args.hosts:
-        overrides.update(executor=flags.executor, hosts=flags.hosts)
-    return pinned.with_overrides(**overrides)
-
-
 def _report_comm(sim) -> None:
     """Print the measured-communication line for a parallel run."""
     eng = sim.engine
@@ -126,12 +101,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.md.thermo import ThermoSample
     from repro.parallel.executor import ExecutorError
     from repro.runtime.session import build_potential, build_simulation, restore_run
-    from repro.runtime.spec import RunSpec, SpecError
+    from repro.runtime.spec import SpecError, run_from_args
     from repro.state.checkpoint import CheckpointError, load_checkpoint
 
     ck = None
     if args.restart_from:
-        # the checkpoint pins the full run spec (see _restart_run_spec)
         try:
             ck = load_checkpoint(args.restart_from)
         except (OSError, ValueError) as exc:
@@ -144,7 +118,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             every = getattr(args, flag)
             if every is not None and every < 1:
                 raise ValueError(f"--{flag.replace('_', '-')} must be >= 1, got {every}")
-        run = RunSpec.from_args(args) if ck is None else _restart_run_spec(ck, args)
+        run, lattice = run_from_args(args, ck)
         pot = build_potential(run.solver)
     except (SpecError, ValueError) as exc:
         print(f"run: {exc}", file=sys.stderr)
@@ -160,29 +134,28 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except (CheckpointError, ExecutorError) as exc:
             print(f"restart: {exc}", file=sys.stderr)
             return 2
-        print(f"restarted from {args.restart_from} at step {sim.step_index} "
-              f"({sim.system.n} atoms, {run.solver.potential} ({run.solver.mode}))")
+        print(f"restarted from {args.restart_from} at step {sim.step_index}")
     else:
         try:
-            system = diamond_lattice(*cells_for_atoms(args.atoms))
-            seeded_velocities(system, args.temperature, seed=args.seed)
+            system = diamond_lattice(*cells_for_atoms(lattice["atoms"]))
+            seeded_velocities(system, lattice["temperature"], seed=lattice["seed"])
             # refused here, not by the first list build inside sim.run
             system.box.check_cutoff(run.solver.cutoff() + run.skin)
             sim = build_simulation(run, system, potential=pot)
         except (SpecError, ValueError, ExecutorError) as exc:
             print(f"run: {exc}", file=sys.stderr)
             return 2
-    callbacks, sinks = _run_sinks(args, run, resume_step=sim.step_index)
+    sinks = _run_sinks(args, run, sim.step_index)
 
     par = ""
     if sim.engine is not None:
         par = f", {sim.engine.workers} workers x {sim.engine.ranks} ranks"
     # the kernel that ran; the checkpoint's meta["backend"] is its one record
     be = f", backend {pot.backend_name}" if hasattr(pot, "backend_name") else ""
-    print(f"{sim.system.n} Si atoms, {run.solver.potential} ({run.solver.mode}), "
-          f"{args.steps} steps{'' if ck else f' at {args.temperature:.0f} K'}{par}{be}")
+    print(f"{sim.system.n} {''.join(sim.system.species)} atoms, {run.solver.potential} "
+          f"({run.solver.mode}), {args.steps} steps{par}{be}")
     print(ThermoSample.format_header())
-    result = sim.run(args.steps, thermo_every=max(args.steps // 10, 1), callback=callbacks)
+    result = sim.run(args.steps, thermo_every=max(args.steps // 10, 1), callback=sinks)
     for t in result.thermo:
         print(t.format_row())
     print(f"\n{result.timers.breakdown()}")
@@ -204,20 +177,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"efficiency {summary.get('parallel_efficiency', 0.0):.2f}, "
               f"{summary['generations']} decompositions over {summary['steps']} steps")
     _report_comm(sim)
-    for line in _sink_report(sinks):
-        print(line)
     for sink in sinks:
-        close = getattr(sink, "close", None)
-        if close is not None:
-            close()
+        print(_SINK_REPORTS[type(sink).__name__](sink))
+        getattr(sink, "close", lambda: None)()
     sim.close()
     return 0
 
 
-def _run_sinks(
-    args: argparse.Namespace, run, *, resume_step: int = 0
-) -> tuple[list, list]:
-    """Build the durability callbacks for ``repro run``.
+def _run_sinks(args: argparse.Namespace, run, resume_step: int) -> list:
+    """The durability callbacks for ``repro run``.
 
     `run` is the effective :class:`~repro.runtime.spec.RunSpec`; its
     canonical dict is pinned into checkpoints (``user_meta["run_spec"]``)
@@ -225,53 +193,35 @@ def _run_sinks(
     configuration.
     """
     resuming = bool(args.restart_from)
-    callbacks: list = []
     sinks: list = []
     if args.traj:
         from repro.state.trajectory import BinaryTrajectory
 
         # on resume, frames streamed past the checkpoint are rewound so
         # the appended run continues in strict step order
-        traj = BinaryTrajectory(
-            args.traj, every=args.traj_every, append=resuming,
-            resume_step=resume_step if resuming else None,
-        )
-        callbacks.append(traj)
-        sinks.append(traj)
+        sinks.append(BinaryTrajectory(args.traj, every=args.traj_every, append=resuming,
+                                      resume_step=resume_step if resuming else None))
     if args.telemetry:
         from repro.state.telemetry import TelemetrySink
 
-        telem = TelemetrySink(
-            args.telemetry, every=args.telemetry_every, append=resuming,
-            meta=run.to_dict(),
-        )
-        callbacks.append(telem)
-        sinks.append(telem)
+        sinks.append(TelemetrySink(args.telemetry, every=args.telemetry_every,
+                                   append=resuming, meta=run.to_dict()))
     if args.checkpoint_every or args.checkpoint:
         from repro.state.checkpoint import Checkpointer
 
-        every = args.checkpoint_every or max(args.steps, 1)
-        ckpt = Checkpointer(
-            args.checkpoint or "run.ckpt", every=every,
-            user_meta={"run_spec": run.to_dict()},
-        )
-        callbacks.append(ckpt)
-        sinks.append(ckpt)
-    return callbacks, sinks
+        sinks.append(Checkpointer(args.checkpoint or "run.ckpt",
+                                  every=args.checkpoint_every or max(args.steps, 1),
+                                  user_meta={"run_spec": run.to_dict()}))
+    return sinks
 
 
-def _sink_report(sinks: list) -> list[str]:
-    lines = []
-    for sink in sinks:
-        name = type(sink).__name__
-        if name == "BinaryTrajectory":
-            lines.append(f"trajectory: {sink.frames_written} frames -> {sink.path}")
-        elif name == "TelemetrySink":
-            lines.append(f"telemetry: {sink.records_written} records -> {sink.path}")
-        elif name == "Checkpointer":
-            lines.append(f"checkpoint: {sink.checkpoints_written} writes -> {sink.path} "
-                         f"(last at step {sink.last_step_written})")
-    return lines
+#: each sink's closing line, by class name
+_SINK_REPORTS = {
+    "BinaryTrajectory": lambda s: f"trajectory: {s.frames_written} frames -> {s.path}",
+    "TelemetrySink": lambda s: f"telemetry: {s.records_written} records -> {s.path}",
+    "Checkpointer": lambda s: (f"checkpoint: {s.checkpoints_written} writes -> {s.path} "
+                               f"(last at step {s.last_step_written})"),
+}
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
@@ -289,20 +239,20 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import EvalServer, ServeConfig
 
-    listen = {"unix_path": args.unix}
-    if not args.unix:
+    # only the flags given reach the config: ServeConfig holds every default
+    given = {k: v for k in ("max_sessions", "per_tenant_cap", "skin", "backlog", "max_atoms")
+             if (v := getattr(args, k)) is not None}
+    if args.unix:
+        given["unix_path"] = args.unix
+    elif args.bind is not None:
         host, _, port = args.bind.rpartition(":")
         try:
-            listen = {"host": host or "127.0.0.1", "port": int(port)}
+            given.update(port=int(port), **({"host": host} if host else {}))
         except ValueError:
-            print(f"serve: bad --bind {args.bind!r} (expected HOST:PORT)",
-                  file=sys.stderr)
+            print(f"serve: bad --bind {args.bind!r} (expected HOST:PORT)", file=sys.stderr)
             return 2
     try:
-        config = ServeConfig(
-            **listen, max_sessions=args.max_sessions, per_tenant_cap=args.per_tenant_cap,
-            backlog=args.backlog, max_atoms=args.max_atoms,
-            **({} if args.skin is None else {"skin": args.skin}))
+        config = ServeConfig(**given)
         server = EvalServer(config)
     except (OSError, ValueError) as exc:
         print(f"serve: {exc}", file=sys.stderr)
@@ -424,17 +374,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_info.set_defaults(func=_cmd_info)
 
     p_run = sub.add_parser("run", help="run an MD simulation")
-    p_run.add_argument("--atoms", type=int, default=512)
+    # a pinned flag defaults to None: repro.runtime.spec.RUN_FLAGS tells a given one apart
+    p_run.add_argument("--atoms", type=int)
     p_run.add_argument("--steps", type=int, default=200)
-    p_run.add_argument("--temperature", type=float, default=600.0)
-    p_run.add_argument("--mode", choices=("Ref", "Opt-D", "Opt-S", "Opt-M"), default="Opt-M")
-    p_run.add_argument("--potential", choices=("tersoff", "sw"), default="tersoff")
-    p_run.add_argument("--backend", choices=("numpy", "compiled"), default=None,
-                       help="compute backend for the Tersoff and SW Opt-* production paths "
-                            "(default: compiled where the C extension loads, else numpy, "
-                            "the oracle; an explicit 'compiled' falls back with a warning)")
-    p_run.add_argument("--skin", type=float, default=None)
-    p_run.add_argument("--seed", type=int, default=2016)
+    p_run.add_argument("--temperature", type=float)
+    p_run.add_argument("--mode", help="Ref, Opt-D, Opt-S or Opt-M")
+    p_run.add_argument("--potential", help="tersoff or sw")
+    p_run.add_argument("--backend",
+                       help="compute backend for the Tersoff and SW Opt-* production paths, "
+                            "numpy (the oracle) or compiled (default where the C extension "
+                            "loads; an explicit 'compiled' falls back with a warning)")
+    p_run.add_argument("--skin", type=float)
+    p_run.add_argument("--seed", type=int)
     p_run.add_argument("--workers", type=int, default=None,
                        help="run forces on a persistent pool of N workers (see --executor)")
     p_run.add_argument("--ranks", type=int, default=None,
@@ -457,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(plus once at run end)")
     p_run.add_argument("--restart-from", default=None, metavar="PATH",
                        help="resume from a checkpoint (bitwise-identical to the "
-                            "uninterrupted run); potential config comes from the checkpoint")
+                            "uninterrupted run); a flag the checkpoint pins is refused "
+                            "unless equal, --temperature and --seed always")
     p_run.add_argument("--telemetry", default=None, metavar="PATH",
                        help="write per-step JSON-lines telemetry "
                             "(see 'repro telemetry summarize')")
@@ -479,19 +431,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_worker.set_defaults(func=_cmd_worker)
 
     p_serve = sub.add_parser("serve", help="batched evaluation service (warm solver pool)")
-    p_serve.add_argument("--bind", default="127.0.0.1:0", metavar="HOST:PORT",
+    p_serve.add_argument("--bind", metavar="HOST:PORT",
                          help="TCP listen address (port 0 = ephemeral)")
     p_serve.add_argument("--unix", default=None, metavar="PATH",
                          help="serve on an AF_UNIX socket instead of TCP")
-    p_serve.add_argument("--max-sessions", type=int, default=32,
+    p_serve.add_argument("--max-sessions", type=int,
                          help="global warm-session cap (LRU eviction)")
-    p_serve.add_argument("--per-tenant-cap", type=int, default=8,
+    p_serve.add_argument("--per-tenant-cap", type=int,
                          help="warm-session cap per tenant")
-    p_serve.add_argument("--skin", type=float, default=None,
+    p_serve.add_argument("--skin", type=float,
                          help="neighbor skin for serve sessions")
-    p_serve.add_argument("--backlog", type=int, default=64,
+    p_serve.add_argument("--backlog", type=int,
                          help="bounded queue depth; overflow answers 429")
-    p_serve.add_argument("--max-atoms", type=int, default=65536,
+    p_serve.add_argument("--max-atoms", type=int,
                          help="refuse systems above this size (L2)")
     p_serve.set_defaults(func=_cmd_serve)
 

@@ -282,36 +282,6 @@ class RunSpec:
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
-    # ---- CLI adapter ---------------------------------------------------------
-
-    @classmethod
-    def from_args(cls, args) -> "RunSpec":
-        """Build from an argparse namespace carrying the ``repro run``
-        flag family (also used by the restart path).
-
-        Recognized attributes (all optional): ``potential``, ``mode``,
-        ``backend``, ``workers``, ``ranks``, ``executor``, ``hosts``,
-        ``skin``.  This is the *one* place CLI
-        flags become a spec (the interaction cache has no flag: it is
-        always on from the CLI, ``SolverSpec.cache`` is the library knob).
-        """
-        hosts = getattr(args, "hosts", None)
-        if isinstance(hosts, str):
-            hosts = tuple(h.strip() for h in hosts.split(",") if h.strip()) or None
-        solver = SolverSpec(
-            potential=getattr(args, "potential", "tersoff"),
-            mode=getattr(args, "mode", "Opt-M"),
-            backend=getattr(args, "backend", None),
-        )
-        return cls(
-            solver=solver,
-            workers=getattr(args, "workers", None),
-            ranks=getattr(args, "ranks", None),
-            executor=getattr(args, "executor", None),
-            hosts=hosts,
-            skin=DEFAULT_SKIN if getattr(args, "skin", None) is None else args.skin,
-        )
-
     def with_overrides(self, **changes) -> "RunSpec":
         """A copy with the given fields replaced (restart-flag overrides)."""
         return replace(self, **changes)
@@ -337,3 +307,71 @@ class RunSpec:
         from repro.runtime.session import build_simulation
 
         return build_simulation(self, system, **kwargs)
+
+
+# ---- the ``repro run`` flags ---------------------------------------------------
+
+#: A fresh lattice's values, which ``--atoms``, ``--temperature`` and
+#: ``--seed`` override; a restart takes atoms and velocities from its file.
+FRESH_LATTICE = {"atoms": 512, "temperature": 600.0, "seed": 2016}
+
+#: Every ``repro run`` option (argparse dest), classified once.  A restart
+#: runs with an ``applied`` one; checks a ``pinned`` one against its
+#: checkpoint (``ranks`` with the stored decomposition, which defines the
+#: physics) and refuses it when it differs; refuses an ``unrecorded`` one,
+#: which only seeds a fresh lattice's velocities, whenever it is given;
+#: ``source`` names the checkpoint itself.
+RUN_FLAGS = {
+    "applied": ("workers", "executor", "hosts", "sanitize", "steps", "checkpoint",
+                "checkpoint_every", "telemetry", "telemetry_every", "traj", "traj_every"),
+    "pinned": ("potential", "mode", "backend", "skin", "atoms", "ranks"),
+    "unrecorded": ("temperature", "seed"),
+    "source": ("restart_from",),
+}
+
+
+def run_from_args(args, checkpoint=None) -> tuple[RunSpec, dict | None]:
+    """The run the ``repro run`` flags ask for, by :data:`RUN_FLAGS`:
+    the one place flags become a run, fresh or resumed.
+
+    A fresh run returns its spec (a flag not given takes the spec's
+    default) and its :data:`FRESH_LATTICE` values.  A restart returns
+    the checkpoint's pinned spec under the execution flags given, and
+    ``None``; a checkpoint written through the library pins no spec,
+    so its solver comes from the flags.  The pinned flags that differ
+    and the unrecorded ones given are one :class:`SpecError`.  The
+    interaction cache has no flag (``SolverSpec.cache`` is the library's).
+    """
+    given = {name: value for names in RUN_FLAGS.values() for name in names
+             if (value := getattr(args, name, None)) is not None}
+    if isinstance(given.get("hosts"), str):
+        given["hosts"] = [h.strip() for h in given["hosts"].split(",") if h.strip()] or None
+    solver = {k: given[k] for k in ("potential", "mode", "backend") if k in given}
+    fields = {k: given[k] for k in ("workers", "ranks", "executor", "hosts", "skin") if k in given}
+    if checkpoint is None:
+        lattice = {k: given.get(k, value) for k, value in FRESH_LATTICE.items()}
+        return RunSpec(solver=SolverSpec(**solver), **fields), lattice
+    pinned = checkpoint.run_spec()
+    # skin and ranks are state, which a file that pins no spec records too
+    stored = {key: section.get(key) if isinstance(section := checkpoint.meta.get(name), dict)
+              else None for key, name in (("skin", "neighbor"), ("ranks", "engine"))}
+    if pinned is not None:
+        stored.update(potential=pinned.solver.potential, mode=pinned.solver.mode,
+                      backend=pinned.solver.backend)
+    asked = dict(given)
+    if "atoms" in given:  # compared as the lattice it would build
+        from repro.md.lattice import cells_for_atoms
+
+        stored["atoms"] = checkpoint.system().n
+        asked["atoms"] = 8 * math.prod(cells_for_atoms(given["atoms"]))
+    refused = [f"--{k} {given[k]} differs from the checkpoint's {stored[k]}"
+               for k in RUN_FLAGS["pinned"] if k in stored and asked.get(k, stored[k]) != stored[k]]
+    refused += [f"--{k} {given[k]} only seeds a fresh lattice"
+                for k in RUN_FLAGS["unrecorded"] if k in given]
+    if refused:
+        raise SpecError("; ".join(refused))
+    if pinned is None:
+        pinned = RunSpec(solver=SolverSpec(**solver), skin=stored["skin"])
+    if "executor" in fields or "hosts" in fields:  # one selects the executor
+        fields = {"executor": None, "hosts": None, **fields}
+    return pinned.with_overrides(**fields), None

@@ -148,9 +148,10 @@ class Checkpoint:
         A checkpoint carries the full spec under ``user_meta["run_spec"]``
         — potential, mode, cache, backend, executor, hosts, workers/ranks
         and skin all round-trip, so ``--restart-from`` reproduces the
-        original configuration instead of falling back to CLI defaults.
-        Returns ``None`` when no configuration was pinned at all
-        (checkpoints written through the library API with no user_meta).
+        original configuration and refuses a flag that differs from it
+        (:func:`~repro.runtime.spec.run_from_args`).  Returns ``None``
+        when no configuration was pinned at all (checkpoints written
+        through the library API with no user_meta).
         The backend is the one that ran (``meta["backend"]``); without
         that pin, ``backend: null`` meant numpy when written.
 
@@ -401,6 +402,10 @@ def restore_simulation(
     if settings.cutoff < potential.cutoff:
         raise CheckpointError(f"checkpoint neighbor cutoff {settings.cutoff} is below "
                               f"the potential's {potential.cutoff}")
+    species = getattr(getattr(potential, "params", None), "species", None)
+    if species is not None and d["system"].species != tuple(species):
+        raise CheckpointError(f"checkpoint species {d['system'].species} are not the "
+                              f"potential's {tuple(species)}")
     sim = Simulation(
         d["system"], potential, neighbor=settings, dt=d["dt"], thermostat=d["thermostat"],
         workers=None if engine is None else int(workers or engine["workers"]),

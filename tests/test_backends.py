@@ -36,6 +36,7 @@ from hypothesis import strategies as st
 from conftest import build_list, needs_compiled
 from test_neighbor import assert_inner, assert_same_as_numpy
 from repro import backends
+from repro.backends import cext
 from repro.backends.base import BackendUnavailableError, ComputeBackend, UnknownBackendError
 from repro.core.sw import StillingerWeberProduction, sw_silicon
 from repro.core.tersoff.parameters import tersoff_si, tersoff_sic
@@ -43,6 +44,8 @@ from repro.core.tersoff.production import TersoffKernel, TersoffProduction
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
 from repro.md.lattice import diamond_lattice, perturbed, zincblende_sic
+from repro.md.neighbor import NeighborList
+from repro.parallel.engine import ParallelEngine
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -627,8 +630,6 @@ class TestNumpyOracle:
         """No k of a pair is its j's atom, wherever else the row names it:
         the staging for such rows (not the one-non-k fast path) agrees
         with the oracle, which excludes k by atom too."""
-        from repro.md.neighbor import NeighborList
-
         params, system, neigh = sic_workload()
         state = neigh.get_state()
         rows = np.split(state["neighbors"], state["offsets"][1:-1])
@@ -647,8 +648,6 @@ class TestNumpyOracle:
 def _variant(tmp_path, name, isa_flags):
     """Entry points of the extension built with `isa_flags` into a
     throw-away file: the private, test-only way to a second lowering."""
-    from repro.backends import cext
-
     out = tmp_path / f"{name}.so"
     _, err = cext._compile(cext.find_compiler(), isa_flags, str(out))
     assert err is None, err
@@ -660,8 +659,6 @@ class TestCextBuild:
     def test_isa_tag_is_part_of_the_object_name(self, monkeypatch, tmp_path):
         """A cache directory shared between machines must not hand one
         host's -march=native object to another."""
-        from repro.backends import cext
-
         monkeypatch.setenv("REPRO_CEXT_CACHE", str(tmp_path))
         cc = cext.find_compiler()
         here = cext._build_key(cc)
@@ -672,8 +669,6 @@ class TestCextBuild:
     def test_a_compiler_wrapper_keeps_compilers_apart(self, tmp_path):
         """ccache puts `gcc` and `clang` symlinks to itself first on PATH:
         both resolve to one binary, and must still name different objects."""
-        from repro.backends import cext
-
         wrapper = tmp_path / "ccache"
         wrapper.write_bytes(b"\x7fELF")
         for name in ("gcc", "clang"):
@@ -683,15 +678,11 @@ class TestCextBuild:
     def test_isa_tag_names_the_machine(self):
         import platform
 
-        from repro.backends import cext
-
         assert cext._isa_tag().startswith(platform.machine())
 
     def test_rejected_host_flag_still_builds_and_agrees(self, monkeypatch, tmp_path):
         """A compiler that does not take the host-ISA flag gets the
         generic lowering, which is the same kernel."""
-        from repro.backends import cext
-
         monkeypatch.setenv("REPRO_CEXT_CACHE", str(tmp_path))
         monkeypatch.setattr(cext, "_HOST_ISA_FLAGS", ("-march=no-such-cpu",))
         so_path = cext.build()
@@ -704,8 +695,6 @@ class TestCextBuild:
         assert_tracks(rc, rn)
 
     def test_build_failure_reports_the_compiler_output(self, monkeypatch, tmp_path):
-        from repro.backends import cext
-
         monkeypatch.setenv("REPRO_CEXT_CACHE", str(tmp_path))
         monkeypatch.setattr(cext, "_CFLAGS", cext._CFLAGS + ("-fno-such-option",))
         with pytest.raises(cext.CextBuildError, match="no-such-option"):
@@ -713,8 +702,6 @@ class TestCextBuild:
         assert list(tmp_path.iterdir()) == []  # no half-written object left behind
 
     def test_build_info_names_scheme_lanes_and_isa(self):
-        from repro.backends import cext
-
         info = cext.build_info()
         assert info["isa"] and info["isa"].isascii()
         # Tersoff fills the widest register of the build, SW keeps four lanes
@@ -751,8 +738,6 @@ class TestIsaIndependence:
 
     @pytest.fixture(scope="class")
     def lowerings(self, tmp_path_factory):
-        from repro.backends import cext
-
         tmp = tmp_path_factory.mktemp("lowerings")
         try:
             host = _variant(tmp, "host", cext._HOST_ISA_FLAGS)
@@ -769,8 +754,6 @@ class TestIsaIndependence:
     @pytest.mark.parametrize("workload", [si_workload, sic_workload], ids=["si", "sic"])
     def test_baseline_and_host_lowering_are_bitwise_equal(self, lowerings, monkeypatch,
                                                           workload, precision, periodic):
-        from repro.backends import cext
-
         params, system, _ = workload()
         system = with_periodicity(system, PERIODICITIES[periodic])
         results = []
@@ -785,8 +768,6 @@ class TestIsaIndependence:
     @pytest.mark.parametrize("precision", ["double", "mixed"])
     def test_sw_baseline_and_host_lowering_are_bitwise_equal(self, lowerings, monkeypatch,
                                                              precision, periodic):
-        from repro.backends import cext
-
         params, system, _ = sw_workload()
         system = with_periodicity(system, PERIODICITIES[periodic])
         results = []
@@ -815,8 +796,6 @@ def every_call_threads(monkeypatch):
     """The grain keeps systems of this file's size on one thread; without
     it 216 atoms are four chunks of rows — 64, 64, 64 and a partial 24 —
     for up to four threads to claim."""
-    from repro.backends import cext
-
     monkeypatch.setattr(cext, "THREAD_GRAIN", 1)
 
 
@@ -896,8 +875,6 @@ class TestThreadInvariance:
         """A list that came back through `set_state` — C-built, or the
         numpy O(n^2) build with its rows in another order — is transposed
         from what the kernel sees, like any other."""
-        from repro.md.neighbor import NeighborList
-
         params, system, _ = sic_workload(cells=3)
         built = build_list(system, params.max_cutoff, brute=brute)
         restored = NeighborList(built.settings)
@@ -916,8 +893,7 @@ class TestThreadInvariance:
         arrays, and the inner list derived from them is numpy's.  A crowded
         corner leaves every slice short and is built again with room,
         threads and all."""
-        from repro.backends import cext
-        from repro.md.neighbor import NeighborList, NeighborSettings, _numpy_csr
+        from repro.md.neighbor import NeighborSettings, _numpy_csr
 
         fns, opened = cext.load(), []
 
@@ -1168,8 +1144,6 @@ VM_POW_FLOOR_ULP = 192
 
 def vmath(kind, x, y=None, prec="f64"):
     """`kind` of x (and y) through the kernel's vector lanes."""
-    from repro.backends import cext
-
     dtype = VM_DTYPES[prec]
     x = np.ascontiguousarray(x, dtype=dtype)
     y = x if y is None else np.ascontiguousarray(np.broadcast_to(y, x.shape), dtype=dtype)
@@ -1301,8 +1275,6 @@ class TestEngineWithCompiledBackend:
     def test_bitwise_across_worker_counts(self, workers):
         """Physics depends only on ranks; compiled workers must agree
         bitwise with compiled workers=1 for the same decomposition."""
-        from repro.parallel.engine import ParallelEngine
-
         params, system, _ = si_workload(cells=3)
 
         def run(w):
@@ -1342,8 +1314,6 @@ class TestEngineWithCompiledBackend:
                 assert not hasattr(kernel, "threads")
 
     def test_serial_executor_matches_process(self):
-        from repro.parallel.engine import ParallelEngine
-
         params, system, _ = si_workload(cells=3)
 
         def run(executor):
@@ -1361,8 +1331,6 @@ class TestEngineWithCompiledBackend:
     def test_thread_executor_matches_serial(self):
         """ctypes drops the GIL, so two ranks really run the C kernel at
         once: scratch must be per kernel instance or thread, never per module."""
-        from repro.parallel.engine import ParallelEngine
-
         params, system, _ = si_workload(cells=4)
         rng = np.random.default_rng(31)
 

@@ -4,12 +4,16 @@ import argparse
 import importlib
 import os
 import re
+import shutil
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
+from repro import backends
 from repro.cli import build_parser, main
 
 
@@ -19,8 +23,10 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_run_defaults(self):
-        args = build_parser().parse_args(["run"])
-        assert args.mode == "Opt-M" and args.atoms == 512
+        from repro.runtime.spec import run_from_args
+
+        run, lattice = run_from_args(build_parser().parse_args(["run"]))
+        assert run.solver.mode == "Opt-M" and lattice["atoms"] == 512
 
 
 def _subcommands(parser):
@@ -70,9 +76,9 @@ class TestTrackedQuantities:
         def lines(root):
             return sum(len(f.read_text().splitlines()) for f in root.rglob("*.py"))
 
-        assert lines(package) <= 17_362
+        assert lines(package) <= 17_357
         assert lines(package / "analysis") <= 2_571
-        assert lines(Path(__file__).parent) <= 14_950
+        assert lines(Path(__file__).parent) <= 14_947
 
     def test_lint_is_one_stateless_pass(self):
         lint = _subcommands(build_parser())["lint"]
@@ -95,7 +101,6 @@ class TestInfo:
             assert token in out
 
     def test_names_what_was_built_for_the_compiled_backend(self, capsys):
-        from repro import backends
         from repro.backends import cext
 
         if not backends.is_available("compiled"):
@@ -112,8 +117,6 @@ class TestInfo:
         """The count is the one benchmarks/e2e records and refuses on:
         cores this process may run on, not cores the machine has — and
         the threads of the compiled kernel follow it."""
-        from repro import backends
-
         code = ("import os, sys\n"
                 "from repro.cli import main\n"
                 "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
@@ -170,12 +173,77 @@ class TestRun:
 
     def test_compiled_run_says_how_many_threads_ran(self, capsys):
         """64 atoms are below the grain: one thread, whatever the host."""
-        from repro import backends
-
         if not backends.is_available("compiled"):
             pytest.skip("compiled backend unavailable (no C toolchain)")
         assert main(["run", "--atoms", "64", "--steps", "2", "--backend", "compiled"]) == 0
         assert "kernel: compiled (cext), 1 threads on the last call" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def two_rank_ckpt(tmp_path_factory):
+    """One 64-atom Opt-M checkpoint on 2 workers x 2 ranks."""
+    path = tmp_path_factory.mktemp("restart") / "a.ckpt"
+    assert main(["run", "--atoms", "64", "--steps", "1", "--workers", "2", "--executor",
+                 "thread", "--checkpoint", str(path)]) == 0
+    return path
+
+
+def _other_backend():
+    return {"numpy": "compiled"}.get(backends.get_default(), "numpy")
+
+
+class TestRestartFlags:
+    """ROADMAP 24: a restart applies every flag it is given, or refuses
+    it with one ``run:`` line; a new flag fails here until classified."""
+
+    @pytest.mark.parametrize("flag", _option_flags(_subcommands(build_parser())["run"]))
+    def test_every_flag_is_applied_or_refused(self, flag, two_rank_ckpt, tmp_path, capsys,
+                                              monkeypatch):
+        from repro.parallel.transport import run_worker
+        from repro.runtime.spec import RUN_FLAGS
+
+        monkeypatch.chdir(tmp_path)  # --checkpoint-every alone writes run.ckpt here
+        dest = flag[2:].replace("-", "_")
+        (kind,) = [kind for kind, dests in RUN_FLAGS.items() if dest in dests]
+        rows = {  # dest: (value, exit code) pairs; a switch takes no value
+            "potential": [("sw", 2), ("tersoff", 0)], "mode": [("Opt-D", 2), ("Opt-M", 0)],
+            "backend": [(_other_backend(), 2), (backends.get_default(), 0)],
+            "skin": [("0.5", 2), ("1.0", 0)], "atoms": [("512", 2), ("60", 0)],
+            "ranks": [("1", 2), ("2", 0)], "temperature": [("600", 2)], "seed": [("2016", 2)],
+            "workers": [("1", 0)], "executor": [("serial", 0)], "hosts": [("w0.sock,w1.sock", 0)],
+            "sanitize": [(None, 0)], "steps": [("1", 0)], "checkpoint": [("b.ckpt", 0)],
+            "checkpoint_every": [("1", 0)], "telemetry": [("t.jsonl", 0)],
+            "telemetry_every": [("1", 0)], "traj": [("t.rtrj", 0)], "traj_every": [("1", 0)],
+            "restart_from": [(str(two_rank_ckpt), 0)],
+        }[dest]
+        assert [code for _, code in rows] == {"pinned": [2, 0], "unrecorded": [2]}.get(kind, [0])
+        bound = []  # two `repro worker` listeners, one session each, for --hosts
+        for sock in ("w0.sock", "w1.sock") if dest == "hosts" else ():
+            threading.Thread(target=run_worker, daemon=True, kwargs={
+                "unix": sock, "once": True, "_ready": bound.append}).start()
+        while len(bound) < 2 * (dest == "hosts"):
+            time.sleep(0.01)
+        for value, code in rows:
+            given = [flag] + ([] if value is None else [value])
+            assert main(["run", "--restart-from", str(two_rank_ckpt), "--steps", "0", *given]) == code
+            err = capsys.readouterr().err
+            assert (err.startswith("run: ") and err.count("\n") == 1 and f"{flag} " in err
+                    if code else err == ""), err
+
+    def test_a_restart_names_every_refused_flag(self, two_rank_ckpt, capsys):
+        flags = {"--atoms": "512", "--temperature": "3000", "--mode": "Opt-D",
+                 "--potential": "sw", "--seed": "7", "--backend": _other_backend()}
+        assert main(["run", "--restart-from", str(two_rank_ckpt), "--steps", "0",
+                     *(w for item in flags.items() for w in item)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and all(f"{flag} " in err for flag in flags)
+
+    def test_a_library_checkpoint_of_other_species_is_refused(self, tmp_path, capsys):
+        """a-SiGe pins no spec, and Tersoff Si cannot evaluate Ge."""
+        ckpt = shutil.copy(Path(__file__).parent / "fixtures" / "a-sige-216.ckpt", tmp_path)
+        assert main(["run", "--restart-from", str(ckpt), "--steps", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("restart: checkpoint species ('Si', 'Ge')")
 
 
 class TestFigure:

@@ -15,10 +15,13 @@ from repro.core.tersoff.parameters import tersoff_si
 from repro.core.tersoff.production import TersoffProduction
 from repro.core.tersoff.reference import TersoffReference
 from repro.core.tersoff.vectorized import TersoffVectorized
+from repro.md.atoms import AtomSystem
+from repro.md.box import Box
 from repro.md.lattice import diamond_lattice, perturbed
 from repro.md.neighbor import NeighborList, NeighborSettings
 from repro.md.pair_lj import LennardJones
 from repro.md.pair_lj_vectorized import LennardJonesVectorized
+from repro.parallel.decomposition import DomainDecomposition
 
 
 @pytest.fixture(scope="module")
@@ -79,9 +82,6 @@ class TestBadGeometry:
     def test_nan_positions_rejected_compiled(self, bad, periodic):
         """The fused C kernel owns geometry and filter, so it owns this
         guard too (with and without the minimum-image branch)."""
-        from repro.md.atoms import AtomSystem
-        from repro.md.box import Box
-
         params = tersoff_si()
         s = perturbed(diamond_lattice(2, 2, 2), 0.05, seed=72)
         if not periodic:
@@ -123,9 +123,6 @@ class TestBadGeometry:
     def check_coincident_atoms_rejected(pot):
         import warnings
 
-        from repro.md.atoms import AtomSystem
-        from repro.md.box import Box
-
         x = np.array([[5.0, 5.0, 5.0], [5.0, 5.0, 5.0], [7.4, 5.0, 5.0]])
         s = AtomSystem(box=Box.cubic(20.0, periodic=False), x=x)
         nl = NeighborList(NeighborSettings(cutoff=pot.cutoff, skin=0.5,
@@ -144,8 +141,6 @@ class TestDecompositionGuards:
         """A halo narrower than the list cutoff loses interactions; the
         result then *differs* from the serial one (the invariant the
         integration tests rely on) — verify the discrepancy is visible."""
-        from repro.parallel.decomposition import DomainDecomposition
-
         params = tersoff_si()
         system = perturbed(diamond_lattice(4, 4, 4), 0.1, seed=73)
         pot = TersoffProduction(params)
@@ -156,8 +151,6 @@ class TestDecompositionGuards:
         assert abs(energy - serial.energy) > 1e-6
 
     def test_zero_rank_rejected(self):
-        from repro.parallel.decomposition import DomainDecomposition
-
         with pytest.raises(ValueError):
             DomainDecomposition(diamond_lattice(2, 2, 2), 0, halo=4.0)
 

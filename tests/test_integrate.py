@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.backends import cext
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
-from repro.md.integrate import Langevin, VelocityRescale, VelocityVerlet
+from repro.md.integrate import Langevin, NoseHoover, VelocityRescale, VelocityVerlet
 from repro.md.lattice import diamond_lattice, seeded_velocities
 from repro.md.neighbor import NeighborList, NeighborSettings
 from repro.md.units import FTM2V
@@ -291,8 +291,6 @@ class TestVelocityRescale:
 
 class TestNoseHoover:
     def test_rejects_bad_params(self):
-        from repro.md.integrate import NoseHoover
-
         with pytest.raises(ValueError):
             NoseHoover(0.0, 0.1, 0.001)
         with pytest.raises(ValueError):
@@ -304,7 +302,6 @@ class TestNoseHoover:
         thermostat must pull it back up)."""
         from repro.core.tersoff.parameters import tersoff_si
         from repro.core.tersoff.production import TersoffProduction
-        from repro.md.integrate import NoseHoover
         from repro.md.neighbor import NeighborSettings
         from repro.md.simulation import Simulation
 
@@ -321,8 +318,6 @@ class TestNoseHoover:
         assert 330.0 < mean_late < 680.0  # pulled back toward 500, not T0/2=250
 
     def test_deterministic(self):
-        from repro.md.integrate import NoseHoover
-
         def run():
             s = diamond_lattice(2, 2, 2)
             seeded_velocities(s, 400.0, seed=9)
@@ -341,8 +336,6 @@ class TestNoseHoover:
         assert np.array_equal(v1, v2) and xi1 == xi2
 
     def test_thermostat_energy_tracked(self):
-        from repro.md.integrate import NoseHoover
-
         s = diamond_lattice(2, 2, 2)
         seeded_velocities(s, 1000.0, seed=10)
         nh = NoseHoover(300.0, damping=0.05, dt=0.001)

@@ -36,6 +36,7 @@ import pytest
 from conftest import needs_compiled
 from test_backends import (ENERGY_ULP, FORCES_MAXREL, PERATOM_ULP, TENSOR_MAXREL, assert_same_counts,
                            assert_tracks, maxrel, ulp_diff)
+from repro.backends import cext
 from repro.core.sw import StillingerWeberProduction, sw_silicon
 from repro.core.tersoff.parameters import tersoff_si, tersoff_sige
 from repro.core.tersoff.production import TersoffProduction
@@ -118,8 +119,6 @@ def cell(species: str) -> AtomSystem:
 @pytest.fixture(params=ROWS)
 def row(request, monkeypatch):
     if request.param.backend == "compiled":
-        from repro.backends import cext
-
         monkeypatch.setattr(cext, "THREAD_GRAIN", 1)
     return request.param
 
@@ -271,8 +270,6 @@ def test_compiled_tracks_the_numpy_oracle(row, monkeypatch):
     In double the scalar virial is held to the tensor's relative bound:
     on a relaxed cell the trace nearly cancels (Tersoff a-Si: -2.1 eV
     against components of 15.5, where 292 ULP are 8e-15 of the tensor)."""
-    from repro.backends import cext
-
     monkeypatch.setattr(cext, "THREAD_GRAIN", 1)
     system = cell(row.species)
     pot = potential(row)
@@ -301,7 +298,6 @@ def test_a_pruning_instance_returns_a_fresh_instances_bits(row, monkeypatch):
     do next, it returns what a fresh instance returns walking the list in
     full (skin 0), bit for bit: forces, per-atom energies, virial sums,
     counters and typed errors."""
-    from repro.backends import cext
     from repro.core.pipeline import InteractionCache, Staging
     from repro.parallel.decomposition import DomainDecomposition
     from test_backends import assert_same_call, kernel_sums
@@ -422,8 +418,6 @@ def test_nve_energy_is_conserved(row, monkeypatch):
     (the numpy rows, slow, over 10^3), with a skin thin enough that the
     list is rebuilt every dozen steps."""
     if row.backend == "compiled":
-        from repro.backends import cext
-
         monkeypatch.setattr(cext, "THREAD_GRAIN", 1)
     system = _relaxed(row.species).copy()
     seeded_velocities(system, 600.0, seed=17)

@@ -9,6 +9,7 @@ pinned exactly (integer-valued stats) or to float noise (ratios).
 import pytest
 
 from conftest import build_list, needs_compiled
+from repro.backends import cext
 from repro.core.tersoff.parameters import tersoff_si
 from repro.core.tersoff.production import TersoffProduction
 from repro.core.tersoff.vectorized import TersoffVectorized
@@ -44,7 +45,6 @@ def _meet_the_simulator(workload, threads=1):
     """The C kernel's bodies, lane occupancy and spins against the lane
     simulator of scheme 1b at the width that ran, in double and mixed, on
     `workload` and on the committed a-Si fixture of test_invariants.py."""
-    from repro.backends import cext
     from test_invariants import cell
 
     lanes = cext.build_info()["kernels"]["tersoff"]["lanes"]
@@ -83,8 +83,6 @@ def test_scheme_1b_simulation_meets_the_compiled_kernel(workload):
 def test_the_compiled_counters_hold_on_any_number_of_threads(workload, monkeypatch, threads):
     """Bodies, active lanes and spins are counted per chunk of rows and
     added up: 216 atoms are four chunks for `threads` threads to claim."""
-    from repro.backends import cext
-
     monkeypatch.setattr(cext, "THREAD_GRAIN", 1)
     _meet_the_simulator(workload, threads)
 

@@ -9,7 +9,9 @@ from repro.core.tersoff.parameters import (
     ELEMENT_SETS,
     TersoffEntry,
     TersoffParams,
+    bundled_file,
     format_lammps_tersoff,
+    load_tersoff_file,
     parse_lammps_tersoff,
     tersoff_carbon,
     tersoff_si,
@@ -159,8 +161,6 @@ class TestFileFormat:
 
 class TestBundledFiles:
     def test_all_bundled_files_load(self):
-        from repro.core.tersoff.parameters import bundled_file, load_tersoff_file
-
         for name, species in (
             ("Si.tersoff", ("Si",)),
             ("Si_1988.tersoff", ("Si",)),
@@ -171,23 +171,18 @@ class TestBundledFiles:
             assert params.max_cutoff > 2.0
 
     def test_bundled_si_matches_builtin(self):
-        from repro.core.tersoff.parameters import bundled_file, load_tersoff_file
-
         loaded = load_tersoff_file(bundled_file("Si.tersoff"), ("Si",))
         builtin = tersoff_si()
         assert loaded.entry(0, 0, 0).A == pytest.approx(builtin.entry(0, 0, 0).A, rel=1e-5)
         assert loaded.entry(0, 0, 0).beta == pytest.approx(builtin.entry(0, 0, 0).beta, rel=1e-5)
 
     def test_missing_bundled_file(self):
-        from repro.core.tersoff.parameters import bundled_file
-
         with pytest.raises(FileNotFoundError, match="available"):
             bundled_file("Unobtainium.tersoff")
 
     def test_bundled_parameters_drive_solver(self):
         """Loaded-from-disk parameters produce the same physics."""
         from conftest import build_list
-        from repro.core.tersoff.parameters import bundled_file, load_tersoff_file
         from repro.core.tersoff.production import TersoffProduction
         from repro.md.lattice import diamond_lattice
 

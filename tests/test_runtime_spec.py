@@ -16,6 +16,7 @@ from repro.core.schemes import make_solver
 from repro.md.lattice import diamond_lattice, perturbed
 from repro.md.neighbor import NeighborList, NeighborSettings
 from repro.runtime import RUNTIME_SCHEMA_VERSION, RunSpec, SolverSpec, SpecError, build_potential
+from repro.runtime.spec import run_from_args
 from repro.state import load_checkpoint, save_checkpoint
 
 
@@ -273,18 +274,18 @@ class TestRunSpec:
             workers=2, ranks=4, executor="thread",
             hosts=None, skin=2.0,
         )
-        run = RunSpec.from_args(args)
+        run, _ = run_from_args(args)
         assert run.solver == SolverSpec(mode="Opt-S")
         assert (run.workers, run.ranks) == (2, 4)
         assert run.executor == "thread"
         assert run.skin == 2.0
 
     def test_from_args_defaults_on_sparse_namespace(self):
-        assert RunSpec.from_args(argparse.Namespace()) == RunSpec()
-        assert RunSpec.from_args(argparse.Namespace(skin=None)) == RunSpec()  # no --skin
+        assert run_from_args(argparse.Namespace())[0] == RunSpec()
+        assert run_from_args(argparse.Namespace(skin=None))[0] == RunSpec()  # no --skin
 
     def test_from_args_splits_host_strings(self):
-        run = RunSpec.from_args(argparse.Namespace(hosts="a:1, b:2,"))
+        run, _ = run_from_args(argparse.Namespace(hosts="a:1, b:2,"))
         assert run.hosts == ("a:1", "b:2")
 
     def test_with_overrides(self):

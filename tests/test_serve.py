@@ -14,6 +14,7 @@ import threading
 import time
 import zlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 from conftest import needs_compiled
 
+from repro.cli import main
 from repro.host import usable_cores
 from repro.md.box import Box
 from repro.md.lattice import diamond_lattice, perturbed
@@ -45,6 +47,7 @@ from repro.serve.protocol import (
     decode_payload,
     encode_payload,
 )
+from repro.serve.server import _Job
 from repro.state.format import FLAG_ZLIB, FRAME_MAGIC, pack_json
 
 SPEC = SolverSpec(potential="tersoff", mode="Opt-M")
@@ -644,8 +647,6 @@ class TestDispatch:
         try:
             # enqueue before the dispatcher exists: the first drain
             # must fuse everything
-            from repro.serve.server import _Job
-
             jobs = [_Job(SPEC, _system(seed=s), "default") for s in range(4)]
             for job in jobs:
                 assert srv.submit(job)
@@ -666,8 +667,6 @@ class TestDispatch:
     def test_fused_batch_answers_are_bitwise(self, tmp_path):
         """Fusion is dispatch-only: each fused request's answer equals
         its own direct evaluation."""
-        from repro.serve.server import _Job
-
         systems = [_system(seed=s) for s in range(3)]
         direct = SolverSession(SPEC, skin=1.0)
         refs = [direct.evaluate(s).forces for s in systems]
@@ -758,8 +757,6 @@ class TestDispatch:
         """Jobs of two sessions are inside ``evaluate`` together: each
         waits at a barrier the other must reach (a timeout, not a hang,
         when they do not overlap)."""
-        from repro.serve.server import _Job
-
         barrier = threading.Barrier(2, timeout=20)
         evaluate = SolverSession.evaluate
 
@@ -784,8 +781,6 @@ class TestDispatch:
         session's answers are bitwise a direct, sequential replay of its
         jobs in arrival order.  Jitters below skin/2 keep a list built at
         another snapshot, whose row order then shows in SW's bits."""
-        from repro.serve.server import _Job
-
         sw = SolverSpec(potential="sw", mode="Opt-D")
         keys = [("a", sw), ("b", sw), ("a", SPEC)]
         base, rng = perturbed(diamond_lattice(3, 3, 3), 0.3, seed=1), np.random.default_rng(0)
@@ -827,7 +822,6 @@ class TestDispatch:
         and jobs arriving while their session is busy: no session is ever
         inside ``evaluate`` twice, and no count is lost."""
         import repro.serve.server as server_module
-        from repro.serve.server import _Job
 
         inside, overlaps, lock = set(), [], threading.Lock()
         evaluate = SolverPool.evaluate
@@ -868,8 +862,6 @@ class TestDispatch:
         """``max_sessions=1``: a second session evicts one that is mid-
         evaluation; that call still answers (bitwise), and the evicted
         key's next session is built only after it returned."""
-        from repro.serve.server import _Job
-
         spec_a, spec_b = SPEC, SolverSpec(potential="tersoff", mode="Opt-D")
         log, entered, gate = [], threading.Event(), threading.Event()
         init, evaluate = SolverSession.__init__, SolverSession.evaluate
@@ -1087,21 +1079,24 @@ class TestLifecycle:
         (["--max-atoms", "0"], "serve: max_atoms must be >= 1"),
     ])
     def test_cli_refuses_bad_limits(self, flags, message, capsys, monkeypatch):
-        from repro.cli import main
-
         monkeypatch.setattr(EvalServer, "serve_forever", lambda self: None)
         assert main(["serve", *flags]) == 2
         assert capsys.readouterr().err.startswith(message)
 
     def test_cli_refuses_bad_skin(self, tmp_path, capsys, monkeypatch):
-        from repro.cli import main
-
         # a server that got as far as serving returns at once instead
         monkeypatch.setattr(EvalServer, "serve_forever", lambda self: None)
         path = tmp_path / "never.sock"
         assert main(["serve", "--unix", str(path), "--skin", "nan"]) == 2
         assert capsys.readouterr().err.startswith("serve: skin must be finite")
         assert not path.exists()
+
+    def test_cli_bare_serve_is_the_default_config(self, monkeypatch):
+        """No flag copies a ServeConfig default: only flags given reach it."""
+        seen = []
+        monkeypatch.setattr("repro.serve.EvalServer", lambda config: seen.append(config) or
+                            SimpleNamespace(address="-", serve_forever=lambda: None))
+        assert main(["serve"]) == 0 and seen == [ServeConfig()]
 
     def test_close_unlinks_socket_and_stops_threads(self, tmp_path):
         path = tmp_path / "e.sock"

@@ -8,6 +8,7 @@ from conftest import build_list, make_cluster
 from repro.core.sw import StillingerWeberProduction, StillingerWeberReference, sw_silicon
 from repro.core.sw.functional import phi2, phi3
 from repro.core.sw.parameters import SWParams
+from repro.core.sw.vectorized import StillingerWeberVectorized
 from repro.md.lattice import diamond_lattice, perturbed, seeded_velocities
 from repro.md.neighbor import NeighborSettings
 from repro.md.potential import finite_difference_forces
@@ -193,8 +194,6 @@ class TestVectorized:
 
     @pytest.mark.parametrize("isa", ["avx", "avx2", "imci", "avx512", "cuda"])
     def test_matches_reference(self, isa, sw, vec_inputs):
-        from repro.core.sw.vectorized import StillingerWeberVectorized
-
         s, nl, ref = vec_inputs
         res = StillingerWeberVectorized(sw, isa=isa).compute(s, nl)
         assert res.energy == pytest.approx(ref.energy, rel=1e-11)
@@ -202,15 +201,12 @@ class TestVectorized:
         assert res.virial == pytest.approx(ref.virial, rel=1e-9)
 
     def test_fast_forward_off_identical(self, sw, vec_inputs):
-        from repro.core.sw.vectorized import StillingerWeberVectorized
-
         s, nl, ref = vec_inputs
         res = StillingerWeberVectorized(sw, isa="imci", fast_forward=False).compute(s, nl)
         assert res.energy == pytest.approx(ref.energy, rel=1e-11)
 
     def test_irregular_cluster(self, sw):
         from conftest import make_cluster
-        from repro.core.sw.vectorized import StillingerWeberVectorized
 
         s = make_cluster(12, seed=63)
         nl = build_list(s, sw.cut, brute=True)
@@ -220,15 +216,11 @@ class TestVectorized:
         assert np.max(np.abs(res.forces - ref.forces)) < 1e-10
 
     def test_single_precision_close(self, sw, vec_inputs):
-        from repro.core.sw.vectorized import StillingerWeberVectorized
-
         s, nl, ref = vec_inputs
         res = StillingerWeberVectorized(sw, isa="imci", precision="single").compute(s, nl)
         assert abs(res.energy - ref.energy) / abs(ref.energy) < 1e-5
 
     def test_counts_instructions(self, sw, vec_inputs):
-        from repro.core.sw.vectorized import StillingerWeberVectorized
-
         s, nl, _ = vec_inputs
         res = StillingerWeberVectorized(sw, isa="imci").compute(s, nl)
         st = res.stats
